@@ -46,7 +46,6 @@ fn run_with_outage(outage: bool) -> coolstreaming::RunArtifacts {
         world,
         scheduled_arrivals: n,
         run_stats,
-        shard_events: None,
     }
 }
 

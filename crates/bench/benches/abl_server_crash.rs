@@ -47,7 +47,6 @@ fn run(crash: bool) -> coolstreaming::RunArtifacts {
         world,
         scheduled_arrivals: n,
         run_stats,
-        shard_events: None,
     }
 }
 

@@ -104,7 +104,6 @@ fn main() {
                         trace_hash: true,
                         record_spans: false,
                         telemetry: None,
-                        shards: 0,
                     })
                     .trace_hash,
             )
@@ -118,7 +117,6 @@ fn main() {
                 trace_hash: false,
                 record_spans: false,
                 telemetry: None,
-                shards: 0,
             });
             assert!(run.invariants.as_ref().unwrap().is_clean());
             black_box(run.artifacts.run_stats.events)
@@ -132,7 +130,6 @@ fn main() {
                 trace_hash: false,
                 record_spans: false,
                 telemetry: None,
-                shards: 0,
             });
             assert!(run.invariants.as_ref().unwrap().is_clean());
             black_box(run.artifacts.run_stats.events)

@@ -36,7 +36,6 @@ fn options(telemetry: Option<TelemetryConfig>) -> RunOptions {
         trace_hash: false,
         record_spans: false,
         telemetry,
-        shards: 0,
     }
 }
 

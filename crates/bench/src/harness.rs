@@ -61,11 +61,6 @@ pub struct BenchOptions {
     pub git_describe: Option<String>,
     /// Print per-scenario progress to stderr.
     pub verbose: bool,
-    /// Shard partitions per run (`0` = the solo engine). Sharded runs
-    /// are byte-identical to solo, so the trace-hash and event-count
-    /// columns gate the same either way; wall times measure the
-    /// epoch-barrier driver instead of the solo loop.
-    pub shards: usize,
 }
 
 impl BenchOptions {
@@ -78,7 +73,6 @@ impl BenchOptions {
             record_spans: true,
             git_describe: None,
             verbose: false,
-            shards: 0,
         }
     }
 }
@@ -124,13 +118,6 @@ pub struct ScenarioBench {
     pub manager_events: BTreeMap<String, u64>,
     /// Per-kind dispatch percentiles from the instrumented repetition.
     pub dispatch_ns: BTreeMap<String, DispatchPercentiles>,
-    /// Shard partitions the run used (`None`/absent = solo engine).
-    /// Optional so `cs-bench/1` baselines written before sharding
-    /// existed still parse.
-    pub shards: Option<u64>,
-    /// Events dispatched per shard, in shard order (`None` for solo
-    /// runs). Sums to `events`.
-    pub shard_events: Option<Vec<u64>>,
 }
 
 /// The whole `BENCH_*.json` document.
@@ -249,7 +236,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
         trace_hash: true,
         record_spans: true,
         telemetry: Some(TelemetryConfig::default()),
-        shards: opts.shards,
     };
     let mut benches: Vec<ScenarioBench> = Vec::new();
     let mut all_spans: Vec<(String, Vec<SpanRecord>)> = Vec::new();
@@ -300,8 +286,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
             event_kinds,
             manager_events: manager_totals(&spans),
             dispatch_ns,
-            shards: (opts.shards > 0).then_some(opts.shards as u64),
-            shard_events: run.artifacts.shard_events.clone(),
         });
         if opts.record_spans {
             all_spans.push((ls.name.clone(), spans));
@@ -315,7 +299,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
         trace_hash: true,
         record_spans: false,
         telemetry: None,
-        shards: opts.shards,
     };
     for rep in 0..reps {
         for (ls, bench) in library.iter().zip(benches.iter_mut()) {
@@ -526,8 +509,6 @@ mod tests {
                     p99_ns: 300,
                 },
             )]),
-            shards: Some(2),
-            shard_events: Some(vec![events / 2, events - events / 2]),
         }
     }
 

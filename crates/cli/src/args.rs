@@ -37,12 +37,33 @@ impl Args {
         args
     }
 
-    /// Typed flag lookup with a default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// Typed flag lookup: `None` when the flag is absent, an error
+    /// naming the flag when its value does not parse as `T`.
+    pub fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.flags
             .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key}: cannot parse value {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// Typed flag lookup with a default for an absent flag. A value
+    /// that is present but does not parse is an error, never the default.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.get_opt(key)?.unwrap_or(default))
+    }
+
+    /// Fail on the first flag the subcommand does not declare.
+    pub fn expect_flags(&self, declared: &[&str]) -> Result<(), String> {
+        match self.flags.keys().find(|k| !declared.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(k) => Err(format!(
+                "unknown flag --{k} for `{}` (see `coolstream help`)",
+                self.command.as_deref().unwrap_or("help")
+            )),
+        }
     }
 
     /// String flag lookup.
@@ -68,17 +89,31 @@ mod tests {
     fn subcommand_and_flags() {
         let a = parse("run --scale 0.05 --seed 7 --quiet");
         assert_eq!(a.command.as_deref(), Some("run"));
-        assert_eq!(a.get("scale", 0.0f64), 0.05);
-        assert_eq!(a.get("seed", 0u64), 7);
+        assert_eq!(a.get("scale", 0.0f64), Ok(0.05));
+        assert_eq!(a.get("seed", 0u64), Ok(7));
         assert!(a.has("quiet"));
         assert!(!a.has("missing"));
     }
 
     #[test]
-    fn defaults_apply_when_missing_or_unparsable() {
-        let a = parse("analyze --scale abc");
-        assert_eq!(a.get("scale", 1.5f64), 1.5);
-        assert_eq!(a.get("seed", 42u64), 42);
+    fn default_applies_only_when_the_flag_is_absent() {
+        let a = parse("analyze --scale abc --seed");
+        assert_eq!(a.get("rate", 1.5f64), Ok(1.5));
+        assert_eq!(a.get_opt::<u64>("minutes"), Ok(None));
+        // Present but unparsable (or missing its value) names the flag.
+        let e = a.get("scale", 1.5f64).unwrap_err();
+        assert!(e.contains("--scale") && e.contains("abc"), "{e}");
+        let e = a.get_opt::<u64>("seed").unwrap_err();
+        assert!(e.contains("--seed"), "{e}");
+    }
+
+    #[test]
+    fn undeclared_flags_are_named() {
+        let a = parse("run --seed 7 --sede 8 --quiet");
+        assert_eq!(a.expect_flags(&["seed", "sede", "quiet"]), Ok(()));
+        let e = a.expect_flags(&["seed", "quiet"]).unwrap_err();
+        assert!(e.contains("--sede") && e.contains("`run`"), "{e}");
+        assert_eq!(parse("help").expect_flags(&[]), Ok(()));
     }
 
     #[test]
@@ -92,7 +127,7 @@ mod tests {
     fn flag_followed_by_flag_gets_empty_value() {
         let a = parse("run --quiet --seed 1");
         assert_eq!(a.get_str("quiet"), Some(""));
-        assert_eq!(a.get("seed", 0u64), 1);
+        assert_eq!(a.get("seed", 0u64), Ok(1));
     }
 
     #[test]
@@ -120,7 +155,7 @@ mod tests {
     #[test]
     fn trailing_flag_without_value_is_empty() {
         let a = parse("run --seed 3 --trace-hash");
-        assert_eq!(a.get("seed", 0u64), 3);
+        assert_eq!(a.get("seed", 0u64), Ok(3));
         assert_eq!(a.get_str("trace-hash"), Some(""));
         assert!(a.has("trace-hash"));
     }

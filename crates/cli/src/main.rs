@@ -61,8 +61,6 @@ fn git_describe() -> Option<String> {
 struct Loaded {
     scenario: Scenario,
     injections: Vec<(SimTime, Event)>,
-    /// Shard partitions from the spec (`0` = solo); `--shards` overrides.
-    shards: usize,
 }
 
 /// Load, strictly validate and compile a `--scenario FILE` DSL document.
@@ -77,11 +75,10 @@ fn build_scenario(args: &Args) -> Result<Loaded, String> {
         let compiled = spec.compile().map_err(|e| format!("{path}: {e}"))?;
         let mut scenario = compiled.scenario;
         // --seed still wins, so sweeps can reuse one file across seeds.
-        scenario.seed = args.get("seed", scenario.seed);
+        scenario.seed = args.get("seed", scenario.seed)?;
         return Ok(Loaded {
             scenario,
             injections: compiled.injections,
-            shards: compiled.shards,
         });
     }
     if let Some(path) = args.get_str("config") {
@@ -91,32 +88,30 @@ fn build_scenario(args: &Args) -> Result<Loaded, String> {
         return Ok(Loaded {
             scenario,
             injections: Vec::new(),
-            shards: 0,
         });
     }
     let preset = args.get_str("preset").unwrap_or("steady");
     let mut scenario = match preset {
-        "event_day" => Scenario::event_day(args.get("scale", 0.02)),
-        "steady" => Scenario::steady(args.get("rate", 0.5)),
+        "event_day" => Scenario::event_day(args.get("scale", 0.02)?),
+        "steady" => Scenario::steady(args.get("rate", 0.5)?),
         other => return Err(format!("unknown preset {other:?} (event_day|steady)")),
     };
-    scenario.seed = args.get("seed", scenario.seed);
+    scenario.seed = args.get("seed", scenario.seed)?;
     if args.has("start-h") || args.has("end-h") {
-        let start = SimTime::from_secs_f64(args.get("start-h", 0.0) * 3600.0);
+        let start = SimTime::from_secs_f64(args.get("start-h", 0.0)? * 3600.0);
         let default_end = scenario.horizon.as_secs_f64() / 3600.0;
-        let end = SimTime::from_secs_f64(args.get("end-h", default_end) * 3600.0);
+        let end = SimTime::from_secs_f64(args.get("end-h", default_end)? * 3600.0);
         if end <= start {
             return Err("end-h must exceed start-h".into());
         }
         scenario.start = start;
         scenario.horizon = end;
     } else if preset == "steady" {
-        scenario.horizon = SimTime::from_mins(args.get("minutes", 20));
+        scenario.horizon = SimTime::from_mins(args.get("minutes", 20)?);
     }
     Ok(Loaded {
         scenario,
         injections: Vec::new(),
-        shards: 0,
     })
 }
 
@@ -124,23 +119,21 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let Loaded {
         scenario,
         injections,
-        shards,
     } = build_scenario(args)?;
     let quiet = args.has("quiet");
     let telemetry_dir = args.get_str("telemetry-dir").map(PathBuf::from);
+    let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
     let options = RunOptions {
         check_invariants: args.has("check-invariants"),
-        invariant_stride: args.get("invariant-stride", 1),
+        invariant_stride: args.get("invariant-stride", 1)?,
         // The telemetry manifest records the trace hash, so --telemetry-dir
         // implies --trace-hash.
         trace_hash: args.has("trace-hash") || telemetry_dir.is_some(),
         record_spans: false,
-        telemetry: telemetry_dir.is_some().then(|| TelemetryConfig {
-            window: SimTime::from_secs(args.get("telemetry-window", 300)),
+        telemetry: telemetry_dir.is_some().then_some(TelemetryConfig {
+            window: SimTime::from_secs(telemetry_window_s),
             profile: true,
         }),
-        // CLI flag wins over the spec's `shards` field; both default solo.
-        shards: args.get("shards", shards),
     };
     if !quiet {
         eprintln!(
@@ -165,7 +158,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             events: tel.events,
             event_kinds: output::event_kind_totals(tel),
             windows: tel.snapshots.len() as u64,
-            window_us: args.get("telemetry-window", 300) * 1_000_000,
+            window_us: telemetry_window_s * 1_000_000,
             start_us: scenario.start.as_micros(),
             horizon_us: scenario.horizon.as_micros(),
             wall_ms,
@@ -234,10 +227,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     opts.reps = if args.has("quick") {
         1
     } else {
-        args.get("reps", 3).max(1)
+        args.get("reps", 3)?.max(1)
     };
     opts.record_spans = !args.has("no-spans");
-    opts.shards = args.get("shards", 0);
     if let Some(list) = args.get_str("scenarios") {
         opts.filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
     }
@@ -276,8 +268,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     }
 
     if let Some(baseline) = args.get_str("compare") {
-        let warn_pct = args.get("warn-pct", cs_bench::DEFAULT_WARN_PCT);
-        let fail_pct = args.get("fail-pct", cs_bench::DEFAULT_FAIL_PCT);
+        let warn_pct = args.get("warn-pct", cs_bench::DEFAULT_WARN_PCT)?;
+        let fail_pct = args.get("fail-pct", cs_bench::DEFAULT_FAIL_PCT)?;
         let outcome =
             cs_bench::compare_to_file(&run.report, Path::new(baseline), warn_pct, fail_pct)?;
         println!("\ncompare vs {baseline}:");
@@ -342,10 +334,10 @@ fn spec_from_flags(args: &Args) -> Result<ScenarioSpec, String> {
     let preset = args.get_str("preset").unwrap_or("steady");
     let base = match preset {
         "event_day" => BaseSpec::EventDay {
-            scale: args.get("scale", 0.02),
+            scale: args.get("scale", 0.02)?,
         },
         "steady" => BaseSpec::Steady {
-            rate: args.get("rate", 0.5),
+            rate: args.get("rate", 0.5)?,
         },
         other => return Err(format!("unknown preset {other:?} (event_day|steady)")),
     };
@@ -364,16 +356,12 @@ fn spec_from_flags(args: &Args) -> Result<ScenarioSpec, String> {
         shards: None,
         events: Vec::new(),
     };
-    if args.has("seed") {
-        spec.seed = Some(args.get("seed", 0));
-    }
-    if args.has("start-h") {
-        spec.start_s = Some((args.get::<f64>("start-h", 0.0) * 3600.0).round() as u64);
-    }
-    if args.has("end-h") {
-        spec.end_s = Some((args.get::<f64>("end-h", 0.0) * 3600.0).round() as u64);
-    } else if preset == "steady" {
-        spec.end_s = Some(args.get("minutes", 20) * 60);
+    let hours_to_s = |h: f64| (h * 3600.0).round() as u64;
+    spec.seed = args.get_opt("seed")?;
+    spec.start_s = args.get_opt("start-h")?.map(hours_to_s);
+    spec.end_s = args.get_opt("end-h")?.map(hours_to_s);
+    if spec.end_s.is_none() && preset == "steady" {
+        spec.end_s = Some(args.get("minutes", 20u64)? * 60);
     }
     spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
@@ -405,16 +393,17 @@ USAGE:
                       [--out DIR] [--quiet]
                       [--check-invariants] [--invariant-stride N]
                       [--trace-hash] [--telemetry-dir DIR]
-                      [--telemetry-window SECS] [--shards N]
+                      [--telemetry-window SECS]
   coolstream bench    [--quick] [--reps N] [--scenarios a,b,c]
                       [--scenarios-dir DIR] [--out-dir DIR] [--no-spans]
                       [--compare BENCH.json] [--warn-pct N] [--fail-pct N]
-                      [--quiet] [--shards N]
+                      [--quiet]
   coolstream analyze  --log FILE [--out DIR]
   coolstream config   [--preset ...] [--scenario spec.json] [--example]
   coolstream help
 
-Flags may be spelled `--key value` or `--key=value`.
+Flags may be spelled `--key value` or `--key=value`. Unknown flags and
+unparsable values are errors.
 
 bench runs the scenario library end-to-end and writes a schema-versioned
 perf report (BENCH_<git-describe>.json: events/sec, peers/sec, min-of-K
@@ -446,27 +435,66 @@ sim-time causal spans (spans.jsonl) into --out-dir (default bench-out).
                        (manifest.json) into DIR; implies --trace-hash
   --telemetry-window N aggregation window in seconds (default 300, the
                        paper's status-report cadence)
-  --shards N           partition the world into N shards and drive them
-                       through the epoch-barrier sharded engine (default:
-                       the spec's `shards`, else the solo engine). Output
-                       is byte-identical to solo for every N; BENCH
-                       reports gain per-shard event totals.
 ";
 
-fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
-    let result = match args.command.as_deref() {
-        Some("run") => cmd_run(&args),
-        Some("bench") => cmd_bench(&args),
-        Some("analyze") => cmd_analyze(&args),
-        Some("config") => cmd_config(&args),
-        Some("help") | None => {
-            print!("{HELP}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?}\n{HELP}")),
+/// The flags each subcommand declares; anything else is an error, so a
+/// typo cannot silently run the default.
+const RUN_FLAGS: &[&str] = &[
+    "preset",
+    "scale",
+    "rate",
+    "minutes",
+    "seed",
+    "start-h",
+    "end-h",
+    "scenario",
+    "config",
+    "out",
+    "quiet",
+    "check-invariants",
+    "invariant-stride",
+    "trace-hash",
+    "telemetry-dir",
+    "telemetry-window",
+];
+const BENCH_FLAGS: &[&str] = &[
+    "quick",
+    "reps",
+    "scenarios",
+    "scenarios-dir",
+    "out-dir",
+    "no-spans",
+    "compare",
+    "warn-pct",
+    "fail-pct",
+    "quiet",
+];
+const ANALYZE_FLAGS: &[&str] = &["log", "out"];
+const CONFIG_FLAGS: &[&str] = &[
+    "preset", "scale", "rate", "minutes", "seed", "start-h", "end-h", "scenario", "example",
+];
+
+fn cmd_help(_: &Args) -> Result<(), String> {
+    print!("{HELP}");
+    Ok(())
+}
+
+fn dispatch(args: &Args) -> Result<(), String> {
+    type Cmd = fn(&Args) -> Result<(), String>;
+    let (declared, cmd): (&[&str], Cmd) = match args.command.as_deref() {
+        Some("run") => (RUN_FLAGS, cmd_run),
+        Some("bench") => (BENCH_FLAGS, cmd_bench),
+        Some("analyze") => (ANALYZE_FLAGS, cmd_analyze),
+        Some("config") => (CONFIG_FLAGS, cmd_config),
+        Some("help") | None => (&["help"], cmd_help),
+        Some(other) => return Err(format!("unknown command {other:?}\n{HELP}")),
     };
-    match result {
+    args.expect_flags(declared)?;
+    cmd(args)
+}
+
+fn main() -> ExitCode {
+    match dispatch(&Args::parse(std::env::args().skip(1))) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

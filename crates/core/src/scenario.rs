@@ -18,7 +18,7 @@ use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network};
 use cs_proto::{
     finalize_sessions, CsWorld, Event, EventKinds, InvariantChecker, Params, ProtoTelemetry,
 };
-use cs_sim::{Engine, MultiObserver, RunStats, ShardedEngine, SimTime, TraceHasher};
+use cs_sim::{Engine, MultiObserver, RunStats, SimTime, TraceHasher};
 use cs_telemetry::{
     DispatchProfiler, MetricRegistry, SpanRecord, SpanRecorder, TelemetryConfig, TelemetryObserver,
     WindowSnapshot,
@@ -188,29 +188,17 @@ impl Scenario {
         options: RunOptions,
     ) -> ObservedRun {
         let net = Network::new(self.policy, self.latency, self.seed);
-        let mut world = CsWorld::new_sharded(
-            self.params,
-            net,
-            self.servers,
-            self.server_bw,
-            self.seed,
-            options.shards.max(1),
-        );
+        let mut world = CsWorld::new(self.params, net, self.servers, self.server_bw, self.seed);
         world.snapshot_interval = self.snapshot_interval;
         let n_arrivals = arrivals.len();
-        // Pre-size the arena partitions and per-shard queues from the
-        // spec: every arrival may become a live peer, and the queues
-        // hold the not-yet-dispatched arrivals/injections up front plus
-        // a handful of periodic timers per live peer at steady state.
+        // Pre-size the arena and queue from the spec: every arrival may
+        // become a live peer, and the queue holds the not-yet-dispatched
+        // arrivals/injections up front plus a handful of periodic timers
+        // per live peer at steady state.
         world.reserve_peers(n_arrivals + self.servers);
-        let queue_cap = n_arrivals + injections.len() + 16;
-        let mut engine = if options.shards == 0 {
-            Driver::Solo(Engine::with_queue_capacity(world, queue_cap))
-        } else {
-            Driver::Sharded(ShardedEngine::with_queue_capacity(world, queue_cap))
-        };
+        let mut engine = Engine::with_queue_capacity(world, n_arrivals + injections.len() + 16);
         // Guard against protocol bugs that self-schedule forever.
-        engine.set_event_budget(4_000_000_000);
+        engine.event_budget = 4_000_000_000;
 
         let checker = options.check_invariants.then(|| {
             Rc::new(RefCell::new(InvariantChecker::with_stride(
@@ -289,7 +277,6 @@ impl Scenario {
         let run_stats = engine.run_until(self.horizon);
         let end = engine.now();
         let mut taken = engine.take_observer();
-        let shard_events = engine.shard_events();
         let mut world = engine.into_world();
         // Validate the horizon state too: runs ending between events
         // (or with a stride) would otherwise leave the tail unchecked.
@@ -340,7 +327,6 @@ impl Scenario {
                 world,
                 scheduled_arrivals: n_arrivals,
                 run_stats,
-                shard_events,
             },
             trace_hash: hasher.map(|h| h.borrow().hash()),
             spans: spans.map(|s| s.borrow_mut().take_records()),
@@ -352,82 +338,6 @@ impl Scenario {
                 Err(rc) => InvariantChecker::clone(&rc.borrow()),
             }),
             telemetry,
-        }
-    }
-}
-
-/// The engine behind a run: the solo [`Engine`] (`shards == 0`) or the
-/// epoch-barrier [`ShardedEngine`] (`shards ≥ 1`). Both expose the same
-/// surface and produce byte-identical output, so `run_inner` is written
-/// once against this forwarding wrapper.
-enum Driver {
-    Solo(Engine<CsWorld>),
-    Sharded(ShardedEngine<CsWorld>),
-}
-
-impl Driver {
-    fn set_event_budget(&mut self, budget: u64) {
-        match self {
-            Driver::Solo(e) => e.event_budget = budget,
-            Driver::Sharded(e) => e.event_budget = budget,
-        }
-    }
-
-    fn set_observer(&mut self, obs: Box<dyn cs_sim::Observer<CsWorld>>) {
-        match self {
-            Driver::Solo(e) => e.set_observer(obs),
-            Driver::Sharded(e) => e.set_observer(obs),
-        }
-    }
-
-    fn world(&self) -> &CsWorld {
-        match self {
-            Driver::Solo(e) => e.world(),
-            Driver::Sharded(e) => e.world(),
-        }
-    }
-
-    fn schedule_at(&mut self, at: SimTime, event: Event) {
-        match self {
-            Driver::Solo(e) => e.schedule_at(at, event),
-            Driver::Sharded(e) => e.schedule_at(at, event),
-        }
-    }
-
-    fn run_until(&mut self, horizon: SimTime) -> RunStats {
-        match self {
-            Driver::Solo(e) => e.run_until(horizon),
-            Driver::Sharded(e) => e.run_until(horizon),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Driver::Solo(e) => e.now(),
-            Driver::Sharded(e) => e.now(),
-        }
-    }
-
-    fn take_observer(&mut self) -> Option<Box<dyn cs_sim::Observer<CsWorld>>> {
-        match self {
-            Driver::Solo(e) => e.take_observer(),
-            Driver::Sharded(e) => e.take_observer(),
-        }
-    }
-
-    /// Per-shard dispatch totals — `None` on the solo engine, which has
-    /// no partitions to report.
-    fn shard_events(&self) -> Option<Vec<u64>> {
-        match self {
-            Driver::Solo(_) => None,
-            Driver::Sharded(e) => Some(e.shard_event_totals()),
-        }
-    }
-
-    fn into_world(self) -> CsWorld {
-        match self {
-            Driver::Solo(e) => e.into_world(),
-            Driver::Sharded(e) => e.into_world(),
         }
     }
 }
@@ -475,12 +385,6 @@ pub struct RunOptions {
     /// snapshots. Like the other observers this is passive: artifacts
     /// and trace hashes are identical with telemetry on or off.
     pub telemetry: Option<TelemetryConfig>,
-    /// Shard partitions for the run. `0` (the default) runs the solo
-    /// engine; `N ≥ 1` partitions the world into `N` shards and drives
-    /// them through the epoch-barrier [`ShardedEngine`]. Sharded output
-    /// is byte-identical to solo: same trace hash, observer stream, RNG
-    /// draw order, and artifacts for every `N`.
-    pub shards: usize,
 }
 
 /// The output of an instrumented run.
@@ -521,10 +425,6 @@ pub struct RunArtifacts {
     pub scheduled_arrivals: usize,
     /// Engine statistics.
     pub run_stats: RunStats,
-    /// Events dispatched per shard, in shard order — `Some` only for
-    /// sharded runs ([`RunOptions::shards`] ≥ 1); the totals sum to
-    /// `run_stats.events`.
-    pub shard_events: Option<Vec<u64>>,
 }
 
 /// Run many scenarios in parallel (rayon), preserving input order.

@@ -76,12 +76,18 @@ pub struct ScenarioSpec {
     pub policy: Option<PolicySpec>,
     /// Topology snapshot cadence in seconds (`None` = base default).
     pub snapshot_s: Option<u64>,
-    /// Shard partitions to run with (`None` = the solo engine; `N ≥ 1`
-    /// = the epoch-barrier sharded driver, byte-identical to solo).
+    /// Residue of the removed sharded engine: always `None` in an
+    /// accepted spec. The field survives only because `benchmark/`
+    /// reads `spec.shards.is_none()` and could not be edited in the PR
+    /// that removed sharding; it dies in the next benchmark PR.
     pub shards: Option<u64>,
     /// Timed chaos injections.
     pub events: Vec<ChaosSpec>,
 }
+
+/// The rejection for a spec that still names the removed `shards` knob.
+const SHARDS_REMOVED: &str =
+    "`shards` was removed: runs were byte-identical at every shard count; delete the field";
 
 /// The base scenario a spec starts from.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -189,7 +195,6 @@ impl Serialize for ScenarioSpec {
         push_opt(&mut m, "free_rider_share", &self.free_rider_share);
         push_opt(&mut m, "policy", &self.policy);
         push_opt(&mut m, "snapshot_s", &self.snapshot_s);
-        push_opt(&mut m, "shards", &self.shards);
         push(&mut m, "events", &self.events);
         Value::Map(m)
     }
@@ -205,6 +210,9 @@ impl ScenarioSpec {
     /// Strictly parse a spec from a [`Value`] tree.
     fn from_tree(v: &Value) -> Result<Self, SpecError> {
         let m = as_map(v, "scenario")?;
+        if get(m, "shards").is_some() {
+            return err(SHARDS_REMOVED);
+        }
         check_keys(
             m,
             &[
@@ -220,7 +228,6 @@ impl ScenarioSpec {
                 "free_rider_share",
                 "policy",
                 "snapshot_s",
-                "shards",
                 "events",
             ],
             "scenario",
@@ -251,7 +258,7 @@ impl ScenarioSpec {
                 Some(v) => Some(PolicySpec::from_tree(v)?),
             },
             snapshot_s: opt(m, "snapshot_s", "scenario")?,
-            shards: opt(m, "shards", "scenario")?,
+            shards: None,
             events: match get(m, "events") {
                 None | Some(Value::Null) => Vec::new(),
                 Some(v) => {
@@ -330,8 +337,8 @@ impl ScenarioSpec {
         if self.snapshot_s == Some(0) {
             return err("`snapshot_s` must be >= 1");
         }
-        if self.shards == Some(0) {
-            return err("`shards` must be >= 1 (omit the field for the solo engine)");
+        if self.shards.is_some() {
+            return err(SHARDS_REMOVED);
         }
         let server_count = self.servers.map(|s| s.count);
         for (i, e) in self.events.iter().enumerate() {
@@ -447,7 +454,6 @@ impl ScenarioSpec {
         Ok(CompiledSpec {
             scenario,
             injections,
-            shards: self.shards.map_or(0, |s| s as usize),
         })
     }
 
@@ -475,7 +481,7 @@ impl ScenarioSpec {
                 firewall_accept_prob: 0.1,
             }),
             snapshot_s: Some(60),
-            shards: Some(2),
+            shards: None,
             events: vec![
                 ChaosSpec::ServerCrash {
                     at_s: 300,
@@ -523,10 +529,6 @@ pub struct CompiledSpec {
     pub scenario: Scenario,
     /// Engine chaos injections, in file order.
     pub injections: Vec<(SimTime, Event)>,
-    /// Shard partitions from the spec (`0` = unset → solo engine).
-    /// Feed into [`RunOptions::shards`](crate::RunOptions); a CLI
-    /// `--shards` flag overrides it.
-    pub shards: usize,
 }
 
 impl Serialize for BaseSpec {
@@ -643,6 +645,26 @@ mod tests {
         json = json.replacen("\"name\"", "\"nmae\"", 1);
         let e = ScenarioSpec::from_json(&json).unwrap_err();
         assert!(e.0.contains("unknown field `nmae`"), "{e}");
+    }
+
+    #[test]
+    fn removed_shards_field_is_rejected_by_name() {
+        let minimal = r#"{"version": 1, "name": "x", "base": {"kind": "steady", "rate": 0.5}}"#;
+        let spec = ScenarioSpec::from_json(minimal).unwrap();
+        assert_eq!(spec.shards, None);
+        assert!(!spec.to_json().contains("shards"));
+
+        let with_field = minimal.replacen('{', r#"{"shards": 4, "#, 1);
+        let e = ScenarioSpec::from_json(&with_field).unwrap_err();
+        assert_eq!(e.0, SHARDS_REMOVED);
+
+        // Built in code rather than parsed: validation is the gate.
+        let built = ScenarioSpec {
+            shards: Some(1),
+            ..spec
+        };
+        assert_eq!(built.validate().unwrap_err().0, SHARDS_REMOVED);
+        assert!(!built.to_json().contains("shards"));
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn build_spec(
             firewall_accept_prob: (magnitude / 4.0).min(1.0),
         }),
         snapshot_s: (knobs & 32 != 0).then_some(30 + seed % 120),
-        shards: (knobs & 64 != 0).then_some(1 + seed % 8),
+        shards: None,
         events: Vec::new(),
     };
     let server_count = spec.servers.map_or(1, |s| s.count);
@@ -102,6 +102,7 @@ proptest! {
         let spec = build_spec(base_pick, magnitude, seed, end_s, knobs, event_picks);
         prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
         let json = spec.to_json();
+        prop_assert!(!json.contains("shards"), "removed knob must never be emitted: {json}");
         let back = ScenarioSpec::from_json(&json);
         prop_assert!(back.is_ok(), "{json}\n{:?}", back.err());
         let back = back.unwrap();

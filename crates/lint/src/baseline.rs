@@ -403,7 +403,7 @@ mod tests {
         let fs = vec![
             finding("a.rs", 3, RuleId::R1, "bad rng"),
             finding("a.rs", 9, RuleId::R1, "bad rng"),
-            finding("b.rs", 1, RuleId::P1, "bad write"),
+            finding("b.rs", 1, RuleId::X1, "missing arm"),
         ];
         let bl = Baseline::from_findings(&fs);
         assert_eq!(bl.entries.len(), 2);

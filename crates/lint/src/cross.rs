@@ -1,9 +1,9 @@
-//! Cross-file rule families: P1 shard-safety, R1 RNG-stream discipline,
-//! X1 dispatch exhaustiveness.
+//! Cross-file rule families: R1 RNG-stream discipline, X1 dispatch
+//! exhaustiveness.
 //!
 //! These run over the [`WorkspaceIndex`] after the per-file pass. Raw
 //! findings come back *unfiltered*; the driver in `lib.rs` applies each
-//! file's allow-escapes so `// cs-lint: allow(shard-safety) — …` works
+//! file's allow-escapes so `// cs-lint: allow(rng-stream) — …` works
 //! exactly like it does for token rules.
 
 use crate::lexer::{Tok, TokKind};
@@ -13,112 +13,9 @@ use crate::symbols::{EventAlphabet, FileIndex, KindArm, WorkspaceIndex};
 /// Run all cross-file rules.
 pub fn check_workspace(index: &WorkspaceIndex, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    check_shard_safety(index, &mut out);
     check_rng_streams(index, cfg, &mut out);
     check_dispatch(index, &mut out);
     out
-}
-
-// ---------------------------------------------------------------- P1 --
-
-/// The top-level module owning a crate-relative source path:
-/// `src/stream.rs` and `src/stream/…` → `stream`; roots → `""`.
-fn file_module(crate_rel: &str) -> &str {
-    let Some(rest) = crate_rel.strip_prefix("src/") else {
-        return "";
-    };
-    match rest.split_once('/') {
-        Some((m, _)) => m,
-        None => rest.strip_suffix(".rs").unwrap_or(rest),
-    }
-}
-
-/// P1 — a `pub(super)` field declared in `src/<m>/state.rs` may only be
-/// *written* from module `<m>`. Reads elsewhere are fine; writes must go
-/// through the owning manager's `pub(crate)` mutators.
-fn check_shard_safety(index: &WorkspaceIndex, out: &mut Vec<Finding>) {
-    for c in &index.crates {
-        if c.owned_fields.is_empty() {
-            continue;
-        }
-        for f in &c.files {
-            let here = file_module(&f.crate_rel);
-            // Fields whose owner is NOT this file's module. A field name
-            // owned by several state modules only fires when none match.
-            let foreign: Vec<&crate::symbols::OwnedField> = c
-                .owned_fields
-                .iter()
-                .filter(|o| {
-                    !c.owned_fields
-                        .iter()
-                        .any(|p| p.field == o.field && p.owner == here)
-                })
-                .collect();
-            if foreign.is_empty() {
-                continue;
-            }
-            let toks = &f.lexed.tokens;
-            for i in 0..toks.len() {
-                if f.masked(i) || !toks[i].is_punct(".") {
-                    continue;
-                }
-                let Some(name_tok) = toks.get(i + 1) else {
-                    continue;
-                };
-                if name_tok.kind != TokKind::Ident {
-                    continue;
-                }
-                let Some(owned) = foreign.iter().find(|o| o.field == name_tok.text) else {
-                    continue;
-                };
-                if let Some(line) = write_after(toks, i + 2) {
-                    let module_desc = if here.is_empty() {
-                        "the crate root".to_string()
-                    } else {
-                        format!("module `{here}`")
-                    };
-                    out.push(Finding {
-                        file: f.rel_path.clone(),
-                        line,
-                        rule: RuleId::P1,
-                        message: format!(
-                            "{module_desc} writes `{}`-owned field `{}.{}` (declared {}:{}); \
-                             mutate through the owning manager's pub(crate) API",
-                            owned.owner,
-                            owned.in_struct,
-                            owned.field,
-                            owned.decl_file,
-                            owned.decl_line
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Is the token sequence starting at `ix` (just past `.field`) an
-/// assignment? Handles direct `=`, compound `+=`-family (the lexer
-/// splits those into `+` `=`), and an interposed `[index]` group.
-/// Returns the line of the assignment operator.
-fn write_after(toks: &[Tok], mut ix: usize) -> Option<u32> {
-    // `.field[i] = …` — skip one balanced bracket group.
-    if toks.get(ix).is_some_and(|t| t.is_punct("[")) {
-        ix = skip_balanced(toks, ix)?;
-    }
-    let t = toks.get(ix)?;
-    if t.is_punct("=") {
-        return Some(t.line);
-    }
-    if matches!(
-        t.text.as_str(),
-        "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-    ) && t.kind == TokKind::Punct
-        && toks.get(ix + 1).is_some_and(|n| n.is_punct("="))
-    {
-        return Some(t.line);
-    }
-    None
 }
 
 /// Index just past the group opened at `open_ix` (`(`/`[`/`{`), tracking
@@ -534,49 +431,6 @@ mod tests {
 
     fn slugs(out: &[Finding]) -> Vec<(&str, u32)> {
         out.iter().map(|f| (f.rule.id(), f.line)).collect()
-    }
-
-    #[test]
-    fn p1_flags_cross_module_write_not_read_or_owner_write() {
-        let index = ws(vec![
-            (
-                "proto",
-                "src/stream/state.rs",
-                "pub struct StreamState {\n    pub(super) next_play: u64,\n}\n",
-            ),
-            (
-                "proto",
-                "src/stream/mgr.rs",
-                "fn tick(p: &mut Peer) {\n    p.stream.next_play += 1;\n}\n",
-            ),
-            (
-                "proto",
-                "src/world.rs",
-                "fn bad(p: &mut Peer) {\n    let x = p.stream.next_play;\n    p.stream.next_play = x + 1;\n}\n",
-            ),
-        ]);
-        let out = check_workspace(&index, &Config::default());
-        assert_eq!(slugs(&out), vec![("P1", 3)]);
-        assert!(out[0].message.contains("module `world`"));
-        assert!(out[0].message.contains("`stream`-owned"));
-    }
-
-    #[test]
-    fn p1_flags_compound_and_indexed_writes() {
-        let index = ws(vec![
-            (
-                "proto",
-                "src/stream/state.rs",
-                "pub struct S {\n    pub(super) parents: Vec<u32>,\n    pub(super) lossy_ticks: u64,\n}\n",
-            ),
-            (
-                "proto",
-                "src/partnership.rs",
-                "fn f(s: &mut S, i: usize) {\n    s.parents[i] = 0;\n    s.lossy_ticks += 1;\n    let n = s.parents.len();\n}\n",
-            ),
-        ]);
-        let out = check_workspace(&index, &Config::default());
-        assert_eq!(slugs(&out), vec![("P1", 2), ("P1", 3)]);
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //! | C3 | `panic-in-lib`      | `unwrap`/`expect`/`panic!`-family in library code |
 //! | S1 | `forbid-unsafe`     | crate roots missing `#![forbid(unsafe_code)]` |
 //! | M1 | `file-size`         | det-scope source files over 800 lines (god-object backstop) |
-//! | P1 | `shard-safety`      | cross-manager writes to another manager's `pub(super)` state |
 //! | R1 | `rng-stream`        | RNGs constructed outside the named-stream API |
 //! | X1 | `dispatch-exhaustive` | Event kinds / dispatch / KindClassify tables out of sync |
 //!
-//! D1–M1 are token-local. P1/R1/X1 are *structural and cross-file*: a
+//! D1–M1 are token-local. R1/X1 are *structural and cross-file*: a
 //! brace-tree item parser ([`parse`]) recovers modules, impls, fns, and
-//! field visibility from the token stream, and a per-crate symbol table
+//! fields from the token stream, and a per-crate symbol table
 //! ([`symbols`]) is built over the whole workspace before [`cross`]
 //! checks run. Run `cs-lint --explain <RULE>` for any rule's rationale.
 //!
@@ -132,7 +131,7 @@ pub fn build_index(root: &Path, cfg: &Config) -> Result<WorkspaceIndex, String> 
 }
 
 /// Walk `<root>/crates/**` and lint every non-test `.rs` file: the
-/// per-file token rules, then the cross-file P1/R1/X1 rules over the
+/// per-file token rules, then the cross-file R1/X1 rules over the
 /// workspace symbol table. Findings come back sorted by
 /// `(file, line, rule)` so output is deterministic.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {

@@ -25,7 +25,7 @@ pub enum Vis {
     Pub,
     /// `pub(crate)`.
     PubCrate,
-    /// `pub(super)` — the manager-ownership marker P1 keys on.
+    /// `pub(super)`.
     PubSuper,
     /// `pub(in path)` or other restricted forms.
     PubOther,

@@ -144,20 +144,6 @@ seams (membership/partnership/stream; DESIGN.md §9). This backstop keeps det-sc
 from silently regrowing past 800 lines; split along module seams or escape on line 1 \
 with the reason the file is one unit.",
     },
-    P1 {
-        id: "P1",
-        slug: "shard-safety",
-        escapable: true,
-        scope: "crates with src/<module>/state.rs manager state (e.g. proto)",
-        summary: "Cross-manager write to another manager's `pub(super)` state field.",
-        explain: "The manager decomposition gives each of partnership/stream/membership \
-sole write-ownership of its pub(super) state fields; other modules read freely but must \
-mutate through the owning manager's pub(crate) methods. A stray cross-manager field \
-write reintroduces the shared-mutable-state coupling the split removed, and is exactly \
-the hazard that breaks sharded (ROADMAP item 1) execution, where managers live on \
-different shards. Reads are not findings; only write sites outside src/<owner>.rs and \
-src/<owner>/** are.",
-    },
     R1 {
         id: "R1",
         slug: "rng-stream",
@@ -171,34 +157,6 @@ present in every run's stream table whether or not free-riders are enabled, so t
 the feature cannot shift any other stream). Raw ::new/seed_from_u64/split_seed calls or \
 ad-hoc stream ids silently re-seed or collide streams, which desynchronizes golden \
 traces in ways that only surface at scale.",
-    },
-    A1 {
-        id: "A1",
-        slug: "arena-access",
-        escapable: true,
-        scope: "deterministic crates, outside crates/proto/src/{world,arena}.rs",
-        summary: "Raw indexing into the peer arena outside its accessors.",
-        explain: "Per-peer state lives in a generational slab (crates/proto/src/arena.rs) \
-behind CsWorld's accessor API (peer/peer_mut/two_mut/peers/…). Raw `peers[i]` or \
-`arena.get(i)` access from manager code bypasses the generation check that catches \
-stale handles after slot reuse, and couples callers to the slab layout the sharding \
-work (ROADMAP item 1) will change. Route access through the world.rs accessors, or \
-escape with the invariant that makes the raw access safe.",
-    },
-    A2 {
-        id: "A2",
-        slug: "shard-isolation",
-        escapable: true,
-        scope: "deterministic crates, outside the shard router seam (proto world/shard/arena, sim shard)",
-        summary: "Raw shard-partition access outside the router seam.",
-        explain: "Sharded execution partitions the peer arena into per-shard columns behind \
-a deterministic NodeId→shard map (crates/proto/src/shard.rs). CsWorld is a thin router: \
-manager code addresses peers by NodeId or handle and must never see partition boundaries. \
-Raw `shards[i]` subscripts or `shard_pair_mut(..)` calls outside the seam \
-(crates/proto/src/{world,shard,arena}.rs, crates/sim/src/shard.rs) couple callers to the \
-partition layout and can cross shard ownership lines, which breaks the epoch-barrier \
-driver's byte-identical-to-solo guarantee. Route access through the CsWorld accessors, \
-or escape with the ownership invariant that makes the raw access safe.",
     },
     X1 {
         id: "X1",
@@ -241,7 +199,7 @@ impl RuleId {
         RuleId::ALL.iter().copied().filter(|r| r.is_escapable())
     }
 
-    /// Look a rule up by short id (`P1`) or slug (`shard-safety`),
+    /// Look a rule up by short id (`R1`) or slug (`rng-stream`),
     /// case-insensitively on the id.
     pub fn lookup(name: &str) -> Option<RuleId> {
         RuleId::ALL
@@ -283,12 +241,6 @@ pub struct Config {
     /// RNGs directly, and whose `streams` module declares the stream-id
     /// constants R1 resolves against.
     pub stream_module: String,
-    /// The peer-arena accessor seam: the only files allowed to index the
-    /// arena's columns directly (A1).
-    pub arena_files: Vec<String>,
-    /// The shard router seam: the only files allowed raw partition
-    /// access (`shards[i]`, `shard_pair_mut`) (A2).
-    pub shard_files: Vec<String>,
 }
 
 impl Default for Config {
@@ -307,21 +259,6 @@ impl Default for Config {
             entropy_files: vec!["crates/sim/src/rng.rs".to_string()],
             max_file_lines: 800,
             stream_module: "crates/sim/src/rng.rs".to_string(),
-            arena_files: [
-                "crates/proto/src/world.rs",
-                "crates/proto/src/arena.rs",
-                "crates/proto/src/shard.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            shard_files: [
-                "crates/proto/src/world.rs",
-                "crates/proto/src/shard.rs",
-                "crates/proto/src/arena.rs",
-                "crates/sim/src/shard.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
         }
     }
 }
@@ -371,8 +308,6 @@ pub fn lint_tokens(ctx: &FileCtx<'_>, lexed: &Lexed, mask: &[bool], cfg: &Config
     let cast = cfg.cast_crates.iter().any(|c| c == ctx.crate_name);
     let panic_ok = cfg.panic_exempt_crates.iter().any(|c| c == ctx.crate_name);
     let entropy_ok = cfg.entropy_files.iter().any(|f| f == ctx.rel_path);
-    let arena_ok = cfg.arena_files.iter().any(|f| f == ctx.rel_path);
-    let shard_ok = cfg.shard_files.iter().any(|f| f == ctx.rel_path);
 
     for i in 0..toks.len() {
         if mask.get(i).copied().unwrap_or(false) {
@@ -475,56 +410,6 @@ pub fn lint_tokens(ctx: &FileCtx<'_>, lexed: &Lexed, mask: &[bool], cfg: &Config
                         ),
                     );
                 }
-            }
-        }
-
-        // A1 — raw peer-arena access outside the accessor seam. Flags
-        // `peers[…]` / `arena[…]` subscripts and `.get(…)`/`.get_mut(…)`
-        // calls on receivers named `peers`/`arena`; method calls like
-        // `world.peers()` (next token `(`) are the sanctioned API and
-        // don't match.
-        if det && !arena_ok && t.kind == TokKind::Ident && (t.text == "peers" || t.text == "arena")
-        {
-            let indexed = matches!(toks.get(i + 1), Some(n) if n.is_punct("["));
-            let raw_get = matches!(toks.get(i + 1), Some(n) if n.is_punct("."))
-                && matches!(toks.get(i + 2), Some(n) if n.is_ident("get") || n.is_ident("get_mut"))
-                && matches!(toks.get(i + 3), Some(n) if n.is_punct("("));
-            if indexed || raw_get {
-                push(
-                    &mut raw,
-                    t.line,
-                    RuleId::A1,
-                    format!(
-                        "raw `{}` access bypasses the generational accessor seam; go through \
-                         the CsWorld peer accessors (world.rs) or escape with \
-                         `// cs-lint: allow(arena-access) — <invariant>`",
-                        t.text
-                    ),
-                );
-            }
-        }
-
-        // A2 — raw shard-partition access outside the router seam. Flags
-        // `shards[…]` subscripts and `shard_pair_mut(…)` calls; method
-        // calls like `world.shards()` or `map.shard_of(id)` are the
-        // sanctioned API and don't match.
-        if det && !shard_ok && t.kind == TokKind::Ident {
-            let indexed =
-                t.text == "shards" && matches!(toks.get(i + 1), Some(n) if n.is_punct("["));
-            let pair_call =
-                t.text == "shard_pair_mut" && matches!(toks.get(i + 1), Some(n) if n.is_punct("("));
-            if indexed || pair_call {
-                push(
-                    &mut raw,
-                    t.line,
-                    RuleId::A2,
-                    format!(
-                        "raw `{}` partition access couples callers to the shard layout; go \
-                         through the CsWorld router accessors or escape with \
-                         `// cs-lint: allow(shard-isolation) — <ownership invariant>`",
-                        t.text
-                    ),
-                );
             }
         }
 

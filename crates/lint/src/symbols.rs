@@ -5,8 +5,6 @@
 //! item-parsed ([`parse`]), then crate-level facts the
 //! cross-file rules need are extracted:
 //!
-//! * **manager-owned state** — `pub(super)` fields declared in a
-//!   `src/<module>/state.rs` file, keyed by the owning module (P1);
 //! * **named RNG streams** — the `const` ids declared in the `streams`
 //!   module of the sanctioned entropy source, `crates/sim/src/rng.rs`
 //!   (R1);
@@ -15,7 +13,7 @@
 //!   and every non-test `KindClassify` impl in the workspace (X1).
 
 use crate::lexer::{self, Lexed};
-use crate::parse::{self, Item, ItemKind, Vis};
+use crate::parse::{self, Item, ItemKind};
 use crate::rules::Config;
 
 /// One parsed, masked, indexed source file.
@@ -76,22 +74,6 @@ impl FileIndex {
             None => false,
         }
     }
-}
-
-/// A `pub(super)` field owned by a manager module.
-#[derive(Clone, Debug)]
-pub struct OwnedField {
-    /// Owning module name (`partnership`, `stream`, …): the `<m>` of
-    /// `src/<m>/state.rs`.
-    pub owner: String,
-    /// Field name.
-    pub field: String,
-    /// Struct the field belongs to.
-    pub in_struct: String,
-    /// Declaring file (workspace-relative).
-    pub decl_file: String,
-    /// Declaration line.
-    pub decl_line: u32,
 }
 
 /// One arm of a dense-index kind table: `Variant => (index, "name")`.
@@ -158,8 +140,6 @@ pub struct CrateIndex {
     pub name: String,
     /// Indexed files, sorted by path.
     pub files: Vec<FileIndex>,
-    /// Manager-owned `pub(super)` state fields (P1).
-    pub owned_fields: Vec<OwnedField>,
 }
 
 /// The workspace-wide symbol table.
@@ -202,12 +182,8 @@ impl WorkspaceIndex {
                 _ => crates.push(CrateIndex {
                     name: f.crate_name.clone(),
                     files: vec![f],
-                    owned_fields: Vec::new(),
                 }),
             }
-        }
-        for c in &mut crates {
-            c.owned_fields = extract_owned_fields(&c.files);
         }
 
         WorkspaceIndex {
@@ -234,40 +210,6 @@ fn extract_stream_consts(f: &FileIndex) -> Vec<String> {
     }
     out.sort();
     out.dedup();
-    out
-}
-
-/// The owning module of a `state.rs` file: `src/<m>/state.rs` → `<m>`.
-fn state_owner(crate_rel: &str) -> Option<&str> {
-    let rest = crate_rel.strip_prefix("src/")?;
-    let (owner, leaf) = rest.rsplit_once('/')?;
-    (leaf == "state.rs" && !owner.is_empty() && !owner.contains('/')).then_some(owner)
-}
-
-/// Collect `pub(super)` struct fields from every `src/<m>/state.rs`.
-fn extract_owned_fields(files: &[FileIndex]) -> Vec<OwnedField> {
-    let mut out = Vec::new();
-    for f in files {
-        let Some(owner) = state_owner(&f.crate_rel) else {
-            continue;
-        };
-        for item in parse::all_items(&f.items) {
-            if item.kind != ItemKind::Struct || f.item_masked(item) {
-                continue;
-            }
-            for field in &item.fields {
-                if field.vis == Vis::PubSuper {
-                    out.push(OwnedField {
-                        owner: owner.to_string(),
-                        field: field.name.clone(),
-                        in_struct: item.name.clone(),
-                        decl_file: f.rel_path.clone(),
-                        decl_line: field.line,
-                    });
-                }
-            }
-        }
-    }
     out
 }
 
@@ -309,11 +251,8 @@ fn match_arms_of(f: &FileIndex, item: &Item, enum_name: &str) -> (Vec<KindArm>, 
 }
 
 /// Recognize an event alphabet in `f`: an enum named `Event` (non-test)
-/// plus, in the same file, a `kind_class` fn and a dispatch fn — either
-/// `handle` in an `impl World for …` block, or a `route` fn when the
-/// world splits target resolution (`handle`) from manager dispatch.
-/// When both exist, the one whose body actually matches on `Event`
-/// variants is the dispatch anchor.
+/// plus, in the same file, a `kind_class` fn and the dispatch fn,
+/// `handle` in an `impl World for …` block.
 fn extract_alphabet(f: &FileIndex) -> Option<EventAlphabet> {
     let items = parse::all_items(&f.items);
     let en = items.iter().find(|i| {
@@ -326,17 +265,13 @@ fn extract_alphabet(f: &FileIndex) -> Option<EventAlphabet> {
     // unrelated crate is not an alphabet.
     let kind_fn = kind_fn?;
     let (kind_table, _) = match_arms_of(f, kind_fn, &en.name);
-    let (dispatch_fn, dispatch_arms, dispatch_has_wildcard) = ["route", "handle"]
+    let handle_fn = items
         .iter()
-        .filter_map(|name| {
-            let fun = items
-                .iter()
-                .find(|i| i.kind == ItemKind::Fn && i.name == *name && !f.item_masked(i))?;
-            let (arms, wildcard) = match_arms_of(f, fun, &en.name);
-            Some((Some(*fun), arms, wildcard))
-        })
-        .max_by_key(|(_, arms, _)| arms.len())
-        .unwrap_or((None, Vec::new(), false));
+        .find(|i| i.kind == ItemKind::Fn && i.name == "handle" && !f.item_masked(i));
+    let (dispatch_arms, dispatch_has_wildcard) = match handle_fn {
+        Some(h) => match_arms_of(f, h, &en.name),
+        None => (Vec::new(), false),
+    };
     Some(EventAlphabet {
         crate_name: f.crate_name.clone(),
         file: f.rel_path.clone(),
@@ -346,7 +281,7 @@ fn extract_alphabet(f: &FileIndex) -> Option<EventAlphabet> {
         kind_table,
         kind_fn_line: kind_fn.line,
         dispatch_arms,
-        dispatch_fn_line: dispatch_fn.map(|h| h.line).unwrap_or(0),
+        dispatch_fn_line: handle_fn.map(|h| h.line).unwrap_or(0),
         dispatch_has_wildcard,
     })
 }
@@ -395,37 +330,6 @@ mod tests {
             false,
             src,
         )
-    }
-
-    #[test]
-    fn owned_fields_come_from_state_modules() {
-        let f = file(
-            "proto",
-            "src/stream/state.rs",
-            r#"
-            pub struct StreamState {
-                pub(super) parents: Vec<Option<NodeId>>,
-                children: Vec<(NodeId, u32)>,
-                pub(super) next_play: u64,
-            }
-            "#,
-        );
-        let owned = extract_owned_fields(&[f]);
-        let names: Vec<(&str, &str)> = owned
-            .iter()
-            .map(|o| (o.owner.as_str(), o.field.as_str()))
-            .collect();
-        assert_eq!(names, vec![("stream", "parents"), ("stream", "next_play")]);
-    }
-
-    #[test]
-    fn non_state_files_contribute_no_owned_fields() {
-        let f = file(
-            "proto",
-            "src/stream.rs",
-            "pub struct X { pub(super) y: u32 }",
-        );
-        assert!(extract_owned_fields(&[f]).is_empty());
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn every_rule_has_an_explanation() {
             assert!(text.contains(r.explain()));
             assert!(text.contains(r.slug()));
         }
-        // Ids resolve case-insensitively (`cs-lint --explain p1`).
+        // Ids resolve case-insensitively (`cs-lint --explain r1`).
         assert!(explain_text(&r.id().to_lowercase()).is_some());
     }
     assert!(explain_text("no-such-rule").is_none());

@@ -26,23 +26,6 @@ fn keyed(findings: &[Finding]) -> Vec<(&str, &str, u32)> {
 }
 
 #[test]
-fn p1_fixture_flags_foreign_writes_and_honors_escape() {
-    let found = hits("ws_p1");
-    assert_eq!(
-        keyed(&found),
-        vec![
-            ("P1", "crates/proto/src/world.rs", 5),
-            ("P1", "crates/proto/src/world.rs", 6),
-        ],
-        "{found:?}"
-    );
-    assert!(found[0].message.contains("module `world`"));
-    assert!(found[0].message.contains("`stream`-owned"));
-    assert!(found[0].message.contains("StreamState.next_play"));
-    assert!(found[1].message.contains("parents"));
-}
-
-#[test]
 fn r1_fixture_flags_raw_rng_in_proto_and_honors_escape() {
     let found = hits("ws_r1");
     assert_eq!(

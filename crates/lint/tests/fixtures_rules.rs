@@ -134,60 +134,6 @@ fn m1_is_escapable_on_line_one() {
 }
 
 #[test]
-fn a1_arena_access_fires() {
-    let src = include_str!("fixtures/a1_arena_access.rs");
-    // Raw subscripts (lines 5–6) and raw get/get_mut (11–12) fire; the
-    // `world.peers()` method call does not; line 24 is escaped.
-    assert_eq!(
-        hits("proto", false, src),
-        vec![("A1", 5), ("A1", 6), ("A1", 11), ("A1", 12)]
-    );
-}
-
-#[test]
-fn a1_exempts_the_accessor_seam_and_nondet_crates() {
-    let src = include_str!("fixtures/a1_arena_access.rs");
-    // world.rs and arena.rs ARE the accessor seam.
-    for seam in ["crates/proto/src/world.rs", "crates/proto/src/arena.rs"] {
-        let findings = lint_source("proto", seam, false, src);
-        assert!(
-            findings.iter().all(|f| f.rule != RuleId::A1),
-            "{seam} is the sanctioned arena seam: {findings:?}"
-        );
-    }
-    // `analysis` is outside the deterministic-crate scope.
-    assert_eq!(hits("analysis", false, src), vec![]);
-}
-
-#[test]
-fn a2_shard_isolation_fires() {
-    let src = include_str!("fixtures/a2_shard_isolation.rs");
-    // Raw subscript (line 5) and the pair-split call (line 6) fire; the
-    // `world.shards()` / `map.shard_of(..)` calls do not; line 18 is
-    // escaped.
-    assert_eq!(hits("proto", false, src), vec![("A2", 5), ("A2", 6)]);
-}
-
-#[test]
-fn a2_exempts_the_router_seam_and_nondet_crates() {
-    let src = include_str!("fixtures/a2_shard_isolation.rs");
-    for (krate, seam) in [
-        ("proto", "crates/proto/src/world.rs"),
-        ("proto", "crates/proto/src/shard.rs"),
-        ("proto", "crates/proto/src/arena.rs"),
-        ("sim", "crates/sim/src/shard.rs"),
-    ] {
-        let findings = lint_source(krate, seam, false, src);
-        assert!(
-            findings.iter().all(|f| f.rule != RuleId::A2),
-            "{seam} is the sanctioned shard router seam: {findings:?}"
-        );
-    }
-    // `analysis` is outside the deterministic-crate scope.
-    assert_eq!(hits("analysis", false, src), vec![]);
-}
-
-#[test]
 fn escapes_suppress_and_misuse_is_flagged() {
     let src = include_str!("fixtures/escapes.rs");
     // Lines 3 (trailing escape) and 5 (escape on the line above) are

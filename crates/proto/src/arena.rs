@@ -18,8 +18,8 @@
 //! `lookup`, i.e. node-id order, which golden trace hashes rely on.
 //!
 //! All access from outside `world.rs` goes through [`CsWorld`]
-//! accessors (lint rule A1 enforces this); the arena itself is
-//! crate-private.
+//! accessors: the arena is a private field of `CsWorld`, and the type
+//! itself is crate-private.
 //!
 //! [`CsWorld`]: crate::world::CsWorld
 
@@ -31,20 +31,15 @@ use crate::peer::{Peer, PeerCore, PeerMut, PeerRef};
 use crate::stream::StreamState;
 
 /// Typed handle to one peer incarnation: a slot index plus the slot
-/// generation at acquisition time, stamped with the shard partition
-/// that issued it. Slot indices are only meaningful within the issuing
-/// partition; resolving a handle through a foreign partition is caught
-/// by a debug assertion (and forbidden outside the router seam by lint
-/// rule A2).
+/// generation at acquisition time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PeerHandle {
     index: u32,
     generation: u32,
-    shard: u16,
 }
 
 impl PeerHandle {
-    /// The arena slot this handle points at (within its shard).
+    /// The arena slot this handle points at.
     pub fn index(self) -> usize {
         self.index as usize
     }
@@ -52,11 +47,6 @@ impl PeerHandle {
     /// The slot generation this handle was issued for.
     pub fn generation(self) -> u32 {
         self.generation
-    }
-
-    /// The shard partition this handle was issued by.
-    pub fn shard(self) -> usize {
-        self.shard as usize
     }
 }
 
@@ -68,6 +58,7 @@ impl PeerHandle {
 /// columns on every accessor hit. Vacating a slot overwrites the three
 /// manager columns with empty states (releasing their heap buffers) and
 /// leaves the all-scalar core in place as inert residue.
+#[derive(Default)]
 pub(crate) struct PeerArena {
     cores: Vec<PeerCore>,
     membership: Vec<MembershipState>,
@@ -77,62 +68,15 @@ pub(crate) struct PeerArena {
     generations: Vec<u32>,
     /// Vacated slots available for reuse (LIFO).
     free: Vec<u32>,
-    /// Local lookup index → live handle. With the round-robin shard map
-    /// a partition owns the node ids `shard_id + k·stride`, so the
-    /// local index of `id` is `id.index() / stride` — each partition's
-    /// spine holds only its own ids and the S partitions together use
-    /// the same total lookup memory as one solo arena. Walking it
-    /// ascending is node-id order *within the partition*; the router
-    /// k-way-merges partitions for the global order.
+    /// `NodeId::index()` → live handle. Grows with the id space and is
+    /// the node-id-order iteration spine.
     lookup: Vec<Option<PeerHandle>>,
     live: usize,
-    /// This partition's shard index (0 for a solo arena).
-    shard_id: u16,
-    /// Total shard count of the partitioning (1 for a solo arena).
-    stride: u32,
-}
-
-impl Default for PeerArena {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PeerArena {
-    /// A solo (single-partition) arena owning the whole id space.
     pub(crate) fn new() -> Self {
-        Self::with_partition(0, 1)
-    }
-
-    /// An arena owning shard `shard_id` of a `stride`-way round-robin
-    /// partitioning of the node-id space.
-    pub(crate) fn with_partition(shard_id: u16, stride: u32) -> Self {
-        assert!(stride >= 1, "partition stride must be at least 1");
-        assert!(u32::from(shard_id) < stride, "shard outside partitioning");
-        PeerArena {
-            cores: Vec::new(),
-            membership: Vec::new(),
-            partnership: Vec::new(),
-            stream: Vec::new(),
-            generations: Vec::new(),
-            free: Vec::new(),
-            lookup: Vec::new(),
-            live: 0,
-            shard_id,
-            stride,
-        }
-    }
-
-    /// Local lookup index of a node id this partition owns.
-    fn slot_of(&self, id: NodeId) -> usize {
-        debug_assert_eq!(
-            id.index() % self.stride as usize,
-            self.shard_id as usize,
-            "node {} routed to foreign partition {}",
-            id.0,
-            self.shard_id
-        );
-        id.index() / self.stride as usize
+        Self::default()
     }
 
     /// Pre-size every column and the lookup spine for `peers` peers.
@@ -184,13 +128,12 @@ impl PeerArena {
         let handle = PeerHandle {
             index,
             generation: self.generations[index as usize],
-            shard: self.shard_id,
         };
-        let slot = self.slot_of(node);
+        let slot = node.index();
         if slot >= self.lookup.len() {
             self.lookup.resize(slot + 1, None);
         }
-        debug_assert!(self.lookup[slot].is_none(), "node {node:?} already present");
+        debug_assert!(self.lookup[slot].is_none(), "node {slot} already present");
         self.lookup[slot] = Some(handle);
         self.live += 1;
         handle
@@ -199,7 +142,7 @@ impl PeerArena {
     /// Vacate a peer's slot, bumping its generation so outstanding
     /// handles go stale. Returns whether the node was present.
     pub(crate) fn remove(&mut self, id: NodeId) -> bool {
-        let slot = self.slot_of(id);
+        let slot = id.index();
         let Some(Some(h)) = self.lookup.get(slot).copied() else {
             return false;
         };
@@ -219,7 +162,7 @@ impl PeerArena {
 
     /// The live handle for a node id, if present.
     pub(crate) fn handle_of(&self, id: NodeId) -> Option<PeerHandle> {
-        self.lookup.get(self.slot_of(id)).copied().flatten()
+        self.lookup.get(id.index()).copied().flatten()
     }
 
     /// Read view through a handle. A stale generation is a programming
@@ -227,14 +170,6 @@ impl PeerArena {
     /// `None` in release.
     pub(crate) fn get(&self, h: PeerHandle) -> Option<PeerRef<'_>> {
         let i = h.index as usize;
-        debug_assert_eq!(
-            h.shard, self.shard_id,
-            "handle from shard {} resolved through partition {}",
-            h.shard, self.shard_id
-        );
-        if h.shard != self.shard_id {
-            return None;
-        }
         debug_assert_eq!(
             self.generations.get(i).copied(),
             Some(h.generation),
@@ -402,36 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_arena_uses_local_slots() {
-        // Shard 1 of a 4-way round-robin partitioning owns ids 1, 5, 9…
-        let mut a = PeerArena::with_partition(1, 4);
-        a.insert(peer(1));
-        a.insert(peer(5));
-        a.insert(peer(9));
-        assert_eq!(a.len(), 3);
-        let h = a.handle_of(NodeId(5)).unwrap();
-        assert_eq!(h.shard(), 1);
-        assert_eq!(a.get(h).unwrap().id, NodeId(5));
-        assert_eq!(a.get_by_node(NodeId(9)).unwrap().id, NodeId(9));
-        // The local spine is dense: id 9 sits at local index 2, so the
-        // partition's lookup memory is its share of the id space.
-        assert_eq!(a.lookup.len(), 3);
-        assert!(a.remove(NodeId(1)));
-        let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
-        assert_eq!(ids, vec![5, 9]);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "resolved through partition")]
-    fn foreign_shard_handle_is_caught_in_debug() {
-        let mut home = PeerArena::with_partition(0, 2);
-        let foreign = PeerArena::with_partition(1, 2);
-        let h = home.insert(peer(0));
-        let _ = foreign.get(h);
-    }
-
-    #[test]
     fn iteration_is_node_id_order() {
         let mut a = PeerArena::new();
         a.insert(peer(0));
@@ -441,5 +346,12 @@ mod tests {
         a.insert(peer(3)); // lands in slot 1 — must still iterate last
         let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2, 3]);
+        // A revived id (server restart) re-enters through whatever slot
+        // is free and must come back at its node-id position.
+        a.remove(NodeId(0));
+        a.insert(peer(4)); // takes the slot node 0 vacated
+        a.insert(peer(0)); // fresh slot at the end of the slab
+        let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, vec![0, 2, 3, 4]);
     }
 }

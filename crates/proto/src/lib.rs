@@ -35,7 +35,6 @@ mod params;
 pub mod partnership;
 mod peer;
 mod session;
-mod shard;
 mod snapshot;
 pub mod stream;
 mod telemetry;
@@ -54,7 +53,6 @@ pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
 pub use partnership::{PartnerView, PartnershipState};
 pub use peer::{Peer, PeerCore, PeerMut, PeerRef};
 pub use session::{finalize_sessions, user_classes, DepartReason, SessionRecord};
-pub use shard::ShardMap;
 pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};
 pub use stream::{ReportCounters, StreamState};
 pub use telemetry::ProtoTelemetry;

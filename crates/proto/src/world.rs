@@ -40,7 +40,7 @@ use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, KindClassify, ManagerClassify, SimTime, World};
 use rand::Rng;
 
-use crate::arena::PeerHandle;
+use crate::arena::{PeerArena, PeerHandle};
 use crate::bootstrap::Bootstrap;
 use crate::chaos::Chaos;
 use crate::membership::Membership;
@@ -48,7 +48,6 @@ use crate::params::Params;
 use crate::partnership::Partnership;
 use crate::peer::{Peer, PeerMut, PeerRef};
 use crate::session::SessionRecord;
-use crate::shard::{shard_pair_mut, ShardMap, WorldShard};
 use crate::snapshot::TopologySnapshot;
 use crate::stream::Stream;
 
@@ -172,39 +171,9 @@ impl Event {
         }
     }
 
-    /// The peer this event addresses, or `None` for world-scoped events
-    /// (arrivals, which have no node id yet, and global injections).
-    ///
-    /// This is the shard-ready seam: `World::handle` resolves the
-    /// target to a [`PeerHandle`] *before* any manager code runs, so a
-    /// future sharded `CsWorld` can route events to the owning shard at
-    /// this one choke point.
-    pub fn target(&self) -> Option<NodeId> {
-        match *self {
-            Event::BootstrapReply(id)
-            | Event::PartnersReady(id)
-            | Event::PatienceCheck(id)
-            | Event::Depart(id)
-            | Event::GossipTick(id)
-            | Event::BmTick(id)
-            | Event::SchedRound(id)
-            | Event::PlaybackTick(id)
-            | Event::ReportTick(id) => Some(id),
-            Event::Arrive(_)
-            | Event::Snapshot
-            | Event::SetBootstrap(_)
-            | Event::CrashServer(_)
-            | Event::RestartServer(_)
-            | Event::RegionalOutage { .. }
-            | Event::SetPolicy(_)
-            | Event::ScaleUploads { .. }
-            | Event::FreeRiders { .. } => None,
-        }
-    }
-
     /// The manager whose handler runs this event — the span-tracing axis.
-    /// Mirrors the `CsWorld::route` dispatch table below (`engine`
-    /// covers the world-level housekeeping arms that no manager owns).
+    /// Mirrors the `World::handle` dispatch table below (`engine` covers
+    /// the world-level housekeeping arms that no manager owns).
     pub fn manager(&self) -> &'static str {
         match self {
             Event::Arrive(_)
@@ -280,23 +249,14 @@ pub struct WorldStats {
     pub bootstrap_rejects: u64,
 }
 
-/// The complete simulation state: shared state plus the shard router.
-///
-/// Per-peer state lives in `WorldShard` partitions keyed by the
-/// deterministic [`ShardMap`]; everything else — network, boot-strap,
-/// log server, sessions, and crucially the three RNG streams — is
-/// shared router state, so the RNG draw order cannot depend on the
-/// shard count (see `crate::shard` and DESIGN.md §14).
+/// The complete simulation state.
 pub struct CsWorld {
     /// Protocol parameters (Table I).
     pub params: Params,
     /// The network substrate.
     pub net: Network,
-    /// Per-peer state, partitioned into shards of generational
-    /// struct-of-arrays columns.
-    shards: Vec<WorldShard>,
-    /// The deterministic `NodeId → shard` assignment.
-    map: ShardMap,
+    /// All per-peer state, in generational struct-of-arrays columns.
+    arena: PeerArena,
     /// The broadcast source node.
     pub source: NodeId,
     /// The dedicated helper servers (§V.A: 24 × 100 Mbps in the event).
@@ -328,38 +288,18 @@ impl CsWorld {
     /// engine before running.
     pub fn new(
         params: Params,
-        net: Network,
-        n_servers: usize,
-        server_bw: Bandwidth,
-        master_seed: u64,
-    ) -> Self {
-        Self::new_sharded(params, net, n_servers, server_bw, master_seed, 1)
-    }
-
-    /// [`CsWorld::new`] with the peer state partitioned into `shards`
-    /// round-robin shards (clamped to at least one). The shard count
-    /// changes only how per-peer state is laid out and which wheel the
-    /// sharded engine buffers each event in — never behaviour: a run is
-    /// byte-identical across shard counts.
-    pub fn new_sharded(
-        params: Params,
         mut net: Network,
         n_servers: usize,
         server_bw: Bandwidth,
         master_seed: u64,
-        shards: usize,
     ) -> Self {
         // cs-lint: allow(panic-in-lib) — constructor-style precondition: invalid Params is a programming error, not a runtime state
         params.validate().expect("invalid params");
         let mut bootstrap = Bootstrap::new();
-        let map = ShardMap::new(shards);
-        let stride = u32::try_from(map.len()).unwrap_or(u32::MAX);
-        let mut shards: Vec<WorldShard> = (0..map.len())
-            .map(|s| WorldShard::new(u16::try_from(s).unwrap_or(u16::MAX), stride))
-            .collect();
+        let mut arena = PeerArena::new();
         let mut sessions = Vec::new();
         let push_infra = |net: &mut Network,
-                          shards: &mut Vec<WorldShard>,
+                          arena: &mut PeerArena,
                           sessions: &mut Vec<SessionRecord>,
                           class: NodeClass,
                           bw: Bandwidth| {
@@ -376,7 +316,7 @@ impl CsWorld {
                 0,
                 SimTime::MAX,
             );
-            shards[map.shard_of(id)].insert(peer);
+            arena.insert(peer);
             sessions.push(SessionRecord {
                 user: UserId(u32::MAX - id.0),
                 node: id,
@@ -400,7 +340,7 @@ impl CsWorld {
         let source_bw = Bandwidth::mbps(12);
         let source = push_infra(
             &mut net,
-            &mut shards,
+            &mut arena,
             &mut sessions,
             NodeClass::Source,
             source_bw,
@@ -409,7 +349,7 @@ impl CsWorld {
             .map(|_| {
                 let id = push_infra(
                     &mut net,
-                    &mut shards,
+                    &mut arena,
                     &mut sessions,
                     NodeClass::Server,
                     server_bw,
@@ -422,8 +362,7 @@ impl CsWorld {
         CsWorld {
             params,
             net,
-            shards,
-            map,
+            arena,
             source,
             servers,
             bootstrap,
@@ -459,121 +398,74 @@ impl CsWorld {
         evs
     }
 
-    /// Number of shard partitions the peer state is split into.
-    pub fn shard_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The shard's own partition for a node id — the single place ids
-    /// are resolved to partitions on the read path.
-    fn shard(&self, id: NodeId) -> &WorldShard {
-        &self.shards[self.map.shard_of(id)]
-    }
-
-    /// Mutable partition for a node id.
-    fn shard_mut(&mut self, id: NodeId) -> &mut WorldShard {
-        &mut self.shards[self.map.shard_of(id)]
-    }
-
     /// Access a peer's state.
     pub fn peer(&self, id: NodeId) -> Option<PeerRef<'_>> {
-        self.shard(id).get_by_node(id)
+        self.arena.get_by_node(id)
     }
 
     /// The arena handle for a live node, if present. Handles stay valid
     /// until the peer departs; later access through a stale handle trips
     /// a debug assertion (see [`CsWorld::peer_by_handle`]).
     pub fn peer_handle(&self, id: NodeId) -> Option<PeerHandle> {
-        self.shard(id).handle_of(id)
+        self.arena.handle_of(id)
     }
 
-    /// Access a peer through its arena handle, resolved through the
-    /// shard partition that issued it. Generation-checked: a handle
-    /// outliving its peer is a programming error caught by a
+    /// Access a peer through its arena handle. Generation-checked: a
+    /// handle outliving its peer is a programming error caught by a
     /// `debug_assert` in debug builds (`None` in release).
     pub fn peer_by_handle(&self, handle: PeerHandle) -> Option<PeerRef<'_>> {
-        self.shards.get(handle.shard())?.get(handle)
+        self.arena.get(handle)
     }
 
     /// Number of live peers (source, servers, and users).
     pub fn peer_count(&self) -> usize {
-        self.shards.iter().map(WorldShard::len).sum()
+        self.arena.len()
     }
 
-    /// Allocated arena slots across all partitions (live peers plus
-    /// vacated free-list slots). Under churn this tracks peak
-    /// concurrency, not total arrivals — the memory-footprint witness
-    /// for slot reuse.
+    /// Allocated arena slots (live peers plus vacated free-list slots).
+    /// Under churn this tracks peak concurrency, not total arrivals —
+    /// the memory-footprint witness for slot reuse.
     pub fn peer_slots(&self) -> usize {
-        self.shards.iter().map(WorldShard::slots).sum()
+        self.arena.slots()
     }
 
-    /// Pre-size every shard's arena partition for an expected
-    /// population (scenario plumbing: one slot per expected concurrent
-    /// peer, split evenly across partitions — the round-robin map keeps
-    /// populations within one of even).
+    /// Pre-size the peer arena for an expected population (scenario
+    /// plumbing: one slot per expected concurrent peer).
     pub fn reserve_peers(&mut self, peers: usize) {
-        let n = self.shards.len();
-        let per_shard = peers / n + usize::from(peers % n != 0);
-        for shard in &mut self.shards {
-            shard.reserve(per_shard);
-        }
+        self.arena.reserve(peers);
     }
 
     /// Iterate every live peer (source, servers, and users), in node-id
-    /// order: a k-way merge of the partitions' node-id-ordered
-    /// iterators, so the order golden trace hashes rely on is
-    /// independent of the shard count.
+    /// order.
     pub fn peers(&self) -> impl Iterator<Item = PeerRef<'_>> {
-        let mut heads: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
-        std::iter::from_fn(move || {
-            let mut best: Option<(usize, NodeId)> = None;
-            for (i, it) in heads.iter_mut().enumerate() {
-                if let Some(p) = it.peek() {
-                    if best.is_none_or(|(_, bid)| p.id < bid) {
-                        best = Some((i, p.id));
-                    }
-                }
-            }
-            heads[best?.0].next()
-        })
+        self.arena.iter()
     }
 
     /// Mutable peer access, for the manager modules.
     pub(crate) fn peer_mut(&mut self, id: NodeId) -> Option<PeerMut<'_>> {
-        self.shard_mut(id).get_mut_by_node(id)
+        self.arena.get_mut_by_node(id)
     }
 
-    /// Simultaneous mutable access to two distinct peers. Within one
-    /// partition this is the arena's disjoint column split; across
-    /// partitions, a disjoint split of the shard vector.
+    /// Simultaneous mutable access to two distinct peers.
     pub(crate) fn two_mut(&mut self, a: NodeId, b: NodeId) -> Option<(PeerMut<'_>, PeerMut<'_>)> {
-        let (sa, sb) = (self.map.shard_of(a), self.map.shard_of(b));
-        if sa == sb {
-            self.shards[sa].pair_mut(a, b)
-        } else {
-            let (x, y) = shard_pair_mut(&mut self.shards, sa, sb);
-            Some((x.get_mut_by_node(a)?, y.get_mut_by_node(b)?))
-        }
+        self.arena.pair_mut(a, b)
     }
 
-    /// Install a freshly arrived peer in its owning partition.
+    /// Install a freshly arrived peer.
     pub(crate) fn push_peer(&mut self, peer: Peer) {
-        let id = peer.id;
-        self.shard_mut(id).insert(peer);
+        self.arena.insert(peer);
     }
 
     /// Drop a departed or crashed peer's state; its arena slot joins the
-    /// owning partition's free list and outstanding handles go stale.
+    /// free list and outstanding handles to it go stale.
     pub(crate) fn remove_peer(&mut self, id: NodeId) {
-        self.shard_mut(id).remove(id);
+        self.arena.remove(id);
     }
 
     /// Re-install peer state for a previously vacated node id (a server
     /// restart re-using its original identity).
     pub(crate) fn revive_peer(&mut self, peer: Peer) {
-        let id = peer.id;
-        self.shard_mut(id).insert(peer);
+        self.arena.insert(peer);
     }
 
     /// Schedule a retry arrival with a short think time.
@@ -581,22 +473,16 @@ impl CsWorld {
         let think = SimTime::from_millis(self.rng_retry.gen_range(2_000..6_000));
         ctx.schedule_in(think, Event::Arrive(spec));
     }
+}
+
+impl World for CsWorld {
+    type Event = Event;
 
     /// The single dispatch choke point: route one event to its manager
     /// (see the module docs for the variant → manager table), keeping
     /// periodic re-scheduling here so manager code never owns the clock.
-    ///
-    /// `target` is the event's pre-resolved peer handle (`None` for
-    /// world-scoped events or peers that already departed). Today it
-    /// only asserts the seam's contract; a sharded `CsWorld` will use it
-    /// to pick the owning shard before any manager state is touched.
-    fn route(&mut self, ctx: &mut Ctx<'_, Event>, event: Event, target: Option<PeerHandle>) {
+    fn handle(&mut self, ctx: &mut Ctx<'_, Event>, event: Event) {
         let now = ctx.now();
-        debug_assert_eq!(
-            target,
-            event.target().and_then(|id| self.peer_handle(id)),
-            "dispatch seam: stale target handle"
-        );
         match event {
             Event::Arrive(spec) => Membership::of(self).arrive(spec, now, ctx),
             Event::BootstrapReply(id) => Membership::of(self).bootstrap_reply(id, now, ctx),
@@ -657,30 +543,5 @@ impl CsWorld {
             Event::ScaleUploads { num, den } => Chaos::of(self).scale_uploads(num, den),
             Event::FreeRiders { per_mille } => Chaos::of(self).free_riders(per_mille),
         }
-    }
-}
-
-impl World for CsWorld {
-    type Event = Event;
-
-    /// Resolve the event's target peer handle up front, then hand off to
-    /// `CsWorld::route` — the one place manager dispatch happens.
-    fn handle(&mut self, ctx: &mut Ctx<'_, Event>, event: Event) {
-        let target = event.target().and_then(|id| self.peer_handle(id));
-        self.route(ctx, event, target);
-    }
-}
-
-impl cs_sim::ShardWorld for CsWorld {
-    fn shard_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The shard owning an event: its target peer's partition, or
-    /// shard 0 for world-scoped events (arrivals, snapshots, chaos
-    /// injections). A pure function of the event — the id→shard map
-    /// never consults mutable state.
-    fn shard_of(&self, event: &Event) -> usize {
-        event.target().map_or(0, |id| self.map.shard_of(id))
     }
 }

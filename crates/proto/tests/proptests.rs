@@ -1,7 +1,7 @@
 //! Property tests on the protocol data structures.
 
 use cs_net::NodeId;
-use cs_proto::{BufferMap, MCache, McEntry, Params, ReplacePolicy, ShardMap, StreamBuffer};
+use cs_proto::{BufferMap, MCache, McEntry, Params, ReplacePolicy, StreamBuffer};
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
 use proptest::prelude::*;
@@ -148,37 +148,5 @@ proptest! {
             ..Params::default()
         };
         let _ = p.validate(); // must not panic
-    }
-
-    /// The NodeId→shard map is stable (same answer every call and from
-    /// any instance), total (defined and in-range for every id), and
-    /// balanced: over any contiguous id range the per-shard populations
-    /// differ by at most one.
-    #[test]
-    fn shard_map_is_stable_total_balanced(
-        shards in 1usize..16,
-        start in 0u32..1_000_000,
-        len in 1u32..4_096,
-    ) {
-        let map = ShardMap::new(shards);
-        prop_assert_eq!(map.len(), shards);
-        let mut counts = vec![0u64; shards];
-        for id in start..start.saturating_add(len) {
-            let s = map.shard_of(NodeId(id));
-            prop_assert!(s < shards, "total: shard {s} out of range for id {id}");
-            prop_assert_eq!(s, map.shard_of(NodeId(id)), "stable across calls");
-            prop_assert_eq!(
-                s,
-                ShardMap::new(shards).shard_of(NodeId(id)),
-                "stable across instances"
-            );
-            counts[s] += 1;
-        }
-        let min = counts.iter().min().copied().unwrap_or(0);
-        let max = counts.iter().max().copied().unwrap_or(0);
-        prop_assert!(
-            max - min <= 1,
-            "balanced within one over a contiguous range: {counts:?}"
-        );
     }
 }

@@ -25,23 +25,7 @@ pub struct Ctx<'a, E> {
     stop: bool,
 }
 
-impl<'a, E> Ctx<'a, E> {
-    /// Build a handler context over `queue` at time `now`. Crate-only:
-    /// the solo [`Engine`] and the sharded driver construct contexts;
-    /// handlers never do.
-    pub(crate) fn new(now: SimTime, queue: &'a mut EventQueue<E>) -> Self {
-        Ctx {
-            now,
-            queue,
-            stop: false,
-        }
-    }
-
-    /// Whether the handler requested a stop. Crate-only driver hook.
-    pub(crate) fn stop_requested(&self) -> bool {
-        self.stop
-    }
-
+impl<E> Ctx<'_, E> {
     /// The current simulated time (timestamp of the event being handled).
     #[inline]
     pub fn now(&self) -> SimTime {

@@ -41,7 +41,6 @@ mod engine;
 pub mod observer;
 mod queue;
 pub mod rng;
-mod shard;
 mod time;
 mod trace;
 
@@ -52,6 +51,5 @@ pub use observer::{
 };
 pub use queue::reference::ReferenceQueue;
 pub use queue::{EventQueue, Popped};
-pub use shard::{ShardWorld, ShardedEngine};
 pub use time::SimTime;
 pub use trace::{Trace, TraceEntry};

@@ -201,31 +201,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert an entry whose `(seq, cause)` metadata was assigned by
-    /// *another* queue.
-    ///
-    /// The sharded engine runs one staging queue that owns the global
-    /// sequence counter and cause stamp, then routes each staged entry
-    /// to the owning shard's wheel through this call. Bypassing
-    /// `next_seq` keeps the global `(time, seq)` total order intact
-    /// across wheels: this queue's own counter is never consulted, so
-    /// mixing `push` and `push_raw` on one queue is a caller bug.
-    pub fn push_raw(&mut self, time: SimTime, seq: u64, cause: Option<u64>, event: E) {
-        self.pushed += 1;
-        self.len += 1;
-        let entry = Entry {
-            time,
-            seq,
-            cause,
-            event,
-        };
-        if tick_of(time) < self.cur_tick {
-            self.ready.push(entry);
-        } else {
-            self.insert_wheel(entry);
-        }
-    }
-
     /// Place an entry with `tick >= cur_tick` into its wheel level (or
     /// the overflow heap when it lies beyond the level-5 rotation).
     fn insert_wheel(&mut self, entry: Entry<E>) {
@@ -381,16 +356,6 @@ impl<E> EventQueue<E> {
         self.ready.peek().map(|e| e.time)
     }
 
-    /// `(time, seq)` key of the next event without removing it — the
-    /// comparison key the sharded engine uses to pick the globally
-    /// earliest entry across per-shard wheels.
-    ///
-    /// Takes `&mut self` for the same reason as [`EventQueue::peek_time`].
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.ensure_ready();
-        self.ready.peek().map(|e| (e.time, e.seq))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -544,46 +509,6 @@ mod tests {
         assert_eq!((b.seq, b.cause), (1, Some(0)));
         let c = q.pop_entry().unwrap();
         assert_eq!((c.seq, c.cause), (2, None));
-    }
-
-    #[test]
-    fn push_raw_preserves_foreign_seq_and_cause() {
-        // Two wheels fed raw entries from one staging counter must pop
-        // in the staging queue's global (time, seq) order.
-        let t = SimTime::from_secs(1);
-        let mut q = EventQueue::new();
-        q.push_raw(t, 7, Some(3), "late");
-        q.push_raw(t, 2, None, "early");
-        assert_eq!(q.peek_key(), Some((t, 2)));
-        let a = q.pop_entry().unwrap();
-        assert_eq!((a.seq, a.cause, a.event), (2, None, "early"));
-        let b = q.pop_entry().unwrap();
-        assert_eq!((b.seq, b.cause, b.event), (7, Some(3), "late"));
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 2);
-    }
-
-    #[test]
-    fn push_raw_behind_cursor_lands_in_ready() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(10), "late");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
-        // Cursor has advanced; a raw entry at an earlier tick must still
-        // pop first.
-        q.push_raw(SimTime::from_secs(1), 100, None, "early");
-        assert_eq!(q.pop().unwrap().1, "early");
-        assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn peek_key_matches_pop_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2), "b");
-        q.push(SimTime::from_secs(1), "a");
-        let key = q.peek_key().unwrap();
-        let popped = q.pop_entry().unwrap();
-        assert_eq!(key, (popped.time, popped.seq));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

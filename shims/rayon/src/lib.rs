@@ -75,53 +75,6 @@ impl<T: IntoIterator> IntoParallelIterator for T {
     }
 }
 
-/// A structured-concurrency scope, mirroring `rayon::Scope`.
-///
-/// Sequential-exact: [`Scope::spawn`] runs its closure *immediately*,
-/// on the calling thread, in spawn order. Real rayon only promises that
-/// all spawned closures finish before [`scope`] returns, so callers
-/// must not rely on spawn order for correctness — the sharded engine's
-/// barrier flush satisfies this (each closure touches a disjoint shard
-/// and the merged order is decided by `(time, seq)` keys, not by
-/// execution order), which is what makes true parallelism a later
-/// drop-in rather than a semantics change.
-pub struct Scope<'scope> {
-    _marker: core::marker::PhantomData<&'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Run `f` within the scope (immediately, sequentially).
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + 'scope,
-    {
-        f(self);
-    }
-}
-
-/// Create a scope in which closures can be spawned over borrowed data.
-/// All spawned work completes before `scope` returns (trivially so
-/// here: spawns run inline).
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R,
-{
-    f(&Scope {
-        _marker: core::marker::PhantomData,
-    })
-}
-
-/// Run two closures "in parallel" and return both results — here
-/// sequentially, `a` then `b`, matching rayon's guarantee that both
-/// complete before `join` returns.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB,
-{
-    (a(), b())
-}
-
 /// What `use rayon::prelude::*` is expected to bring into scope.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParIter};
@@ -145,45 +98,5 @@ mod tests {
             .map(|(i, x)| i + x)
             .sum();
         assert_eq!(s, 63);
-    }
-
-    #[test]
-    fn scope_spawns_over_disjoint_borrows() {
-        let mut buckets = [0u32; 4];
-        crate::scope(|s| {
-            for (i, b) in buckets.iter_mut().enumerate() {
-                s.spawn(move |_| *b = i as u32 * 10);
-            }
-        });
-        assert_eq!(buckets, [0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn scope_completes_all_work_before_returning() {
-        let mut total = 0u64;
-        let result = crate::scope(|s| {
-            s.spawn(|_| total += 1);
-            "done"
-        });
-        assert_eq!(result, "done");
-        assert_eq!(total, 1);
-    }
-
-    #[test]
-    fn nested_scope_spawn() {
-        let mut log = Vec::new();
-        crate::scope(|s| {
-            s.spawn(|inner| {
-                log.push("outer");
-                inner.spawn(|_| log.push("inner"));
-            });
-        });
-        assert_eq!(log, vec!["outer", "inner"]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = crate::join(|| 2 + 2, || "b");
-        assert_eq!((a, b), (4, "b"));
     }
 }

@@ -123,7 +123,6 @@ fn full_instrumentation_does_not_perturb_the_trace() {
         trace_hash: true,
         record_spans: false,
         telemetry: None,
-        shards: 0,
     });
     let instrumented = hash_with(RunOptions {
         check_invariants: true,
@@ -131,7 +130,6 @@ fn full_instrumentation_does_not_perturb_the_trace() {
         trace_hash: true,
         record_spans: true,
         telemetry: Some(TelemetryConfig::default()),
-        shards: 0,
     });
     assert_eq!(bare, instrumented, "observers perturbed the trace");
 }

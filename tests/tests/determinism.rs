@@ -21,7 +21,6 @@ const HASH_ONLY: RunOptions = RunOptions {
     trace_hash: true,
     record_spans: false,
     telemetry: None,
-    shards: 0,
 };
 
 #[test]
@@ -63,7 +62,6 @@ fn observed_run_is_bit_identical_to_plain_run() {
         trace_hash: true,
         record_spans: false,
         telemetry: None,
-        shards: 0,
     });
     let plain = small_steady().run();
     assert_eq!(

@@ -36,7 +36,6 @@ const FULL_CHECK: RunOptions = RunOptions {
     trace_hash: true,
     record_spans: false,
     telemetry: None,
-    shards: 0,
 };
 
 /// Steady state: constant arrivals and departures around equilibrium.
@@ -141,7 +140,6 @@ fn harness_detects_planted_corruption() {
             trace_hash: false,
             record_spans: false,
             telemetry: None,
-            shards: 0,
         });
     let mut chk = run.invariants.expect("checker requested");
     assert!(chk.is_clean());

@@ -23,7 +23,6 @@ const FULL_CHECK: RunOptions = RunOptions {
     trace_hash: true,
     record_spans: false,
     telemetry: None,
-    shards: 0,
 };
 
 /// The library every checkout must ship (ISSUE: >= 8 named scenarios).
@@ -209,7 +208,6 @@ fn scenario_files_are_deterministic_in_seed() {
             trace_hash: true,
             record_spans: false,
             telemetry: None,
-            shards: 0,
         };
         compiled
             .scenario

@@ -29,7 +29,6 @@ fn with_telemetry(window_secs: u64, profile: bool) -> RunOptions {
             window: SimTime::from_secs(window_secs),
             profile,
         }),
-        shards: 0,
     }
 }
 
@@ -39,7 +38,6 @@ const HASH_ONLY: RunOptions = RunOptions {
     trace_hash: true,
     record_spans: false,
     telemetry: None,
-    shards: 0,
 };
 
 fn run_golden() -> (Option<u64>, TelemetryRun) {
