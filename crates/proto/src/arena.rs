@@ -26,8 +26,9 @@
 use cs_net::NodeId;
 
 use crate::membership::MembershipState;
+use crate::params::Params;
 use crate::partnership::PartnershipState;
-use crate::peer::{Peer, PeerCore, PeerMut, PeerRef};
+use crate::peer::{PeerCore, PeerMut, PeerRef};
 use crate::stream::StreamState;
 
 /// Typed handle to one peer incarnation: a slot index plus the slot
@@ -101,11 +102,15 @@ impl PeerArena {
         self.cores.len()
     }
 
-    /// Install a freshly constructed peer, reusing a vacated slot when
-    /// one exists. The peer's node id must not already be present.
-    pub(crate) fn insert(&mut self, peer: Peer) -> PeerHandle {
-        let node = peer.id;
-        let (core, membership, partnership, stream) = peer.into_parts();
+    /// Install a freshly arrived peer, reusing a vacated slot when one
+    /// exists: `core` is its identity row, the three manager columns
+    /// start empty at the widths `params` dictates (construction draws
+    /// no randomness). The node id must not already be present.
+    pub(crate) fn insert(&mut self, core: PeerCore, params: &Params) -> PeerHandle {
+        let node = core.id;
+        let membership = MembershipState::new(params.mcache_size);
+        let partnership = PartnershipState::new(params.substreams);
+        let stream = StreamState::new(params.substreams);
         let index = match self.free.pop() {
             Some(ix) => {
                 let i = ix as usize;
@@ -152,7 +157,7 @@ impl PeerArena {
         // partner views, stream buffer); the scalar core stays as inert
         // residue until the slot is reused.
         self.membership[i] = MembershipState::new(0);
-        self.partnership[i] = PartnershipState::new();
+        self.partnership[i] = PartnershipState::new(0);
         self.stream[i] = StreamState::new(0);
         self.generations[i] = self.generations[i].wrapping_add(1);
         self.free.push(h.index);
@@ -256,30 +261,29 @@ fn pair_of<T>(column: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
     use cs_logging::UserId;
     use cs_net::{Bandwidth, NodeClass};
     use cs_sim::SimTime;
 
-    fn peer(id: u32) -> Peer {
-        Peer::new(
-            NodeId(id),
-            UserId(id),
-            NodeClass::DirectConnect,
-            Bandwidth::kbps(500),
-            &Params::default(),
-            SimTime::ZERO,
-            0,
-            SimTime::MAX,
-            0,
-            SimTime::MAX,
-        )
+    fn put(a: &mut PeerArena, id: u32) -> PeerHandle {
+        let core = PeerCore {
+            id: NodeId(id),
+            user: UserId(id),
+            class: NodeClass::DirectConnect,
+            upload: Bandwidth::kbps(500),
+            join_time: SimTime::ZERO,
+            retry_index: 0,
+            intended_leave: SimTime::MAX,
+            retries_left: 0,
+            patience: SimTime::MAX,
+        };
+        a.insert(core, &Params::default())
     }
 
     #[test]
     fn insert_then_lookup_roundtrips() {
         let mut a = PeerArena::new();
-        let h = a.insert(peer(0));
+        let h = put(&mut a, 0);
         assert_eq!(a.len(), 1);
         assert_eq!(a.handle_of(NodeId(0)), Some(h));
         assert_eq!(a.get(h).unwrap().id, NodeId(0));
@@ -289,13 +293,13 @@ mod tests {
     #[test]
     fn remove_recycles_slot_with_new_generation() {
         let mut a = PeerArena::new();
-        let h0 = a.insert(peer(0));
-        let _h1 = a.insert(peer(1));
+        let h0 = put(&mut a, 0);
+        let _h1 = put(&mut a, 1);
         assert!(a.remove(NodeId(0)));
         assert_eq!(a.len(), 1);
         assert!(a.handle_of(NodeId(0)).is_none());
         // The vacated slot is reused for the next arrival…
-        let h2 = a.insert(peer(2));
+        let h2 = put(&mut a, 2);
         assert_eq!(a.slots(), 2, "free slot reused, not grown");
         assert_eq!(h2.index(), h0.index());
         // …under a fresh generation.
@@ -308,7 +312,7 @@ mod tests {
         let mut a = PeerArena::new();
         for round in 0u32..50 {
             let id = round; // fresh node id every round, same slot
-            a.insert(peer(id));
+            put(&mut a, id);
             assert!(a.remove(NodeId(id)));
         }
         assert_eq!(a.slots(), 1, "join→leave churn must not grow the slab");
@@ -320,17 +324,17 @@ mod tests {
     #[should_panic(expected = "stale peer handle")]
     fn stale_handle_access_is_caught_in_debug() {
         let mut a = PeerArena::new();
-        let h = a.insert(peer(0));
+        let h = put(&mut a, 0);
         a.remove(NodeId(0));
-        a.insert(peer(1)); // reuses the slot, new generation
+        put(&mut a, 1); // reuses the slot, new generation
         let _ = a.get(h); // stale: must trip the debug assertion
     }
 
     #[test]
     fn pair_mut_preserves_argument_order() {
         let mut a = PeerArena::new();
-        a.insert(peer(0));
-        a.insert(peer(1));
+        put(&mut a, 0);
+        put(&mut a, 1);
         let (x, y) = a.pair_mut(NodeId(1), NodeId(0)).unwrap();
         assert_eq!(x.core.id, NodeId(1));
         assert_eq!(y.core.id, NodeId(0));
@@ -339,18 +343,18 @@ mod tests {
     #[test]
     fn iteration_is_node_id_order() {
         let mut a = PeerArena::new();
-        a.insert(peer(0));
-        a.insert(peer(1));
-        a.insert(peer(2));
+        put(&mut a, 0);
+        put(&mut a, 1);
+        put(&mut a, 2);
         a.remove(NodeId(1));
-        a.insert(peer(3)); // lands in slot 1 — must still iterate last
+        put(&mut a, 3); // lands in slot 1 — must still iterate last
         let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2, 3]);
         // A revived id (server restart) re-enters through whatever slot
         // is free and must come back at its node-id position.
         a.remove(NodeId(0));
-        a.insert(peer(4)); // takes the slot node 0 vacated
-        a.insert(peer(0)); // fresh slot at the end of the slab
+        put(&mut a, 4); // takes the slot node 0 vacated
+        put(&mut a, 0); // fresh slot at the end of the slab
         let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2, 3, 4]);
     }

@@ -15,19 +15,22 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::slots::Slots;
+
 /// A node's buffer state across all sub-streams.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamBuffer {
     k: u32,
     /// First global sequence number this node wants (chosen at join,
     /// §IV.A: `m − T_p`).
     start_seq: u64,
-    /// Newest received global seq per sub-stream; `None` until the first
-    /// block of that sub-stream arrives.
-    latest: Vec<Option<u64>>,
+    /// Newest received global seq per sub-stream in the buffer map's wire
+    /// encoding (`seq + 1`, 0 until the first block of that sub-stream
+    /// arrives): the row partners copy at every BM exchange.
+    latest: Slots<u64>,
     /// Fractional block credit per sub-stream (fluid-model remainder of
     /// the parent push schedule).
-    credit: Vec<f64>,
+    credit: Slots<f64>,
     /// Skipped-block ranges: blocks that were pushed out of every parent's
     /// cache window before this node could fetch them (§IV.A problem 1).
     /// Each entry `(s, e)` covers blocks `s, s+K, …, e` of sub-stream
@@ -42,8 +45,8 @@ impl StreamBuffer {
         StreamBuffer {
             k,
             start_seq,
-            latest: vec![None; k as usize],
-            credit: vec![0.0; k as usize],
+            latest: Slots::new(k as usize),
+            credit: Slots::new(k as usize),
             holes: Vec::new(),
         }
     }
@@ -76,18 +79,25 @@ impl StreamBuffer {
     /// Newest received global seq in sub-stream `i`.
     #[inline]
     pub fn latest(&self, i: u32) -> Option<u64> {
-        self.latest[i as usize]
+        self.latest[i as usize].checked_sub(1)
     }
 
     /// Newest received seq across all sub-streams (`max_i H_{S_i}`).
     pub fn max_latest(&self) -> Option<u64> {
-        self.latest.iter().flatten().copied().max()
+        self.latest.iter().max()?.checked_sub(1)
+    }
+
+    /// The advertised buffer-map row: one slot per sub-stream in the wire
+    /// encoding of [`BufferMap::encode`] (`seq + 1`, 0 = none).
+    #[inline]
+    pub fn advertised(&self) -> &[u64] {
+        &self.latest
     }
 
     /// The next block this node still needs from sub-stream `i`.
     #[inline]
     pub fn next_missing(&self, i: u32) -> u64 {
-        match self.latest[i as usize] {
+        match self.latest(i) {
             Some(h) => h + self.k as u64,
             None => self.first_wanted(i),
         }
@@ -95,7 +105,7 @@ impl StreamBuffer {
 
     /// Blocks received in sub-stream `i` so far.
     pub fn received_in(&self, i: u32) -> u64 {
-        match self.latest[i as usize] {
+        match self.latest(i) {
             Some(h) => (h - self.first_wanted(i)) / self.k as u64 + 1,
             None => 0,
         }
@@ -110,7 +120,8 @@ impl StreamBuffer {
             Some(maxh) => {
                 // An empty sub-stream lags from one block before its first
                 // wanted seq.
-                let h = self.latest[i as usize]
+                let h = self
+                    .latest(i)
                     .unwrap_or_else(|| self.first_wanted(i).saturating_sub(self.k as u64));
                 maxh.saturating_sub(h)
             }
@@ -129,7 +140,7 @@ impl StreamBuffer {
         }
         let k = self.k as u64;
         let i = (n % k) as u32; // cs-lint: allow(lossy-cast) — n % k < k, and k is self.k widened from u32
-        if !matches!(self.latest[i as usize], Some(h) if n <= h) {
+        if !matches!(self.latest(i), Some(h) if n <= h) {
             return false;
         }
         // A block inside a skipped range was never actually received.
@@ -148,14 +159,14 @@ impl StreamBuffer {
     /// Returns the new newest seq.
     pub fn advance(&mut self, i: u32, count: u64) -> Option<u64> {
         if count == 0 {
-            return self.latest[i as usize];
+            return self.latest(i);
         }
         let k = self.k as u64;
-        let new = match self.latest[i as usize] {
+        let new = match self.latest(i) {
             Some(h) => h + count * k,
             None => self.first_wanted(i) + (count - 1) * k,
         };
-        self.latest[i as usize] = Some(new);
+        self.latest[i as usize] = new + 1;
         Some(new)
     }
 
@@ -180,7 +191,7 @@ impl StreamBuffer {
         if self.holes.len() < 256 {
             self.holes.push((from, aligned));
         }
-        self.latest[i as usize] = Some(aligned);
+        self.latest[i as usize] = aligned + 1;
         skipped
     }
 
@@ -211,7 +222,7 @@ impl StreamBuffer {
     pub fn buffer_map(&self, subscribed: &[bool]) -> BufferMap {
         debug_assert_eq!(subscribed.len(), self.k as usize);
         BufferMap {
-            latest: self.latest.clone(),
+            latest: self.latest.iter().map(|v| v.checked_sub(1)).collect(),
             subscribed: subscribed.to_vec(),
         }
     }

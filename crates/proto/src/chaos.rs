@@ -17,7 +17,7 @@ use cs_net::{Bandwidth, ConnectivityPolicy, NodeClass, NodeId};
 use cs_sim::{Ctx, SimTime};
 
 use crate::partnership::Partnership;
-use crate::peer::Peer;
+use crate::peer::PeerCore;
 use crate::session::DepartReason;
 use crate::world::{CsWorld, Event};
 
@@ -57,18 +57,17 @@ impl Chaos<'_> {
         }
         self.w.net.revive_node(id, now);
         let bw = self.w.net.node(id).upload;
-        self.w.revive_peer(Peer::new(
+        self.w.push_peer(PeerCore {
             id,
-            UserId(u32::MAX - id.0),
-            NodeClass::Server,
-            bw,
-            &self.w.params,
-            now,
-            0,
-            SimTime::MAX,
-            0,
-            SimTime::MAX,
-        ));
+            user: UserId(u32::MAX - id.0),
+            class: NodeClass::Server,
+            upload: bw,
+            join_time: now,
+            retry_index: 0,
+            intended_leave: SimTime::MAX,
+            retries_left: 0,
+            patience: SimTime::MAX,
+        });
         let rec = &mut self.w.sessions[id.index()];
         rec.leave = None;
         rec.reason = None;

@@ -174,7 +174,7 @@ impl InvariantChecker {
             }
 
             // Oracle 3: symmetry, liveness, complementary directions.
-            for (&q, view) in peer.partners() {
+            for (q, view) in peer.partners().iter() {
                 if !world.net.is_alive(q) {
                     self.record(
                         now,
@@ -183,7 +183,7 @@ impl InvariantChecker {
                     );
                     continue;
                 }
-                match world.peer(q).and_then(|qp| qp.partners().get(&info.id)) {
+                match world.peer(q).and_then(|qp| qp.partners().get(info.id)) {
                     None => self.record(
                         now,
                         "partner-symmetry",
@@ -218,7 +218,7 @@ impl InvariantChecker {
             }
             for (j, parent) in peer.parents().iter().enumerate() {
                 let Some(p) = parent else { continue };
-                if !peer.partners().contains_key(p) {
+                if !peer.partners().contains(*p) {
                     self.record(
                         now,
                         "parent-is-partner",
@@ -362,7 +362,7 @@ mod tests {
     use super::*;
     use crate::membership::Membership;
     use crate::params::Params;
-    use crate::partnership::{PartnerView, Partnership};
+    use crate::partnership::Partnership;
     use crate::stream::Stream;
     use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeId};
 
@@ -389,15 +389,7 @@ mod tests {
         // fabricate a one-sided partner view on server a pointing at
         // server b.
         let b = world.servers[1];
-        Partnership::of(&mut world).inject_view(
-            a,
-            b,
-            PartnerView {
-                latest: vec![None; k],
-                outgoing: true,
-                since: SimTime::ZERO,
-            },
-        );
+        Partnership::of(&mut world).inject_view(a, b, &vec![0; k], true);
         let mut chk = InvariantChecker::new();
         chk.check_world(SimTime::from_secs(1), &world);
         assert!(!chk.is_clean());

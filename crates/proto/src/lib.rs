@@ -35,6 +35,7 @@ mod params;
 pub mod partnership;
 mod peer;
 mod session;
+mod slots;
 mod snapshot;
 pub mod stream;
 mod telemetry;
@@ -50,8 +51,8 @@ pub use invariant::{InvariantChecker, Violation};
 pub use mcache::{MCache, McEntry};
 pub use membership::MembershipState;
 pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
-pub use partnership::{PartnerView, PartnershipState};
-pub use peer::{Peer, PeerCore, PeerMut, PeerRef};
+pub use partnership::{PartnerTable, PartnerView, PartnershipState};
+pub use peer::{PeerCore, PeerMut, PeerRef};
 pub use session::{finalize_sessions, user_classes, DepartReason, SessionRecord};
 pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};
 pub use stream::{ReportCounters, StreamState};

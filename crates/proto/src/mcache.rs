@@ -125,12 +125,26 @@ impl MCache {
         &self,
         n: usize,
         rng: &mut R,
-        mut exclude: impl FnMut(NodeId) -> bool,
+        exclude: impl FnMut(NodeId) -> bool,
     ) -> Vec<McEntry> {
-        let mut candidates: Vec<&McEntry> =
-            self.entries.iter().filter(|e| !exclude(e.id)).collect();
-        candidates.shuffle(rng);
-        candidates.into_iter().take(n).copied().collect()
+        let mut out = Vec::new();
+        self.sample_into(n, rng, exclude, &mut out);
+        out
+    }
+
+    /// [`sample`](Self::sample) into a caller-owned buffer (cleared
+    /// first), so periodic callers reuse one allocation.
+    pub fn sample_into<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        mut exclude: impl FnMut(NodeId) -> bool,
+        out: &mut Vec<McEntry>,
+    ) {
+        out.clear();
+        out.extend(self.entries.iter().filter(|e| !exclude(e.id)));
+        out.shuffle(rng);
+        out.truncate(n);
     }
 }
 

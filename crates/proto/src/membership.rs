@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 
 use crate::mcache::{MCache, McEntry};
 use crate::partnership::Partnership;
-use crate::peer::Peer;
+use crate::peer::PeerCore;
 use crate::session::SessionRecord;
 use crate::world::{CsWorld, Event, UserSpec};
 
@@ -59,15 +59,16 @@ impl MembershipState {
         self.mcache.remove(id);
     }
 
-    /// Uniform sample of up to `n` entries, excluding ids for which
-    /// `exclude` returns true.
-    pub(crate) fn sample<R: rand::Rng + ?Sized>(
+    /// Uniform sample of up to `n` entries into `out`, excluding ids for
+    /// which `exclude` returns true.
+    pub(crate) fn sample_into<R: rand::Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
         exclude: impl FnMut(NodeId) -> bool,
-    ) -> Vec<McEntry> {
-        self.mcache.sample(n, rng, exclude)
+        out: &mut Vec<McEntry>,
+    ) {
+        self.mcache.sample_into(n, rng, exclude, out);
     }
 }
 
@@ -90,19 +91,17 @@ impl Membership<'_> {
     pub(crate) fn arrive(&mut self, spec: UserSpec, now: SimTime, ctx: &mut Ctx<'_, Event>) {
         self.w.stats.arrivals += 1;
         let id = self.w.net.add_node(spec.class, spec.upload, now);
-        let peer = Peer::new(
+        self.w.push_peer(PeerCore {
             id,
-            spec.user,
-            spec.class,
-            spec.upload,
-            &self.w.params,
-            now,
-            spec.retry_index,
-            spec.leave_at,
-            spec.retries_left,
-            spec.patience,
-        );
-        self.w.push_peer(peer);
+            user: spec.user,
+            class: spec.class,
+            upload: spec.upload,
+            join_time: now,
+            retry_index: spec.retry_index,
+            intended_leave: spec.leave_at,
+            retries_left: spec.retries_left,
+            patience: spec.patience,
+        });
         self.w.sessions.push(SessionRecord {
             user: spec.user,
             node: id,
@@ -212,28 +211,24 @@ impl Membership<'_> {
     /// partner.
     pub(crate) fn gossip_tick(&mut self, id: NodeId, now: SimTime) {
         let mut rng = self.w.rng_mem.clone();
-        let (target, entries) = {
-            let Some(p) = self.w.peer(id) else { return };
-            let partner_ids: Vec<NodeId> = p.partners().keys().copied().collect();
-            let Some(&target) = partner_ids.choose(&mut rng) else {
-                self.w.rng_mem = rng;
-                return;
-            };
-            let mut entries = p
-                .membership
-                .sample(self.w.params.gossip_fanout, &mut rng, |c| c == target);
+        let mut entries = std::mem::take(&mut self.w.scratch.entries);
+        let target = self.w.peer(id).and_then(|p| {
+            let &target = p.partners().ids().choose(&mut rng)?;
+            let fanout = self.w.params.gossip_fanout;
+            p.membership
+                .sample_into(fanout, &mut rng, |c| c == target, &mut entries);
             entries.push(McEntry {
                 id,
                 joined_at: p.join_time,
                 added_at: now,
             });
-            (target, entries)
-        };
-        if self.w.net.is_alive(target) {
+            Some(target)
+        });
+        if let Some(target) = target.filter(|&t| self.w.net.is_alive(t)) {
             self.w.stats.control_bytes += 40 + 10 * entries.len() as u64;
             let policy = self.w.params.replace_policy;
             if let Some(t) = self.w.peer_mut(target) {
-                for mut e in entries {
+                for &(mut e) in &entries {
                     e.added_at = now;
                     if e.id != target {
                         t.membership.remember(e, policy, &mut rng);
@@ -241,24 +236,22 @@ impl Membership<'_> {
                 }
             }
         }
+        self.w.scratch.entries = entries;
         self.w.rng_mem = rng;
     }
 
     /// Sample up to `want` partnership candidates for `id` from its
-    /// mCache, excluding itself and current partners. This is the
+    /// mCache into `picks`, excluding itself and current partners. This is the
     /// membership→partnership service of Fig. 1: the partnership manager
     /// calls it during refill and re-selection.
-    pub(crate) fn candidates(&mut self, id: NodeId, want: usize) -> Vec<McEntry> {
+    pub(crate) fn candidates(&mut self, id: NodeId, want: usize, picks: &mut Vec<McEntry>) {
+        picks.clear();
         let mut rng = self.w.rng_mem.clone();
-        let Some(p) = self.w.peer(id) else {
-            return Vec::new();
-        };
+        let Some(p) = self.w.peer(id) else { return };
         let partners = p.partners();
-        let picks = p.membership.sample(want, &mut rng, |cand| {
-            cand == id || partners.contains_key(&cand)
-        });
+        let exclude = |cand| cand == id || partners.contains(cand);
+        p.membership.sample_into(want, &mut rng, exclude, picks);
         self.w.rng_mem = rng;
-        picks
     }
 
     /// Failure injection: bring the boot-strap server down or back up.
@@ -277,10 +270,7 @@ impl Membership<'_> {
             return;
         }
         let (partners, children) = match self.w.peer(id) {
-            Some(p) => (
-                p.partners().keys().copied().collect::<Vec<_>>(),
-                p.children().to_vec(),
-            ),
+            Some(p) => (p.partners().ids().to_vec(), p.children().to_vec()),
             None => return,
         };
         for q in partners {

@@ -28,7 +28,12 @@ use crate::world::{CsWorld, Event, UserSpec};
 
 mod state;
 
-pub use state::{PartnerView, PartnershipState};
+pub use state::{PartnerTable, PartnerView, PartnershipState};
+
+/// `adapt`'s per-sub-stream verdicts.
+const KEEP: u8 = 0;
+const REPAIR: u8 = 1;
+const ADAPT: u8 = 2;
 
 /// The partnership manager: partner maintenance and adaptation over the
 /// shared world.
@@ -57,7 +62,7 @@ impl Partnership<'_> {
         let already = self
             .w
             .peer(a)
-            .map(|p| p.partners().contains_key(&b))
+            .map(|p| p.partners().contains(b))
             .unwrap_or(true);
         if already {
             return false;
@@ -84,26 +89,17 @@ impl Partnership<'_> {
             }
             return false;
         }
-        let bm_b = advertised_bm(self.w, b, now);
-        let bm_a = advertised_bm(self.w, a, now);
+        // Both buffer-map rows back to back: b's, then a's.
+        let mut bm = std::mem::take(&mut self.w.scratch.bm);
+        bm.clear();
+        advertised_bm(self.w, b, now, &mut bm);
+        advertised_bm(self.w, a, now, &mut bm);
+        let (bm_b, bm_a) = bm.split_at(self.w.params.substreams as usize);
         // cs-lint: allow(panic-in-lib) — the dead-peer early-return above guarantees both peers are alive here
         let (pa, pb) = self.w.two_mut(a, b).expect("both alive");
-        pa.partnership.insert(
-            b,
-            PartnerView {
-                latest: bm_b,
-                outgoing: true,
-                since: now,
-            },
-        );
-        pb.partnership.insert(
-            a,
-            PartnerView {
-                latest: bm_a,
-                outgoing: false,
-                since: now,
-            },
-        );
+        pa.partnership.insert(b, bm_b, true, now);
+        pb.partnership.insert(a, bm_a, false, now);
+        self.w.scratch.bm = bm;
         self.w.stats.partnerships += 1;
         true
     }
@@ -111,34 +107,40 @@ impl Partnership<'_> {
     /// Refresh every partner view of `id` from the partners' advertised
     /// buffer maps; prune partners that died since the last exchange.
     pub(crate) fn refresh_views(&mut self, id: NodeId, now: SimTime) {
-        let partner_ids: Vec<NodeId> = self
-            .w
-            .peer(id)
-            .map(|p| p.partners().keys().copied().collect())
-            .unwrap_or_default();
-        let mut dead = Vec::new();
-        let bm_wire =
-            40 + 8 * self.w.params.substreams as u64 + self.w.params.substreams.div_ceil(8) as u64;
-        for q in &partner_ids {
-            if self.w.net.is_alive(*q) {
-                let bm = advertised_bm(self.w, *q, now);
+        let mut ids = std::mem::take(&mut self.w.scratch.ids);
+        let mut bm = std::mem::take(&mut self.w.scratch.bm);
+        ids.clear();
+        if let Some(p) = self.w.peer(id) {
+            ids.extend_from_slice(p.partners().ids());
+        }
+        bm.clear();
+        let k = self.w.params.substreams;
+        let bm_wire = 40 + 8 * k as u64 + k.div_ceil(8) as u64;
+        // Build the refreshed table rows back to back in `bm`, compacting
+        // the partners found dead to the front of `ids` (a dead partner's
+        // row is a placeholder: it is pruned with its partner below).
+        let mut dead = 0;
+        for i in 0..ids.len() {
+            let q = ids[i];
+            if self.w.net.is_alive(q) {
+                advertised_bm(self.w, q, now, &mut bm);
                 self.w.stats.control_bytes += bm_wire;
-                if let Some(p) = self.w.peer_mut(id) {
-                    if let Some(view) = p.partnership.view_mut(*q) {
-                        view.latest = bm;
-                    }
-                }
             } else {
-                dead.push(*q);
+                bm.resize(bm.len() + k as usize, 0);
+                ids[dead] = q;
+                dead += 1;
             }
         }
-        for q in dead {
-            if let Some(p) = self.w.peer_mut(id) {
+        if let Some(p) = self.w.peer_mut(id) {
+            p.partnership.rows_mut().copy_from_slice(&bm);
+            for &q in &ids[..dead] {
                 p.partnership.remove(q);
                 p.membership.forget(q);
                 p.stream.clear_parent_slots_of(q);
             }
         }
+        self.w.scratch.ids = ids;
+        self.w.scratch.bm = bm;
     }
 
     /// Partner maintenance: refill towards the target partner count with
@@ -150,9 +152,10 @@ impl Partnership<'_> {
             return;
         }
         let want = (target - cur_partners) * 2;
-        let picks = Membership::of(self.w).candidates(id, want);
+        let mut picks = std::mem::take(&mut self.w.scratch.entries);
+        Membership::of(self.w).candidates(id, want, &mut picks);
         let mut established = 0;
-        for e in picks {
+        for e in &picks {
             if established + cur_partners >= target {
                 break;
             }
@@ -166,32 +169,74 @@ impl Partnership<'_> {
                 established += 1;
             }
         }
+        self.w.scratch.entries = picks;
     }
 
     /// Peer adaptation: repair dead parent slots unconditionally; apply
     /// the inequality triggers under the cool-down.
     pub(crate) fn adapt(&mut self, id: NodeId, now: SimTime) {
-        let k = self.w.params.substreams;
-        let Some(peer) = self.w.peer(id) else { return };
-        if peer.buffer().is_none() {
-            return;
+        // Classify every sub-stream before touching any: the repairs all
+        // draw their parents before the first adaptation does.
+        let mut verdicts = std::mem::take(&mut self.w.scratch.verdicts);
+        verdicts.clear();
+        if let Some(l) = self.classify(id, now, &mut verdicts) {
+            if let Some(p) = self.w.peer_mut(id) {
+                p.partnership.last_lead = Some(l);
+            }
         }
+        let with = |verdict| {
+            let marked = verdicts.iter().zip(0u32..);
+            marked.filter_map(move |(&v, j)| (v == verdict).then_some(j))
+        };
+        for j in with(REPAIR) {
+            if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
+                Stream::of(self.w).subscribe(id, j, parent);
+                self.w.stats.parent_repairs += 1;
+            }
+        }
+        let mut adapted = false;
+        let mut starved = false;
+        for j in with(ADAPT) {
+            if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
+                Stream::of(self.w).subscribe(id, j, parent);
+                adapted = true;
+            } else {
+                starved = true;
+            }
+        }
+        self.w.scratch.verdicts = verdicts;
+        if adapted {
+            self.w.stats.adaptations += 1;
+            if let Some(p) = self.w.peer_mut(id) {
+                p.partnership.last_adapt = Some(now);
+                p.stream.count_adaptation();
+            }
+            self.w.sessions[id.index()].adaptations += 1;
+        }
+        if starved {
+            // §III.B partner re-selection: no partner can serve the
+            // starving sub-stream(s), so drop the most useless partner
+            // and recruit a fresh candidate from the mCache.
+            self.reselect_partner(id, now);
+        }
+    }
+
+    /// The read-only half of [`adapt`](Self::adapt): one verdict per
+    /// sub-stream into `verdicts` (left empty while `id` has no buffer),
+    /// and the current playout lead.
+    fn classify(&self, id: NodeId, now: SimTime, verdicts: &mut Vec<u8>) -> Option<u64> {
+        let k = self.w.params.substreams;
+        let peer = self.w.peer(id)?;
+        let buf = peer.buffer()?;
         let allowed = peer.adaptation_allowed(now, self.w.params.ta);
-        let global_best: Option<u64> = peer
-            .partners()
-            .values()
-            .flat_map(|v| v.latest.iter().flatten().copied())
-            .max();
+        let global_best: Option<u64> = peer.partners().max_latest();
         // §III.B "insufficient bit rate" condition: once playing, a
         // shrinking playout lead means the aggregate receive rate is
         // below the stream rate even when no single sub-stream stands out
         // (uniform starvation under peer competition). In that state the
         // sub-streams trailing the live edge the most get re-selected.
         let live_edge = self.w.params.live_edge(now);
-        let lead = peer
-            .buffer()
-            // cs-lint: allow(panic-in-lib) — this adaptation path is only reached after the buffer-present check at the call site
-            .expect("checked")
+        let lead = buf
             .contiguous_edge()
             .map(|e| e.saturating_sub(peer.next_play()));
         // Low lead triggers re-selection only while the lead is still
@@ -204,89 +249,48 @@ impl Partnership<'_> {
                 }
                 None => true,
             };
-        if let Some(l) = lead {
-            if let Some(p) = self.w.peer_mut(id) {
-                p.partnership.last_lead = Some(l);
-            }
-        }
-        let Some(peer) = self.w.peer(id) else { return };
-        let mut repairs = Vec::new();
-        let mut adaptations = Vec::new();
+        verdicts.resize(k as usize, KEEP);
         for j in 0..k {
-            let parent = peer.parents()[j as usize];
-            match parent {
-                None => repairs.push(j),
-                Some(p) => {
-                    if !allowed {
-                        continue;
-                    }
-                    // cs-lint: allow(panic-in-lib) — same buffer-present guarantee as the lead computation above
-                    let buf = peer.buffer().expect("checked");
-                    // A sub-stream with nothing received yet counts from
-                    // just before its first wanted block.
-                    let own = buf
-                        .latest(j)
-                        .unwrap_or_else(|| buf.first_wanted(j).saturating_sub(k as u64));
-                    // Inequality (1): this node's receipt of sub-stream j
-                    // lags what its parent already holds by T_s — the
-                    // parent cannot (or will not) push fast enough.
-                    let ineq1 = match peer.partners().get(&p).and_then(|v| v.latest[j as usize]) {
-                        Some(pl) => pl.saturating_sub(own) >= self.w.params.ts_blocks,
-                        None => false,
-                    };
-                    // Inequality (2): parent lags the best partner by T_p.
-                    let ineq2 = match (global_best, peer.partners().get(&p)) {
-                        (Some(best), Some(view)) => match view.latest[j as usize] {
-                            Some(pj) => best.saturating_sub(pj) >= self.w.params.tp_blocks,
-                            None => true,
-                        },
-                        _ => false,
-                    };
-                    // Insufficient-rate reselection for sub-streams
-                    // trailing the live edge well beyond the join offset.
-                    let starving = lead_low
-                        && match live_edge {
-                            Some(edge) => edge.saturating_sub(own) >= 2 * self.w.params.tp_blocks,
-                            None => false,
-                        };
-                    if ineq1 || ineq2 || starving {
-                        adaptations.push(j);
-                    }
-                }
+            let Some(p) = peer.parents()[j as usize] else {
+                verdicts[j as usize] = REPAIR;
+                continue;
+            };
+            if !allowed {
+                continue;
+            }
+            // A sub-stream with nothing received yet counts from just
+            // before its first wanted block.
+            let own = buf
+                .latest(j)
+                .unwrap_or_else(|| buf.first_wanted(j).saturating_sub(k as u64));
+            // Inequality (1): this node's receipt of sub-stream j lags
+            // what its parent already holds by T_s — the parent cannot (or
+            // will not) push fast enough.
+            let view = peer.partners().get(p);
+            let ineq1 = match view.and_then(|v| v.latest(j)) {
+                Some(pl) => pl.saturating_sub(own) >= self.w.params.ts_blocks,
+                None => false,
+            };
+            // Inequality (2): parent lags the best partner by T_p.
+            let ineq2 = match (global_best, view) {
+                (Some(best), Some(view)) => match view.latest(j) {
+                    Some(pj) => best.saturating_sub(pj) >= self.w.params.tp_blocks,
+                    None => true,
+                },
+                _ => false,
+            };
+            // Insufficient-rate reselection for sub-streams trailing the
+            // live edge well beyond the join offset.
+            let starving = lead_low
+                && match live_edge {
+                    Some(edge) => edge.saturating_sub(own) >= 2 * self.w.params.tp_blocks,
+                    None => false,
+                };
+            if ineq1 || ineq2 || starving {
+                verdicts[j as usize] = ADAPT;
             }
         }
-        for j in repairs {
-            if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
-                Stream::of(self.w).subscribe(id, j, parent);
-                self.w.stats.parent_repairs += 1;
-            }
-        }
-        if !adaptations.is_empty() {
-            let mut adapted = false;
-            let mut starved = false;
-            for j in adaptations {
-                if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
-                    Stream::of(self.w).subscribe(id, j, parent);
-                    adapted = true;
-                } else {
-                    starved = true;
-                }
-            }
-            if adapted {
-                self.w.stats.adaptations += 1;
-                if let Some(p) = self.w.peer_mut(id) {
-                    p.partnership.last_adapt = Some(now);
-                    p.stream.count_adaptation();
-                }
-                self.w.sessions[id.index()].adaptations += 1;
-            }
-            if starved {
-                // §III.B partner re-selection: no partner can serve the
-                // starving sub-stream(s), so drop the most useless partner
-                // and recruit a fresh candidate from the mCache.
-                self.reselect_partner(id, now);
-            }
-        }
+        lead
     }
 
     /// Drop the least useful partner (not currently a parent, oldest
@@ -294,12 +298,11 @@ impl Partnership<'_> {
     pub(crate) fn reselect_partner(&mut self, id: NodeId, now: SimTime) {
         let victim = {
             let Some(p) = self.w.peer(id) else { return };
-            let parents: Vec<NodeId> = p.parents().iter().flatten().copied().collect();
             p.partners()
                 .iter()
-                .filter(|(q, _)| !parents.contains(q))
-                .min_by_key(|(_, view)| view.latest.iter().flatten().copied().max().unwrap_or(0))
-                .map(|(&q, _)| q)
+                .filter(|&(q, _)| !p.parents().contains(&Some(q)))
+                .min_by_key(|(_, view)| view.max_latest().unwrap_or(0))
+                .map(|(q, _)| q)
         };
         if let Some(victim) = victim {
             if let Some(p) = self.w.peer_mut(id) {
@@ -314,10 +317,10 @@ impl Partnership<'_> {
                 pp.stream.remove_child_all(victim);
             }
         }
-        let pick = Membership::of(self.w)
-            .candidates(id, 1)
-            .first()
-            .map(|e| e.id);
+        let mut picks = std::mem::take(&mut self.w.scratch.entries);
+        Membership::of(self.w).candidates(id, 1, &mut picks);
+        let pick = picks.first().map(|e| e.id);
+        self.w.scratch.entries = picks;
         if let Some(cand) = pick {
             if self.w.net.is_alive(cand) {
                 self.try_add_partner(id, cand, now);
@@ -354,7 +357,7 @@ impl Partnership<'_> {
             (
                 p.user,
                 p.private_addr(),
-                p.partners().keys().copied().collect::<Vec<_>>(),
+                p.partners().ids().to_vec(),
                 p.children().to_vec(),
                 p.parents().to_vec(),
                 p.retries_left,
@@ -489,9 +492,9 @@ impl Partnership<'_> {
     /// `id`, bypassing the establishment protocol — for corrupting state
     /// in invariant-oracle tests.
     #[cfg(test)]
-    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, view: PartnerView) {
+    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u64], outgoing: bool) {
         if let Some(p) = self.w.peer_mut(id) {
-            p.partnership.insert(q, view);
+            p.partnership.insert(q, latest, outgoing, SimTime::ZERO);
         }
     }
 }

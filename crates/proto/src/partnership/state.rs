@@ -2,18 +2,16 @@
 //! adaptation cool-down, mutated only from the
 //! [`partnership`](crate::partnership) module.
 
-use std::collections::BTreeMap;
-
 use cs_net::NodeId;
 use cs_sim::SimTime;
 
-/// What a peer knows about one partner: the last exchanged buffer map and
-/// the partnership direction.
-#[derive(Clone, Debug)]
-pub struct PartnerView {
-    /// Snapshot of the partner's newest seq per sub-stream, from the last
-    /// BM exchange.
-    pub latest: Vec<Option<u64>>,
+/// What a peer knows about one partner: a borrowed row of its
+/// [`PartnerTable`].
+#[derive(Clone, Copy, Debug)]
+pub struct PartnerView<'a> {
+    /// The partner's buffer-map row from the last BM exchange, in the wire
+    /// encoding (`seq + 1`, 0 = none).
+    latest: &'a [u64],
     /// `true` if we initiated this partnership (the partner is an
     /// *outgoing* partner in the paper's terms, §V.B).
     pub outgoing: bool,
@@ -21,13 +19,135 @@ pub struct PartnerView {
     pub since: SimTime,
 }
 
+impl PartnerView<'_> {
+    /// The partner's newest seq in sub-stream `j` as of the last BM
+    /// exchange.
+    #[inline]
+    pub fn latest(&self, j: u32) -> Option<u64> {
+        self.latest[j as usize].checked_sub(1)
+    }
+
+    /// The newest seq the partner advertised in any sub-stream.
+    pub fn max_latest(&self) -> Option<u64> {
+        self.latest.iter().max()?.checked_sub(1)
+    }
+}
+
+/// The partner set of one peer as a flat table sorted by partner id, so
+/// iteration order is ascending [`NodeId`]. Ids, direction/age and the
+/// `K`-wide buffer-map rows sit in three parallel arrays: membership
+/// tests and random picks scan only the ids, and a BM exchange
+/// overwrites one contiguous row.
+#[derive(Debug)]
+pub struct PartnerTable {
+    k: usize,
+    ids: Vec<NodeId>,
+    /// `(outgoing, since)` per partner.
+    meta: Vec<(bool, SimTime)>,
+    /// Row-major `ids.len() × k` buffer-map rows (`seq + 1`, 0 = none).
+    latest: Vec<u64>,
+}
+
+impl PartnerTable {
+    fn new(k: usize) -> Self {
+        PartnerTable {
+            k,
+            ids: Vec::new(),
+            meta: Vec::new(),
+            latest: Vec::new(),
+        }
+    }
+
+    /// Number of partners.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the peer has no partners.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Partner ids in ascending order.
+    #[inline]
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// Whether `q` is a partner.
+    #[inline]
+    pub fn contains(&self, q: NodeId) -> bool {
+        self.ids.contains(&q)
+    }
+
+    /// The view held of partner `q`.
+    pub fn get(&self, q: NodeId) -> Option<PartnerView<'_>> {
+        self.ids.binary_search(&q).ok().map(|i| self.view_at(i))
+    }
+
+    /// `(partner, view)` pairs in ascending partner-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, PartnerView<'_>)> {
+        self.ids
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| (q, self.view_at(i)))
+    }
+
+    /// Newest seq any partner advertised in any sub-stream.
+    pub fn max_latest(&self) -> Option<u64> {
+        self.latest.iter().max()?.checked_sub(1)
+    }
+
+    fn view_at(&self, i: usize) -> PartnerView<'_> {
+        let (outgoing, since) = self.meta[i];
+        PartnerView {
+            latest: &self.latest[i * self.k..(i + 1) * self.k],
+            outgoing,
+            since,
+        }
+    }
+
+    /// Insert partner `q` with buffer-map row `latest`, or overwrite the
+    /// view already held of it.
+    fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool, since: SimTime) {
+        debug_assert_eq!(latest.len(), self.k);
+        match self.ids.binary_search(&q) {
+            Ok(i) => {
+                self.meta[i] = (outgoing, since);
+                self.row_mut(i).copy_from_slice(latest);
+            }
+            Err(i) => {
+                self.ids.insert(i, q);
+                self.meta.insert(i, (outgoing, since));
+                // Open a `k`-wide gap at row `i` and fill it.
+                let (at, end) = (i * self.k, self.latest.len());
+                self.latest.resize(end + self.k, 0);
+                self.latest.copy_within(at..end, at + self.k);
+                self.row_mut(i).copy_from_slice(latest);
+            }
+        }
+    }
+
+    fn remove(&mut self, q: NodeId) {
+        if let Ok(i) = self.ids.binary_search(&q) {
+            self.ids.remove(i);
+            self.meta.remove(i);
+            self.latest.drain(i * self.k..(i + 1) * self.k);
+        }
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.latest[i * self.k..(i + 1) * self.k]
+    }
+}
+
 /// Partnership-manager-owned slice of per-peer state. Only the
 /// partnership module mutates it; everyone else reads through the
 /// accessors.
 #[derive(Debug)]
 pub struct PartnershipState {
-    /// Partner → last known buffer map.
-    partners: BTreeMap<NodeId, PartnerView>,
+    partners: PartnerTable,
     /// Cool-down: time of the last quality-triggered peer adaptation.
     pub(super) last_adapt: Option<SimTime>,
     /// Playout lead observed at the previous adaptation check, for the
@@ -36,27 +156,28 @@ pub struct PartnershipState {
 }
 
 impl PartnershipState {
-    pub(crate) fn new() -> Self {
+    /// Empty state for a peer exchanging `substreams`-wide buffer maps.
+    pub(crate) fn new(substreams: u32) -> Self {
         PartnershipState {
-            partners: BTreeMap::new(),
+            partners: PartnerTable::new(substreams as usize),
             last_adapt: None,
             last_lead: None,
         }
     }
 
     /// The partner set: partner → last exchanged buffer map.
-    pub fn partners(&self) -> &BTreeMap<NodeId, PartnerView> {
+    pub fn partners(&self) -> &PartnerTable {
         &self.partners
     }
 
     /// Number of incoming partners (they connected to us).
     pub fn incoming_partners(&self) -> usize {
-        self.partners.values().filter(|v| !v.outgoing).count()
+        self.partners.meta.iter().filter(|m| !m.0).count()
     }
 
     /// Number of outgoing partners (we connected to them).
     pub fn outgoing_partners(&self) -> usize {
-        self.partners.values().filter(|v| v.outgoing).count()
+        self.partners.meta.iter().filter(|m| m.0).count()
     }
 
     /// Whether the cool-down timer permits a quality-triggered adaptation
@@ -70,42 +191,33 @@ impl PartnershipState {
         self.last_adapt
     }
 
-    pub(crate) fn insert(&mut self, q: NodeId, view: PartnerView) {
-        self.partners.insert(q, view);
+    /// Add partner `q` holding buffer-map row `latest` (wire encoding).
+    pub(crate) fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool, since: SimTime) {
+        self.partners.insert(q, latest, outgoing, since);
     }
 
     pub(crate) fn remove(&mut self, q: NodeId) {
-        self.partners.remove(&q);
+        self.partners.remove(q);
     }
 
-    pub(crate) fn view_mut(&mut self, q: NodeId) -> Option<&mut PartnerView> {
-        self.partners.get_mut(&q)
+    /// Every partner's buffer-map row back to back (in id order), for
+    /// the in-place overwrite of a BM exchange.
+    pub(super) fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.partners.latest
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn partner_direction_counting() {
-        let mut s = PartnershipState::new();
-        s.insert(
-            NodeId(2),
-            PartnerView {
-                latest: vec![],
-                outgoing: true,
-                since: SimTime::ZERO,
-            },
-        );
-        s.insert(
-            NodeId(3),
-            PartnerView {
-                latest: vec![],
-                outgoing: false,
-                since: SimTime::ZERO,
-            },
-        );
+        let mut s = PartnershipState::new(0);
+        s.insert(NodeId(2), &[], true, SimTime::ZERO);
+        s.insert(NodeId(3), &[], false, SimTime::ZERO);
         assert_eq!(s.outgoing_partners(), 1);
         assert_eq!(s.incoming_partners(), 1);
         s.remove(NodeId(2));
@@ -114,11 +226,88 @@ mod tests {
 
     #[test]
     fn cooldown_gate() {
-        let mut s = PartnershipState::new();
+        let mut s = PartnershipState::new(0);
         let ta = SimTime::from_secs(20);
         assert!(s.adaptation_allowed(SimTime::from_secs(5), ta));
         s.last_adapt = Some(SimTime::from_secs(5));
         assert!(!s.adaptation_allowed(SimTime::from_secs(10), ta));
         assert!(s.adaptation_allowed(SimTime::from_secs(25), ta));
+    }
+
+    /// One step of the table-vs-`BTreeMap` differential run.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u32, Vec<Option<u64>>, bool),
+        Remove(u32),
+        Refresh(usize, Vec<Option<u64>>),
+    }
+
+    fn arb_row() -> impl Strategy<Value = Vec<Option<u64>>> {
+        proptest::collection::vec(proptest::option::of(0u64..1_000_000), 20..21)
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u32..24, arb_row(), any::<bool>()).prop_map(|(q, r, o)| Op::Insert(q, r, o)),
+                (0u32..24).prop_map(Op::Remove),
+                (0usize..24, arb_row()).prop_map(|(i, r)| Op::Refresh(i, r)),
+            ],
+            0..60,
+        )
+    }
+
+    proptest! {
+        /// The flat table answers every read exactly like the
+        /// `BTreeMap<NodeId, (row, outgoing)>` it replaced, under any
+        /// insert / remove / in-place-refresh interleaving and any `K`.
+        #[test]
+        fn partner_table_matches_btreemap_model(k in 0usize..=20, ops in arb_ops()) {
+            let encode = |row: &[Option<u64>]| -> Vec<u64> {
+                row[..k].iter().map(|l| l.map_or(0, |s| s + 1)).collect()
+            };
+            let mut table = PartnershipState::new(k as u32);
+            let mut model: BTreeMap<NodeId, (Vec<Option<u64>>, bool)> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    Op::Insert(q, row, outgoing) => {
+                        table.insert(NodeId(q), &encode(&row), outgoing, SimTime::from_secs(q as u64));
+                        model.insert(NodeId(q), (row[..k].to_vec(), outgoing));
+                    }
+                    Op::Remove(q) => {
+                        table.remove(NodeId(q));
+                        model.remove(&NodeId(q));
+                    }
+                    Op::Refresh(i, row) => {
+                        if let Some((_, view)) = model.iter_mut().nth(i) {
+                            table.rows_mut()[i * k..(i + 1) * k].copy_from_slice(&encode(&row));
+                            view.0 = row[..k].to_vec();
+                        }
+                    }
+                }
+                let t = table.partners();
+                prop_assert_eq!(t.len(), model.len());
+                prop_assert_eq!(t.is_empty(), model.is_empty());
+                prop_assert_eq!(t.ids().to_vec(), model.keys().copied().collect::<Vec<_>>());
+                for ((q, view), (mq, (mrow, mout))) in t.iter().zip(&model) {
+                    prop_assert_eq!(q, *mq);
+                    prop_assert_eq!(view.outgoing, *mout);
+                    prop_assert_eq!(view.since, SimTime::from_secs(q.0 as u64));
+                    let row: Vec<Option<u64>> = (0..k as u32).map(|j| view.latest(j)).collect();
+                    prop_assert_eq!(&row, mrow);
+                }
+                for q in 0..24 {
+                    let q = NodeId(q);
+                    prop_assert_eq!(t.contains(q), model.contains_key(&q));
+                    prop_assert_eq!(t.get(q).map(|v| v.outgoing), model.get(&q).map(|m| m.1));
+                }
+                prop_assert_eq!(
+                    t.max_latest(),
+                    model.values().flat_map(|m| m.0.iter().flatten().copied()).max()
+                );
+                prop_assert_eq!(table.outgoing_partners(), model.values().filter(|m| m.1).count());
+                prop_assert_eq!(table.incoming_partners(), model.values().filter(|m| !m.1).count());
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@ use crate::buffer::StreamBuffer;
 use crate::mcache::McEntry;
 use crate::membership::Membership;
 use crate::params::Params;
-use crate::partnership::{PartnerView, Partnership};
+use crate::partnership::Partnership;
 use crate::stream::Stream;
 use crate::world::CsWorld;
 
@@ -21,14 +21,11 @@ fn tiny_world() -> CsWorld {
     CsWorld::new(Params::default(), net, 2, Bandwidth::mbps(100), 7)
 }
 
-fn view(latest0: Option<u64>, k: usize) -> PartnerView {
-    let mut latest = vec![None; k];
-    latest[0] = latest0;
-    PartnerView {
-        latest,
-        outgoing: true,
-        since: SimTime::ZERO,
-    }
+/// A buffer-map row (wire encoding) advertising only sub-stream 0.
+fn row(latest0: Option<u64>, k: usize) -> Vec<u64> {
+    let mut latest = vec![0; k];
+    latest[0] = latest0.map_or(0, |s| s + 1);
+    latest
 }
 
 /// A node with a buffer started at seq 300 and sub-stream 0 subscribed to
@@ -46,8 +43,8 @@ fn plant_adaptation_state(
     let ks = world.params.substreams;
     let k = ks as usize;
     Stream::of(world).inject_buffer(id, StreamBuffer::new(ks, 300));
-    Partnership::of(world).inject_view(id, parent, view(Some(latest0_parent), k));
-    Partnership::of(world).inject_view(id, other, view(Some(latest0_other), k));
+    Partnership::of(world).inject_view(id, parent, &row(Some(latest0_parent), k), true);
+    Partnership::of(world).inject_view(id, other, &row(Some(latest0_other), k), true);
     Stream::of(world).subscribe(id, 0, parent);
 }
 
@@ -102,8 +99,8 @@ fn cooldown_holds_adaptations_to_one_per_ta() {
     // Re-arm the trigger against the *new* parent c: inequality (1)
     // fires again (390 − 294 = 96 = T_s), and b is the fresh candidate.
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, c, view(Some(390), k));
-    Partnership::of(&mut world).inject_view(a, b, view(Some(394), k));
+    Partnership::of(&mut world).inject_view(a, c, &row(Some(390), k), true);
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(394), k), true);
 
     // Within T_a (= 10 s by default) of the last adaptation: held.
     Partnership::of(&mut world).adapt(a, SimTime::from_secs(62));
@@ -126,20 +123,20 @@ fn reselect_drops_nonparent_victim_on_both_sides() {
     let mut world = tiny_world();
     let (a, b, c) = (world.servers[0], world.servers[1], world.source);
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, view(Some(400), k));
-    Partnership::of(&mut world).inject_view(a, c, view(Some(10), k));
-    Partnership::of(&mut world).inject_view(c, a, view(None, k));
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
+    Partnership::of(&mut world).inject_view(a, c, &row(Some(10), k), true);
+    Partnership::of(&mut world).inject_view(c, a, &row(None, k), true);
     Stream::of(&mut world).subscribe(a, 0, b);
     Stream::of(&mut world).subscribe(c, 1, a); // victim also pulls from a
 
     Partnership::of(&mut world).reselect_partner(a, SimTime::from_secs(30));
 
     let pa = world.peer(a).unwrap();
-    assert!(!pa.partners().contains_key(&c), "victim dropped");
-    assert!(pa.partners().contains_key(&b), "serving parent kept");
+    assert!(!pa.partners().contains(c), "victim dropped");
+    assert!(pa.partners().contains(b), "serving parent kept");
     assert!(pa.children().is_empty(), "victim's subscription detached");
     let pc = world.peer(c).unwrap();
-    assert!(!pc.partners().contains_key(&a), "removal is mutual");
+    assert!(!pc.partners().contains(a), "removal is mutual");
     assert_eq!(pc.parents()[1], None, "victim's parent slot cleared");
 }
 
@@ -152,7 +149,7 @@ fn reselect_recruits_deterministically_from_mcache() {
         let mut world = tiny_world();
         let (a, b, c) = (world.servers[0], world.servers[1], world.source);
         let k = world.params.substreams as usize;
-        Partnership::of(&mut world).inject_view(a, b, view(Some(400), k));
+        Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
         Stream::of(&mut world).subscribe(a, 0, b); // only partner is a parent: no victim
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(11);
         for id in [c, NodeId(77)] {
@@ -170,7 +167,7 @@ fn reselect_recruits_deterministically_from_mcache() {
         Partnership::of(&mut world).reselect_partner(a, SimTime::from_secs(30));
         let p = world.peer(a).unwrap();
         (
-            p.partners().keys().copied().collect::<Vec<_>>(),
+            p.partners().ids().to_vec(),
             p.mcache().contains(NodeId(77)),
             world.stats.partnerships,
         )
@@ -194,7 +191,7 @@ fn dead_partner_is_pruned_on_view_refresh() {
     let mut world = tiny_world();
     let (a, b) = (world.servers[0], world.servers[1]);
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, view(Some(400), k));
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
     Stream::of(&mut world).subscribe(a, 0, b);
     let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(3);
     Membership::of(&mut world).inject_cache_entry(

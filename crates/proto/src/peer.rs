@@ -2,17 +2,14 @@
 //! blocks of Fig. 1 ([`MembershipState`], [`PartnershipState`],
 //! [`StreamState`]).
 //!
-//! [`Peer`] is the *construction row*: call sites build one flat record
-//! and hand it to the world, which immediately shears it into the
-//! arena's struct-of-arrays columns ([`PeerCore`] plus the three
-//! manager states — see [`arena`](crate::arena)). Live peers are then
-//! accessed through the column views: [`PeerRef`] (read, `Copy`, with
-//! identity fields inlined by value) and [`PeerMut`] (write, one `&mut`
-//! per column). Only the owning manager mutates its column. The
-//! read-only delegators give observers (invariant oracles, telemetry,
-//! snapshots, tests) one flat view.
-
-use std::collections::BTreeMap;
+//! Call sites hand the arena a [`PeerCore`] identity row; the arena
+//! builds the three manager states next to it in its struct-of-arrays
+//! columns (see [`arena`](crate::arena)). Live peers are accessed through
+//! the column views: [`PeerRef`] (read, `Copy`, identity fields reachable
+//! by deref) and [`PeerMut`] (write, one `&mut` per column). Only the
+//! owning manager mutates its column. The read-only delegators give
+//! observers (invariant oracles, telemetry, snapshots, tests) one flat
+//! view.
 
 use cs_logging::UserId;
 use cs_net::{Bandwidth, NodeClass, NodeId};
@@ -21,163 +18,8 @@ use cs_sim::SimTime;
 use crate::buffer::StreamBuffer;
 use crate::mcache::MCache;
 use crate::membership::MembershipState;
-use crate::params::Params;
-use crate::partnership::{PartnerView, PartnershipState};
+use crate::partnership::{PartnerTable, PartnershipState};
 use crate::stream::StreamState;
-
-/// A peer (user, server, or source) participating in the overlay.
-#[derive(Debug)]
-pub struct Peer {
-    /// Network identity of this incarnation.
-    pub id: NodeId,
-    /// Stable user identity across retries.
-    pub user: UserId,
-    /// Connection class.
-    pub class: NodeClass,
-    /// Uplink capacity.
-    pub upload: Bandwidth,
-    /// Join time of this incarnation.
-    pub join_time: SimTime,
-    /// Which retry of the user this incarnation is (0 = first attempt).
-    pub retry_index: u32,
-    /// When this incarnation intends to leave.
-    pub intended_leave: SimTime,
-    /// Retries the user still has in them after this incarnation fails.
-    pub retries_left: u32,
-    /// How long the user waits for media-ready before giving up.
-    pub patience: SimTime,
-    /// Membership manager state (mCache).
-    pub membership: MembershipState,
-    /// Partnership manager state (partner views, adaptation cool-down).
-    pub partnership: PartnershipState,
-    /// Stream manager state (parents, children, buffer, playback).
-    pub stream: StreamState,
-}
-
-impl Peer {
-    /// Fresh peer state for a node that just arrived.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: NodeId,
-        user: UserId,
-        class: NodeClass,
-        upload: Bandwidth,
-        params: &Params,
-        join_time: SimTime,
-        retry_index: u32,
-        intended_leave: SimTime,
-        retries_left: u32,
-        patience: SimTime,
-    ) -> Self {
-        Peer {
-            id,
-            user,
-            class,
-            upload,
-            join_time,
-            retry_index,
-            intended_leave,
-            retries_left,
-            patience,
-            membership: MembershipState::new(params.mcache_size),
-            partnership: PartnershipState::new(),
-            stream: StreamState::new(params.substreams),
-        }
-    }
-
-    /// Whether the peer's local address is private (RFC1918) — what the
-    /// client itself can observe and report (§V.B).
-    pub fn private_addr(&self) -> bool {
-        matches!(self.class, NodeClass::Nat | NodeClass::Upnp)
-    }
-
-    /// Shear the row into the arena's columns.
-    pub(crate) fn into_parts(self) -> (PeerCore, MembershipState, PartnershipState, StreamState) {
-        (
-            PeerCore {
-                id: self.id,
-                user: self.user,
-                class: self.class,
-                upload: self.upload,
-                join_time: self.join_time,
-                retry_index: self.retry_index,
-                intended_leave: self.intended_leave,
-                retries_left: self.retries_left,
-                patience: self.patience,
-            },
-            self.membership,
-            self.partnership,
-            self.stream,
-        )
-    }
-
-    /// Read-only view of the mCache (membership manager state).
-    pub fn mcache(&self) -> &MCache {
-        self.membership.cache()
-    }
-
-    /// Partner → last known buffer map (partnership manager state).
-    pub fn partners(&self) -> &BTreeMap<NodeId, PartnerView> {
-        self.partnership.partners()
-    }
-
-    /// Current parent per sub-stream (stream manager state).
-    pub fn parents(&self) -> &[Option<NodeId>] {
-        self.stream.parents()
-    }
-
-    /// Served sub-stream subscriptions: (child, sub-stream).
-    pub fn children(&self) -> &[(NodeId, u32)] {
-        self.stream.children()
-    }
-
-    /// Buffer; `None` until the start position is chosen (§IV.A).
-    pub fn buffer(&self) -> Option<&StreamBuffer> {
-        self.stream.buffer()
-    }
-
-    /// When the first sub-stream subscription was made.
-    pub fn start_sub(&self) -> Option<SimTime> {
-        self.stream.start_sub()
-    }
-
-    /// When the media player started.
-    pub fn media_ready(&self) -> Option<SimTime> {
-        self.stream.media_ready()
-    }
-
-    /// Global seq of the next block to play.
-    pub fn next_play(&self) -> u64 {
-        self.stream.next_play()
-    }
-
-    /// Out-going sub-stream degree `D_p`.
-    #[inline]
-    pub fn out_degree(&self) -> usize {
-        self.stream.out_degree()
-    }
-
-    /// Number of incoming partners (they connected to us).
-    pub fn incoming_partners(&self) -> usize {
-        self.partnership.incoming_partners()
-    }
-
-    /// Number of outgoing partners (we connected to them).
-    pub fn outgoing_partners(&self) -> usize {
-        self.partnership.outgoing_partners()
-    }
-
-    /// Current number of distinct parents.
-    pub fn parent_count(&self) -> usize {
-        self.stream.parent_count()
-    }
-
-    /// Whether the cool-down timer permits a quality-triggered adaptation
-    /// now (§IV.B: once per `T_a`).
-    pub fn adaptation_allowed(&self, now: SimTime, ta: SimTime) -> bool {
-        self.partnership.adaptation_allowed(now, ta)
-    }
-}
 
 /// The identity column of the arena: stable identity and lifetime facts
 /// of one peer incarnation. Owned by the world, mutated only through
@@ -245,7 +87,7 @@ impl<'a> PeerRef<'a> {
     }
 
     /// Partner → last known buffer map (partnership manager state).
-    pub fn partners(self) -> &'a BTreeMap<NodeId, PartnerView> {
+    pub fn partners(self) -> &'a PartnerTable {
         self.partnership.partners()
     }
 
@@ -345,33 +187,36 @@ impl PeerMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PeerArena;
+    use crate::params::Params;
 
-    fn peer(class: NodeClass) -> Peer {
-        Peer::new(
-            NodeId(1),
-            UserId(1),
+    fn core(class: NodeClass) -> PeerCore {
+        PeerCore {
+            id: NodeId(1),
+            user: UserId(1),
             class,
-            Bandwidth::kbps(500),
-            &Params::default(),
-            SimTime::ZERO,
-            0,
-            SimTime::from_secs(600),
-            2,
-            SimTime::from_secs(45),
-        )
+            upload: Bandwidth::kbps(500),
+            join_time: SimTime::ZERO,
+            retry_index: 0,
+            intended_leave: SimTime::from_secs(600),
+            retries_left: 2,
+            patience: SimTime::from_secs(45),
+        }
     }
 
     #[test]
     fn private_addr_follows_class() {
-        assert!(peer(NodeClass::Nat).private_addr());
-        assert!(peer(NodeClass::Upnp).private_addr());
-        assert!(!peer(NodeClass::DirectConnect).private_addr());
-        assert!(!peer(NodeClass::Firewall).private_addr());
+        assert!(core(NodeClass::Nat).private_addr());
+        assert!(core(NodeClass::Upnp).private_addr());
+        assert!(!core(NodeClass::DirectConnect).private_addr());
+        assert!(!core(NodeClass::Firewall).private_addr());
     }
 
     #[test]
     fn fresh_peer_state_is_empty() {
-        let p = peer(NodeClass::DirectConnect);
+        let mut arena = PeerArena::new();
+        let h = arena.insert(core(NodeClass::DirectConnect), &Params::default());
+        let p = arena.get(h).expect("just inserted");
         assert!(p.partners().is_empty());
         assert!(p.mcache().is_empty());
         assert!(p.buffer().is_none());

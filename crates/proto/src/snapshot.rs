@@ -113,7 +113,7 @@ pub(crate) fn capture(world: &CsWorld, now: SimTime) -> TopologySnapshot {
         }
         // Partnership links (count unordered pairs once).
         let my_private = matches!(info.class, NodeClass::Nat | NodeClass::Firewall);
-        for &q in peer.partners().keys() {
+        for &q in peer.partners().ids() {
             if q.index() > info.id.index() {
                 let qc = world.net.node(q).class;
                 if qc.is_user() {

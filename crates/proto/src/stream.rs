@@ -39,24 +39,24 @@ fn align_down(edge: u64, i: u32, k: u32) -> Option<u64> {
     }
 }
 
-/// The buffer map of node `q` as observed at `now`. Dedicated servers
-/// and the source track the live edge with a fixed small lag instead
-/// of a simulated buffer.
-pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime) -> Vec<Option<u64>> {
+/// Append the buffer-map row node `q` advertises at `now` to `out`: one
+/// slot per sub-stream in the wire encoding (`seq + 1`, 0 = none).
+/// Dedicated servers and the source track the live edge with a fixed
+/// small lag instead of a simulated buffer.
+pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut Vec<u64>) {
     let k = world.params.substreams;
     let class = world.net.node(q).class;
     if matches!(class, NodeClass::Server | NodeClass::Source) {
         let lagged = now.saturating_sub(world.params.server_lag);
-        match world.params.live_edge(lagged) {
-            Some(edge) => (0..k).map(|i| align_down(edge, i, k)).collect(),
-            None => vec![None; k as usize],
+        if let Some(edge) = world.params.live_edge(lagged) {
+            out.extend((0..k).map(|i| align_down(edge, i, k).map_or(0, |s| s + 1)));
+            return;
         }
-    } else {
-        match world.peer(q).and_then(|p| p.buffer()) {
-            Some(buf) => (0..k).map(|i| buf.latest(i)).collect(),
-            None => vec![None; k as usize],
-        }
+    } else if let Some(buf) = world.peer(q).and_then(|p| p.buffer()) {
+        out.extend_from_slice(buf.advertised());
+        return;
     }
+    out.extend(std::iter::repeat_n(0, k as usize));
 }
 
 /// The stream manager: sub-stream subscription, scheduling and playback
@@ -81,22 +81,31 @@ impl Stream<'_> {
     /// least has something newer is taken (the paper's peer-competition
     /// transient).
     pub(crate) fn choose_parent(&mut self, id: NodeId, j: u32) -> Option<NodeId> {
-        let peer = self.w.peer(id)?;
-        let own_latest = peer.buffer().and_then(|b| b.latest(j));
-        let first_wanted = peer.buffer().map(|b| b.first_wanted(j))?;
-        let global_best: u64 = peer
-            .partners()
-            .values()
-            .flat_map(|v| v.latest.iter().flatten().copied())
-            .max()?;
+        let mut pool = std::mem::take(&mut self.w.scratch.ids);
+        pool.clear();
+        self.parent_pool(id, j, &mut pool);
+        let pick = pool.choose(&mut self.w.rng_sel).copied();
+        self.w.scratch.ids = pool;
+        pick
+    }
+
+    /// Fill `pool` with the partners [`choose_parent`](Self::choose_parent)
+    /// draws from, in partner-id order: the qualified ones, or — when none
+    /// qualifies — every partner that at least has something newer.
+    fn parent_pool(&self, id: NodeId, j: u32, pool: &mut Vec<NodeId>) {
+        let Some(peer) = self.w.peer(id) else { return };
+        let Some(buf) = peer.buffer() else { return };
+        let (own_latest, first_wanted) = (buf.latest(j), buf.first_wanted(j));
+        let Some(global_best) = peer.partners().max_latest() else {
+            return;
+        };
         let current = peer.parents()[j as usize];
-        let mut qualified = Vec::new();
-        let mut fallback = Vec::new();
-        for (&q, view) in peer.partners() {
+        let mut any_qualified = false;
+        for (q, view) in peer.partners().iter() {
             if Some(q) == current {
                 continue;
             }
-            let Some(qj) = view.latest[j as usize] else {
+            let Some(qj) = view.latest(j) else {
                 continue;
             };
             let newer = match own_latest {
@@ -106,18 +115,16 @@ impl Stream<'_> {
             if !newer {
                 continue;
             }
-            if global_best.saturating_sub(qj) < self.w.params.tp_blocks {
-                qualified.push(q);
-            } else {
-                fallback.push(q);
+            let qualified = global_best.saturating_sub(qj) < self.w.params.tp_blocks;
+            if qualified && !any_qualified {
+                // The first qualified partner retires the fallbacks.
+                any_qualified = true;
+                pool.clear();
+            }
+            if qualified == any_qualified {
+                pool.push(q);
             }
         }
-        let pool = if qualified.is_empty() {
-            &fallback
-        } else {
-            &qualified
-        };
-        pool.choose(&mut self.w.rng_sel).copied()
     }
 
     /// Subscribe `id`'s sub-stream `j` to `parent`, detaching any previous
@@ -150,12 +157,7 @@ impl Stream<'_> {
             return false;
         };
         if peer.buffer().is_none() {
-            let Some(m) = peer
-                .partners()
-                .values()
-                .flat_map(|v| v.latest.iter().flatten().copied())
-                .max()
-            else {
+            let Some(m) = peer.partners().max_latest() else {
                 return false;
             };
             // The oldest block still available anywhere ≈ the newest
@@ -222,13 +224,11 @@ impl Stream<'_> {
         Partnership::of(self.w).refresh_views(id, now);
         Partnership::of(self.w).maintain(id, now);
         // 2. Initial selection or adaptation.
-        let has_buffer = self.w.peer(id).map(|p| p.buffer().is_some()) == Some(true);
         let streaming = self
             .w
             .peer(id)
-            .map(|p| p.parents().iter().any(Option::is_some))
-            == Some(true);
-        if !has_buffer || !streaming {
+            .is_some_and(|p| p.buffer().is_some() && p.parents().iter().any(Option::is_some));
+        if !streaming {
             self.select_initial(id, now);
         }
         Partnership::of(self.w).adapt(id, now);
@@ -239,38 +239,41 @@ impl Stream<'_> {
     /// across `D_p` sub-stream subscriptions, capped by the parent's own
     /// newest block and the child's cache-window reach).
     pub(crate) fn sched_round(&mut self, p: NodeId, now: SimTime) {
-        let k = self.w.params.substreams;
-        let round_secs = self.w.params.sched_interval.as_secs_f64();
-        let children: Vec<(NodeId, u32)> = match self.w.peer(p) {
-            Some(peer) => peer.children().to_vec(),
-            None => return,
-        };
-        if children.is_empty() {
-            return;
+        let mut live = std::mem::take(&mut self.w.scratch.subs);
+        live.clear();
+        if let Some(peer) = self.w.peer(p) {
+            live.extend_from_slice(peer.children());
         }
+        let subscribed = live.len();
         // Drop stale subscriptions first.
-        let mut live: Vec<(NodeId, u32)> = Vec::with_capacity(children.len());
-        for (c, j) in children {
-            let valid = self.w.net.is_alive(c)
-                && self
-                    .w
-                    .peer(c)
-                    .map(|cp| cp.parents()[j as usize] == Some(p))
-                    .unwrap_or(false);
-            if valid {
-                live.push((c, j));
-            } else if let Some(pp) = self.w.peer_mut(p) {
-                pp.stream.remove_child(c, j);
+        let w = &*self.w;
+        live.retain(|&(c, j)| {
+            w.net.is_alive(c)
+                && w.peer(c)
+                    .is_some_and(|cp| cp.parents()[j as usize] == Some(p))
+        });
+        if live.len() != subscribed {
+            if let Some(pp) = self.w.peer_mut(p) {
+                pp.stream.set_children(&live);
             }
         }
-        if live.is_empty() {
-            return;
+        if !live.is_empty() {
+            self.push_round(p, now, &live);
         }
+        self.w.scratch.subs = live;
+    }
+
+    /// Serve one round of `p`'s uplink to its `live` subscriptions.
+    fn push_round(&mut self, p: NodeId, now: SimTime, live: &[(NodeId, u32)]) {
+        let k = self.w.params.substreams;
+        let round_secs = self.w.params.sched_interval.as_secs_f64();
         let d_p = live.len() as f64;
         let upload = self.w.net.node(p).upload;
         let total_budget = self.w.params.upload_blocks_per_sec(upload) * round_secs;
         let equal_budget = total_budget / d_p;
-        let parent_bm = advertised_bm(self.w, p, now);
+        let mut parent_bm = std::mem::take(&mut self.w.scratch.bm);
+        parent_bm.clear();
+        advertised_bm(self.w, p, now, &mut parent_bm);
         let window = self.w.params.window_blocks();
         let block_bytes = self.w.params.block_bytes as u64;
 
@@ -278,53 +281,43 @@ impl Stream<'_> {
         // guarantee every subscription its sustain rate (or the fair
         // share when capacity is short — degenerating to Eq. 5), then
         // hand the surplus to lagging children in proportion to their
-        // outstanding blocks.
-        let budgets: Option<Vec<f64>> = match self.w.params.allocation {
-            crate::params::Allocation::EqualSplit => None,
-            crate::params::Allocation::NeedAware => {
-                let sustain = self.w.params.substream_block_rate() * round_secs;
-                let base = sustain.min(equal_budget);
-                let leftover = (total_budget - base * d_p).max(0.0);
-                let deficits: Vec<f64> = live
-                    .iter()
-                    .map(|&(c, j)| match (parent_bm[j as usize], self.w.peer(c)) {
-                        (Some(pl), Some(cp)) => match cp.buffer() {
-                            Some(buf) => {
-                                let next = buf.next_missing(j);
-                                if pl >= next {
-                                    (((pl - next) / k as u64 + 1) as f64).min(window as f64)
-                                } else {
-                                    0.0
-                                }
-                            }
-                            None => 0.0,
-                        },
-                        _ => 0.0,
-                    })
-                    .collect();
-                let total_deficit: f64 = deficits.iter().sum();
-                Some(
-                    deficits
-                        .into_iter()
-                        .map(|d| {
-                            let extra = if total_deficit > 0.0 {
-                                leftover * d / total_deficit
-                            } else {
-                                leftover / d_p
-                            };
-                            base + extra
-                        })
-                        .collect(),
-                )
+        // outstanding blocks. `budgets` stays empty under `EqualSplit`.
+        let mut budgets = std::mem::take(&mut self.w.scratch.budgets);
+        budgets.clear();
+        if self.w.params.allocation == crate::params::Allocation::NeedAware {
+            let sustain = self.w.params.substream_block_rate() * round_secs;
+            let base = sustain.min(equal_budget);
+            let leftover = (total_budget - base * d_p).max(0.0);
+            // Outstanding blocks per subscription, turned into budgets
+            // in place below.
+            budgets.extend(live.iter().map(|&(c, j)| {
+                let buf = self.w.peer(c).and_then(|cp| cp.buffer());
+                match (parent_bm[j as usize].checked_sub(1), buf) {
+                    (Some(pl), Some(buf)) => {
+                        let next = buf.next_missing(j);
+                        if pl >= next {
+                            (((pl - next) / k as u64 + 1) as f64).min(window as f64)
+                        } else {
+                            0.0
+                        }
+                    }
+                    _ => 0.0,
+                }
+            }));
+            let total_deficit: f64 = budgets.iter().sum();
+            for d in budgets.iter_mut() {
+                let extra = if total_deficit > 0.0 {
+                    leftover * *d / total_deficit
+                } else {
+                    leftover / d_p
+                };
+                *d = base + extra;
             }
-        };
+        }
 
-        for (ix, (c, j)) in live.into_iter().enumerate() {
-            let budget_blocks = match &budgets {
-                Some(b) => b[ix],
-                None => equal_budget,
-            };
-            let Some(parent_latest) = parent_bm[j as usize] else {
+        for (ix, &(c, j)) in live.iter().enumerate() {
+            let budget_blocks = budgets.get(ix).copied().unwrap_or(equal_budget);
+            let Some(parent_latest) = parent_bm[j as usize].checked_sub(1) else {
                 continue;
             };
             let (deliver, skipped) = {
@@ -375,6 +368,8 @@ impl Stream<'_> {
                 self.w.stats.blocks_delivered += deliver;
             }
         }
+        self.w.scratch.bm = parent_bm;
+        self.w.scratch.budgets = budgets;
     }
 
     /// Playback bookkeeping. Returns a retry spec if the peer gave up.

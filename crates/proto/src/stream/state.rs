@@ -7,6 +7,7 @@ use cs_net::NodeId;
 use cs_sim::SimTime;
 
 use crate::buffer::StreamBuffer;
+use crate::slots::Slots;
 
 /// Counters reset at every 5-minute status report.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,7 +29,7 @@ pub struct ReportCounters {
 #[derive(Debug)]
 pub struct StreamState {
     /// Current parent per sub-stream.
-    pub(super) parents: Vec<Option<NodeId>>,
+    pub(super) parents: Slots<Option<NodeId>>,
     /// Sub-stream subscriptions this node serves: (child, sub-stream).
     /// Its length is the out-going sub-stream degree `D_p` of Eq. (5).
     children: Vec<(NodeId, u32)>,
@@ -50,7 +51,7 @@ pub struct StreamState {
 impl StreamState {
     pub(crate) fn new(substreams: u32) -> Self {
         StreamState {
-            parents: vec![None; substreams as usize],
+            parents: Slots::new(substreams as usize),
             children: Vec::new(),
             buffer: None,
             start_sub: None,
@@ -100,10 +101,10 @@ impl StreamState {
 
     /// Current number of distinct parents.
     pub fn parent_count(&self) -> usize {
-        let mut ps: Vec<NodeId> = self.parents.iter().flatten().copied().collect();
-        ps.sort_unstable();
-        ps.dedup();
-        ps.len()
+        let ps: &[Option<NodeId>] = &self.parents;
+        (0..ps.len())
+            .filter(|&j| ps[j].is_some() && !ps[..j].contains(&ps[j]))
+            .count()
     }
 
     /// Register a served sub-stream subscription.
@@ -116,6 +117,13 @@ impl StreamState {
     /// Remove a served sub-stream subscription.
     pub(crate) fn remove_child(&mut self, child: NodeId, substream: u32) {
         self.children.retain(|&c| c != (child, substream));
+    }
+
+    /// Replace the subscription list with `live`, the survivors of a
+    /// push round's stale-subscription sweep (same relative order).
+    pub(super) fn set_children(&mut self, live: &[(NodeId, u32)]) {
+        self.children.clear();
+        self.children.extend_from_slice(live);
     }
 
     /// Remove every subscription of `child`.

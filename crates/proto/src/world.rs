@@ -43,10 +43,11 @@ use rand::Rng;
 use crate::arena::{PeerArena, PeerHandle};
 use crate::bootstrap::Bootstrap;
 use crate::chaos::Chaos;
+use crate::mcache::McEntry;
 use crate::membership::Membership;
 use crate::params::Params;
 use crate::partnership::Partnership;
-use crate::peer::{Peer, PeerMut, PeerRef};
+use crate::peer::{PeerCore, PeerMut, PeerRef};
 use crate::session::SessionRecord;
 use crate::snapshot::TopologySnapshot;
 use crate::stream::Stream;
@@ -249,6 +250,29 @@ pub struct WorldStats {
     pub bootstrap_rejects: u64,
 }
 
+/// Buffers the periodic ticks reuse so that a steady-state `BmTick`,
+/// `SchedRound`, `PlaybackTick` or `GossipTick` allocates nothing. A
+/// handler `std::mem::take`s the buffer it needs, fills it, and puts it
+/// back before returning; it may call into other handlers meanwhile only
+/// if they use *different* buffers (the users are listed per field). The
+/// contents mean nothing between handlers.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Buffer-map rows in wire encoding: `advertised_bm` output for
+    /// `refresh_views`, `try_add_partner` and `sched_round`.
+    pub(crate) bm: Vec<u64>,
+    /// `sched_round`: the parent's live `(child, sub-stream)` list.
+    pub(crate) subs: Vec<(NodeId, u32)>,
+    /// `sched_round`: per-subscription budgets under `NeedAware`.
+    pub(crate) budgets: Vec<f64>,
+    /// `choose_parent`'s candidate pool; `refresh_views`' dead partners.
+    pub(crate) ids: Vec<NodeId>,
+    /// mCache samples: `gossip_tick`, `maintain`, `reselect_partner`.
+    pub(crate) entries: Vec<McEntry>,
+    /// `adapt`: the per-sub-stream verdict of the classification pass.
+    pub(crate) verdicts: Vec<u8>,
+}
+
 /// The complete simulation state.
 pub struct CsWorld {
     /// Protocol parameters (Table I).
@@ -279,6 +303,7 @@ pub struct CsWorld {
     pub(crate) rng_sel: Xoshiro256PlusPlus,
     pub(crate) rng_mem: Xoshiro256PlusPlus,
     rng_retry: Xoshiro256PlusPlus,
+    pub(crate) scratch: Scratch,
 }
 
 impl CsWorld {
@@ -304,19 +329,18 @@ impl CsWorld {
                           class: NodeClass,
                           bw: Bandwidth| {
             let id = net.add_node(class, bw, SimTime::ZERO);
-            let peer = Peer::new(
+            let core = PeerCore {
                 id,
-                UserId(u32::MAX - id.0),
+                user: UserId(u32::MAX - id.0),
                 class,
-                bw,
-                &params,
-                SimTime::ZERO,
-                0,
-                SimTime::MAX,
-                0,
-                SimTime::MAX,
-            );
-            arena.insert(peer);
+                upload: bw,
+                join_time: SimTime::ZERO,
+                retry_index: 0,
+                intended_leave: SimTime::MAX,
+                retries_left: 0,
+                patience: SimTime::MAX,
+            };
+            arena.insert(core, &params);
             sessions.push(SessionRecord {
                 user: UserId(u32::MAX - id.0),
                 node: id,
@@ -375,6 +399,7 @@ impl CsWorld {
             rng_sel: Xoshiro256PlusPlus::stream(master_seed, streams::SELECTION),
             rng_mem: Xoshiro256PlusPlus::stream(master_seed, streams::MEMBERSHIP),
             rng_retry: Xoshiro256PlusPlus::stream(master_seed, streams::RETRY),
+            scratch: Scratch::default(),
         }
     }
 
@@ -451,21 +476,17 @@ impl CsWorld {
         self.arena.pair_mut(a, b)
     }
 
-    /// Install a freshly arrived peer.
-    pub(crate) fn push_peer(&mut self, peer: Peer) {
-        self.arena.insert(peer);
+    /// Install a freshly arrived peer with empty manager state. Also
+    /// re-installs a previously vacated node id (a server restart
+    /// re-using its original identity).
+    pub(crate) fn push_peer(&mut self, core: PeerCore) {
+        self.arena.insert(core, &self.params);
     }
 
     /// Drop a departed or crashed peer's state; its arena slot joins the
     /// free list and outstanding handles to it go stale.
     pub(crate) fn remove_peer(&mut self, id: NodeId) {
         self.arena.remove(id);
-    }
-
-    /// Re-install peer state for a previously vacated node id (a server
-    /// restart re-using its original identity).
-    pub(crate) fn revive_peer(&mut self, peer: Peer) {
-        self.arena.insert(peer);
     }
 
     /// Schedule a retry arrival with a short think time.

@@ -5,6 +5,8 @@ use cs_proto::{BufferMap, MCache, McEntry, Params, ReplacePolicy, StreamBuffer};
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// Operations applicable to a stream buffer.
 #[derive(Clone, Debug)]
@@ -73,6 +75,80 @@ proptest! {
         if start > 0 {
             prop_assert!(!buf.has_block(start - 1));
         }
+    }
+
+    /// The inline (`seq + 1`, 0 = none) sub-stream slots answer every read
+    /// like the `Vec<Option<u64>>` they replaced, on both sides of the
+    /// inline/spill width.
+    #[test]
+    fn inline_latest_matches_vec_option_model(
+        k in 1u32..=20,
+        start in 0u64..500,
+        ops in arb_ops(20),
+    ) {
+        let ku = k as u64;
+        let mut buf = StreamBuffer::new(k, start);
+        let mut model: Vec<Option<u64>> = vec![None; k as usize];
+        for op in ops {
+            match op {
+                BufOp::Advance(i, n) if i < k => {
+                    let first = buf.first_wanted(i);
+                    let slot = &mut model[i as usize];
+                    *slot = Some(slot.map_or(first + (n - 1) * ku, |h| h + n * ku));
+                    prop_assert_eq!(buf.advance(i, n), *slot);
+                }
+                BufOp::SkipTo(i, bound) if i < k => {
+                    // Largest seq ≤ bound in sub-stream i, if it is news.
+                    let next = model[i as usize].map_or(buf.first_wanted(i), |h| h + ku);
+                    let aligned = (bound >= i as u64).then(|| bound - (bound - i as u64) % ku);
+                    let skipped = match aligned {
+                        Some(a) if a >= next => {
+                            model[i as usize] = Some(a);
+                            (a - next) / ku + 1
+                        }
+                        _ => 0,
+                    };
+                    prop_assert_eq!(buf.skip_to(i, bound), skipped);
+                }
+                _ => {}
+            }
+            for i in 0..k {
+                prop_assert_eq!(buf.latest(i), model[i as usize]);
+                let next = model[i as usize].map_or(buf.first_wanted(i), |h| h + ku);
+                prop_assert_eq!(buf.next_missing(i), next);
+            }
+            prop_assert_eq!(buf.max_latest(), model.iter().flatten().copied().max());
+            let wire: Vec<u64> = model.iter().map(|l| l.map_or(0, |s| s + 1)).collect();
+            prop_assert_eq!(buf.advertised(), &wire[..]);
+            prop_assert_eq!(&buf.buffer_map(&vec![false; k as usize]).latest, &model);
+        }
+    }
+
+    /// `sample_into` draws what the allocating `sample` it replaced drew:
+    /// filter, shuffle references, take the first `n` — same picks, same
+    /// RNG position afterwards.
+    #[test]
+    fn sample_into_matches_collecting_sample(
+        seed in any::<u64>(),
+        ids in proptest::collection::vec(0u32..40, 0..30),
+        n in 0usize..12,
+        excluded in 0u32..40,
+    ) {
+        let mut cache = MCache::new(64);
+        let mut rng = Xoshiro256PlusPlus::new(seed);
+        for id in ids {
+            let e = McEntry { id: NodeId(id), joined_at: SimTime::ZERO, added_at: SimTime::ZERO };
+            cache.insert(e, ReplacePolicy::Random, &mut rng);
+        }
+        let (mut rng_model, mut rng_into) = (rng.clone(), rng);
+        let mut refs: Vec<&McEntry> = cache.iter().filter(|e| e.id.0 != excluded).collect();
+        refs.shuffle(&mut rng_model);
+        let want: Vec<McEntry> = refs.into_iter().take(n).copied().collect();
+        // A dirty, reused buffer must come back holding only the sample.
+        let mut got = vec![McEntry { id: NodeId(999), joined_at: SimTime::ZERO, added_at: SimTime::ZERO }; 3];
+        cache.sample_into(n, &mut rng_into, |id| id.0 == excluded, &mut got);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(rng_into.gen::<u64>(), rng_model.gen::<u64>());
     }
 
     /// The BM wire codec round-trips any latest/subscription combination.

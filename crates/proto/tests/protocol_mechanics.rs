@@ -184,14 +184,14 @@ fn server_buffer_map_tracks_live_edge() {
     eng.run_until(SimTime::from_secs(140));
     let w = eng.world();
     let peer = w.peer(NodeId(2)).expect("joined");
-    let view = peer.partners().get(&w.servers[0]).expect("server partner");
+    let view = peer.partners().get(w.servers[0]).expect("server partner");
     let k = w.params.substreams;
     let edge = w
         .params
         .live_edge(SimTime::from_secs(140).saturating_sub(w.params.server_lag))
         .unwrap();
-    for j in 0..k as usize {
-        let adv = view.latest[j].expect("server advertises all substreams");
+    for j in 0..k {
+        let adv = view.latest(j).expect("server advertises all substreams");
         assert!(adv <= edge, "substream {j} ahead of the lagged edge");
         // Within one BM interval of stream progress behind.
         let staleness = (w.params.bm_interval.as_secs_f64() + 1.0) * w.params.blocks_per_sec();
@@ -220,13 +220,13 @@ fn partnership_direction_bookkeeping() {
     let w = eng.world();
     let first = w.peer(NodeId(2)).unwrap();
     let second = w.peer(NodeId(3)).unwrap();
-    if let Some(view) = second.partners().get(&NodeId(2)) {
+    if let Some(view) = second.partners().get(NodeId(2)) {
         assert!(view.outgoing, "initiator must mark partnership outgoing");
-        let back = first.partners().get(&NodeId(3)).expect("symmetric");
+        let back = first.partners().get(NodeId(3)).expect("symmetric");
         assert!(!back.outgoing, "acceptor must mark partnership incoming");
     } else {
         // The NAT peer must at least hold the server partnership.
-        assert!(second.partners().contains_key(&w.servers[0]));
+        assert!(second.partners().contains(w.servers[0]));
     }
 }
 
@@ -256,7 +256,7 @@ fn giveup_cleanup_is_complete() {
     );
     for info in w.net.iter_alive() {
         if let Some(peer) = w.peer(info.id) {
-            for q in peer.partners().keys() {
+            for q in peer.partners().ids() {
                 assert!(w.net.is_alive(*q), "dangling partner {q:?}");
             }
             for (c, _) in peer.children() {

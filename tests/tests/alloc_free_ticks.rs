@@ -1,0 +1,191 @@
+//! The four periodic ticks — `BmTick`, `SchedRound`, `PlaybackTick`,
+//! `GossipTick`, ≈ 90 % of all dispatched events — allocate nothing in
+//! steady state: per-peer state is inline in the arena columns and every
+//! temporary lives in a world-owned scratch buffer (DESIGN.md §13).
+//!
+//! A counting `#[global_allocator]` tallies allocator calls per thread; an
+//! engine observer brackets each handler with the tally and charges the
+//! difference to the event's kind. A tick that establishes a new
+//! partnership is the one exception: it grows that peer's partner table,
+//! which then keeps its capacity.
+
+// The one `unsafe impl` in the workspace: `GlobalAlloc` is an unsafe trait
+// and counting allocator calls needs a global allocator. It is confined
+// to this test binary and forwards every call unchanged to `System`.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use cs_logging::UserId;
+use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeClass};
+use cs_proto::{CsWorld, Event, Params, UserSpec};
+use cs_sim::{Engine, Observer, SimTime};
+
+thread_local! {
+    /// `alloc` + `realloc` calls made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // `try_with`: the allocator also runs while a thread tears its
+        // thread-locals down.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract the caller already upholds; the tally is a `const`-initialised
+// thread-local `Cell<u64>`, so counting neither allocates nor re-enters
+// the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The tick kinds under test, by `Event::kind()`.
+const TICKS: [&str; 4] = ["bm_tick", "sched_round", "playback_tick", "gossip_tick"];
+
+/// Charges every allocator call made between `on_dispatch` and
+/// `after_handle` to the dispatched event's kind.
+#[derive(Default)]
+struct AllocProbe {
+    armed: bool,
+    current: Option<usize>,
+    before: u64,
+    /// `WorldStats::partnerships` after the previous event.
+    partnerships: u64,
+    dispatched: [u64; 4],
+    allocated: [u64; 4],
+    /// Ticks set aside because they established a partnership.
+    grew_partner_table: u64,
+}
+
+impl Observer<CsWorld> for AllocProbe {
+    fn on_dispatch(&mut self, _now: SimTime, event: &Event, _queue_depth: usize) {
+        self.current = TICKS.iter().position(|&k| k == event.kind());
+        self.before = allocs();
+    }
+
+    fn after_handle(&mut self, _now: SimTime, world: &CsWorld) {
+        let established = world.stats.partnerships - self.partnerships;
+        self.partnerships = world.stats.partnerships;
+        if let (true, Some(kind)) = (self.armed, self.current) {
+            if established > 0 {
+                self.grew_partner_table += 1;
+            } else {
+                self.dispatched[kind] += 1;
+                self.allocated[kind] += allocs() - self.before;
+            }
+        }
+    }
+}
+
+/// One level-1 rotation of the `cs-sim` timing wheel: 64² ticks of 2¹⁴ µs.
+const WHEEL_BLOCK_US: u64 = 64 * 64 * (1 << 14);
+
+#[test]
+fn steady_state_ticks_do_not_allocate() {
+    const PEERS: u32 = 500;
+    let net = Network::new(ConnectivityPolicy::default(), LatencyModel::default(), 17);
+    let world = CsWorld::new(Params::default(), net, 4, Bandwidth::mbps(100), 17);
+    let mut eng = Engine::new(world);
+    for (t, e) in eng.world().initial_events() {
+        eng.schedule_at(t, e);
+    }
+    // A mixed-class audience with uplink to spare that arrives within a
+    // minute and then stays: the overlay settles, nobody churns.
+    let classes = [
+        NodeClass::DirectConnect,
+        NodeClass::Upnp,
+        NodeClass::Nat,
+        NodeClass::Firewall,
+    ];
+    for u in 0..PEERS {
+        let spec = UserSpec {
+            user: UserId(u),
+            class: classes[u as usize % classes.len()],
+            upload: Bandwidth::kbps(1_000 + 500 * (u as u64 % 5)),
+            leave_at: SimTime::from_secs(100_000),
+            patience: SimTime::from_secs(120),
+            retries_left: 0,
+            retry_index: 0,
+        };
+        let at = SimTime::from_micros(u as u64 * 60_000_000 / PEERS as u64);
+        eng.schedule_at(at, Event::Arrive(spec));
+    }
+    let probe = Rc::new(RefCell::new(AllocProbe::default()));
+    eng.set_observer(Box::new(probe.clone()));
+
+    // Warm up for five wheel rotations (≈ 5.6 min): buffers fill, parent
+    // choices settle, and every container that keeps its capacity —
+    // children lists, partner tables, the world's scratch buffers, the
+    // event queue's slots — reaches its working size. The measured window
+    // starts 5 s into a rotation, so every re-arm it makes (≤ 10 s ahead)
+    // lands in wheel slots the warm-up has already sized; the handlers'
+    // `schedule_in` calls are inside the bracket and would otherwise be
+    // charged for the queue's growth.
+    let start = SimTime::from_micros(5 * WHEEL_BLOCK_US) + SimTime::from_secs(5);
+    eng.run_until(start);
+    let departed = |w: &CsWorld| {
+        let s = &w.stats;
+        s.finished_departs + s.impatient_departs + s.giveup_departs + s.outage_departs
+    };
+    let departed_before = departed(eng.world());
+    assert_eq!(
+        eng.world().peer_count(),
+        PEERS as usize + 5 - departed_before as usize
+    );
+    probe.borrow_mut().armed = true;
+    eng.run_until(start + SimTime::from_secs(3));
+
+    let p = probe.borrow();
+    assert_eq!(
+        departed(eng.world()),
+        departed_before,
+        "churn in the window"
+    );
+    assert!(
+        p.dispatched.iter().sum::<u64>() >= 1_000,
+        "window too short: {:?} dispatches",
+        p.dispatched
+    );
+    assert!(
+        p.grew_partner_table * 50 < p.dispatched.iter().sum::<u64>(),
+        "{} ticks still establish partnerships: the overlay has not settled",
+        p.grew_partner_table
+    );
+    for (kind, name) in TICKS.iter().enumerate() {
+        assert!(p.dispatched[kind] > 0, "no {name} in the window");
+        assert_eq!(
+            p.allocated[kind], 0,
+            "{name}: {} allocator calls over {} dispatches",
+            p.allocated[kind], p.dispatched[kind]
+        );
+    }
+}

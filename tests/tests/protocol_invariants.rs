@@ -20,7 +20,7 @@ fn assert_invariants(world: &CsWorld, label: &str) {
             peer.partners().len()
         );
         // Partner symmetry and liveness.
-        for (&q, view) in peer.partners() {
+        for (q, view) in peer.partners().iter() {
             assert!(
                 world.net.is_alive(q),
                 "{label}: {:?} partnered with dead {:?}",
@@ -29,7 +29,7 @@ fn assert_invariants(world: &CsWorld, label: &str) {
             );
             let back = world
                 .peer(q)
-                .map(|qp| qp.partners().contains_key(&info.id))
+                .map(|qp| qp.partners().contains(info.id))
                 .unwrap_or(false);
             assert!(
                 back,
@@ -37,7 +37,13 @@ fn assert_invariants(world: &CsWorld, label: &str) {
                 info.id, q
             );
             // Directions are complementary.
-            let q_view_outgoing = world.peer(q).unwrap().partners()[&info.id].outgoing;
+            let q_view_outgoing = world
+                .peer(q)
+                .unwrap()
+                .partners()
+                .get(info.id)
+                .unwrap()
+                .outgoing;
             assert_ne!(
                 view.outgoing, q_view_outgoing,
                 "{label}: both ends claim the same direction"
@@ -46,7 +52,7 @@ fn assert_invariants(world: &CsWorld, label: &str) {
         // Parents are partners (selection never leaves the partner set).
         for parent in peer.parents().iter().flatten() {
             assert!(
-                peer.partners().contains_key(parent),
+                peer.partners().contains(*parent),
                 "{label}: {:?} has non-partner parent {:?}",
                 info.id,
                 parent
