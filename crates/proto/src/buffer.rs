@@ -34,7 +34,9 @@ pub struct StreamBuffer {
     /// Skipped-block ranges: blocks that were pushed out of every parent's
     /// cache window before this node could fetch them (§IV.A problem 1).
     /// Each entry `(s, e)` covers blocks `s, s+K, …, e` of sub-stream
-    /// `s mod K`. These blocks count as *missed* at playback.
+    /// `s mod K`. These blocks count as *missed* at playback; a range the
+    /// playout point has passed is dropped by
+    /// [`retire_holes`](Self::retire_holes).
     holes: Vec<(u64, u64)>,
 }
 
@@ -133,7 +135,9 @@ impl StreamBuffer {
         (0..self.k).map(|i| self.lag(i)).max().unwrap_or(0)
     }
 
-    /// Whether block `n` is in the buffer.
+    /// Whether block `n` is in the buffer. Only meaningful from the
+    /// playout point onwards once [`retire_holes`](Self::retire_holes)
+    /// has run: a retired hole reads as received.
     pub fn has_block(&self, n: u64) -> bool {
         if n < self.start_seq {
             return false;
@@ -150,9 +154,16 @@ impl StreamBuffer {
             .any(|&(s, e)| n >= s && n <= e && (n - s) % k == 0)
     }
 
-    /// Skipped-block ranges recorded by [`skip_to`](Self::skip_to).
+    /// Skipped-block ranges recorded by [`skip_to`](Self::skip_to) and
+    /// not yet retired.
     pub fn holes(&self) -> &[(u64, u64)] {
         &self.holes
+    }
+
+    /// Forget every hole that ends before `next_play`: playback has
+    /// already charged those blocks as missed and never looks back.
+    pub fn retire_holes(&mut self, next_play: u64) {
+        self.holes.retain(|&(_, end)| end >= next_play);
     }
 
     /// Deliver `count` in-order blocks on sub-stream `i` (the parent push).
@@ -188,9 +199,7 @@ impl StreamBuffer {
             return 0;
         }
         let skipped = (aligned - from) / k + 1;
-        if self.holes.len() < 256 {
-            self.holes.push((from, aligned));
-        }
+        self.holes.push((from, aligned));
         self.latest[i as usize] = aligned + 1;
         skipped
     }

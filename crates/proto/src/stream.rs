@@ -387,7 +387,7 @@ impl Stream<'_> {
         {
             let p = self.w.peer_mut(id)?;
             let s = p.stream;
-            let buf = s.buffer.as_ref()?;
+            let buf = s.buffer.as_mut()?;
             match s.media_ready {
                 None => {
                     if buf.contiguous_len() >= delay_blocks {
@@ -412,6 +412,7 @@ impl Stream<'_> {
                         }
                     }
                     s.next_play = target.max(from);
+                    buf.retire_holes(s.next_play);
                     s.counters.due += due;
                     s.counters.missed += missed;
                     if due > 0 {

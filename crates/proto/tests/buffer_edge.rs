@@ -114,6 +114,41 @@ fn repeated_starvation_leaves_disjoint_holes() {
     }
 }
 
+/// A long session starves far more often than any fixed cap: every
+/// episode stays a hole until playback has passed it, and retiring the
+/// played ones never turns a pending hole into a received block.
+#[test]
+fn hundreds_of_starvation_episodes_all_count_as_missed() {
+    const EPISODES: u64 = 300;
+    let mut b = StreamBuffer::new(1, 0);
+    // Episode e: blocks 3e and 3e + 1 are skipped, block 3e + 2 arrives.
+    for e in 0..EPISODES {
+        assert_eq!(b.skip_to(0, 3 * e + 1), 2);
+        b.advance(0, 1);
+    }
+    assert_eq!(b.holes().len() as u64, EPISODES);
+    let missed = |b: &StreamBuffer, from: u64| -> Vec<u64> {
+        (from..3 * EPISODES).filter(|&n| !b.has_block(n)).collect()
+    };
+    assert_eq!(missed(&b, 0).len() as u64, 2 * EPISODES);
+    assert!(
+        missed(&b, 0).iter().all(|n| n % 3 != 2),
+        "a delivered block is missed"
+    );
+
+    // Playback reaches block 601, mid-way through episode 200's hole
+    // (600, 601): the 200 holes before it retire, that one stays.
+    let next_play = 601;
+    b.retire_holes(next_play);
+    assert_eq!(b.holes().len() as u64, EPISODES - 200);
+    assert_eq!(b.holes()[0], (600, 601));
+    assert_eq!(
+        missed(&b, next_play).len() as u64,
+        2 * (EPISODES - 200) - 1,
+        "every skipped block from the playout point on is still missed"
+    );
+}
+
 // ------------------------------------------------- Eq. (3)/(4) bookkeeping
 
 /// Fluid-credit delivery at a parent rate `r_up` above the sub-stream
