@@ -389,7 +389,7 @@ mod tests {
         // fabricate a one-sided partner view on server a pointing at
         // server b.
         let b = world.servers[1];
-        Partnership::of(&mut world).inject_view(a, b, &vec![0; k], true);
+        Partnership::of(&mut world).inject_view(a, b, &vec![0; k]);
         let mut chk = InvariantChecker::new();
         chk.check_world(SimTime::from_secs(1), &world);
         assert!(!chk.is_clean());

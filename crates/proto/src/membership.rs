@@ -58,18 +58,6 @@ impl MembershipState {
     pub(crate) fn forget(&mut self, id: NodeId) {
         self.mcache.remove(id);
     }
-
-    /// Uniform sample of up to `n` entries into `out`, excluding ids for
-    /// which `exclude` returns true.
-    pub(crate) fn sample_into<R: rand::Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-        exclude: impl FnMut(NodeId) -> bool,
-        out: &mut Vec<McEntry>,
-    ) {
-        self.mcache.sample_into(n, rng, exclude, out);
-    }
 }
 
 /// The membership manager: arrivals, boot-strap contact, gossip, and
@@ -215,7 +203,7 @@ impl Membership<'_> {
         let target = self.w.peer(id).and_then(|p| {
             let &target = p.partners().ids().choose(&mut rng)?;
             let fanout = self.w.params.gossip_fanout;
-            p.membership
+            p.mcache()
                 .sample_into(fanout, &mut rng, |c| c == target, &mut entries);
             entries.push(McEntry {
                 id,
@@ -241,16 +229,16 @@ impl Membership<'_> {
     }
 
     /// Sample up to `want` partnership candidates for `id` from its
-    /// mCache into `picks`, excluding itself and current partners. This is the
-    /// membership→partnership service of Fig. 1: the partnership manager
-    /// calls it during refill and re-selection.
+    /// mCache into `picks`, excluding itself and current partners. This
+    /// is the membership→partnership service of Fig. 1: the partnership
+    /// manager calls it during refill and re-selection.
     pub(crate) fn candidates(&mut self, id: NodeId, want: usize, picks: &mut Vec<McEntry>) {
         picks.clear();
         let mut rng = self.w.rng_mem.clone();
         let Some(p) = self.w.peer(id) else { return };
         let partners = p.partners();
         let exclude = |cand| cand == id || partners.contains(cand);
-        p.membership.sample_into(want, &mut rng, exclude, picks);
+        p.mcache().sample_into(want, &mut rng, exclude, picks);
         self.w.rng_mem = rng;
     }
 

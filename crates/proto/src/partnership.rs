@@ -488,13 +488,13 @@ impl Partnership<'_> {
         );
     }
 
-    /// Test support: fabricate a (possibly one-sided) partner view on
-    /// `id`, bypassing the establishment protocol — for corrupting state
-    /// in invariant-oracle tests.
+    /// Test support: fabricate a (possibly one-sided) outgoing partner
+    /// view on `id`, bypassing the establishment protocol — for
+    /// corrupting state in invariant-oracle tests.
     #[cfg(test)]
-    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u64], outgoing: bool) {
+    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u64]) {
         if let Some(p) = self.w.peer_mut(id) {
-            p.partnership.insert(q, latest, outgoing, SimTime::ZERO);
+            p.partnership.insert(q, latest, true, SimTime::ZERO);
         }
     }
 }

@@ -43,8 +43,8 @@ fn plant_adaptation_state(
     let ks = world.params.substreams;
     let k = ks as usize;
     Stream::of(world).inject_buffer(id, StreamBuffer::new(ks, 300));
-    Partnership::of(world).inject_view(id, parent, &row(Some(latest0_parent), k), true);
-    Partnership::of(world).inject_view(id, other, &row(Some(latest0_other), k), true);
+    Partnership::of(world).inject_view(id, parent, &row(Some(latest0_parent), k));
+    Partnership::of(world).inject_view(id, other, &row(Some(latest0_other), k));
     Stream::of(world).subscribe(id, 0, parent);
 }
 
@@ -99,8 +99,8 @@ fn cooldown_holds_adaptations_to_one_per_ta() {
     // Re-arm the trigger against the *new* parent c: inequality (1)
     // fires again (390 − 294 = 96 = T_s), and b is the fresh candidate.
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, c, &row(Some(390), k), true);
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(394), k), true);
+    Partnership::of(&mut world).inject_view(a, c, &row(Some(390), k));
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(394), k));
 
     // Within T_a (= 10 s by default) of the last adaptation: held.
     Partnership::of(&mut world).adapt(a, SimTime::from_secs(62));
@@ -123,9 +123,9 @@ fn reselect_drops_nonparent_victim_on_both_sides() {
     let mut world = tiny_world();
     let (a, b, c) = (world.servers[0], world.servers[1], world.source);
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
-    Partnership::of(&mut world).inject_view(a, c, &row(Some(10), k), true);
-    Partnership::of(&mut world).inject_view(c, a, &row(None, k), true);
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
+    Partnership::of(&mut world).inject_view(a, c, &row(Some(10), k));
+    Partnership::of(&mut world).inject_view(c, a, &row(None, k));
     Stream::of(&mut world).subscribe(a, 0, b);
     Stream::of(&mut world).subscribe(c, 1, a); // victim also pulls from a
 
@@ -149,7 +149,7 @@ fn reselect_recruits_deterministically_from_mcache() {
         let mut world = tiny_world();
         let (a, b, c) = (world.servers[0], world.servers[1], world.source);
         let k = world.params.substreams as usize;
-        Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
+        Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
         Stream::of(&mut world).subscribe(a, 0, b); // only partner is a parent: no victim
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(11);
         for id in [c, NodeId(77)] {
@@ -191,7 +191,7 @@ fn dead_partner_is_pruned_on_view_refresh() {
     let mut world = tiny_world();
     let (a, b) = (world.servers[0], world.servers[1]);
     let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k), true);
+    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
     Stream::of(&mut world).subscribe(a, 0, b);
     let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(3);
     Membership::of(&mut world).inject_cache_entry(
