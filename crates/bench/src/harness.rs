@@ -4,8 +4,8 @@
 //! distils each run into a schema-versioned [`BenchReport`]
 //! (`BENCH_<git-describe>.json`): per-scenario throughput
 //! (events/sec, peers-simulated/sec), min-of-K wall time, event totals by
-//! kind and by owning manager, and per-kind dispatch p50/p95/p99 from the
-//! [`DispatchProfiler`](cs_telemetry::DispatchProfiler). A committed
+//! kind and by owning manager, and per-kind dispatch p50/p95/p99 — all
+//! read from the instrumented run's [`TelemetryRun`](cs_telemetry::TelemetryRun). A committed
 //! `BENCH_baseline.json` plus [`compare`] turns the series into a
 //! regression gate: behaviour drift (scenario set, trace hash, event
 //! counts) fails hard; wall-time drift gets a tolerance band
@@ -33,9 +33,7 @@ use std::time::Instant;
 use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
 use cs_proto::Event;
 use cs_sim::SimTime;
-use cs_telemetry::{
-    peak_rss_bytes, HostFingerprint, Metric, SpanRecord, TelemetryConfig, SPANS_SCHEMA,
-};
+use cs_telemetry::{peak_rss_bytes, HostFingerprint, SpanRecord, TelemetryConfig, SPANS_SCHEMA};
 use serde::{Deserialize, Serialize};
 
 /// Schema identifier of `BENCH_*.json`.
@@ -214,15 +212,6 @@ fn load_library(opts: &BenchOptions) -> Result<Vec<LoadedScenario>, String> {
     Ok(out)
 }
 
-/// Totals per owning manager, folded from the instrumented rep's spans.
-fn manager_totals(spans: &[SpanRecord]) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    for s in spans {
-        *out.entry(s.manager.to_string()).or_insert(0u64) += 1;
-    }
-    out
-}
-
 /// Run the library and assemble the report (see module docs for the
 /// measurement protocol).
 pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
@@ -248,21 +237,11 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
             .run_injected_observed(ls.injections.clone(), instrumented);
         let hash = run.trace_hash.expect("hash requested");
         let tel = run.telemetry.as_ref().expect("telemetry requested");
-        let mut event_kinds = BTreeMap::new();
-        for (_, key, metric) in tel.registry.enumerate() {
-            if key.name != "engine_events_total" {
-                continue;
-            }
-            if let (Some((_, kind)), Metric::Counter(n)) =
-                (key.labels.iter().find(|(k, _)| *k == "kind"), metric)
-            {
-                event_kinds.insert(kind.clone(), *n);
-            }
-        }
-        let mut dispatch_ns = BTreeMap::new();
-        if let Some(profile) = &tel.profile {
-            for (kind, t) in profile.kinds() {
-                dispatch_ns.insert(
+        let dispatch_ns = tel
+            .profile
+            .kinds()
+            .map(|(kind, t)| {
+                (
                     kind.to_string(),
                     DispatchPercentiles {
                         samples: t.samples(),
@@ -270,9 +249,9 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
                         p95_ns: t.percentile_ns(95),
                         p99_ns: t.percentile_ns(99),
                     },
-                );
-            }
-        }
+                )
+            })
+            .collect();
         let spans = run.spans.expect("spans requested");
         benches.push(ScenarioBench {
             name: ls.name.clone(),
@@ -283,8 +262,8 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
             min_wall_ns: 0,
             events_per_sec: 0,
             peers_per_sec: 0,
-            event_kinds,
-            manager_events: manager_totals(&spans),
+            event_kinds: tel.event_kinds(),
+            manager_events: tel.manager_events(),
             dispatch_ns,
         });
         if opts.record_spans {

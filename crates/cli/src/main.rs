@@ -123,6 +123,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let quiet = args.has("quiet");
     let telemetry_dir = args.get_str("telemetry-dir").map(PathBuf::from);
     let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
+    if args.has("invariant-stride") && !args.has("check-invariants") {
+        return Err(
+            "--invariant-stride has no effect without --check-invariants; pass both or neither"
+                .into(),
+        );
+    }
     let options = RunOptions {
         check_invariants: args.has("check-invariants"),
         invariant_stride: args.get("invariant-stride", 1)?,
@@ -132,7 +138,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         record_spans: false,
         telemetry: telemetry_dir.is_some().then_some(TelemetryConfig {
             window: SimTime::from_secs(telemetry_window_s),
-            profile: true,
         }),
     };
     if !quiet {
@@ -156,7 +161,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             git_describe: git_describe(),
             trace_hash: observed.trace_hash,
             events: tel.events,
-            event_kinds: output::event_kind_totals(tel),
+            event_kinds: tel.event_kinds().into_iter().collect(),
             windows: tel.snapshots.len() as u64,
             window_us: telemetry_window_s * 1_000_000,
             start_us: scenario.start.as_micros(),

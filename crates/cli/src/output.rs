@@ -11,7 +11,7 @@ use coolstreaming::experiments::{
 };
 use coolstreaming::{RunArtifacts, TelemetryRun};
 use cs_sim::SimTime;
-use cs_telemetry::{Metric, RunManifest};
+use cs_telemetry::RunManifest;
 use serde::Serialize;
 
 /// Machine-readable run summary (written as `summary.json`).
@@ -138,24 +138,6 @@ pub fn sessions_csv(view: &LogView) -> String {
     out
 }
 
-/// Per-kind event totals from the telemetry registry's
-/// `engine_events_total{kind=…}` counters, sorted by kind.
-pub fn event_kind_totals(tel: &TelemetryRun) -> Vec<(String, u64)> {
-    let mut kinds: Vec<(String, u64)> = Vec::new();
-    for (_, key, metric) in tel.registry.enumerate() {
-        if key.name != "engine_events_total" {
-            continue;
-        }
-        if let (Some((_, kind)), Metric::Counter(n)) =
-            (key.labels.iter().find(|(k, _)| *k == "kind"), metric)
-        {
-            kinds.push((kind.clone(), *n));
-        }
-    }
-    kinds.sort();
-    kinds
-}
-
 /// Write `metrics.jsonl`, `profile.json` and `manifest.json` under `dir`.
 pub fn write_telemetry(dir: &Path, tel: &TelemetryRun, manifest: &RunManifest) -> io::Result<()> {
     fs::create_dir_all(dir)?;
@@ -165,9 +147,7 @@ pub fn write_telemetry(dir: &Path, tel: &TelemetryRun, manifest: &RunManifest) -
         jsonl.push('\n');
     }
     fs::write(dir.join("metrics.jsonl"), jsonl)?;
-    if let Some(profile) = &tel.profile {
-        fs::write(dir.join("profile.json"), profile.to_json())?;
-    }
+    fs::write(dir.join("profile.json"), tel.profile.to_json())?;
     fs::write(dir.join("manifest.json"), manifest.to_json())?;
     Ok(())
 }

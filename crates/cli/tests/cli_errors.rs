@@ -56,6 +56,15 @@ fn unparsable_value_is_rejected_not_defaulted() {
 }
 
 #[test]
+fn invariant_stride_without_the_checker_is_rejected() {
+    let e = run_scenario_with(&["--invariant-stride", "64"]);
+    assert!(
+        e.contains("--invariant-stride") && e.contains("--check-invariants"),
+        "{e}"
+    );
+}
+
+#[test]
 fn scenario_file_naming_shards_gets_the_removal_message() {
     let text = std::fs::read_to_string(SCENARIO)
         .expect("scenario library present")

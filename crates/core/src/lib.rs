@@ -36,11 +36,13 @@
 
 pub mod channels;
 pub mod experiments;
+mod instruments;
 mod scenario;
 mod spec;
 
 pub use channels::{zappers, ChannelRun, ChannelScenario};
-pub use scenario::{run_all, ObservedRun, RunArtifacts, RunOptions, Scenario, TelemetryRun};
+pub use cs_telemetry::TelemetryRun;
+pub use scenario::{run_all, ObservedRun, RunArtifacts, RunOptions, Scenario};
 pub use spec::{
     BaseSpec, ChaosSpec, CompiledSpec, PolicySpec, ScenarioSpec, ServerSpec, SpecError,
     SPEC_VERSION,

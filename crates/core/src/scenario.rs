@@ -15,17 +15,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network};
-use cs_proto::{
-    finalize_sessions, CsWorld, Event, EventKinds, InvariantChecker, Params, ProtoTelemetry,
-};
-use cs_sim::{Engine, MultiObserver, RunStats, SimTime, TraceHasher};
-use cs_telemetry::{
-    DispatchProfiler, MetricRegistry, SpanRecord, SpanRecorder, TelemetryConfig, TelemetryObserver,
-    WindowSnapshot,
-};
+use cs_proto::{finalize_sessions, CsWorld, Event, InvariantChecker, Params};
+use cs_sim::{Engine, RunStats, SimTime};
+use cs_telemetry::{SpanRecord, TelemetryConfig, TelemetryRun};
 use cs_workload::Workload;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+use crate::instruments::Instruments;
 
 /// Everything that defines a run. Construct via [`Scenario::event_day`] /
 /// [`Scenario::steady`] and the `with_*` modifiers. Serializable, so runs
@@ -149,9 +146,11 @@ impl Scenario {
     }
 
     /// Execute under instrumentation: optionally validate protocol
-    /// invariants after every event and/or fold the dispatch sequence
-    /// into a trace hash. Observers are passive, so the artifacts are
-    /// bit-identical to an unobserved run of the same scenario and seed.
+    /// invariants after every event, fold the dispatch sequence into a
+    /// trace hash, record spans and telemetry. The sinks are passive, so
+    /// the artifacts are bit-identical to an unobserved run of the same
+    /// scenario and seed; with `RunOptions::default()` no observer is
+    /// attached at all.
     pub fn run_observed(&self, options: RunOptions) -> ObservedRun {
         let arrivals = self.workload.generate(self.seed, self.start, self.horizon);
         self.run_with_arrivals_observed(arrivals, options)
@@ -200,69 +199,9 @@ impl Scenario {
         // Guard against protocol bugs that self-schedule forever.
         engine.event_budget = 4_000_000_000;
 
-        let checker = options.check_invariants.then(|| {
-            Rc::new(RefCell::new(InvariantChecker::with_stride(
-                options.invariant_stride,
-            )))
-        });
-        let hasher = options
-            .trace_hash
-            .then(|| Rc::new(RefCell::new(TraceHasher::<Event, EventKinds>::new())));
-        let spans = options
-            .record_spans
-            .then(|| Rc::new(RefCell::new(SpanRecorder::<Event, EventKinds>::new())));
-        // Sampler and engine observer are fused into one TelemetryPair so
-        // the per-event path pays a single dyn call per hook. When the
-        // pair is the *only* observer it is attached by value (recovered
-        // afterwards via `Observer::as_any_mut`), skipping the
-        // `Rc<RefCell<_>>` borrow checks on the hot path entirely; with
-        // other observers present it shares a MultiObserver slot through
-        // the usual handle.
-        let (registry, pair) = options
-            .telemetry
-            .map(|cfg| {
-                let registry = Rc::new(RefCell::new(MetricRegistry::new()));
-                let pair = TelemetryPair {
-                    sampler: ProtoTelemetry::new(
-                        Rc::clone(&registry),
-                        cfg.effective_window(),
-                        self.start,
-                    ),
-                    observer: TelemetryObserver::new(Rc::clone(&registry), cfg, self.start),
-                };
-                (registry, pair)
-            })
-            .unzip();
-        let mut shared_pair: Option<Rc<RefCell<TelemetryPair>>> = None;
-        let mut observers: Vec<Box<dyn cs_sim::Observer<CsWorld>>> = Vec::new();
-        if let Some(c) = &checker {
-            observers.push(Box::new(Rc::clone(c)));
-        }
-        if let Some(h) = &hasher {
-            observers.push(Box::new(Rc::clone(h)));
-        }
-        if let Some(s) = &spans {
-            observers.push(Box::new(Rc::clone(s)));
-        }
-        if let Some(pair) = pair {
-            if observers.is_empty() {
-                observers.push(Box::new(pair));
-            } else {
-                let rc = Rc::new(RefCell::new(pair));
-                observers.push(Box::new(Rc::clone(&rc)));
-                shared_pair = Some(rc);
-            }
-        }
-        // A single observer goes in directly; fan-out only when needed —
-        // the MultiObserver layer costs a dyn call per hook per event.
-        if observers.len() > 1 {
-            let mut multi = MultiObserver::new();
-            for obs in observers {
-                multi.push(obs);
-            }
-            engine.set_observer(Box::new(multi));
-        } else if let Some(obs) = observers.pop() {
-            engine.set_observer(obs);
+        let instruments = Instruments::new(&options, self.start).map(|i| Rc::new(RefCell::new(i)));
+        if let Some(handle) = &instruments {
+            engine.set_observer(Box::new(Rc::clone(handle)));
         }
 
         for (t, e) in engine.world().initial_events() {
@@ -276,114 +215,51 @@ impl Scenario {
         }
         let run_stats = engine.run_until(self.horizon);
         let end = engine.now();
-        let mut taken = engine.take_observer();
         let mut world = engine.into_world();
+        let mut instruments = instruments.map(|handle| handle.take()).unwrap_or_default();
         // Validate the horizon state too: runs ending between events
         // (or with a stride) would otherwise leave the tail unchecked.
-        if let Some(c) = &checker {
-            c.borrow_mut().check_world(end, &world);
+        if let Some(checker) = &mut instruments.checker {
+            checker.check_world(end, &world);
         }
         finalize_sessions(&mut world);
-        let telemetry = registry.map(|registry| {
-            // Close the books on the horizon state: one last protocol
-            // sample, then flush the final (possibly partial) window.
-            let close = |p: &mut TelemetryPair| {
-                p.sampler.sample(&world);
-                p.observer.finish(end.max(self.horizon));
-                let (snapshots, profile) = p.observer.take_parts();
-                (p.observer.events(), snapshots, profile)
-            };
-            let (events, snapshots, profile) = match &shared_pair {
-                Some(rc) => close(&mut rc.borrow_mut()),
-                None => match taken
-                    .as_mut()
-                    .and_then(|o| o.as_any_mut())
-                    .and_then(|a| a.downcast_mut::<TelemetryPair>())
-                {
-                    Some(pair) => close(pair),
-                    // Unreachable by construction — the solo pair was
-                    // attached by value above. Degrade to empty telemetry
-                    // rather than abort the run.
-                    None => (0, Vec::new(), None),
-                },
-            };
-            // Drop the remaining pair handles (each holds a registry
-            // clone) so the registry unwraps without copying.
-            drop(taken.take());
-            drop(shared_pair.take());
-            let registry = match Rc::try_unwrap(registry) {
-                Ok(cell) => cell.into_inner(),
-                Err(rc) => MetricRegistry::clone(&rc.borrow()),
-            };
-            TelemetryRun {
-                snapshots,
-                registry,
-                profile,
-                events,
-            }
-        });
+        let telemetry = instruments
+            .telemetry
+            .map(|t| t.finish(&world, end.max(self.horizon)));
         ObservedRun {
             artifacts: RunArtifacts {
                 world,
                 scheduled_arrivals: n_arrivals,
                 run_stats,
             },
-            trace_hash: hasher.map(|h| h.borrow().hash()),
-            spans: spans.map(|s| s.borrow_mut().take_records()),
-            invariants: checker.map(|c| match Rc::try_unwrap(c) {
-                Ok(cell) => cell.into_inner(),
-                // The engine was consumed above, so this should be the
-                // sole handle; if a clone ever survives, report from a
-                // snapshot of its state rather than aborting the run.
-                Err(rc) => InvariantChecker::clone(&rc.borrow()),
-            }),
+            trace_hash: instruments.hasher.map(|h| h.hash()),
+            spans: instruments.spans,
+            invariants: instruments.checker,
             telemetry,
         }
-    }
-}
-
-/// The protocol sampler and the engine telemetry observer, fused so the
-/// engine sees one observer. Order inside `after_handle` matters: the
-/// sampler records its boundary gauges first, then the engine observer
-/// (which owns the window clock) may close the window containing them.
-struct TelemetryPair {
-    sampler: ProtoTelemetry,
-    observer: TelemetryObserver<Event, EventKinds>,
-}
-
-impl cs_sim::Observer<CsWorld> for TelemetryPair {
-    fn on_dispatch(&mut self, now: SimTime, event: &Event, queue_depth: usize) {
-        cs_sim::Observer::<CsWorld>::on_dispatch(&mut self.observer, now, event, queue_depth);
-    }
-    fn after_handle(&mut self, now: SimTime, world: &CsWorld) {
-        cs_sim::Observer::<CsWorld>::after_handle(&mut self.sampler, now, world);
-        cs_sim::Observer::<CsWorld>::after_handle(&mut self.observer, now, world);
-    }
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
 /// Instrumentation options for [`Scenario::run_observed`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
-    /// Attach an [`InvariantChecker`] and validate the protocol state
-    /// during the run.
+    /// Validate the protocol state during the run with an
+    /// [`InvariantChecker`].
     pub check_invariants: bool,
     /// Validate after every `invariant_stride`-th event (0 and 1 both
     /// mean every event). Full-state validation is `O(peers)`, so large
     /// runs may want a stride.
     pub invariant_stride: u64,
-    /// Attach a [`TraceHasher`] and report the run's trace hash.
+    /// Fold the dispatch sequence into a trace hash and report it.
     pub trace_hash: bool,
-    /// Attach a [`SpanRecorder`] and report one causal span per
-    /// dispatched event (seq, cause, sim-time, kind, manager, wall-clock
-    /// handler duration). Passive like the other observers.
+    /// Report one causal span per dispatched event (seq, cause,
+    /// sim-time, kind, manager, wall-clock handler duration). Passive
+    /// like the other sinks.
     pub record_spans: bool,
-    /// Attach the telemetry observers (engine counters plus the
-    /// `cs-proto` protocol sampler) and report windowed metric
-    /// snapshots. Like the other observers this is passive: artifacts
-    /// and trace hashes are identical with telemetry on or off.
+    /// Record telemetry (engine counters, the `cs-proto` protocol
+    /// sampler, the dispatch profile) and report windowed metric
+    /// snapshots. Like the other sinks this is passive: artifacts and
+    /// trace hashes are identical with telemetry on or off.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -400,19 +276,6 @@ pub struct ObservedRun {
     pub invariants: Option<InvariantChecker>,
     /// Windowed metrics and dispatch profile, if requested.
     pub telemetry: Option<TelemetryRun>,
-}
-
-/// The telemetry output of an instrumented run.
-#[derive(Clone, Debug)]
-pub struct TelemetryRun {
-    /// Windowed metric snapshots, in window order (last may be partial).
-    pub snapshots: Vec<WindowSnapshot>,
-    /// The final metric registry (cumulative values at the horizon).
-    pub registry: MetricRegistry,
-    /// Wall-clock dispatch profile, if profiling was enabled.
-    pub profile: Option<DispatchProfiler>,
-    /// Events the telemetry observer saw dispatched.
-    pub events: u64,
 }
 
 /// The output of one run.

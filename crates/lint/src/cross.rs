@@ -8,7 +8,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::rules::{Config, Finding, RuleId};
-use crate::symbols::{EventAlphabet, FileIndex, KindArm, WorkspaceIndex};
+use crate::symbols::{EventAlphabet, FileIndex, WorkspaceIndex};
 
 /// Run all cross-file rules.
 pub fn check_workspace(index: &WorkspaceIndex, cfg: &Config) -> Vec<Finding> {
@@ -192,22 +192,13 @@ fn check_stream_call(
 
 // ---------------------------------------------------------------- X1 --
 
-/// X1 — the Event enum, the `kind_class` dense table, the `World::handle`
-/// dispatch match, and every kind-enumerating `KindClassify` impl must
-/// agree in arity, indices, and names.
+/// X1 — the Event enum, the `kind_class` dense table and the
+/// `World::handle` dispatch match must agree in arity, indices, and
+/// names.
 fn check_dispatch(index: &WorkspaceIndex, out: &mut Vec<Finding>) {
     for al in &index.alphabets {
         check_kind_table(al, out);
         check_dispatch_match(al, out);
-        for cls in &index.classifiers {
-            if cls.event_type != al.enum_name || cls.arms.is_empty() {
-                continue;
-            }
-            // Skip the classifier co-located with (and equal to) the
-            // canonical table only if it actually matches; mismatches are
-            // real findings wherever the impl lives.
-            check_classifier(al, cls, out);
-        }
     }
 }
 
@@ -251,7 +242,7 @@ fn check_kind_table(al: &EventAlphabet, out: &mut Vec<Finding>) {
                 a.line,
                 format!(
                     "`kind_class` arm `{}::{}` does not return a literal `(index, \"name\")` \
-                     pair; telemetry's dense slot vectors need literal indices",
+                     pair; telemetry's per-kind table needs literal indices",
                     al.enum_name, a.variant
                 ),
             ),
@@ -302,7 +293,7 @@ fn check_kind_table(al: &EventAlphabet, out: &mut Vec<Finding>) {
             al.kind_fn_line,
             format!(
                 "`kind_class` indices are not the dense range 0..{n}; cs-telemetry indexes \
-                 per-kind slot vectors by them (got {have:?})"
+                 its per-kind table by them (got {have:?})"
             ),
         );
     }
@@ -335,73 +326,6 @@ fn check_dispatch_match(al: &EventAlphabet, out: &mut Vec<Finding>) {
                 message: format!(
                     "dispatch arm `{}::{}` matches no variant of `{}`",
                     al.enum_name, a.variant, al.enum_name
-                ),
-            });
-        }
-    }
-}
-
-fn check_classifier(
-    al: &EventAlphabet,
-    cls: &crate::symbols::ClassifierImpl,
-    out: &mut Vec<Finding>,
-) {
-    let canon = |v: &str| -> Option<&KindArm> { al.kind_table.iter().find(|a| a.variant == v) };
-    for v in &al.variants {
-        if !cls.arms.iter().any(|a| &a.variant == v) {
-            out.push(Finding {
-                file: cls.file.clone(),
-                line: cls.line,
-                rule: RuleId::X1,
-                message: format!(
-                    "`impl KindClassify<{}> for {}` has no arm for `{}::{v}` ({} kinds exist; \
-                     delegate to `kind_class` or keep the table complete)",
-                    al.enum_name,
-                    cls.for_type,
-                    al.enum_name,
-                    al.variants.len()
-                ),
-            });
-        }
-    }
-    for a in &cls.arms {
-        let Some(c) = canon(&a.variant) else {
-            out.push(Finding {
-                file: cls.file.clone(),
-                line: a.line,
-                rule: RuleId::X1,
-                message: format!(
-                    "`impl KindClassify<{}> for {}` arm `{}::{}` matches no variant of `{}`",
-                    al.enum_name, cls.for_type, al.enum_name, a.variant, al.enum_name
-                ),
-            });
-            continue;
-        };
-        if a.index.is_some() && c.index.is_some() && a.index != c.index {
-            out.push(Finding {
-                file: cls.file.clone(),
-                line: a.line,
-                rule: RuleId::X1,
-                message: format!(
-                    "`{}` classifies `{}::{}` as index {:?} but the canonical `kind_class` \
-                     ({}) says {:?}",
-                    cls.for_type, al.enum_name, a.variant, a.index, al.file, c.index
-                ),
-            });
-        }
-        if a.name.is_some() && c.name.is_some() && a.name != c.name {
-            out.push(Finding {
-                file: cls.file.clone(),
-                line: a.line,
-                rule: RuleId::X1,
-                message: format!(
-                    "`{}` names `{}::{}` {:?} but the canonical `kind_class` ({}) says {:?}",
-                    cls.for_type,
-                    al.enum_name,
-                    a.variant,
-                    a.name.as_deref().unwrap_or(""),
-                    al.file,
-                    c.name.as_deref().unwrap_or("")
                 ),
             });
         }
@@ -520,31 +444,6 @@ impl World for W {
             out2.iter().any(|f| f.message.contains("dense range")),
             "{out2:?}"
         );
-    }
-
-    #[test]
-    fn x1_checks_cross_crate_classifier_tables() {
-        let telemetry = r#"
-impl KindClassify<Event> for StaleKinds {
-    fn class(e: &Event) -> (u8, &'static str) {
-        match e {
-            Event::A(_) => (0, "a"),
-            Event::B => (1, "bee"),
-        }
-    }
-}
-"#;
-        let index = ws(vec![
-            ("proto", "src/world.rs", GOOD_WORLD),
-            ("telemetry", "src/kinds.rs", telemetry),
-        ]);
-        let out = check_workspace(&index, &Config::default());
-        assert!(
-            out.iter()
-                .any(|f| f.message.contains("no arm for `Event::C`")),
-            "{out:?}"
-        );
-        assert!(out.iter().any(|f| f.message.contains("\"bee\"")), "{out:?}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | S1 | `forbid-unsafe`     | crate roots missing `#![forbid(unsafe_code)]` |
 //! | M1 | `file-size`         | det-scope source files over 800 lines (god-object backstop) |
 //! | R1 | `rng-stream`        | RNGs constructed outside the named-stream API |
-//! | X1 | `dispatch-exhaustive` | Event kinds / dispatch / KindClassify tables out of sync |
+//! | X1 | `dispatch-exhaustive` | Event kinds / `kind_class` table / dispatch match out of sync |
 //!
 //! D1–M1 are token-local. R1/X1 are *structural and cross-file*: a
 //! brace-tree item parser ([`parse`]) recovers modules, impls, fns, and

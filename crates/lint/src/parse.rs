@@ -71,9 +71,6 @@ pub struct Item {
     pub name: String,
     /// For `impl Trait for Type`: the trait's first path identifier.
     pub trait_name: Option<String>,
-    /// For `impl Trait<Arg> for Type`: the first identifier inside the
-    /// trait's angle brackets (e.g. the event type of `KindClassify<E>`).
-    pub trait_arg: Option<String>,
     /// Declared visibility.
     pub vis: Vis,
     /// 1-based line of the introducing keyword.
@@ -233,7 +230,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                             kind: ItemKind::Mod,
                             name,
                             trait_name: None,
-                            trait_arg: None,
                             vis,
                             line,
                             body: Some((j + 2, close)),
@@ -247,7 +243,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                             kind: ItemKind::Mod,
                             name,
                             trait_name: None,
-                            trait_arg: None,
                             vis,
                             line,
                             body: None,
@@ -281,7 +276,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                             },
                             name,
                             trait_name: None,
-                            trait_arg: None,
                             vis,
                             line,
                             body: Some((k, close)),
@@ -297,7 +291,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                             kind: ItemKind::Struct,
                             name,
                             trait_name: None,
-                            trait_arg: None,
                             vis,
                             line,
                             body: None,
@@ -312,7 +305,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                             kind: ItemKind::Struct,
                             name,
                             trait_name: None,
-                            trait_arg: None,
                             vis,
                             line,
                             body: None,
@@ -370,7 +362,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                     kind: ItemKind::Fn,
                     name,
                     trait_name: None,
-                    trait_arg: None,
                     vis,
                     line,
                     body,
@@ -409,22 +400,20 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                 // `for` inside a `where` clause is not the impl's `for`.
                 let where_ix = (header_start..k).find(|&ix| toks[ix].is_ident("where"));
                 let for_ix = for_ix.filter(|&f| where_ix.map(|w| f < w).unwrap_or(true));
-                let (trait_name, trait_arg, name) = if is_impl {
+                let (trait_name, name) = if is_impl {
                     match for_ix {
                         Some(f) => {
                             let tn = first_ident_in(toks, header_start, f);
-                            let ta = angle_arg_in(toks, header_start, f);
                             let ty = first_ident_in(toks, f + 1, where_ix.unwrap_or(k));
-                            (Some(tn), ta, ty)
+                            (Some(tn), ty)
                         }
                         None => (
-                            None,
                             None,
                             first_ident_in(toks, header_start, where_ix.unwrap_or(k)),
                         ),
                     }
                 } else {
-                    (None, None, first_ident_in(toks, header_start, k))
+                    (None, first_ident_in(toks, header_start, k))
                 };
                 if toks.get(k).map(|t| t.is_punct("{")).unwrap_or(false) {
                     let close = skip_balanced(toks, k) - 1;
@@ -437,7 +426,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                         },
                         name,
                         trait_name,
-                        trait_arg,
                         vis,
                         line,
                         body: Some((k, close)),
@@ -461,7 +449,6 @@ fn parse_range(toks: &[Tok], start: usize, end: usize) -> Vec<Item> {
                     kind: ItemKind::Const,
                     name,
                     trait_name: None,
-                    trait_arg: None,
                     vis,
                     line,
                     body: None,
@@ -520,16 +507,6 @@ fn first_ident_in(toks: &[Tok], start: usize, end: usize) -> String {
         .find(|t| t.kind == TokKind::Ident && t.text != "dyn")
         .map(|t| t.text.clone())
         .unwrap_or_default()
-}
-
-/// First identifier strictly inside the first `<…>` group of the span —
-/// the `E` of `KindClassify<E>`.
-fn angle_arg_in(toks: &[Tok], start: usize, end: usize) -> Option<String> {
-    let open = (start..end.min(toks.len())).find(|&ix| toks[ix].is_punct("<"))?;
-    toks[open + 1..end.min(toks.len())]
-        .iter()
-        .find(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.clone())
 }
 
 /// Split `toks[start..end]` (the inside of a struct body) into fields.
@@ -872,10 +849,10 @@ mod tests {
     #[test]
     fn recovers_impl_trait_for_type() {
         let src = r#"
-            impl KindClassify<Event> for EventKinds {
-                fn class(event: &Event) -> (u8, &'static str) { event.kind_class() }
+            impl Observer<CsWorld> for Instruments {
+                fn on_dispatch(&mut self, event: &Event) { event.kind_class(); }
             }
-            impl<W: World, C: KindClassify<W::Event>> Observer<W> for Obs<W, C> {
+            impl<W: World, T: Observer<W>> Observer<W> for Rc<RefCell<T>> {
                 fn on(&mut self) {}
             }
             impl Peer {
@@ -884,13 +861,12 @@ mod tests {
         "#;
         let it = items(src);
         assert_eq!(it.len(), 3);
-        assert_eq!(it[0].trait_name.as_deref(), Some("KindClassify"));
-        assert_eq!(it[0].trait_arg.as_deref(), Some("Event"));
-        assert_eq!(it[0].name, "EventKinds");
+        assert_eq!(it[0].trait_name.as_deref(), Some("Observer"));
+        assert_eq!(it[0].name, "Instruments");
         assert_eq!(it[0].children.len(), 1);
-        assert_eq!(it[0].children[0].name, "class");
+        assert_eq!(it[0].children[0].name, "on_dispatch");
         assert_eq!(it[1].trait_name.as_deref(), Some("Observer"));
-        assert_eq!(it[1].name, "Obs");
+        assert_eq!(it[1].name, "Rc");
         assert_eq!(it[2].trait_name, None);
         assert_eq!(it[2].name, "Peer");
     }

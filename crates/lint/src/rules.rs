@@ -162,14 +162,14 @@ traces in ways that only surface at scale.",
         id: "X1",
         slug: "dispatch-exhaustive",
         escapable: true,
-        scope: "files declaring `enum Event` + kind_class, and all KindClassify impls",
-        summary: "Event kinds, dispatch table, and KindClassify impls out of sync.",
+        scope: "files declaring `enum Event` + kind_class",
+        summary: "Event kinds, kind_class table, and dispatch match out of sync.",
         explain: "Three artifacts must agree on the event alphabet: the Event enum, the \
-kind_class dense-index table (cs-telemetry indexes per-kind slot vectors by it, so \
+kind_class dense-index table (cs-telemetry indexes its per-kind table by it, so \
 indices must be exactly 0..N-1, names unique), and the World::handle dispatch match. \
-Any KindClassify impl that enumerates kinds itself (rather than delegating to \
-kind_class) must also match, cross-crate. Appending a chaos-style event kind without \
-wiring all three is a hard finding instead of a runtime surprise.",
+Every instrument names events through kind_class — there is no second classifier to \
+drift. Appending a chaos-style event kind without wiring all three is a hard finding \
+instead of a runtime surprise.",
     },
     E1 {
         id: "E1",
@@ -247,10 +247,11 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             // `telemetry` is deterministic by design (metric keys and
-            // windowing must not perturb trace hashes); its one sanctioned
-            // wall-clock user — the DispatchProfiler, whose output goes
-            // only to profile.json — carries explicit allow(ambient-entropy)
-            // escapes rather than a file-level exemption.
+            // windowing must not perturb trace hashes). The one sanctioned
+            // wall-clock read in det-scope — cs-core's instrument set
+            // timing handlers for profile.json and spans.jsonl — carries an
+            // explicit allow(ambient-entropy) escape rather than a
+            // file-level exemption.
             det_crates: ["proto", "sim", "core", "net", "workload", "telemetry"]
                 .map(String::from)
                 .to_vec(),

@@ -9,8 +9,8 @@
 //!   module of the sanctioned entropy source, `crates/sim/src/rng.rs`
 //!   (R1);
 //! * **event alphabets** — an `enum Event`-style item co-located with a
-//!   `kind_class` dense-index table, the `World::handle` dispatch match,
-//!   and every non-test `KindClassify` impl in the workspace (X1).
+//!   `kind_class` dense-index table and the `World::handle` dispatch
+//!   match (X1).
 
 use crate::lexer::{self, Lexed};
 use crate::parse::{self, Item, ItemKind};
@@ -115,25 +115,6 @@ pub struct EventAlphabet {
     pub dispatch_has_wildcard: bool,
 }
 
-/// A non-test `impl KindClassify<E> for T` with an inline kind table
-/// (delegating impls have an empty `arms`).
-#[derive(Clone, Debug)]
-pub struct ClassifierImpl {
-    /// Crate containing the impl.
-    pub crate_name: String,
-    /// File containing the impl (workspace-relative).
-    pub file: String,
-    /// The event type `E`.
-    pub event_type: String,
-    /// The implementing type `T`.
-    pub for_type: String,
-    /// Impl block line.
-    pub line: u32,
-    /// Inline `Variant => (index, "name")` arms, if the impl enumerates
-    /// kinds itself rather than delegating.
-    pub arms: Vec<KindArm>,
-}
-
 /// All files of one crate plus the crate-level facts extracted from them.
 pub struct CrateIndex {
     /// Crate directory name.
@@ -153,8 +134,6 @@ pub struct WorkspaceIndex {
     pub has_stream_module: bool,
     /// Event alphabets (X1 anchors) across all crates.
     pub alphabets: Vec<EventAlphabet>,
-    /// `KindClassify` impls across all crates.
-    pub classifiers: Vec<ClassifierImpl>,
 }
 
 impl WorkspaceIndex {
@@ -164,7 +143,6 @@ impl WorkspaceIndex {
         let mut stream_consts = Vec::new();
         let mut has_stream_module = false;
         let mut alphabets = Vec::new();
-        let mut classifiers = Vec::new();
 
         for f in &files {
             if f.rel_path == cfg.stream_module {
@@ -172,7 +150,6 @@ impl WorkspaceIndex {
                 stream_consts = extract_stream_consts(f);
             }
             alphabets.extend(extract_alphabet(f));
-            classifiers.extend(extract_classifiers(f));
         }
 
         let mut crates: Vec<CrateIndex> = Vec::new();
@@ -191,7 +168,6 @@ impl WorkspaceIndex {
             stream_consts,
             has_stream_module,
             alphabets,
-            classifiers,
         }
     }
 }
@@ -286,38 +262,6 @@ fn extract_alphabet(f: &FileIndex) -> Option<EventAlphabet> {
     })
 }
 
-/// Every non-test `impl KindClassify<E> for T` in `f`, with inline arms
-/// when the `class` fn enumerates kinds itself.
-fn extract_classifiers(f: &FileIndex) -> Vec<ClassifierImpl> {
-    let mut out = Vec::new();
-    for item in parse::all_items(&f.items) {
-        if item.kind != ItemKind::Impl
-            || item.trait_name.as_deref() != Some("KindClassify")
-            || f.item_masked(item)
-        {
-            continue;
-        }
-        let Some(event_type) = item.trait_arg.clone() else {
-            continue;
-        };
-        let arms = item
-            .children
-            .iter()
-            .find(|c| c.kind == ItemKind::Fn && c.name == "class")
-            .map(|class_fn| match_arms_of(f, class_fn, &event_type).0)
-            .unwrap_or_default();
-        out.push(ClassifierImpl {
-            crate_name: f.crate_name.clone(),
-            file: f.rel_path.clone(),
-            event_type,
-            for_type: item.name.clone(),
-            line: item.line,
-            arms,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,46 +328,22 @@ mod tests {
     }
 
     #[test]
-    fn classifier_impls_are_collected() {
-        let f = file(
-            "telemetry",
-            "src/obs.rs",
-            r#"
-            impl KindClassify<Event> for StaleKinds {
-                fn class(event: &Event) -> (u8, &'static str) {
-                    match event {
-                        Event::A(_) => (0, "a"),
-                        Event::B => (1, "bee"),
-                    }
-                }
-            }
-            impl KindClassify<Event> for Delegating {
-                fn class(event: &Event) -> (u8, &'static str) { event.kind_class() }
-            }
-            "#,
-        );
-        let cls = extract_classifiers(&f);
-        assert_eq!(cls.len(), 2);
-        assert_eq!(cls[0].for_type, "StaleKinds");
-        assert_eq!(cls[0].arms.len(), 2);
-        assert_eq!(cls[0].arms[1].name.as_deref(), Some("bee"));
-        assert!(cls[1].arms.is_empty());
-    }
-
-    #[test]
-    fn test_masked_impls_are_ignored() {
+    fn test_masked_alphabets_are_ignored() {
         let f = file(
             "telemetry",
             "src/obs.rs",
             r#"
             #[cfg(test)]
             mod tests {
-                impl KindClassify<Tick> for TickKinds {
-                    fn class(_: &Tick) -> (u8, &'static str) { (0, "tick") }
+                enum Event { Tick }
+                impl Event {
+                    fn kind_class(&self) -> (u8, &'static str) {
+                        match self { Event::Tick => (0, "tick") }
+                    }
                 }
             }
             "#,
         );
-        assert!(extract_classifiers(&f).is_empty());
+        assert!(extract_alphabet(&f).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! Fixture mini-workspaces for the cross-file rule families. Each
 //! `tests/fixtures/ws_*` directory is a tiny `crates/`-shaped tree that
-//! goes through the same [`lint_workspace`] walk CI uses, covering a
-//! positive and an escaped-negative case per rule.
+//! goes through the same [`lint_workspace`] walk CI uses (`ws_r1` also
+//! carries an escaped negative).
 //!
 //! These are also the acceptance-criteria probes for the issue: a
 //! deleted `world.rs` dispatch arm (`ws_x1`) and a raw RNG construction
@@ -48,24 +48,16 @@ fn r1_fixture_flags_raw_rng_in_proto_and_honors_escape() {
 }
 
 #[test]
-fn x1_fixture_flags_deleted_dispatch_arm_and_drifted_classifier() {
+fn x1_fixture_flags_deleted_dispatch_arm() {
     let found = hits("ws_x1");
     assert_eq!(
         keyed(&found),
-        vec![
-            ("X1", "crates/proto/src/world.rs", 20),
-            ("X1", "crates/telemetry/src/kinds.rs", 8),
-        ],
+        vec![("X1", "crates/proto/src/world.rs", 20)],
         "{found:?}"
     );
     assert!(
         found[0].message.contains("no arm for `Event::Tick`"),
         "{}",
         found[0].message
-    );
-    assert!(
-        found[1].message.contains("\"leave\"") && found[1].message.contains("\"depart\""),
-        "{}",
-        found[1].message
     );
 }

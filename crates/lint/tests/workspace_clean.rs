@@ -88,7 +88,7 @@ fn symbol_table_sees_the_real_workspace() {
     assert_eq!(al.kind_table.len(), al.variants.len());
     assert_eq!(al.dispatch_arms.len(), al.variants.len());
     assert!(!al.dispatch_has_wildcard);
-    // kind_class indices are dense 0..N (the telemetry slot-vec contract).
+    // kind_class indices are dense 0..N (the telemetry kind-table contract).
     let mut idx: Vec<u32> = al.kind_table.iter().filter_map(|a| a.index).collect();
     idx.sort_unstable();
     assert_eq!(idx, (0..al.variants.len() as u32).collect::<Vec<_>>());
@@ -97,17 +97,17 @@ fn symbol_table_sees_the_real_workspace() {
 /// The wall-clock quarantine is closed: `ambient-entropy` (D2) escapes —
 /// the only sanctioned way to read `Instant::now` & co. outside the RNG
 /// module — appear in exactly the documented wall-clock modules (the
-/// dispatch profiler, the span recorder, the bench harness, and the CLI's
-/// manifest/bench timing), and every one carries a written reason. A new
+/// run's instrument set, which times handlers for `profile.json` and
+/// `spans.jsonl`; the bench harness; and the CLI's manifest timing), and
+/// every one carries a written reason. A new
 /// escape anywhere else means wall-clock use leaked into det-scope and
 /// must either be removed or argued into this list.
 #[test]
 fn ambient_entropy_escapes_stay_in_the_wall_clock_quarantine() {
-    const QUARANTINE: [&str; 4] = [
+    const QUARANTINE: [&str; 3] = [
         "crates/bench/src/harness.rs",
         "crates/cli/src/main.rs",
-        "crates/telemetry/src/profile.rs",
-        "crates/telemetry/src/span.rs",
+        "crates/core/src/instruments.rs",
     ];
     let index = build_index(workspace_root(), &Config::default()).expect("workspace walk");
     let mut escaped_files: Vec<&str> = Vec::new();

@@ -1,8 +1,9 @@
 //! Runtime protocol oracles.
 //!
-//! [`InvariantChecker`] is a `cs-sim` [`Observer`] that re-validates the
-//! whole protocol state after every dispatched event (or every `stride`
-//! events). It encodes the structural guarantees the implementation is
+//! [`InvariantChecker`] re-validates the whole protocol state after every
+//! dispatched event (or every `stride` events); the run's observer feeds
+//! it through [`InvariantChecker::on_dispatch`] and
+//! [`InvariantChecker::after_handle`]. It encodes the structural guarantees the implementation is
 //! supposed to maintain at *all* times — not just at the horizon, where
 //! the integration tests look. A violation does not abort the run;
 //! it is recorded with the time and the event kind that exposed it, so a
@@ -25,10 +26,9 @@
 //! 8. **Session accounting** — user arrivals = one session record each;
 //!    records without a leave time are exactly the live user nodes.
 
-use cs_sim::observer::Observer;
 use cs_sim::SimTime;
 
-use crate::world::{CsWorld, Event};
+use crate::world::CsWorld;
 
 /// One invariant violation, attributed to the event that exposed it.
 #[derive(Clone, Debug)]
@@ -57,7 +57,7 @@ impl std::fmt::Display for Violation {
 /// is counted (a broken invariant usually fails on every later event).
 const MAX_RECORDED: usize = 64;
 
-/// An [`Observer`] that validates [`CsWorld`] invariants during a run.
+/// Validates [`CsWorld`] invariants during a run.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
     stride: u64,
@@ -141,8 +141,31 @@ impl InvariantChecker {
         }
     }
 
+    /// Note the dispatch of an event of `kind` at `now`, before its
+    /// handler runs.
+    pub fn on_dispatch(&mut self, now: SimTime, kind: &'static str) {
+        self.current_kind = kind;
+        // Oracle 1: time monotonicity, checked on every event.
+        if now < self.last_time {
+            self.record(
+                now,
+                "time-regression",
+                format!("dispatch at {} after {}", now, self.last_time),
+            );
+        }
+        self.last_time = now;
+        self.events_seen += 1;
+    }
+
+    /// Validate the post-event world if this event is on the stride.
+    pub fn after_handle(&mut self, now: SimTime, world: &CsWorld) {
+        if self.events_seen % self.stride == 0 {
+            self.check_world(now, world);
+        }
+    }
+
     /// Run every state oracle against `world` as of `now`. Called from
-    /// the observer hook; public so horizon-state checks can reuse it.
+    /// [`Self::after_handle`]; public so horizon-state checks can reuse it.
     pub fn check_world(&mut self, now: SimTime, world: &CsWorld) {
         self.checks_run += 1;
         let k = world.params.substreams as usize;
@@ -335,28 +358,6 @@ impl Default for InvariantChecker {
     }
 }
 
-impl Observer<CsWorld> for InvariantChecker {
-    fn on_dispatch(&mut self, now: SimTime, event: &Event, _queue_depth: usize) {
-        self.current_kind = event.kind();
-        // Oracle 1: time monotonicity, checked on every event.
-        if now < self.last_time {
-            self.record(
-                now,
-                "time-regression",
-                format!("dispatch at {} after {}", now, self.last_time),
-            );
-        }
-        self.last_time = now;
-        self.events_seen += 1;
-    }
-
-    fn after_handle(&mut self, now: SimTime, world: &CsWorld) {
-        if self.events_seen % self.stride == 0 {
-            self.check_world(now, world);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,9 +443,8 @@ mod tests {
     #[test]
     fn time_regression_is_caught() {
         let mut chk = InvariantChecker::new();
-        let ev = Event::Snapshot;
-        Observer::<CsWorld>::on_dispatch(&mut chk, SimTime::from_secs(10), &ev, 0);
-        Observer::<CsWorld>::on_dispatch(&mut chk, SimTime::from_secs(5), &ev, 0);
+        chk.on_dispatch(SimTime::from_secs(10), "snapshot");
+        chk.on_dispatch(SimTime::from_secs(5), "snapshot");
         assert!(
             chk.violations().iter().any(|v| v.rule == "time-regression"),
             "{}",

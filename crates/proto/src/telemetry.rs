@@ -1,18 +1,13 @@
 //! Protocol-level telemetry: windowed samples of simulator ground truth.
 //!
-//! [`ProtoTelemetry`] is a passive [`Observer`] that, once per aggregation
-//! window, walks the live user population and records the protocol series
-//! the paper's figures are built from — partners held, buffer occupancy,
-//! per-sub-stream lag, mCache size, and join→ready latency — into the
-//! shared [`MetricRegistry`]. Sampling is `O(peers)`, so it happens at the
-//! window cadence (the paper's 5-minute status-report period by default),
-//! not per event.
-//!
-//! Attach this observer *before* the engine-level
-//! [`TelemetryObserver`](cs_telemetry::TelemetryObserver) in a
-//! `MultiObserver`: both advance on the same window grid, so the sample
-//! taken at a boundary-crossing event lands in the window that the
-//! telemetry observer then closes.
+//! [`ProtoTelemetry`] walks the live user population and records the
+//! protocol series the paper's figures are built from — partners held,
+//! buffer occupancy, per-sub-stream lag, mCache size, and join→ready
+//! latency — into the run's [`MetricRegistry`]. Sampling is `O(peers)`,
+//! so the run's instrument set calls [`ProtoTelemetry::sample`] once per
+//! aggregation window (the paper's 5-minute status-report period by
+//! default), immediately before it closes that window, and once more at
+//! the horizon — not per event.
 //!
 //! Series (all prefixed `proto_`, distinguishing simulator truth from the
 //! `report_`-prefixed series the cs-logging bridge derives from the §V.A
@@ -28,19 +23,12 @@
 //! | `proto_substream_lag_blocks` | histogram | per-sub-stream lag vs the most advanced |
 //! | `proto_join_ready_ms` | histogram | join→media-ready latency per session |
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use cs_sim::{Observer, SimTime};
 use cs_telemetry::{MetricId, MetricRegistry};
 
 use crate::world::CsWorld;
 
-/// Windowed sampler of protocol state (see module docs).
+/// Sampler of protocol state (see module docs).
 pub struct ProtoTelemetry {
-    registry: Rc<RefCell<MetricRegistry>>,
-    interval: SimTime,
-    next_sample: SimTime,
     /// Sessions whose join→ready latency has been recorded, by session
     /// index (sessions are append-only).
     ready_recorded: Vec<bool>,
@@ -60,18 +48,12 @@ struct Ids {
 }
 
 impl ProtoTelemetry {
-    /// A sampler over `registry`, sampling every `interval` starting from
-    /// `start + interval`. A zero `interval` falls back to the default
-    /// window.
-    pub fn new(registry: Rc<RefCell<MetricRegistry>>, interval: SimTime, start: SimTime) -> Self {
-        let interval = if interval == SimTime::ZERO {
-            cs_telemetry::DEFAULT_WINDOW
-        } else {
-            interval
-        };
-        let ids = {
-            let mut reg = registry.borrow_mut();
-            Ids {
+    /// A sampler writing into `reg` (the same registry must be passed to
+    /// every [`Self::sample`]).
+    pub fn new(reg: &mut MetricRegistry) -> Self {
+        ProtoTelemetry {
+            ready_recorded: Vec::new(),
+            ids: Ids {
                 peers_alive: reg.gauge("proto_peers_alive", &[]),
                 peers_ready: reg.gauge("proto_peers_ready", &[]),
                 partners: reg.histogram("proto_partners", &[]),
@@ -79,22 +61,12 @@ impl ProtoTelemetry {
                 occupancy: reg.histogram("proto_buffer_occupancy_blocks", &[]),
                 lag: reg.histogram("proto_substream_lag_blocks", &[]),
                 join_ready: reg.histogram("proto_join_ready_ms", &[]),
-            }
-        };
-        ProtoTelemetry {
-            registry,
-            interval,
-            next_sample: start + interval,
-            ready_recorded: Vec::new(),
-            ids,
+            },
         }
     }
 
-    /// Walk the world and record one sample. Called automatically on the
-    /// window cadence; call once more at the run end (before the final
-    /// window flush) so the partial window carries fresh gauges.
-    pub fn sample(&mut self, world: &CsWorld) {
-        let mut reg = self.registry.borrow_mut();
+    /// Walk the world and record one sample.
+    pub fn sample(&mut self, world: &CsWorld, reg: &mut MetricRegistry) {
         let mut alive: i64 = 0;
         let mut ready: i64 = 0;
         for peer in world.peers().filter(|p| p.class.is_user()) {
@@ -136,18 +108,5 @@ impl ProtoTelemetry {
                 reg.observe(self.ids.join_ready, ms);
             }
         }
-    }
-}
-
-impl Observer<CsWorld> for ProtoTelemetry {
-    #[inline]
-    fn after_handle(&mut self, now: SimTime, world: &CsWorld) {
-        if now < self.next_sample {
-            return;
-        }
-        while self.next_sample <= now {
-            self.next_sample += self.interval;
-        }
-        self.sample(world);
     }
 }

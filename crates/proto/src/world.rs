@@ -37,7 +37,7 @@
 use cs_logging::{LogServer, UserId};
 use cs_net::{Bandwidth, Network, NodeClass, NodeId};
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
-use cs_sim::{Ctx, KindClassify, ManagerClassify, SimTime, World};
+use cs_sim::{Ctx, SimTime, World};
 use rand::Rng;
 
 use crate::arena::{PeerArena, PeerHandle};
@@ -147,8 +147,11 @@ impl Event {
     /// [`Event::kind`] plus a dense per-variant index, for
     /// instrumentation that wants array-indexed per-kind counters
     /// without a name lookup on the dispatch path (cs-telemetry's
-    /// engine observer). Indices are contiguous from 0 and carry no
-    /// meaning beyond identity within one build.
+    /// per-kind table). Indices are contiguous from 0 and carry no
+    /// meaning beyond identity within one build. Every instrument names
+    /// events through this one table, so a renamed variant cannot
+    /// desynchronize counters from golden trace hashes.
+    #[inline]
     pub fn kind_class(&self) -> (u8, &'static str) {
         match self {
             Event::Arrive(_) => (0, "arrive"),
@@ -175,6 +178,7 @@ impl Event {
     /// The manager whose handler runs this event — the span-tracing axis.
     /// Mirrors the `World::handle` dispatch table below (`engine` covers
     /// the world-level housekeeping arms that no manager owns).
+    #[inline]
     pub fn manager(&self) -> &'static str {
         match self {
             Event::Arrive(_)
@@ -194,24 +198,6 @@ impl Event {
             | Event::FreeRiders { .. } => "chaos",
             Event::Snapshot => "engine",
         }
-    }
-}
-
-/// The canonical [`KindClassify`] classifier for [`Event`]: every
-/// instrumentation layer (per-kind counters, trace hashing, telemetry)
-/// routes through this one impl, so a renamed variant cannot
-/// desynchronize counters from golden trace hashes.
-pub struct EventKinds;
-
-impl KindClassify<Event> for EventKinds {
-    fn class(event: &Event) -> (u8, &'static str) {
-        event.kind_class()
-    }
-}
-
-impl ManagerClassify<Event> for EventKinds {
-    fn manager(event: &Event) -> &'static str {
-        event.manager()
     }
 }
 

@@ -42,14 +42,9 @@ pub mod observer;
 mod queue;
 pub mod rng;
 mod time;
-mod trace;
 
 pub use det::{DetMap, DetSet};
 pub use engine::{Ctx, Engine, RunStats, StopReason, World};
-pub use observer::{
-    DispatchMeta, EventStats, KindClassify, ManagerClassify, MultiObserver, Observer, TraceHasher,
-};
-pub use queue::reference::ReferenceQueue;
+pub use observer::{DispatchMeta, Observer, TraceHasher};
 pub use queue::{EventQueue, Popped};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEntry};

@@ -5,22 +5,14 @@
 //! ([`Observer::on_dispatch`], with the event itself) and once *after*
 //! ([`Observer::after_handle`], with the post-event world). This is the
 //! hook through which correctness tooling — invariant checkers, trace
-//! hashers, event accounting — watches a run without the world knowing
+//! hashing, event accounting — watches a run without the world knowing
 //! it is being watched.
 //!
-//! Built-in observers:
-//!
-//! * [`EventStats`] — per-event-kind dispatch counters plus the queue
-//!   depth high-water mark,
-//! * [`TraceHasher`] — folds `(time, event kind)` of every dispatch into
-//!   one `u64` (FNV-1a), so two runs can be compared for behavioural
-//!   identity by comparing a single number,
-//! * [`MultiObserver`] — fan-out to several observers.
-//!
-//! Both instruments name events through one [`KindClassify`] impl per
-//! event alphabet (e.g. cs-proto's `EventKinds`), so every layer of
-//! instrumentation — counters, trace hashes, telemetry — agrees on kind
-//! names by construction.
+//! The crate ships the trait and one event-alphabet-agnostic sink,
+//! [`TraceHasher`], which folds `(time, event kind)` of every dispatch
+//! into one `u64` (FNV-1a), so two runs can be compared for behavioural
+//! identity by comparing a single number. An observer classifies the
+//! event itself and hands the sink plain values.
 //!
 //! Observers are attached as `Box<dyn Observer<W>>`, which would normally
 //! mean losing access to the concrete value's results. To keep a handle,
@@ -28,7 +20,7 @@
 //! hooks — attach a clone, and read the original after the run:
 //!
 //! ```
-//! use cs_sim::{Ctx, Engine, KindClassify, SimTime, TraceHasher, World};
+//! use cs_sim::{Ctx, Engine, Observer, SimTime, TraceHasher, World};
 //! use std::cell::RefCell;
 //! use std::rc::Rc;
 //!
@@ -38,54 +30,27 @@
 //!     fn handle(&mut self, _: &mut Ctx<'_, ()>, _: ()) {}
 //! }
 //!
-//! struct TickKinds;
-//! impl KindClassify<()> for TickKinds {
-//!     fn class(_: &()) -> (u8, &'static str) {
-//!         (0, "tick")
+//! #[derive(Default)]
+//! struct Hashing(TraceHasher);
+//! impl Observer<Nop> for Hashing {
+//!     fn on_dispatch(&mut self, now: SimTime, _: &(), _queue_depth: usize) {
+//!         self.0.record(now, "tick");
 //!     }
 //! }
 //!
-//! let hasher = Rc::new(RefCell::new(TraceHasher::<(), TickKinds>::new()));
+//! let hashing = Rc::new(RefCell::new(Hashing::default()));
 //! let mut eng = Engine::new(Nop);
-//! eng.set_observer(Box::new(Rc::clone(&hasher)));
+//! eng.set_observer(Box::new(Rc::clone(&hashing)));
 //! eng.schedule_at(SimTime::from_secs(1), ());
 //! eng.run_until(SimTime::from_secs(10));
-//! assert_eq!(hasher.borrow().events(), 1);
+//! assert_eq!(hashing.take().0.events(), 1);
 //! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::rc::Rc;
 
 use crate::engine::World;
 use crate::time::SimTime;
-
-/// Maps events to `(dense index, kind name)` — see e.g. `Event::kind_class`
-/// in cs-proto. Indices only need to be small and stable within a run; the
-/// name is what reaches counters and hashes. A trait with a static method
-/// (rather than a stored `fn` pointer) so the classification — typically a
-/// jump-table match — inlines into the observers' `on_dispatch` instead of
-/// costing an indirect call per event.
-///
-/// One impl per event alphabet: every instrument that names events
-/// ([`EventStats`], [`TraceHasher`], cs-telemetry's engine observer)
-/// takes its classifier through this trait, so kind names cannot drift
-/// apart between instruments.
-pub trait KindClassify<E> {
-    /// Classify one event.
-    fn class(event: &E) -> (u8, &'static str);
-}
-
-/// Maps events to the *manager* (subsystem) whose handler runs them —
-/// e.g. cs-proto's membership / partnership / stream / chaos split.
-/// Span-tracing instruments group per-event cost by this coarser axis;
-/// like [`KindClassify`] there is one impl per event alphabet so every
-/// span stream agrees on manager names.
-pub trait ManagerClassify<E> {
-    /// Name of the subsystem that handles `event`.
-    fn manager(event: &E) -> &'static str;
-}
 
 /// Scheduling metadata for one dispatched event, delivered through
 /// [`Observer::on_dispatch_meta`] immediately before
@@ -97,7 +62,7 @@ pub trait ManagerClassify<E> {
 /// events scheduled from outside any handler: initial events, workload
 /// arrivals, chaos injections). Following `cause` links recovers the
 /// causal tree of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchMeta {
     /// Queue insertion seq of the event being dispatched.
     pub seq: u64,
@@ -133,16 +98,6 @@ pub trait Observer<W: World> {
     fn after_handle(&mut self, now: SimTime, world: &W) {
         let _ = (now, world);
     }
-
-    /// Escape hatch for recovering a by-value observer after
-    /// [`Engine::take_observer`](crate::Engine::take_observer): an
-    /// observer attached as a plain `Box` (no `Rc<RefCell<_>>` handle,
-    /// so no per-event borrow checks) overrides this to `Some(self)`
-    /// and the caller downcasts the returned `Any`. The default keeps
-    /// existing observers opaque.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 /// Forward hooks through a shared handle, so callers can keep reading
@@ -156,75 +111,6 @@ impl<W: World, T: Observer<W>> Observer<W> for Rc<RefCell<T>> {
     }
     fn after_handle(&mut self, now: SimTime, world: &W) {
         self.borrow_mut().after_handle(now, world);
-    }
-}
-
-/// Per-event-kind dispatch counters and queue-depth high-water mark.
-///
-/// Event kinds are produced by the caller-supplied [`KindClassify`] impl
-/// `C`, keeping this crate ignorant of any particular event alphabet.
-pub struct EventStats<E, C: KindClassify<E>> {
-    classify: PhantomData<fn(&E) -> C>,
-    counts: BTreeMap<&'static str, u64>,
-    queue_high_water: usize,
-    events: u64,
-}
-
-impl<E, C: KindClassify<E>> EventStats<E, C> {
-    /// Counters using `C` to name each event.
-    pub fn new() -> Self {
-        EventStats {
-            classify: PhantomData,
-            counts: BTreeMap::new(),
-            queue_high_water: 0,
-            events: 0,
-        }
-    }
-
-    /// Dispatch count per event kind, sorted by kind name.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
-    }
-
-    /// Largest queue depth seen at any dispatch, *including* the event
-    /// being dispatched — a run with one event at a time has a high-water
-    /// mark of 1, and 0 means no event was ever observed.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Total events observed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Render as one `kind count` line per kind plus a high-water line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (kind, n) in &self.counts {
-            out.push_str(&format!("{kind:24} {n}\n"));
-        }
-        out.push_str(&format!(
-            "queue high-water mark    {}\n",
-            self.queue_high_water
-        ));
-        out
-    }
-}
-
-impl<E, C: KindClassify<E>> Default for EventStats<E, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W: World, C: KindClassify<W::Event>> Observer<W> for EventStats<W::Event, C> {
-    fn on_dispatch(&mut self, _now: SimTime, event: &W::Event, queue_depth: usize) {
-        *self.counts.entry(C::class(event).1).or_insert(0) += 1;
-        // `queue_depth` excludes the popped event; count it back in so the
-        // mark reflects how full the queue actually got.
-        self.queue_high_water = self.queue_high_water.max(queue_depth + 1);
-        self.events += 1;
     }
 }
 
@@ -249,20 +135,27 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// digest; a digest difference means the runs diverged at *some* event,
 /// which is exactly the property determinism tests need — without
 /// retaining the (potentially hundreds of millions of events) trace.
-pub struct TraceHasher<E, C: KindClassify<E>> {
-    classify: PhantomData<fn(&E) -> C>,
+#[derive(Clone, Debug)]
+pub struct TraceHasher {
     hash: u64,
     events: u64,
 }
 
-impl<E, C: KindClassify<E>> TraceHasher<E, C> {
-    /// A hasher using `C` to name each event.
+impl TraceHasher {
+    /// An empty digest.
     pub fn new() -> Self {
         TraceHasher {
-            classify: PhantomData,
             hash: FNV_OFFSET,
             events: 0,
         }
+    }
+
+    /// Fold one dispatch into the digest.
+    #[inline]
+    pub fn record(&mut self, now: SimTime, kind: &str) {
+        self.hash = fnv1a(self.hash, &now.as_micros().to_le_bytes());
+        self.hash = fnv1a(self.hash, kind.as_bytes());
+        self.events += 1;
     }
 
     /// The digest so far.
@@ -276,74 +169,9 @@ impl<E, C: KindClassify<E>> TraceHasher<E, C> {
     }
 }
 
-impl<E, C: KindClassify<E>> Default for TraceHasher<E, C> {
+impl Default for TraceHasher {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<W: World, C: KindClassify<W::Event>> Observer<W> for TraceHasher<W::Event, C> {
-    fn on_dispatch(&mut self, now: SimTime, event: &W::Event, _queue_depth: usize) {
-        self.hash = fnv1a(self.hash, &now.as_micros().to_le_bytes());
-        self.hash = fnv1a(self.hash, C::class(event).1.as_bytes());
-        self.events += 1;
-    }
-}
-
-/// Fan-out: forwards every hook to each inner observer, in order.
-pub struct MultiObserver<W: World> {
-    inner: Vec<Box<dyn Observer<W>>>,
-}
-
-impl<W: World> MultiObserver<W> {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        MultiObserver { inner: Vec::new() }
-    }
-
-    /// Append an observer (builder style).
-    pub fn with(mut self, obs: Box<dyn Observer<W>>) -> Self {
-        self.inner.push(obs);
-        self
-    }
-
-    /// Append an observer.
-    pub fn push(&mut self, obs: Box<dyn Observer<W>>) {
-        self.inner.push(obs);
-    }
-
-    /// Number of inner observers.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the fan-out is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
-impl<W: World> Default for MultiObserver<W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W: World> Observer<W> for MultiObserver<W> {
-    fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
-        for obs in &mut self.inner {
-            obs.on_dispatch_meta(meta);
-        }
-    }
-    fn on_dispatch(&mut self, now: SimTime, event: &W::Event, queue_depth: usize) {
-        for obs in &mut self.inner {
-            obs.on_dispatch(now, event, queue_depth);
-        }
-    }
-    fn after_handle(&mut self, now: SimTime, world: &W) {
-        for obs in &mut self.inner {
-            obs.after_handle(now, world);
-        }
     }
 }
 
@@ -363,12 +191,11 @@ mod tests {
         Leaf,
     }
 
-    struct EvKinds;
-    impl KindClassify<Ev> for EvKinds {
-        fn class(e: &Ev) -> (u8, &'static str) {
-            match e {
-                Ev::Spawn(_) => (0, "spawn"),
-                Ev::Leaf => (1, "leaf"),
+    impl Ev {
+        fn kind(&self) -> &'static str {
+            match self {
+                Ev::Spawn(_) => "spawn",
+                Ev::Leaf => "leaf",
             }
         }
     }
@@ -387,78 +214,56 @@ mod tests {
         }
     }
 
-    fn run_instrumented(seed_gen: u32) -> (u64, u64, BTreeMap<&'static str, u64>, usize) {
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
-        let hasher = Rc::new(RefCell::new(TraceHasher::<Ev, EvKinds>::new()));
+    /// The hasher sink behind the observer hook.
+    #[derive(Default)]
+    struct Hashing(TraceHasher);
+
+    impl Observer<Fanout> for Hashing {
+        fn on_dispatch(&mut self, now: SimTime, event: &Ev, _queue_depth: usize) {
+            self.0.record(now, event.kind());
+        }
+    }
+
+    fn run_hashed(seed_gen: u32) -> TraceHasher {
+        let hashing = Rc::new(RefCell::new(Hashing::default()));
         let mut eng = Engine::new(Fanout { handled: 0 });
-        eng.set_observer(Box::new(
-            MultiObserver::new()
-                .with(Box::new(Rc::clone(&stats)))
-                .with(Box::new(Rc::clone(&hasher))),
-        ));
+        eng.set_observer(Box::new(Rc::clone(&hashing)));
         eng.schedule_at(SimTime::ZERO, Ev::Spawn(seed_gen));
         eng.run_until(SimTime::MAX);
-        let handled = eng.world().handled;
-        let h = hasher.borrow();
-        let s = stats.borrow();
-        (h.hash(), handled, s.counts().clone(), s.queue_high_water())
-    }
-
-    #[test]
-    fn stats_count_every_dispatch_by_kind() {
-        let (_, handled, counts, high_water) = run_instrumented(3);
-        // Spawn(3..=0) → 4 spawn events, each emitting 2 leaves.
-        assert_eq!(counts["spawn"], 4);
-        assert_eq!(counts["leaf"], 8);
-        assert_eq!(handled, 12);
-        assert!(high_water >= 2, "high water {high_water}");
-    }
-
-    #[test]
-    fn high_water_includes_the_dispatched_event() {
-        // A single event, never more than one pending: the queue peaked
-        // at 1, and the mark must say so even though the pending count
-        // at dispatch time is 0.
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
-        let mut eng = Engine::new(Fanout { handled: 0 });
-        eng.set_observer(Box::new(Rc::clone(&stats)));
-        eng.schedule_at(SimTime::ZERO, Ev::Spawn(0));
-        eng.run_until(SimTime::MAX);
-        // Spawn(0) enqueues 2 leaves → depth peaked at 2 mid-run.
-        assert_eq!(stats.borrow().queue_high_water(), 2);
-
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
-        let mut eng = Engine::new(Fanout { handled: 0 });
-        eng.set_observer(Box::new(Rc::clone(&stats)));
-        eng.schedule_at(SimTime::ZERO, Ev::Leaf);
-        eng.run_until(SimTime::MAX);
-        assert_eq!(stats.borrow().queue_high_water(), 1);
+        assert_eq!(hashing.borrow().0.events(), eng.world().handled);
+        hashing.take().0
     }
 
     #[test]
     fn trace_hash_is_reproducible_and_discriminates() {
-        let (h1, ..) = run_instrumented(3);
-        let (h2, ..) = run_instrumented(3);
-        let (h3, ..) = run_instrumented(4);
-        assert_eq!(h1, h2, "same run must hash identically");
-        assert_ne!(h1, h3, "different runs must (overwhelmingly) differ");
+        let h1 = run_hashed(3);
+        let h2 = run_hashed(3);
+        let h3 = run_hashed(4);
+        // Spawn(3..=0) → 4 spawn events, each emitting 2 leaves.
+        assert_eq!(h1.events(), 12);
+        assert_eq!(h1.hash(), h2.hash(), "same run must hash identically");
+        assert_ne!(
+            h1.hash(),
+            h3.hash(),
+            "different runs must (overwhelmingly) differ"
+        );
     }
 
     #[test]
     fn observer_can_be_detached_and_read() {
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
+        let hashing = Rc::new(RefCell::new(Hashing::default()));
         let mut eng = Engine::new(Fanout { handled: 0 });
-        eng.set_observer(Box::new(Rc::clone(&stats)));
+        eng.set_observer(Box::new(Rc::clone(&hashing)));
         eng.schedule_at(SimTime::ZERO, Ev::Spawn(0));
         eng.run_until(SimTime::MAX);
         assert!(eng.take_observer().is_some());
         assert!(eng.take_observer().is_none());
         // Detached runs see nothing new.
-        let before = stats.borrow().events();
+        let before = hashing.borrow().0.events();
+        assert_eq!(before, 3);
         eng.schedule_at(eng.now(), Ev::Leaf);
         eng.run_until(SimTime::MAX);
-        assert_eq!(stats.borrow().events(), before);
-        assert!(stats.borrow().render().contains("queue high-water"));
+        assert_eq!(hashing.borrow().0.events(), before);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! (one whole tick — *all* equal-tick entries together) into `ready`.
 //! Hence the minimum pending `(time, seq)` is always in `ready` at read
 //! time, and pop order is byte-identical to the old global heap. A
-//! golden-oracle proptest (`queue_wheel_matches_reference`) checks the
-//! equivalence against [`reference::ReferenceQueue`] across every level
-//! and the overflow heap.
+//! golden-oracle proptest (`queue_wheel_matches_reference_oracle`, in
+//! this file's test module) checks the equivalence against the test-only
+//! `reference::ReferenceQueue` across every level and the overflow heap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -377,10 +377,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-pub mod reference {
-    //! The pre-wheel `BinaryHeap` queue, kept verbatim as the ordering
-    //! oracle for the timing wheel's differential tests. Not used by the
-    //! engine.
+#[cfg(test)]
+mod reference {
+    //! The pre-wheel `BinaryHeap` queue, kept as the ordering oracle for
+    //! the timing wheel's differential tests.
 
     use std::collections::BinaryHeap;
 
@@ -392,12 +392,6 @@ pub mod reference {
     pub struct ReferenceQueue<E> {
         heap: BinaryHeap<Entry<E>>,
         next_seq: u64,
-    }
-
-    impl<E> Default for ReferenceQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
     }
 
     impl<E> ReferenceQueue<E> {
@@ -432,16 +426,6 @@ pub mod reference {
                 event: e.event,
             })
         }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
     }
 }
 
@@ -449,6 +433,7 @@ pub mod reference {
 mod tests {
     use super::reference::ReferenceQueue;
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -637,5 +622,45 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "start");
         assert_eq!(q.pop().unwrap().1, "end");
         assert!(q.is_empty());
+    }
+
+    proptest! {
+        /// Differential oracle for the timing wheel: identical random
+        /// schedule/pop sequences through the wheel and the pre-wheel
+        /// `BinaryHeap` reference must pop in identical `(time, seq)`
+        /// order. Shifting a small mantissa by 0..=50 bits lands pushes
+        /// in the sub-tick window, every wheel level (tick width 2^14 µs,
+        /// six levels of 64 slots), and the overflow heap; interleaved
+        /// pops drive the cursor so late pushes also hit the
+        /// behind-cursor path.
+        #[test]
+        fn queue_wheel_matches_reference_oracle(
+            ops in proptest::collection::vec((0u32..8, 0u32..=50, 0u64..1024), 1..300),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut oracle = ReferenceQueue::new();
+            let mut pending = 0usize;
+            let mut next_id = 0u64;
+            for &(kind, shift, mantissa) in &ops {
+                // kinds 0..6 push, 6..8 pop: push-heavy keeps both deep.
+                if kind < 6 || pending == 0 {
+                    let t = SimTime::from_micros(mantissa.checked_shl(shift).unwrap_or(u64::MAX));
+                    wheel.push(t, next_id);
+                    oracle.push(t, next_id);
+                    next_id += 1;
+                    pending += 1;
+                } else {
+                    let w = wheel.pop_entry().expect("wheel non-empty");
+                    let r = oracle.pop_entry().expect("oracle non-empty");
+                    prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
+                    pending -= 1;
+                }
+            }
+            while let Some(r) = oracle.pop_entry() {
+                let w = wheel.pop_entry().expect("wheel drains with oracle");
+                prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
+            }
+            prop_assert!(wheel.pop_entry().is_none());
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the event queue, scheduling context, and RNG.
 
 use cs_sim::rng::{split_seed, Xoshiro256PlusPlus};
-use cs_sim::{Ctx, Engine, EventQueue, ReferenceQueue, SimTime, World};
+use cs_sim::{Ctx, Engine, EventQueue, SimTime, World};
 use proptest::prelude::*;
 use rand::RngCore;
 
@@ -140,43 +140,6 @@ proptest! {
             pop_reference(&mut q, &mut model)?;
         }
         prop_assert!(q.pop().is_none());
-    }
-
-    /// Differential oracle for the timing wheel: identical random
-    /// schedule/pop sequences through the wheel and the pre-wheel
-    /// `BinaryHeap` reference must pop in identical `(time, seq)` order.
-    /// Shifting a small mantissa by 0..=50 bits lands pushes in the
-    /// sub-tick window, every wheel level (tick width 2^14 µs, six
-    /// levels of 64 slots), and the overflow heap; interleaved pops
-    /// drive the cursor so late pushes also hit the behind-cursor path.
-    #[test]
-    fn queue_wheel_matches_reference_oracle(
-        ops in proptest::collection::vec((0u32..8, 0u32..=50, 0u64..1024), 1..300),
-    ) {
-        let mut wheel = EventQueue::new();
-        let mut oracle = ReferenceQueue::new();
-        let mut pending = 0usize;
-        let mut next_id = 0u64;
-        for &(kind, shift, mantissa) in &ops {
-            // kinds 0..6 push, 6..8 pop: push-heavy keeps both deep.
-            if kind < 6 || pending == 0 {
-                let t = SimTime::from_micros(mantissa.checked_shl(shift).unwrap_or(u64::MAX));
-                wheel.push(t, next_id);
-                oracle.push(t, next_id);
-                next_id += 1;
-                pending += 1;
-            } else {
-                let w = wheel.pop_entry().expect("wheel non-empty");
-                let r = oracle.pop_entry().expect("oracle non-empty");
-                prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
-                pending -= 1;
-            }
-        }
-        while let Some(r) = oracle.pop_entry() {
-            let w = wheel.pop_entry().expect("wheel drains with oracle");
-            prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
-        }
-        prop_assert!(wheel.pop_entry().is_none());
     }
 
     /// A handler chain that keeps scheduling into the past: the clamp in

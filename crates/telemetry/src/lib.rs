@@ -17,15 +17,19 @@
 //!   (default: the paper's 5-minute status-report cadence,
 //!   [`DEFAULT_WINDOW`]) and flushes them as JSONL snapshots carrying both
 //!   cumulative values and per-window deltas.
-//! * [`TelemetryObserver`] — a [`cs_sim::Observer`] that counts dispatches
-//!   per event kind, tracks queue depth, and drives the window clock. It is
-//!   passive: attaching it cannot change a run, so golden trace hashes are
-//!   identical with telemetry on or off.
+//! * [`EngineTelemetry`] — the engine half of a run's telemetry: it owns
+//!   the registry and the window clock, and counts dispatches in one
+//!   dense per-kind table that serves the windowed counters, the per-kind
+//!   and per-manager totals of [`TelemetryRun`], and the dispatch
+//!   profile. It is fed plain values by the run's single observer
+//!   (cs-core's `Instruments`) and is passive: attaching it cannot change
+//!   a run, so golden trace hashes are identical with telemetry on or off.
 //! * [`DispatchProfiler`] — the one deliberately non-deterministic piece:
-//!   wall-clock timing of each event kind. Its measurements never enter the
-//!   registry or the windowed stream; they are emitted only to
-//!   `profile.json` (see [`DispatchProfiler::to_json`]).
-//! * [`SpanRecorder`] — deterministic sim-time span tracing: one causal
+//!   wall-clock handler durations per event kind, sampled 1 dispatch in
+//!   [`PROFILE_SAMPLE_EVERY`]. Its measurements never enter the registry
+//!   or the windowed stream; they are emitted only to `profile.json` (see
+//!   [`DispatchProfiler::to_json`]).
+//! * [`SpanRecord`] — deterministic sim-time span tracing: one causal
 //!   span per dispatched event (seq, causing seq, sim-time, kind, owning
 //!   manager), with wall-clock handler duration as the only
 //!   environment-dependent field, rendered to `spans.jsonl`.
@@ -45,14 +49,10 @@ pub mod span;
 pub mod window;
 
 pub use manifest::{peak_rss_bytes, HostFingerprint, RunManifest};
-pub use observer::{TelemetryObserver, PROFILE_SAMPLE_EVERY};
-// Re-exported so telemetry users name the classifier traits without a
-// direct cs-sim dependency; the definitions live in cs-sim, next to the
-// other observers that consume them.
-pub use cs_sim::{KindClassify, ManagerClassify};
+pub use observer::{EngineTelemetry, TelemetryRun, PROFILE_SAMPLE_EVERY};
 pub use profile::{DispatchProfiler, KindTiming};
 pub use registry::{Histogram, Metric, MetricId, MetricKey, MetricRegistry};
-pub use span::{spans_to_jsonl, SpanRecord, SpanRecorder, SPANS_SCHEMA};
+pub use span::{spans_to_jsonl, SpanRecord, SPANS_SCHEMA};
 pub use window::{SnapValue, WindowSnapshot, WindowedAggregator};
 
 use cs_sim::SimTime;
@@ -67,15 +67,12 @@ pub const DEFAULT_WINDOW: SimTime = SimTime::from_secs(300);
 pub struct TelemetryConfig {
     /// Aggregation window; `SimTime::ZERO` falls back to [`DEFAULT_WINDOW`].
     pub window: SimTime,
-    /// Attach the wall-clock [`DispatchProfiler`].
-    pub profile: bool,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             window: DEFAULT_WINDOW,
-            profile: true,
         }
     }
 }

@@ -1,75 +1,75 @@
-//! The engine-level telemetry observer.
+//! The engine half of a run's telemetry: what the observer hooks feed.
 //!
-//! [`TelemetryObserver`] implements [`cs_sim::Observer`]: it counts every
-//! dispatch per event kind (`engine_events_total{kind=…}`), tracks the
-//! pending-queue depth (`engine_queue_depth`, including the event being
-//! dispatched, plus an `engine_queue_high_water` gauge), drives the
-//! [`WindowedAggregator`] clock, and — optionally — feeds the wall-clock
-//! [`DispatchProfiler`].
+//! [`EngineTelemetry`] owns the run's [`MetricRegistry`], the window
+//! clock ([`WindowedAggregator`]) and one dense per-kind table. The run's
+//! instrument set (cs-core's `Instruments`, the one `cs_sim::Observer`
+//! attached to the engine) classifies each event once and hands this
+//! block plain values:
 //!
-//! The registry is shared (`Rc<RefCell<…>>`) so protocol-level samplers
-//! (cs-proto's `ProtoTelemetry`) write into the same instrument space and
-//! land in the same window snapshots. Ordering matters: attach samplers
-//! *before* this observer in a `MultiObserver`, so their `after_handle`
-//! gauges are recorded before this observer's `after_handle` closes a
-//! window.
+//! * [`EngineTelemetry::on_dispatch`] counts the dispatch in the table
+//!   row of its kind and tracks the pending-queue depth (including the
+//!   event being dispatched) and its high-water mark;
+//! * [`EngineTelemetry::record_ns`] stores the wall-clock handler
+//!   duration of the one dispatch in [`PROFILE_SAMPLE_EVERY`] that
+//!   `on_dispatch` asked the caller to time;
+//! * [`EngineTelemetry::window_due`] / [`EngineTelemetry::close_windows`]
+//!   drive the window clock. Protocol-level samplers (cs-proto's
+//!   `ProtoTelemetry`) write into the same registry through
+//!   [`EngineTelemetry::registry_mut`] *before* `close_windows`, so their
+//!   boundary gauges land in the window being closed.
 //!
-//! Hot-path design: the per-event work touches only observer-local state —
-//! the classifier returns a dense per-kind index, so counting a dispatch
-//! is an array increment, plus two plain integers for queue accounting.
-//! Registry interning happens lazily at flush time, and the shared
-//! registry is written exactly once per window flush, immediately before
-//! the aggregator snapshots it, so snapshot values are identical to
-//! writing through on every event at a fraction of the cost. Wall-clock
-//! profiling samples one dispatch in [`PROFILE_SAMPLE_EVERY`] rather than
-//! timing all of them.
+//! The table is the single source of every per-kind figure: the
+//! `engine_events_total{kind=…}` counters in the windowed stream, the
+//! per-kind and per-manager totals of [`TelemetryRun`], and the dispatch
+//! percentiles of `profile.json`.
 //!
-//! Everything here is passive: no simulation state is read mutably and no
-//! events are scheduled, so trace hashes are identical with or without
+//! Hot-path design: the per-event work touches only block-local state —
+//! the classifier's dense per-kind index makes counting a dispatch an
+//! array increment, plus two plain integers for queue accounting.
+//! Registry interning happens lazily at flush time, and the registry is
+//! written exactly once per window flush, immediately before the
+//! aggregator snapshots it, so snapshot values are identical to writing
+//! through on every event at a fraction of the cost.
+//!
+//! Everything here is passive: no simulation state is read and no events
+//! are scheduled, so trace hashes are identical with or without
 //! telemetry attached.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use cs_sim::{KindClassify, Observer, SimTime, World};
+use cs_sim::{DetMap, SimTime};
 
 use crate::profile::DispatchProfiler;
 use crate::registry::{MetricId, MetricRegistry};
 use crate::window::{WindowSnapshot, WindowedAggregator};
 use crate::TelemetryConfig;
 
-/// The profiler times one dispatch in this many (the rest cost a counter
-/// check). Sampling keeps the two `Instant` reads off the per-event path;
-/// kinds rarer than roughly this many events per run may go untimed.
+/// One dispatch in this many is wall-timed for the dispatch profile (the
+/// rest cost a counter check), keeping the two clock reads off the
+/// per-event path; kinds rarer than roughly this many events per run may
+/// go untimed.
 pub const PROFILE_SAMPLE_EVERY: u64 = 128;
 
-/// One buffered per-kind counter, addressed by the classifier's dense
-/// index. `name` is set on first dispatch; the registry id is interned
-/// lazily at flush time, keeping the dispatch path free of registry
-/// traffic.
-#[derive(Default)]
-struct KindSlot {
+/// One row of the per-kind table, addressed by the classifier's dense
+/// index. `name`/`manager` are set on first dispatch; the registry id is
+/// interned lazily at flush time, keeping the dispatch path free of
+/// registry traffic.
+#[derive(Clone, Debug, Default)]
+struct KindRow {
     name: &'static str,
+    manager: &'static str,
     id: Option<MetricId>,
     /// Dispatches seen (cumulative).
     count: u64,
     /// Portion of `count` already pushed into the registry.
     flushed: u64,
+    /// Wall-clock handler durations of the sampled dispatches.
+    sampled_ns: Vec<u64>,
 }
 
-/// Engine-level metrics observer (see module docs). The classifier `C`
-/// is the event alphabet's single [`KindClassify`] impl (cs-proto's
-/// `EventKinds`), shared with `EventStats` and `TraceHasher` so kind
-/// names agree across every instrument.
-pub struct TelemetryObserver<E, C: KindClassify<E>> {
-    classify: std::marker::PhantomData<fn(&E) -> C>,
-    registry: Rc<RefCell<MetricRegistry>>,
+/// Engine-level metrics for one run (see module docs).
+pub struct EngineTelemetry {
+    registry: MetricRegistry,
     windows: WindowedAggregator,
-    profiler: Option<DispatchProfiler>,
-    /// True while the profiler is timing the current dispatch.
-    timing: bool,
-    /// Per-kind counters, indexed by the classifier's dense index.
-    slots: Vec<KindSlot>,
+    kinds: Vec<KindRow>,
     queue_gauge: MetricId,
     high_water_gauge: MetricId,
     last_depth: usize,
@@ -77,28 +77,17 @@ pub struct TelemetryObserver<E, C: KindClassify<E>> {
     events: u64,
 }
 
-impl<E, C: KindClassify<E>> TelemetryObserver<E, C> {
-    /// Build an observer over a shared registry. `start` anchors the
-    /// window grid (pass the scenario's window start).
-    pub fn new(
-        registry: Rc<RefCell<MetricRegistry>>,
-        config: TelemetryConfig,
-        start: SimTime,
-    ) -> Self {
-        let (queue_gauge, high_water_gauge) = {
-            let mut reg = registry.borrow_mut();
-            (
-                reg.gauge("engine_queue_depth", &[]),
-                reg.gauge("engine_queue_high_water", &[]),
-            )
-        };
-        TelemetryObserver {
-            classify: std::marker::PhantomData,
-            windows: WindowedAggregator::new(config.effective_window(), start),
-            profiler: config.profile.then(DispatchProfiler::new),
-            timing: false,
+impl EngineTelemetry {
+    /// A block over a fresh registry. `start` anchors the window grid
+    /// (pass the scenario's window start).
+    pub fn new(config: TelemetryConfig, start: SimTime) -> Self {
+        let mut registry = MetricRegistry::new();
+        let queue_gauge = registry.gauge("engine_queue_depth", &[]);
+        let high_water_gauge = registry.gauge("engine_queue_high_water", &[]);
+        EngineTelemetry {
             registry,
-            slots: Vec::new(),
+            windows: WindowedAggregator::new(config.effective_window(), start),
+            kinds: Vec::new(),
             queue_gauge,
             high_water_gauge,
             last_depth: 0,
@@ -107,18 +96,71 @@ impl<E, C: KindClassify<E>> TelemetryObserver<E, C> {
         }
     }
 
-    /// Push buffered counts and queue gauges into the shared registry,
-    /// interning ids for kinds seen since the last flush. Interning is
-    /// content-keyed, so a same-text kind reached through two indices
-    /// would share the MetricId and the flush deltas still add up.
+    /// The registry, for samplers that share this run's instrument space.
+    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
+        &mut self.registry
+    }
+
+    /// Count one dispatch of the kind at dense `index`. `queue_depth` is
+    /// the engine's pending count *after* the pop; the in-flight event is
+    /// counted back in, so a run with one event at a time has a
+    /// high-water mark of 1. Returns whether the caller should time this
+    /// dispatch and report it through [`Self::record_ns`].
+    #[inline]
+    pub fn on_dispatch(
+        &mut self,
+        index: u8,
+        name: &'static str,
+        manager: &'static str,
+        queue_depth: usize,
+    ) -> bool {
+        let index = usize::from(index);
+        if index >= self.kinds.len() {
+            self.kinds.resize_with(index + 1, KindRow::default);
+        }
+        let row = &mut self.kinds[index];
+        row.name = name;
+        row.manager = manager;
+        row.count += 1;
+        let depth = queue_depth.saturating_add(1);
+        self.last_depth = depth;
+        self.high_water = self.high_water.max(depth);
+        let sample = self.events % PROFILE_SAMPLE_EVERY == 0;
+        self.events += 1;
+        sample
+    }
+
+    /// Store the handler duration of a dispatch [`Self::on_dispatch`]
+    /// selected for timing.
+    pub fn record_ns(&mut self, index: u8, ns: u64) {
+        if let Some(row) = self.kinds.get_mut(usize::from(index)) {
+            row.sampled_ns.push(ns);
+        }
+    }
+
+    /// Whether `now` has reached the end of the open window — the cue to
+    /// sample protocol state and then [`Self::close_windows`].
+    #[inline]
+    pub fn window_due(&self, now: SimTime) -> bool {
+        now >= self.windows.next_end()
+    }
+
+    /// Flush every window whose end is at or before `now`.
+    pub fn close_windows(&mut self, now: SimTime) {
+        self.flush_to_registry();
+        self.windows.roll(now, &self.registry);
+    }
+
+    /// Push buffered counts and queue gauges into the registry, interning
+    /// ids for kinds seen since the last flush.
     fn flush_to_registry(&mut self) {
-        let mut reg = self.registry.borrow_mut();
-        for slot in self.slots.iter_mut().filter(|s| s.count > 0) {
-            let id = *slot
+        let reg = &mut self.registry;
+        for row in self.kinds.iter_mut().filter(|r| r.count > 0) {
+            let id = *row
                 .id
-                .get_or_insert_with(|| reg.counter("engine_events_total", &[("kind", slot.name)]));
-            reg.inc(id, slot.count - slot.flushed);
-            slot.flushed = slot.count;
+                .get_or_insert_with(|| reg.counter("engine_events_total", &[("kind", row.name)]));
+            reg.inc(id, row.count - row.flushed);
+            row.flushed = row.count;
         }
         reg.set(
             self.queue_gauge,
@@ -131,83 +173,62 @@ impl<E, C: KindClassify<E>> TelemetryObserver<E, C> {
     }
 
     /// Flush buffered counters and the final (partial) window at the run
-    /// end.
-    pub fn finish(&mut self, end: SimTime) {
+    /// end, and hand over everything the run recorded.
+    pub fn finish(mut self, end: SimTime) -> TelemetryRun {
         self.flush_to_registry();
-        self.windows.finish(end, &self.registry.borrow());
-    }
-
-    /// Events observed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Largest queue depth seen (including the in-flight event).
-    pub fn queue_high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Windows flushed so far (complete only, until [`Self::finish`]).
-    pub fn snapshots(&self) -> &[WindowSnapshot] {
-        self.windows.snapshots()
-    }
-
-    /// The wall-clock profiler, if enabled.
-    pub fn profiler(&self) -> Option<&DispatchProfiler> {
-        self.profiler.as_ref()
-    }
-
-    /// Tear down into `(windows, profiler)` after the run.
-    pub fn into_parts(self) -> (Vec<WindowSnapshot>, Option<DispatchProfiler>) {
-        (self.windows.into_snapshots(), self.profiler)
-    }
-
-    /// [`Self::into_parts`] through a mutable borrow, for observers
-    /// recovered as `&mut` via `Observer::as_any_mut` downcasting. The
-    /// snapshots and profiler are moved out; the observer stays usable
-    /// as an (empty) accumulator.
-    pub fn take_parts(&mut self) -> (Vec<WindowSnapshot>, Option<DispatchProfiler>) {
-        (self.windows.take_snapshots(), self.profiler.take())
+        self.windows.finish(end, &self.registry);
+        let mut profile = DispatchProfiler::new();
+        for row in &self.kinds {
+            for &ns in &row.sampled_ns {
+                profile.record(row.name, ns);
+            }
+        }
+        TelemetryRun {
+            snapshots: self.windows.into_snapshots(),
+            registry: self.registry,
+            profile,
+            events: self.events,
+            kinds: self
+                .kinds
+                .into_iter()
+                .filter(|r| r.count > 0)
+                .map(|r| (r.name, r.manager, r.count))
+                .collect(),
+        }
     }
 }
 
-impl<W: World, C: KindClassify<W::Event>> Observer<W> for TelemetryObserver<W::Event, C> {
-    fn on_dispatch(&mut self, _now: SimTime, event: &W::Event, queue_depth: usize) {
-        let (index, kind) = C::class(event);
-        let index = usize::from(index);
-        if index >= self.slots.len() {
-            self.slots.resize_with(index + 1, KindSlot::default);
-        }
-        let slot = &mut self.slots[index];
-        slot.name = kind;
-        slot.count += 1;
-        // `queue_depth` counts events pending *after* the pop; + 1 includes
-        // the event being dispatched (same accounting as EventStats).
-        let depth = queue_depth.saturating_add(1);
-        self.last_depth = depth;
-        if depth > self.high_water {
-            self.high_water = depth;
-        }
-        if let Some(p) = &mut self.profiler {
-            if self.events % PROFILE_SAMPLE_EVERY == 0 {
-                self.timing = true;
-                p.begin(kind);
-            }
-        }
-        self.events += 1;
+/// The telemetry output of an instrumented run.
+#[derive(Clone, Debug)]
+pub struct TelemetryRun {
+    /// Windowed metric snapshots, in window order (last may be partial).
+    pub snapshots: Vec<WindowSnapshot>,
+    /// The final metric registry (cumulative values at the horizon).
+    pub registry: MetricRegistry,
+    /// Wall-clock dispatch profile over the sampled dispatches.
+    pub profile: DispatchProfiler,
+    /// Events dispatched while telemetry was attached.
+    pub events: u64,
+    /// `(kind, manager, dispatches)` per kind seen, from the dense table.
+    kinds: Vec<(&'static str, &'static str, u64)>,
+}
+
+impl TelemetryRun {
+    /// Dispatch totals per event kind, sorted by kind name.
+    pub fn event_kinds(&self) -> DetMap<String, u64> {
+        self.kinds
+            .iter()
+            .map(|&(kind, _, n)| (kind.to_string(), n))
+            .collect()
     }
 
-    fn after_handle(&mut self, now: SimTime, _world: &W) {
-        if self.timing {
-            self.timing = false;
-            if let Some(p) = &mut self.profiler {
-                p.end();
-            }
+    /// Dispatch totals per owning manager, sorted by manager name.
+    pub fn manager_events(&self) -> DetMap<String, u64> {
+        let mut out = DetMap::new();
+        for &(_, manager, n) in &self.kinds {
+            *out.entry(manager.to_string()).or_insert(0) += n;
         }
-        if now >= self.windows.next_end() {
-            self.flush_to_registry();
-            self.windows.roll(now, &self.registry.borrow());
-        }
+        out
     }
 }
 
@@ -215,144 +236,183 @@ impl<W: World, C: KindClassify<W::Event>> Observer<W> for TelemetryObserver<W::E
 mod tests {
     use super::*;
     use crate::registry::Metric;
-    use cs_sim::{Ctx, Engine};
+    use crate::window::SnapValue;
+    use cs_sim::{Ctx, Engine, Observer, World};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    struct Ticker {
-        remaining: u64,
+    /// `Spawn(g)` schedules two leaves and, while `g > 0`, `Spawn(g-1)`,
+    /// all `step` later.
+    struct Fanout {
+        step: SimTime,
     }
 
     #[derive(Clone, Copy)]
-    struct Tick;
+    enum Ev {
+        Spawn(u32),
+        Leaf,
+    }
 
-    impl World for Ticker {
-        type Event = Tick;
-        fn handle(&mut self, ctx: &mut Ctx<'_, Tick>, _: Tick) {
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                ctx.schedule_in(SimTime::from_secs(60), Tick);
+    impl World for Fanout {
+        type Event = Ev;
+        fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
+            if let Ev::Spawn(gen) = event {
+                if gen > 0 {
+                    ctx.schedule_in(self.step, Ev::Spawn(gen - 1));
+                }
+                ctx.schedule_in(self.step, Ev::Leaf);
+                ctx.schedule_in(self.step, Ev::Leaf);
             }
         }
     }
 
-    struct TickKinds;
-    impl KindClassify<Tick> for TickKinds {
-        fn class(_: &Tick) -> (u8, &'static str) {
-            (0, "tick")
+    /// The smallest instrument set: classify, count, close windows, and
+    /// report a fixed 100 ns for every dispatch selected for timing.
+    struct Probe(Option<EngineTelemetry>);
+
+    impl Observer<Fanout> for Probe {
+        fn on_dispatch(&mut self, _now: SimTime, event: &Ev, queue_depth: usize) {
+            let (index, name, manager) = match event {
+                Ev::Spawn(_) => (0, "spawn", "membership"),
+                Ev::Leaf => (1, "leaf", "stream"),
+            };
+            let tel = self.0.as_mut().expect("attached");
+            if tel.on_dispatch(index, name, manager, queue_depth) {
+                tel.record_ns(index, 100);
+            }
+        }
+        fn after_handle(&mut self, now: SimTime, _world: &Fanout) {
+            let tel = self.0.as_mut().expect("attached");
+            if tel.window_due(now) {
+                tel.close_windows(now);
+            }
         }
     }
 
-    fn run(
-        ticks: u64,
-        profile: bool,
-    ) -> (
-        Rc<RefCell<MetricRegistry>>,
-        TelemetryObserver<Tick, TickKinds>,
-    ) {
-        let registry = Rc::new(RefCell::new(MetricRegistry::new()));
-        let obs = Rc::new(RefCell::new(TelemetryObserver::<Tick, TickKinds>::new(
-            Rc::clone(&registry),
+    fn run(first: Ev, step_secs: u64) -> TelemetryRun {
+        let tel = EngineTelemetry::new(
             TelemetryConfig {
                 window: SimTime::from_secs(300),
-                profile,
             },
             SimTime::ZERO,
-        )));
-        let mut eng = Engine::new(Ticker { remaining: ticks });
-        eng.set_observer(Box::new(Rc::clone(&obs)));
-        eng.schedule_at(SimTime::ZERO, Tick);
+        );
+        let probe = Rc::new(RefCell::new(Probe(Some(tel))));
+        let mut eng = Engine::new(Fanout {
+            step: SimTime::from_secs(step_secs),
+        });
+        eng.set_observer(Box::new(Rc::clone(&probe)));
+        eng.schedule_at(SimTime::ZERO, first);
         eng.run_until(SimTime::MAX);
-        let end = eng.now();
-        eng.take_observer();
-        let mut o = match Rc::try_unwrap(obs) {
-            Ok(cell) => cell.into_inner(),
-            Err(_) => unreachable!("engine handle was dropped"),
-        };
-        o.finish(end);
-        (registry, o)
+        let tel = probe.borrow_mut().0.take().expect("attached");
+        tel.finish(eng.now())
+    }
+
+    fn high_water(run: &TelemetryRun) -> i64 {
+        match run.registry.get("engine_queue_high_water", &[]) {
+            Some(Metric::Gauge(v)) => *v,
+            other => panic!("missing gauge: {other:?}"),
+        }
+    }
+
+    fn kind_deltas(run: &TelemetryRun, kind: &str) -> Vec<u64> {
+        let id = format!("engine_events_total{{kind={kind}}}");
+        run.snapshots
+            .iter()
+            .map(|s| {
+                s.series
+                    .iter()
+                    .find_map(|(series, v)| match v {
+                        SnapValue::Counter { delta, .. } if *series == id => Some(*delta),
+                        _ => None,
+                    })
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stats_count_every_dispatch_by_kind() {
+        // Spawn(3..=0) → 4 spawn events, each emitting 2 leaves.
+        let run = run(Ev::Spawn(3), 1);
+        assert_eq!(run.events, 12);
+        let named =
+            |totals: DetMap<String, u64>| -> Vec<(String, u64)> { totals.into_iter().collect() };
+        assert_eq!(
+            named(run.event_kinds()),
+            vec![("leaf".to_string(), 8), ("spawn".to_string(), 4)]
+        );
+        assert_eq!(
+            named(run.manager_events()),
+            vec![("membership".to_string(), 4), ("stream".to_string(), 8)]
+        );
+        assert!(high_water(&run) >= 2, "high water {}", high_water(&run));
+    }
+
+    #[test]
+    fn high_water_includes_the_dispatched_event() {
+        // Spawn(0) enqueues 2 leaves → depth peaked at 2 mid-run.
+        assert_eq!(high_water(&run(Ev::Spawn(0), 1)), 2);
+        // A single event, never more than one pending: the queue peaked
+        // at 1, and the mark must say so even though the pending count
+        // at dispatch time is 0.
+        assert_eq!(high_water(&run(Ev::Leaf, 1)), 1);
     }
 
     #[test]
     fn counts_dispatches_and_rolls_windows() {
-        // 10 ticks at 60 s → events at 0..=600 s; 300 s windows.
-        let (registry, obs) = run(10, false);
-        assert_eq!(obs.events(), 11);
+        // Spawn(10) at 60 s steps → spawns at 0, 60, …, 600 s; each
+        // spawn's two leaves dispatch one step later. 300 s windows.
+        let run = run(Ev::Spawn(10), 60);
+        assert_eq!(run.events, 33);
         assert_eq!(
-            registry
-                .borrow()
-                .get("engine_events_total", &[("kind", "tick")]),
+            run.registry
+                .get("engine_events_total", &[("kind", "spawn")]),
             Some(&Metric::Counter(11))
         );
-        // Queue never holds more than the in-flight event + 1 pending.
-        assert_eq!(obs.queue_high_water(), 1);
-        let snaps = obs.snapshots();
-        // Events at 0, 60, …, 600 s with 300 s windows: [0,300) closed by
-        // the t=300 event, [300,600) closed by the t=600 event; the run
-        // ends exactly on a boundary, so no partial window remains.
-        assert_eq!(snaps.len(), 2, "expected 2 windows, got {}", snaps.len());
+        // [0,300) is closed by the first dispatch at t=300, [300,600) by
+        // the first at t=600; the leaves at 660 s leave a partial tail.
+        let snaps = &run.snapshots;
+        assert_eq!(snaps.len(), 3, "expected 3 windows, got {}", snaps.len());
         assert_eq!(snaps[0].end, SimTime::from_secs(300));
-        assert!(snaps.iter().all(|s| !s.partial));
-        // The boundary event at t=300 closes window 0 (documented smear):
-        // events at 0,60,…,300 → 6 dispatches in window 0.
-        match &snaps[0]
-            .series
-            .iter()
-            .find(|(id, _)| id.starts_with("engine_events_total"))
-        {
-            Some((_, crate::window::SnapValue::Counter { delta, .. })) => assert_eq!(*delta, 6),
-            other => panic!("missing counter: {other:?}"),
-        }
+        assert_eq!(snaps[1].end, SimTime::from_secs(600));
+        assert!(!snaps[0].partial && !snaps[1].partial && snaps[2].partial);
+        // The boundary event closes its window (documented smear): the
+        // spawns at 0, 60, …, 240 plus the first dispatch at t=300.
+        assert_eq!(kind_deltas(&run, "spawn")[0], 6);
     }
 
     #[test]
     fn profiler_samples_dispatches() {
-        // 40 ticks → 41 events; samples at event indices 0 and multiples
-        // of PROFILE_SAMPLE_EVERY → 3 timed dispatches.
-        let (_, obs) = run(40, true);
-        assert_eq!(obs.events(), 41);
-        let prof = obs.profiler().expect("profiler enabled");
-        assert_eq!(prof.events(), 41_u64.div_ceil(PROFILE_SAMPLE_EVERY));
-        let (kind, timing) = {
-            let mut it = prof.kinds();
-            let first = it.next().expect("one kind");
-            (first.0, first.1.clone())
-        };
-        assert_eq!(kind, "tick");
-        assert_eq!(timing.count, prof.events());
-        assert!(timing.max_ns >= timing.min_ns);
+        // Spawn(99) → 100 spawns + 200 leaves; samples at event indices
+        // 0, 128 and 256.
+        let run = run(Ev::Spawn(99), 1);
+        assert_eq!(run.events, 300);
+        let prof = &run.profile;
+        assert_eq!(prof.events(), 300_u64.div_ceil(PROFILE_SAMPLE_EVERY));
+        assert_eq!(prof.total_ns(), 100 * prof.events());
+        let timed: u64 = prof.kinds().map(|(_, t)| t.count).sum();
+        assert_eq!(timed, prof.events());
+        for (kind, t) in prof.kinds() {
+            assert!(["leaf", "spawn"].contains(&kind));
+            assert_eq!((t.min_ns, t.max_ns), (100, 100));
+        }
     }
 
     #[test]
     fn buffered_counts_match_registry_after_finish() {
         // Counts are buffered between flushes: the registry must agree
-        // with the observer's totals once finish() has run, and each
-        // window snapshot's cumulative total must equal the count at the
-        // flush that produced it.
-        let (registry, obs) = run(7, false);
-        let total = match registry
-            .borrow()
-            .get("engine_events_total", &[("kind", "tick")])
-        {
-            Some(Metric::Counter(n)) => *n,
-            other => panic!("missing counter: {other:?}"),
-        };
-        assert_eq!(total, obs.events());
-        let sum: u64 = obs
-            .snapshots()
-            .iter()
-            .map(|s| {
-                s.series
-                    .iter()
-                    .find_map(|(id, v)| match v {
-                        crate::window::SnapValue::Counter { delta, .. }
-                            if id.starts_with("engine_events_total") =>
-                        {
-                            Some(*delta)
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(sum, total, "window deltas must partition the total");
+        // with the table's totals once finish() has run, and the window
+        // deltas must partition them.
+        let run = run(Ev::Spawn(7), 60);
+        for (kind, total) in run.event_kinds() {
+            assert_eq!(
+                run.registry.get("engine_events_total", &[("kind", &kind)]),
+                Some(&Metric::Counter(total))
+            );
+            let sum: u64 = kind_deltas(&run, &kind).iter().sum();
+            assert_eq!(sum, total, "{kind}: window deltas must partition the total");
+        }
+        assert_eq!(run.event_kinds().values().sum::<u64>(), run.events);
+        assert_eq!(run.manager_events().values().sum::<u64>(), run.events);
     }
 }

@@ -1,17 +1,14 @@
-//! Wall-clock dispatch profiling.
+//! Wall-clock dispatch profile.
 //!
-//! The one deliberately non-deterministic module of this crate: it answers
-//! "where does engine wall-clock go, per event kind?" with real
-//! `Instant`-based timing. To keep determinism intact the measurements are
-//! quarantined — they are never written into the
-//! [`MetricRegistry`](crate::MetricRegistry) or the
+//! The one deliberately non-deterministic output of this crate: it
+//! answers "where does engine wall-clock go, per event kind?". The
+//! [`DispatchProfiler`] only aggregates handler durations it is handed
+//! ([`DispatchProfiler::record`]); the clock itself is read by the run's
+//! instrument set in cs-core, once per timed dispatch. To keep
+//! determinism intact the measurements are quarantined — they are never
+//! written into the [`MetricRegistry`](crate::MetricRegistry) or the
 //! windowed JSONL stream, only rendered to a separate `profile.json`
-//! ([`DispatchProfiler::to_json`]), and the profiler reads nothing from
-//! (and writes nothing to) simulation state. cs-lint's `ambient-entropy`
-//! rule is escaped line-by-line below with this justification; every other
-//! module in the crate is clean under the deterministic-crate rule set.
-
-use std::time::Instant;
+//! ([`DispatchProfiler::to_json`]).
 
 use cs_sim::DetMap;
 
@@ -64,15 +61,13 @@ fn percentile(samples: &[u64], p: u8) -> u64 {
     sorted[(rank - 1) as usize]
 }
 
-/// Times each event kind's handler with the wall clock (see module docs).
+/// Per-kind aggregate of sampled handler durations (see module docs).
 ///
-/// The profiler times whatever `begin`/`end` bracket it is handed;
-/// [`TelemetryObserver`](crate::TelemetryObserver) samples one dispatch in
+/// [`EngineTelemetry`](crate::EngineTelemetry) samples one dispatch in
 /// [`PROFILE_SAMPLE_EVERY`](crate::PROFILE_SAMPLE_EVERY) rather than
 /// timing all of them, so `count`/`total_ns` describe the sampled subset.
 #[derive(Clone, Debug, Default)]
 pub struct DispatchProfiler {
-    in_flight: Option<(&'static str, Instant)>,
     kinds: DetMap<&'static str, KindTiming>,
     events: u64,
     total_ns: u64,
@@ -84,19 +79,8 @@ impl DispatchProfiler {
         DispatchProfiler::default()
     }
 
-    /// Start timing an event of `kind` (call from `on_dispatch`).
-    pub fn begin(&mut self, kind: &'static str) {
-        // cs-lint: allow(ambient-entropy) — wall-clock profiling is this module's purpose; results go only to profile.json, never into sim state or the metric registry
-        self.in_flight = Some((kind, Instant::now()));
-    }
-
-    /// Stop the running timer (call from `after_handle`). A stray `end`
-    /// without a matching `begin` is a no-op.
-    pub fn end(&mut self) {
-        let Some((kind, t0)) = self.in_flight.take() else {
-            return;
-        };
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    /// Add one handler invocation of `kind` that took `ns` nanoseconds.
+    pub fn record(&mut self, kind: &'static str, ns: u64) {
         let t = self.kinds.entry(kind).or_default();
         if t.count == 0 || ns < t.min_ns {
             t.min_ns = ns;
@@ -182,20 +166,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn begin_end_accumulates_per_kind() {
+    fn record_accumulates_per_kind() {
         let mut p = DispatchProfiler::new();
-        for _ in 0..3 {
-            p.begin("arrive");
-            p.end();
+        for ns in [30, 10, 20] {
+            p.record("arrive", ns);
         }
-        p.begin("depart");
-        p.end();
-        p.end(); // stray end: ignored
+        p.record("depart", 7);
         assert_eq!(p.events(), 4);
-        let kinds: Vec<_> = p.kinds().map(|(k, t)| (k, t.count)).collect();
-        assert_eq!(kinds, vec![("arrive", 3), ("depart", 1)]);
+        assert_eq!(p.total_ns(), 67);
+        let kinds: Vec<_> = p
+            .kinds()
+            .map(|(k, t)| (k, t.count, t.total_ns, t.min_ns, t.max_ns))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![("arrive", 3, 60, 10, 30), ("depart", 1, 7, 7, 7)]
+        );
         for (_, t) in p.kinds() {
-            assert!(t.min_ns <= t.max_ns);
             assert_eq!(t.hist.count(), t.count);
         }
     }
@@ -203,8 +190,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let mut p = DispatchProfiler::new();
-        p.begin("tick");
-        p.end();
+        p.record("tick", 42);
         let j = p.to_json();
         assert!(j.starts_with("{\"schema\":\"cs-telemetry-profile/2\""));
         assert!(j.contains("\"kinds\":{\"tick\":{\"count\":1,\"samples\":1,"));
@@ -239,9 +225,8 @@ mod tests {
     #[test]
     fn kind_timing_percentiles_follow_samples() {
         let mut p = DispatchProfiler::new();
-        for _ in 0..10 {
-            p.begin("tick");
-            p.end();
+        for ns in (1..=10).rev() {
+            p.record("tick", ns * 100);
         }
         let (_, t) = p.kinds().next().unwrap();
         assert_eq!(t.samples(), 10);

@@ -1,29 +1,25 @@
 //! Sim-time span tracing: a causal, flamegraph-convertible record of
 //! where simulated and wall time go.
 //!
-//! [`SpanRecorder`] is a passive [`cs_sim::Observer`] that records one
+//! A run's instrument set (cs-core's `Instruments`) records one
 //! [`SpanRecord`] per dispatched event: the event's sim-time, kind,
-//! owning manager (membership / partnership / stream / chaos — via the
-//! alphabet's [`ManagerClassify`] impl), queue depth, and — through the
-//! engine's [`DispatchMeta`] hook — its queue seq and *causal parent*,
-//! the seq of the event whose handler scheduled it. Following `cause`
-//! links reconstructs the causal tree of a run (arrival → bootstrap
-//! reply → partner round → stream ticks …), which converts directly to
-//! a flamegraph: the parent chain is the stack.
+//! owning manager (membership / partnership / stream / chaos / engine),
+//! queue depth, and — through the engine's
+//! [`DispatchMeta`] hook — its queue seq and
+//! *causal parent*, the seq of the event whose handler scheduled it.
+//! Following `cause` links reconstructs the causal tree of a run
+//! (arrival → bootstrap reply → partner round → stream ticks …), which
+//! converts directly to a flamegraph: the parent chain is the stack.
+//! This module is the record type and its `spans.jsonl` rendering.
 //!
 //! Every field except `wall_ns` is a pure function of
 //! `(configuration, seed)`: two runs of the same scenario produce
 //! byte-identical span streams after stripping `wall_ns`. The wall-clock
 //! handler duration is the same deliberate, quarantined nondeterminism
 //! as [`DispatchProfiler`](crate::DispatchProfiler): it is emitted only
-//! to `spans.jsonl`, never into the metric registry or simulation state,
-//! and the recorder is passive, so golden trace hashes are identical
-//! with or without span recording attached.
+//! to `spans.jsonl`, never into the metric registry or simulation state.
 
-use std::marker::PhantomData;
-use std::time::Instant;
-
-use cs_sim::{DispatchMeta, KindClassify, ManagerClassify, Observer, SimTime, World};
+use cs_sim::{DispatchMeta, SimTime};
 
 use crate::json::{push_key, push_str_lit};
 
@@ -40,9 +36,9 @@ pub struct SpanRecord {
     pub cause: Option<u64>,
     /// Sim-time of the dispatch, in microseconds.
     pub sim_us: u64,
-    /// Event kind name (from the alphabet's [`KindClassify`] impl).
+    /// Event kind name (`Event::kind_class`).
     pub kind: &'static str,
-    /// Owning manager (from the alphabet's [`ManagerClassify`] impl).
+    /// Owning manager (`Event::manager`).
     pub manager: &'static str,
     /// Queue depth at dispatch, including the in-flight event.
     pub queue_depth: u64,
@@ -52,6 +48,27 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// The span of an event about to be handled: `meta` and `queue_depth`
+    /// as the engine's observer hooks deliver them (the depth excludes
+    /// the popped event, which is counted back in), `wall_ns` still 0.
+    pub fn open(
+        meta: DispatchMeta,
+        now: SimTime,
+        kind: &'static str,
+        manager: &'static str,
+        queue_depth: usize,
+    ) -> Self {
+        SpanRecord {
+            seq: meta.seq,
+            cause: meta.cause,
+            sim_us: now.as_micros(),
+            kind,
+            manager,
+            queue_depth: queue_depth.saturating_add(1) as u64,
+            wall_ns: 0,
+        }
+    }
+
     /// Render one JSONL line (no trailing newline). `scenario`, when
     /// given, is embedded so multi-scenario span files stay joinable.
     pub fn to_json(&self, scenario: Option<&str>) -> String {
@@ -101,86 +118,10 @@ pub fn spans_to_jsonl(scenario: Option<&str>, spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Records manager-level spans for every dispatched event (see module
-/// docs). `C` is the event alphabet's classifier — the same single impl
-/// [`TelemetryObserver`](crate::TelemetryObserver) and the trace hasher
-/// use — extended with [`ManagerClassify`], so span kind and manager
-/// names cannot drift from counters or golden hashes.
-pub struct SpanRecorder<E, C: KindClassify<E> + ManagerClassify<E>> {
-    classify: PhantomData<fn(&E) -> C>,
-    meta: Option<DispatchMeta>,
-    in_flight: Option<(SpanRecord, Instant)>,
-    records: Vec<SpanRecord>,
-}
-
-impl<E, C: KindClassify<E> + ManagerClassify<E>> SpanRecorder<E, C> {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        SpanRecorder {
-            classify: PhantomData,
-            meta: None,
-            in_flight: None,
-            records: Vec::new(),
-        }
-    }
-
-    /// Spans recorded so far, in dispatch order.
-    pub fn records(&self) -> &[SpanRecord] {
-        &self.records
-    }
-
-    /// Move the recorded spans out, leaving the recorder empty.
-    pub fn take_records(&mut self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.records)
-    }
-}
-
-impl<E, C: KindClassify<E> + ManagerClassify<E>> Default for SpanRecorder<E, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W: World, C: KindClassify<W::Event> + ManagerClassify<W::Event>> Observer<W>
-    for SpanRecorder<W::Event, C>
-{
-    fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
-        self.meta = Some(meta);
-    }
-
-    fn on_dispatch(&mut self, now: SimTime, event: &W::Event, queue_depth: usize) {
-        // Engines always deliver meta first; degrade to an uncaused span
-        // if a custom driver skipped the hook.
-        let meta = self.meta.take().unwrap_or(DispatchMeta {
-            seq: self.records.len() as u64,
-            cause: None,
-        });
-        let record = SpanRecord {
-            seq: meta.seq,
-            cause: meta.cause,
-            sim_us: now.as_micros(),
-            kind: C::class(event).1,
-            manager: C::manager(event),
-            queue_depth: queue_depth.saturating_add(1) as u64,
-            wall_ns: 0,
-        };
-        // cs-lint: allow(ambient-entropy) — wall-clock handler duration is this module's purpose; it goes only to spans.jsonl, never into sim state (see module docs)
-        self.in_flight = Some((record, Instant::now()));
-    }
-
-    fn after_handle(&mut self, _now: SimTime, _world: &W) {
-        let Some((mut record, t0)) = self.in_flight.take() else {
-            return;
-        };
-        record.wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.records.push(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::{Ctx, Engine};
+    use cs_sim::{Ctx, Engine, Observer, World};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -191,24 +132,6 @@ mod tests {
     enum Ev {
         Root(u32),
         Child,
-    }
-
-    struct EvKinds;
-    impl KindClassify<Ev> for EvKinds {
-        fn class(e: &Ev) -> (u8, &'static str) {
-            match e {
-                Ev::Root(_) => (0, "root"),
-                Ev::Child => (1, "child"),
-            }
-        }
-    }
-    impl ManagerClassify<Ev> for EvKinds {
-        fn manager(e: &Ev) -> &'static str {
-            match e {
-                Ev::Root(_) => "membership",
-                Ev::Child => "stream",
-            }
-        }
     }
 
     impl World for Tree {
@@ -222,14 +145,34 @@ mod tests {
         }
     }
 
+    /// Opens one span per dispatch from what the engine hooks deliver.
+    #[derive(Default)]
+    struct Recorder {
+        meta: DispatchMeta,
+        spans: Vec<SpanRecord>,
+    }
+
+    impl Observer<Tree> for Recorder {
+        fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
+            self.meta = meta;
+        }
+        fn on_dispatch(&mut self, now: SimTime, event: &Ev, queue_depth: usize) {
+            let (kind, manager) = match event {
+                Ev::Root(_) => ("root", "membership"),
+                Ev::Child => ("child", "stream"),
+            };
+            self.spans
+                .push(SpanRecord::open(self.meta, now, kind, manager, queue_depth));
+        }
+    }
+
     fn record_tree(n: u32) -> Vec<SpanRecord> {
-        let rec = Rc::new(RefCell::new(SpanRecorder::<Ev, EvKinds>::new()));
+        let rec = Rc::new(RefCell::new(Recorder::default()));
         let mut eng = Engine::new(Tree);
         eng.set_observer(Box::new(Rc::clone(&rec)));
         eng.schedule_at(SimTime::ZERO, Ev::Root(n));
         eng.run_until(SimTime::MAX);
-        let spans = rec.borrow().records().to_vec();
-        spans
+        rec.take().spans
     }
 
     #[test]
@@ -241,6 +184,9 @@ mod tests {
             (root.kind, root.manager, root.cause),
             ("root", "membership", None)
         );
+        // Nothing else is pending while the root runs: depth counts the
+        // in-flight event itself.
+        assert_eq!(root.queue_depth, 1);
         for child in &spans[1..] {
             assert_eq!(child.kind, "child");
             assert_eq!(child.manager, "stream");

@@ -271,12 +271,6 @@ impl WindowedAggregator {
         self.snapshots
     }
 
-    /// Move the flushed windows out through a mutable borrow, leaving
-    /// the aggregator empty but on the same window grid.
-    pub fn take_snapshots(&mut self) -> Vec<WindowSnapshot> {
-        std::mem::take(&mut self.snapshots)
-    }
-
     /// All windows as JSONL (one snapshot per line, trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();

@@ -1,5 +1,5 @@
 //! The invariant-oracle regression harness: canonical scenarios run
-//! under the [`InvariantChecker`] with golden trace-hash snapshots.
+//! under the `InvariantChecker` with golden trace-hash snapshots.
 //!
 //! Each scenario must (a) finish with zero invariant violations and
 //! (b) reproduce the recorded trace hash exactly. A hash mismatch means
@@ -12,14 +12,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p cs-integration --test invariant_oracles
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use coolstreaming::{RunOptions, Scenario};
 use cs_integration::check_golden_in;
 use cs_net::Bandwidth;
-use cs_proto::{finalize_sessions, CsWorld, Event, EventKinds, InvariantChecker};
-use cs_sim::{Engine, MultiObserver, SimTime, TraceHasher};
+use cs_proto::Event;
+use cs_sim::SimTime;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/trace_hashes.txt");
 const GOLDEN_HEADER: &str = "Golden trace hashes. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test invariant_oracles";
@@ -77,53 +74,23 @@ fn flash_crowd_is_invariant_clean() {
 /// the structural invariants ever breaking, even transiently.
 #[test]
 fn server_crash_is_invariant_clean() {
-    let scenario = Scenario::steady(0.4)
+    let run = Scenario::steady(0.4)
         .with_seed(303)
         .with_window(SimTime::ZERO, SimTime::from_mins(10))
-        .with_servers(2, Bandwidth::mbps(24));
-    let net = cs_net::Network::new(scenario.policy, scenario.latency, scenario.seed);
-    let mut world = CsWorld::new(
-        scenario.params,
-        net,
-        scenario.servers,
-        scenario.server_bw,
-        scenario.seed,
-    );
-    world.snapshot_interval = scenario.snapshot_interval;
-    let arrivals = scenario
-        .workload
-        .generate(scenario.seed, scenario.start, scenario.horizon);
-
-    let mut engine = Engine::new(world);
-    let checker = Rc::new(RefCell::new(InvariantChecker::new()));
-    let hasher = Rc::new(RefCell::new(TraceHasher::<Event, EventKinds>::new()));
-    let mut multi = MultiObserver::new();
-    multi.push(Box::new(Rc::clone(&checker)));
-    multi.push(Box::new(Rc::clone(&hasher)));
-    engine.set_observer(Box::new(multi));
-
-    for (t, e) in engine.world().initial_events() {
-        engine.schedule_at(t, e);
-    }
-    for (t, spec) in arrivals {
-        engine.schedule_at(t, Event::Arrive(spec));
-    }
-    engine.schedule_at(SimTime::from_mins(4), Event::CrashServer(0));
-    engine.run_until(scenario.horizon);
-    let end = engine.now();
-    engine.take_observer();
-    let mut world = engine.into_world();
-    checker.borrow_mut().check_world(end, &world);
-    finalize_sessions(&mut world);
-
+        .with_servers(2, Bandwidth::mbps(24))
+        .run_injected_observed(
+            vec![(SimTime::from_mins(4), Event::CrashServer(0))],
+            FULL_CHECK,
+        );
+    let world = &run.artifacts.world;
     assert!(
         !world.net.is_alive(world.servers[0]),
         "the crash never happened"
     );
-    let chk = checker.borrow();
+    let chk = run.invariants.expect("checker requested");
     assert!(chk.is_clean(), "{}", chk.report());
     // The crash event itself must be part of the hashed trace.
-    check_golden("server_crash", hasher.borrow().hash());
+    check_golden("server_crash", run.trace_hash.expect("hash requested"));
 }
 
 /// The same harness catches corruption: strip one side of a partnership

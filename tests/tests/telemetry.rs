@@ -4,11 +4,13 @@
 //! The acceptance contract for the observability layer: telemetry is
 //! passive (trace hashes are identical with it on or off, and still
 //! match the golden hash), windows land on the configured sim-time
-//! cadence, engine counters agree with the engine's own accounting, the
-//! protocol series are populated, and the JSONL/profile renderings are
-//! structurally valid.
+//! cadence, engine counters agree with the engine's own accounting and
+//! with the independently recorded span stream, the protocol series are
+//! populated, and the JSONL/profile renderings are structurally valid.
 
-use coolstreaming::telemetry::{Metric, SnapValue, TelemetryConfig};
+use std::collections::BTreeMap;
+
+use coolstreaming::telemetry::{Metric, SnapValue, SpanRecord, TelemetryConfig};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
 use cs_sim::SimTime;
 
@@ -19,7 +21,7 @@ fn golden_steady() -> Scenario {
         .with_window(SimTime::ZERO, SimTime::from_mins(6))
 }
 
-fn with_telemetry(window_secs: u64, profile: bool) -> RunOptions {
+fn with_telemetry(window_secs: u64) -> RunOptions {
     RunOptions {
         check_invariants: false,
         invariant_stride: 0,
@@ -27,7 +29,6 @@ fn with_telemetry(window_secs: u64, profile: bool) -> RunOptions {
         record_spans: false,
         telemetry: Some(TelemetryConfig {
             window: SimTime::from_secs(window_secs),
-            profile,
         }),
     }
 }
@@ -41,7 +42,7 @@ const HASH_ONLY: RunOptions = RunOptions {
 };
 
 fn run_golden() -> (Option<u64>, TelemetryRun) {
-    let run = golden_steady().run_observed(with_telemetry(300, true));
+    let run = golden_steady().run_observed(with_telemetry(300));
     let tel = run.telemetry.expect("telemetry requested");
     (run.trace_hash, tel)
 }
@@ -149,24 +150,52 @@ fn jsonl_and_profile_render_valid_shapes() {
         assert!(line.contains("\"counters\":{"), "{line}");
         assert!(!line.contains('\n'), "JSONL lines must be single-line");
     }
-    let profile = tel.profile.expect("profiling enabled");
+    let profile = tel.profile;
     assert!(profile.events() > 0, "profiler sampled nothing");
     let json = profile.to_json();
     assert!(json.starts_with("{\"schema\":\"cs-telemetry-profile/2\""));
     assert!(json.contains("\"kinds\":{"));
 }
 
+/// The per-kind table is the single source of the kind and manager
+/// totals; the span stream is recorded independently of it (one record
+/// per dispatch, classified by the same `Event::kind_class` /
+/// `Event::manager`). With every sink on, the two must agree with each
+/// other, with the engine's own event count, and with the checker's.
 #[test]
-fn profile_off_omits_the_profiler() {
-    let run = golden_steady().run_observed(with_telemetry(300, false));
+fn single_table_agrees_with_the_span_stream() {
+    let run = golden_steady().run_observed(RunOptions {
+        check_invariants: true,
+        invariant_stride: 64,
+        trace_hash: true,
+        record_spans: true,
+        telemetry: Some(TelemetryConfig::default()),
+    });
+    let events = run.artifacts.run_stats.events;
     let tel = run.telemetry.expect("telemetry requested");
-    assert!(tel.profile.is_none());
-    assert!(!tel.snapshots.is_empty());
+    let spans = run.spans.expect("spans requested");
+    let fold = |key: fn(&SpanRecord) -> &'static str| {
+        let mut out = BTreeMap::new();
+        for s in &spans {
+            *out.entry(key(s).to_string()).or_insert(0u64) += 1;
+        }
+        out
+    };
+    assert_eq!(tel.event_kinds(), fold(|s| s.kind));
+    assert_eq!(tel.manager_events(), fold(|s| s.manager));
+    assert_eq!(tel.event_kinds().values().sum::<u64>(), events);
+    assert_eq!(tel.manager_events().values().sum::<u64>(), events);
+    assert_eq!(tel.events, events);
+    assert_eq!(spans.len() as u64, events);
+    let chk = run.invariants.expect("checker requested");
+    assert_eq!(chk.events_seen(), events);
+    assert!(chk.is_clean(), "{}", chk.report());
+    assert_eq!(run.trace_hash, Some(0xfd00912eb62e19b3));
 }
 
 #[test]
 fn custom_window_changes_the_grid() {
-    let run = golden_steady().run_observed(with_telemetry(120, false));
+    let run = golden_steady().run_observed(with_telemetry(120));
     let tel = run.telemetry.expect("telemetry requested");
     // 6 minutes on a 2-minute grid: windows end at 120/240/360 s, the
     // last exactly at the horizon.
