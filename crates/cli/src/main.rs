@@ -311,6 +311,10 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         eprintln!("warning: {} malformed log lines skipped", bad.len());
     }
     let sessions = cs_analysis::reconstruct(&reports);
+    if sessions.is_empty() {
+        // Every figure below is a median or a share over sessions.
+        return Err(format!("{path}: no sessions in log"));
+    }
     let view = LogView { reports, sessions };
     println!(
         "{} log lines, {} sessions\n",

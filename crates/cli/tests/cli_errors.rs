@@ -16,9 +16,12 @@ fn stderr_of_failure(args: &[&str]) -> String {
         .output()
         .expect("spawn coolstream");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(
-        !out.status.success(),
-        "{args:?} must fail; stderr: {stderr}"
+    // Exit code 1, not merely "unsuccessful": a process killed by a signal
+    // (stack overflow, abort) has no exit code at all.
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{args:?} must fail cleanly; stderr: {stderr}"
     );
     assert!(
         out.stdout.is_empty(),
@@ -69,8 +72,38 @@ fn scenario_file_naming_shards_gets_the_removal_message() {
     let text = std::fs::read_to_string(SCENARIO)
         .expect("scenario library present")
         .replacen('{', "{\"shards\": 4,", 1);
-    let path = std::env::temp_dir().join("coolstream-cli-errors-shards.json");
-    std::fs::write(&path, text).expect("write temp scenario");
-    let e = stderr_of_failure(&["run", "--scenario", &path.to_string_lossy(), "--trace-hash"]);
+    let path = temp_file("coolstream-cli-errors-shards.json", &text);
+    let e = stderr_of_failure(&["run", "--scenario", &path, "--trace-hash"]);
     assert!(e.contains("`shards` was removed"), "{e}");
+}
+
+/// Write `text` to a fresh temp file and return its path.
+fn temp_file(name: &str, text: &str) -> String {
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, text).expect("write temp file");
+    path.to_string_lossy().into_owned()
+}
+
+#[test]
+fn deeply_nested_scenario_json_is_an_error_not_a_stack_overflow() {
+    for (name, open) in [("seq", "["), ("map", "{\"a\":")] {
+        let path = temp_file(
+            &format!("coolstream-cli-errors-deep-{name}.json"),
+            &open.repeat(200_000),
+        );
+        let e = stderr_of_failure(&["run", "--scenario", &path]);
+        assert!(e.contains("nesting deeper than"), "{e}");
+    }
+}
+
+#[test]
+fn analyze_of_a_log_without_sessions_fails_before_any_figure() {
+    for (name, text) in [("empty", ""), ("garbage", "10 not-a-report\n20 cls=nope\n")] {
+        let path = temp_file(&format!("coolstream-cli-errors-{name}-log.txt"), text);
+        let e = stderr_of_failure(&["analyze", "--log", &path]);
+        assert!(e.contains(&format!("{path}: no sessions in log")), "{e}");
+    }
+    let path = temp_file("coolstream-cli-errors-bad-first-line.txt", "nospace\n");
+    let e = stderr_of_failure(&["analyze", "--log", &path]);
+    assert!(e.contains("line 1: no timestamp separator"), "{e}");
 }

@@ -22,9 +22,8 @@ pub enum TokKind {
     /// Float literal (`0.0`, `1e-9`, `3f64`).
     Float,
     /// String, byte-string, or raw-string literal. `text` holds the raw
-    /// contents between the quotes (escape sequences unprocessed) so
-    /// structural rules can read literal tables (e.g. event-kind names);
-    /// content rules ignore `Str` tokens entirely.
+    /// contents between the quotes (escape sequences unprocessed); the
+    /// rules ignore `Str` tokens entirely.
     Str,
     /// Char literal (`'x'`, `'\n'`).
     Char,

@@ -5,25 +5,19 @@
 //! catch nondeterminism *after* it ships, `cs-lint` stops it at the
 //! source level. It walks every `.rs` file under `crates/` with a small
 //! comment/string-aware lexer (no `syn`; the shim set is offline-only)
-//! and enforces project-specific rules with per-crate scoping:
+//! and enforces project-specific rules with per-crate scoping. The rule
+//! set is [`RuleId`]: one variant per rule, generated with its id, slug,
+//! scope, summary and rationale from the single `rule_table!` in
+//! `rules.rs` — the table `--help`, `--list-rules`, `--explain <RULE>`
+//! and the SARIF rule descriptors print, and the one DESIGN.md §7 is
+//! tested against.
 //!
-//! | id | slug                | what it rejects |
-//! |----|---------------------|-----------------|
-//! | D1 | `det-collections`   | `HashMap`/`HashSet` in deterministic crates |
-//! | D2 | `ambient-entropy`   | `Instant::now`, `SystemTime`, `thread_rng`, `rand::random` |
-//! | C1 | `float-eq`          | float `==` / `!=` comparisons |
-//! | C2 | `lossy-cast`        | lossy `as` numeric casts in `cs-proto`/`cs-model` |
-//! | C3 | `panic-in-lib`      | `unwrap`/`expect`/`panic!`-family in library code |
-//! | S1 | `forbid-unsafe`     | crate roots missing `#![forbid(unsafe_code)]` |
-//! | M1 | `file-size`         | det-scope source files over 800 lines (god-object backstop) |
-//! | R1 | `rng-stream`        | RNGs constructed outside the named-stream API |
-//! | X1 | `dispatch-exhaustive` | Event kinds / `kind_class` table / dispatch match out of sync |
-//!
-//! D1–M1 are token-local. R1/X1 are *structural and cross-file*: a
-//! brace-tree item parser ([`parse`]) recovers modules, impls, fns, and
-//! fields from the token stream, and a per-crate symbol table
-//! ([`symbols`]) is built over the whole workspace before [`cross`]
-//! checks run. Run `cs-lint --explain <RULE>` for any rule's rationale.
+//! Every rule is a scan over one file's token stream. Two invariants
+//! that used to be cross-file rules are enforced by the compiler
+//! instead: a stream id is a `cs_sim::rng::StreamId`, which only the
+//! `streams` table can mint, and the event alphabet's `kind_class`,
+//! `manager` and `World::handle` are wildcard-free `match`es (DESIGN.md
+//! §11).
 //!
 //! Test code (`#[cfg(test)]` items, `tests/`, `benches/`, `examples/`,
 //! and test-only modules named `tests.rs` / `*_tests.rs`) is exempt.
@@ -34,24 +28,19 @@
 //! let i = (n % k) as u32; // cs-lint: allow(lossy-cast) — n % k < k which is u32
 //! ```
 //!
-//! See DESIGN.md §7 for the full rule rationale.
+//! See DESIGN.md §7 for the rule table with rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod cross;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 pub mod sarif;
-pub mod symbols;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use rules::{Config, FileCtx, Finding, RuleId};
-pub use symbols::WorkspaceIndex;
 
 /// Lint a single source string as if it were `rel_path` inside
 /// `crate_name`. This is the entry point fixture tests use.
@@ -83,9 +72,21 @@ pub fn lint_source_with(
     rules::lint_tokens(&ctx, &lexed, &mask, cfg)
 }
 
-/// Walk `<root>/crates/**` and build a [`symbols::FileIndex`] for every
-/// non-test `.rs` file (lexed, test-masked, item-parsed, sorted by path).
-fn index_files(root: &Path) -> Result<Vec<symbols::FileIndex>, String> {
+/// One non-test source file found by [`workspace_sources`].
+pub struct SourceFile {
+    /// Crate directory name under `crates/` (e.g. `proto`).
+    pub crate_name: String,
+    /// Workspace-relative path with forward slashes.
+    pub rel_path: String,
+    /// True for `src/lib.rs` / `src/main.rs`.
+    pub is_crate_root: bool,
+    /// File contents.
+    pub src: String,
+}
+
+/// Walk `<root>/crates/**` and read every non-test `.rs` file, sorted by
+/// path so everything derived from the walk is deterministic.
+pub fn workspace_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(format!(
@@ -93,9 +94,8 @@ fn index_files(root: &Path) -> Result<Vec<symbols::FileIndex>, String> {
             root.display()
         ));
     }
-    let mut out: Vec<symbols::FileIndex> = Vec::new();
+    let mut out: Vec<SourceFile> = Vec::new();
     for crate_dir in sorted_dirs(&crates_dir)? {
-        let crate_name = file_name_of(&crate_dir);
         let mut files: Vec<PathBuf> = Vec::new();
         collect_rs_files(&crate_dir, &mut files)?;
         files.sort();
@@ -103,65 +103,32 @@ fn index_files(root: &Path) -> Result<Vec<symbols::FileIndex>, String> {
             if is_test_context(&f, &crate_dir) {
                 continue;
             }
-            let rel = rel_display(&f, root);
-            let crate_rel = f
-                .strip_prefix(&crate_dir)
-                .map(|p| p.to_string_lossy().replace('\\', "/"))
-                .unwrap_or_default();
-            let src = fs::read_to_string(&f)
-                .map_err(|e| format!("failed to read {}: {e}", f.display()))?;
-            let is_root = crate_rel == "src/lib.rs" || crate_rel == "src/main.rs";
-            out.push(symbols::FileIndex::build(
-                &crate_name,
-                &rel,
-                &crate_rel,
-                is_root,
-                &src,
-            ));
+            let crate_rel = rel_display(&f, &crate_dir);
+            out.push(SourceFile {
+                crate_name: file_name_of(&crate_dir),
+                rel_path: rel_display(&f, root),
+                is_crate_root: crate_rel == "src/lib.rs" || crate_rel == "src/main.rs",
+                src: fs::read_to_string(&f)
+                    .map_err(|e| format!("failed to read {}: {e}", f.display()))?,
+            });
         }
     }
     Ok(out)
 }
 
-/// Build the workspace-wide symbol table (exposed for self-tests: the
-/// workspace-clean suite asserts the index sees the facts the cross-file
-/// rules depend on).
-pub fn build_index(root: &Path, cfg: &Config) -> Result<WorkspaceIndex, String> {
-    Ok(WorkspaceIndex::build(index_files(root)?, cfg))
-}
-
-/// Walk `<root>/crates/**` and lint every non-test `.rs` file: the
-/// per-file token rules, then the cross-file R1/X1 rules over the
-/// workspace symbol table. Findings come back sorted by
-/// `(file, line, rule)` so output is deterministic.
+/// Lint every file [`workspace_sources`] finds. Findings come back sorted
+/// by `(file, line, rule)` so output is deterministic.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Finding>, String> {
-    let files = index_files(root)?;
     let mut findings: Vec<Finding> = Vec::new();
-    for f in &files {
-        let ctx = FileCtx {
-            crate_name: &f.crate_name,
-            rel_path: &f.rel_path,
-            is_crate_root: f.is_crate_root,
-            line_count: f.line_count,
-        };
-        findings.extend(rules::lint_tokens(&ctx, &f.lexed, &f.mask, cfg));
+    for f in workspace_sources(root)? {
+        findings.extend(lint_source_with(
+            &f.crate_name,
+            &f.rel_path,
+            f.is_crate_root,
+            &f.src,
+            cfg,
+        ));
     }
-
-    let index = WorkspaceIndex::build(files, cfg);
-    let cross_raw = cross::check_workspace(&index, cfg);
-    // Cross-file findings honor the same inline escapes as token rules;
-    // E1/E2 meta-findings were already emitted by the per-file pass.
-    for f in cross_raw {
-        let escapes = index
-            .crates
-            .iter()
-            .flat_map(|c| c.files.iter())
-            .find(|fi| fi.rel_path == f.file)
-            .map(|fi| fi.lexed.escapes.as_slice())
-            .unwrap_or(&[]);
-        findings.extend(rules::filter_escapes(vec![f], escapes));
-    }
-
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)
@@ -207,10 +174,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// only sees `#[cfg(test)]` *inside* a file, so whole-file test modules
 /// are recognized by the `tests.rs` / `*_tests.rs` naming convention.
 fn is_test_context(file: &Path, crate_dir: &Path) -> bool {
-    let rel = file
-        .strip_prefix(crate_dir)
-        .map(|p| p.to_string_lossy().replace('\\', "/"))
-        .unwrap_or_default();
+    let rel = rel_display(file, crate_dir);
     if rel.starts_with("tests/") || rel.starts_with("benches/") || rel.starts_with("examples/") {
         return true;
     }
@@ -282,10 +246,6 @@ pub fn help_text() -> String {
          options:\n\
          \x20 --format text|json|sarif   output format (default text)\n\
          \x20 --deny                     exit nonzero when findings remain\n\
-         \x20 --baseline PATH            suppress findings recorded in PATH\n\
-         \x20                            (default: <ROOT>/lint-baseline.json if present)\n\
-         \x20 --no-baseline              ignore any baseline file\n\
-         \x20 --write-baseline PATH      record the current findings to PATH and exit\n\
          \x20 --list-rules               print the rule table\n\
          \x20 --explain RULE             print a rule's rationale (id or slug)\n\
          \n\

@@ -2,23 +2,19 @@
 //!
 //! ```text
 //! cs-lint [ROOT] [--format text|json|sarif] [--deny]
-//!         [--baseline PATH | --no-baseline] [--write-baseline PATH]
 //!         [--list-rules] [--explain RULE]
 //! ```
 //!
-//! Exit status is 0 unless `--deny` is given and non-baselined findings
-//! exist (or the workspace cannot be read). `ROOT` defaults to the
-//! nearest ancestor of the current directory containing `crates/` (so
-//! both `cargo run -p cs-lint` from the root and invocations from a
-//! crate dir work). When `<ROOT>/lint-baseline.json` exists it is
-//! applied automatically; `--no-baseline` shows the raw finding set.
+//! Exit status is 0 unless `--deny` is given and findings exist (or the
+//! workspace cannot be read). `ROOT` defaults to the nearest ancestor of
+//! the current directory containing `crates/` (so both `cargo run -p
+//! cs-lint` from the root and invocations from a crate dir work).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cs_lint::baseline::Baseline;
 use cs_lint::sarif::to_sarif;
 use cs_lint::{explain_text, help_text, lint_workspace, list_rules_text, to_json, Config, RuleId};
 
@@ -34,9 +30,6 @@ struct Args {
     deny: bool,
     list_rules: bool,
     explain: Option<String>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -46,27 +39,15 @@ fn parse_args() -> Result<Args, String> {
         deny: false,
         list_rules: false,
         explain: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deny" => args.deny = true,
             "--list-rules" => args.list_rules = true,
-            "--no-baseline" => args.no_baseline = true,
             "--explain" => match it.next() {
                 Some(r) => args.explain = Some(r),
                 None => return Err("--explain expects a rule id or slug".to_string()),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => args.baseline = Some(PathBuf::from(p)),
-                None => return Err("--baseline expects a path".to_string()),
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => args.write_baseline = Some(PathBuf::from(p)),
-                None => return Err("--write-baseline expects a path".to_string()),
             },
             "--format" => match it.next().as_deref() {
                 Some("json") => args.format = Format::Json,
@@ -86,9 +67,6 @@ fn parse_args() -> Result<Args, String> {
             _ if a.starts_with('-') => return Err(format!("unknown flag {a}")),
             _ => args.root = Some(PathBuf::from(a)),
         }
-    }
-    if args.no_baseline && args.baseline.is_some() {
-        return Err("--baseline and --no-baseline are mutually exclusive".to_string());
     }
     Ok(args)
 }
@@ -156,52 +134,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // `--write-baseline` records the *raw* finding set and exits.
-    if let Some(path) = &args.write_baseline {
-        let bl = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(path, bl.to_json()) {
-            eprintln!("cs-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "cs-lint: wrote {} entr{} to {}",
-            bl.entries.len(),
-            if bl.entries.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Apply the baseline: explicit path, or <root>/lint-baseline.json when
-    // present. An explicitly passed baseline must exist and parse.
-    let mut stale: Vec<String> = Vec::new();
-    let findings = if args.no_baseline {
-        findings
-    } else {
-        let (path, required) = match &args.baseline {
-            Some(p) => (p.clone(), true),
-            None => (root.join("lint-baseline.json"), false),
-        };
-        match std::fs::read_to_string(&path) {
-            Ok(src) => match Baseline::parse(&src) {
-                Ok(bl) => {
-                    let (kept, warn) = bl.apply(findings);
-                    stale = warn;
-                    kept
-                }
-                Err(e) => {
-                    eprintln!("cs-lint: {} is invalid: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) if required => {
-                eprintln!("cs-lint: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            Err(_) => findings,
-        }
-    };
-
     match args.format {
         Format::Json => print!("{}", to_json(&findings)),
         Format::Sarif => print!("{}", to_sarif(&findings, args.deny)),
@@ -217,23 +149,21 @@ fn main() -> ExitCode {
                     f.rule.slug()
                 );
             }
-            let escapable = findings
-                .iter()
-                .filter(|f| !matches!(f.rule, RuleId::E1 | RuleId::E2))
-                .count();
-            eprintln!(
-                "cs-lint: {} finding(s) ({} rule, {} escape-syntax) in {}",
-                findings.len(),
-                escapable,
-                findings.len() - escapable,
-                root.display()
-            );
         }
     }
-    for w in &stale {
-        eprintln!("cs-lint: warning: {w}");
-    }
-
+    // On stderr for every format, so a CI log names the count even when
+    // stdout is a JSON/SARIF document redirected to a file.
+    let escapable = findings
+        .iter()
+        .filter(|f| !matches!(f.rule, RuleId::E1 | RuleId::E2))
+        .count();
+    eprintln!(
+        "cs-lint: {} finding(s) ({} rule, {} escape-syntax) in {}",
+        findings.len(),
+        escapable,
+        findings.len() - escapable,
+        root.display()
+    );
     if args.deny && !findings.is_empty() {
         ExitCode::FAILURE
     } else {

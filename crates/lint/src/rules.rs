@@ -151,25 +151,12 @@ with the reason the file is one unit.",
         scope: "deterministic crates, outside crates/sim/src/rng.rs",
         summary: "RNG constructed outside the named-stream API.",
         explain: "Every random draw in det-scope must flow through \
-Xoshiro256PlusPlus::stream(master_seed, streams::<NAME>) with the stream id declared in \
-crates/sim/src/rng.rs's `streams` module (the gated FREERIDER stream is the exemplar: \
-present in every run's stream table whether or not free-riders are enabled, so toggling \
-the feature cannot shift any other stream). Raw ::new/seed_from_u64/split_seed calls or \
-ad-hoc stream ids silently re-seed or collide streams, which desynchronizes golden \
-traces in ways that only surface at scale.",
-    },
-    X1 {
-        id: "X1",
-        slug: "dispatch-exhaustive",
-        escapable: true,
-        scope: "files declaring `enum Event` + kind_class",
-        summary: "Event kinds, kind_class table, and dispatch match out of sync.",
-        explain: "Three artifacts must agree on the event alphabet: the Event enum, the \
-kind_class dense-index table (cs-telemetry indexes its per-kind table by it, so \
-indices must be exactly 0..N-1, names unique), and the World::handle dispatch match. \
-Every instrument names events through kind_class — there is no second classifier to \
-drift. Appending a chaos-style event kind without wiring all three is a hard finding \
-instead of a runtime surprise.",
+Xoshiro256PlusPlus::stream(master_seed, streams::<NAME>). The stream id is a \
+cs_sim::rng::StreamId, which only the `streams` table in crates/sim/src/rng.rs can \
+mint, so the compiler already rejects ad-hoc and undeclared ids. What it cannot reject \
+is going around that API: raw ::new/seed_from_u64/from_entropy/split_seed calls and \
+foreign RNG types (SmallRng, StdRng, OsRng, ThreadRng) silently re-seed or collide \
+streams, which desynchronizes golden traces in ways that only surface at scale.",
     },
     E1 {
         id: "E1",
@@ -232,15 +219,12 @@ pub struct Config {
     pub cast_crates: Vec<String>,
     /// Crates exempt from C3 (binary / harness crates, not library code).
     pub panic_exempt_crates: Vec<String>,
-    /// Files exempt from D2 (the one sanctioned entropy source).
+    /// Files exempt from D2 and R1 (the one sanctioned entropy source,
+    /// which implements the named-stream API).
     pub entropy_files: Vec<String>,
     /// M1: deterministic-scope source files may not exceed this many
     /// lines (the god-object backstop; see DESIGN.md §9).
     pub max_file_lines: u32,
-    /// The named-stream RNG module: the one file allowed to construct
-    /// RNGs directly, and whose `streams` module declares the stream-id
-    /// constants R1 resolves against.
-    pub stream_module: String,
 }
 
 impl Default for Config {
@@ -259,7 +243,6 @@ impl Default for Config {
             panic_exempt_crates: ["cli", "bench"].map(String::from).to_vec(),
             entropy_files: vec!["crates/sim/src/rng.rs".to_string()],
             max_file_lines: 800,
-            stream_module: "crates/sim/src/rng.rs".to_string(),
         }
     }
 }
@@ -358,6 +341,40 @@ pub fn lint_tokens(ctx: &FileCtx<'_>, lexed: &Lexed, mask: &[bool], cfg: &Config
                     t.line,
                     RuleId::D2,
                     format!("{what}; derive all time/randomness from SimTime and the seeded RNG"),
+                );
+            }
+        }
+
+        // R1 — RNGs built around the named-stream API.
+        if det && !entropy_ok && t.kind == TokKind::Ident {
+            let prev_path = i >= 1 && toks[i - 1].is_punct("::");
+            let called = matches!(toks.get(i + 1), Some(n) if n.is_punct("("));
+            let hit = match t.text.as_str() {
+                "new"
+                    if prev_path
+                        && called
+                        && i >= 2
+                        && toks[i - 2].is_ident("Xoshiro256PlusPlus") =>
+                {
+                    Some("constructs an RNG outside the named-stream API")
+                }
+                "seed_from_u64" | "from_entropy" if prev_path && called => {
+                    Some("seeds an RNG outside the named-stream API")
+                }
+                "split_seed" if called => Some("derives a stream seed by hand"),
+                "SmallRng" | "StdRng" | "OsRng" | "ThreadRng" => Some("is not the workspace RNG"),
+                _ => None,
+            };
+            if let Some(what) = hit {
+                push(
+                    &mut raw,
+                    t.line,
+                    RuleId::R1,
+                    format!(
+                        "`{}` {what}; use `Xoshiro256PlusPlus::stream(master_seed, \
+                         streams::<NAME>)`",
+                        t.text
+                    ),
                 );
             }
         }
@@ -610,18 +627,10 @@ fn has_forbid_unsafe(toks: &[Tok]) -> bool {
     })
 }
 
-/// Filter findings through the allow-escapes and emit meta-findings for
-/// malformed escapes. An escape on line `L` covers findings of its rule on
-/// lines `L` (trailing comment) and `L + 1` (comment-above style).
+/// Filter findings through the allow-escapes and emit E1/E2 meta-findings
+/// for malformed escapes. An escape on line `L` covers findings of its rule
+/// on lines `L` (trailing comment) and `L + 1` (comment-above style).
 fn apply_escapes(raw: Vec<Finding>, escapes: &[AllowEscape], rel_path: &str) -> Vec<Finding> {
-    let mut out = escape_meta_findings(escapes, rel_path);
-    out.extend(filter_escapes(raw, escapes));
-    out
-}
-
-/// E1/E2 meta-findings for malformed escape comments. Emitted once per
-/// file by the per-file pass (cross-file rules reuse only the filter).
-pub fn escape_meta_findings(escapes: &[AllowEscape], rel_path: &str) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
     let known = |slug: &str| RuleId::escapable().any(|r| r.slug() == slug);
 
@@ -652,21 +661,12 @@ pub fn escape_meta_findings(escapes: &[AllowEscape], rel_path: &str) -> Vec<Find
             });
         }
     }
-    out
-}
-
-/// Drop findings covered by a well-formed escape of the matching rule on
-/// the same line or the line above.
-pub fn filter_escapes(raw: Vec<Finding>, escapes: &[AllowEscape]) -> Vec<Finding> {
-    raw.into_iter()
-        .filter(|f| {
-            !escapes.iter().any(|e| {
-                e.has_reason
-                    && e.slug == f.rule.slug()
-                    && (e.line == f.line || e.line + 1 == f.line)
-            })
+    out.extend(raw.into_iter().filter(|f| {
+        !escapes.iter().any(|e| {
+            e.has_reason && e.slug == f.rule.slug() && (e.line == f.line || e.line + 1 == f.line)
         })
-        .collect()
+    }));
+    out
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub fn to_sarif(findings: &[Finding], deny: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Json;
+    use serde::Value;
 
     #[test]
     fn sarif_is_valid_json_with_all_rules_and_results() {
@@ -61,13 +61,11 @@ mod tests {
             message: "quote \" and backslash \\".to_string(),
         }];
         let doc = to_sarif(&findings, true);
-        let v = Json::parse(&doc).unwrap();
-        let runs = v
-            .as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == "runs").map(|(_, v)| v))
-            .and_then(Json::as_array)
-            .unwrap();
-        assert_eq!(runs.len(), 1);
+        let Value::Map(top) = serde_json::from_str::<Value>(&doc).unwrap() else {
+            panic!("SARIF document is not a JSON object");
+        };
+        let runs = top.iter().find(|(k, _)| k == "runs").map(|(_, v)| v);
+        assert!(matches!(runs, Some(Value::Seq(r)) if r.len() == 1));
         let txt = doc.as_str();
         assert!(txt.contains("\"version\": \"2.1.0\""));
         assert!(txt.contains("\"ruleId\": \"R1\""));
@@ -81,7 +79,7 @@ mod tests {
     #[test]
     fn empty_findings_still_valid() {
         let doc = to_sarif(&[], false);
-        assert!(Json::parse(&doc).is_ok());
+        assert!(serde_json::from_str::<Value>(&doc).is_ok());
         assert!(doc.contains("\"results\": []"));
     }
 }

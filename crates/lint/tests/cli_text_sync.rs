@@ -1,7 +1,7 @@
-//! The CLI's `--list-rules`, `--help`, and `--explain` text used to be
-//! hand-maintained println blocks and had drifted from `RuleId`. All
-//! three are now *derived* from the single rule-metadata table in
-//! `rules.rs`; these tests pin the derivation so a new rule cannot ship
+//! Everything user-visible about a rule is declared once, in the
+//! `rule_table!` of `rules.rs`. `--list-rules`, `--help` and `--explain`
+//! are *derived* from it; DESIGN.md §7 is prose and cannot be, so its
+//! table is compared against it here. A new or retired rule cannot ship
 //! without showing up everywhere.
 
 use cs_lint::{explain_text, help_text, list_rules_text, RuleId};
@@ -79,4 +79,26 @@ fn metadata_table_is_consistent() {
         let is_meta = r.id().starts_with('E');
         assert_eq!(r.is_escapable(), !is_meta, "{} escapability", r.id());
     }
+}
+
+#[test]
+fn design_doc_rule_table_lists_exactly_the_rule_set() {
+    let design = include_str!("../../../DESIGN.md");
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("7. Static analysis"))
+        .expect("DESIGN.md §7 present");
+    // Table rows look like `| D1   | `det-collections`| scope | … |`.
+    let rows: Vec<(&str, &str)> = section
+        .lines()
+        .filter_map(|l| {
+            let mut cells = l.strip_prefix('|')?.split('|').map(str::trim);
+            let id = cells.next()?;
+            let slug = cells.next()?.trim_matches('`');
+            let is_id = id.len() == 2 && id.ends_with(|c: char| c.is_ascii_digit());
+            is_id.then_some((id, slug))
+        })
+        .collect();
+    let rules: Vec<(&str, &str)> = RuleId::ALL.iter().map(|r| (r.id(), r.slug())).collect();
+    assert_eq!(rows, rules, "DESIGN.md §7 table vs rule_table!");
 }

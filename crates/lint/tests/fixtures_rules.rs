@@ -49,6 +49,24 @@ fn d2_exempts_the_designated_rng_module() {
 }
 
 #[test]
+fn r1_raw_rng_fires_in_det_crates_only() {
+    let src = include_str!("fixtures/r1_raw_rng.rs");
+    // `::stream(..)`, the escaped ctor and the `#[cfg(test)]` ctor are clean.
+    assert_eq!(
+        hits("proto", false, src),
+        vec![("R1", 2), ("R1", 4), ("R1", 5), ("R1", 6), ("R1", 7)]
+    );
+    // The CLI is outside the deterministic scope.
+    assert_eq!(hits("cli", false, src), vec![]);
+    // rng.rs implements the named-stream API out of exactly these calls.
+    let findings = lint_source("sim", "crates/sim/src/rng.rs", false, src);
+    assert!(
+        findings.iter().all(|f| f.rule != RuleId::R1),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn c1_float_eq_fires() {
     let src = include_str!("fixtures/c1_float_eq.rs");
     assert_eq!(

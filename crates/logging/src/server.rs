@@ -99,10 +99,11 @@ impl LogServer {
     /// Parse a log file produced by [`to_text`](Self::to_text).
     pub fn from_text(text: &str) -> Result<LogServer, String> {
         let mut server = LogServer::new();
-        for (lineno, line) in text.lines().enumerate() {
+        for (ix, line) in text.lines().enumerate() {
             if line.is_empty() {
                 continue;
             }
+            let lineno = ix + 1;
             let (ts, rest) = line
                 .split_once(' ')
                 .ok_or_else(|| format!("line {lineno}: no timestamp separator"))?;
@@ -181,8 +182,14 @@ mod tests {
 
     #[test]
     fn from_text_rejects_garbage() {
-        assert!(LogServer::from_text("notatimestamp cls=act").is_err());
-        assert!(LogServer::from_text("12345nospace").is_err());
+        let err = |text| LogServer::from_text(text).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err("notatimestamp cls=act"),
+            "line 1: bad timestamp \"notatimestamp\""
+        );
+        assert_eq!(err("12345nospace"), "line 1: no timestamp separator");
+        // Line numbers are 1-based and count the skipped empty lines.
+        assert_eq!(err("5 cls=act\n\nx"), "line 3: no timestamp separator");
     }
 
     #[test]

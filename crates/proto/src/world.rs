@@ -152,6 +152,7 @@ impl Event {
     /// events through this one table, so a renamed variant cannot
     /// desynchronize counters from golden trace hashes.
     #[inline]
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn kind_class(&self) -> (u8, &'static str) {
         match self {
             Event::Arrive(_) => (0, "arrive"),
@@ -179,6 +180,7 @@ impl Event {
     /// Mirrors the `World::handle` dispatch table below (`engine` covers
     /// the world-level housekeeping arms that no manager owns).
     #[inline]
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn manager(&self) -> &'static str {
         match self {
             Event::Arrive(_)
@@ -488,6 +490,7 @@ impl World for CsWorld {
     /// The single dispatch choke point: route one event to its manager
     /// (see the module docs for the variant → manager table), keeping
     /// periodic re-scheduling here so manager code never owns the clock.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn handle(&mut self, ctx: &mut Ctx<'_, Event>, event: Event) {
         let now = ctx.now();
         match event {
@@ -549,6 +552,75 @@ impl World for CsWorld {
             Event::SetPolicy(policy) => Chaos::of(self).set_policy(policy),
             Event::ScaleUploads { num, den } => Chaos::of(self).scale_uploads(num, den),
             Event::FreeRiders { per_mille } => Chaos::of(self).free_riders(per_mille),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One event of every kind. `next` has no wildcard arm, so adding a
+    /// variant to [`Event`] without extending the chain does not compile.
+    fn one_of_each_kind() -> Vec<Event> {
+        fn next(e: &Event) -> Option<Event> {
+            let id = NodeId(1);
+            Some(match e {
+                Event::Arrive(_) => Event::BootstrapReply(id),
+                Event::BootstrapReply(_) => Event::PartnersReady(id),
+                Event::PartnersReady(_) => Event::PatienceCheck(id),
+                Event::PatienceCheck(_) => Event::Depart(id),
+                Event::Depart(_) => Event::GossipTick(id),
+                Event::GossipTick(_) => Event::BmTick(id),
+                Event::BmTick(_) => Event::SchedRound(id),
+                Event::SchedRound(_) => Event::PlaybackTick(id),
+                Event::PlaybackTick(_) => Event::ReportTick(id),
+                Event::ReportTick(_) => Event::Snapshot,
+                Event::Snapshot => Event::SetBootstrap(false),
+                Event::SetBootstrap(_) => Event::CrashServer(0),
+                Event::CrashServer(_) => Event::RestartServer(0),
+                Event::RestartServer(_) => Event::RegionalOutage {
+                    quadrant: 0,
+                    heal: SimTime::MAX,
+                },
+                Event::RegionalOutage { .. } => Event::SetPolicy(Default::default()),
+                Event::SetPolicy(_) => Event::ScaleUploads { num: 1, den: 2 },
+                Event::ScaleUploads { .. } => Event::FreeRiders { per_mille: 100 },
+                Event::FreeRiders { .. } => return None,
+            })
+        }
+        let mut all = vec![Event::Arrive(UserSpec {
+            user: UserId(1),
+            class: NodeClass::Nat,
+            upload: Bandwidth::kbps(400),
+            leave_at: SimTime::from_hours(1),
+            patience: SimTime::from_secs(60),
+            retries_left: 0,
+            retry_index: 0,
+        })];
+        while let Some(e) = all.last().and_then(next) {
+            all.push(e);
+        }
+        all
+    }
+
+    /// cs-telemetry indexes its per-kind table by `kind_class().0`, trace
+    /// hashes and counters key on the name, and spans on `manager()`.
+    #[test]
+    fn kind_table_is_dense_named_uniquely_and_managed() {
+        let all = one_of_each_kind();
+        let mut indices: Vec<usize> = all.iter().map(|e| usize::from(e.kind_class().0)).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..all.len()).collect::<Vec<_>>());
+
+        let mut names: Vec<&str> = all.iter().map(Event::kind).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len(), "kind names must be unique");
+
+        const MANAGERS: [&str; 5] = ["membership", "partnership", "stream", "chaos", "engine"];
+        for e in &all {
+            assert!(MANAGERS.contains(&e.manager()), "{e:?}: {}", e.manager());
         }
     }
 }

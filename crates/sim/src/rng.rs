@@ -38,6 +38,12 @@ pub fn split_seed(master: u64, stream: u64) -> u64 {
     splitmix64(&mut s) ^ a.rotate_left(17)
 }
 
+/// The id of a named RNG stream. The field is private, so the only values
+/// are the [`streams`] constants: two subsystems cannot collide on an
+/// ad-hoc id, and adding a stream means declaring it in that one table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StreamId(u64);
+
 /// The xoshiro256++ generator.
 ///
 /// Period 2^256 − 1; passes BigCrush; 4×64-bit state. Implements
@@ -64,8 +70,28 @@ impl Xoshiro256PlusPlus {
     }
 
     /// Construct the RNG stream `stream` of master seed `master`.
-    pub fn stream(master: u64, stream: u64) -> Self {
-        Self::new(split_seed(master, stream))
+    ///
+    /// ```
+    /// use cs_sim::rng::{streams, Xoshiro256PlusPlus};
+    /// let _rng = Xoshiro256PlusPlus::stream(1, streams::ARRIVALS);
+    /// ```
+    ///
+    /// A bare integer is not a stream id:
+    ///
+    /// ```compile_fail,E0308
+    /// use cs_sim::rng::Xoshiro256PlusPlus;
+    /// let _rng = Xoshiro256PlusPlus::stream(1, 7);
+    /// ```
+    ///
+    /// and one cannot be minted outside this module, so every id in use is
+    /// a declared [`streams`] constant:
+    ///
+    /// ```compile_fail,E0423
+    /// use cs_sim::rng::{StreamId, Xoshiro256PlusPlus};
+    /// let _rng = Xoshiro256PlusPlus::stream(1, StreamId(7));
+    /// ```
+    pub fn stream(master: u64, stream: StreamId) -> Self {
+        Self::new(split_seed(master, stream.0))
     }
 
     #[inline]
@@ -122,31 +148,33 @@ impl SeedableRng for Xoshiro256PlusPlus {
 
 /// Well-known stream ids, so subsystems never collide by accident.
 pub mod streams {
+    use super::StreamId;
+
     /// Workload arrival process.
-    pub const ARRIVALS: u64 = 1;
+    pub const ARRIVALS: StreamId = StreamId(1);
     /// Session durations and user classes.
-    pub const SESSIONS: u64 = 2;
+    pub const SESSIONS: StreamId = StreamId(2);
     /// Membership gossip and mCache replacement.
-    pub const MEMBERSHIP: u64 = 3;
+    pub const MEMBERSHIP: StreamId = StreamId(3);
     /// Partner and parent selection.
-    pub const SELECTION: u64 = 4;
+    pub const SELECTION: StreamId = StreamId(4);
     /// Network latency jitter.
-    pub const NETWORK: u64 = 5;
+    pub const NETWORK: StreamId = StreamId(5);
     /// Upload-capacity assignment.
-    pub const CAPACITY: u64 = 6;
+    pub const CAPACITY: StreamId = StreamId(6);
     /// Baseline (tree) protocols.
-    pub const BASELINE: u64 = 7;
+    pub const BASELINE: StreamId = StreamId(7);
     /// Retry/impatience decisions.
-    pub const RETRY: u64 = 8;
+    pub const RETRY: StreamId = StreamId(8);
     /// Free-rider selection (scenario DSL chaos modelling). Drawn only
     /// when a workload enables the free-rider model, so legacy runs
     /// consume exactly the streams they always did.
-    pub const FREERIDER: u64 = 9;
+    pub const FREERIDER: StreamId = StreamId(9);
     /// Channel assignment and zapping in multi-channel scenarios. Id 101
     /// predates this table (it was a local constant in cs-core), so it
     /// keeps its historical value — changing it would re-seed every
     /// multi-channel golden trace.
-    pub const CHANNEL: u64 = 101;
+    pub const CHANNEL: StreamId = StreamId(101);
 }
 
 #[cfg(test)]

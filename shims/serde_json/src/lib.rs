@@ -46,6 +46,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -151,9 +152,16 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------
 // Parser
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so without a bound a hostile input of a few hundred
+/// thousand `[` overflows the stack; the workspace's documents nest < 10.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -189,8 +197,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_seq(),
-            Some(b'{') => self.parse_map(),
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -198,6 +206,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Run a container parser one nesting level down, refusing to go
+    /// deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
@@ -427,6 +450,19 @@ mod tests {
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
         assert!(from_str::<bool>("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Unclosed, and far past what the stack would survive.
+        for open in ["[", "{\"a\":"] {
+            let err = from_str::<Value>(&open.repeat(200_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]
