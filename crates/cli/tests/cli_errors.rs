@@ -85,6 +85,22 @@ fn temp_file(name: &str, text: &str) -> String {
 }
 
 #[test]
+fn horizon_beyond_the_clock_is_rejected_not_wrapped() {
+    // 18 446 744 073 770 s × 10⁶ wraps a u64 to 60.4 s: the run used to
+    // exit 0 with the summary of a one-minute run.
+    let path = temp_file(
+        "coolstream-cli-errors-huge-end.json",
+        r#"{"version": 1, "name": "huge", "base": {"kind": "steady", "rate": 0.4},
+            "seed": 409, "end_s": 18446744073770}"#,
+    );
+    let out = std::env::temp_dir().join("coolstream-cli-errors-huge-end-out");
+    let _ = std::fs::remove_dir_all(&out);
+    let e = stderr_of_failure(&["run", "--scenario", &path, "--out", &out.to_string_lossy()]);
+    assert!(e.contains("`end_s`") && e.contains("18446744073770"), "{e}");
+    assert!(!out.join("summary.json").exists(), "a summary was written");
+}
+
+#[test]
 fn deeply_nested_scenario_json_is_an_error_not_a_stack_overflow() {
     for (name, open) in [("seq", "["), ("map", "{\"a\":")] {
         let path = temp_file(

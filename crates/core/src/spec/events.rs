@@ -7,7 +7,7 @@
 use cs_sim::SimTime;
 use serde::{Serialize, Value};
 
-use super::{as_map, check_keys, err, opt, push, push_opt, req, PolicySpec, SpecError};
+use super::{as_map, check_keys, err, fits_clock, opt, push, push_opt, req, PolicySpec, SpecError};
 
 /// One timed chaos injection from a spec's `events` array.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -247,6 +247,7 @@ impl ChaosSpec {
         server_count: Option<usize>,
     ) -> Result<(), SpecError> {
         let what = format!("events[{index}] ({})", self.kind());
+        fits_clock(format_args!("{what}: at_s"), self.at_s())?;
         let at = SimTime::from_secs(self.at_s());
         if at < start || at >= end {
             return err(format!(
@@ -273,6 +274,7 @@ impl ChaosSpec {
                     return err(format!("{what}: quadrant must be 0-3, got {quadrant}"));
                 }
                 if let Some(h) = heal_s {
+                    fits_clock(format_args!("{what}: heal_s"), h)?;
                     if h <= self.at_s() {
                         return err(format!(
                             "{what}: heal_s {h} must be after at_s {}",
@@ -310,6 +312,7 @@ impl ChaosSpec {
                 if duration_s == 0 {
                     return err(format!("{what}: duration_s must be >= 1"));
                 }
+                fits_clock(format_args!("{what}: duration_s"), duration_s)?;
                 if !(multiplier.is_finite() && multiplier >= 1.0) {
                     return err(format!(
                         "{what}: multiplier must be finite and >= 1, got {multiplier}"

@@ -13,7 +13,7 @@
 //! Node ids are *not* slot indices: a `lookup` table maps the
 //! monotonically growing [`NodeId`] space to live handles, which keeps
 //! per-departed-node residue to one `Option<PeerHandle>` instead of a
-//! full tombstoned peer record — the difference between a million-peer
+//! full tombstoned peer record — the difference between a day-long
 //! churn run fitting in cache-friendly columns or not. Iteration walks
 //! `lookup`, i.e. node-id order, which golden trace hashes rely on.
 //!

@@ -101,10 +101,11 @@ impl<W: World> Engine<W> {
         Engine::with_queue_capacity(world, 0)
     }
 
-    /// [`Engine::new`] with the event queue pre-sized for roughly
-    /// `events` concurrently pending events (e.g. a scenario's expected
-    /// peer count times its per-peer periodic timers), avoiding regrowth
-    /// during the arrival ramp.
+    /// [`Engine::new`] with the event queue's chunk pool reserved for
+    /// roughly `events` concurrently pending events (e.g. a scenario's
+    /// expected peer count times its per-peer periodic timers), so the
+    /// pool is not re-allocated during the arrival ramp. A reservation
+    /// costs address space only; memory is touched as events arrive.
     pub fn with_queue_capacity(world: W, events: usize) -> Self {
         Engine {
             world,
@@ -346,6 +347,29 @@ mod tests {
         eng.run_until(SimTime::MAX);
         assert!(!eng.world().saw_backwards);
         assert_eq!(eng.world().last, SimTime::from_secs(10));
+    }
+
+    #[test]
+    fn schedule_in_max_is_never_behind_now() {
+        // `now + SimTime::MAX` used to wrap to 1 µs before `now` in
+        // release builds, and `schedule_in` does not clamp.
+        struct Far(Vec<SimTime>);
+        impl World for Far {
+            type Event = bool;
+            fn handle(&mut self, ctx: &mut Ctx<'_, bool>, first: bool) {
+                self.0.push(ctx.now());
+                if first {
+                    ctx.schedule_in(SimTime::MAX, false);
+                }
+            }
+        }
+        let mut eng = Engine::new(Far(Vec::new()));
+        eng.schedule_at(SimTime::from_secs(10), true);
+        let stats = eng.run_until(SimTime::from_hours(1));
+        assert_eq!(stats.reason, StopReason::HorizonReached);
+        assert_eq!(eng.world().0, [SimTime::from_secs(10)]);
+        eng.run_until(SimTime::MAX);
+        assert_eq!(eng.world().0, [SimTime::from_secs(10), SimTime::MAX]);
     }
 
     #[test]

@@ -19,25 +19,44 @@
 //! make "earliest non-empty slot at or after the cursor" a mask and a
 //! `trailing_zeros`.
 //!
+//! # Storage: one chunk pool
+//!
+//! Slots own no buffers. Every wheel entry lives in one `Vec`, the
+//! *pool*, carved into chunks of [`CHUNK`] entries; a slot is the `u32`
+//! index of the head of a chain of chunks (`heads`), a parallel table
+//! holds each chunk's fill level and chain link, and emptied chunks go on
+//! a LIFO free list threaded through the same links. A push appends to
+//! the slot's head chunk or links a chunk from the free list in front of
+//! it, so only the head of a chain is ever partly filled. Drains and
+//! cascades walk a chain once, front to back, move every entry out and
+//! release each chunk as they leave it: the chunk freed last — still in
+//! cache — is the next one written. The pool therefore holds
+//! `pending ÷ CHUNK` full chunks plus at most one partial chunk per slot,
+//! whatever each slot's fullest rotation once was, and the order of
+//! entries inside a slot carries no meaning.
+//!
 //! # Exact (time, seq) order
 //!
-//! The wheel only *coarsens* placement; the total order is enforced by a
-//! small *ready* binary heap with the same `(time, seq)` comparator the
-//! pre-wheel implementation used. The structural invariant is a strict
-//! window split around the wheel cursor `cur_tick`:
+//! The wheel only *coarsens* placement; the total order is restored one
+//! tick at a time with the `(time, seq)` comparator the pre-wheel
+//! implementation used. The structural invariant is a strict window
+//! split around the wheel cursor `cur_tick`:
 //!
-//! * every pending entry with `tick <  cur_tick` is in `ready`;
+//! * every pending entry with `tick <  cur_tick` is in `ready` or `late`;
 //! * every pending entry with `tick >= cur_tick` is in the wheel or the
 //!   overflow heap.
 //!
-//! `pop`/`peek` only ever read `ready`, and the cursor only advances when
-//! `ready` is empty, by draining the earliest occupied level-0 slot
-//! (one whole tick — *all* equal-tick entries together) into `ready`.
-//! Hence the minimum pending `(time, seq)` is always in `ready` at read
-//! time, and pop order is byte-identical to the old global heap. A
-//! golden-oracle proptest (`queue_wheel_matches_reference_oracle`, in
-//! this file's test module) checks the equivalence against the test-only
-//! `reference::ReferenceQueue` across every level and the overflow heap.
+//! The cursor only advances when `ready` and `late` are both empty, by
+//! draining the earliest occupied level-0 slot (one whole tick — *all*
+//! equal-tick entries together) into the `ready` batch and sorting it
+//! once, earliest last, so a pop is a `Vec::pop`. A push that lands
+//! behind the cursor (a sub-tick delay; rare) cannot join the sorted
+//! batch cheaply and goes to the small `late` heap instead. `pop`/`peek`
+//! take the earlier of `ready`'s back and `late`'s top, hence always the
+//! minimum pending `(time, seq)`, and pop order is byte-identical to the
+//! old global heap. The differential tests in `queue/tests.rs` check the
+//! equivalence against the test-only `ReferenceQueue` across every level,
+//! the overflow heap, chunk boundaries and full level-1 rotations.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,6 +74,11 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// Tick bits addressable by the wheel proper.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Entries per pool chunk: large enough that a drain reads memory
+/// sequentially, small enough that 384 partly filled heads cost little.
+const CHUNK: usize = 32;
+/// "No chunk": an empty slot, the end of a chain, an empty free list.
+const NIL: u32 = u32::MAX;
 
 /// Tick index of a timestamp.
 #[inline]
@@ -89,7 +113,8 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
+        // Reversed: the earliest entry is the greatest, so it sits on top
+        // of a max-heap and at the back of an ascending sort.
         other
             .time
             .cmp(&self.time)
@@ -97,34 +122,38 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One wheel level: 64 slots plus an occupancy bitmap.
-struct Level<E> {
-    occupied: u64,
-    slots: [Vec<Entry<E>>; SLOTS],
-}
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
+/// Fill level and chain link of one pool chunk.
+#[derive(Clone, Copy)]
+struct ChunkMeta {
+    /// Entries stored, filled from the chunk's first cell.
+    len: u32,
+    /// Next chunk of the slot's chain, or of the free list.
+    next: u32,
 }
 
 /// A time-ordered event queue with stable FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// All pending entries with `tick < cur_tick`, in exact
-    /// `(time, seq)` order. The only structure pops read from.
-    ready: BinaryHeap<Entry<E>>,
-    /// Hierarchical wheel for entries with `tick >= cur_tick` within
-    /// the level-5 rotation.
-    levels: Box<[Level<E>; LEVELS]>,
+    /// The tick drained last, sorted earliest-last. Together with `late`
+    /// it holds all pending entries with `tick < cur_tick`.
+    ready: Vec<Entry<E>>,
+    /// Entries pushed behind the cursor after their tick was drained.
+    late: BinaryHeap<Entry<E>>,
+    /// Storage of every wheel entry (`tick >= cur_tick` within the
+    /// level-5 rotation): chunk `c` is cells `c·CHUNK .. (c+1)·CHUNK`.
+    pool: Vec<Option<Entry<E>>>,
+    /// Per-chunk metadata, parallel to `pool`.
+    chunks: Vec<ChunkMeta>,
+    /// Head of the LIFO list of empty chunks.
+    free: u32,
+    /// Head chunk of each slot's chain.
+    heads: [[u32; SLOTS]; LEVELS],
+    /// Per-level bitmap of the slots whose chain is non-empty.
+    occupied: [u64; LEVELS],
     /// Entries beyond the level-5 rotation of `cur_tick`.
     overflow: BinaryHeap<Entry<E>>,
-    /// Wheel cursor, in ticks. Entries strictly below it live in `ready`.
+    /// Wheel cursor, in ticks.
     cur_tick: u64,
-    /// Pending-entry count across ready + wheel + overflow.
+    /// Pending-entry count across ready + late + wheel + overflow.
     len: usize,
     next_seq: u64,
     pushed: u64,
@@ -160,12 +189,19 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity in the ready heap (the
-    /// structure same-window event storms land in).
+    /// An empty queue whose chunk pool is reserved, once and untouched,
+    /// for `cap` concurrently pending events: `cap ÷ CHUNK` full chunks
+    /// plus one partly filled head per wheel slot.
     pub fn with_capacity(cap: usize) -> Self {
+        let chunks = cap.div_ceil(CHUNK) + LEVELS * SLOTS;
         EventQueue {
-            ready: BinaryHeap::with_capacity(cap),
-            levels: Box::new(std::array::from_fn(|_| Level::new())),
+            ready: Vec::new(),
+            late: BinaryHeap::new(),
+            pool: Vec::with_capacity(chunks * CHUNK),
+            chunks: Vec::with_capacity(chunks),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
+            occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             cur_tick: 0,
             len: 0,
@@ -195,7 +231,7 @@ impl<E> EventQueue<E> {
             event,
         };
         if tick_of(time) < self.cur_tick {
-            self.ready.push(entry);
+            self.late.push(entry);
         } else {
             self.insert_wheel(entry);
         }
@@ -217,32 +253,56 @@ impl<E> EventQueue<E> {
             ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
         };
         let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let lv = &mut self.levels[level];
-        lv.occupied |= 1 << slot;
-        lv.slots[slot].push(entry);
+        self.occupied[level] |= 1 << slot;
+        let head = self.heads[level][slot];
+        let chunk = if head != NIL && (self.chunks[head as usize].len as usize) < CHUNK {
+            head
+        } else {
+            let fresh = self.take_chunk(head);
+            self.heads[level][slot] = fresh;
+            fresh
+        };
+        let meta = &mut self.chunks[chunk as usize];
+        self.pool[chunk as usize * CHUNK + meta.len as usize] = Some(entry);
+        meta.len += 1;
     }
 
-    /// Advance the cursor until `ready` holds the global minimum (or the
-    /// queue is provably empty). Drains at most one level-0 slot into
-    /// `ready` per pass; higher-level hits cascade their slot downward.
+    /// An empty chunk linked in front of `next`: the one freed last, or a
+    /// new one at the end of the pool when none is free.
+    fn take_chunk(&mut self, next: u32) -> u32 {
+        let meta = ChunkMeta { len: 0, next };
+        let chunk = self.free;
+        if chunk != NIL {
+            self.free = self.chunks[chunk as usize].next;
+            self.chunks[chunk as usize] = meta;
+            return chunk;
+        }
+        debug_assert!(self.chunks.len() < NIL as usize, "chunk index overflow");
+        let chunk = self.chunks.len() as u32;
+        self.chunks.push(meta);
+        self.pool.resize_with(self.pool.len() + CHUNK, || None);
+        chunk
+    }
+
+    /// Advance the cursor until `ready ∪ late` holds the global minimum
+    /// (or the queue is provably empty). Drains at most one level-0 slot
+    /// into `ready` per pass; higher-level hits cascade their slot
+    /// downward.
     fn ensure_ready(&mut self) {
         loop {
-            if !self.ready.is_empty() {
+            if !self.ready.is_empty() || !self.late.is_empty() {
                 return;
             }
             let cur = self.cur_tick;
             // Level 0: one tick per slot; the earliest occupied slot at or
             // after the cursor digit *is* the minimum pending tick.
-            let occ0 = self.levels[0].occupied & (!0u64 << (cur & 63) as u32);
+            let occ0 = self.occupied[0] & (!0u64 << (cur & 63) as u32);
             if occ0 != 0 {
                 let s = occ0.trailing_zeros() as u64;
                 self.cur_tick = (cur & !63) + s + 1;
-                let lv = &mut self.levels[0];
-                lv.occupied &= !(1 << s);
-                // Disjoint field borrows: drain the slot into the ready heap.
-                for e in lv.slots[s as usize].drain(..) {
-                    self.ready.push(e);
-                }
+                // One whole tick into the (empty) batch, earliest last.
+                self.empty_slot(0, s as usize, |q, e| q.ready.push(e));
+                self.ready.sort_unstable();
                 if s == 63 {
                     // The cursor wrapped into the next level-0 block,
                     // carrying one or more higher digits. Any slot those
@@ -260,12 +320,11 @@ impl<E> EventQueue<E> {
             for l in 1..LEVELS {
                 let shift = SLOT_BITS * l as u32;
                 let digit = (cur >> shift) & 63;
-                let occ = self.levels[l].occupied & (!0u64 << digit as u32);
+                let occ = self.occupied[l] & (!0u64 << digit as u32);
                 if occ == 0 {
                     continue;
                 }
                 let s = occ.trailing_zeros() as u64;
-                self.levels[l].occupied &= !(1 << s);
                 if s != digit {
                     // Move the cursor to the start of that slot's range;
                     // everything below this level is empty, so zeroing the
@@ -275,13 +334,7 @@ impl<E> EventQueue<E> {
                 }
                 // else: a level-0 carry rolled the cursor digit onto an
                 // occupied slot; redistribute in place, cursor unchanged.
-                let mut moved = std::mem::take(&mut self.levels[l].slots[s as usize]);
-                for e in moved.drain(..) {
-                    self.insert_wheel(e);
-                }
-                // Hand the buffer back; the cascade can never re-fill
-                // this slot (entries land strictly below level `l`).
-                self.levels[l].slots[s as usize] = moved;
+                self.empty_slot(l, s as usize, Self::insert_wheel);
                 cascaded = true;
                 break;
             }
@@ -304,6 +357,27 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Empty the slot: detach its chain, walk it once front to back,
+    /// hand every entry to `sink` and put each chunk on top of the free
+    /// list as the walk leaves it. `sink` must not push to this slot
+    /// (a cascade re-inserts strictly below `level`).
+    fn empty_slot(&mut self, level: usize, slot: usize, mut sink: impl FnMut(&mut Self, Entry<E>)) {
+        self.occupied[level] &= !(1 << slot);
+        let mut chunk = std::mem::replace(&mut self.heads[level][slot], NIL);
+        while chunk != NIL {
+            let ChunkMeta { len, next } = self.chunks[chunk as usize];
+            let base = chunk as usize * CHUNK;
+            for cell in base..base + len as usize {
+                if let Some(e) = self.pool[cell].take() {
+                    sink(self, e);
+                }
+            }
+            self.chunks[chunk as usize].next = self.free;
+            self.free = chunk;
+            chunk = next;
+        }
+    }
+
     /// Re-bucket every entry parked on a slot the cursor's digit now
     /// rests on (levels ≥ 1). Called after a carry; restores the
     /// invariant that the cursor-digit slot is empty at every level
@@ -313,17 +387,19 @@ impl<E> EventQueue<E> {
     /// lower in the wheel.
     fn cascade_cursor_slots(&mut self) {
         for l in 1..LEVELS {
-            let shift = SLOT_BITS * l as u32;
-            let digit = ((self.cur_tick >> shift) & 63) as usize;
-            if self.levels[l].occupied & (1 << digit) == 0 {
-                continue;
+            let digit = ((self.cur_tick >> (SLOT_BITS * l as u32)) & 63) as usize;
+            if self.occupied[l] & (1 << digit) != 0 {
+                self.empty_slot(l, digit, Self::insert_wheel);
             }
-            self.levels[l].occupied &= !(1 << digit);
-            let mut moved = std::mem::take(&mut self.levels[l].slots[digit]);
-            for e in moved.drain(..) {
-                self.insert_wheel(e);
-            }
-            self.levels[l].slots[digit] = moved;
+        }
+    }
+
+    /// Whether the earliest entry behind the cursor is in `late` rather
+    /// than at the back of `ready`.
+    fn next_is_late(&self) -> bool {
+        match (self.late.peek(), self.ready.last()) {
+            (Some(late), Some(ready)) => late > ready,
+            (late, _) => late.is_some(),
         }
     }
 
@@ -336,7 +412,11 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`] carrying the entry's seq and cause metadata.
     pub fn pop_entry(&mut self) -> Option<Popped<E>> {
         self.ensure_ready();
-        let e = self.ready.pop()?;
+        let e = if self.next_is_late() {
+            self.late.pop()
+        } else {
+            self.ready.pop()
+        }?;
         self.popped += 1;
         self.len -= 1;
         Some(Popped {
@@ -353,7 +433,12 @@ impl<E> EventQueue<E> {
     /// (a pure re-bucketing: the pending set is unchanged).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.ensure_ready();
-        self.ready.peek().map(|e| e.time)
+        let next = if self.next_is_late() {
+            self.late.peek()
+        } else {
+            self.ready.last()
+        };
+        next.map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -378,289 +463,4 @@ impl<E> EventQueue<E> {
 }
 
 #[cfg(test)]
-mod reference {
-    //! The pre-wheel `BinaryHeap` queue, kept as the ordering oracle for
-    //! the timing wheel's differential tests.
-
-    use std::collections::BinaryHeap;
-
-    use super::{Entry, Popped};
-    use crate::time::SimTime;
-
-    /// A time-ordered event queue backed by one global binary heap —
-    /// the reference implementation of the `(time, seq)` total order.
-    pub struct ReferenceQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-    }
-
-    impl<E> ReferenceQueue<E> {
-        /// An empty queue.
-        pub fn new() -> Self {
-            ReferenceQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
-        }
-
-        /// Schedule `event` at absolute time `time`.
-        pub fn push(&mut self, time: SimTime, event: E) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry {
-                time,
-                seq,
-                cause: None,
-                event,
-            });
-        }
-
-        /// Remove and return the earliest entry (FIFO among equal
-        /// timestamps) with its seq metadata.
-        pub fn pop_entry(&mut self) -> Option<Popped<E>> {
-            let e = self.heap.pop()?;
-            Some(Popped {
-                time: e.time,
-                seq: e.seq,
-                cause: e.cause,
-                event: e.event,
-            })
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::reference::ReferenceQueue;
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3), "c");
-        q.push(SimTime::from_secs(1), "a");
-        q.push(SimTime::from_secs(2), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn equal_timestamps_are_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        for i in 0..100 {
-            q.push(t, i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn interleaved_push_pop_keeps_fifo_within_time() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.push(t, 0);
-        q.push(t, 1);
-        assert_eq!(q.pop().unwrap().1, 0);
-        q.push(t, 2);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.push(SimTime::ZERO, ());
-        q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn cause_is_stamped_while_set() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, "external");
-        q.set_cause(Some(0));
-        q.push(SimTime::from_secs(1), "caused");
-        q.set_cause(None);
-        q.push(SimTime::from_secs(2), "external2");
-        let a = q.pop_entry().unwrap();
-        assert_eq!((a.seq, a.cause), (0, None));
-        let b = q.pop_entry().unwrap();
-        assert_eq!((b.seq, b.cause), (1, Some(0)));
-        let c = q.pop_entry().unwrap();
-        assert_eq!((c.seq, c.cause), (2, None));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(9), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
-        assert_eq!(q.len(), 1);
-    }
-
-    /// Timestamps chosen to land on every wheel level and in the overflow
-    /// heap relative to a cursor at zero.
-    fn level_spanning_times() -> Vec<SimTime> {
-        let tick = 1u64 << TICK_SHIFT;
-        let mut v = vec![
-            SimTime::ZERO,
-            SimTime::from_micros(1),
-            SimTime::from_micros(tick - 1),
-            SimTime::from_micros(tick),
-        ];
-        for level in 0..LEVELS as u32 {
-            let span = tick << (SLOT_BITS * level);
-            v.push(SimTime::from_micros(span + 3));
-            v.push(SimTime::from_micros(span * 17 + 1));
-        }
-        v.push(SimTime::from_micros(tick << WHEEL_BITS)); // overflow
-        v.push(SimTime::from_micros((tick << WHEEL_BITS) * 9 + 5));
-        v.push(SimTime(u64::MAX - 1));
-        v.push(SimTime::MAX);
-        v
-    }
-
-    #[test]
-    fn wheel_matches_reference_across_levels() {
-        let times = level_spanning_times();
-        let mut wheel = EventQueue::new();
-        let mut oracle = ReferenceQueue::new();
-        // A fixed LCG shuffles pushes deterministically over the spans.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in 0..400u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = times[(state >> 33) as usize % times.len()];
-            wheel.push(t, i);
-            oracle.push(t, i);
-        }
-        loop {
-            let (a, b) = (wheel.pop_entry(), oracle.pop_entry());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
-                }
-                _ => panic!("wheel and reference disagree on length"),
-            }
-        }
-    }
-
-    #[test]
-    fn slot_63_carry_keeps_order() {
-        // Draining level-0 slot 63 carries the cursor digit into level 1;
-        // an entry parked on that exact level-1 slot must still come out
-        // in time order (the in-place cascade case).
-        let tick = 1u64 << TICK_SHIFT;
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(63 * tick), "slot63");
-        q.push(SimTime::from_micros(64 * tick), "level1");
-        q.push(SimTime::from_micros(64 * tick + 1), "level1-later");
-        assert_eq!(q.pop().unwrap().1, "slot63");
-        assert_eq!(q.pop().unwrap().1, "level1");
-        assert_eq!(q.pop().unwrap().1, "level1-later");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn carry_cascades_before_later_pushes() {
-        // Regression: pop tick 63 (carrying the cursor to tick 64) while
-        // tick 66 is parked on the level-1 slot the carry lands on, then
-        // push tick 74. The parked entry must cascade at carry time, or
-        // the tick-74 drain would advance the cursor straight past it.
-        let tick = 1u64 << TICK_SHIFT;
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(63 * tick), "a63");
-        q.push(SimTime::from_micros(66 * tick), "b66");
-        assert_eq!(q.pop().unwrap().1, "a63");
-        q.push(SimTime::from_micros(74 * tick), "c74");
-        assert_eq!(q.pop().unwrap().1, "b66");
-        assert_eq!(q.pop().unwrap().1, "c74");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn overflow_then_near_events_interleave_correctly() {
-        let far = SimTime::from_micros(1u64 << (TICK_SHIFT + WHEEL_BITS + 2));
-        let mut q = EventQueue::new();
-        q.push(far, "far");
-        q.push(SimTime::from_secs(1), "near");
-        assert_eq!(q.pop().unwrap().1, "near");
-        // After the cursor jumps to the overflow head, late near-cursor
-        // pushes still order correctly.
-        assert_eq!(q.peek_time(), Some(far));
-        q.push(far, "far-fifo");
-        assert_eq!(q.pop().unwrap().1, "far");
-        assert_eq!(q.pop().unwrap().1, "far-fifo");
-    }
-
-    #[test]
-    fn push_behind_cursor_goes_ready() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(10), "late");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
-        // The cursor now sits past earlier ticks; an "old" timestamp must
-        // still pop first (the engine clamps to now, but the queue itself
-        // stays totally ordered either way).
-        q.push(SimTime::from_secs(1), "early");
-        assert_eq!(q.pop().unwrap().1, "early");
-        assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn max_time_is_representable() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::MAX, "end");
-        q.push(SimTime::ZERO, "start");
-        assert_eq!(q.pop().unwrap().1, "start");
-        assert_eq!(q.pop().unwrap().1, "end");
-        assert!(q.is_empty());
-    }
-
-    proptest! {
-        /// Differential oracle for the timing wheel: identical random
-        /// schedule/pop sequences through the wheel and the pre-wheel
-        /// `BinaryHeap` reference must pop in identical `(time, seq)`
-        /// order. Shifting a small mantissa by 0..=50 bits lands pushes
-        /// in the sub-tick window, every wheel level (tick width 2^14 µs,
-        /// six levels of 64 slots), and the overflow heap; interleaved
-        /// pops drive the cursor so late pushes also hit the
-        /// behind-cursor path.
-        #[test]
-        fn queue_wheel_matches_reference_oracle(
-            ops in proptest::collection::vec((0u32..8, 0u32..=50, 0u64..1024), 1..300),
-        ) {
-            let mut wheel = EventQueue::new();
-            let mut oracle = ReferenceQueue::new();
-            let mut pending = 0usize;
-            let mut next_id = 0u64;
-            for &(kind, shift, mantissa) in &ops {
-                // kinds 0..6 push, 6..8 pop: push-heavy keeps both deep.
-                if kind < 6 || pending == 0 {
-                    let t = SimTime::from_micros(mantissa.checked_shl(shift).unwrap_or(u64::MAX));
-                    wheel.push(t, next_id);
-                    oracle.push(t, next_id);
-                    next_id += 1;
-                    pending += 1;
-                } else {
-                    let w = wheel.pop_entry().expect("wheel non-empty");
-                    let r = oracle.pop_entry().expect("oracle non-empty");
-                    prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
-                    pending -= 1;
-                }
-            }
-            while let Some(r) = oracle.pop_entry() {
-                let w = wheel.pop_entry().expect("wheel drains with oracle");
-                prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
-            }
-            prop_assert!(wheel.pop_entry().is_none());
-        }
-    }
-}
+mod tests;

@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in microseconds since the run started.
 ///
-/// `SimTime` is also used for durations; the arithmetic below is saturating
-/// on subtraction so that latency jitter can never produce a negative
-/// timestamp.
+/// `SimTime` is also used for durations. Subtraction saturates at zero, so
+/// latency jitter can never produce a negative timestamp; addition and the
+/// whole-unit constructors saturate at [`SimTime::MAX`], so an absurd
+/// delay or horizon means "never", not a wrapped time in the past.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(pub u64);
 
@@ -31,13 +32,13 @@ impl SimTime {
     /// Build from whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * Self::USEC_PER_SEC)
+        SimTime(s.saturating_mul(Self::USEC_PER_SEC))
     }
 
     /// Build from whole milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
+        SimTime(ms.saturating_mul(1_000))
     }
 
     /// Build from whole microseconds.
@@ -60,13 +61,13 @@ impl SimTime {
     /// Build from whole minutes.
     #[inline]
     pub const fn from_mins(m: u64) -> Self {
-        SimTime::from_secs(m * 60)
+        SimTime::from_secs(m.saturating_mul(60))
     }
 
     /// Build from whole hours.
     #[inline]
     pub const fn from_hours(h: u64) -> Self {
-        SimTime::from_secs(h * 3600)
+        SimTime::from_secs(h.saturating_mul(3600))
     }
 
     /// Whole seconds (truncated).
@@ -116,14 +117,14 @@ impl Add for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -205,6 +206,22 @@ mod tests {
         assert_eq!(a - b, SimTime::ZERO);
         assert_eq!(b - a, SimTime::from_secs(1));
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
+    }
+
+    #[test]
+    fn constructors_and_addition_saturate() {
+        for huge in [u64::MAX / 1_000 + 1, u64::MAX] {
+            assert_eq!(SimTime::from_secs(huge), SimTime::MAX);
+            assert_eq!(SimTime::from_millis(huge), SimTime::MAX);
+            assert_eq!(SimTime::from_mins(huge), SimTime::MAX);
+            assert_eq!(SimTime::from_hours(huge), SimTime::MAX);
+        }
+        // The hostile horizon of the CLI regression: wrapped to 60.4 s.
+        assert_eq!(SimTime::from_secs(18_446_744_073_770), SimTime::MAX);
+        assert_eq!(SimTime::from_secs(1) + SimTime::MAX, SimTime::MAX);
+        let mut t = SimTime::from_micros(u64::MAX - 1);
+        t += SimTime::from_secs(1);
+        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use cs_logging::UserId;
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeClass};
 use cs_proto::{CsWorld, Event, Params, UserSpec};
-use cs_sim::{Engine, Observer, SimTime};
+use cs_sim::{Engine, EventQueue, Observer, SimTime};
 
 thread_local! {
     /// `alloc` + `realloc` calls made by this thread.
@@ -145,11 +145,9 @@ fn steady_state_ticks_do_not_allocate() {
     // Warm up for five wheel rotations (≈ 5.6 min): buffers fill, parent
     // choices settle, and every container that keeps its capacity —
     // children lists, partner tables, the world's scratch buffers, the
-    // event queue's slots — reaches its working size. The measured window
-    // starts 5 s into a rotation, so every re-arm it makes (≤ 10 s ahead)
-    // lands in wheel slots the warm-up has already sized; the handlers'
-    // `schedule_in` calls are inside the bracket and would otherwise be
-    // charged for the queue's growth.
+    // event queue's ready batch — reaches its working size. The handlers'
+    // `schedule_in` calls are inside the bracket, so a queue that grew on
+    // a push would be charged to the tick that made it.
     let start = SimTime::from_micros(5 * WHEEL_BLOCK_US) + SimTime::from_secs(5);
     eng.run_until(start);
     let departed = |w: &CsWorld| {
@@ -188,4 +186,47 @@ fn steady_state_ticks_do_not_allocate() {
             p.allocated[kind], p.dispatched[kind]
         );
     }
+}
+
+/// The event queue on its own: built `with_capacity(N)` and armed with N
+/// periodic timers, its chunk pool never grows (the reservation covers
+/// `N ÷ CHUNK` full chunks plus a partial one per slot), and once the
+/// ready batch has held its largest tick a whole rotation of pops and
+/// re-arms — cascades included — makes no allocator call at all.
+#[test]
+fn warmed_timing_wheel_does_not_allocate() {
+    const TIMERS: u64 = 20_000;
+    // Whole ticks, the longest one rotation: every rotation repeats the
+    // last one exactly, so the warm-up has seen the largest tick.
+    let period = |timer: u64| [128u64, 128, 256, 512, 4096][timer as usize % 5] << 14;
+    let mut queue = EventQueue::with_capacity(TIMERS as usize);
+    let before_arming = allocs();
+    for timer in 0..TIMERS {
+        let phase = timer.wrapping_mul(0x9e37_79b9_7f4a_7c15) % period(timer);
+        queue.push(SimTime::from_micros(phase), timer);
+    }
+    assert_eq!(
+        allocs() - before_arming,
+        0,
+        "arming outgrew the reservation"
+    );
+    // Pop and re-arm up to the end of level-1 rotation `rotation`.
+    let run_through = |queue: &mut EventQueue<u64>, rotation: u64| {
+        let end = SimTime::from_micros(rotation * WHEEL_BLOCK_US);
+        let mut fired = 0u64;
+        while queue.peek_time().is_some_and(|at| at <= end) {
+            let (at, timer) = queue.pop().expect("peeked");
+            queue.push(at + SimTime::from_micros(period(timer)), timer);
+            fired += 1;
+        }
+        fired
+    };
+    run_through(&mut queue, 3);
+    let before = allocs();
+    let fired = run_through(&mut queue, 4);
+    assert!(
+        fired > 300_000,
+        "only {fired} firings in the measured rotation"
+    );
+    assert_eq!(allocs() - before, 0, "allocator calls over {fired} firings");
 }
