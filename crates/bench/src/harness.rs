@@ -1,43 +1,33 @@
-//! The perf-trajectory harness behind `coolstream bench`.
+//! The perf-trajectory harness behind `coolstream bench` (DESIGN.md §12).
 //!
 //! Runs the golden scenario library (`scenarios/*.json`) end-to-end and
-//! distils each run into a schema-versioned [`BenchReport`]
-//! (`BENCH_<git-describe>.json`): per-scenario throughput
-//! (events/sec, peers-simulated/sec), min-of-K wall time, event totals by
-//! kind and by owning manager, and per-kind dispatch p50/p95/p99 — all
-//! read from the instrumented run's [`TelemetryRun`](cs_telemetry::TelemetryRun). A committed
-//! `BENCH_baseline.json` plus [`compare`] turns the series into a
-//! regression gate: behaviour drift (scenario set, trace hash, event
-//! counts) fails hard; wall-time drift gets a tolerance band
-//! (warn-then-fail) because runner speed varies where behaviour must not.
+//! distils it into a schema-versioned [`BenchReport`]
+//! (`BENCH_<git-describe>.json`): per scenario the trace hash, the event
+//! and peer counts, and min-of-K wall time with the events/sec and
+//! peers/sec derived from it. [`compare`] gates a report against a
+//! committed baseline. Per-layer attribution — which manager, which event
+//! kind, which percentile — is the repo benchmark's job (`benchmark/`).
 //!
-//! Measurement protocol, mirroring the criterion shim's min statistic:
-//! one *instrumented* repetition per scenario collects the deterministic
-//! fields (hash, counts, profile percentiles, optional spans), then K
-//! *timing* repetitions — interleaved across scenarios so thermal or
-//! cache drift hits every scenario evenly, not whichever ran last — time
-//! the hash-only configuration. Wall time is the minimum over the K reps:
-//! the min is the repetition least disturbed by the rest of the machine,
-//! which makes it the most stable statistic for before/after comparisons.
-//!
-//! Everything here is presentation and wall-clock measurement around runs
-//! that stay bit-deterministic: the harness asserts every repetition of a
-//! scenario reproduces the same trace hash, so a BENCH file whose hash
-//! column matches the golden file *proves* the measured code path is the
-//! tested code path.
+//! Measurement protocol: K repetitions of the hash-only configuration,
+//! interleaved across scenarios so drift hits every scenario evenly, each
+//! required to reproduce the first one's trace hash and event count — a
+//! BENCH file whose hash column matches the golden file *proves* the
+//! measured code path is the tested one. Wall time is the minimum over
+//! the K reps, the repetition least disturbed by the rest of the machine.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
-use cs_proto::Event;
-use cs_sim::SimTime;
-use cs_telemetry::{peak_rss_bytes, HostFingerprint, SpanRecord, TelemetryConfig, SPANS_SCHEMA};
+use coolstreaming::{CompiledSpec, RunOptions, ScenarioSpec};
+use cs_telemetry::{peak_rss_bytes, HostFingerprint};
 use serde::{Deserialize, Serialize};
 
-/// Schema identifier of `BENCH_*.json`.
-pub const BENCH_SCHEMA: &str = "cs-bench/1";
+/// Schema identifier of the `BENCH_*.json` this build writes. `/1`
+/// carried per-kind, per-manager and dispatch-percentile tables beside
+/// the fields kept here; both versions load (unknown keys are ignored).
+pub const BENCH_SCHEMA: &str = "cs-bench/2";
+const READABLE_SCHEMAS: [&str; 2] = ["cs-bench/1", BENCH_SCHEMA];
 
 /// Default slowdown percentage that triggers a warning in [`compare`].
 pub const DEFAULT_WARN_PCT: u64 = 25;
@@ -53,8 +43,6 @@ pub struct BenchOptions {
     pub reps: u64,
     /// Restrict to these scenario names (`None` = the whole library).
     pub filter: Option<Vec<String>>,
-    /// Collect sim-time spans during the instrumented repetition.
-    pub record_spans: bool,
     /// `git describe` of the tree, stamped into the report.
     pub git_describe: Option<String>,
     /// Print per-scenario progress to stderr.
@@ -62,31 +50,16 @@ pub struct BenchOptions {
 }
 
 impl BenchOptions {
-    /// Defaults: full library, 3 timing reps, spans on, quiet.
+    /// Defaults: full library, 3 timing reps, quiet.
     pub fn new(scenarios_dir: impl Into<PathBuf>) -> Self {
         BenchOptions {
             scenarios_dir: scenarios_dir.into(),
             reps: 3,
             filter: None,
-            record_spans: true,
             git_describe: None,
             verbose: false,
         }
     }
-}
-
-/// Per-kind dispatch wall-clock percentiles (nearest-rank, over the
-/// profiler's 1-in-N sampled handler durations).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DispatchPercentiles {
-    /// Sampled handler invocations for this kind.
-    pub samples: u64,
-    /// Median sampled duration, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th percentile, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u64,
 }
 
 /// One scenario's measurements.
@@ -109,13 +82,6 @@ pub struct ScenarioBench {
     pub events_per_sec: u64,
     /// `peers / min_wall` in peers per second (integer).
     pub peers_per_sec: u64,
-    /// Event totals by kind name.
-    pub event_kinds: BTreeMap<String, u64>,
-    /// Event totals by owning manager
-    /// (membership / partnership / stream / chaos / engine).
-    pub manager_events: BTreeMap<String, u64>,
-    /// Per-kind dispatch percentiles from the instrumented repetition.
-    pub dispatch_ns: BTreeMap<String, DispatchPercentiles>,
 }
 
 /// The whole `BENCH_*.json` document.
@@ -149,9 +115,9 @@ impl BenchReport {
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let report: BenchReport =
             serde_json::from_str(text).map_err(|e| format!("parse BENCH json: {e}"))?;
-        if report.schema != BENCH_SCHEMA {
+        if !READABLE_SCHEMAS.contains(&report.schema.as_str()) {
             return Err(format!(
-                "unsupported BENCH schema {:?} (expected {BENCH_SCHEMA:?})",
+                "unsupported BENCH schema {:?} (expected one of {READABLE_SCHEMAS:?})",
                 report.schema
             ));
         }
@@ -159,23 +125,8 @@ impl BenchReport {
     }
 }
 
-/// A completed bench: the report plus the optional multi-scenario span
-/// document (`spans.jsonl` contents).
-#[derive(Clone, Debug)]
-pub struct BenchRun {
-    /// The measurements.
-    pub report: BenchReport,
-    /// JSONL span document, when spans were recorded.
-    pub spans_jsonl: Option<String>,
-}
-
-struct LoadedScenario {
-    name: String,
-    scenario: Scenario,
-    injections: Vec<(SimTime, Event)>,
-}
-
-fn load_library(opts: &BenchOptions) -> Result<Vec<LoadedScenario>, String> {
+/// The library as `(name, compiled scenario)`, sorted by file name.
+fn load_library(opts: &BenchOptions) -> Result<Vec<(String, CompiledSpec)>, String> {
     let dir = &opts.scenarios_dir;
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("read {}: {e}", dir.display()))?
@@ -197,11 +148,7 @@ fn load_library(opts: &BenchOptions) -> Result<Vec<LoadedScenario>, String> {
         let compiled = spec
             .compile()
             .map_err(|e| format!("{}: {e}", path.display()))?;
-        out.push(LoadedScenario {
-            name: spec.name,
-            scenario: compiled.scenario,
-            injections: compiled.injections,
-        });
+        out.push((spec.name, compiled));
     }
     if out.is_empty() {
         return Err(match &opts.filter {
@@ -214,87 +161,48 @@ fn load_library(opts: &BenchOptions) -> Result<Vec<LoadedScenario>, String> {
 
 /// Run the library and assemble the report (see module docs for the
 /// measurement protocol).
-pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
+pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
     let reps = opts.reps.max(1);
     let library = load_library(opts)?;
-
-    // Instrumented repetition: deterministic fields + profile + spans.
-    let instrumented = RunOptions {
-        check_invariants: false,
-        invariant_stride: 1,
-        trace_hash: true,
-        record_spans: true,
-        telemetry: Some(TelemetryConfig::default()),
-    };
-    let mut benches: Vec<ScenarioBench> = Vec::new();
-    let mut all_spans: Vec<(String, Vec<SpanRecord>)> = Vec::new();
-    for ls in &library {
-        if opts.verbose {
-            eprintln!("bench: {} (instrumented rep)…", ls.name);
-        }
-        let run = ls
-            .scenario
-            .run_injected_observed(ls.injections.clone(), instrumented);
-        let hash = run.trace_hash.expect("hash requested");
-        let tel = run.telemetry.as_ref().expect("telemetry requested");
-        let dispatch_ns = tel
-            .profile
-            .kinds()
-            .map(|(kind, t)| {
-                (
-                    kind.to_string(),
-                    DispatchPercentiles {
-                        samples: t.samples(),
-                        p50_ns: t.percentile_ns(50),
-                        p95_ns: t.percentile_ns(95),
-                        p99_ns: t.percentile_ns(99),
-                    },
-                )
-            })
-            .collect();
-        let spans = run.spans.expect("spans requested");
-        benches.push(ScenarioBench {
-            name: ls.name.clone(),
-            trace_hash: format!("{hash:016x}"),
-            events: run.artifacts.run_stats.events,
-            peers: run.artifacts.scheduled_arrivals as u64,
+    let mut benches: Vec<ScenarioBench> = library
+        .iter()
+        .map(|(name, _)| ScenarioBench {
+            name: name.clone(),
+            trace_hash: String::new(),
+            events: 0,
+            peers: 0,
             wall_ns: Vec::new(),
             min_wall_ns: 0,
             events_per_sec: 0,
             peers_per_sec: 0,
-            event_kinds: tel.event_kinds(),
-            manager_events: tel.manager_events(),
-            dispatch_ns,
-        });
-        if opts.record_spans {
-            all_spans.push((ls.name.clone(), spans));
-        }
-    }
+        })
+        .collect();
 
-    // Timing repetitions, interleaved across scenarios.
     let timing = RunOptions {
-        check_invariants: false,
-        invariant_stride: 1,
         trace_hash: true,
-        record_spans: false,
-        telemetry: None,
+        ..RunOptions::default()
     };
     for rep in 0..reps {
-        for (ls, bench) in library.iter().zip(benches.iter_mut()) {
+        for ((name, compiled), bench) in library.iter().zip(benches.iter_mut()) {
             if opts.verbose {
-                eprintln!("bench: {} (timing rep {}/{reps})…", ls.name, rep + 1);
+                eprintln!("bench: {name} (rep {}/{reps})…", rep + 1);
             }
             // cs-lint: allow(ambient-entropy) — wall-clock timing is the harness's purpose; measurements go only to BENCH_*.json, never into sim state
             let t0 = Instant::now();
-            let run = ls
+            let run = compiled
                 .scenario
-                .run_injected_observed(ls.injections.clone(), timing);
+                .run_injected_observed(compiled.injections.clone(), timing);
             let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let hash = format!("{:016x}", run.trace_hash.expect("hash requested"));
-            if hash != bench.trace_hash {
+            let events = run.artifacts.run_stats.events;
+            if rep == 0 {
+                bench.trace_hash = hash;
+                bench.events = events;
+                bench.peers = run.artifacts.scheduled_arrivals as u64;
+            } else if hash != bench.trace_hash || events != bench.events {
                 return Err(format!(
-                    "{}: nondeterministic rep — hash {hash} != {}",
-                    ls.name, bench.trace_hash
+                    "{name}: nondeterministic rep — hash {hash} / {events} events != {} / {}",
+                    bench.trace_hash, bench.events
                 ));
             }
             bench.wall_ns.push(wall);
@@ -312,7 +220,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
     }
 
     let host = HostFingerprint::detect();
-    let report = BenchReport {
+    Ok(BenchReport {
         schema: BENCH_SCHEMA.to_string(),
         git_describe: opts.git_describe.clone().unwrap_or_default(),
         reps,
@@ -321,26 +229,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchRun, String> {
         os: host.os,
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         scenarios: benches,
-    };
-    let spans_jsonl = opts.record_spans.then(|| render_spans(&all_spans));
-    Ok(BenchRun {
-        report,
-        spans_jsonl,
     })
-}
-
-/// Render the multi-scenario `spans.jsonl`: one schema header, then each
-/// scenario's spans tagged with its name.
-fn render_spans(all: &[(String, Vec<SpanRecord>)]) -> String {
-    let total: usize = all.iter().map(|(_, s)| s.len()).sum();
-    let mut out = format!("{{\"schema\":\"{SPANS_SCHEMA}\",\"spans\":{total}}}\n");
-    for (name, spans) in all {
-        for s in spans {
-            out.push_str(&s.to_json(Some(name)));
-            out.push('\n');
-        }
-    }
-    out
 }
 
 /// Outcome of comparing a fresh report against a baseline.
@@ -477,17 +366,6 @@ mod tests {
             min_wall_ns: wall,
             events_per_sec: events * 1_000_000_000 / wall,
             peers_per_sec: 10 * 1_000_000_000 / wall,
-            event_kinds: BTreeMap::from([("arrive".into(), events)]),
-            manager_events: BTreeMap::from([("membership".into(), events)]),
-            dispatch_ns: BTreeMap::from([(
-                "arrive".into(),
-                DispatchPercentiles {
-                    samples: 4,
-                    p50_ns: 100,
-                    p95_ns: 200,
-                    p99_ns: 300,
-                },
-            )]),
         }
     }
 

@@ -14,8 +14,8 @@
 pub mod harness;
 
 pub use harness::{
-    compare, compare_to_file, run_bench, BenchOptions, BenchReport, BenchRun, CompareOutcome,
-    DispatchPercentiles, ScenarioBench, BENCH_SCHEMA, DEFAULT_FAIL_PCT, DEFAULT_WARN_PCT,
+    compare, compare_to_file, run_bench, BenchOptions, BenchReport, CompareOutcome, ScenarioBench,
+    BENCH_SCHEMA, DEFAULT_FAIL_PCT, DEFAULT_WARN_PCT,
 };
 
 use coolstreaming::{RunArtifacts, Scenario};

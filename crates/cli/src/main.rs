@@ -1,26 +1,13 @@
-//! `coolstream` — the command-line front end of the reproduction.
+//! `coolstream` — the command-line front end of the reproduction
+//! (`coolstream help` prints the usage, `HELP`).
 //!
-//! ```text
-//! coolstream run      [--preset event_day|steady] [--scale F] [--rate F]
-//!                     [--seed N] [--start-h F] [--end-h F]
-//!                     [--scenario spec.json] [--config scenario.json]
-//!                     [--out DIR] [--quiet]
-//! coolstream bench    [--quick] [--reps N] [--scenarios a,b,c]
-//!                     [--out-dir DIR] [--compare BENCH.json]
-//! coolstream analyze  --log FILE [--out DIR]
-//! coolstream config   [--preset event_day|steady] [--scale F] [--rate F]
-//!                     [--scenario spec.json] [--example]
-//! coolstream help
-//! ```
-//!
-//! `run` executes a scenario and writes `log.txt`, `summary.json`,
-//! `figures.txt` and `sessions.csv` into `--out` (default `./out`).
-//! The `analyze` command re-derives the log-based figures from a previously saved
-//! `log.txt` — the measurement-study workflow without re-simulating.
-//! `config` prints a versioned scenario-DSL JSON to stdout for editing
-//! (see DESIGN.md §10 and the `scenarios/` library); `--scenario` runs
-//! or validates such a file, `--config` still accepts the legacy raw
-//! `Scenario` shape.
+//! A run has one description — a versioned scenario-DSL document
+//! (DESIGN.md §10), loaded with `--scenario` or built from the preset
+//! flags — and one output: the run directory `--out` (default `./out`),
+//! indexed by its `manifest.json` (DESIGN.md §8). `config` prints the
+//! description for editing; `analyze` re-derives the log-based figures
+//! from a run directory's `log.txt` — the measurement-study workflow
+//! without re-simulating.
 
 #![forbid(unsafe_code)]
 
@@ -34,11 +21,10 @@ use args::Args;
 use coolstreaming::experiments::{
     fig10_sessions, fig6_startup, fig7_ready_by_period, render_fig7, LogView,
 };
-use coolstreaming::proto::Event;
-use coolstreaming::{BaseSpec, RunOptions, Scenario, ScenarioSpec};
+use coolstreaming::{BaseSpec, CompiledSpec, RunOptions, ScenarioSpec};
 use cs_logging::LogServer;
 use cs_sim::SimTime;
-use cs_telemetry::{RunManifest, TelemetryConfig};
+use cs_telemetry::TelemetryConfig;
 
 /// `git describe --always --dirty` of the working tree, if git and a
 /// repository are available; `None` otherwise (e.g. release tarballs).
@@ -55,88 +41,51 @@ fn git_describe() -> Option<String> {
     (!s.is_empty()).then(|| s.to_string())
 }
 
-/// A runnable scenario plus the chaos injections its source file (if
-/// any) scheduled.
-#[derive(Debug)]
-struct Loaded {
-    scenario: Scenario,
-    injections: Vec<(SimTime, Event)>,
-}
-
-/// Load, strictly validate and compile a `--scenario FILE` DSL document.
+/// Load and strictly validate a `--scenario FILE` DSL document.
 fn load_spec(path: &str) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     ScenarioSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn build_scenario(args: &Args) -> Result<Loaded, String> {
-    if let Some(path) = args.get_str("scenario") {
-        let spec = load_spec(path)?;
-        let compiled = spec.compile().map_err(|e| format!("{path}: {e}"))?;
-        let mut scenario = compiled.scenario;
-        // --seed still wins, so sweeps can reuse one file across seeds.
-        scenario.seed = args.get("seed", scenario.seed)?;
-        return Ok(Loaded {
-            scenario,
-            injections: compiled.injections,
-        });
-    }
-    if let Some(path) = args.get_str("config") {
-        // Legacy raw-Scenario JSON (the pre-DSL `coolstream config` shape).
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let scenario = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
-        return Ok(Loaded {
-            scenario,
-            injections: Vec::new(),
-        });
-    }
-    let preset = args.get_str("preset").unwrap_or("steady");
-    let mut scenario = match preset {
-        "event_day" => Scenario::event_day(args.get("scale", 0.02)?),
-        "steady" => Scenario::steady(args.get("rate", 0.5)?),
-        other => return Err(format!("unknown preset {other:?} (event_day|steady)")),
+/// The run's one description — `--scenario FILE` or the preset flags —
+/// and what it compiles to. The returned spec always names its seed
+/// (`--seed`, else the file's, else the base default), so feeding it
+/// back through `run --scenario` reproduces the run with no flags.
+fn build_scenario(args: &Args) -> Result<(ScenarioSpec, CompiledSpec), String> {
+    let mut spec = match args.get_str("scenario") {
+        Some(path) => load_spec(path)?,
+        None => spec_from_flags(args)?,
     };
-    scenario.seed = args.get("seed", scenario.seed)?;
-    if args.has("start-h") || args.has("end-h") {
-        let start = SimTime::from_secs_f64(args.get("start-h", 0.0)? * 3600.0);
-        let default_end = scenario.horizon.as_secs_f64() / 3600.0;
-        let end = SimTime::from_secs_f64(args.get("end-h", default_end)? * 3600.0);
-        if end <= start {
-            return Err("end-h must exceed start-h".into());
-        }
-        scenario.start = start;
-        scenario.horizon = end;
-    } else if preset == "steady" {
-        scenario.horizon = SimTime::from_mins(args.get("minutes", 20)?);
+    // --seed wins over the file, so sweeps can reuse one file across seeds.
+    if let Some(seed) = args.get_opt("seed")? {
+        spec.seed = Some(seed);
     }
-    Ok(Loaded {
-        scenario,
-        injections: Vec::new(),
-    })
+    let compiled = spec.compile().map_err(|e| e.to_string())?;
+    spec.seed = Some(compiled.scenario.seed);
+    Ok((spec, compiled))
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let Loaded {
-        scenario,
-        injections,
-    } = build_scenario(args)?;
+    let (spec, compiled) = build_scenario(args)?;
+    let (scenario, injections) = (compiled.scenario, compiled.injections);
     let quiet = args.has("quiet");
-    let telemetry_dir = args.get_str("telemetry-dir").map(PathBuf::from);
-    let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
     if args.has("invariant-stride") && !args.has("check-invariants") {
         return Err(
             "--invariant-stride has no effect without --check-invariants; pass both or neither"
                 .into(),
         );
     }
+    let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
+    if telemetry_window_s == 0 {
+        return Err("--telemetry-window: must be at least 1 second".into());
+    }
     let options = RunOptions {
         check_invariants: args.has("check-invariants"),
         invariant_stride: args.get("invariant-stride", 1)?,
-        // The telemetry manifest records the trace hash, so --telemetry-dir
-        // implies --trace-hash.
-        trace_hash: args.has("trace-hash") || telemetry_dir.is_some(),
-        record_spans: false,
-        telemetry: telemetry_dir.is_some().then_some(TelemetryConfig {
+        // The manifest always records the hash; --trace-hash only prints it.
+        trace_hash: true,
+        record_spans: args.has("spans"),
+        telemetry: args.has("telemetry").then_some(TelemetryConfig {
             window: SimTime::from_secs(telemetry_window_s),
         }),
     };
@@ -151,36 +100,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let wall_start = std::time::Instant::now();
     let observed = scenario.run_injected_observed(injections, options);
     let wall_ms = u64::try_from(wall_start.elapsed().as_millis()).unwrap_or(u64::MAX);
-    if let Some(hash) = observed.trace_hash {
+    if let (true, Some(hash)) = (args.has("trace-hash"), observed.trace_hash) {
         println!("trace-hash {hash:016x}");
-    }
-    if let (Some(dir), Some(tel)) = (&telemetry_dir, &observed.telemetry) {
-        let manifest = RunManifest {
-            seed: scenario.seed,
-            scenario_json: serde_json::to_string(&scenario).ok(),
-            git_describe: git_describe(),
-            trace_hash: observed.trace_hash,
-            events: tel.events,
-            event_kinds: tel.event_kinds().into_iter().collect(),
-            windows: tel.snapshots.len() as u64,
-            window_us: telemetry_window_s * 1_000_000,
-            start_us: scenario.start.as_micros(),
-            horizon_us: scenario.horizon.as_micros(),
-            wall_ms,
-            peak_rss_bytes: cs_telemetry::peak_rss_bytes(),
-            repetitions: 1,
-            host: Some(cs_telemetry::HostFingerprint::detect()),
-        };
-        output::write_telemetry(dir, tel, &manifest)
-            .map_err(|e| format!("write telemetry: {e}"))?;
-        if !quiet {
-            eprintln!(
-                "telemetry: {} windows, {} series → {}",
-                tel.snapshots.len(),
-                tel.registry.len(),
-                dir.display()
-            );
-        }
     }
     let mut violations = 0;
     if let Some(chk) = &observed.invariants {
@@ -196,20 +117,29 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             eprint!("{}", chk.report());
         }
     }
-    let artifacts = observed.artifacts;
-    let view = LogView::build(&artifacts);
     let out: PathBuf = args.get_str("out").unwrap_or("out").into();
-    output::write_outputs(&out, &artifacts, &view, scenario.horizon)
-        .map_err(|e| format!("write outputs: {e}"))?;
+    let manifest = output::write_run_dir(
+        &out,
+        spec,
+        scenario.horizon,
+        &observed,
+        git_describe(),
+        wall_ms,
+    )
+    .map_err(|e| format!("write {}: {e}", out.display()))?;
     if !quiet {
-        let s = output::summarize(&artifacts, &view);
+        let na = || "n/a".to_string();
         eprintln!(
-            "done: {} arrivals, {} events, continuity {:.2}%, ready median {:.1}s → {}",
-            s.arrivals,
-            s.events,
-            100.0 * s.mean_continuity,
-            s.ready_median_s,
-            out.display()
+            "done: {} arrivals, {} events, continuity {}, ready median {} → {}",
+            manifest.arrivals,
+            manifest.events,
+            manifest
+                .mean_continuity
+                .map_or_else(na, |c| format!("{:.2}%", 100.0 * c)),
+            manifest
+                .ready_median_s
+                .map_or_else(na, |s| format!("{s:.1}s")),
+            out.display(),
         );
     }
     if violations > 0 {
@@ -219,8 +149,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 /// `coolstream bench` — run the scenario library through the cs-bench
-/// harness and emit `BENCH_<git-describe>.json` (+ `spans.jsonl`),
-/// optionally gating against a committed baseline (see DESIGN.md §12).
+/// harness and emit `BENCH_<git-describe>.json`, optionally gating
+/// against a committed baseline (see DESIGN.md §12).
 fn cmd_bench(args: &Args) -> Result<(), String> {
     let describe = git_describe();
     let scenarios_dir = args.get_str("scenarios-dir").unwrap_or("scenarios");
@@ -228,17 +158,16 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     opts.git_describe = describe.clone();
     opts.verbose = !args.has("quiet");
     // --quick: single timing rep — the CI configuration, where the point
-    // is behaviour gating and artifact capture, not stable timing.
+    // is behaviour gating, not stable timing.
     opts.reps = if args.has("quick") {
         1
     } else {
         args.get("reps", 3)?.max(1)
     };
-    opts.record_spans = !args.has("no-spans");
     if let Some(list) = args.get_str("scenarios") {
         opts.filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
     }
-    let run = cs_bench::run_bench(&opts)?;
+    let report = cs_bench::run_bench(&opts)?;
 
     let out_dir = PathBuf::from(args.get_str("out-dir").unwrap_or("bench-out"));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
@@ -256,16 +185,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         })
         .collect();
     let bench_path = out_dir.join(format!("BENCH_{tag}.json"));
-    std::fs::write(&bench_path, run.report.to_json())
+    std::fs::write(&bench_path, report.to_json())
         .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
     eprintln!("wrote {}", bench_path.display());
-    if let Some(spans) = &run.spans_jsonl {
-        let spans_path = out_dir.join("spans.jsonl");
-        std::fs::write(&spans_path, spans)
-            .map_err(|e| format!("write {}: {e}", spans_path.display()))?;
-        eprintln!("wrote {}", spans_path.display());
-    }
-    for s in &run.report.scenarios {
+    for s in &report.scenarios {
         println!(
             "{:<20} {:>9} events  {:>12} ev/s  {:>9} peers/s  hash {}",
             s.name, s.events, s.events_per_sec, s.peers_per_sec, s.trace_hash
@@ -275,8 +198,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     if let Some(baseline) = args.get_str("compare") {
         let warn_pct = args.get("warn-pct", cs_bench::DEFAULT_WARN_PCT)?;
         let fail_pct = args.get("fail-pct", cs_bench::DEFAULT_FAIL_PCT)?;
-        let outcome =
-            cs_bench::compare_to_file(&run.report, Path::new(baseline), warn_pct, fail_pct)?;
+        let outcome = cs_bench::compare_to_file(&report, Path::new(baseline), warn_pct, fail_pct)?;
         println!("\ncompare vs {baseline}:");
         for line in &outcome.lines {
             println!("  {line}");
@@ -365,10 +287,14 @@ fn spec_from_flags(args: &Args) -> Result<ScenarioSpec, String> {
         shards: None,
         events: Vec::new(),
     };
-    let hours_to_s = |h: f64| (h * 3600.0).round() as u64;
+    let hours_to_s = |key: &str| match args.get_opt::<f64>(key)? {
+        None => Ok(None),
+        Some(h) if h.is_finite() && h >= 0.0 => Ok(Some((h * 3600.0).round() as u64)),
+        Some(h) => Err(format!("--{key}: must be a finite hour >= 0, got {h}")),
+    };
     spec.seed = args.get_opt("seed")?;
-    spec.start_s = args.get_opt("start-h")?.map(hours_to_s);
-    spec.end_s = args.get_opt("end-h")?.map(hours_to_s);
+    spec.start_s = hours_to_s("start-h")?;
+    spec.end_s = hours_to_s("end-h")?;
     if spec.end_s.is_none() && preset == "steady" {
         spec.end_s = Some(args.get("minutes", 20u64)? * 60);
     }
@@ -398,13 +324,12 @@ coolstream — Coolstreaming reproduction CLI
 USAGE:
   coolstream run      [--preset event_day|steady] [--scale F] [--rate F]
                       [--minutes N] [--seed N] [--start-h F] [--end-h F]
-                      [--scenario spec.json] [--config scenario.json]
-                      [--out DIR] [--quiet]
+                      [--scenario spec.json] [--out DIR] [--quiet]
                       [--check-invariants] [--invariant-stride N]
-                      [--trace-hash] [--telemetry-dir DIR]
-                      [--telemetry-window SECS]
+                      [--trace-hash] [--telemetry] [--telemetry-window SECS]
+                      [--spans]
   coolstream bench    [--quick] [--reps N] [--scenarios a,b,c]
-                      [--scenarios-dir DIR] [--out-dir DIR] [--no-spans]
+                      [--scenarios-dir DIR] [--out-dir DIR]
                       [--compare BENCH.json] [--warn-pct N] [--fail-pct N]
                       [--quiet]
   coolstream analyze  --log FILE [--out DIR]
@@ -414,36 +339,42 @@ USAGE:
 Flags may be spelled `--key value` or `--key=value`. Unknown flags and
 unparsable values are errors.
 
-bench runs the scenario library end-to-end and writes a schema-versioned
-perf report (BENCH_<git-describe>.json: events/sec, peers/sec, min-of-K
-wall time, event totals by kind and manager, dispatch p50/p95/p99) plus
-sim-time causal spans (spans.jsonl) into --out-dir (default bench-out).
-
-  --quick              one timing repetition (the CI configuration)
-  --reps N             timing repetitions per scenario, min-of-K (default 3)
-  --scenarios a,b,c    restrict to the named scenarios
-  --scenarios-dir DIR  scenario library location (default scenarios/)
-  --no-spans           skip recording/writing spans.jsonl
-  --compare FILE       gate against a baseline BENCH json: scenario-set,
-                       trace-hash or event-count drift fails hard;
-                       wall-time slowdown warns past --warn-pct (default
-                       25) and fails past --fail-pct (default 100; 0
-                       disables the time failure, as in CI)
+run executes one scenario — a --scenario file, or the spec the preset
+flags describe (what `config` prints) — and writes one run directory,
+--out (default out): log.txt, figures.txt, sessions.csv and the
+manifest.json that indexes them (DESIGN.md §8).
 
   --scenario FILE      load a versioned scenario-DSL file (schema v1:
                        base + overrides + timed chaos `events`; see
                        DESIGN.md §10 and scenarios/). Unknown fields,
                        wrong versions and out-of-range knobs are errors.
-  --config FILE        load a legacy raw-Scenario JSON (no events)
   --check-invariants   validate protocol invariants after every event
                        (exit non-zero on any violation)
   --invariant-stride N full-state validation every N-th event (default 1)
-  --trace-hash         print the run's deterministic trace hash
-  --telemetry-dir DIR  write windowed metrics (metrics.jsonl), a wall-clock
-                       dispatch profile (profile.json) and a run manifest
-                       (manifest.json) into DIR; implies --trace-hash
-  --telemetry-window N aggregation window in seconds (default 300, the
-                       paper's status-report cadence)
+  --trace-hash         print the run's deterministic trace hash (the
+                       manifest records it either way)
+  --telemetry          also write windowed metrics (metrics.jsonl) and a
+                       wall-clock dispatch profile (profile.json)
+  --telemetry-window N aggregation window in seconds, >= 1 (default 300,
+                       the paper's status-report cadence)
+  --spans              also write one causal span per dispatched event
+                       (spans.jsonl)
+
+bench runs the scenario library end-to-end and writes a schema-versioned
+perf report (BENCH_<git-describe>.json: trace hash, event and peer
+counts, min-of-K wall time, events/sec, peers/sec) into --out-dir
+(default bench-out). Per-layer attribution is the repo benchmark's job
+(benchmark/README.md).
+
+  --quick              one timing repetition (the CI configuration)
+  --reps N             timing repetitions per scenario, min-of-K (default 3)
+  --scenarios a,b,c    restrict to the named scenarios
+  --scenarios-dir DIR  scenario library location (default scenarios/)
+  --compare FILE       gate against a baseline BENCH json: scenario-set,
+                       trace-hash or event-count drift fails hard;
+                       wall-time slowdown warns past --warn-pct (default
+                       25) and fails past --fail-pct (default 100; 0
+                       disables the time failure, as in CI)
 ";
 
 /// The flags each subcommand declares; anything else is an error, so a
@@ -457,14 +388,14 @@ const RUN_FLAGS: &[&str] = &[
     "start-h",
     "end-h",
     "scenario",
-    "config",
     "out",
     "quiet",
     "check-invariants",
     "invariant-stride",
     "trace-hash",
-    "telemetry-dir",
+    "telemetry",
     "telemetry-window",
+    "spans",
 ];
 const BENCH_FLAGS: &[&str] = &[
     "quick",
@@ -472,7 +403,6 @@ const BENCH_FLAGS: &[&str] = &[
     "scenarios",
     "scenarios-dir",
     "out-dir",
-    "no-spans",
     "compare",
     "warn-pct",
     "fail-pct",
@@ -520,40 +450,39 @@ mod tests {
         Args::parse(s.split_whitespace().map(String::from))
     }
 
+    /// The runnable scenario `args` describe.
+    fn scenario_of(args: &str) -> Result<coolstreaming::Scenario, String> {
+        build_scenario(&parse(args)).map(|(_, compiled)| compiled.scenario)
+    }
+
     #[test]
     fn build_scenario_presets() {
-        let s = build_scenario(&parse("run --preset steady --rate 0.8 --minutes 5"))
-            .unwrap()
-            .scenario;
-        assert_eq!(s.horizon, SimTime::from_mins(5));
-        let e = build_scenario(&parse("run --preset event_day --scale 0.01 --seed 9"))
-            .unwrap()
-            .scenario;
+        let (spec, compiled) =
+            build_scenario(&parse("run --preset steady --rate 0.8 --minutes 5")).unwrap();
+        assert_eq!(compiled.scenario.horizon, SimTime::from_mins(5));
+        // The effective spec names even a defaulted seed and round-trips.
+        assert_eq!(spec.seed, Some(compiled.scenario.seed));
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
+        let e = scenario_of("run --preset event_day --scale 0.01 --seed 9").unwrap();
         assert_eq!(e.seed, 9);
         assert_eq!(e.horizon, SimTime::from_hours(24));
-        assert!(build_scenario(&parse("run --preset nope")).is_err());
+        assert!(scenario_of("run --preset nope").is_err());
     }
 
     #[test]
     fn window_flags_override() {
-        let s = build_scenario(&parse("run --preset event_day --start-h 18 --end-h 19.5"))
-            .unwrap()
-            .scenario;
+        let s = scenario_of("run --preset event_day --start-h 18 --end-h 19.5").unwrap();
         assert_eq!(s.start, SimTime::from_hours(18));
         assert_eq!(s.horizon, SimTime::from_secs(19 * 3600 + 1800));
-        assert!(build_scenario(&parse("run --start-h 5 --end-h 4")).is_err());
-    }
-
-    #[test]
-    fn scenario_json_round_trips() {
-        let s = build_scenario(&parse("config --preset event_day --scale 0.03"))
-            .unwrap()
-            .scenario;
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.seed, s.seed);
-        assert_eq!(back.horizon, s.horizon);
-        assert_eq!(back.servers, s.servers);
+        assert!(scenario_of("run --start-h 5 --end-h 4").is_err());
+        // `run` and `config | run --scenario` mean the same window: a
+        // steady preset ends at --minutes (default 20) unless --end-h says
+        // otherwise.
+        let s = scenario_of("run --preset steady --start-h 0.1").unwrap();
+        assert_eq!(
+            (s.start, s.horizon),
+            (SimTime::from_mins(6), SimTime::from_mins(20))
+        );
     }
 
     /// Write `text` to a temp file and return its path.
@@ -604,16 +533,18 @@ mod tests {
                            {"kind": "bootstrap_up", "at_s": 120}]
             }"#,
         );
-        let loaded = build_scenario(&parse(&format!("run --scenario {}", path.display()))).unwrap();
+        let (_, loaded) =
+            build_scenario(&parse(&format!("run --scenario {}", path.display()))).unwrap();
         assert_eq!(loaded.scenario.seed, 3);
         assert_eq!(loaded.scenario.horizon, SimTime::from_secs(300));
         assert_eq!(loaded.injections.len(), 2);
-        let cli_seed = build_scenario(&parse(&format!(
+        let (spec, cli_seed) = build_scenario(&parse(&format!(
             "run --scenario {} --seed 44",
             path.display()
         )))
         .unwrap();
         assert_eq!(cli_seed.scenario.seed, 44, "--seed must override the file");
+        assert_eq!(spec.seed, Some(44), "and the effective spec records it");
     }
 
     #[test]

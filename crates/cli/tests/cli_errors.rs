@@ -47,6 +47,16 @@ fn removed_shards_flag_is_rejected_by_name() {
 }
 
 #[test]
+fn flags_removed_with_the_run_directory_are_rejected_by_name() {
+    for flag in ["--config", "--telemetry-dir"] {
+        let e = run_scenario_with(&[flag, "x"]);
+        assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+    }
+    let e = stderr_of_failure(&["bench", "--quick", "--no-spans"]);
+    assert!(e.contains("unknown flag --no-spans"), "{e}");
+}
+
+#[test]
 fn typoed_flag_is_rejected_by_name() {
     let e = run_scenario_with(&["--sede", "7"]);
     assert!(e.contains("unknown flag --sede"), "{e}");
@@ -65,6 +75,36 @@ fn invariant_stride_without_the_checker_is_rejected() {
         e.contains("--invariant-stride") && e.contains("--check-invariants"),
         "{e}"
     );
+}
+
+/// The preset flags go through `ScenarioSpec::validate` like a scenario
+/// file does. These used to panic in a library `assert!` (`--scale 0`),
+/// simulate nobody and exit 0 (`--rate -1`), allocate without bound
+/// (`--rate nan`), or run at 300 s and record 0 (`--telemetry-window 0`).
+#[test]
+fn out_of_range_flag_values_are_rejected_by_name() {
+    for (args, field) in [
+        (&["--preset", "event_day", "--scale", "0"][..], "`scale`"),
+        (&["--rate", "-1"], "`rate`"),
+        (&["--rate", "nan"], "`rate`"),
+        (&["--rate", "inf"], "`rate`"),
+        (&["--start-h", "-1"], "--start-h"),
+        (&["--end-h", "nan"], "--end-h"),
+        (
+            &["--telemetry", "--telemetry-window", "0"],
+            "--telemetry-window",
+        ),
+    ] {
+        // `--rate nan` used to hang: a slow rejection is a failure too.
+        let t0 = std::time::Instant::now();
+        let e = stderr_of_failure(&[&["run"], args].concat());
+        assert!(e.contains(field), "{args:?}: {e}");
+        assert!(
+            t0.elapsed().as_secs() < 1,
+            "{args:?} took {:?}",
+            t0.elapsed()
+        );
+    }
 }
 
 #[test]
@@ -97,7 +137,7 @@ fn horizon_beyond_the_clock_is_rejected_not_wrapped() {
     let _ = std::fs::remove_dir_all(&out);
     let e = stderr_of_failure(&["run", "--scenario", &path, "--out", &out.to_string_lossy()]);
     assert!(e.contains("`end_s`") && e.contains("18446744073770"), "{e}");
-    assert!(!out.join("summary.json").exists(), "a summary was written");
+    assert!(!out.exists(), "a run directory was written");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! channel mid-session.
 //!
 //! Each channel is a full [`Scenario`] world (its own servers, scaled by
-//! popularity); channels run rayon-parallel. The well-known P2P-IPTV
+//! popularity); channels run on parallel threads. The well-known P2P-IPTV
 //! finding should emerge: *unpopular channels stream worse* — small
 //! swarms have fewer public peers to clog under, so startup is slower
 //! and continuity lower (cf. the PPLive measurements of §II).
@@ -20,13 +20,11 @@ use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::SimTime;
 use rand::Rng;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-use crate::scenario::{RunArtifacts, Scenario};
+use crate::scenario::{par_map, RunArtifacts, Scenario};
 
 /// A multi-channel deployment description.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChannelScenario {
     /// The base scenario: its workload is the *aggregate* audience; its
     /// servers are the *total* fleet, divided across channels by
@@ -106,34 +104,28 @@ impl ChannelScenario {
         per_channel
     }
 
-    /// Run every channel (rayon-parallel) and return them by rank.
+    /// Run every channel (on parallel threads) and return them by rank.
     pub fn run(&self) -> Vec<ChannelRun> {
         let shares = self.shares();
         let arrivals = self.split_arrivals();
         // Servers divide across channels proportionally to popularity,
         // at least one each — as an operator would provision.
         let total_server_bw = self.base.servers as u64 * self.base.server_bw.as_bps();
-        let runs: Vec<ChannelRun> = arrivals
-            .into_par_iter()
-            .enumerate()
-            .map(|(rank, arrivals)| {
-                let share = shares[rank];
-                let servers = ((self.base.servers as f64 * share).round() as usize).max(1);
-                let bw =
-                    Bandwidth(((total_server_bw as f64 * share) / servers as f64).round() as u64);
-                let mut scenario = self.base.clone();
-                scenario.servers = servers;
-                scenario.server_bw = bw;
-                scenario.seed = self.base.seed.wrapping_add(rank as u64 * 7919);
-                let artifacts = scenario.run_with_arrivals(arrivals);
-                ChannelRun {
-                    rank,
-                    share,
-                    artifacts,
-                }
-            })
-            .collect();
-        runs
+        par_map(arrivals, |rank, arrivals| {
+            let share = shares[rank];
+            let servers = ((self.base.servers as f64 * share).round() as usize).max(1);
+            let bw = Bandwidth(((total_server_bw as f64 * share) / servers as f64).round() as u64);
+            let mut scenario = self.base.clone();
+            scenario.servers = servers;
+            scenario.server_bw = bw;
+            scenario.seed = self.base.seed.wrapping_add(rank as u64 * 7919);
+            let artifacts = scenario.run_with_arrivals(arrivals);
+            ChannelRun {
+                rank,
+                share,
+                artifacts,
+            }
+        })
     }
 }
 

@@ -13,21 +13,20 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network};
 use cs_proto::{finalize_sessions, CsWorld, Event, InvariantChecker, Params};
 use cs_sim::{Engine, RunStats, SimTime};
 use cs_telemetry::{SpanRecord, TelemetryConfig, TelemetryRun};
 use cs_workload::Workload;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::instruments::Instruments;
 
 /// Everything that defines a run. Construct via [`Scenario::event_day`] /
-/// [`Scenario::steady`] and the `with_*` modifiers. Serializable, so runs
-/// can be specified as JSON configs (see the `cs-cli` crate).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// [`Scenario::steady`] and the `with_*` modifiers, or compile one from
+/// its JSON description, a [`crate::ScenarioSpec`].
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Protocol parameters (Table I).
     pub params: Params,
@@ -290,9 +289,36 @@ pub struct RunArtifacts {
     pub run_stats: RunStats,
 }
 
-/// Run many scenarios in parallel (rayon), preserving input order.
+/// Run many scenarios in parallel, preserving input order.
 pub fn run_all(scenarios: Vec<Scenario>) -> Vec<RunArtifacts> {
-    scenarios.into_par_iter().map(|s| s.run()).collect()
+    par_map(scenarios, |_, s| s.run())
+}
+
+/// Map `f(index, item)` over `items` on up to `available_parallelism`
+/// scoped threads, results in input order: workers pull the next
+/// `(item, result slot)` pair from a shared queue. The items share nothing
+/// (each run owns its world and RNG streams), so the output is the
+/// sequential one by construction. A panic in `f` resurfaces when the
+/// scope joins.
+pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len());
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    {
+        let queue = Mutex::new(items.into_iter().zip(&mut slots).enumerate());
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    // Held across `next()` only, never across `f`.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((i, (item, slot))) = next else { break };
+                    *slot = Some(f(i, item));
+                });
+            }
+        });
+    }
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -350,8 +376,18 @@ mod tests {
         let seq: Vec<String> = (1..4).map(|s| mk(s).run().world.log.to_text()).collect();
         let par = run_all((1..4).map(mk).collect());
         for (s, p) in seq.iter().zip(par.iter()) {
-            assert_eq!(*s, p.world.log.to_text(), "rayon must not change results");
+            assert_eq!(*s, p.world.log.to_text(), "threads must not change results");
         }
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_past_the_worker_count() {
+        let squares = par_map((0..97usize).collect(), |i, x| {
+            assert_eq!(i, x);
+            x * x
+        });
+        assert_eq!(squares, (0..97).map(|x| x * x).collect::<Vec<_>>());
+        assert!(par_map(Vec::<u8>::new(), |_, x| x).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # cs-telemetry — deterministic metrics, windowed aggregation, run manifests
+//! # cs-telemetry — deterministic metrics, windowed aggregation, causal spans
 //!
 //! The paper *is* an observability system: §V's internal logging (immediate
 //! activity reports plus 5-minute QoS/traffic/partner status reports) is
@@ -33,9 +33,9 @@
 //!   span per dispatched event (seq, causing seq, sim-time, kind, owning
 //!   manager), with wall-clock handler duration as the only
 //!   environment-dependent field, rendered to `spans.jsonl`.
-//! * [`RunManifest`] — the `manifest.json` schema tying a run's seed,
-//!   scenario, git revision, trace hash, and event totals together so any
-//!   run is reconstructable and comparable.
+//! * [`HostFingerprint`] / [`peak_rss_bytes`] — the environment facts a
+//!   run's `manifest.json` (written by `coolstream run`) and the
+//!   `BENCH_*.json` header record beside their wall-clock numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +48,7 @@ pub mod registry;
 pub mod span;
 pub mod window;
 
-pub use manifest::{peak_rss_bytes, HostFingerprint, RunManifest};
+pub use manifest::{peak_rss_bytes, HostFingerprint};
 pub use observer::{EngineTelemetry, TelemetryRun, PROFILE_SAMPLE_EVERY};
 pub use profile::{DispatchProfiler, KindTiming};
 pub use registry::{Histogram, Metric, MetricId, MetricKey, MetricRegistry};

@@ -1,18 +1,14 @@
-//! The run manifest: everything needed to reconstruct and compare a run.
-//!
-//! `manifest.json` ties together the inputs (seed, full scenario JSON),
-//! the code revision (`git describe`), the behavioural fingerprint (trace
-//! hash — comparable against `tests/golden/trace_hashes.txt`), and the
-//! outcome (event totals per kind, window count, wall time). Two runs with
-//! equal `seed`/`scenario`/`trace_hash` are behaviourally identical; their
-//! `metrics.jsonl` files are then byte-identical too.
+//! The environment-dependent facts of a run's `manifest.json`: the host
+//! it executed on and the memory it peaked at. `coolstream run` (cs-cli)
+//! writes the manifest; the bench harness stamps the same two facts into
+//! `BENCH_*.json`.
 
-use crate::json::{push_key, push_str_lit};
+use serde::Serialize;
 
 /// Fingerprint of the machine a run executed on, for interpreting
 /// wall-clock numbers (`wall_ms`, `profile.json`, `BENCH_*.json`) across
 /// hosts. Purely descriptive — it never influences the simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct HostFingerprint {
     /// Logical CPU count (`std::thread::available_parallelism`), 0 if unknown.
     pub cores: u64,
@@ -44,153 +40,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// The `manifest.json` contents. All fields are plain data; rendering is
-/// deterministic except for `wall_ms`, `peak_rss_bytes`, `host`, and
-/// `git_describe`, which describe the environment rather than the run's
-/// behaviour.
-#[derive(Clone, Debug, Default)]
-pub struct RunManifest {
-    /// Master seed.
-    pub seed: u64,
-    /// The full scenario as serialized JSON (embedded verbatim), if known.
-    pub scenario_json: Option<String>,
-    /// `git describe --always --dirty` of the working tree, if available.
-    pub git_describe: Option<String>,
-    /// The run's deterministic trace hash.
-    pub trace_hash: Option<u64>,
-    /// Events dispatched.
-    pub events: u64,
-    /// Per-kind event totals, sorted by kind.
-    pub event_kinds: Vec<(String, u64)>,
-    /// Metric windows flushed.
-    pub windows: u64,
-    /// Aggregation window width in microseconds.
-    pub window_us: u64,
-    /// Run window start in microseconds.
-    pub start_us: u64,
-    /// Run horizon in microseconds.
-    pub horizon_us: u64,
-    /// Wall-clock run duration in milliseconds (environment-dependent).
-    pub wall_ms: u64,
-    /// Peak resident set size in bytes ([`peak_rss_bytes`]), if known.
-    pub peak_rss_bytes: Option<u64>,
-    /// Repetitions this manifest summarises (1 for a plain run; the
-    /// bench harness sets its min-of-K repetition count).
-    pub repetitions: u64,
-    /// The executing host, if captured.
-    pub host: Option<HostFingerprint>,
-}
-
-impl RunManifest {
-    /// Render as pretty-printed JSON. Schema `/2` added `peak_rss_bytes`,
-    /// `repetitions`, and `host`; `/1` consumers reading only the older
-    /// keys still parse.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"cs-telemetry-manifest/2\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"scenario\": ");
-        match &self.scenario_json {
-            // Scenario JSON comes from the serializer, so embed it raw.
-            Some(json) => out.push_str(json),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n  \"git_describe\": ");
-        match &self.git_describe {
-            Some(d) => push_str_lit(&mut out, d),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n  \"trace_hash\": ");
-        match self.trace_hash {
-            Some(h) => push_str_lit(&mut out, &format!("{h:016x}")),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(",\n  \"events\": {},\n", self.events));
-        out.push_str("  \"event_kinds\": {");
-        for (i, (kind, n)) in self.event_kinds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_key(&mut out, kind);
-            out.push_str(&format!(" {n}"));
-        }
-        if !self.event_kinds.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"windows\": {},\n  \"window_us\": {},\n  \"start_us\": {},\n  \
-             \"horizon_us\": {},\n  \"wall_ms\": {},\n",
-            self.windows, self.window_us, self.start_us, self.horizon_us, self.wall_ms
-        ));
-        out.push_str("  \"peak_rss_bytes\": ");
-        match self.peak_rss_bytes {
-            Some(b) => out.push_str(&b.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(",\n  \"repetitions\": {},\n", self.repetitions));
-        out.push_str("  \"host\": ");
-        match &self.host {
-            Some(h) => {
-                out.push_str(&format!("{{\"cores\": {}, ", h.cores));
-                push_key(&mut out, "arch");
-                out.push(' ');
-                push_str_lit(&mut out, &h.arch);
-                out.push_str(", ");
-                push_key(&mut out, "os");
-                out.push(' ');
-                push_str_lit(&mut out, &h.os);
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str("\n}\n");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_null_and_populated_fields() {
-        let empty = RunManifest::default().to_json();
-        assert!(empty.contains("\"scenario\": null"));
-        assert!(empty.contains("\"trace_hash\": null"));
-        assert!(empty.contains("\"peak_rss_bytes\": null"));
-        assert!(empty.contains("\"host\": null"));
-
-        let m = RunManifest {
-            seed: 7,
-            scenario_json: Some("{\"rate\":0.4}".into()),
-            git_describe: Some("abc1234-dirty".into()),
-            trace_hash: Some(0xfd00_912e_b62e_19b3),
-            events: 12,
-            event_kinds: vec![("arrive".into(), 5), ("depart".into(), 7)],
-            windows: 2,
-            window_us: 300_000_000,
-            start_us: 0,
-            horizon_us: 360_000_000,
-            wall_ms: 42,
-            peak_rss_bytes: Some(12_345_678),
-            repetitions: 5,
-            host: Some(HostFingerprint {
-                cores: 8,
-                arch: "x86_64".into(),
-                os: "linux".into(),
-            }),
-        };
-        let j = m.to_json();
-        assert!(j.contains("\"schema\": \"cs-telemetry-manifest/2\""));
-        assert!(j.contains("\"scenario\": {\"rate\":0.4}"));
-        assert!(j.contains("\"trace_hash\": \"fd00912eb62e19b3\""));
-        assert!(j.contains("\"arrive\": 5"));
-        assert!(j.contains("\"peak_rss_bytes\": 12345678"));
-        assert!(j.contains("\"repetitions\": 5"));
-        assert!(j.contains("\"host\": {\"cores\": 8, \"arch\": \"x86_64\", \"os\": \"linux\"}"));
-        assert!(j.ends_with("}\n"));
-    }
 
     #[test]
     fn host_fingerprint_detects_something() {

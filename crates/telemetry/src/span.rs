@@ -69,16 +69,9 @@ impl SpanRecord {
         }
     }
 
-    /// Render one JSONL line (no trailing newline). `scenario`, when
-    /// given, is embedded so multi-scenario span files stay joinable.
-    pub fn to_json(&self, scenario: Option<&str>) -> String {
-        let mut out = String::from("{");
-        if let Some(s) = scenario {
-            push_key(&mut out, "scenario");
-            push_str_lit(&mut out, s);
-            out.push(',');
-        }
-        out.push_str(&format!("\"seq\":{},\"cause\":", self.seq));
+    /// Render one JSONL line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut out = format!("{{\"seq\":{},\"cause\":", self.seq);
         match self.cause {
             Some(c) => out.push_str(&c.to_string()),
             None => out.push_str("null"),
@@ -100,19 +93,13 @@ impl SpanRecord {
 
 /// Render a full `spans.jsonl` document: a schema header line followed
 /// by one line per span.
-pub fn spans_to_jsonl(scenario: Option<&str>, spans: &[SpanRecord]) -> String {
+pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::from("{");
     push_key(&mut out, "schema");
     push_str_lit(&mut out, SPANS_SCHEMA);
-    out.push_str(&format!(",\"spans\":{}", spans.len()));
-    if let Some(s) = scenario {
-        out.push(',');
-        push_key(&mut out, "scenario");
-        push_str_lit(&mut out, s);
-    }
-    out.push_str("}\n");
+    out.push_str(&format!(",\"spans\":{}}}\n", spans.len()));
     for s in spans {
-        out.push_str(&s.to_json(scenario));
+        out.push_str(&s.to_json());
         out.push('\n');
     }
     out
@@ -210,7 +197,7 @@ mod tests {
                 .into_iter()
                 .map(|mut s| {
                     s.wall_ns = 0;
-                    s.to_json(Some("t"))
+                    s.to_json()
                 })
                 .collect::<Vec<_>>()
         };
@@ -220,13 +207,13 @@ mod tests {
     #[test]
     fn jsonl_shape_is_stable() {
         let spans = record_tree(1);
-        let doc = spans_to_jsonl(Some("mini"), &spans);
+        let doc = spans_to_jsonl(&spans);
         let mut lines = doc.lines();
         let header = lines.next().unwrap();
         assert!(header.contains("\"schema\":\"cs-spans/1\""), "{header}");
         assert!(header.contains("\"spans\":2"), "{header}");
         let first = lines.next().unwrap();
-        assert!(first.contains("\"scenario\":\"mini\""), "{first}");
+        assert!(first.starts_with("{\"seq\":0,"), "{first}");
         assert!(first.contains("\"cause\":null"), "{first}");
         assert!(first.contains("\"manager\":\"membership\""), "{first}");
         let second = lines.next().unwrap();

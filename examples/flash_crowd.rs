@@ -17,7 +17,7 @@ fn main() {
     let horizon = SimTime::from_mins(minutes);
     let rates = [0.1, 0.3, 0.6, 1.2, 2.4];
 
-    println!("sweeping steady join rates over {minutes} simulated minutes (rayon-parallel)…\n");
+    println!("sweeping steady join rates over {minutes} simulated minutes (in parallel)…\n");
     let scenarios = rates
         .iter()
         .map(|&r| {

@@ -32,11 +32,6 @@ pub struct BenchResult {
     pub name: String,
     /// Median time per iteration.
     pub median: Duration,
-    /// Fastest sample's time per iteration. Wall-clock noise on a
-    /// loaded machine is one-sided (interference only ever adds time),
-    /// so the minimum is the most stable statistic for before/after
-    /// comparisons.
-    pub min: Duration,
     /// Total iterations measured.
     pub iters: u64,
 }
@@ -101,24 +96,20 @@ impl Criterion {
             .get(samples.len() / 2)
             .copied()
             .unwrap_or(Duration::ZERO);
-        let min = samples.first().copied().unwrap_or(Duration::ZERO);
         eprintln!(
-            "bench {name:<40} median {:>12.3} µs  min {:>12.3} µs ({} iters)",
+            "bench {name:<40} median {:>12.3} µs ({} iters)",
             median.as_secs_f64() * 1e6,
-            min.as_secs_f64() * 1e6,
             b.iters
         );
         self.results.push(BenchResult {
             name: name.to_string(),
             median,
-            min,
             iters: b.iters,
         });
         self
     }
 
-    /// Results collected so far (used by the workspace's own
-    /// overhead-comparison bench).
+    /// Results collected so far.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
     }

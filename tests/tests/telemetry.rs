@@ -8,7 +8,7 @@
 //! with the independently recorded span stream, the protocol series are
 //! populated, and the JSONL/profile renderings are structurally valid.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use coolstreaming::telemetry::{Metric, SnapValue, SpanRecord, TelemetryConfig};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
@@ -191,6 +191,44 @@ fn single_table_agrees_with_the_span_stream() {
     assert_eq!(chk.events_seen(), events);
     assert!(chk.is_clean(), "{}", chk.report());
     assert_eq!(run.trace_hash, Some(0xfd00912eb62e19b3));
+}
+
+/// Spans carry the causal structure: roots are externally scheduled
+/// (arrivals, initial events), every cause references an earlier span's
+/// seq, and managers partition the event alphabet.
+#[test]
+fn span_stream_is_causally_consistent() {
+    let spans = golden_steady()
+        .run_observed(RunOptions {
+            record_spans: true,
+            ..RunOptions::default()
+        })
+        .spans
+        .expect("spans requested");
+    let mut seen = BTreeSet::new();
+    let mut roots = 0usize;
+    for s in &spans {
+        match s.cause {
+            None => roots += 1,
+            Some(cause) => assert!(
+                seen.contains(&cause),
+                "span {}: cause {cause} not dispatched before it",
+                s.seq
+            ),
+        }
+        assert!(
+            ["membership", "partnership", "stream", "chaos", "engine"].contains(&s.manager),
+            "span {}: unclassified manager {:?}",
+            s.seq,
+            s.manager
+        );
+        assert!(seen.insert(s.seq), "span seq {} repeats", s.seq);
+    }
+    assert!(roots > 0, "no externally scheduled spans");
+    assert!(
+        seen.len() > roots,
+        "no caused spans — cause tracking is dead"
+    );
 }
 
 #[test]
