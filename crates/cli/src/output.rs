@@ -146,7 +146,7 @@ pub fn write_run_dir(
     let artifacts = &run.artifacts;
     let view = LogView::build(artifacts);
     let mut files = Vec::new();
-    let mut put = |name: &'static str, text: Option<String>| match text {
+    let mut put = |name: &'static str, text: Option<&str>| match text {
         Some(text) => {
             files.push(name);
             fs::write(dir.join(name), text)
@@ -156,14 +156,21 @@ pub fn write_run_dir(
             _ => Ok(()),
         },
     };
-    put("log.txt", Some(artifacts.world.log.to_text()))?;
-    put("figures.txt", Some(figures_text(artifacts, &view, horizon)))?;
-    put("sessions.csv", Some(sessions_csv(&view)))?;
+    put("log.txt", Some(artifacts.world.log.as_text()))?;
+    put(
+        "figures.txt",
+        Some(&figures_text(artifacts, &view, horizon)),
+    )?;
+    put("sessions.csv", Some(&sessions_csv(&view)))?;
     let tel = run.telemetry.as_ref();
-    let jsonl = |t: &TelemetryRun| t.snapshots.iter().map(|s| s.to_json() + "\n").collect();
-    put("metrics.jsonl", tel.map(jsonl))?;
-    put("profile.json", tel.map(|t| t.profile.to_json()))?;
-    put("spans.jsonl", run.spans.as_deref().map(spans_to_jsonl))?;
+    let jsonl =
+        |t: &TelemetryRun| -> String { t.snapshots.iter().map(|s| s.to_json() + "\n").collect() };
+    put("metrics.jsonl", tel.map(jsonl).as_deref())?;
+    put("profile.json", tel.map(|t| t.profile.to_json()).as_deref())?;
+    put(
+        "spans.jsonl",
+        run.spans.as_deref().map(spans_to_jsonl).as_deref(),
+    )?;
 
     let w = &artifacts.world;
     let (due, missed) = view

@@ -66,16 +66,24 @@ fn int(v: &Value) -> u64 {
     }
 }
 
+/// The per-kind `engine_events_total` counters of the last line of
+/// `metrics.jsonl`, summed.
+fn events_in_last_window(dir: &Path) -> u64 {
+    let metrics = read(dir.join("metrics.jsonl"));
+    let last: Value = serde_json::from_str(metrics.lines().last().expect("a window")).unwrap();
+    field(&last, "counters")
+        .as_map()
+        .expect("counters")
+        .iter()
+        .filter(|(series, _)| series.starts_with("engine_events_total"))
+        .map(|(_, v)| int(field(v, "total")))
+        .sum()
+}
+
 #[test]
 fn run_directory_is_indexed_complete_and_says_each_fact_once() {
     let cwd = scratch("cwd");
     let out = cwd.join("nested/run");
-    // Not the default 300 s window: this run ends at 600 s, and a horizon
-    // on the window grid loses the events dispatched at exactly the horizon
-    // after the one that closed the last window (66 579 of 66 580 here) —
-    // nothing flushes the empty window they open. Known defect of the
-    // window clock (ROADMAP item 5); a partial last window is flushed at
-    // the horizon with everything in it.
     let (stdout, _) = run(
         &cwd,
         &out,
@@ -85,8 +93,6 @@ fn run_directory_is_indexed_complete_and_says_each_fact_once() {
             "--seed",
             "404",
             "--telemetry",
-            "--telemetry-window",
-            "420",
             "--spans",
             "--trace-hash",
         ],
@@ -129,16 +135,7 @@ fn run_directory_is_indexed_complete_and_says_each_fact_once() {
 
     // The event total three ways: the manifest, the per-kind counters of
     // the last metrics window, and one span per dispatch.
-    let metrics = read(out.join("metrics.jsonl"));
-    let last: Value = serde_json::from_str(metrics.lines().last().expect("a window")).unwrap();
-    let per_kind: u64 = field(&last, "counters")
-        .as_map()
-        .expect("counters")
-        .iter()
-        .filter(|(series, _)| series.starts_with("engine_events_total"))
-        .map(|(_, v)| int(field(v, "total")))
-        .sum();
-    assert_eq!(per_kind, events);
+    assert_eq!(events_in_last_window(&out), events);
     let spans = read(out.join("spans.jsonl")).lines().count() as u64;
     assert_eq!(spans - 1, events, "header + one span each");
 
@@ -155,6 +152,29 @@ fn run_directory_is_indexed_complete_and_says_each_fact_once() {
         ["figures.txt", "log.txt", "manifest.json", "sessions.csv"]
     );
     assert_eq!(read(again.join("log.txt")), read(out.join("log.txt")));
+}
+
+/// Every library scenario ends on the default 300 s window grid, where
+/// the events dispatched at exactly the horizon after the one that closed
+/// the last full window used to be in no line at all.
+#[test]
+fn the_last_metrics_window_counts_every_event_of_every_scenario() {
+    let cwd = scratch("tail");
+    let scenarios = Path::new(SCENARIO).parent().expect("scenarios/");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(scenarios).expect("scenarios/ directory") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|x| x != "json") {
+            continue;
+        }
+        let out = cwd.join(path.file_stem().expect("stem"));
+        let file = path.to_string_lossy().into_owned();
+        run(&cwd, &out, &["--scenario", &file, "--telemetry"]);
+        let events = int(field(&manifest_of(&out), "events"));
+        assert_eq!(events_in_last_window(&out), events, "{file}");
+        seen += 1;
+    }
+    assert!(seen >= 9, "scenario library shrank: {seen} files");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! (unknown keys are preserved, duplicate keys keep the last value) because
 //! real log pipelines must tolerate client-version skew.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Decode error for a log string.
@@ -48,40 +48,61 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-fn unescape(s: &str) -> Result<String, CodecError> {
+/// Undo percent-escaping. The decoded string is the Latin-1 reading of
+/// the line's bytes, so ASCII without a `%` is returned as the slice it
+/// is and anything else is rebuilt one byte, one `char`.
+fn unescape(s: &str) -> Result<Cow<'_, str>, CodecError> {
+    if s.bytes().all(|b| b != b'%' && b.is_ascii()) {
+        return Ok(Cow::Borrowed(s));
+    }
+    let bad = || CodecError::BadEscape(s.to_string());
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            if i + 2 > bytes.len() {
-                return Err(CodecError::BadEscape(s.to_string()));
-            }
-            let hex = s
-                .get(i + 1..i + 3)
-                .ok_or_else(|| CodecError::BadEscape(s.to_string()))?;
-            let v =
-                u8::from_str_radix(hex, 16).map_err(|_| CodecError::BadEscape(s.to_string()))?;
-            out.push(v as char);
+            let hex = s.get(i + 1..i + 3).ok_or_else(bad)?;
+            out.push(u8::from_str_radix(hex, 16).map_err(|_| bad())? as char);
             i += 3;
         } else {
             out.push(bytes[i] as char);
             i += 1;
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
-/// An ordered multimap of `name=value` pairs, the in-memory form of a log
-/// string.
+type Pair<'a> = (Cow<'a, str>, Cow<'a, str>);
+
+/// Push the pairs of `s` left to right as far as the syntax holds. A key
+/// goes in before its value is looked at: repeating one is an error first.
+fn scan<'a>(s: &'a str, list: &mut Vec<Pair<'a>>) -> Result<(), CodecError> {
+    if s.is_empty() {
+        return Ok(());
+    }
+    for pair in s.split('&') {
+        let (k, v) = pair
+            .split_once('=')
+            .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
+        list.push((unescape(k)?, Cow::default()));
+        if let Some(pushed) = list.last_mut() {
+            pushed.1 = unescape(v)?;
+        }
+    }
+    Ok(())
+}
+
+/// A map of `name=value` pairs, the in-memory form of a log string.
+/// Decoded pairs borrow from the line, so a well-formed report costs one
+/// allocation: the pair list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Pairs {
-    // BTreeMap gives deterministic encode order, which keeps logs
-    // byte-identical across runs.
-    map: BTreeMap<String, String>,
+pub struct Pairs<'a> {
+    // Ascending by key, each key once: the deterministic encode order that
+    // keeps logs byte-identical across runs.
+    list: Vec<Pair<'a>>,
 }
 
-impl Pairs {
+impl<'a> Pairs<'a> {
     /// Empty pair set.
     pub fn new() -> Self {
         Pairs::default()
@@ -89,13 +110,18 @@ impl Pairs {
 
     /// Insert (or overwrite) a pair.
     pub fn set(&mut self, key: &str, value: impl ToString) -> &mut Self {
-        self.map.insert(key.to_string(), value.to_string());
+        let value = Cow::Owned(value.to_string());
+        match self.list.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            Ok(i) => self.list[i].1 = value,
+            Err(i) => self.list.insert(i, (Cow::Owned(key.to_string()), value)),
+        }
         self
     }
 
     /// Raw string value of `key`.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
+        // A report has at most eight pairs: scanning them beats bisecting.
+        self.list.iter().find(|(k, _)| k == key).map(|(_, v)| &**v)
     }
 
     /// Parse the value of `key` as an integer-like type.
@@ -105,18 +131,18 @@ impl Pairs {
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.list.len()
     }
 
     /// Whether there are no pairs.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.list.is_empty()
     }
 
     /// Encode as a log string.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        for (i, (k, v)) in self.map.iter().enumerate() {
+        for (i, (k, v)) in self.list.iter().enumerate() {
             if i > 0 {
                 out.push('&');
             }
@@ -129,122 +155,38 @@ impl Pairs {
 
     /// Decode a log string permissively: duplicate keys keep the last
     /// value, matching how real log pipelines tolerate version skew.
-    pub fn decode(s: &str) -> Result<Pairs, CodecError> {
-        let mut map = BTreeMap::new();
-        if s.is_empty() {
-            return Ok(Pairs { map });
-        }
-        for pair in s.split('&') {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
-            map.insert(unescape(k)?, unescape(v)?);
-        }
-        Ok(Pairs { map })
+    pub fn decode(s: &'a str) -> Result<Pairs<'a>, CodecError> {
+        Pairs::parse(s, false)
     }
 
     /// Decode a log string strictly: a repeated key is rejected with
     /// [`CodecError::DuplicateKey`] instead of keeping the last value.
     /// Typed schemas ([`Report::decode`](crate::Report::decode)) use this
     /// so a corrupted or spliced line cannot silently shadow a field.
-    pub fn decode_strict(s: &str) -> Result<Pairs, CodecError> {
-        let mut map = BTreeMap::new();
-        if s.is_empty() {
-            return Ok(Pairs { map });
-        }
-        for pair in s.split('&') {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
-            let k = unescape(k)?;
-            if map.contains_key(&k) {
-                return Err(CodecError::DuplicateKey(k));
+    pub fn decode_strict(s: &'a str) -> Result<Pairs<'a>, CodecError> {
+        Pairs::parse(s, true)
+    }
+
+    fn parse(s: &'a str, strict: bool) -> Result<Pairs<'a>, CodecError> {
+        // Every report class fits; a longer line grows the list.
+        let mut list = Vec::with_capacity(8);
+        let syntax = scan(s, &mut list);
+        // Rare: a report's own encoding is ascending already. The sort is
+        // stable, so the pairs of one key stay in line order: the second is
+        // the key's first repeat, the last the one to keep.
+        if list.windows(2).any(|w| w[0].0 >= w[1].0) {
+            let mut order: Vec<usize> = (0..list.len()).collect();
+            order.sort_by(|&a, &b| list[a].0.cmp(&list[b].0));
+            let runs = || order.chunk_by(|&a, &b| list[a].0 == list[b].0);
+            if let Some(&i) = runs().filter_map(|run| run.get(1)).min().filter(|_| strict) {
+                return Err(CodecError::DuplicateKey(list[i].0.to_string()));
             }
-            map.insert(k, unescape(v)?);
+            let kept: Vec<usize> = runs().filter_map(|run| run.last().copied()).collect();
+            list = kept.iter().map(|&i| std::mem::take(&mut list[i])).collect();
         }
-        Ok(Pairs { map })
+        syntax.map(|()| Pairs { list })
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let mut p = Pairs::new();
-        p.set("ev", "join").set("uid", 42u32).set("t", 123456u64);
-        let s = p.encode();
-        assert_eq!(Pairs::decode(&s).unwrap(), p);
-    }
-
-    #[test]
-    fn delimiters_are_escaped() {
-        let mut p = Pairs::new();
-        p.set("k&1", "a=b%c");
-        let s = p.encode();
-        assert!(!s.contains("k&1="), "raw delimiter leaked: {s}");
-        let back = Pairs::decode(&s).unwrap();
-        assert_eq!(back.get("k&1"), Some("a=b%c"));
-    }
-
-    #[test]
-    fn empty_string_decodes_to_empty() {
-        assert!(Pairs::decode("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_equals_is_an_error() {
-        assert!(matches!(
-            Pairs::decode("novalue"),
-            Err(CodecError::MissingEquals(_))
-        ));
-    }
-
-    #[test]
-    fn bad_escape_is_an_error() {
-        assert!(matches!(
-            Pairs::decode("k=%G1"),
-            Err(CodecError::BadEscape(_))
-        ));
-        assert!(matches!(
-            Pairs::decode("k=%2"),
-            Err(CodecError::BadEscape(_))
-        ));
-    }
-
-    #[test]
-    fn get_parsed_types() {
-        let p = Pairs::decode("n=17&f=2.5&s=hello").unwrap();
-        assert_eq!(p.get_parsed::<u32>("n"), Some(17));
-        assert_eq!(p.get_parsed::<f64>("f"), Some(2.5));
-        assert_eq!(p.get_parsed::<u32>("s"), None);
-        assert_eq!(p.get_parsed::<u32>("missing"), None);
-    }
-
-    #[test]
-    fn strict_decode_rejects_duplicates_permissive_keeps_last() {
-        assert_eq!(Pairs::decode("a=1&a=2").unwrap().get("a"), Some("2"));
-        assert_eq!(
-            Pairs::decode_strict("a=1&a=2"),
-            Err(CodecError::DuplicateKey("a".into()))
-        );
-        // Escaped spellings of the same key still collide.
-        assert!(matches!(
-            Pairs::decode_strict("a=1&%61=2"),
-            Err(CodecError::DuplicateKey(_))
-        ));
-        // No duplicates: both decoders agree.
-        let s = "a=1&b=2&c=3";
-        assert_eq!(Pairs::decode_strict(s).unwrap(), Pairs::decode(s).unwrap());
-    }
-
-    #[test]
-    fn encode_order_is_deterministic() {
-        let mut a = Pairs::new();
-        a.set("b", 1).set("a", 2);
-        let mut b = Pairs::new();
-        b.set("a", 2).set("b", 1);
-        assert_eq!(a.encode(), b.encode());
-    }
-}
+mod tests;

@@ -1,0 +1,446 @@
+use super::*;
+
+#[test]
+fn encode_decode_round_trip() {
+    let mut p = Pairs::new();
+    p.set("ev", "join").set("uid", 42u32).set("t", 123456u64);
+    let s = p.encode();
+    assert_eq!(Pairs::decode(&s).unwrap(), p);
+}
+
+#[test]
+fn delimiters_are_escaped() {
+    let mut p = Pairs::new();
+    p.set("k&1", "a=b%c");
+    let s = p.encode();
+    assert!(!s.contains("k&1="), "raw delimiter leaked: {s}");
+    let back = Pairs::decode(&s).unwrap();
+    assert_eq!(back.get("k&1"), Some("a=b%c"));
+}
+
+#[test]
+fn empty_string_decodes_to_empty() {
+    assert!(Pairs::decode("").unwrap().is_empty());
+}
+
+#[test]
+fn missing_equals_is_an_error() {
+    assert!(matches!(
+        Pairs::decode("novalue"),
+        Err(CodecError::MissingEquals(_))
+    ));
+}
+
+#[test]
+fn bad_escape_is_an_error() {
+    assert!(matches!(
+        Pairs::decode("k=%G1"),
+        Err(CodecError::BadEscape(_))
+    ));
+    assert!(matches!(
+        Pairs::decode("k=%2"),
+        Err(CodecError::BadEscape(_))
+    ));
+}
+
+#[test]
+fn get_parsed_types() {
+    let p = Pairs::decode("n=17&f=2.5&s=hello").unwrap();
+    assert_eq!(p.get_parsed::<u32>("n"), Some(17));
+    assert_eq!(p.get_parsed::<f64>("f"), Some(2.5));
+    assert_eq!(p.get_parsed::<u32>("s"), None);
+    assert_eq!(p.get_parsed::<u32>("missing"), None);
+}
+
+#[test]
+fn strict_decode_rejects_duplicates_permissive_keeps_last() {
+    assert_eq!(Pairs::decode("a=1&a=2").unwrap().get("a"), Some("2"));
+    assert_eq!(
+        Pairs::decode_strict("a=1&a=2"),
+        Err(CodecError::DuplicateKey("a".into()))
+    );
+    // Escaped spellings of the same key still collide.
+    assert!(matches!(
+        Pairs::decode_strict("a=1&%61=2"),
+        Err(CodecError::DuplicateKey(_))
+    ));
+    // No duplicates: both decoders agree.
+    let s = "a=1&b=2&c=3";
+    assert_eq!(Pairs::decode_strict(s).unwrap(), Pairs::decode(s).unwrap());
+}
+
+#[test]
+fn encode_order_is_deterministic() {
+    let mut a = Pairs::new();
+    a.set("b", 1).set("a", 2);
+    let mut b = Pairs::new();
+    b.set("a", 2).set("b", 1);
+    assert_eq!(a.encode(), b.encode());
+}
+
+mod reference {
+    //! The codec as it was before the borrowing one — `BTreeMap<String,
+    //! String>` pairs, `Report` encode and decode through them — kept as
+    //! the oracle for the differential tests below.
+
+    use std::collections::BTreeMap;
+
+    use super::super::{escape_into, CodecError};
+    use crate::report::{ActivityKind, Report, ReportError, UserId};
+
+    fn unescape(s: &str) -> Result<String, CodecError> {
+        let bytes = s.as_bytes();
+        let mut out = String::with_capacity(s.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'%' {
+                if i + 2 > bytes.len() {
+                    return Err(CodecError::BadEscape(s.to_string()));
+                }
+                let hex = s
+                    .get(i + 1..i + 3)
+                    .ok_or_else(|| CodecError::BadEscape(s.to_string()))?;
+                let v = u8::from_str_radix(hex, 16)
+                    .map_err(|_| CodecError::BadEscape(s.to_string()))?;
+                out.push(v as char);
+                i += 3;
+            } else {
+                out.push(bytes[i] as char);
+                i += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    #[derive(Debug, Default)]
+    pub struct Pairs {
+        pub map: BTreeMap<String, String>,
+    }
+
+    impl Pairs {
+        fn set(&mut self, key: &str, value: impl ToString) -> &mut Self {
+            self.map.insert(key.to_string(), value.to_string());
+            self
+        }
+
+        fn get(&self, key: &str) -> Option<&str> {
+            self.map.get(key).map(String::as_str)
+        }
+
+        fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+            self.get(key)?.parse().ok()
+        }
+
+        fn encode(&self) -> String {
+            let mut out = String::new();
+            for (i, (k, v)) in self.map.iter().enumerate() {
+                if i > 0 {
+                    out.push('&');
+                }
+                escape_into(&mut out, k);
+                out.push('=');
+                escape_into(&mut out, v);
+            }
+            out
+        }
+
+        pub fn decode(s: &str) -> Result<Pairs, CodecError> {
+            let mut map = BTreeMap::new();
+            if s.is_empty() {
+                return Ok(Pairs { map });
+            }
+            for pair in s.split('&') {
+                let (k, v) = pair
+                    .split_once('=')
+                    .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
+                map.insert(unescape(k)?, unescape(v)?);
+            }
+            Ok(Pairs { map })
+        }
+
+        pub fn decode_strict(s: &str) -> Result<Pairs, CodecError> {
+            let mut map = BTreeMap::new();
+            if s.is_empty() {
+                return Ok(Pairs { map });
+            }
+            for pair in s.split('&') {
+                let (k, v) = pair
+                    .split_once('=')
+                    .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
+                let k = unescape(k)?;
+                if map.contains_key(&k) {
+                    return Err(CodecError::DuplicateKey(k));
+                }
+                map.insert(k, unescape(v)?);
+            }
+            Ok(Pairs { map })
+        }
+    }
+
+    pub fn encode(report: &Report) -> String {
+        let mut p = Pairs::default();
+        match report {
+            Report::Activity {
+                user,
+                node,
+                kind,
+                private_addr,
+            } => {
+                p.set("cls", "act")
+                    .set("uid", user.0)
+                    .set("nid", *node)
+                    .set("ev", kind.code())
+                    .set("priv", u8::from(*private_addr));
+            }
+            Report::Qos {
+                user,
+                node,
+                due,
+                missed,
+            } => {
+                p.set("cls", "qos")
+                    .set("uid", user.0)
+                    .set("nid", *node)
+                    .set("due", *due)
+                    .set("miss", *missed);
+            }
+            Report::Traffic {
+                user,
+                node,
+                up,
+                down,
+            } => {
+                p.set("cls", "traf")
+                    .set("uid", user.0)
+                    .set("nid", *node)
+                    .set("up", *up)
+                    .set("down", *down);
+            }
+            Report::Partner {
+                user,
+                node,
+                private_addr,
+                incoming,
+                outgoing,
+                parents,
+                adaptations,
+            } => {
+                p.set("cls", "part")
+                    .set("uid", user.0)
+                    .set("nid", *node)
+                    .set("priv", u8::from(*private_addr))
+                    .set("in", *incoming)
+                    .set("out", *outgoing)
+                    .set("par", *parents)
+                    .set("adapt", *adaptations);
+            }
+        }
+        p.encode()
+    }
+
+    pub fn decode(s: &str) -> Result<Report, ReportError> {
+        let p = Pairs::decode_strict(s)?;
+        let cls = p.get("cls").ok_or(ReportError::Missing("cls"))?;
+        let user = UserId(p.get_parsed("uid").ok_or(ReportError::Missing("uid"))?);
+        let node: u32 = p.get_parsed("nid").ok_or(ReportError::Missing("nid"))?;
+        let get = |key: &'static str| -> Result<u64, ReportError> {
+            p.get_parsed(key).ok_or(ReportError::Missing(key))
+        };
+        Ok(match cls {
+            "act" => {
+                let code = p.get("ev").ok_or(ReportError::Missing("ev"))?;
+                Report::Activity {
+                    user,
+                    node,
+                    kind: ActivityKind::from_code(code)
+                        .ok_or_else(|| ReportError::UnknownActivity(code.to_string()))?,
+                    private_addr: get("priv")? != 0,
+                }
+            }
+            "qos" => Report::Qos {
+                user,
+                node,
+                due: get("due")?,
+                missed: get("miss")?,
+            },
+            "traf" => Report::Traffic {
+                user,
+                node,
+                up: get("up")?,
+                down: get("down")?,
+            },
+            "part" => Report::Partner {
+                user,
+                node,
+                private_addr: get("priv")? != 0,
+                incoming: get("in")? as u32,
+                outgoing: get("out")? as u32,
+                parents: get("par")? as u32,
+                adaptations: get("adapt")? as u32,
+            },
+            other => return Err(ReportError::UnknownClass(other.to_string())),
+        })
+    }
+}
+
+#[path = "../../tests/arb/mod.rs"]
+mod arb;
+
+use proptest::prelude::*;
+
+use crate::report::{ActivityKind, Report, UserId};
+
+/// Every decoder against its reference on one string: the typed result
+/// including the error value, and both `Pairs` decoders on every `get`.
+fn assert_matches_reference(s: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        Report::decode(s),
+        reference::decode(s),
+        "Report::decode({:?})",
+        s
+    );
+    let both = [
+        (Pairs::decode(s), reference::Pairs::decode(s)),
+        (Pairs::decode_strict(s), reference::Pairs::decode_strict(s)),
+    ];
+    for (new, old) in both {
+        match (new, old) {
+            (Ok(new), Ok(old)) => {
+                prop_assert_eq!(new.len(), old.map.len(), "{:?}", s);
+                for (k, v) in &old.map {
+                    prop_assert_eq!(new.get(k), Some(v.as_str()), "{:?} key {:?}", s, k);
+                }
+            }
+            (new, old) => prop_assert_eq!(new.err(), old.err(), "{:?}", s),
+        }
+    }
+    Ok(())
+}
+
+/// Error precedence is positional — the first offending pair decides, and
+/// within a pair the key's escape, then its repeat, then the value's
+/// escape — and decoded bytes read as Latin-1: the corners random lines
+/// rarely reach.
+#[test]
+fn decoders_match_reference_on_precedence_corners() {
+    for s in [
+        "a=1&a=%zz",
+        "a=1&%zz=2",
+        "a=%zz&a=2",
+        "a=1&a=2&novalue",
+        "a=1&novalue&a=2",
+        "b=1&a=2&a=3&b=4",
+        "b=1&a=2&b=3&a=4",
+        "c=1&b=2&a=3",
+        "a=1&%61=2",
+        "é=1&%C3%A9=2",
+        "é=1&é=2",
+        "cls=é&uid=1&nid=2",
+        "a=%+1",
+        "k=%2",
+        "k=%aé",
+        "%",
+        "&",
+        "a=1&",
+        "=",
+        "=&=",
+        "a==b=&c",
+    ] {
+        assert_matches_reference(s).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// The ways a valid line goes wrong in transit.
+#[derive(Clone, Debug)]
+enum Mutation {
+    Splice(String),
+    Truncate,
+    DuplicateKey { escaped: bool },
+    EscapeByte,
+    BreakEscape(&'static str),
+    UnknownKey(String),
+    TrailingAmp,
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        "[ -~]{0,12}".prop_map(Mutation::Splice),
+        Just(Mutation::Truncate),
+        any::<bool>().prop_map(|escaped| Mutation::DuplicateKey { escaped }),
+        Just(Mutation::EscapeByte),
+        prop_oneof![Just("%"), Just("%4"), Just("%G1"), Just("%+1"), Just("%é")]
+            .prop_map(Mutation::BreakEscape),
+        "[a-z%&=]{1,6}".prop_map(Mutation::UnknownKey),
+        Just(Mutation::TrailingAmp),
+    ]
+}
+
+/// Apply `m` to `line` at (about) byte `at`. Mutations stack, so `line`
+/// is any string by the second one.
+fn mutate(line: &str, m: &Mutation, at: usize) -> String {
+    let mut at = at % (line.len() + 1);
+    while !line.is_char_boundary(at) {
+        at -= 1;
+    }
+    let (head, tail) = line.split_at(at);
+    match m {
+        Mutation::Splice(junk) => format!("{head}{junk}{tail}"),
+        Mutation::Truncate => head.to_string(),
+        Mutation::DuplicateKey { escaped } => {
+            let keys: Vec<&str> = line
+                .split('&')
+                .filter_map(|p| p.split('=').next())
+                .filter(|k| k.as_bytes().first().is_some_and(u8::is_ascii))
+                .collect();
+            match keys.get(at % keys.len().max(1)) {
+                Some(key) if *escaped => {
+                    format!("{line}&%{:02x}{}=0", key.as_bytes()[0], &key[1..])
+                }
+                Some(key) => format!("{line}&{key}=0"),
+                None => line.to_string(),
+            }
+        }
+        Mutation::EscapeByte => match tail.as_bytes().first() {
+            Some(b) if b.is_ascii() => format!("{head}%{b:02X}{}", &tail[1..]),
+            _ => line.to_string(),
+        },
+        Mutation::BreakEscape(esc) => format!("{head}{esc}{tail}"),
+        Mutation::UnknownKey(key) => match at % 2 {
+            0 => format!("{key}=1&{line}"),
+            _ => format!("{line}&{key}=1"),
+        },
+        Mutation::TrailingAmp => format!("{line}&"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn decoders_match_reference_on_arbitrary_ascii(s in "[ -~]{0,120}") {
+        assert_matches_reference(&s)?;
+    }
+
+    #[test]
+    fn decoders_match_reference_on_pair_shaped_noise(s in "[ab%&=+0-9Aé]{0,40}") {
+        assert_matches_reference(&s)?;
+    }
+
+    #[test]
+    fn decoders_match_reference_on_mutated_lines(
+        r in arb::arb_report(),
+        mutations in proptest::collection::vec((arb_mutation(), any::<usize>()), 1..4),
+    ) {
+        let mut line = r.encode();
+        for (m, at) in &mutations {
+            line = mutate(&line, m, *at);
+        }
+        assert_matches_reference(&line)?;
+    }
+
+    #[test]
+    fn encode_matches_reference(r in arb::arb_report()) {
+        prop_assert_eq!(r.encode(), reference::encode(&r));
+        let mut appended = String::from("7 ");
+        r.encode_into(&mut appended);
+        prop_assert_eq!(appended, format!("7 {}", reference::encode(&r)));
+    }
+}

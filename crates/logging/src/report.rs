@@ -11,6 +11,8 @@
 //!
 //! Each variant round-trips through the [`Pairs`] log-string codec.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{CodecError, Pairs};
@@ -136,64 +138,44 @@ impl Report {
 
     /// Encode into a log string (the URL query part).
     pub fn encode(&self) -> String {
-        let mut p = Pairs::new();
-        match self {
+        let mut out = String::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the log string to `out`: the keys in ascending order, as
+    /// [`Pairs::encode`] writes them, with nothing in need of an escape.
+    pub fn encode_into(&self, out: &mut String) {
+        let (uid, nid) = (self.user().0, self.node());
+        let _ = match *self {
             Report::Activity {
-                user,
-                node,
-                kind,
-                private_addr,
+                kind, private_addr, ..
             } => {
-                p.set("cls", "act")
-                    .set("uid", user.0)
-                    .set("nid", *node)
-                    .set("ev", kind.code())
-                    .set("priv", u8::from(*private_addr));
+                let (ev, private) = (kind.code(), u8::from(private_addr));
+                write!(out, "cls=act&ev={ev}&nid={nid}&priv={private}&uid={uid}")
             }
-            Report::Qos {
-                user,
-                node,
-                due,
-                missed,
-            } => {
-                p.set("cls", "qos")
-                    .set("uid", user.0)
-                    .set("nid", *node)
-                    .set("due", *due)
-                    .set("miss", *missed);
+            Report::Qos { due, missed, .. } => {
+                write!(out, "cls=qos&due={due}&miss={missed}&nid={nid}&uid={uid}")
             }
-            Report::Traffic {
-                user,
-                node,
-                up,
-                down,
-            } => {
-                p.set("cls", "traf")
-                    .set("uid", user.0)
-                    .set("nid", *node)
-                    .set("up", *up)
-                    .set("down", *down);
+            Report::Traffic { up, down, .. } => {
+                write!(out, "cls=traf&down={down}&nid={nid}&uid={uid}&up={up}")
             }
             Report::Partner {
-                user,
-                node,
                 private_addr,
                 incoming,
                 outgoing,
                 parents,
                 adaptations,
+                ..
             } => {
-                p.set("cls", "part")
-                    .set("uid", user.0)
-                    .set("nid", *node)
-                    .set("priv", u8::from(*private_addr))
-                    .set("in", *incoming)
-                    .set("out", *outgoing)
-                    .set("par", *parents)
-                    .set("adapt", *adaptations);
+                let private = u8::from(private_addr);
+                write!(
+                    out,
+                    "adapt={adaptations}&cls=part&in={incoming}&nid={nid}&out={outgoing}\
+                     &par={parents}&priv={private}&uid={uid}"
+                )
             }
-        }
-        p.encode()
+        };
     }
 
     /// Decode a log string back into a typed report. Decoding is strict:

@@ -11,6 +11,8 @@
 //! information loss (e.g. nothing is recorded for a peer between its last
 //! status report and its departure).
 
+use std::fmt::Write as _;
+
 use cs_sim::SimTime;
 
 use crate::report::{Report, ReportError};
@@ -20,19 +22,20 @@ pub type ParsedReports = Vec<(SimTime, Report)>;
 /// Log-line indexes that failed to parse, with the parse error.
 pub type ParseFailures = Vec<(usize, ReportError)>;
 
-/// One line of the log file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LogEntry {
-    /// Server receive timestamp.
-    pub time: SimTime,
-    /// The raw log string.
-    pub line: String,
+/// Split a `<usecs> <logstring>` line.
+fn stamped(line: &str) -> Result<(SimTime, &str), String> {
+    let (ts, rest) = line.split_once(' ').ok_or("no timestamp separator")?;
+    let us = ts.parse().map_err(|_| format!("bad timestamp {ts:?}"))?;
+    Ok((SimTime::from_micros(us), rest))
 }
 
-/// In-memory log file plus ingest counters.
+/// In-memory log file.
 #[derive(Default)]
 pub struct LogServer {
-    entries: Vec<LogEntry>,
+    // The file itself, `<usecs> <logstring>\n` per report with the timestamp
+    // in canonical decimal: appended to in place, read back by `lines`.
+    text: String,
+    lines: usize,
 }
 
 impl LogServer {
@@ -43,74 +46,66 @@ impl LogServer {
 
     /// Ingest one report at server time `now`.
     pub fn report(&mut self, now: SimTime, report: &Report) {
-        self.entries.push(LogEntry {
-            time: now,
-            line: report.encode(),
-        });
+        self.line(now, |text| report.encode_into(text));
     }
 
-    /// Ingest a pre-encoded log string (used by replay tooling and tests).
-    pub fn ingest_raw(&mut self, now: SimTime, line: String) {
-        self.entries.push(LogEntry { time: now, line });
+    /// Append one line; `body` writes its log string, with no `\n` in it.
+    fn line(&mut self, now: SimTime, body: impl FnOnce(&mut String)) {
+        let _ = write!(self.text, "{} ", now.as_micros());
+        body(&mut self.text);
+        self.text.push('\n');
+        self.lines += 1;
     }
 
     /// Number of log lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines == 0
     }
 
-    /// The raw entries, in arrival order.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
+    /// The log lines in arrival order: receive timestamp, raw log string.
+    pub fn lines(&self) -> impl Iterator<Item = (SimTime, &str)> {
+        // cs-lint: allow(panic-in-lib) — `line` opens every line of `text` with `<decimal u64> ` and nothing else writes a line start
+        let stored = |line| stamped(line).expect("stored line opens with its timestamp");
+        self.text.split_terminator('\n').map(stored)
     }
 
     /// Parse every line; malformed lines are returned as errors alongside
     /// their index rather than aborting the whole pass.
     pub fn parse_all(&self) -> (ParsedReports, ParseFailures) {
-        let mut ok = Vec::with_capacity(self.entries.len());
+        let mut ok = Vec::with_capacity(self.lines);
         let mut bad = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            match Report::decode(&e.line) {
-                Ok(r) => ok.push((e.time, r)),
+        for (i, (time, line)) in self.lines().enumerate() {
+            match Report::decode(line) {
+                Ok(r) => ok.push((time, r)),
                 Err(err) => bad.push((i, err)),
             }
         }
         (ok, bad)
     }
 
-    /// Serialize the whole log file to one string, one entry per line, in
-    /// `<usecs> <logstring>` format.
+    /// The whole log file: one `<usecs> <logstring>` line per entry.
+    pub fn as_text(&self) -> &str {
+        &self.text
+    }
+
+    /// An owned copy of [`as_text`](Self::as_text).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.time.as_micros().to_string());
-            out.push(' ');
-            out.push_str(&e.line);
-            out.push('\n');
-        }
-        out
+        self.text.clone()
     }
 
     /// Parse a log file produced by [`to_text`](Self::to_text).
     pub fn from_text(text: &str) -> Result<LogServer, String> {
         let mut server = LogServer::new();
-        for (ix, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let lineno = ix + 1;
-            let (ts, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("line {lineno}: no timestamp separator"))?;
-            let us: u64 = ts
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad timestamp {ts:?}"))?;
-            server.ingest_raw(SimTime::from_micros(us), rest.to_string());
+        // One copy: no line grows but an unterminated last one, by its `\n`.
+        server.text.reserve(text.len() + 1);
+        for (ix, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+            let (time, rest) = stamped(line).map_err(|e| format!("line {}: {e}", ix + 1))?;
+            server.line(time, |text| text.push_str(rest));
         }
         Ok(server)
     }
@@ -152,10 +147,9 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_isolated() {
-        let mut s = LogServer::new();
-        s.report(SimTime::ZERO, &sample());
-        s.ingest_raw(SimTime::from_secs(1), "garbage-without-equals".into());
-        s.report(SimTime::from_secs(2), &sample());
+        let line = sample().encode();
+        let text = format!("0 {line}\n1000000 garbage-without-equals\n2000000 {line}\n");
+        let s = LogServer::from_text(&text).unwrap();
         let (ok, bad) = s.parse_all();
         assert_eq!(ok.len(), 2);
         assert_eq!(bad.len(), 1);
@@ -176,8 +170,39 @@ mod tests {
             },
         );
         let text = s.to_text();
+        assert_eq!(text, s.as_text());
         let back = LogServer::from_text(&text).unwrap();
-        assert_eq!(back.entries(), s.entries());
+        assert!(back.lines().eq(s.lines()));
+        assert_eq!(back.to_text(), text);
+        assert_eq!(back.len(), 2);
+    }
+
+    #[test]
+    fn from_text_normalises_what_it_accepts() {
+        // `\r\n` endings, blank lines, a non-canonical timestamp and a
+        // missing final newline all re-serialise to the canonical form,
+        // which then round-trips unchanged.
+        let s = LogServer::from_text("5 a=1\r\n\n\r\n007 x\n+9 y z").unwrap();
+        let lines: Vec<_> = s.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                (SimTime::from_micros(5), "a=1"),
+                (SimTime::from_micros(7), "x"),
+                (SimTime::from_micros(9), "y z"),
+            ]
+        );
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.to_text(), "5 a=1\n7 x\n9 y z\n");
+        let again = LogServer::from_text(s.as_text()).unwrap();
+        assert_eq!(again.as_text(), s.as_text());
+        // An empty log string is a line too.
+        let s = LogServer::from_text("12 \n").unwrap();
+        assert_eq!(
+            s.lines().collect::<Vec<_>>(),
+            [(SimTime::from_micros(12), "")]
+        );
+        assert_eq!(s.parse_all().1.len(), 1);
     }
 
     #[test]

@@ -85,7 +85,8 @@ fn duplicate_keys_keep_last_value() {
 fn whitespace_and_empty_values_survive() {
     let mut p = Pairs::new();
     p.set("k", " leading and trailing ").set("empty", "");
-    let back = Pairs::decode(&p.encode()).unwrap();
+    let encoded = p.encode();
+    let back = Pairs::decode(&encoded).unwrap();
     assert_eq!(back.get("k"), Some(" leading and trailing "));
     assert_eq!(back.get("empty"), Some(""));
 }

@@ -88,7 +88,6 @@ impl Bootstrap {
             out.push(McEntry {
                 id,
                 joined_at: joined,
-                added_at: SimTime::ZERO,
             });
         }
         let want_peers = fanout.saturating_sub(out.len());
@@ -110,7 +109,6 @@ impl Bootstrap {
                 out.push(McEntry {
                     id,
                     joined_at: joined,
-                    added_at: SimTime::ZERO,
                 });
             }
         }

@@ -427,7 +427,6 @@ mod tests {
         let entry = crate::mcache::McEntry {
             id: a,
             joined_at: SimTime::ZERO,
-            added_at: SimTime::ZERO,
         };
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(1);
         Membership::of(&mut world).inject_cache_entry(a, entry, &mut rng);
@@ -461,7 +460,6 @@ mod tests {
         let entry = crate::mcache::McEntry {
             id: NodeId(9999),
             joined_at: SimTime::ZERO,
-            added_at: SimTime::ZERO,
         };
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(2);
         Membership::of(&mut world).inject_cache_entry(a, entry, &mut rng);

@@ -23,8 +23,6 @@ pub struct McEntry {
     /// The peer's advertised join time (gossip metadata) — the stability
     /// signal used by [`ReplacePolicy::StabilityBiased`].
     pub joined_at: SimTime,
-    /// When this entry entered our cache.
-    pub added_at: SimTime,
 }
 
 /// A bounded partial view of the overlay.
@@ -73,7 +71,6 @@ impl MCache {
     ) -> bool {
         if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
             existing.joined_at = entry.joined_at;
-            existing.added_at = entry.added_at;
             return true;
         }
         if self.entries.len() < self.cap {
@@ -157,7 +154,6 @@ mod tests {
         McEntry {
             id: NodeId(id),
             joined_at: SimTime::from_secs(joined),
-            added_at: SimTime::ZERO,
         }
     }
 

@@ -155,8 +155,7 @@ impl Membership<'_> {
         let mut candidates = Vec::new();
         // Request + reply: headers plus ~10 bytes per mCache entry.
         self.w.stats.control_bytes += 80 + 10 * entries.len() as u64;
-        for mut e in entries {
-            e.added_at = now;
+        for e in entries {
             if let Some(p) = self.w.peer_mut(id) {
                 p.membership.remember(e, policy, &mut rng);
             }
@@ -197,7 +196,7 @@ impl Membership<'_> {
 
     /// Gossip: push a sample of our mCache (plus ourselves) to one random
     /// partner.
-    pub(crate) fn gossip_tick(&mut self, id: NodeId, now: SimTime) {
+    pub(crate) fn gossip_tick(&mut self, id: NodeId) {
         let mut rng = self.w.rng_mem.clone();
         let mut entries = std::mem::take(&mut self.w.scratch.entries);
         let target = self.w.peer(id).and_then(|p| {
@@ -208,7 +207,6 @@ impl Membership<'_> {
             entries.push(McEntry {
                 id,
                 joined_at: p.join_time,
-                added_at: now,
             });
             Some(target)
         });
@@ -216,8 +214,7 @@ impl Membership<'_> {
             self.w.stats.control_bytes += 40 + 10 * entries.len() as u64;
             let policy = self.w.params.replace_policy;
             if let Some(t) = self.w.peer_mut(target) {
-                for &(mut e) in &entries {
-                    e.added_at = now;
+                for &e in &entries {
                     if e.id != target {
                         t.membership.remember(e, policy, &mut rng);
                     }

@@ -159,7 +159,6 @@ fn reselect_recruits_deterministically_from_mcache() {
                 McEntry {
                     id,
                     joined_at: SimTime::ZERO,
-                    added_at: SimTime::ZERO,
                 },
                 &mut rng,
             );
@@ -199,7 +198,6 @@ fn dead_partner_is_pruned_on_view_refresh() {
         McEntry {
             id: b,
             joined_at: SimTime::ZERO,
-            added_at: SimTime::ZERO,
         },
         &mut rng,
     );

@@ -505,7 +505,7 @@ impl World for CsWorld {
             Event::Depart(id) => Partnership::of(self).scheduled_depart(id, now),
             Event::GossipTick(id) => {
                 if self.net.is_alive(id) {
-                    Membership::of(self).gossip_tick(id, now);
+                    Membership::of(self).gossip_tick(id);
                     ctx.schedule_in(self.params.gossip_interval, Event::GossipTick(id));
                 }
             }

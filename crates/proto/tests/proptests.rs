@@ -137,7 +137,7 @@ proptest! {
         let mut cache = MCache::new(64);
         let mut rng = Xoshiro256PlusPlus::new(seed);
         for id in ids {
-            let e = McEntry { id: NodeId(id), joined_at: SimTime::ZERO, added_at: SimTime::ZERO };
+            let e = McEntry { id: NodeId(id), joined_at: SimTime::ZERO };
             cache.insert(e, ReplacePolicy::Random, &mut rng);
         }
         let (mut rng_model, mut rng_into) = (rng.clone(), rng);
@@ -145,7 +145,7 @@ proptest! {
         refs.shuffle(&mut rng_model);
         let want: Vec<McEntry> = refs.into_iter().take(n).copied().collect();
         // A dirty, reused buffer must come back holding only the sample.
-        let mut got = vec![McEntry { id: NodeId(999), joined_at: SimTime::ZERO, added_at: SimTime::ZERO }; 3];
+        let mut got = vec![McEntry { id: NodeId(999), joined_at: SimTime::ZERO }; 3];
         cache.sample_into(n, &mut rng_into, |id| id.0 == excluded, &mut got);
         prop_assert_eq!(got, want);
         prop_assert_eq!(rng_into.gen::<u64>(), rng_model.gen::<u64>());
@@ -190,7 +190,6 @@ proptest! {
                     McEntry {
                         id: NodeId(id),
                         joined_at: SimTime::from_secs(joined),
-                        added_at: SimTime::ZERO,
                     },
                     policy,
                     &mut rng,

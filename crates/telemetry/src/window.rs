@@ -14,7 +14,11 @@
 //! *before* recording attribute boundary events exactly instead). Gaps
 //! longer than one window emit empty snapshots so the cadence is preserved.
 //! The final, usually partial, window is flushed by
-//! [`WindowedAggregator::finish`] with `partial: true`.
+//! [`WindowedAggregator::finish`] with `partial: true`. When the run ends
+//! on the window grid that window has no length, yet it holds whatever
+//! arrived after the dispatch that closed its predecessor — the rest of
+//! that instant's events, the horizon's protocol sample — so it is flushed
+//! whenever the registry moved since the last flush.
 
 use cs_sim::SimTime;
 
@@ -199,12 +203,17 @@ impl WindowedAggregator {
     }
 
     /// Flush remaining complete windows and the final partial one ending
-    /// at `end`.
+    /// at `end` — also when it is empty of time but not of data.
     pub fn finish(&mut self, end: SimTime, registry: &MetricRegistry) {
         self.roll(end, registry);
         let start = self.next_end.saturating_sub(self.window);
-        if end > start {
-            self.flush(start, end, true, registry);
+        let unflushed = || {
+            registry
+                .enumerate()
+                .any(|(id, _, metric)| self.prev.get(id) != Some(metric))
+        };
+        if end > start || unflushed() {
+            self.flush(start, end.max(start), true, registry);
         }
     }
 
@@ -330,6 +339,32 @@ mod tests {
             w1.series[1],
             ("ev".to_string(), SnapValue::Counter { total: 6, delta: 1 })
         );
+    }
+
+    #[test]
+    fn a_horizon_on_the_grid_still_flushes_what_arrived_at_it() {
+        let mut reg = MetricRegistry::new();
+        let c = reg.counter("ev", &[]);
+        let mut agg = WindowedAggregator::new(secs(300), SimTime::ZERO);
+        reg.inc(c, 4);
+        agg.roll(secs(300), &reg); // the first dispatch at the horizon
+        reg.inc(c, 2); // the rest of that instant
+        agg.finish(secs(300), &reg);
+        let last = agg.snapshots().last().unwrap();
+        assert_eq!(
+            (last.index, last.start, last.end, last.partial),
+            (1, secs(300), secs(300), true)
+        );
+        assert_eq!(
+            last.series,
+            [("ev".to_string(), SnapValue::Counter { total: 6, delta: 2 })]
+        );
+
+        // Nothing new since the flush at the horizon: no empty tail.
+        let mut agg = WindowedAggregator::new(secs(300), SimTime::ZERO);
+        agg.roll(secs(300), &reg);
+        agg.finish(secs(300), &reg);
+        assert_eq!(agg.snapshots().len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Host crate for the cross-crate integration tests in `tests/`.
 //!
-//! Also home of the golden trace-hash helper shared by the invariant
-//! oracles and the scenario conformance matrix.
+//! Also home of the golden-hash helper shared by the invariant oracles
+//! and the scenario conformance matrix.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +49,15 @@ pub fn check_golden_in(golden_path: &str, header: &str, name: &str, hash: u64) {
     assert_eq!(
         format!("{hash:016x}"),
         want,
-        "trace hash for {name:?} diverged from the golden snapshot — \
+        "hash for {name:?} diverged from the golden snapshot in {golden_path} — \
          if the event sequence changed intentionally, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// FNV-1a of a whole text: the fingerprint `golden/log_hashes.txt`
+/// records of a run's `log.txt` contents.
+pub fn fnv1a_text(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

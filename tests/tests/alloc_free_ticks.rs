@@ -1,4 +1,4 @@
-//! The four periodic ticks — `BmTick`, `SchedRound`, `PlaybackTick`,
+//! The four short-period ticks — `BmTick`, `SchedRound`, `PlaybackTick`,
 //! `GossipTick`, ≈ 90 % of all dispatched events — allocate nothing in
 //! steady state: per-peer state is inline in the arena columns and every
 //! temporary lives in a world-owned scratch buffer (DESIGN.md §13).
@@ -8,6 +8,11 @@
 //! difference to the event's kind. A tick that establishes a new
 //! partnership is the one exception: it grows that peer's partner table,
 //! which then keeps its capacity.
+//!
+//! The same tally covers the log path (§13): the log server appends each
+//! report to one text buffer, so `ReportTick` costs at most that buffer's
+//! next doubling, reading a line back costs its pair list, and the log
+//! text is one copy.
 
 // The one `unsafe impl` in the workspace: `GlobalAlloc` is an unsafe trait
 // and counting allocator calls needs a global allocator. It is confined
@@ -18,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use cs_logging::UserId;
+use cs_logging::{ActivityKind, LogServer, Report, UserId};
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeClass};
 use cs_proto::{CsWorld, Event, Params, UserSpec};
 use cs_sim::{Engine, EventQueue, Observer, SimTime};
@@ -69,7 +74,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The tick kinds under test, by `Event::kind()`.
-const TICKS: [&str; 4] = ["bm_tick", "sched_round", "playback_tick", "gossip_tick"];
+const TICKS: [&str; 5] = [
+    "bm_tick",
+    "sched_round",
+    "playback_tick",
+    "gossip_tick",
+    "report_tick",
+];
 
 /// Charges every allocator call made between `on_dispatch` and
 /// `after_handle` to the dispatched event's kind.
@@ -80,8 +91,8 @@ struct AllocProbe {
     before: u64,
     /// `WorldStats::partnerships` after the previous event.
     partnerships: u64,
-    dispatched: [u64; 4],
-    allocated: [u64; 4],
+    dispatched: [u64; 5],
+    allocated: [u64; 5],
     /// Ticks set aside because they established a partnership.
     grew_partner_table: u64,
 }
@@ -160,7 +171,9 @@ fn steady_state_ticks_do_not_allocate() {
         PEERS as usize + 5 - departed_before as usize
     );
     probe.borrow_mut().armed = true;
-    eng.run_until(start + SimTime::from_secs(3));
+    // Long enough to reach the second round of status reports, which the
+    // first arrivals send from ≈ 365 s.
+    eng.run_until(start + SimTime::from_secs(40));
 
     let p = probe.borrow();
     assert_eq!(
@@ -180,11 +193,87 @@ fn steady_state_ticks_do_not_allocate() {
     );
     for (kind, name) in TICKS.iter().enumerate() {
         assert!(p.dispatched[kind] > 0, "no {name} in the window");
-        assert_eq!(
-            p.allocated[kind], 0,
+        // A report tick appends three lines to the log text; the window
+        // is too short for that buffer to double twice.
+        let allowed = u64::from(*name == "report_tick");
+        assert!(
+            p.allocated[kind] <= allowed,
             "{name}: {} allocator calls over {} dispatches",
-            p.allocated[kind], p.dispatched[kind]
+            p.allocated[kind],
+            p.dispatched[kind]
         );
+    }
+}
+
+/// The log path allocates per buffer, never per line: appending a report
+/// of any class is free but for the text's amortised doubling, decoding a
+/// line allocates its pair list and nothing else, and `to_text` is one
+/// copy.
+#[test]
+fn log_path_does_not_allocate_per_line() {
+    let (user, node) = (UserId(u32::MAX), u32::MAX);
+    let reports = [
+        Report::Activity {
+            user,
+            node,
+            kind: ActivityKind::StartSubscription,
+            private_addr: true,
+        },
+        Report::Qos {
+            user,
+            node,
+            due: u64::MAX,
+            missed: u64::MAX,
+        },
+        Report::Traffic {
+            user,
+            node,
+            up: u64::MAX,
+            down: u64::MAX,
+        },
+        Report::Partner {
+            user,
+            node,
+            private_addr: true,
+            incoming: u32::MAX,
+            outgoing: u32::MAX,
+            parents: u32::MAX,
+            adaptations: u32::MAX,
+        },
+    ];
+    const LINES: usize = 40_000;
+    let mut log = LogServer::new();
+    // The first lines take the buffer from nothing to several lines' worth;
+    // from there a line can cross at most one doubling.
+    const WARM_UP: usize = 16;
+    for report in reports.iter().cycle().take(WARM_UP) {
+        log.report(SimTime::MAX, report);
+    }
+    let mut doublings = 0;
+    for i in WARM_UP..LINES {
+        let before = allocs();
+        log.report(SimTime::MAX, &reports[i % reports.len()]);
+        match allocs() - before {
+            0 => {}
+            1 => doublings += 1,
+            n => panic!("line {i}: {n} allocator calls in one `report`"),
+        }
+    }
+    assert_eq!(log.len(), LINES);
+    // ≈ 4 MB of text from an empty buffer.
+    assert!(doublings <= 24, "{doublings} buffer growths");
+
+    let before = allocs();
+    let text = log.to_text();
+    assert_eq!(allocs() - before, 1, "`to_text` is one copy");
+    assert_eq!(text, log.as_text());
+
+    for (line, report) in log.lines().map(|(_, line)| line).zip(&reports) {
+        let before = allocs();
+        let decoded = Report::decode(line);
+        let calls = allocs() - before;
+        assert_eq!(decoded.as_ref(), Ok(report));
+        assert!(calls <= 1, "{calls} allocator calls to decode {line}");
     }
 }
 

@@ -1,7 +1,8 @@
 //! The scenario conformance matrix: every file in `scenarios/` must
 //! (a) parse strictly under the DSL schema, (b) run to completion under
 //! the full-stride [`InvariantChecker`] with zero violations, and
-//! (c) reproduce its per-scenario golden trace hash exactly.
+//! (c) reproduce its per-scenario golden trace hash and the FNV-1a of its
+//! log text exactly.
 //!
 //! Regenerate the hashes after an intentional protocol change with:
 //!
@@ -12,10 +13,12 @@
 use std::path::{Path, PathBuf};
 
 use coolstreaming::{RunOptions, ScenarioSpec};
-use cs_integration::check_golden_in;
+use cs_integration::{check_golden_in, fnv1a_text};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/scenario_hashes.txt");
 const GOLDEN_HEADER: &str = "Golden per-scenario trace hashes for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
+const LOG_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/log_hashes.txt");
+const LOG_GOLDEN_HEADER: &str = "Golden FNV-1a of log.to_text() for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
 
 const FULL_CHECK: RunOptions = RunOptions {
     check_invariants: true,
@@ -104,6 +107,12 @@ fn matrix_is_invariant_clean_with_golden_hashes() {
             GOLDEN_HEADER,
             &spec.name,
             run.trace_hash.expect("hash requested"),
+        );
+        check_golden_in(
+            LOG_GOLDEN_PATH,
+            LOG_GOLDEN_HEADER,
+            &spec.name,
+            fnv1a_text(&run.artifacts.world.log.to_text()),
         );
     }
 }

@@ -236,9 +236,28 @@ fn custom_window_changes_the_grid() {
     let run = golden_steady().run_observed(with_telemetry(120));
     let tel = run.telemetry.expect("telemetry requested");
     // 6 minutes on a 2-minute grid: windows end at 120/240/360 s, the
-    // last exactly at the horizon.
-    assert_eq!(tel.snapshots.len(), 3);
-    for (i, s) in tel.snapshots.iter().enumerate() {
+    // last exactly at the horizon, closed by the first dispatch there.
+    // What that instant dispatched afterwards, and the horizon's protocol
+    // sample, follow in a zero-length partial window.
+    let (tail, full) = tel.snapshots.split_last().expect("windows");
+    assert_eq!(full.len(), 3);
+    for (i, s) in full.iter().enumerate() {
         assert_eq!(s.end, SimTime::from_secs(120 * (i as u64 + 1)));
+        assert!(!s.partial);
     }
+    let horizon = SimTime::from_mins(6);
+    assert_eq!(
+        (tail.start, tail.end, tail.partial),
+        (horizon, horizon, true)
+    );
+    let events_by_the_tail: u64 = tail
+        .series
+        .iter()
+        .filter(|(id, _)| id.starts_with("engine_events_total"))
+        .map(|(_, v)| match v {
+            SnapValue::Counter { total, .. } => *total,
+            other => panic!("counter snapshot expected: {other:?}"),
+        })
+        .sum();
+    assert_eq!(events_by_the_tail, tel.events);
 }
