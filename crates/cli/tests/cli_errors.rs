@@ -140,6 +140,24 @@ fn horizon_beyond_the_clock_is_rejected_not_wrapped() {
     assert!(!out.exists(), "a run directory was written");
 }
 
+/// `, "seed": 1, "seed": 2` appended to a scenario used to run with the
+/// file's first seed and exit 0: a spec that says one thing and runs
+/// another.
+#[test]
+fn scenario_file_repeating_a_key_is_rejected_by_name() {
+    let text = std::fs::read_to_string(SCENARIO).expect("scenario library present");
+    let (body, _) = text.trim_end().rsplit_once('}').expect("a JSON object");
+    let path = temp_file(
+        "coolstream-cli-errors-duplicate-seed.json",
+        &format!("{body}, \"seed\": 1, \"seed\": 2}}"),
+    );
+    let out = std::env::temp_dir().join("coolstream-cli-errors-duplicate-seed-out");
+    let _ = std::fs::remove_dir_all(&out);
+    let e = stderr_of_failure(&["run", "--scenario", &path, "--out", &out.to_string_lossy()]);
+    assert!(e.contains("duplicate key `seed` at byte"), "{e}");
+    assert!(!out.exists(), "a run directory was written");
+}
+
 #[test]
 fn deeply_nested_scenario_json_is_an_error_not_a_stack_overflow() {
     for (name, open) in [("seq", "["), ("map", "{\"a\":")] {

@@ -144,14 +144,34 @@ impl StreamBuffer {
         }
         let k = self.k as u64;
         let i = (n % k) as u32; // cs-lint: allow(lossy-cast) — n % k < k, and k is self.k widened from u32
-        if !matches!(self.latest(i), Some(h) if n <= h) {
-            return false;
-        }
-        // A block inside a skipped range was never actually received.
-        !self
-            .holes
+        matches!(self.latest(i), Some(h) if n <= h) && !self.in_hole(n)
+    }
+
+    /// Whether `n` lies in a skipped range: such a block was never
+    /// actually received.
+    fn in_hole(&self, n: u64) -> bool {
+        let k = self.k as u64;
+        self.holes
             .iter()
             .any(|&(s, e)| n >= s && n <= e && (n - s) % k == 0)
+    }
+
+    /// How many blocks of `from..to` are in the buffer:
+    /// [`has_block`](Self::has_block) counted over the range, with the
+    /// sub-stream index stepped instead of divided out per block.
+    pub fn received_between(&self, from: u64, to: u64) -> u64 {
+        let from = from.max(self.start_seq);
+        let latest: &[u64] = &self.latest;
+        let mut i = (from % self.k as u64) as usize; // cs-lint: allow(lossy-cast) — from % k < k, and k is self.k widened from u32
+        let mut received = 0;
+        for n in from..to {
+            // Wire encoding: `latest[i]` is the newest seq + 1, 0 = none.
+            if n < latest[i] && !self.in_hole(n) {
+                received += 1;
+            }
+            i = if i + 1 == latest.len() { 0 } else { i + 1 };
+        }
+        received
     }
 
     /// Skipped-block ranges recorded by [`skip_to`](Self::skip_to) and

@@ -25,6 +25,13 @@
 //!    never the holder itself.
 //! 8. **Session accounting** — user arrivals = one session record each;
 //!    records without a leave time are exactly the live user nodes.
+//! 9. **Registry ⇔ arena** — over every id ever issued, the network
+//!    registry calls a node alive exactly when the arena holds its state,
+//!    with the same uplink: the tick path asks only the arena.
+//! 10. **Child-list uniqueness** — no parent lists a `(child,
+//!     sub-stream)` pair twice (`subscribe` pushes without scanning).
+//! 11. **Kept maximum** — `PartnerTable::max_latest` equals a scan of the
+//!     table's rows.
 
 use cs_sim::SimTime;
 
@@ -172,13 +179,19 @@ impl InvariantChecker {
         let live_edge = world.params.live_edge(now);
         let total_nodes = world.net.total_nodes();
 
-        for info in world.net.iter_alive() {
-            let Some(peer) = world.peer(info.id) else {
+        let mut pairs = Vec::new();
+        for info in world.net.iter() {
+            // Oracle 9: registry ⇔ arena, liveness and uplink.
+            let peer = world.peer(info.id);
+            if info.alive != peer.is_some() || peer.is_some_and(|p| p.upload != info.upload) {
+                let arena = peer.map(|p| p.upload);
                 self.record(
                     now,
-                    "peer-state",
-                    format!("alive node {:?} has no peer state", info.id),
+                    "registry-arena",
+                    format!("registry holds {info:?}, arena uplink {arena:?}"),
                 );
+            }
+            let Some(peer) = peer.filter(|_| info.alive) else {
                 continue;
             };
 
@@ -290,6 +303,30 @@ impl InvariantChecker {
                 }
             }
 
+            // Oracle 10: no subscription is listed twice.
+            pairs.clear();
+            pairs.extend_from_slice(peer.children());
+            pairs.sort_unstable();
+            if pairs.windows(2).any(|w| w[0] == w[1]) {
+                self.record(
+                    now,
+                    "child-duplicate",
+                    format!("{:?} lists a subscription twice", info.id),
+                );
+            }
+
+            // Oracle 11: the kept maximum equals a scan of the rows.
+            let table = peer.partners();
+            let kept = table.max_latest();
+            let scanned = table.iter().filter_map(|(_, v)| v.max_latest()).max();
+            if kept != scanned {
+                self.record(
+                    now,
+                    "partner-best",
+                    format!("{:?} keeps {kept:?}, its rows hold {scanned:?}", info.id),
+                );
+            }
+
             // Oracle 6: buffer heads never pass the source's live edge.
             if let Some(buf) = peer.buffer() {
                 for i in 0..world.params.substreams {
@@ -359,7 +396,7 @@ impl Default for InvariantChecker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::membership::Membership;
     use crate::params::Params;
@@ -367,9 +404,19 @@ mod tests {
     use crate::stream::Stream;
     use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeId};
 
-    fn tiny_world() -> CsWorld {
+    /// Source (node 0) plus two dedicated servers (nodes 1, 2). Shared
+    /// with the corruption tests that need a state module's private
+    /// fields and so live there.
+    pub(crate) fn tiny_world() -> CsWorld {
         let net = Network::new(ConnectivityPolicy::default(), LatencyModel::default(), 7);
         CsWorld::new(Params::default(), net, 2, Bandwidth::mbps(100), 7)
+    }
+
+    /// The rules one full check of `world` reports.
+    pub(crate) fn violated(world: &CsWorld) -> Vec<&'static str> {
+        let mut chk = InvariantChecker::new();
+        chk.check_world(SimTime::from_secs(1), world);
+        chk.violations().iter().map(|v| v.rule).collect()
     }
 
     #[test]
@@ -437,6 +484,22 @@ mod tests {
             "{}",
             chk.report()
         );
+    }
+
+    #[test]
+    fn registry_and_arena_disagreeing_is_caught() {
+        let fires = |world: &CsWorld| violated(world).contains(&"registry-arena");
+        assert!(!fires(&tiny_world()));
+        let mut world = tiny_world();
+        let a = world.servers[0];
+        world.remove_peer(a);
+        assert!(fires(&world), "alive in the registry, gone from the arena");
+        let mut world = tiny_world();
+        world.net.remove_node(a);
+        assert!(fires(&world), "gone from the registry, still in the arena");
+        let mut world = tiny_world();
+        world.net.set_upload(a, Bandwidth::kbps(1));
+        assert!(fires(&world), "both hold the node, with different uplinks");
     }
 
     #[test]

@@ -210,8 +210,7 @@ impl Membership<'_> {
             });
             Some(target)
         });
-        if let Some(target) = target.filter(|&t| self.w.net.is_alive(t)) {
-            self.w.stats.control_bytes += 40 + 10 * entries.len() as u64;
+        if let Some(target) = target {
             let policy = self.w.params.replace_policy;
             if let Some(t) = self.w.peer_mut(target) {
                 for &e in &entries {
@@ -219,6 +218,7 @@ impl Membership<'_> {
                         t.membership.remember(e, policy, &mut rng);
                     }
                 }
+                self.w.stats.control_bytes += 40 + 10 * entries.len() as u64;
             }
         }
         self.w.scratch.entries = entries;

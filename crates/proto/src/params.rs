@@ -210,8 +210,8 @@ impl Params {
     /// source at time `now` (`None` before the first block is complete).
     #[inline]
     pub fn live_edge(&self, now: SimTime) -> Option<u64> {
-        // cs-lint: allow(lossy-cast) — non-negative stream position; sim horizons keep it far below 2^53
-        let emitted = (now.as_secs_f64() * self.blocks_per_sec()).floor() as u64;
+        // cs-lint: allow(lossy-cast) — non-negative stream position; sim horizons keep it far below 2^53, and `as` truncates it (a negative or NaN would saturate to 0)
+        let emitted = (now.as_secs_f64() * self.blocks_per_sec()) as u64;
         emitted.checked_sub(1)
     }
 

@@ -59,25 +59,11 @@ impl Partnership<'_> {
             self.w.params.max_partners_for(self.w.net.node(a).class),
             self.w.params.max_partners_for(self.w.net.node(b).class),
         );
-        let already = self
-            .w
-            .peer(a)
-            .map(|p| p.partners().contains(b))
-            .unwrap_or(true);
-        if already {
+        let (Some(pa), Some(pb)) = (self.w.peer(a), self.w.peer(b)) else {
             return false;
-        }
-        let (a_cnt, b_cnt) = (
-            self.w
-                .peer(a)
-                .map(|p| p.partners().len())
-                .unwrap_or(usize::MAX),
-            self.w
-                .peer(b)
-                .map(|p| p.partners().len())
-                .unwrap_or(usize::MAX),
-        );
-        if a_cnt >= a_max || b_cnt >= b_max {
+        };
+        let (ta, tb) = (pa.partners(), pb.partners());
+        if ta.contains(b) || ta.len() >= a_max || tb.len() >= b_max {
             return false;
         }
         if self.w.net.try_connect(a, b).is_err() {
@@ -118,21 +104,19 @@ impl Partnership<'_> {
         let bm_wire = 40 + 8 * k as u64 + k.div_ceil(8) as u64;
         // Build the refreshed table rows back to back in `bm`, compacting
         // the partners found dead to the front of `ids` (a dead partner's
-        // row is a placeholder: it is pruned with its partner below).
+        // row is zeros: it is pruned with its partner below).
         let mut dead = 0;
         for i in 0..ids.len() {
             let q = ids[i];
-            if self.w.net.is_alive(q) {
-                advertised_bm(self.w, q, now, &mut bm);
+            if advertised_bm(self.w, q, now, &mut bm) {
                 self.w.stats.control_bytes += bm_wire;
             } else {
-                bm.resize(bm.len() + k as usize, 0);
                 ids[dead] = q;
                 dead += 1;
             }
         }
         if let Some(p) = self.w.peer_mut(id) {
-            p.partnership.rows_mut().copy_from_slice(&bm);
+            p.partnership.set_rows(&bm);
             for &q in &ids[..dead] {
                 p.partnership.remove(q);
                 p.membership.forget(q);
@@ -159,7 +143,7 @@ impl Partnership<'_> {
             if established + cur_partners >= target {
                 break;
             }
-            if !self.w.net.is_alive(e.id) {
+            if self.w.peer_handle(e.id).is_none() {
                 if let Some(p) = self.w.peer_mut(id) {
                     p.membership.forget(e.id);
                 }
@@ -322,7 +306,7 @@ impl Partnership<'_> {
         let pick = picks.first().map(|e| e.id);
         self.w.scratch.entries = picks;
         if let Some(cand) = pick {
-            if self.w.net.is_alive(cand) {
+            if self.w.peer_handle(cand).is_some() {
                 self.try_add_partner(id, cand, now);
             } else if let Some(p) = self.w.peer_mut(id) {
                 p.membership.forget(cand);
@@ -337,37 +321,16 @@ impl Partnership<'_> {
         now: SimTime,
         reason: DepartReason,
     ) -> Option<UserSpec> {
-        if !self.w.net.is_alive(id) || !self.w.net.node(id).class.is_user() {
+        let p = self.w.peer(id)?;
+        if !p.class.is_user() {
             return None;
         }
-        let (
-            user,
-            private,
-            partners,
-            children,
-            parents,
-            retries_left,
-            retry_index,
-            leave_at,
-            patience,
-            class,
-            upload,
-        ) = {
-            let p = self.w.peer(id)?;
-            (
-                p.user,
-                p.private_addr(),
-                p.partners().ids().to_vec(),
-                p.children().to_vec(),
-                p.parents().to_vec(),
-                p.retries_left,
-                p.retry_index,
-                p.intended_leave,
-                p.patience,
-                p.class,
-                p.upload,
-            )
-        };
+        let (core, private) = (*p.core, p.private_addr());
+        let (partners, children, parents) = (
+            p.partners().ids().to_vec(),
+            p.children().to_vec(),
+            p.parents().to_vec(),
+        );
         // Detach from partners (and their parent slots pointing at us).
         for q in partners {
             if let Some(qp) = self.w.peer_mut(q) {
@@ -398,7 +361,7 @@ impl Partnership<'_> {
         self.w.log.report(
             now,
             &Report::Activity {
-                user,
+                user: core.user,
                 node: id.0,
                 kind: ActivityKind::Leave,
                 private_addr: private,
@@ -415,19 +378,19 @@ impl Partnership<'_> {
 
         // Retry decision: impatient and give-up sessions re-enter if the
         // user has retries and meaningful watch time left.
-        let remaining = leave_at.saturating_sub(now);
+        let remaining = core.intended_leave.saturating_sub(now);
         if reason != DepartReason::Finished
-            && retries_left > 0
+            && core.retries_left > 0
             && remaining > SimTime::from_secs(30)
         {
             return Some(UserSpec {
-                user,
-                class,
-                upload,
-                leave_at,
-                patience,
-                retries_left: retries_left - 1,
-                retry_index: retry_index + 1,
+                user: core.user,
+                class: core.class,
+                upload: core.upload,
+                leave_at: core.intended_leave,
+                patience: core.patience,
+                retries_left: core.retries_left - 1,
+                retry_index: core.retry_index + 1,
             });
         }
         None

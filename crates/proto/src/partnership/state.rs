@@ -46,6 +46,9 @@ pub struct PartnerTable {
     meta: Vec<(bool, SimTime)>,
     /// Row-major `ids.len() × k` buffer-map rows (`seq + 1`, 0 = none).
     latest: Vec<u64>,
+    /// The largest entry of `latest`, 0 for none: every writer keeps it,
+    /// so [`max_latest`](Self::max_latest) is a field read.
+    best: u64,
 }
 
 impl PartnerTable {
@@ -55,6 +58,7 @@ impl PartnerTable {
             ids: Vec::new(),
             meta: Vec::new(),
             latest: Vec::new(),
+            best: 0,
         }
     }
 
@@ -96,7 +100,7 @@ impl PartnerTable {
 
     /// Newest seq any partner advertised in any sub-stream.
     pub fn max_latest(&self) -> Option<u64> {
-        self.latest.iter().max()?.checked_sub(1)
+        self.best.checked_sub(1)
     }
 
     fn view_at(&self, i: usize) -> PartnerView<'_> {
@@ -108,38 +112,60 @@ impl PartnerTable {
         }
     }
 
-    /// Insert partner `q` with buffer-map row `latest`, or overwrite the
+    /// Insert partner `q` with buffer-map row `latest`, replacing any
     /// view already held of it.
     fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool, since: SimTime) {
         debug_assert_eq!(latest.len(), self.k);
-        match self.ids.binary_search(&q) {
+        let i = match self.ids.binary_search(&q) {
             Ok(i) => {
-                self.meta[i] = (outgoing, since);
-                self.row_mut(i).copy_from_slice(latest);
+                self.remove(q);
+                i
             }
-            Err(i) => {
-                self.ids.insert(i, q);
-                self.meta.insert(i, (outgoing, since));
-                // Open a `k`-wide gap at row `i` and fill it.
-                let (at, end) = (i * self.k, self.latest.len());
-                self.latest.resize(end + self.k, 0);
-                self.latest.copy_within(at..end, at + self.k);
-                self.row_mut(i).copy_from_slice(latest);
-            }
-        }
+            Err(i) => i,
+        };
+        self.ids.insert(i, q);
+        self.meta.insert(i, (outgoing, since));
+        // Open a `k`-wide gap at row `i` and fill it.
+        let (at, end) = (i * self.k, self.latest.len());
+        self.latest.resize(end + self.k, 0);
+        self.latest.copy_within(at..end, at + self.k);
+        self.row_mut(i).copy_from_slice(latest);
+        self.best = self.best.max(max_of(latest));
     }
 
+    /// Remove partner `q`; the rows are rescanned only when its row held
+    /// the maximum.
     fn remove(&mut self, q: NodeId) {
         if let Ok(i) = self.ids.binary_search(&q) {
             self.ids.remove(i);
             self.meta.remove(i);
-            self.latest.drain(i * self.k..(i + 1) * self.k);
+            let row_best = self.latest.drain(i * self.k..(i + 1) * self.k).max();
+            if row_best == Some(self.best) {
+                self.best = max_of(&self.latest);
+            }
         }
+    }
+
+    /// Overwrite every partner's row from `rows` (back to back in id
+    /// order: one BM exchange), taking the maximum in the same pass.
+    fn set_rows(&mut self, rows: &[u64]) {
+        assert_eq!(rows.len(), self.latest.len(), "one row per partner");
+        let mut best = 0;
+        for (slot, &v) in self.latest.iter_mut().zip(rows) {
+            *slot = v;
+            best = best.max(v);
+        }
+        self.best = best;
     }
 
     fn row_mut(&mut self, i: usize) -> &mut [u64] {
         &mut self.latest[i * self.k..(i + 1) * self.k]
     }
+}
+
+/// The largest wire-encoded entry of `rows`, 0 for none.
+fn max_of(rows: &[u64]) -> u64 {
+    rows.iter().copied().max().unwrap_or(0)
 }
 
 /// Partnership-manager-owned slice of per-peer state. Only the
@@ -200,10 +226,10 @@ impl PartnershipState {
         self.partners.remove(q);
     }
 
-    /// Every partner's buffer-map row back to back (in id order), for
-    /// the in-place overwrite of a BM exchange.
-    pub(super) fn rows_mut(&mut self) -> &mut [u64] {
-        &mut self.partners.latest
+    /// One BM exchange: overwrite every partner's buffer-map row from
+    /// `rows`, back to back in id order.
+    pub(super) fn set_rows(&mut self, rows: &[u64]) {
+        self.partners.set_rows(rows);
     }
 }
 
@@ -234,12 +260,27 @@ mod tests {
         assert!(s.adaptation_allowed(SimTime::from_secs(25), ta));
     }
 
+    /// Only this module can write `best`; should a writer forget it, the
+    /// checker names the table whose kept maximum left its rows.
+    #[test]
+    fn stale_kept_maximum_is_caught_by_the_checker() {
+        use crate::invariant::tests::{tiny_world, violated};
+        let mut world = tiny_world();
+        let a = world.servers[0];
+        world.peer_mut(a).expect("server").partnership.partners.best = 41;
+        assert_eq!(violated(&world), ["partner-best"]);
+    }
+
     /// One step of the table-vs-`BTreeMap` differential run.
     #[derive(Clone, Debug)]
     enum Op {
         Insert(u32, Vec<Option<u64>>, bool),
         Remove(u32),
-        Refresh(usize, Vec<Option<u64>>),
+        /// Remove whichever partner's row holds the maximum.
+        RemoveBest,
+        /// One BM exchange through `set_rows`: row `i` for the `i`-th
+        /// partner.
+        Refresh(Vec<Vec<Option<u64>>>),
     }
 
     fn arb_row() -> impl Strategy<Value = Vec<Option<u64>>> {
@@ -251,7 +292,8 @@ mod tests {
             prop_oneof![
                 (0u32..24, arb_row(), any::<bool>()).prop_map(|(q, r, o)| Op::Insert(q, r, o)),
                 (0u32..24).prop_map(Op::Remove),
-                (0usize..24, arb_row()).prop_map(|(i, r)| Op::Refresh(i, r)),
+                Just(Op::RemoveBest),
+                proptest::collection::vec(arb_row(), 24..25).prop_map(Op::Refresh),
             ],
             0..60,
         )
@@ -260,7 +302,9 @@ mod tests {
     proptest! {
         /// The flat table answers every read exactly like the
         /// `BTreeMap<NodeId, (row, outgoing)>` it replaced, under any
-        /// insert / remove / in-place-refresh interleaving and any `K`.
+        /// insert / overwrite / remove / whole-table-refresh interleaving
+        /// and any `K` — the kept maximum included, also right after the
+        /// row that held it went away.
         #[test]
         fn partner_table_matches_btreemap_model(k in 0usize..=20, ops in arb_ops()) {
             let encode = |row: &[Option<u64>]| -> Vec<u64> {
@@ -278,9 +322,17 @@ mod tests {
                         table.remove(NodeId(q));
                         model.remove(&NodeId(q));
                     }
-                    Op::Refresh(i, row) => {
-                        if let Some((_, view)) = model.iter_mut().nth(i) {
-                            table.rows_mut()[i * k..(i + 1) * k].copy_from_slice(&encode(&row));
+                    Op::RemoveBest => {
+                        let best = model.iter().max_by_key(|(_, m)| m.0.iter().flatten().max().copied());
+                        if let Some(q) = best.map(|(&q, _)| q) {
+                            table.remove(q);
+                            model.remove(&q);
+                        }
+                    }
+                    Op::Refresh(rows) => {
+                        let wire: Vec<u64> = rows[..model.len()].iter().flat_map(|r| encode(r)).collect();
+                        table.set_rows(&wire);
+                        for (view, row) in model.values_mut().zip(&rows) {
                             view.0 = row[..k].to_vec();
                         }
                     }

@@ -11,6 +11,7 @@ use cs_net::{Bandwidth, NodeClass, NodeId};
 use cs_sim::{DetMap, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::stream::ReportCounters;
 use crate::world::CsWorld;
 
 /// Why a session ended.
@@ -32,6 +33,10 @@ pub enum DepartReason {
 }
 
 /// Ground truth for one session (one node incarnation).
+///
+/// `up_bytes`, `down_bytes`, `due` and `missed` are final once `leave` is
+/// set or [`finalize_sessions`] has run: while the peer lives, what it
+/// moved since its last status report is still in its report counters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SessionRecord {
     /// Stable user identity.
@@ -67,6 +72,15 @@ pub struct SessionRecord {
 }
 
 impl SessionRecord {
+    /// Add a peer's since-last-report traffic and playback counters to
+    /// the session totals (`adaptations` is counted as it happens).
+    pub(crate) fn absorb(&mut self, c: ReportCounters) {
+        self.up_bytes += c.up_bytes;
+        self.down_bytes += c.down_bytes;
+        self.due += c.due;
+        self.missed += c.missed;
+    }
+
     /// Session duration (leave − join), if complete.
     pub fn duration(&self) -> Option<SimTime> {
         self.leave.map(|l| l.saturating_sub(self.join))
@@ -98,18 +112,18 @@ impl SessionRecord {
     }
 }
 
-/// Mark every still-live session as [`DepartReason::StillActive`] at the
-/// end of a run so analysis can distinguish truncation from departure.
+/// Close the books at the end of a run: fold what every live peer
+/// (infrastructure included) moved since its last status report into its
+/// session record, and mark every still-live user session as
+/// [`DepartReason::StillActive`] so analysis can distinguish truncation
+/// from departure. A second call adds nothing.
 pub fn finalize_sessions(world: &mut CsWorld) {
-    let ids: Vec<NodeId> = world
-        .net
-        .iter_alive()
-        .filter(|n| n.class.is_user())
-        .map(|n| n.id)
-        .collect();
+    let ids: Vec<NodeId> = world.peers().map(|p| p.id).collect();
     for id in ids {
+        let c = world.peer_mut(id).map(|p| p.stream.take_counters());
         let rec = &mut world.sessions[id.index()];
-        if rec.reason.is_none() {
+        rec.absorb(c.unwrap_or_default());
+        if rec.class.is_user() && rec.reason.is_none() {
             rec.reason = Some(DepartReason::StillActive);
         }
     }

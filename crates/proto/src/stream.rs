@@ -16,7 +16,7 @@
 //! buffer-map read the partnership manager uses for BM exchange.
 
 use cs_logging::{ActivityKind, Report};
-use cs_net::{NodeClass, NodeId};
+use cs_net::{Bandwidth, NodeId};
 use cs_sim::SimTime;
 use rand::seq::SliceRandom;
 
@@ -41,22 +41,24 @@ fn align_down(edge: u64, i: u32, k: u32) -> Option<u64> {
 
 /// Append the buffer-map row node `q` advertises at `now` to `out`: one
 /// slot per sub-stream in the wire encoding (`seq + 1`, 0 = none).
-/// Dedicated servers and the source track the live edge with a fixed
-/// small lag instead of a simulated buffer.
-pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut Vec<u64>) {
+/// Returns whether `q` is in the system; a node that is not advertises
+/// zeros. Dedicated servers and the source track the live edge with a
+/// fixed small lag instead of a simulated buffer (infrastructure never
+/// owns one: only `select_initial` makes it, and only users get there).
+pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut Vec<u64>) -> bool {
     let k = world.params.substreams;
-    let class = world.net.node(q).class;
-    if matches!(class, NodeClass::Server | NodeClass::Source) {
-        let lagged = now.saturating_sub(world.params.server_lag);
-        if let Some(edge) = world.params.live_edge(lagged) {
-            out.extend((0..k).map(|i| align_down(edge, i, k).map_or(0, |s| s + 1)));
-            return;
-        }
-    } else if let Some(buf) = world.peer(q).and_then(|p| p.buffer()) {
+    let peer = world.peer(q);
+    if let Some(buf) = peer.and_then(|p| p.buffer()) {
         out.extend_from_slice(buf.advertised());
-        return;
+    } else {
+        let lagged = now.saturating_sub(world.params.server_lag);
+        let edge = peer
+            .filter(|p| !p.class.is_user())
+            .and_then(|_| world.params.live_edge(lagged));
+        // A user without a buffer, or a stream not yet started: zeros.
+        out.extend((0..k).map(|i| edge.and_then(|e| align_down(e, i, k)).map_or(0, |s| s + 1)));
     }
-    out.extend(std::iter::repeat_n(0, k as usize));
+    peer.is_some()
 }
 
 /// The stream manager: sub-stream subscription, scheduling and playback
@@ -128,20 +130,16 @@ impl Stream<'_> {
     }
 
     /// Subscribe `id`'s sub-stream `j` to `parent`, detaching any previous
-    /// parent.
+    /// parent. A slot that already names `parent` is left alone: the
+    /// parent lists `(id, j)` exactly while the slot names it.
     pub(crate) fn subscribe(&mut self, id: NodeId, j: u32, parent: NodeId) {
-        let old = self
-            .w
-            .peer(id)
-            .and_then(|p| p.parents()[j as usize])
-            .filter(|&o| o != parent);
-        if let Some(o) = old {
-            if let Some(op) = self.w.peer_mut(o) {
-                op.stream.remove_child(id, j);
-            }
+        let Some(p) = self.w.peer_mut(id) else { return };
+        let old = p.stream.parents[j as usize].replace(parent);
+        if old == Some(parent) {
+            return;
         }
-        if let Some(p) = self.w.peer_mut(id) {
-            p.stream.parents[j as usize] = Some(parent);
+        if let Some(op) = old.and_then(|o| self.w.peer_mut(o)) {
+            op.stream.remove_child(id, j);
         }
         if let Some(pp) = self.w.peer_mut(parent) {
             pp.stream.add_child(id, j);
@@ -188,36 +186,32 @@ impl Stream<'_> {
                 subscribed = true;
             }
         }
-        if subscribed {
-            let (user, private, first) = {
-                // cs-lint: allow(panic-in-lib) — `subscribed` can only be set while the peer is alive a few lines up
-                let p = self.w.peer(id).expect("alive");
-                (p.user, p.private_addr(), p.start_sub().is_none())
-            };
-            if first {
-                if let Some(p) = self.w.peer_mut(id) {
-                    p.stream.start_sub = Some(now);
-                }
-                self.w.sessions[id.index()].start_sub = Some(now);
-                self.w.log.report(
-                    now,
-                    &Report::Activity {
-                        user,
-                        node: id.0,
-                        kind: ActivityKind::StartSubscription,
-                        private_addr: private,
-                    },
-                );
-            }
+        if !subscribed {
+            return false;
         }
-        subscribed
+        // The first subscription of the session is reported, once.
+        if let Some(p) = self.w.peer_mut(id).filter(|p| p.stream.start_sub.is_none()) {
+            p.stream.start_sub = Some(now);
+            let (user, private_addr) = (p.core.user, p.core.private_addr());
+            self.w.sessions[id.index()].start_sub = Some(now);
+            self.w.log.report(
+                now,
+                &Report::Activity {
+                    user,
+                    node: id.0,
+                    kind: ActivityKind::StartSubscription,
+                    private_addr,
+                },
+            );
+        }
+        true
     }
 
     /// Buffer-map exchange, partner repair and peer adaptation for `id`:
     /// the periodic tick that ties the three managers together. Returns
     /// `false` once the peer is gone (the tick chain stops).
     pub(crate) fn bm_tick(&mut self, id: NodeId, now: SimTime) -> bool {
-        if !self.w.net.is_alive(id) {
+        if self.w.peer_handle(id).is_none() {
             return false;
         }
         // 1. Partnership: refresh views, detect dead partners, refill.
@@ -239,36 +233,39 @@ impl Stream<'_> {
     /// across `D_p` sub-stream subscriptions, capped by the parent's own
     /// newest block and the child's cache-window reach).
     pub(crate) fn sched_round(&mut self, p: NodeId, now: SimTime) {
-        let mut live = std::mem::take(&mut self.w.scratch.subs);
-        live.clear();
-        if let Some(peer) = self.w.peer(p) {
-            live.extend_from_slice(peer.children());
-        }
-        let subscribed = live.len();
+        let Some(pp) = self.w.peer_mut(p) else { return };
+        let upload = pp.core.upload;
+        // The list leaves the parent's state for the round: swept and
+        // served in place, then put back.
+        let mut live = std::mem::take(&mut pp.stream.children);
         // Drop stale subscriptions first.
         let w = &*self.w;
         live.retain(|&(c, j)| {
-            w.net.is_alive(c)
-                && w.peer(c)
-                    .is_some_and(|cp| cp.parents()[j as usize] == Some(p))
+            w.peer(c)
+                .is_some_and(|cp| cp.parents()[j as usize] == Some(p))
         });
-        if live.len() != subscribed {
-            if let Some(pp) = self.w.peer_mut(p) {
-                pp.stream.set_children(&live);
-            }
+        let up_bytes = self.push_round(p, upload, now, &live);
+        if let Some(pp) = self.w.peer_mut(p) {
+            pp.stream.counters.up_bytes += up_bytes;
+            pp.stream.children = live;
         }
-        if !live.is_empty() {
-            self.push_round(p, now, &live);
-        }
-        self.w.scratch.subs = live;
     }
 
     /// Serve one round of `p`'s uplink to its `live` subscriptions.
-    fn push_round(&mut self, p: NodeId, now: SimTime, live: &[(NodeId, u32)]) {
+    /// Returns the bytes uploaded.
+    fn push_round(
+        &mut self,
+        p: NodeId,
+        upload: Bandwidth,
+        now: SimTime,
+        live: &[(NodeId, u32)],
+    ) -> u64 {
+        if live.is_empty() {
+            return 0;
+        }
         let k = self.w.params.substreams;
         let round_secs = self.w.params.sched_interval.as_secs_f64();
         let d_p = live.len() as f64;
-        let upload = self.w.net.node(p).upload;
         let total_budget = self.w.params.upload_blocks_per_sec(upload) * round_secs;
         let equal_budget = total_budget / d_p;
         let mut parent_bm = std::mem::take(&mut self.w.scratch.bm);
@@ -315,61 +312,52 @@ impl Stream<'_> {
             }
         }
 
+        let (mut delivered, mut skipped) = (0, 0);
         for (ix, &(c, j)) in live.iter().enumerate() {
             let budget_blocks = budgets.get(ix).copied().unwrap_or(equal_budget);
             let Some(parent_latest) = parent_bm[j as usize].checked_sub(1) else {
                 continue;
             };
-            let (deliver, skipped) = {
-                let Some(cp) = self.w.peer_mut(c) else {
-                    continue;
-                };
-                let Some(buf) = cp.stream.buffer.as_mut() else {
-                    continue;
-                };
-                // Blocks older than the parent's cache window are gone.
-                let mut skipped = 0;
-                if parent_latest >= window {
-                    let window_floor = parent_latest - window;
-                    if buf.next_missing(j) <= window_floor {
-                        skipped = buf.skip_to(j, window_floor);
-                    }
-                }
-                let next = buf.next_missing(j);
-                let avail = if parent_latest >= next {
-                    (parent_latest - next) / k as u64 + 1
-                } else {
-                    0
-                };
-                let credit = buf.credit_mut(j);
-                *credit += budget_blocks;
-                // cs-lint: allow(lossy-cast) — credit is non-negative and capped at 2× the per-tick budget below
-                let deliver = (credit.floor() as u64).min(avail);
-                *credit -= deliver as f64;
-                // Unused credit cannot pile into an unbounded burst.
-                let cap = (budget_blocks * 2.0).max(2.0);
-                if *credit > cap {
-                    *credit = cap;
-                }
-                if deliver > 0 {
-                    buf.advance(j, deliver);
-                    cp.stream.counters.down_bytes += deliver * block_bytes;
-                }
-                (deliver, skipped)
+            let Some(cp) = self.w.peer_mut(c) else {
+                continue;
             };
-            self.w.stats.blocks_skipped += skipped;
-            if deliver > 0 {
-                let bytes = deliver * block_bytes;
-                self.w.sessions[c.index()].down_bytes += bytes;
-                if let Some(pp) = self.w.peer_mut(p) {
-                    pp.stream.counters.up_bytes += bytes;
+            let Some(buf) = cp.stream.buffer.as_mut() else {
+                continue;
+            };
+            // Blocks older than the parent's cache window are gone.
+            if parent_latest >= window {
+                let window_floor = parent_latest - window;
+                if buf.next_missing(j) <= window_floor {
+                    skipped += buf.skip_to(j, window_floor);
                 }
-                self.w.sessions[p.index()].up_bytes += bytes;
-                self.w.stats.blocks_delivered += deliver;
+            }
+            let next = buf.next_missing(j);
+            let avail = if parent_latest >= next {
+                (parent_latest - next) / k as u64 + 1
+            } else {
+                0
+            };
+            let credit = buf.credit_mut(j);
+            *credit += budget_blocks;
+            // cs-lint: allow(lossy-cast) — credit is non-negative and capped at 2× the per-tick budget below; `as` truncates, and would saturate a negative or NaN to 0 exactly as `floor()` first did
+            let deliver = (*credit as u64).min(avail);
+            *credit -= deliver as f64;
+            // Unused credit cannot pile into an unbounded burst.
+            let cap = (budget_blocks * 2.0).max(2.0);
+            if *credit > cap {
+                *credit = cap;
+            }
+            if deliver > 0 {
+                buf.advance(j, deliver);
+                cp.stream.counters.down_bytes += deliver * block_bytes;
+                delivered += deliver;
             }
         }
+        self.w.stats.blocks_skipped += skipped;
+        self.w.stats.blocks_delivered += delivered;
         self.w.scratch.bm = parent_bm;
         self.w.scratch.budgets = budgets;
+        delivered * block_bytes
     }
 
     /// Playback bookkeeping. Returns a retry spec if the peer gave up.
@@ -378,11 +366,9 @@ impl Stream<'_> {
         let delay_blocks = self.w.params.playback_delay_blocks;
         let giveup_loss = self.w.params.giveup_loss;
         let giveup_ticks = self.w.params.giveup_ticks;
-        let (user, private) = {
-            let p = self.w.peer(id)?;
-            (p.user, p.private_addr())
-        };
-        let mut became_ready = false;
+        // The identity the media-ready report needs, read only on the
+        // one tick per session that writes it.
+        let mut became_ready = None;
         let mut give_up = false;
         {
             let p = self.w.peer_mut(id)?;
@@ -393,24 +379,17 @@ impl Stream<'_> {
                     if buf.contiguous_len() >= delay_blocks {
                         s.media_ready = Some(now);
                         s.next_play = buf.start_seq();
-                        became_ready = true;
+                        became_ready = Some((p.core.user, p.core.private_addr()));
                     }
                 }
                 Some(ready_at) => {
                     let start = buf.start_seq();
                     let elapsed = now.saturating_sub(ready_at).as_secs_f64();
-                    // cs-lint: allow(lossy-cast) — elapsed × blocks/s is non-negative and far below 2^53; truncation is the intended playout floor
-                    let target = start + (elapsed * bps).floor() as u64;
-                    let mut due = 0u64;
-                    let mut missed = 0u64;
+                    // cs-lint: allow(lossy-cast) — elapsed × blocks/s is non-negative and far below 2^53; `as` truncates, which is the intended playout floor (a negative or NaN would saturate to 0 with or without `floor()`)
+                    let target = start + (elapsed * bps) as u64;
                     let from = s.next_play;
-                    // Bounded loop: at most a few dozen blocks per tick.
-                    for n in from..target {
-                        due += 1;
-                        if !buf.has_block(n) {
-                            missed += 1;
-                        }
-                    }
+                    let due = target.saturating_sub(from);
+                    let missed = due - buf.received_between(from, target);
                     s.next_play = target.max(from);
                     buf.retire_holes(s.next_play);
                     s.counters.due += due;
@@ -425,12 +404,10 @@ impl Stream<'_> {
                             give_up = true;
                         }
                     }
-                    self.w.sessions[id.index()].due += due;
-                    self.w.sessions[id.index()].missed += missed;
                 }
             }
         }
-        if became_ready {
+        if let Some((user, private_addr)) = became_ready {
             self.w.sessions[id.index()].ready = Some(now);
             self.w.log.report(
                 now,
@@ -438,7 +415,7 @@ impl Stream<'_> {
                     user,
                     node: id.0,
                     kind: ActivityKind::MediaReady,
-                    private_addr: private,
+                    private_addr,
                 },
             );
         }
@@ -457,11 +434,12 @@ impl Stream<'_> {
         let user = p.core.user;
         let node = id.0;
         let private = p.private_addr();
-        let c = p.stream.counters;
+        let c = p.stream.take_counters();
         let incoming = u32::try_from(p.incoming_partners()).unwrap_or(u32::MAX);
         let outgoing = u32::try_from(p.outgoing_partners()).unwrap_or(u32::MAX);
         let parents = u32::try_from(p.parent_count()).unwrap_or(u32::MAX);
-        p.stream.counters = Default::default();
+        // The session totals grow by what the report hands over.
+        self.w.sessions[id.index()].absorb(c);
         // Three HTTP report requests to the log server.
         self.w.stats.control_bytes += 3 * 120;
         self.w.log.report(

@@ -32,7 +32,9 @@ pub struct StreamState {
     pub(super) parents: Slots<Option<NodeId>>,
     /// Sub-stream subscriptions this node serves: (child, sub-stream).
     /// Its length is the out-going sub-stream degree `D_p` of Eq. (5).
-    children: Vec<(NodeId, u32)>,
+    /// No pair appears twice: `(c, j)` is listed exactly while `c`'s slot
+    /// `j` names this node.
+    pub(super) children: Vec<(NodeId, u32)>,
     /// Buffer; `None` until the start position is chosen (§IV.A).
     pub(super) buffer: Option<StreamBuffer>,
     /// When the first sub-stream subscription was made.
@@ -107,23 +109,18 @@ impl StreamState {
             .count()
     }
 
-    /// Register a served sub-stream subscription.
-    pub(crate) fn add_child(&mut self, child: NodeId, substream: u32) {
-        if !self.children.contains(&(child, substream)) {
-            self.children.push((child, substream));
+    /// Register a served sub-stream subscription. The caller
+    /// (`Stream::subscribe`) only adds a pair that is not listed yet.
+    pub(super) fn add_child(&mut self, child: NodeId, substream: u32) {
+        self.children.push((child, substream));
+    }
+
+    /// Remove a served sub-stream subscription, keeping the order of the
+    /// rest (`NeedAware` sums deficits in list order).
+    pub(super) fn remove_child(&mut self, child: NodeId, substream: u32) {
+        if let Some(i) = self.children.iter().position(|&c| c == (child, substream)) {
+            self.children.remove(i);
         }
-    }
-
-    /// Remove a served sub-stream subscription.
-    pub(crate) fn remove_child(&mut self, child: NodeId, substream: u32) {
-        self.children.retain(|&c| c != (child, substream));
-    }
-
-    /// Replace the subscription list with `live`, the survivors of a
-    /// push round's stale-subscription sweep (same relative order).
-    pub(super) fn set_children(&mut self, live: &[(NodeId, u32)]) {
-        self.children.clear();
-        self.children.extend_from_slice(live);
     }
 
     /// Remove every subscription of `child`.
@@ -153,6 +150,12 @@ impl StreamState {
     pub(crate) fn count_adaptation(&mut self) {
         self.counters.adaptations += 1;
     }
+
+    /// Hand over the since-last-report counters, leaving zeros: to a
+    /// status report, or to the session record when the peer goes away.
+    pub(crate) fn take_counters(&mut self) -> ReportCounters {
+        std::mem::take(&mut self.counters)
+    }
 }
 
 #[cfg(test)]
@@ -165,13 +168,33 @@ mod tests {
         s.add_child(NodeId(2), 0);
         s.add_child(NodeId(2), 1);
         s.add_child(NodeId(3), 0);
-        s.add_child(NodeId(2), 0); // duplicate ignored
-        assert_eq!(s.out_degree(), 3);
+        s.add_child(NodeId(4), 2);
+        assert_eq!(s.out_degree(), 4);
         s.remove_child(NodeId(2), 1);
-        assert_eq!(s.out_degree(), 2);
+        s.remove_child(NodeId(9), 0); // not listed: no-op
+        assert_eq!(
+            s.children(),
+            &[(NodeId(2), 0), (NodeId(3), 0), (NodeId(4), 2)],
+            "removal keeps the order of the rest"
+        );
         s.remove_child_all(NodeId(2));
-        assert_eq!(s.out_degree(), 1);
-        assert_eq!(s.children(), &[(NodeId(3), 0)]);
+        assert_eq!(s.children(), &[(NodeId(3), 0), (NodeId(4), 2)]);
+    }
+
+    /// `add_child` pushes without looking, so the uniqueness of the list
+    /// rests on `Stream::subscribe` — and on the checker saying so when
+    /// it is broken.
+    #[test]
+    fn duplicate_subscription_is_caught_by_the_checker() {
+        use crate::invariant::tests::{tiny_world, violated};
+        let mut world = tiny_world();
+        let (a, b) = (world.servers[0], world.servers[1]);
+        let list = world.peer_mut(a).expect("server").stream;
+        list.add_child(b, 0);
+        list.add_child(b, 1);
+        assert!(!violated(&world).contains(&"child-duplicate"));
+        world.peer_mut(a).expect("server").stream.add_child(b, 0);
+        assert!(violated(&world).contains(&"child-duplicate"));
     }
 
     #[test]

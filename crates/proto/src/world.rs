@@ -249,8 +249,6 @@ pub(crate) struct Scratch {
     /// Buffer-map rows in wire encoding: `advertised_bm` output for
     /// `refresh_views`, `try_add_partner` and `sched_round`.
     pub(crate) bm: Vec<u64>,
-    /// `sched_round`: the parent's live `(child, sub-stream)` list.
-    pub(crate) subs: Vec<(NodeId, u32)>,
     /// `sched_round`: per-subscription budgets under `NeedAware`.
     pub(crate) budgets: Vec<f64>,
     /// `choose_parent`'s candidate pool; `refresh_views`' dead partners.
@@ -471,9 +469,13 @@ impl CsWorld {
         self.arena.insert(core, &self.params);
     }
 
-    /// Drop a departed or crashed peer's state; its arena slot joins the
-    /// free list and outstanding handles to it go stale.
+    /// Drop a departed or crashed peer's state — what it moved since its
+    /// last status report goes into its session record first; its arena
+    /// slot joins the free list and outstanding handles to it go stale.
     pub(crate) fn remove_peer(&mut self, id: NodeId) {
+        if let Some(p) = self.arena.get_mut_by_node(id) {
+            self.sessions[id.index()].absorb(p.stream.take_counters());
+        }
         self.arena.remove(id);
     }
 
@@ -504,7 +506,7 @@ impl World for CsWorld {
             }
             Event::Depart(id) => Partnership::of(self).scheduled_depart(id, now),
             Event::GossipTick(id) => {
-                if self.net.is_alive(id) {
+                if self.peer_handle(id).is_some() {
                     Membership::of(self).gossip_tick(id);
                     ctx.schedule_in(self.params.gossip_interval, Event::GossipTick(id));
                 }
@@ -515,23 +517,20 @@ impl World for CsWorld {
                 }
             }
             Event::SchedRound(id) => {
-                if self.net.is_alive(id) {
+                if self.peer_handle(id).is_some() {
                     Stream::of(self).sched_round(id, now);
                     ctx.schedule_in(self.params.sched_interval, Event::SchedRound(id));
                 }
             }
             Event::PlaybackTick(id) => {
-                if self.net.is_alive(id) {
-                    let retry = Stream::of(self).playback_tick(id, now);
-                    if let Some(spec) = retry {
-                        self.schedule_retry(spec, ctx);
-                    } else if self.net.is_alive(id) {
-                        ctx.schedule_in(self.params.playback_interval, Event::PlaybackTick(id));
-                    }
+                if let Some(spec) = Stream::of(self).playback_tick(id, now) {
+                    self.schedule_retry(spec, ctx);
+                } else if self.peer_handle(id).is_some() {
+                    ctx.schedule_in(self.params.playback_interval, Event::PlaybackTick(id));
                 }
             }
             Event::ReportTick(id) => {
-                if self.net.is_alive(id) {
+                if self.peer_handle(id).is_some() {
                     Stream::of(self).report_tick(id, now);
                     ctx.schedule_in(self.params.report_interval, Event::ReportTick(id));
                 }

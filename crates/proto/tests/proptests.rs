@@ -13,19 +13,93 @@ use rand::Rng;
 enum BufOp {
     Advance(u32, u64),
     SkipTo(u32, u64),
+    RetireHoles(u64),
+}
+
+fn arb_op(k: u32) -> impl Strategy<Value = BufOp> {
+    prop_oneof![
+        (0..k, 1u64..50).prop_map(|(i, n)| BufOp::Advance(i, n)),
+        (0..k, 0u64..2000).prop_map(|(i, b)| BufOp::SkipTo(i, b)),
+    ]
 }
 
 fn arb_ops(k: u32) -> impl Strategy<Value = Vec<BufOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0..k, 1u64..50).prop_map(|(i, n)| BufOp::Advance(i, n)),
-            (0..k, 0u64..2000).prop_map(|(i, b)| BufOp::SkipTo(i, b)),
-        ],
-        0..40,
-    )
+    proptest::collection::vec(arb_op(k), 0..40)
+}
+
+/// [`arb_ops`] plus the playout point retiring holes behind it.
+fn arb_history(k: u32) -> impl Strategy<Value = Vec<BufOp>> {
+    let retire = (0u64..2500).prop_map(BufOp::RetireHoles);
+    proptest::collection::vec(prop_oneof![arb_op(k), arb_op(k), retire], 0..40)
+}
+
+/// Why `push_round`, `playback_tick` and `live_edge` cast without calling
+/// `floor()` first: `as u64` truncates toward zero and saturates, so the
+/// two agree on every `f64`.
+#[test]
+fn float_to_u64_cast_needs_no_floor() {
+    let two53 = 9_007_199_254_740_992.0_f64;
+    let cases = [
+        0.0,
+        -0.0,
+        0.999_999_999,
+        1.0,
+        9.6,
+        -0.5,
+        -1.0,
+        -1e300,
+        f64::MIN_POSITIVE / 2.0, // subnormal
+        -f64::MIN_POSITIVE / 2.0,
+        two53 - 1.0,
+        two53,
+        two53 + 2.0,
+        u64::MAX as f64,
+        1e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for x in cases.map(std::hint::black_box) {
+        assert_eq!(x.floor() as u64, x as u64, "x = {x:e}");
+    }
+    let cast = |x: f64| std::hint::black_box(x) as u64;
+    assert_eq!(cast(f64::NAN), 0);
+    assert_eq!(cast(-3.7), 0);
+    assert_eq!(cast(f64::INFINITY), u64::MAX);
 }
 
 proptest! {
+    /// `received_between` is `has_block` counted over the range, after any
+    /// history, for ranges before, across and past `start_seq`, the heads
+    /// and the holes, and for an empty or inverted range.
+    #[test]
+    fn received_between_counts_has_block(
+        k in 1u32..=20,
+        start in 0u64..500,
+        ops in arb_history(20),
+        a in 0u64..2600,
+        len in 0u64..300,
+    ) {
+        let mut buf = StreamBuffer::new(k, start);
+        for op in ops {
+            match op {
+                BufOp::Advance(i, n) if i < k => { buf.advance(i, n); },
+                BufOp::SkipTo(i, b) if i < k => { buf.skip_to(i, b); },
+                BufOp::RetireHoles(n) => buf.retire_holes(n),
+                _ => {}
+            }
+            let ranges = [
+                (a, a + len),
+                (start.saturating_sub(len), start + len),
+                (a + len, a),
+            ];
+            for (from, to) in ranges {
+                let want = (from..to).filter(|&n| buf.has_block(n)).count() as u64;
+                prop_assert_eq!(buf.received_between(from, to), want, "{}..{}", from, to);
+            }
+        }
+    }
+
     /// Whatever the op sequence, per-sub-stream alignment, contiguity and
     /// hole bookkeeping stay coherent.
     #[test]

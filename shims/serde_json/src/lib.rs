@@ -263,9 +263,17 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(Value::Map(entries));
         }
+        // A spec that says one thing twice must not run as either: real
+        // serde rejects a repeated field too. A set, not a scan of
+        // `entries`, so a hostile many-key object still fails fast.
+        let mut seen = std::collections::BTreeSet::new();
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.parse_string()?;
+            if !seen.insert(key.clone()) {
+                return Err(Error(format!("duplicate key `{key}` at byte {at}")));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -463,6 +471,30 @@ mod tests {
             let err = from_str::<Value>(&open.repeat(200_000)).unwrap_err();
             assert!(err.to_string().contains("nesting deeper than"), "{err}");
         }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let err = from_str::<Value>(r#"{"seed": 1, "rate": 2, "seed": 3}"#).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate key `seed` at byte 23");
+        // In a nested object, and with the repeat spelled through an escape.
+        let err = from_str::<Value>(r#"[{"a": {"k": 1, "\u006b": 2}}]"#).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate key `k` at byte 16");
+        // The same key in two different objects is fine.
+        assert!(from_str::<Value>(r#"{"a": {"k": 1}, "b": {"k": 2}}"#).is_ok());
+        // 10^5 distinct keys and then a repeat of the first: no quadratic scan.
+        let mut hostile = String::from("{");
+        for i in 0..100_000 {
+            hostile.push_str(&format!("\"k{i}\": 0, "));
+        }
+        hostile.push_str("\"k0\": 0}");
+        let started = std::time::Instant::now();
+        let err = from_str::<Value>(&hostile).unwrap_err();
+        assert!(
+            err.to_string().starts_with("duplicate key `k0` at byte "),
+            "{err}"
+        );
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
     }
 
     #[test]

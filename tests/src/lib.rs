@@ -7,6 +7,9 @@
 
 use std::sync::Mutex;
 
+use cs_proto::SessionRecord;
+use cs_sim::SimTime;
+
 /// Serializes golden-file rewrites when `UPDATE_GOLDEN=1` (tests run on
 /// parallel threads within one process).
 static GOLDEN_LOCK: Mutex<()> = Mutex::new(());
@@ -52,6 +55,49 @@ pub fn check_golden_in(golden_path: &str, header: &str, name: &str, hash: u64) {
         "hash for {name:?} diverged from the golden snapshot in {golden_path} — \
          if the event sequence changed intentionally, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// The ground-truth session table as text: one line per record in
+/// node-id order, every [`SessionRecord`] field in declaration order
+/// (times in µs, `-` for an absent one). The destructuring is
+/// exhaustive, so a new field cannot be left out of
+/// `golden/session_hashes.txt` silently.
+pub fn session_table_text(sessions: &[SessionRecord]) -> String {
+    use std::fmt::Write;
+    let time = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.as_micros().to_string());
+    let mut out = String::new();
+    for rec in sessions {
+        let SessionRecord {
+            user,
+            node,
+            class,
+            upload,
+            retry_index,
+            join,
+            start_sub,
+            ready,
+            leave,
+            reason,
+            up_bytes,
+            down_bytes,
+            due,
+            missed,
+            adaptations,
+        } = *rec;
+        writeln!(
+            out,
+            "{} {} {class:?} {} {retry_index} {} {} {} {} {reason:?} {up_bytes} {down_bytes} {due} {missed} {adaptations}",
+            user.0,
+            node.0,
+            upload.as_bps(),
+            join.as_micros(),
+            time(start_sub),
+            time(ready),
+            time(leave),
+        )
+        .expect("writing to a String cannot fail");
+    }
+    out
 }
 
 /// FNV-1a of a whole text: the fingerprint `golden/log_hashes.txt`

@@ -203,6 +203,58 @@ fn steady_state_ticks_do_not_allocate() {
             p.dispatched[kind]
         );
     }
+    drop(p);
+
+    // A round that drops a stale child is as free as any other: the sweep
+    // `retain`s the parent's own list in place. No graceful path leaves a
+    // stale entry behind (`depart` tells the parents), so a user peer is
+    // crashed the way only a dedicated server can be — `CrashServer`
+    // tears the node out without telling the parents it subscribed to.
+    let now = eng.now();
+    let is_listed = |w: &CsWorld, parent, child| {
+        let listed = |p: cs_proto::PeerRef<'_>| p.children().iter().any(|&(c, _)| c == child);
+        w.peer(parent).is_some_and(listed)
+    };
+    let (victim, parents) = {
+        let w = eng.world();
+        let victim = w
+            .peers()
+            .find(|p| p.class.is_user() && p.parent_count() > 0)
+            .expect("a subscribed user");
+        let parents: Vec<_> = victim.parents().iter().flatten().copied().collect();
+        (victim.id, parents)
+    };
+    let slot = eng.world().servers.len();
+    eng.world_mut().servers.push(victim);
+    eng.schedule_at(now, Event::CrashServer(slot));
+    eng.run_until(now);
+    assert!(eng.world().peer(victim).is_none(), "the crash did not land");
+    for &parent in &parents {
+        assert!(
+            is_listed(eng.world(), parent, victim),
+            "{parent:?} was told of the crash: no stale subscription to sweep"
+        );
+    }
+    let sched = TICKS.iter().position(|&k| k == "sched_round").unwrap();
+    let (rounds_before, allocs_before) = {
+        let p = probe.borrow();
+        (p.dispatched[sched], p.allocated[sched])
+    };
+    // One push round of every peer, the victim's parents among them.
+    eng.run_until(now + Params::default().sched_interval);
+    for &parent in &parents {
+        assert!(
+            !is_listed(eng.world(), parent, victim),
+            "{parent:?} kept it"
+        );
+    }
+    let p = probe.borrow();
+    assert!(p.dispatched[sched] - rounds_before >= u64::from(PEERS) / 2);
+    assert_eq!(
+        p.allocated[sched] - allocs_before,
+        0,
+        "allocator calls in the rounds that swept the crashed child out"
+    );
 }
 
 /// The log path allocates per buffer, never per line: appending a report

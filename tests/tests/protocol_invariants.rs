@@ -2,8 +2,9 @@
 //! horizon: referential integrity of the partner/parent/child graph, the
 //! `M` bound, cool-down monotonicity, and session-record sanity.
 
-use coolstreaming::Scenario;
-use cs_proto::CsWorld;
+use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
+use cs_integration::session_table_text;
+use cs_proto::{finalize_sessions, CsWorld};
 use cs_sim::SimTime;
 
 fn assert_invariants(world: &CsWorld, label: &str) {
@@ -176,6 +177,43 @@ fn upload_accounting_balances() {
         blocks * artifacts.world.params.block_bytes as u64,
         "byte counters disagree with block counters"
     );
+}
+
+/// The same identity where peers go away the hard way: graceful departs
+/// under a flash crowd, `CrashServer` + restart, and a `RegionalOutage`.
+/// Every exit folds the peer's unreported counters into its session
+/// record, so the finalised table conserves bytes — and finalising it a
+/// second time changes nothing.
+#[test]
+fn upload_accounting_balances_through_teardown() {
+    for name in ["flash_crowd", "server_crash", "regional_outage"] {
+        let path = format!("{}/../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("readable scenario file");
+        let compiled = ScenarioSpec::from_json(&text)
+            .and_then(|spec| spec.compile())
+            .unwrap_or_else(|e| panic!("{path}: {e}"));
+        let run = compiled
+            .scenario
+            .run_injected_observed(compiled.injections, RunOptions::default());
+        let mut world = run.artifacts.world;
+        let gone = world.sessions.iter().filter(|r| r.leave.is_some()).count();
+        assert!(gone > 10, "{name}: only {gone} sessions ended");
+        let up: u64 = world.sessions.iter().map(|r| r.up_bytes).sum();
+        let down: u64 = world.sessions.iter().map(|r| r.down_bytes).sum();
+        assert_eq!(up, down, "{name}: bytes uploaded != bytes downloaded");
+        assert_eq!(
+            up,
+            world.stats.blocks_delivered * world.params.block_bytes as u64,
+            "{name}: byte counters disagree with block counters"
+        );
+        let once = session_table_text(&world.sessions);
+        finalize_sessions(&mut world);
+        assert_eq!(
+            session_table_text(&world.sessions),
+            once,
+            "{name}: a second finalize_sessions moved the table"
+        );
+    }
 }
 
 #[test]

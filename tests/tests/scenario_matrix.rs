@@ -1,8 +1,8 @@
 //! The scenario conformance matrix: every file in `scenarios/` must
 //! (a) parse strictly under the DSL schema, (b) run to completion under
 //! the full-stride [`InvariantChecker`] with zero violations, and
-//! (c) reproduce its per-scenario golden trace hash and the FNV-1a of its
-//! log text exactly.
+//! (c) reproduce its per-scenario golden trace hash, the FNV-1a of its
+//! log text and the FNV-1a of its ground-truth session table exactly.
 //!
 //! Regenerate the hashes after an intentional protocol change with:
 //!
@@ -13,12 +13,15 @@
 use std::path::{Path, PathBuf};
 
 use coolstreaming::{RunOptions, ScenarioSpec};
-use cs_integration::{check_golden_in, fnv1a_text};
+use cs_integration::{check_golden_in, fnv1a_text, session_table_text};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/scenario_hashes.txt");
 const GOLDEN_HEADER: &str = "Golden per-scenario trace hashes for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
 const LOG_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/log_hashes.txt");
 const LOG_GOLDEN_HEADER: &str = "Golden FNV-1a of log.to_text() for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
+
+const SESSION_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/session_hashes.txt");
+const SESSION_GOLDEN_HEADER: &str = "Golden FNV-1a of session_table_text(world.sessions) after finalize_sessions for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
 
 const FULL_CHECK: RunOptions = RunOptions {
     check_invariants: true,
@@ -84,7 +87,7 @@ fn library_covers_the_expected_scenarios() {
 }
 
 /// Run every scenario under the invariant checker and diff its trace
-/// hash against the committed golden value.
+/// hash, log text and session table against the committed golden values.
 #[test]
 fn matrix_is_invariant_clean_with_golden_hashes() {
     for path in scenario_files() {
@@ -113,6 +116,14 @@ fn matrix_is_invariant_clean_with_golden_hashes() {
             LOG_GOLDEN_HEADER,
             &spec.name,
             fnv1a_text(&run.artifacts.world.log.to_text()),
+        );
+        // The trace hash folds (time, kind) and the log sees only what
+        // reporting users sent: the per-session totals are pinned here.
+        check_golden_in(
+            SESSION_GOLDEN_PATH,
+            SESSION_GOLDEN_HEADER,
+            &spec.name,
+            fnv1a_text(&session_table_text(&run.artifacts.world.sessions)),
         );
     }
 }
