@@ -13,6 +13,20 @@
 //! multi-parent pull avoids most of it.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod tree;

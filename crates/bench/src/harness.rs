@@ -187,7 +187,10 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
             if opts.verbose {
                 eprintln!("bench: {name} (rep {}/{reps})…", rep + 1);
             }
-            // cs-lint: allow(ambient-entropy) — wall-clock timing is the harness's purpose; measurements go only to BENCH_*.json, never into sim state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock timing is the harness's purpose; measurements go only to BENCH_*.json, never into sim state"
+            )]
             let t0 = Instant::now();
             let run = compiled
                 .scenario

@@ -10,6 +10,14 @@
 //! 4. hand a cheap, representative kernel to Criterion for timing.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp
+    )
+)]
 
 pub mod harness;
 

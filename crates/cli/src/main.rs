@@ -10,6 +10,14 @@
 //! without re-simulating.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp
+    )
+)]
 
 mod args;
 mod output;
@@ -96,7 +104,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     // Wall-clock timing for the manifest only; sim behaviour never sees it.
-    // cs-lint: allow(ambient-entropy) — manifest wall_ms is explicitly environment-dependent metadata
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "manifest wall_ms is explicitly environment-dependent metadata"
+    )]
     let wall_start = std::time::Instant::now();
     let observed = scenario.run_injected_observed(injections, options);
     let wall_ms = u64::try_from(wall_start.elapsed().as_millis()).unwrap_or(u64::MAX);

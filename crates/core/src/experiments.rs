@@ -306,25 +306,25 @@ impl Fig6 {
 
 // ---------------------------------------------------------------- FIG7 --
 
-/// Fig. 7's four reporting windows (hours of day).
-pub const FIG7_PERIODS: [(&str, f64, f64); 4] = [
-    ("01:00-13:29", 1.0, 13.49),
-    ("13:30-17:29", 13.5, 17.49),
-    ("17:30-20:29", 17.5, 20.49),
-    ("20:30-23:59", 20.5, 23.99),
+/// Fig. 7's four reporting windows as half-open minute-of-day ranges
+/// `[start, end)`: every join from 01:00 on counts in exactly one of them.
+pub const FIG7_PERIODS: [(&str, u64, u64); 4] = [
+    ("01:00-13:29", 60, 810),
+    ("13:30-17:29", 810, 1050),
+    ("17:30-20:29", 1050, 1230),
+    ("20:30-23:59", 1230, 1440),
 ];
 
 /// Fig. 7: media-ready CDF per day period.
 pub fn fig7_ready_by_period(view: &LogView) -> Vec<(&'static str, Cdf)> {
+    let minute_of_day = |t: SimTime| t.as_secs() / 60 % (24 * 60);
     FIG7_PERIODS
         .iter()
-        .map(|&(label, h0, h1)| {
+        .map(|&(label, m0, m1)| {
             let cdf = Cdf::new(
                 view.sessions
                     .iter()
-                    .filter(|s| {
-                        matches!(s.join, Some(j) if j.hour_of_day() >= h0 && j.hour_of_day() <= h1)
-                    })
+                    .filter(|s| matches!(s.join, Some(j) if (m0..m1).contains(&minute_of_day(j))))
                     .filter_map(|s| s.ready_delay())
                     .map(|d| d.as_secs_f64())
                     .collect(),
@@ -658,4 +658,41 @@ impl OverheadReport {
 /// the self-stabilization signature, straight from the log.
 pub fn peerwise(view: &LogView, age_bin: SimTime, max_age: SimTime) -> cs_analysis::Peerwise {
     cs_analysis::peerwise(&view.sessions, age_bin, max_age)
+}
+
+#[cfg(test)]
+mod tests {
+    use cs_analysis::LogSession;
+
+    use super::*;
+
+    /// A join in the last seconds of a period counts in that period, and a
+    /// join before 01:00 in none.
+    #[test]
+    fn fig7_periods_tile_the_day_from_one_oclock() {
+        let at = |h: u64, m: u64, s: u64| SimTime::from_secs(h * 3600 + m * 60 + s);
+        for (join, want) in [
+            (at(13, 29, 30), Some(0)),
+            (at(17, 29, 59), Some(1)),
+            (at(20, 29, 30), Some(2)),
+            (at(23, 59, 30), Some(3)),
+            (at(0, 30, 0), None),
+        ] {
+            let view = LogView {
+                reports: Vec::new(),
+                sessions: vec![LogSession {
+                    join: Some(join),
+                    ready: Some(join + SimTime::from_secs(5)),
+                    ..LogSession::default()
+                }],
+            };
+            let counted: Vec<usize> = fig7_ready_by_period(&view)
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, cdf))| cdf.len() == 1)
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(counted, Vec::from_iter(want), "join at {join:?}");
+        }
+    }
 }

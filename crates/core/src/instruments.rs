@@ -119,8 +119,12 @@ impl Instruments {
             spans.push(SpanRecord::open(self.meta, now, kind, manager, queue_depth));
         }
         if sampled || self.spans.is_some() {
-            // cs-lint: allow(ambient-entropy) — wall-clock handler duration goes only to spans.jsonl and profile.json, never into sim state or the metric registry (see module docs)
-            self.in_flight = Some((index, Instant::now(), sampled));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock handler duration goes only to spans.jsonl and profile.json, never into sim state or the metric registry (see module docs)"
+            )]
+            let t0 = Instant::now();
+            self.in_flight = Some((index, t0, sampled));
         }
     }
 
@@ -151,7 +155,7 @@ impl Observer<CsWorld> for Instruments {
             hasher.record(now, kind);
         }
         let sampled = match &mut self.telemetry {
-            Some(t) => t.engine.on_dispatch(index, kind, manager, queue_depth),
+            Some(t) => t.engine.on_dispatch(index, kind, queue_depth),
             None => false,
         };
         if sampled || self.checker.is_some() || self.spans.is_some() {

@@ -69,7 +69,10 @@ impl LogServer {
 
     /// The log lines in arrival order: receive timestamp, raw log string.
     pub fn lines(&self) -> impl Iterator<Item = (SimTime, &str)> {
-        // cs-lint: allow(panic-in-lib) — `line` opens every line of `text` with `<decimal u64> ` and nothing else writes a line start
+        #[expect(
+            clippy::expect_used,
+            reason = "`line` opens every line of `text` with `<decimal u64> ` and nothing else writes a line start"
+        )]
         let stored = |line| stamped(line).expect("stored line opens with its timestamp");
         self.text.split_terminator('\n').map(stored)
     }

@@ -75,7 +75,10 @@ impl ConnectivityPolicy {
             NodeClass::Nat => Err(ConnectError::NatUnreachable),
             NodeClass::Firewall => Err(ConnectError::FirewallBlocked),
             // accepts_incoming() covered the rest.
-            // cs-lint: allow(panic-in-lib) — the early return above handles every class with accepts_incoming(); only Nat/Firewall reach this match
+            #[expect(
+                clippy::unreachable,
+                reason = "the early return above handles every class with accepts_incoming(); only Nat/Firewall reach this match"
+            )]
             _ => unreachable!("class {target:?} neither accepts nor refuses"),
         }
     }

@@ -143,7 +143,11 @@ impl StreamBuffer {
             return false;
         }
         let k = self.k as u64;
-        let i = (n % k) as u32; // cs-lint: allow(lossy-cast) — n % k < k, and k is self.k widened from u32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "n % k < k, and k is self.k widened from u32"
+        )]
+        let i = (n % k) as u32;
         matches!(self.latest(i), Some(h) if n <= h) && !self.in_hole(n)
     }
 
@@ -162,7 +166,11 @@ impl StreamBuffer {
     pub fn received_between(&self, from: u64, to: u64) -> u64 {
         let from = from.max(self.start_seq);
         let latest: &[u64] = &self.latest;
-        let mut i = (from % self.k as u64) as usize; // cs-lint: allow(lossy-cast) — from % k < k, and k is self.k widened from u32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "from % k < k, and k is self.k widened from u32"
+        )]
+        let mut i = (from % self.k as u64) as usize;
         let mut received = 0;
         for n in from..to {
             // Wire encoding: `latest[i]` is the newest seq + 1, 0 = none.

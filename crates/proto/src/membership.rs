@@ -108,7 +108,10 @@ impl Membership<'_> {
             adaptations: 0,
         });
         self.w.bootstrap.register(id, now);
-        // cs-lint: allow(panic-in-lib) — the peer was pushed into the table a few lines up in this same join handler
+        #[expect(
+            clippy::expect_used,
+            reason = "the peer was pushed into the table a few lines up in this same join handler"
+        )]
         let private = self.w.peer(id).expect("just added").private_addr();
         self.w.log.report(
             now,

@@ -201,8 +201,12 @@ impl Params {
 
     /// The cache-buffer window in global sequence numbers.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative and bounded by buffer_secs × blocks/s, far below 2^53"
+    )]
     pub fn window_blocks(&self) -> u64 {
-        // cs-lint: allow(lossy-cast) — non-negative and bounded by buffer_secs × blocks/s, far below 2^53
         (self.buffer_secs as f64 * self.blocks_per_sec()).ceil() as u64
     }
 
@@ -210,7 +214,11 @@ impl Params {
     /// source at time `now` (`None` before the first block is complete).
     #[inline]
     pub fn live_edge(&self, now: SimTime) -> Option<u64> {
-        // cs-lint: allow(lossy-cast) — non-negative stream position; sim horizons keep it far below 2^53, and `as` truncates it (a negative or NaN would saturate to 0)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "non-negative stream position; sim horizons keep it far below 2^53, and `as` truncates it (a negative or NaN would saturate to 0)"
+        )]
         let emitted = (now.as_secs_f64() * self.blocks_per_sec()) as u64;
         emitted.checked_sub(1)
     }

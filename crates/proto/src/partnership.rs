@@ -81,7 +81,10 @@ impl Partnership<'_> {
         advertised_bm(self.w, b, now, &mut bm);
         advertised_bm(self.w, a, now, &mut bm);
         let (bm_b, bm_a) = bm.split_at(self.w.params.substreams as usize);
-        // cs-lint: allow(panic-in-lib) — the dead-peer early-return above guarantees both peers are alive here
+        #[expect(
+            clippy::expect_used,
+            reason = "the dead-peer early-return above guarantees both peers are alive here"
+        )]
         let (pa, pb) = self.w.two_mut(a, b).expect("both alive");
         pa.partnership.insert(b, bm_b, true, now);
         pb.partnership.insert(a, bm_a, false, now);

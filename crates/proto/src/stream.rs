@@ -339,7 +339,11 @@ impl Stream<'_> {
             };
             let credit = buf.credit_mut(j);
             *credit += budget_blocks;
-            // cs-lint: allow(lossy-cast) — credit is non-negative and capped at 2× the per-tick budget below; `as` truncates, and would saturate a negative or NaN to 0 exactly as `floor()` first did
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "credit is non-negative and capped at 2× the per-tick budget below; `as` truncates, and would saturate a negative or NaN to 0 exactly as `floor()` first did"
+            )]
             let deliver = (*credit as u64).min(avail);
             *credit -= deliver as f64;
             // Unused credit cannot pile into an unbounded burst.
@@ -385,7 +389,11 @@ impl Stream<'_> {
                 Some(ready_at) => {
                     let start = buf.start_seq();
                     let elapsed = now.saturating_sub(ready_at).as_secs_f64();
-                    // cs-lint: allow(lossy-cast) — elapsed × blocks/s is non-negative and far below 2^53; `as` truncates, which is the intended playout floor (a negative or NaN would saturate to 0 with or without `floor()`)
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "elapsed × blocks/s is non-negative and far below 2^53; `as` truncates, which is the intended playout floor (a negative or NaN would saturate to 0 with or without `floor()`)"
+                    )]
                     let target = start + (elapsed * bps) as u64;
                     let from = s.next_play;
                     let due = target.saturating_sub(from);

@@ -304,7 +304,10 @@ impl CsWorld {
         server_bw: Bandwidth,
         master_seed: u64,
     ) -> Self {
-        // cs-lint: allow(panic-in-lib) — constructor-style precondition: invalid Params is a programming error, not a runtime state
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor-style precondition: invalid Params is a programming error, not a runtime state"
+        )]
         params.validate().expect("invalid params");
         let mut bootstrap = Bootstrap::new();
         let mut arena = PeerArena::new();

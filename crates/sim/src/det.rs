@@ -4,9 +4,10 @@
 //! `std::collections::HashMap`'s iteration order varies per process
 //! (`RandomState`), which silently poisons trace hashes and any result
 //! derived from iteration order (overlay convergence, continuity
-//! indices). `cs-lint` rule D1 rejects `HashMap`/`HashSet` in
-//! deterministic crates; these aliases are the sanctioned replacement
-//! and double as documentation of intent at the use site.
+//! indices). Clippy's `disallowed_types` rejects `HashMap`/`HashSet` in
+//! non-test code (`clippy.toml`, DESIGN.md §7); these aliases are the
+//! sanctioned replacement and double as documentation of intent at the
+//! use site.
 //!
 //! `BTreeMap` lookups are `O(log n)` instead of `O(1)`; every map in the
 //! hot path is keyed by small dense ids, where the tree's cache-friendly

@@ -13,6 +13,11 @@
 //! reproducibility across toolchain updates matters for a measurement-style
 //! codebase.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module implements the named-stream API; it is the one place raw construction and seed splitting belong"
+)]
+
 use rand::{Error, RngCore, SeedableRng};
 
 /// SplitMix64 step — used for seed expansion, as recommended by the xoshiro

@@ -104,9 +104,6 @@ impl SimTime {
     }
 
     /// Hour-of-day in `[0, 24)` assuming the run starts at midnight.
-    ///
-    /// Used by the diurnal workload and the four reporting windows of
-    /// Fig. 7.
     #[inline]
     pub fn hour_of_day(self) -> f64 {
         (self.as_secs_f64() / 3600.0) % 24.0

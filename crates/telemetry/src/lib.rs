@@ -38,6 +38,20 @@
 //!   `BENCH_*.json` header record beside their wall-clock numbers.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 mod json;

@@ -19,9 +19,8 @@
 //!   boundary gauges land in the window being closed.
 //!
 //! The table is the single source of every per-kind figure: the
-//! `engine_events_total{kind=…}` counters in the windowed stream, the
-//! per-kind and per-manager totals of [`TelemetryRun`], and the dispatch
-//! percentiles of `profile.json`.
+//! `engine_events_total{kind=…}` counters in the windowed stream and the
+//! final registry, and the dispatch percentiles of `profile.json`.
 //!
 //! Hot-path design: the per-event work touches only block-local state —
 //! the classifier's dense per-kind index makes counting a dispatch an
@@ -35,7 +34,7 @@
 //! are scheduled, so trace hashes are identical with or without
 //! telemetry attached.
 
-use cs_sim::{DetMap, SimTime};
+use cs_sim::SimTime;
 
 use crate::profile::DispatchProfiler;
 use crate::registry::{MetricId, MetricRegistry};
@@ -49,13 +48,12 @@ use crate::TelemetryConfig;
 pub const PROFILE_SAMPLE_EVERY: u64 = 128;
 
 /// One row of the per-kind table, addressed by the classifier's dense
-/// index. `name`/`manager` are set on first dispatch; the registry id is
+/// index. `name` is set on first dispatch; the registry id is
 /// interned lazily at flush time, keeping the dispatch path free of
 /// registry traffic.
 #[derive(Clone, Debug, Default)]
 struct KindRow {
     name: &'static str,
-    manager: &'static str,
     id: Option<MetricId>,
     /// Dispatches seen (cumulative).
     count: u64,
@@ -107,20 +105,13 @@ impl EngineTelemetry {
     /// high-water mark of 1. Returns whether the caller should time this
     /// dispatch and report it through [`Self::record_ns`].
     #[inline]
-    pub fn on_dispatch(
-        &mut self,
-        index: u8,
-        name: &'static str,
-        manager: &'static str,
-        queue_depth: usize,
-    ) -> bool {
+    pub fn on_dispatch(&mut self, index: u8, name: &'static str, queue_depth: usize) -> bool {
         let index = usize::from(index);
         if index >= self.kinds.len() {
             self.kinds.resize_with(index + 1, KindRow::default);
         }
         let row = &mut self.kinds[index];
         row.name = name;
-        row.manager = manager;
         row.count += 1;
         let depth = queue_depth.saturating_add(1);
         self.last_depth = depth;
@@ -188,12 +179,6 @@ impl EngineTelemetry {
             registry: self.registry,
             profile,
             events: self.events,
-            kinds: self
-                .kinds
-                .into_iter()
-                .filter(|r| r.count > 0)
-                .map(|r| (r.name, r.manager, r.count))
-                .collect(),
         }
     }
 }
@@ -209,27 +194,6 @@ pub struct TelemetryRun {
     pub profile: DispatchProfiler,
     /// Events dispatched while telemetry was attached.
     pub events: u64,
-    /// `(kind, manager, dispatches)` per kind seen, from the dense table.
-    kinds: Vec<(&'static str, &'static str, u64)>,
-}
-
-impl TelemetryRun {
-    /// Dispatch totals per event kind, sorted by kind name.
-    pub fn event_kinds(&self) -> DetMap<String, u64> {
-        self.kinds
-            .iter()
-            .map(|&(kind, _, n)| (kind.to_string(), n))
-            .collect()
-    }
-
-    /// Dispatch totals per owning manager, sorted by manager name.
-    pub fn manager_events(&self) -> DetMap<String, u64> {
-        let mut out = DetMap::new();
-        for &(_, manager, n) in &self.kinds {
-            *out.entry(manager.to_string()).or_insert(0) += n;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -272,12 +236,12 @@ mod tests {
 
     impl Observer<Fanout> for Probe {
         fn on_dispatch(&mut self, _now: SimTime, event: &Ev, queue_depth: usize) {
-            let (index, name, manager) = match event {
-                Ev::Spawn(_) => (0, "spawn", "membership"),
-                Ev::Leaf => (1, "leaf", "stream"),
+            let (index, name) = match event {
+                Ev::Spawn(_) => (0, "spawn"),
+                Ev::Leaf => (1, "leaf"),
             };
             let tel = self.0.as_mut().expect("attached");
-            if tel.on_dispatch(index, name, manager, queue_depth) {
+            if tel.on_dispatch(index, name, queue_depth) {
                 tel.record_ns(index, 100);
             }
         }
@@ -314,6 +278,13 @@ mod tests {
         }
     }
 
+    fn kind_total(run: &TelemetryRun, kind: &str) -> u64 {
+        match run.registry.get("engine_events_total", &[("kind", kind)]) {
+            Some(Metric::Counter(n)) => *n,
+            other => panic!("missing counter for {kind}: {other:?}"),
+        }
+    }
+
     fn kind_deltas(run: &TelemetryRun, kind: &str) -> Vec<u64> {
         let id = format!("engine_events_total{{kind={kind}}}");
         run.snapshots
@@ -335,15 +306,9 @@ mod tests {
         // Spawn(3..=0) → 4 spawn events, each emitting 2 leaves.
         let run = run(Ev::Spawn(3), 1);
         assert_eq!(run.events, 12);
-        let named =
-            |totals: DetMap<String, u64>| -> Vec<(String, u64)> { totals.into_iter().collect() };
         assert_eq!(
-            named(run.event_kinds()),
-            vec![("leaf".to_string(), 8), ("spawn".to_string(), 4)]
-        );
-        assert_eq!(
-            named(run.manager_events()),
-            vec![("membership".to_string(), 4), ("stream".to_string(), 8)]
+            (kind_total(&run, "leaf"), kind_total(&run, "spawn")),
+            (8, 4)
         );
         assert!(high_water(&run) >= 2, "high water {}", high_water(&run));
     }
@@ -404,15 +369,13 @@ mod tests {
         // with the table's totals once finish() has run, and the window
         // deltas must partition them.
         let run = run(Ev::Spawn(7), 60);
-        for (kind, total) in run.event_kinds() {
-            assert_eq!(
-                run.registry.get("engine_events_total", &[("kind", &kind)]),
-                Some(&Metric::Counter(total))
-            );
-            let sum: u64 = kind_deltas(&run, &kind).iter().sum();
+        let mut events = 0;
+        for kind in ["leaf", "spawn"] {
+            let total = kind_total(&run, kind);
+            let sum: u64 = kind_deltas(&run, kind).iter().sum();
             assert_eq!(sum, total, "{kind}: window deltas must partition the total");
+            events += total;
         }
-        assert_eq!(run.event_kinds().values().sum::<u64>(), run.events);
-        assert_eq!(run.manager_events().values().sum::<u64>(), run.events);
+        assert_eq!(events, run.events);
     }
 }

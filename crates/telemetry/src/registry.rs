@@ -1,6 +1,7 @@
 //! The metric registry: named instruments with label sets.
 //!
-//! Design constraints (this crate is in cs-lint's deterministic scope):
+//! Design constraints (a metric stream is a pure function of the run, and
+//! clippy's determinism policy, DESIGN.md §7, holds this crate to it):
 //!
 //! * keys are a `&'static str` name plus sorted `(label, value)` pairs —
 //!   no floats, no interior mutability, `Ord` for deterministic iteration;

@@ -77,7 +77,10 @@ impl Workload {
         start: SimTime,
         horizon: SimTime,
     ) -> Vec<(SimTime, UserSpec)> {
-        // cs-lint: allow(panic-in-lib) — constructor-style precondition: a malformed class mix is a programming error, not a runtime state
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor-style precondition: a malformed class mix is a programming error, not a runtime state"
+        )]
         self.mix.validate().expect("invalid class mix");
         let mut arr_rng = Xoshiro256PlusPlus::stream(seed, streams::ARRIVALS);
         let mut sess_rng = Xoshiro256PlusPlus::stream(seed, streams::SESSIONS);

@@ -14,10 +14,12 @@
 //! next doubling, reading a line back costs its pair list, and the log
 //! text is one copy.
 
-// The one `unsafe impl` in the workspace: `GlobalAlloc` is an unsafe trait
-// and counting allocator calls needs a global allocator. It is confined
-// to this test binary and forwards every call unchanged to `System`.
-#![allow(unsafe_code)]
+// The one `unsafe impl` in the workspace. It is confined to this test
+// binary and forwards every call unchanged to `System`.
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait and counting allocator calls needs a global allocator"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use coolstreaming::telemetry::{Metric, SnapValue, SpanRecord, TelemetryConfig};
+use coolstreaming::telemetry::{Metric, SnapValue, TelemetryConfig};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
 use cs_sim::SimTime;
 
@@ -157,10 +157,10 @@ fn jsonl_and_profile_render_valid_shapes() {
     assert!(json.contains("\"kinds\":{"));
 }
 
-/// The per-kind table is the single source of the kind and manager
-/// totals; the span stream is recorded independently of it (one record
-/// per dispatch, classified by the same `Event::kind_class` /
-/// `Event::manager`). With every sink on, the two must agree with each
+/// The per-kind table is the single source of the registry's
+/// `engine_events_total{kind=…}` counters; the span stream is recorded
+/// independently of it (one record per dispatch, classified by the same
+/// `Event::kind_class`). With every sink on, the two must agree with each
 /// other, with the engine's own event count, and with the checker's.
 #[test]
 fn single_table_agrees_with_the_span_stream() {
@@ -174,17 +174,20 @@ fn single_table_agrees_with_the_span_stream() {
     let events = run.artifacts.run_stats.events;
     let tel = run.telemetry.expect("telemetry requested");
     let spans = run.spans.expect("spans requested");
-    let fold = |key: fn(&SpanRecord) -> &'static str| {
-        let mut out = BTreeMap::new();
-        for s in &spans {
-            *out.entry(key(s).to_string()).or_insert(0u64) += 1;
-        }
-        out
-    };
-    assert_eq!(tel.event_kinds(), fold(|s| s.kind));
-    assert_eq!(tel.manager_events(), fold(|s| s.manager));
-    assert_eq!(tel.event_kinds().values().sum::<u64>(), events);
-    assert_eq!(tel.manager_events().values().sum::<u64>(), events);
+    let mut per_kind = BTreeMap::new();
+    for s in &spans {
+        *per_kind.entry(s.kind).or_insert(0u64) += 1;
+    }
+    for (&kind, &n) in &per_kind {
+        assert_eq!(
+            tel.registry.get("engine_events_total", &[("kind", kind)]),
+            Some(&Metric::Counter(n)),
+            "{kind}"
+        );
+    }
+    let series = tel.registry.enumerate();
+    let counted = series.filter(|(_, key, _)| key.name == "engine_events_total");
+    assert_eq!(counted.count(), per_kind.len());
     assert_eq!(tel.events, events);
     assert_eq!(spans.len() as u64, events);
     let chk = run.invariants.expect("checker requested");
