@@ -117,6 +117,7 @@ fn matrix_is_invariant_clean_with_golden_hashes() {
             &spec.name,
             fnv1a_text(&run.artifacts.world.log.to_text()),
         );
+        assert_log_decodes_to_itself(&spec.name, &run.artifacts.world.log);
         // The trace hash folds (time, kind) and the log sees only what
         // reporting users sent: the per-session totals are pinned here.
         check_golden_in(
@@ -125,6 +126,18 @@ fn matrix_is_invariant_clean_with_golden_hashes() {
             &spec.name,
             fnv1a_text(&session_table_text(&run.artifacts.world.sessions)),
         );
+    }
+}
+
+/// The decoder on a real log: every line parses, and each parsed report
+/// re-encodes, behind its timestamp, to exactly the line it came from.
+fn assert_log_decodes_to_itself(name: &str, log: &cs_logging::LogServer) {
+    let (reports, failures) = log.parse_all();
+    assert!(failures.is_empty(), "{name}: {failures:?}");
+    assert_eq!(reports.len(), log.len(), "{name}");
+    for ((time, report), line) in reports.iter().zip(log.as_text().lines()) {
+        let encoded = format!("{} {}", time.as_micros(), report.encode());
+        assert_eq!(encoded, line, "{name}");
     }
 }
 
