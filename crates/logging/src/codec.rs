@@ -12,6 +12,7 @@
 //! real log pipelines must tolerate client-version skew.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// Decode error for a log string.
@@ -48,13 +49,21 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Undo percent-escaping. The decoded string is the Latin-1 reading of
-/// the line's bytes, so ASCII without a `%` is returned as the slice it
-/// is and anything else is rebuilt one byte, one `char`.
-fn unescape(s: &str) -> Result<Cow<'_, str>, CodecError> {
-    if s.bytes().all(|b| b != b'%' && b.is_ascii()) {
-        return Ok(Cow::Borrowed(s));
+/// A key or value of a line: the slice itself when `plain` (no `%`, no
+/// non-ASCII byte), else [`unescape`]d.
+#[inline]
+fn token(s: &str, plain: bool) -> Result<Cow<'_, str>, CodecError> {
+    if plain {
+        Ok(Cow::Borrowed(s))
+    } else {
+        unescape(s).map(Cow::Owned)
     }
+}
+
+/// Undo percent-escaping. The result is the Latin-1 reading of the
+/// token's bytes: one byte, escaped or not, one `char`.
+#[cold]
+fn unescape(s: &str) -> Result<String, CodecError> {
     let bad = || CodecError::BadEscape(s.to_string());
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
@@ -69,37 +78,173 @@ fn unescape(s: &str) -> Result<Cow<'_, str>, CodecError> {
             i += 1;
         }
     }
-    Ok(Cow::Owned(out))
+    Ok(out)
 }
 
 type Pair<'a> = (Cow<'a, str>, Cow<'a, str>);
 
-/// Push the pairs of `s` left to right as far as the syntax holds. A key
-/// goes in before its value is looked at: repeating one is an error first.
-fn scan<'a>(s: &'a str, list: &mut Vec<Pair<'a>>) -> Result<(), CodecError> {
+/// `a < b`, settled by the first bytes where those differ: a report's
+/// keys mostly do, and the line is spared a `memcmp` call per key.
+fn below(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    match a.first().cmp(&b.first()) {
+        Ordering::Equal => a < b,
+        first => first.is_lt(),
+    }
+}
+
+/// Push the pairs of `s` left to right as far as the syntax holds, in one
+/// walk over its bytes, and clear `ascending` at a key not above the one
+/// before it. A pair goes in when its `&` closes it, its key first: a
+/// repeated key is an error before a bad escape in its value.
+fn scan<'a>(s: &'a str, list: &mut List<'a>, ascending: &mut bool) -> Result<(), CodecError> {
     if s.is_empty() {
         return Ok(());
     }
-    for pair in s.split('&') {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| CodecError::MissingEquals(pair.to_string()))?;
-        list.push((unescape(k)?, Cow::default()));
-        if let Some(pushed) = list.last_mut() {
-            pushed.1 = unescape(v)?;
+    let bytes = s.as_bytes();
+    // The pair being read starts at `start`, and `eq` is its first `=`.
+    // `plain`: the key or value being read holds no `%` and no non-ASCII
+    // byte; `key_plain` keeps the key's verdict past its `=`.
+    let (mut start, mut eq) = (0, None);
+    let (mut plain, mut key_plain) = (true, true);
+    let mut i = 0;
+    loop {
+        let rest = &bytes[i..];
+        i += rest
+            .iter()
+            .position(|&b| matches!(b, b'=' | b'&' | b'%' | 0x80..))
+            .unwrap_or(rest.len());
+        // The line's end reads as the `&` that closes the last pair.
+        match bytes.get(i).map_or(b'&', |&b| b) {
+            b'=' if eq.is_none() => (eq, key_plain, plain) = (Some(i), plain, true),
+            b'&' => {
+                let Some(eq) = eq.take() else {
+                    return Err(CodecError::MissingEquals(s[start..i].to_string()));
+                };
+                let key = token(&s[start..eq], key_plain)?;
+                if let Some((last, _)) = list.last() {
+                    *ascending &= below(last, &key);
+                }
+                match token(&s[eq + 1..i], plain) {
+                    Ok(value) => list.push((key, value)),
+                    Err(e) => {
+                        list.push((key, Cow::default()));
+                        return Err(e);
+                    }
+                }
+                if i == bytes.len() {
+                    return Ok(());
+                }
+                (start, plain) = (i + 1, true);
+            }
+            b'%' | 0x80.. => plain = false,
+            // An `=` inside a value.
+            _ => {}
+        }
+        i += 1;
+    }
+}
+
+/// Pairs held in place: every report class has at most this many.
+const INLINE: usize = 8;
+
+/// The pair list: up to [`INLINE`] pairs in place and a `Vec` beyond, so
+/// decoding a report's line makes no allocator call. Reads and writes go
+/// through the slice deref.
+#[derive(Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the inline array is the point: boxing it is the per-line allocation this type removes"
+)]
+enum List<'a> {
+    /// `len ≤ INLINE` pairs at the front of the array.
+    Inline(usize, [Pair<'a>; INLINE]),
+    /// More than [`INLINE`] pairs.
+    Spill(Vec<Pair<'a>>),
+}
+
+impl<'a> List<'a> {
+    #[inline]
+    fn push(&mut self, pair: Pair<'a>) {
+        match self {
+            List::Inline(len, a) if *len < INLINE => {
+                a[*len] = pair;
+                *len += 1;
+            }
+            List::Inline(_, a) => {
+                let mut spill: Vec<Pair<'a>> = a.iter_mut().map(std::mem::take).collect();
+                spill.push(pair);
+                *self = List::Spill(spill);
+            }
+            List::Spill(v) => v.push(pair),
         }
     }
-    Ok(())
+
+    /// Insert `pair` at index `i ≤ len`.
+    fn insert(&mut self, i: usize, pair: Pair<'a>) {
+        self.push(pair);
+        self[i..].rotate_right(1);
+    }
+}
+
+impl Default for List<'_> {
+    fn default() -> Self {
+        List::Inline(0, Default::default())
+    }
+}
+
+impl<'a> std::ops::Deref for List<'a> {
+    type Target = [Pair<'a>];
+
+    #[inline]
+    fn deref(&self) -> &[Pair<'a>] {
+        match self {
+            List::Inline(len, a) => &a[..*len],
+            List::Spill(v) => v,
+        }
+    }
+}
+
+impl<'a> std::ops::DerefMut for List<'a> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Pair<'a>] {
+        match self {
+            List::Inline(len, a) => &mut a[..*len],
+            List::Spill(v) => v,
+        }
+    }
+}
+
+impl<'a> FromIterator<Pair<'a>> for List<'a> {
+    fn from_iter<I: IntoIterator<Item = Pair<'a>>>(iter: I) -> Self {
+        let mut list = List::default();
+        iter.into_iter().for_each(|pair| list.push(pair));
+        list
+    }
+}
+
+impl PartialEq for List<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for List<'_> {}
+
+impl std::fmt::Debug for List<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// A map of `name=value` pairs, the in-memory form of a log string.
-/// Decoded pairs borrow from the line, so a well-formed report costs one
-/// allocation: the pair list.
+/// Decoded pairs borrow from the line and a report's fit in place, so a
+/// well-formed report decodes without an allocator call.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Pairs<'a> {
     // Ascending by key, each key once: the deterministic encode order that
     // keeps logs byte-identical across runs.
-    list: Vec<Pair<'a>>,
+    list: List<'a>,
 }
 
 impl<'a> Pairs<'a> {
@@ -127,6 +272,11 @@ impl<'a> Pairs<'a> {
     /// Parse the value of `key` as an integer-like type.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.get(key)?.parse().ok()
+    }
+
+    /// The pairs in ascending key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.list.iter().map(|(k, v)| (&**k, &**v))
     }
 
     /// Number of pairs.
@@ -163,18 +313,22 @@ impl<'a> Pairs<'a> {
     /// [`CodecError::DuplicateKey`] instead of keeping the last value.
     /// Typed schemas ([`Report::decode`](crate::Report::decode)) use this
     /// so a corrupted or spliced line cannot silently shadow a field.
+    #[inline]
     pub fn decode_strict(s: &'a str) -> Result<Pairs<'a>, CodecError> {
         Pairs::parse(s, true)
     }
 
+    #[inline]
     fn parse(s: &'a str, strict: bool) -> Result<Pairs<'a>, CodecError> {
-        // Every report class fits; a longer line grows the list.
-        let mut list = Vec::with_capacity(8);
-        let syntax = scan(s, &mut list);
+        // Built where it is returned from: the inline list is ~400 bytes.
+        let mut pairs = Pairs::default();
+        let list = &mut pairs.list;
+        let mut ascending = true;
+        let syntax = scan(s, list, &mut ascending);
         // Rare: a report's own encoding is ascending already. The sort is
         // stable, so the pairs of one key stay in line order: the second is
         // the key's first repeat, the last the one to keep.
-        if list.windows(2).any(|w| w[0].0 >= w[1].0) {
+        if !ascending {
             let mut order: Vec<usize> = (0..list.len()).collect();
             order.sort_by(|&a, &b| list[a].0.cmp(&list[b].0));
             let runs = || order.chunk_by(|&a, &b| list[a].0 == list[b].0);
@@ -182,9 +336,9 @@ impl<'a> Pairs<'a> {
                 return Err(CodecError::DuplicateKey(list[i].0.to_string()));
             }
             let kept: Vec<usize> = runs().filter_map(|run| run.last().copied()).collect();
-            list = kept.iter().map(|&i| std::mem::take(&mut list[i])).collect();
+            *list = kept.iter().map(|&i| std::mem::take(&mut list[i])).collect();
         }
-        syntax.map(|()| Pairs { list })
+        syntax.map(|()| pairs)
     }
 }
 

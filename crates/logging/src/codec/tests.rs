@@ -246,6 +246,14 @@ mod reference {
         let get = |key: &'static str| -> Result<u64, ReportError> {
             p.get_parsed(key).ok_or(ReportError::Missing(key))
         };
+        let count = |key: &'static str| -> Result<u32, ReportError> {
+            p.get_parsed(key).ok_or(ReportError::Missing(key))
+        };
+        let flag = |key: &'static str| match p.get(key) {
+            Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            _ => Err(ReportError::Missing(key)),
+        };
         Ok(match cls {
             "act" => {
                 let code = p.get("ev").ok_or(ReportError::Missing("ev"))?;
@@ -254,7 +262,7 @@ mod reference {
                     node,
                     kind: ActivityKind::from_code(code)
                         .ok_or_else(|| ReportError::UnknownActivity(code.to_string()))?,
-                    private_addr: get("priv")? != 0,
+                    private_addr: flag("priv")?,
                 }
             }
             "qos" => Report::Qos {
@@ -272,11 +280,11 @@ mod reference {
             "part" => Report::Partner {
                 user,
                 node,
-                private_addr: get("priv")? != 0,
-                incoming: get("in")? as u32,
-                outgoing: get("out")? as u32,
-                parents: get("par")? as u32,
-                adaptations: get("adapt")? as u32,
+                private_addr: flag("priv")?,
+                incoming: count("in")?,
+                outgoing: count("out")?,
+                parents: count("par")?,
+                adaptations: count("adapt")?,
             },
             other => return Err(ReportError::UnknownClass(other.to_string())),
         })
@@ -345,6 +353,31 @@ fn decoders_match_reference_on_precedence_corners() {
         "=",
         "=&=",
         "a==b=&c",
+        "adapt=0&cls=part&in=4294967297&nid=1&out=0&par=0&priv=0&uid=1",
+        "adapt=0&cls=part&in=1&nid=1&out=0&par=0&priv=2&uid=1",
+        "cls=act&ev=join&nid=1&priv=00&uid=1",
+        "cls=qos&due=x&miss=0&nid=1&uid=1",
+        "cls=qos&due=1&miss=0&nid=1&uid=-1",
+    ] {
+        assert_matches_reference(s).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Past eight pairs the list leaves its inline array, on every path that
+/// grows it: `set`, the scan, and the sort of an unordered line.
+#[test]
+fn lines_longer_than_the_inline_list_spill() {
+    let mut p = Pairs::new();
+    for k in (0..12).rev() {
+        p.set(&format!("k{k:02}"), k);
+    }
+    assert_eq!(p.len(), 12);
+    let s = p.encode();
+    assert_eq!(Pairs::decode_strict(&s).unwrap(), p);
+    for s in [
+        s.as_str(),
+        "l=1&k=2&j=3&i=4&h=5&g=6&f=7&e=8&d=9&c=10&b=11&a=12",
+        "l=1&k=2&j=3&i=4&h=5&g=6&f=7&e=8&d=9&c=10&b=11&a=12&k=13",
     ] {
         assert_matches_reference(s).unwrap_or_else(|e| panic!("{e}"));
     }
