@@ -17,8 +17,8 @@
 //!    nodes, with complementary initiator directions.
 //! 4. **Sub-stream coverage** — every peer has exactly `K` parent slots;
 //!    filled slots reference live partners that list the peer as child.
-//! 5. **Child backlinks** — every live child subscription points back via
-//!    the matching parent slot (dead children are lazily cleaned).
+//! 5. **Child backlinks** — every listed child subscription is a live peer
+//!    whose matching parent slot points back.
 //! 6. **Buffer heads bounded** — no sub-stream head passes the source's
 //!    live edge: blocks cannot come from the future.
 //! 7. **mCache referential integrity** — entries name once-seen nodes,
@@ -284,22 +284,21 @@ impl InvariantChecker {
                 }
             }
 
-            // Oracle 5: child backlinks (dead children are cleaned lazily).
+            // Oracle 5: child backlinks, dead children included: the push
+            // round serves the list as it stands.
             for &(c, j) in peer.children() {
-                if !world.net.is_alive(c) {
-                    continue;
-                }
-                if let Some(cp) = world.peer(c) {
-                    if cp.parents().get(j as usize).copied().flatten() != Some(info.id) {
-                        self.record(
-                            now,
-                            "child-backlink",
-                            format!(
-                                "stale subscription: ({:?}, {j}) not backed at {:?}",
-                                c, info.id
-                            ),
-                        );
-                    }
+                let backed = world.peer(c).is_some_and(|cp| {
+                    cp.parents().get(j as usize).copied().flatten() == Some(info.id)
+                });
+                if !backed {
+                    self.record(
+                        now,
+                        "child-backlink",
+                        format!(
+                            "stale subscription: ({:?}, {j}) not backed at {:?}",
+                            c, info.id
+                        ),
+                    );
                 }
             }
 

@@ -235,19 +235,14 @@ impl Stream<'_> {
     pub(crate) fn sched_round(&mut self, p: NodeId, now: SimTime) {
         let Some(pp) = self.w.peer_mut(p) else { return };
         let upload = pp.core.upload;
-        // The list leaves the parent's state for the round: swept and
-        // served in place, then put back.
-        let mut live = std::mem::take(&mut pp.stream.children);
-        // Drop stale subscriptions first.
-        let w = &*self.w;
-        live.retain(|&(c, j)| {
-            w.peer(c)
-                .is_some_and(|cp| cp.parents()[j as usize] == Some(p))
-        });
-        let up_bytes = self.push_round(p, upload, now, &live);
+        // The list leaves the parent's state for the round, then goes back.
+        // Every writer of a parent slot keeps it exact, so it holds only
+        // live subscriptions (checker oracle 5).
+        let children = std::mem::take(&mut pp.stream.children);
+        let up_bytes = self.push_round(p, upload, now, &children);
         if let Some(pp) = self.w.peer_mut(p) {
             pp.stream.counters.up_bytes += up_bytes;
-            pp.stream.children = live;
+            pp.stream.children = children;
         }
     }
 

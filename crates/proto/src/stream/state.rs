@@ -197,6 +197,22 @@ mod tests {
         assert!(violated(&world).contains(&"child-duplicate"));
     }
 
+    /// The push round serves the list as it stands, so a listed child that
+    /// is gone is a violation, not a leftover for a later sweep.
+    #[test]
+    fn dead_child_is_caught_by_the_checker() {
+        use crate::invariant::tests::{tiny_world, violated};
+        let mut world = tiny_world();
+        let a = world.servers[0];
+        assert!(!violated(&world).contains(&"child-backlink"));
+        world
+            .peer_mut(a)
+            .expect("server")
+            .stream
+            .add_child(NodeId(77), 0);
+        assert!(violated(&world).contains(&"child-backlink"));
+    }
+
     #[test]
     fn parent_count_dedups_substreams() {
         let mut s = StreamState::new(4);

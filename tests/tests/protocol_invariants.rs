@@ -69,20 +69,16 @@ fn assert_invariants(world: &CsWorld, label: &str) {
                 parent, info.id
             );
         }
-        // Children entries point back at us via their parent slots.
+        // Children entries are live peers pointing back at us via their
+        // parent slots.
         for &(c, j) in peer.children() {
-            if !world.net.is_alive(c) {
-                continue; // lazily cleaned at the next push round
-            }
-            if let Some(cp) = world.peer(c) {
-                assert_eq!(
-                    cp.parents()[j as usize],
-                    Some(info.id),
-                    "{label}: stale subscription ({:?}, {j}) at {:?}",
-                    c,
-                    info.id
-                );
-            }
+            assert_eq!(
+                world.peer(c).map(|cp| cp.parents()[j as usize]),
+                Some(Some(info.id)),
+                "{label}: stale subscription ({:?}, {j}) at {:?}",
+                c,
+                info.id
+            );
         }
         // Buffer sanity: no sub-stream is ahead of the live edge.
         if let Some(buf) = peer.buffer() {
