@@ -15,8 +15,6 @@ pub struct PartnerView<'a> {
     /// `true` if we initiated this partnership (the partner is an
     /// *outgoing* partner in the paper's terms, §V.B).
     pub outgoing: bool,
-    /// When the partnership was established.
-    pub since: SimTime,
 }
 
 impl PartnerView<'_> {
@@ -34,7 +32,7 @@ impl PartnerView<'_> {
 }
 
 /// The partner set of one peer as a flat table sorted by partner id, so
-/// iteration order is ascending [`NodeId`]. Ids, direction/age and the
+/// iteration order is ascending [`NodeId`]. Ids, directions and the
 /// `K`-wide buffer-map rows sit in three parallel arrays: membership
 /// tests and random picks scan only the ids, and a BM exchange
 /// overwrites one contiguous row.
@@ -42,8 +40,8 @@ impl PartnerView<'_> {
 pub struct PartnerTable {
     k: usize,
     ids: Vec<NodeId>,
-    /// `(outgoing, since)` per partner.
-    meta: Vec<(bool, SimTime)>,
+    /// `outgoing` per partner.
+    outgoing: Vec<bool>,
     /// Row-major `ids.len() × k` buffer-map rows (`seq + 1`, 0 = none).
     latest: Vec<u64>,
     /// The largest entry of `latest`, 0 for none: every writer keeps it,
@@ -56,7 +54,7 @@ impl PartnerTable {
         PartnerTable {
             k,
             ids: Vec::new(),
-            meta: Vec::new(),
+            outgoing: Vec::new(),
             latest: Vec::new(),
             best: 0,
         }
@@ -104,17 +102,15 @@ impl PartnerTable {
     }
 
     fn view_at(&self, i: usize) -> PartnerView<'_> {
-        let (outgoing, since) = self.meta[i];
         PartnerView {
             latest: &self.latest[i * self.k..(i + 1) * self.k],
-            outgoing,
-            since,
+            outgoing: self.outgoing[i],
         }
     }
 
     /// Insert partner `q` with buffer-map row `latest`, replacing any
     /// view already held of it.
-    fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool, since: SimTime) {
+    fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool) {
         debug_assert_eq!(latest.len(), self.k);
         let i = match self.ids.binary_search(&q) {
             Ok(i) => {
@@ -124,7 +120,7 @@ impl PartnerTable {
             Err(i) => i,
         };
         self.ids.insert(i, q);
-        self.meta.insert(i, (outgoing, since));
+        self.outgoing.insert(i, outgoing);
         // Open a `k`-wide gap at row `i` and fill it.
         let (at, end) = (i * self.k, self.latest.len());
         self.latest.resize(end + self.k, 0);
@@ -138,7 +134,7 @@ impl PartnerTable {
     fn remove(&mut self, q: NodeId) {
         if let Ok(i) = self.ids.binary_search(&q) {
             self.ids.remove(i);
-            self.meta.remove(i);
+            self.outgoing.remove(i);
             let row_best = self.latest.drain(i * self.k..(i + 1) * self.k).max();
             if row_best == Some(self.best) {
                 self.best = max_of(&self.latest);
@@ -198,12 +194,12 @@ impl PartnershipState {
 
     /// Number of incoming partners (they connected to us).
     pub fn incoming_partners(&self) -> usize {
-        self.partners.meta.iter().filter(|m| !m.0).count()
+        self.partners.outgoing.iter().filter(|&&o| !o).count()
     }
 
     /// Number of outgoing partners (we connected to them).
     pub fn outgoing_partners(&self) -> usize {
-        self.partners.meta.iter().filter(|m| m.0).count()
+        self.partners.outgoing.iter().filter(|&&o| o).count()
     }
 
     /// Whether the cool-down timer permits a quality-triggered adaptation
@@ -218,8 +214,8 @@ impl PartnershipState {
     }
 
     /// Add partner `q` holding buffer-map row `latest` (wire encoding).
-    pub(crate) fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool, since: SimTime) {
-        self.partners.insert(q, latest, outgoing, since);
+    pub(crate) fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool) {
+        self.partners.insert(q, latest, outgoing);
     }
 
     pub(crate) fn remove(&mut self, q: NodeId) {
@@ -242,8 +238,8 @@ mod tests {
     #[test]
     fn partner_direction_counting() {
         let mut s = PartnershipState::new(0);
-        s.insert(NodeId(2), &[], true, SimTime::ZERO);
-        s.insert(NodeId(3), &[], false, SimTime::ZERO);
+        s.insert(NodeId(2), &[], true);
+        s.insert(NodeId(3), &[], false);
         assert_eq!(s.outgoing_partners(), 1);
         assert_eq!(s.incoming_partners(), 1);
         s.remove(NodeId(2));
@@ -315,7 +311,7 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Insert(q, row, outgoing) => {
-                        table.insert(NodeId(q), &encode(&row), outgoing, SimTime::from_secs(q as u64));
+                        table.insert(NodeId(q), &encode(&row), outgoing);
                         model.insert(NodeId(q), (row[..k].to_vec(), outgoing));
                     }
                     Op::Remove(q) => {
@@ -344,7 +340,6 @@ mod tests {
                 for ((q, view), (mq, (mrow, mout))) in t.iter().zip(&model) {
                     prop_assert_eq!(q, *mq);
                     prop_assert_eq!(view.outgoing, *mout);
-                    prop_assert_eq!(view.since, SimTime::from_secs(q.0 as u64));
                     let row: Vec<Option<u64>> = (0..k as u32).map(|j| view.latest(j)).collect();
                     prop_assert_eq!(&row, mrow);
                 }
