@@ -40,6 +40,6 @@ mod timeseries;
 
 pub use lorenz::Lorenz;
 pub use peerwise::{peerwise, Peerwise};
-pub use sessions::{reconstruct, retries_per_user, LogSession, UserAttempts};
+pub use sessions::{qos_totals, reconstruct, retries_per_user, LogSession, UserAttempts};
 pub use stats::{Cdf, Histogram};
 pub use timeseries::{concurrency_curve, TimeBins};

@@ -34,9 +34,11 @@ pub struct LogSession {
     pub leave: Option<SimTime>,
     /// QoS reports: `(time, due, missed)`.
     pub qos: Vec<(SimTime, u64, u64)>,
-    /// Total uploaded bytes across traffic reports.
+    /// Total uploaded bytes across traffic reports, saturating at
+    /// `u64::MAX`.
     pub up_bytes: u64,
-    /// Total downloaded bytes across traffic reports.
+    /// Total downloaded bytes across traffic reports, saturating at
+    /// `u64::MAX`.
     pub down_bytes: u64,
     /// Max incoming-partner count seen in partner reports.
     pub max_incoming: u32,
@@ -70,8 +72,7 @@ impl LogSession {
 
     /// Log-visible continuity index: aggregate over QoS reports.
     pub fn continuity(&self) -> Option<f64> {
-        let due: u64 = self.qos.iter().map(|(_, d, _)| d).sum();
-        let missed: u64 = self.qos.iter().map(|(_, _, m)| m).sum();
+        let (due, missed) = qos_totals(&self.qos);
         (due > 0).then(|| 1.0 - missed as f64 / due as f64)
     }
 
@@ -99,16 +100,33 @@ impl LogSession {
     }
 }
 
+/// `(Σ due, Σ missed)` over QoS reports, in `u128` so that no log can
+/// overflow them (each addend is below 2⁶⁴; a log holds far fewer than
+/// 2⁶⁴ reports). Below 2⁶⁴ a `u128` converts to the same `f64` as the
+/// `u64` it equals.
+pub fn qos_totals<'a>(qos: impl IntoIterator<Item = &'a (SimTime, u64, u64)>) -> (u128, u128) {
+    qos.into_iter().fold((0, 0), |(due, missed), &(_, d, m)| {
+        (due + u128::from(d), missed + u128::from(m))
+    })
+}
+
 /// Rebuild per-node sessions from parsed reports (any order), returned
-/// sorted by join time (unjoined fragments last).
+/// sorted by join time (unjoined fragments last), then node.
 pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
-    let mut by_node: BTreeMap<u32, LogSession> = BTreeMap::new();
+    // Sessions are built where they are returned; the map only finds a
+    // node's session again.
+    let mut sessions: Vec<LogSession> = Vec::new();
+    let mut index: BTreeMap<u32, usize> = BTreeMap::new();
     for (t, r) in reports {
-        let s = by_node.entry(r.node()).or_insert_with(|| LogSession {
-            user: r.user(),
-            node: r.node(),
-            ..Default::default()
+        let ix = *index.entry(r.node()).or_insert_with(|| {
+            sessions.push(LogSession {
+                user: r.user(),
+                node: r.node(),
+                ..Default::default()
+            });
+            sessions.len() - 1
         });
+        let s = &mut sessions[ix];
         match r {
             Report::Activity {
                 kind, private_addr, ..
@@ -123,8 +141,8 @@ pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
             }
             Report::Qos { due, missed, .. } => s.qos.push((*t, *due, *missed)),
             Report::Traffic { up, down, .. } => {
-                s.up_bytes += up;
-                s.down_bytes += down;
+                s.up_bytes = s.up_bytes.saturating_add(*up);
+                s.down_bytes = s.down_bytes.saturating_add(*down);
             }
             Report::Partner {
                 private_addr,
@@ -140,8 +158,9 @@ pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
             }
         }
     }
-    let mut sessions: Vec<LogSession> = by_node.into_values().collect();
-    sessions.sort_by_key(|s| (s.join.unwrap_or(SimTime::MAX), s.node));
+    // Nodes are unique, so the key is a total order and the result does
+    // not depend on the order sessions were opened in.
+    sessions.sort_unstable_by_key(|s| (s.join.unwrap_or(SimTime::MAX), s.node));
     sessions
 }
 
@@ -191,6 +210,8 @@ pub fn retries_per_user(sessions: &[LogSession]) -> Vec<UserAttempts> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn act(t: u64, user: u32, node: u32, kind: ActivityKind, private: bool) -> (SimTime, Report) {
@@ -312,5 +333,157 @@ mod tests {
     fn continuity_none_without_qos() {
         let s = LogSession::default();
         assert_eq!(s.continuity(), None);
+    }
+
+    #[test]
+    fn log_derived_sums_do_not_overflow() {
+        let traffic = |t| {
+            (
+                SimTime::from_secs(t),
+                Report::Traffic {
+                    user: UserId(1),
+                    node: 7,
+                    up: u64::MAX,
+                    down: u64::MAX - 1,
+                },
+            )
+        };
+        let qos = |t, due, missed| {
+            (
+                SimTime::from_secs(t),
+                Report::Qos {
+                    user: UserId(1),
+                    node: 7,
+                    due,
+                    missed,
+                },
+            )
+        };
+        let reports = vec![
+            act(10, 1, 7, ActivityKind::Join, false),
+            traffic(300),
+            traffic(600),
+            qos(300, u64::MAX, u64::MAX / 2),
+            qos(600, u64::MAX, u64::MAX / 2),
+            act(700, 1, 7, ActivityKind::Leave, false),
+        ];
+        let s = &reconstruct(&reports)[0];
+        assert_eq!((s.up_bytes, s.down_bytes), (u64::MAX, u64::MAX));
+        assert!((s.continuity().unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    /// The `BTreeMap` version `reconstruct` replaced (with the byte totals
+    /// saturating), kept as its oracle.
+    fn reference(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
+        let mut by_node: BTreeMap<u32, LogSession> = BTreeMap::new();
+        for (t, r) in reports {
+            let s = by_node.entry(r.node()).or_insert_with(|| LogSession {
+                user: r.user(),
+                node: r.node(),
+                ..Default::default()
+            });
+            match r {
+                Report::Activity {
+                    kind, private_addr, ..
+                } => {
+                    s.private_addr = Some(*private_addr);
+                    match kind {
+                        ActivityKind::Join => s.join = Some(*t),
+                        ActivityKind::StartSubscription => s.start_sub = Some(*t),
+                        ActivityKind::MediaReady => s.ready = Some(*t),
+                        ActivityKind::Leave => s.leave = Some(*t),
+                    }
+                }
+                Report::Qos { due, missed, .. } => s.qos.push((*t, *due, *missed)),
+                Report::Traffic { up, down, .. } => {
+                    s.up_bytes = s.up_bytes.saturating_add(*up);
+                    s.down_bytes = s.down_bytes.saturating_add(*down);
+                }
+                Report::Partner {
+                    private_addr,
+                    incoming,
+                    outgoing,
+                    adaptations,
+                    ..
+                } => {
+                    s.private_addr = Some(*private_addr);
+                    s.max_incoming = s.max_incoming.max(*incoming);
+                    s.max_outgoing = s.max_outgoing.max(*outgoing);
+                    s.adaptations += *adaptations as u64;
+                }
+            }
+        }
+        let mut sessions: Vec<LogSession> = by_node.into_values().collect();
+        sessions.sort_by_key(|s| (s.join.unwrap_or(SimTime::MAX), s.node));
+        sessions
+    }
+
+    /// A report about one of a dozen nodes at one of ten minutes, so that
+    /// sessions collide, repeat a stamp, and often never join.
+    fn arb_report() -> impl Strategy<Value = (SimTime, Report)> {
+        let kinds = [
+            ActivityKind::Join,
+            ActivityKind::StartSubscription,
+            ActivityKind::MediaReady,
+            ActivityKind::Leave,
+        ];
+        (
+            0u64..600,
+            0u32..3,
+            0u32..12,
+            0usize..7,
+            any::<u64>(),
+            any::<u64>(),
+        )
+            .prop_map(move |(t, user, node, class, a, b)| {
+                let user = UserId(user);
+                let report = match class {
+                    0..=3 => Report::Activity {
+                        user,
+                        node,
+                        kind: kinds[class],
+                        private_addr: a % 2 == 0,
+                    },
+                    4 => Report::Qos {
+                        user,
+                        node,
+                        due: a,
+                        missed: b.min(a),
+                    },
+                    5 => Report::Traffic {
+                        user,
+                        node,
+                        up: a >> (b % 64),
+                        down: b >> (a % 64),
+                    },
+                    _ => Report::Partner {
+                        user,
+                        node,
+                        private_addr: b % 2 == 0,
+                        incoming: (a % 5) as u32,
+                        outgoing: (b % 5) as u32,
+                        parents: 0,
+                        adaptations: (a % 3) as u32,
+                    },
+                };
+                (SimTime::from_secs(t), report)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn reconstruct_matches_btreemap_reference(
+            mut reports in proptest::collection::vec(arb_report(), 0..60),
+            repeats in proptest::collection::vec(any::<usize>(), 0..10),
+        ) {
+            for i in repeats {
+                if !reports.is_empty() {
+                    let copy = reports[i % reports.len()].clone();
+                    reports.push(copy);
+                }
+            }
+            let got = format!("{:?}", reconstruct(&reports));
+            prop_assert_eq!(got, format!("{:?}", reference(&reports)));
+        }
     }
 }

@@ -181,3 +181,31 @@ fn analyze_of_a_log_without_sessions_fails_before_any_figure() {
     let e = stderr_of_failure(&["analyze", "--log", &path]);
     assert!(e.contains("line 1: no timestamp separator"), "{e}");
 }
+
+/// Two traffic reports of `u64::MAX` bytes used to wrap `up_bytes` to
+/// `u64::MAX - 1` in a release build and panic a debug one; the total
+/// saturates.
+#[test]
+fn analyze_saturates_log_derived_byte_totals() {
+    let max = u64::MAX;
+    let log = format!(
+        "10000000 cls=act&ev=join&nid=1&priv=0&uid=1\n\
+         300000000 cls=traf&down=0&nid=1&uid=1&up={max}\n\
+         600000000 cls=traf&down=0&nid=1&uid=1&up={max}\n\
+         700000000 cls=act&ev=leave&nid=1&priv=0&uid=1\n"
+    );
+    let path = temp_file("coolstream-cli-errors-traffic-overflow-log.txt", &log);
+    let dir = std::env::temp_dir().join("coolstream-cli-errors-traffic-overflow-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_coolstream"))
+        .args(["analyze", "--log", &path, "--out", &dir.to_string_lossy()])
+        .output()
+        .expect("spawn coolstream");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let csv = std::fs::read_to_string(dir.join("sessions.csv")).expect("sessions.csv written");
+    let row = csv.lines().nth(1).expect("one session row");
+    let up_bytes = row.split(',').nth(9).expect("an up_bytes column");
+    assert_eq!(up_bytes, max.to_string(), "{csv}");
+}

@@ -9,7 +9,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use cs_analysis::{concurrency_curve, reconstruct, retries_per_user, Cdf, LogSession, Lorenz};
+use cs_analysis::{
+    concurrency_curve, qos_totals, reconstruct, retries_per_user, Cdf, LogSession, Lorenz,
+};
 use cs_logging::Report;
 use cs_net::NodeClass;
 use cs_sim::SimTime;
@@ -437,14 +439,7 @@ pub fn fig9_point(view: &LogView, start: SimTime, end: SimTime) -> Fig9Point {
     };
     let joins = view.sessions.iter().filter(|s| s.join.is_some()).count();
     let ready = view.sessions.iter().filter(|s| s.ready.is_some()).count();
-    let mut due = 0u64;
-    let mut missed = 0u64;
-    for s in &view.sessions {
-        for &(_, d, m) in &s.qos {
-            due += d;
-            missed += m;
-        }
-    }
+    let (due, missed) = qos_totals(view.sessions.iter().flat_map(|s| &s.qos));
     Fig9Point {
         mean_population,
         join_rate: joins as f64 / window,

@@ -11,6 +11,7 @@
 //! information loss (e.g. nothing is recorded for a peer between its last
 //! status report and its departure).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use cs_sim::SimTime;
@@ -29,16 +30,48 @@ fn stamped(line: &str) -> Result<(SimTime, &str), String> {
     Ok((SimTime::from_micros(us), rest))
 }
 
+/// Whether `line` (without its `\n`) is exactly what [`LogServer::report`]
+/// writes: a `u64` in canonical decimal, a space, and a log string that
+/// does not end in `\r`.
+fn is_canonical(line: &str) -> bool {
+    let Some((ts, _)) = line.split_once(' ') else {
+        return false;
+    };
+    let decimal = match ts.as_bytes() {
+        [b'0'] => true,
+        [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    decimal && ts.parse::<u64>().is_ok() && !line.ends_with('\r')
+}
+
+/// Byte length and line count of the longest run of whole canonical
+/// lines at the start of `text`.
+fn canonical_prefix(text: &str) -> (usize, usize) {
+    let (mut len, mut lines) = (0, 0);
+    for line in text.split_inclusive('\n') {
+        match line.strip_suffix('\n') {
+            Some(body) if is_canonical(body) => {
+                len += line.len();
+                lines += 1;
+            }
+            _ => break,
+        }
+    }
+    (len, lines)
+}
+
 /// In-memory log file.
 #[derive(Default)]
-pub struct LogServer {
+pub struct LogServer<'a> {
     // The file itself, `<usecs> <logstring>\n` per report with the timestamp
     // in canonical decimal: appended to in place, read back by `lines`.
-    text: String,
+    // Borrowed only when `from_text` was handed a file already in this form.
+    text: Cow<'a, str>,
     lines: usize,
 }
 
-impl LogServer {
+impl<'a> LogServer<'a> {
     /// An empty log.
     pub fn new() -> Self {
         LogServer::default()
@@ -51,9 +84,10 @@ impl LogServer {
 
     /// Append one line; `body` writes its log string, with no `\n` in it.
     fn line(&mut self, now: SimTime, body: impl FnOnce(&mut String)) {
-        let _ = write!(self.text, "{} ", now.as_micros());
-        body(&mut self.text);
-        self.text.push('\n');
+        let text = self.text.to_mut();
+        let _ = write!(text, "{} ", now.as_micros());
+        body(text);
+        text.push('\n');
         self.lines += 1;
     }
 
@@ -71,7 +105,7 @@ impl LogServer {
     pub fn lines(&self) -> impl Iterator<Item = (SimTime, &str)> {
         #[expect(
             clippy::expect_used,
-            reason = "`line` opens every line of `text` with `<decimal u64> ` and nothing else writes a line start"
+            reason = "`line` and `from_text` open every line of `text` with `<decimal u64> ` and nothing else writes a line start"
         )]
         let stored = |line| stamped(line).expect("stored line opens with its timestamp");
         self.text.split_terminator('\n').map(stored)
@@ -98,16 +132,35 @@ impl LogServer {
 
     /// An owned copy of [`as_text`](Self::as_text).
     pub fn to_text(&self) -> String {
-        self.text.clone()
+        self.as_text().to_owned()
     }
 
-    /// Parse a log file produced by [`to_text`](Self::to_text).
-    pub fn from_text(text: &str) -> Result<LogServer, String> {
-        let mut server = LogServer::new();
+    /// Read back a log file produced by [`to_text`](Self::to_text).
+    ///
+    /// A file that is already exactly what `report` writes is borrowed, not
+    /// copied. Otherwise the lines before the first one that differs are
+    /// copied as they are and the rest re-written: `\r\n` endings and blank
+    /// lines dropped, timestamps in canonical decimal, a missing final
+    /// `\n` added. Errors name the 1-based line, blank lines counted.
+    pub fn from_text(text: &'a str) -> Result<LogServer<'a>, String> {
+        let (len, lines) = canonical_prefix(text);
+        if len == text.len() {
+            return Ok(LogServer {
+                text: Cow::Borrowed(text),
+                lines,
+            });
+        }
+        let (head, tail) = text.split_at(len);
         // One copy: no line grows but an unterminated last one, by its `\n`.
-        server.text.reserve(text.len() + 1);
-        for (ix, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
-            let (time, rest) = stamped(line).map_err(|e| format!("line {}: {e}", ix + 1))?;
+        let mut copy = String::with_capacity(text.len() + 1);
+        copy.push_str(head);
+        let mut server = LogServer {
+            text: Cow::Owned(copy),
+            lines,
+        };
+        for (ix, line) in tail.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+            let (time, rest) =
+                stamped(line).map_err(|e| format!("line {}: {e}", lines + ix + 1))?;
             server.line(time, |text| text.push_str(rest));
         }
         Ok(server)
@@ -116,6 +169,8 @@ impl LogServer {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::report::{ActivityKind, UserId};
 
@@ -175,6 +230,11 @@ mod tests {
         let text = s.to_text();
         assert_eq!(text, s.as_text());
         let back = LogServer::from_text(&text).unwrap();
+        assert_eq!(
+            back.as_text().as_ptr(),
+            text.as_ptr(),
+            "borrowed, not copied"
+        );
         assert!(back.lines().eq(s.lines()));
         assert_eq!(back.to_text(), text);
         assert_eq!(back.len(), 2);
@@ -224,5 +284,132 @@ mod tests {
     fn empty_lines_are_skipped() {
         let s = LogServer::from_text("\n\n").unwrap();
         assert!(s.is_empty());
+    }
+
+    /// PR 19's `from_text`, which re-serialised every line: the oracle for
+    /// the borrowing one. Returns the text and line count it built.
+    fn reference(text: &str) -> Result<(String, usize), String> {
+        let mut server = LogServer::new();
+        for (ix, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+            let (time, rest) = stamped(line).map_err(|e| format!("line {}: {e}", ix + 1))?;
+            server.line(time, |text| text.push_str(rest));
+        }
+        Ok((server.to_text(), server.len()))
+    }
+
+    /// `from_text(text)` equals [`reference`] in text, line count, lines
+    /// and error, and borrows exactly when the reference reproduces `text`.
+    fn agrees(text: &str) -> Result<(), TestCaseError> {
+        match (LogServer::from_text(text), reference(text)) {
+            (Ok(got), Ok((want, lines))) => {
+                prop_assert_eq!(got.as_text(), want.as_str());
+                prop_assert_eq!(got.len(), lines);
+                let want_lines = want.split_terminator('\n').map(|l| stamped(l).unwrap());
+                prop_assert!(got.lines().eq(want_lines));
+                prop_assert_eq!(got.as_text().as_ptr() == text.as_ptr(), want == text);
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "{text:?}: from_text {:?}, reference {want:?}",
+                got.map(|s| s.to_text())
+            ),
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn from_text_matches_reference_on_corners() {
+        let corners = [
+            "",
+            "\n",
+            "5 a=1\n",
+            "5 a=1\r\n6 b\n",
+            "5 a=1\n\n6 b\n",
+            "5 a=1\n\r\n6 b\n",
+            "007 x\n",
+            "0 x\n",
+            "00 x\n",
+            "+9 y z\n",
+            "5 a=1\n6 b",
+            "5 a=1\r",
+            "12 \n",
+            "12 \n13 ",
+            "5  two spaces\n",
+            "5 a\rb\n",
+            "18446744073709551615 max\n",
+            "18446744073709551616 over\n",
+            "99999999999999999999 over\n",
+            "5 a=1\n6\n",
+            "5 a=1\nx y\n",
+            "-1 x\n",
+            " x\n",
+        ];
+        for text in corners {
+            agrees(text).unwrap();
+        }
+        for canonical in ["", "0 x\n", "12 \n", "18446744073709551615 max\n"] {
+            let s = LogServer::from_text(canonical).unwrap();
+            assert_eq!(s.as_text().as_ptr(), canonical.as_ptr(), "{canonical:?}");
+        }
+    }
+
+    /// Apply one edit to a log held as its lines, terminators included.
+    fn mutate(lines: &mut Vec<String>, at: usize, edit: u8) {
+        if lines.is_empty() {
+            return;
+        }
+        let k = at % lines.len();
+        let line = &mut lines[k];
+        match edit {
+            0 => *line = line.replacen('\n', "\r\n", 1),
+            1 => lines.insert(k, "\n".into()),
+            2 => line.insert(0, '0'),
+            3 => line.insert(0, '+'),
+            4 => {
+                if let Some(last) = lines.last_mut() {
+                    last.pop();
+                }
+            }
+            5 => {
+                let (_, rest) = line.split_once(' ').unwrap_or(("", line.as_str()));
+                *line = format!("18446744073709551616 {rest}");
+            }
+            6 => *line = line.replacen(' ', "", 1),
+            7 => lines.insert(k, "12 \n".into()),
+            _ => line.insert(line.len().min(1), 'x'),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn from_text_matches_reference_on_noise(text in "[0-9 +a=\r\n]{0,40}") {
+            agrees(&text)?;
+        }
+
+        #[test]
+        fn from_text_matches_reference_on_any_text(text in ".{0,60}") {
+            agrees(&text)?;
+        }
+
+        #[test]
+        fn from_text_matches_reference_on_mutated_logs(
+            lines in proptest::collection::vec(
+                (prop_oneof![any::<u64>(), 0u64..100, Just(u64::MAX)], "[ -~]{0,12}"),
+                0..8,
+            ),
+            edits in proptest::collection::vec((any::<usize>(), 0u8..9), 0..4),
+        ) {
+            let mut server = LogServer::new();
+            for (t, body) in &lines {
+                server.line(SimTime::from_micros(*t), |text| text.push_str(body));
+            }
+            let mut lines: Vec<String> =
+                server.as_text().split_inclusive('\n').map(str::to_owned).collect();
+            for (at, edit) in edits {
+                mutate(&mut lines, at, edit);
+            }
+            agrees(&lines.concat())?;
+        }
     }
 }

@@ -77,7 +77,8 @@ proptest! {
         for (t, r) in &reports {
             server.report(SimTime::from_micros(*t as u64), r);
         }
-        let back = LogServer::from_text(&server.to_text()).unwrap();
+        let text = server.to_text();
+        let back = LogServer::from_text(&text).unwrap();
         prop_assert!(back.lines().eq(server.lines()));
         let (ok, bad) = back.parse_all();
         prop_assert!(bad.is_empty());

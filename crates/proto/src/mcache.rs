@@ -26,39 +26,49 @@ pub struct McEntry {
 }
 
 /// A bounded partial view of the overlay.
+///
+/// Stored as two columns, ids and join times, so the duplicate scan of
+/// every insert and `contains` read 4-byte ids: 12 bytes an entry.
 #[derive(Clone, Debug)]
 pub struct MCache {
-    cap: usize,
-    entries: Vec<McEntry>,
+    /// Entry ids in cache order; allocated once at capacity.
+    ids: Vec<NodeId>,
+    /// `joined[i]` is the advertised join time of `ids[i]`; its length is
+    /// the capacity, and slots past `ids.len()` mean nothing.
+    joined: Box<[SimTime]>,
 }
 
 impl MCache {
     /// Empty cache with capacity `cap`.
     pub fn new(cap: usize) -> Self {
         MCache {
-            cap,
-            entries: Vec::with_capacity(cap),
+            ids: Vec::with_capacity(cap),
+            joined: vec![SimTime::ZERO; cap].into_boxed_slice(),
         }
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// Whether `id` is in the cache.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.entries.iter().any(|e| e.id == id)
+        self.ids.contains(&id)
     }
 
     /// Iterate entries.
-    pub fn iter(&self) -> impl Iterator<Item = &McEntry> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = McEntry> + '_ {
+        let joined = &self.joined[..self.ids.len()];
+        self.ids
+            .iter()
+            .zip(joined)
+            .map(|(&id, &joined_at)| McEntry { id, joined_at })
     }
 
     /// Insert or refresh an entry, applying the replacement policy when
@@ -69,51 +79,51 @@ impl MCache {
         policy: ReplacePolicy,
         rng: &mut R,
     ) -> bool {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
-            existing.joined_at = entry.joined_at;
+        let len = self.ids.len();
+        if let Some(i) = self.ids.iter().position(|&id| id == entry.id) {
+            self.joined[i] = entry.joined_at;
             return true;
         }
-        if self.entries.len() < self.cap {
-            self.entries.push(entry);
+        if len < self.joined.len() {
+            self.ids.push(entry.id);
+            self.joined[len] = entry.joined_at;
             return true;
         }
-        if self.cap == 0 {
+        if len == 0 {
             return false;
         }
-        match policy {
-            ReplacePolicy::Random => {
-                let victim = rng.gen_range(0..self.entries.len());
-                self.entries[victim] = entry;
-                true
-            }
+        let victim = match policy {
+            ReplacePolicy::Random => rng.gen_range(0..len),
             ReplacePolicy::StabilityBiased => {
-                // Evict the youngest peer (largest advertised join time) —
-                // but only if the candidate is older than it, so the cache
-                // monotonically converges towards stable peers.
-                let Some((victim, youngest)) = self
-                    .entries
+                // Evict the youngest peer (largest advertised join time,
+                // the last of equals) — but only if the candidate is older
+                // than it, so the cache monotonically converges towards
+                // stable peers.
+                let Some((victim, &youngest)) = self.joined[..len]
                     .iter()
                     .enumerate()
-                    .max_by_key(|(_, e)| e.joined_at)
-                    .map(|(i, e)| (i, e.joined_at))
+                    .max_by_key(|&(_, t)| t)
                 else {
-                    // len ≥ cap ≥ 1 here; degrade to a plain insert if not.
-                    self.entries.push(entry);
-                    return true;
+                    return false;
                 };
-                if entry.joined_at < youngest {
-                    self.entries[victim] = entry;
-                    true
-                } else {
-                    false
+                if entry.joined_at >= youngest {
+                    return false;
                 }
+                victim
             }
-        }
+        };
+        self.ids[victim] = entry.id;
+        self.joined[victim] = entry.joined_at;
+        true
     }
 
     /// Drop an entry (dead peer discovered).
     pub fn remove(&mut self, id: NodeId) {
-        self.entries.retain(|e| e.id != id);
+        // `insert` refreshes an id already present, so there is at most one.
+        if let Some(i) = self.ids.iter().position(|&e| e == id) {
+            self.ids.remove(i);
+            self.joined.copy_within(i + 1..=self.ids.len(), i);
+        }
     }
 
     /// Uniform sample of up to `n` entries, excluding ids for which
@@ -139,7 +149,7 @@ impl MCache {
         out: &mut Vec<McEntry>,
     ) {
         out.clear();
-        out.extend(self.entries.iter().filter(|e| !exclude(e.id)));
+        out.extend(self.iter().filter(|e| !exclude(e.id)));
         out.shuffle(rng);
         out.truncate(n);
     }

@@ -274,7 +274,7 @@ pub struct CsWorld {
     /// The boot-strap (tracker) node.
     pub bootstrap: Bootstrap,
     /// The measurement log server.
-    pub log: LogServer,
+    pub log: LogServer<'static>,
     /// Ground-truth session records, indexed by node id.
     pub sessions: Vec<SessionRecord>,
     /// Topology snapshots (empty unless `snapshot_interval` is set).

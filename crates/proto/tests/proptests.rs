@@ -8,6 +8,57 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// The mCache as a `Vec<McEntry>`, the layout before the id and join-time
+/// columns: the oracle for `MCache`.
+struct VecCache {
+    cap: usize,
+    entries: Vec<McEntry>,
+}
+
+impl VecCache {
+    fn insert(&mut self, entry: McEntry, policy: ReplacePolicy, rng: &mut impl Rng) -> bool {
+        if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
+            existing.joined_at = entry.joined_at;
+            return true;
+        }
+        if self.entries.len() < self.cap {
+            self.entries.push(entry);
+            return true;
+        }
+        if self.cap == 0 {
+            return false;
+        }
+        match policy {
+            ReplacePolicy::Random => {
+                let victim = rng.gen_range(0..self.entries.len());
+                self.entries[victim] = entry;
+                true
+            }
+            ReplacePolicy::StabilityBiased => {
+                let (victim, youngest) = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, e)| e.joined_at)
+                    .map(|(i, e)| (i, e.joined_at))
+                    .expect("full and non-empty");
+                if entry.joined_at < youngest {
+                    self.entries[victim] = entry;
+                    true
+                } else {
+                    false
+                }
+            }
+        }
+    }
+
+    fn sample(&self, n: usize, rng: &mut impl Rng, excluded: NodeId) -> Vec<McEntry> {
+        let mut refs: Vec<&McEntry> = self.entries.iter().filter(|e| e.id != excluded).collect();
+        refs.shuffle(rng);
+        refs.into_iter().take(n).copied().collect()
+    }
+}
+
 /// Operations applicable to a stream buffer.
 #[derive(Clone, Debug)]
 enum BufOp {
@@ -198,31 +249,50 @@ proptest! {
         }
     }
 
-    /// `sample_into` draws what the allocating `sample` it replaced drew:
-    /// filter, shuffle references, take the first `n` — same picks, same
-    /// RNG position afterwards.
+    /// The column-stored `MCache` behaves as the `Vec<McEntry>` cache it
+    /// replaced ([`VecCache`]) under any interleaving of insert, refresh,
+    /// remove and `sample_into`, under both policies: same entries in the
+    /// same order, same insert verdicts, same picks (`sample_into` against
+    /// the allocating `sample` it replaced: filter, shuffle references, take
+    /// the first `n`), and the same RNG position after every step.
     #[test]
     fn sample_into_matches_collecting_sample(
         seed in any::<u64>(),
-        ids in proptest::collection::vec(0u32..40, 0..30),
-        n in 0usize..12,
-        excluded in 0u32..40,
+        cap in 0usize..12,
+        biased in any::<bool>(),
+        ops in proptest::collection::vec((0u8..4, 0u32..24, 0u64..40, 0usize..12), 0..80),
     ) {
-        let mut cache = MCache::new(64);
+        let policy = if biased {
+            ReplacePolicy::StabilityBiased
+        } else {
+            ReplacePolicy::Random
+        };
+        let mut cache = MCache::new(cap);
+        let mut model = VecCache { cap, entries: Vec::new() };
         let mut rng = Xoshiro256PlusPlus::new(seed);
-        for id in ids {
-            let e = McEntry { id: NodeId(id), joined_at: SimTime::ZERO };
-            cache.insert(e, ReplacePolicy::Random, &mut rng);
-        }
-        let (mut rng_model, mut rng_into) = (rng.clone(), rng);
-        let mut refs: Vec<&McEntry> = cache.iter().filter(|e| e.id.0 != excluded).collect();
-        refs.shuffle(&mut rng_model);
-        let want: Vec<McEntry> = refs.into_iter().take(n).copied().collect();
+        let mut rng_model = rng.clone();
         // A dirty, reused buffer must come back holding only the sample.
         let mut got = vec![McEntry { id: NodeId(999), joined_at: SimTime::ZERO }; 3];
-        cache.sample_into(n, &mut rng_into, |id| id.0 == excluded, &mut got);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(rng_into.gen::<u64>(), rng_model.gen::<u64>());
+        for (op, id, joined, n) in ops {
+            let entry = McEntry { id: NodeId(id), joined_at: SimTime::from_secs(joined) };
+            match op {
+                0 | 1 => prop_assert_eq!(
+                    cache.insert(entry, policy, &mut rng),
+                    model.insert(entry, policy, &mut rng_model)
+                ),
+                2 => {
+                    cache.remove(entry.id);
+                    model.entries.retain(|e| e.id != entry.id);
+                }
+                _ => {
+                    cache.sample_into(n, &mut rng, |c| c == entry.id, &mut got);
+                    prop_assert_eq!(&got, &model.sample(n, &mut rng_model, entry.id));
+                }
+            }
+            prop_assert_eq!(cache.iter().collect::<Vec<_>>(), model.entries.clone());
+            prop_assert_eq!(cache.len(), model.entries.len());
+            prop_assert_eq!(rng.clone().gen::<u64>(), rng_model.clone().gen::<u64>());
+        }
     }
 
     /// The BM wire codec round-trips any latest/subscription combination.

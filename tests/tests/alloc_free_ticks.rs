@@ -11,8 +11,8 @@
 //!
 //! The same tally covers the log path (§13): the log server appends each
 //! report to one text buffer, so `ReportTick` costs at most that buffer's
-//! next doubling, reading a line back costs nothing, and the log text is
-//! one copy.
+//! next doubling, reading a line back costs nothing, the log text is one
+//! copy, and reading that copy back into a server borrows it.
 
 // The one `unsafe impl` in the workspace. It is confined to this test
 // binary and forwards every call unchanged to `System`.
@@ -209,7 +209,8 @@ fn steady_state_ticks_do_not_allocate() {
 
 /// The log path allocates per buffer, never per line: appending a report
 /// of any class is free but for the text's amortised doubling, decoding a
-/// line is free, and `to_text` is one copy.
+/// line is free, `to_text` is one copy and `from_text` of that copy
+/// borrows it.
 #[test]
 fn log_path_does_not_allocate_per_line() {
     let (user, node) = (UserId(u32::MAX), u32::MAX);
@@ -268,6 +269,17 @@ fn log_path_does_not_allocate_per_line() {
     let text = log.to_text();
     assert_eq!(allocs() - before, 1, "`to_text` is one copy");
     assert_eq!(text, log.as_text());
+
+    let before = allocs();
+    let back = LogServer::from_text(&text);
+    assert_eq!(allocs() - before, 0, "`from_text` of a canonical log");
+    let back = back.expect("a written log reads back");
+    assert_eq!(
+        back.as_text().as_ptr(),
+        text.as_ptr(),
+        "borrowed, not copied"
+    );
+    assert_eq!(back.len(), LINES);
 
     for (line, report) in log.lines().map(|(_, line)| line).zip(&reports) {
         let before = allocs();
