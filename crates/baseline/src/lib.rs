@@ -4,8 +4,9 @@
 //! *tree-based overlay multicast*: single-tree end-system multicast
 //! \[11\]\[12\] and multi-tree striping à la SplitStream \[13\]. This crate
 //! implements both on the same `cs-net` substrate and the same workload
-//! specs as the mesh, so the `abl_mesh_vs_tree` bench can compare
-//! continuity under identical churn.
+//! specs as the mesh, so the oracle's ABL-TREE row
+//! (`coolstreaming::experiments`) can compare continuity under identical
+//! churn.
 //!
 //! The headline expectation (and the reason Coolstreaming is mesh-based):
 //! under churn, a single tree's interior departures silence whole

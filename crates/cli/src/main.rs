@@ -7,7 +7,8 @@
 //! indexed by its `manifest.json` (DESIGN.md §8). `config` prints the
 //! description for editing; `analyze` re-derives the log-based figures
 //! from a run directory's `log.txt` — the measurement-study workflow
-//! without re-simulating.
+//! without re-simulating; `reproduce` runs the paper-shape oracle and
+//! writes `EXPERIMENTS.json`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -27,7 +28,8 @@ use std::process::ExitCode;
 
 use args::Args;
 use coolstreaming::experiments::{
-    fig10_sessions, fig6_startup, fig7_ready_by_period, render_fig7, LogView,
+    fig10_sessions, fig6_startup, fig7_ready_by_period, render_fig7, reproduce, LogView,
+    REPLICATIONS,
 };
 use coolstreaming::{BaseSpec, CompiledSpec, RunOptions, ScenarioSpec};
 use cs_logging::LogServer;
@@ -270,6 +272,28 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `coolstream reproduce` — every oracle row at every replication. The
+/// verdicts are reported, not enforced: the exit code is 0 whatever they
+/// are, and a gate compares the written `EXPERIMENTS.json` instead.
+fn cmd_reproduce(args: &Args) -> Result<(), String> {
+    let out = match args.get_str("out") {
+        Some("") => return Err("--out needs a directory".into()),
+        out => out.map(PathBuf::from),
+    };
+    let rows = coolstreaming::experiments::rows().len();
+    eprintln!("running {rows} experiments × {REPLICATIONS} replications…");
+    let repro = reproduce();
+    print!("{}", repro.render());
+    if let Some(dir) = out {
+        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let path = dir.join("EXPERIMENTS.json");
+        std::fs::write(&path, repro.to_json())
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
 /// Build a versioned [`ScenarioSpec`] from the preset flags — the shape
 /// `coolstream config` emits and `run --scenario` reads back.
 fn spec_from_flags(args: &Args) -> Result<ScenarioSpec, String> {
@@ -344,6 +368,7 @@ USAGE:
                       [--compare BENCH.json] [--warn-pct N] [--fail-pct N]
                       [--quiet]
   coolstream analyze  --log FILE [--out DIR]
+  coolstream reproduce [--out DIR]
   coolstream config   [--preset ...] [--scenario spec.json] [--example]
   coolstream help
 
@@ -386,6 +411,13 @@ counts, min-of-K wall time, events/sec, peers/sec) into --out-dir
                        wall-time slowdown warns past --warn-pct (default
                        25) and fails past --fail-pct (default 100; 0
                        disables the time failure, as in CI)
+
+reproduce runs the paper-shape oracle (EXPERIMENTS.md): every experiment
+at 8 seeds, then per predicate its pass count, median [min, max] and the
+paper's number. It exits 0 whatever the verdicts.
+
+  --out DIR            also write DIR/EXPERIMENTS.json (no wall time, host
+                       or version data: a pure function of the tree)
 ";
 
 /// The flags each subcommand declares; anything else is an error, so a
@@ -420,6 +452,7 @@ const BENCH_FLAGS: &[&str] = &[
     "quiet",
 ];
 const ANALYZE_FLAGS: &[&str] = &["log", "out"];
+const REPRODUCE_FLAGS: &[&str] = &["out"];
 const CONFIG_FLAGS: &[&str] = &[
     "preset", "scale", "rate", "minutes", "seed", "start-h", "end-h", "scenario", "example",
 ];
@@ -435,6 +468,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
         Some("run") => (RUN_FLAGS, cmd_run),
         Some("bench") => (BENCH_FLAGS, cmd_bench),
         Some("analyze") => (ANALYZE_FLAGS, cmd_analyze),
+        Some("reproduce") => (REPRODUCE_FLAGS, cmd_reproduce),
         Some("config") => (CONFIG_FLAGS, cmd_config),
         Some("help") | None => (&["help"], cmd_help),
         Some(other) => return Err(format!("unknown command {other:?}\n{HELP}")),

@@ -56,6 +56,18 @@ fn flags_removed_with_the_run_directory_are_rejected_by_name() {
     assert!(e.contains("unknown flag --no-spans"), "{e}");
 }
 
+/// `reproduce` has one flag, `--out`, and it needs a directory; both
+/// errors come before any experiment runs.
+#[test]
+fn reproduce_takes_only_an_out_directory() {
+    for flag in ["--seeds", "--ids"] {
+        let e = stderr_of_failure(&["reproduce", flag, "3"]);
+        assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+    }
+    let e = stderr_of_failure(&["reproduce", "--out"]);
+    assert!(e.contains("--out needs a directory"), "{e}");
+}
+
 #[test]
 fn typoed_flag_is_rejected_by_name() {
     let e = run_scenario_with(&["--sede", "7"]);

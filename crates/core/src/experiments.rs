@@ -1,10 +1,12 @@
-//! Per-figure experiment extractors.
+//! Per-figure experiment extractors and the paper-shape oracle.
 //!
 //! Each `figN_*` function turns a run's *log* (plus, where the paper
 //! itself used operator knowledge, the world's ground truth) into exactly
 //! the rows/series the corresponding figure plots, with a `render()`
-//! method producing the human-readable table printed by benches and
-//! examples. The experiment ids match DESIGN.md §4.
+//! method producing the human-readable table. The oracle ([`rows`],
+//! [`reproduce`]; `coolstream reproduce`) runs them at
+//! [`REPLICATIONS`] seeds and checks the shapes the paper reports. The
+//! experiment ids match DESIGN.md §4 and EXPERIMENTS.md.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,6 +19,14 @@ use cs_net::NodeClass;
 use cs_sim::SimTime;
 
 use crate::scenario::RunArtifacts;
+
+mod ablations;
+mod paper;
+mod registry;
+
+pub use registry::{
+    reproduce, rows, Check, Op, Reproduction, Row, RowResult, Verdict, REPLICATIONS,
+};
 
 /// The parsed-log view of a run, computed once and shared by the
 /// extractors.
@@ -420,17 +430,16 @@ impl Fig8 {
 pub struct Fig9Point {
     /// Mean concurrent population over the window.
     pub mean_population: f64,
-    /// Mean arrival rate (joins per second) over the window.
-    pub join_rate: f64,
     /// Mean log-view continuity across QoS reports.
     pub mean_continuity: f64,
     /// Fraction of joiners that reached media-ready.
     pub ready_fraction: f64,
 }
 
-/// Summarize one run into a scalability point.
+/// Summarize one run into a scalability point. Only `mean_population`
+/// is windowed to `[start, end)`; continuity and the ready fraction
+/// cover every session in the log.
 pub fn fig9_point(view: &LogView, start: SimTime, end: SimTime) -> Fig9Point {
-    let window = end.saturating_sub(start).as_secs_f64().max(1.0);
     let curve = fig5_population(view, start, end, SimTime::from_secs(60));
     let mean_population = if curve.is_empty() {
         0.0
@@ -442,7 +451,6 @@ pub fn fig9_point(view: &LogView, start: SimTime, end: SimTime) -> Fig9Point {
     let (due, missed) = qos_totals(view.sessions.iter().flat_map(|s| &s.qos));
     Fig9Point {
         mean_population,
-        join_rate: joins as f64 / window,
         mean_continuity: if due > 0 {
             1.0 - missed as f64 / due as f64
         } else {

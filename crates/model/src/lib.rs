@@ -5,10 +5,10 @@
 //! probability (Eq. 6); plus the §V.B topology-convergence argument as a
 //! two-state Markov chain ([`convergence`]).
 //!
-//! These are validated against the simulator by the `eq_dynamics` and
-//! `fig04` bench targets: the simulation should track the model where the
-//! model's assumptions hold, and the bench output records where it
-//! deviates.
+//! These are validated against the simulator by the EQ3-6 and FIG4 rows
+//! of the paper-shape oracle (`coolstream reproduce`): the simulation
+//! should track the model where the model's assumptions hold, and the
+//! rows' tables record where it deviates.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -109,11 +109,6 @@ impl Criterion {
         self
     }
 
-    /// Results collected so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Print a footer; the real criterion writes HTML reports here.
     pub fn final_summary(&mut self) {
         eprintln!("completed {} benchmark(s)", self.results.len());
@@ -189,8 +184,8 @@ mod tests {
             .configure_from_args();
         let mut count = 0u64;
         c.bench_function("noop", |b| b.iter(|| count += 1));
-        assert_eq!(c.results().len(), 1);
-        assert!(c.results()[0].iters > 0);
+        assert_eq!(c.results.len(), 1);
+        assert!(c.results[0].iters > 0);
         assert!(count > 0);
         c.final_summary();
     }
@@ -204,6 +199,6 @@ mod tests {
         c.bench_function("batched", |b| {
             b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
         });
-        assert_eq!(c.results()[0].iters as usize, 4);
+        assert_eq!(c.results[0].iters as usize, 4);
     }
 }
