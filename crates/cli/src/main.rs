@@ -23,7 +23,7 @@
 mod args;
 mod output;
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use args::Args;
@@ -161,79 +161,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `coolstream bench` — run the scenario library through the cs-bench
-/// harness and emit `BENCH_<git-describe>.json`, optionally gating
-/// against a committed baseline (see DESIGN.md §12).
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let describe = git_describe();
-    let scenarios_dir = args.get_str("scenarios-dir").unwrap_or("scenarios");
-    let mut opts = cs_bench::BenchOptions::new(scenarios_dir);
-    opts.git_describe = describe.clone();
-    opts.verbose = !args.has("quiet");
-    // --quick: single timing rep — the CI configuration, where the point
-    // is behaviour gating, not stable timing.
-    opts.reps = if args.has("quick") {
-        1
-    } else {
-        args.get("reps", 3)?.max(1)
-    };
-    if let Some(list) = args.get_str("scenarios") {
-        opts.filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
-    }
-    let report = cs_bench::run_bench(&opts)?;
-
-    let out_dir = PathBuf::from(args.get_str("out-dir").unwrap_or("bench-out"));
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    // The describe string becomes a filename component; keep it path-safe.
-    let tag: String = describe
-        .as_deref()
-        .unwrap_or("unknown")
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    let bench_path = out_dir.join(format!("BENCH_{tag}.json"));
-    std::fs::write(&bench_path, report.to_json())
-        .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
-    eprintln!("wrote {}", bench_path.display());
-    for s in &report.scenarios {
-        println!(
-            "{:<20} {:>9} events  {:>12} ev/s  {:>9} peers/s  hash {}",
-            s.name, s.events, s.events_per_sec, s.peers_per_sec, s.trace_hash
-        );
-    }
-
-    if let Some(baseline) = args.get_str("compare") {
-        let warn_pct = args.get("warn-pct", cs_bench::DEFAULT_WARN_PCT)?;
-        let fail_pct = args.get("fail-pct", cs_bench::DEFAULT_FAIL_PCT)?;
-        let outcome = cs_bench::compare_to_file(&report, Path::new(baseline), warn_pct, fail_pct)?;
-        println!("\ncompare vs {baseline}:");
-        for line in &outcome.lines {
-            println!("  {line}");
-        }
-        for w in &outcome.warnings {
-            eprintln!("warning: {w}");
-        }
-        for f in outcome.hard_failures.iter().chain(&outcome.time_failures) {
-            eprintln!("failure: {f}");
-        }
-        if !outcome.passed() {
-            return Err(format!(
-                "bench gate failed: {} behaviour drift(s), {} time regression(s)",
-                outcome.hard_failures.len(),
-                outcome.time_failures.len()
-            ));
-        }
-        println!("bench gate passed ({} scenarios)", outcome.lines.len());
-    }
-    Ok(())
-}
-
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     let path = args
         .get_str("log")
@@ -276,10 +203,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 /// verdicts are reported, not enforced: the exit code is 0 whatever they
 /// are, and a gate compares the written `EXPERIMENTS.json` instead.
 fn cmd_reproduce(args: &Args) -> Result<(), String> {
-    let out = match args.get_str("out") {
-        Some("") => return Err("--out needs a directory".into()),
-        out => out.map(PathBuf::from),
-    };
+    let out = args.get_str("out").map(PathBuf::from);
     let rows = coolstreaming::experiments::rows().len();
     eprintln!("running {rows} experiments × {REPLICATIONS} replications…");
     let repro = reproduce();
@@ -363,10 +287,6 @@ USAGE:
                       [--check-invariants] [--invariant-stride N]
                       [--trace-hash] [--telemetry] [--telemetry-window SECS]
                       [--spans]
-  coolstream bench    [--quick] [--reps N] [--scenarios a,b,c]
-                      [--scenarios-dir DIR] [--out-dir DIR]
-                      [--compare BENCH.json] [--warn-pct N] [--fail-pct N]
-                      [--quiet]
   coolstream analyze  --log FILE [--out DIR]
   coolstream reproduce [--out DIR]
   coolstream config   [--preset ...] [--scenario spec.json] [--example]
@@ -396,22 +316,6 @@ manifest.json that indexes them (DESIGN.md §8).
   --spans              also write one causal span per dispatched event
                        (spans.jsonl)
 
-bench runs the scenario library end-to-end and writes a schema-versioned
-perf report (BENCH_<git-describe>.json: trace hash, event and peer
-counts, min-of-K wall time, events/sec, peers/sec) into --out-dir
-(default bench-out). Per-layer attribution is the repo benchmark's job
-(benchmark/README.md).
-
-  --quick              one timing repetition (the CI configuration)
-  --reps N             timing repetitions per scenario, min-of-K (default 3)
-  --scenarios a,b,c    restrict to the named scenarios
-  --scenarios-dir DIR  scenario library location (default scenarios/)
-  --compare FILE       gate against a baseline BENCH json: scenario-set,
-                       trace-hash or event-count drift fails hard;
-                       wall-time slowdown warns past --warn-pct (default
-                       25) and fails past --fail-pct (default 100; 0
-                       disables the time failure, as in CI)
-
 reproduce runs the paper-shape oracle (EXPERIMENTS.md): every experiment
 at 8 seeds, then per predicate its pass count, median [min, max] and the
 paper's number. It exits 0 whatever the verdicts.
@@ -440,17 +344,6 @@ const RUN_FLAGS: &[&str] = &[
     "telemetry-window",
     "spans",
 ];
-const BENCH_FLAGS: &[&str] = &[
-    "quick",
-    "reps",
-    "scenarios",
-    "scenarios-dir",
-    "out-dir",
-    "compare",
-    "warn-pct",
-    "fail-pct",
-    "quiet",
-];
 const ANALYZE_FLAGS: &[&str] = &["log", "out"];
 const REPRODUCE_FLAGS: &[&str] = &["out"];
 const CONFIG_FLAGS: &[&str] = &[
@@ -466,7 +359,6 @@ fn dispatch(args: &Args) -> Result<(), String> {
     type Cmd = fn(&Args) -> Result<(), String>;
     let (declared, cmd): (&[&str], Cmd) = match args.command.as_deref() {
         Some("run") => (RUN_FLAGS, cmd_run),
-        Some("bench") => (BENCH_FLAGS, cmd_bench),
         Some("analyze") => (ANALYZE_FLAGS, cmd_analyze),
         Some("reproduce") => (REPRODUCE_FLAGS, cmd_reproduce),
         Some("config") => (CONFIG_FLAGS, cmd_config),
@@ -474,6 +366,10 @@ fn dispatch(args: &Args) -> Result<(), String> {
         Some(other) => return Err(format!("unknown command {other:?}\n{HELP}")),
     };
     args.expect_flags(declared)?;
+    // `--out` with no value would write into the working directory.
+    if args.get_str("out") == Some("") {
+        return Err("--out needs a directory".into());
+    }
     cmd(args)
 }
 

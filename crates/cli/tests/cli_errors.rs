@@ -42,7 +42,7 @@ fn run_scenario_with(extra: &[&str]) -> String {
 fn removed_shards_flag_is_rejected_by_name() {
     let e = run_scenario_with(&["--shards", "4"]);
     assert!(e.contains("unknown flag --shards"), "{e}");
-    let e = stderr_of_failure(&["bench", "--quick", "--shards=70000"]);
+    let e = stderr_of_failure(&["config", "--shards=70000"]);
     assert!(e.contains("unknown flag --shards"), "{e}");
 }
 
@@ -52,7 +52,7 @@ fn flags_removed_with_the_run_directory_are_rejected_by_name() {
         let e = run_scenario_with(&[flag, "x"]);
         assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
     }
-    let e = stderr_of_failure(&["bench", "--quick", "--no-spans"]);
+    let e = stderr_of_failure(&["analyze", "--no-spans"]);
     assert!(e.contains("unknown flag --no-spans"), "{e}");
 }
 
@@ -66,6 +66,46 @@ fn reproduce_takes_only_an_out_directory() {
     }
     let e = stderr_of_failure(&["reproduce", "--out"]);
     assert!(e.contains("--out needs a directory"), "{e}");
+}
+
+/// An `--out` without a value used to write the run directory, or
+/// `sessions.csv`, into the working directory after all the work was
+/// done. `run` and `analyze` now refuse it first, as `reproduce` does.
+#[test]
+fn empty_out_is_rejected_before_any_work() {
+    let cwd = std::env::temp_dir().join("coolstream-cli-errors-empty-out-cwd");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create working directory");
+    // No session in this log: an `analyze` that got past `--out` would
+    // fail with `no sessions in log` instead.
+    let log = temp_file("coolstream-cli-errors-empty-out-log.txt", "");
+    for args in [
+        &["run", "--scenario", SCENARIO, "--out"][..],
+        &["run", "--scenario", SCENARIO, "--out="],
+        &["analyze", "--log", log.as_str(), "--out"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_coolstream"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn coolstream");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--out needs a directory"),
+            "{args:?}: {stderr}"
+        );
+        let written: Vec<_> = std::fs::read_dir(&cwd).expect("list").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+/// The `bench` subcommand is gone; the repo benchmark (`benchmark/`) times
+/// the pipeline.
+#[test]
+fn removed_bench_subcommand_is_an_unknown_command() {
+    let e = stderr_of_failure(&["bench", "--quick"]);
+    assert!(e.contains(r#"unknown command "bench""#), "{e}");
 }
 
 #[test]

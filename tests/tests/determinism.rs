@@ -5,8 +5,15 @@
 //! (attaching them cannot change the run); and different seeds must
 //! produce different traces.
 
-use coolstreaming::{RunOptions, Scenario};
+use std::path::{Path, PathBuf};
+
+use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
 use cs_sim::SimTime;
+use cs_telemetry::TelemetryConfig;
+
+fn scenarios_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
+}
 
 fn small_steady() -> Scenario {
     Scenario::steady(0.4)
@@ -97,4 +104,33 @@ fn trace_hash_is_sensitive_to_the_window() {
         )
         .run_observed(HASH_ONLY);
     assert_ne!(a.trace_hash, b.trace_hash);
+}
+
+/// Determinism under instrumentation: a scenario run with every sink on
+/// (hash + invariants + telemetry + spans) produces the same trace hash
+/// as a bare hash-only run.
+#[test]
+fn full_instrumentation_does_not_perturb_the_trace() {
+    let text = std::fs::read_to_string(scenarios_dir().join("server_crash.json")).unwrap();
+    let spec = ScenarioSpec::from_json(&text).unwrap();
+    let hash_with = |options: RunOptions| {
+        let compiled = spec.compile().unwrap();
+        compiled
+            .scenario
+            .run_injected_observed(compiled.injections, options)
+            .trace_hash
+            .expect("hash requested")
+    };
+    let bare = hash_with(RunOptions {
+        trace_hash: true,
+        ..RunOptions::default()
+    });
+    let instrumented = hash_with(RunOptions {
+        check_invariants: true,
+        invariant_stride: 1,
+        trace_hash: true,
+        record_spans: true,
+        telemetry: Some(TelemetryConfig::default()),
+    });
+    assert_eq!(bare, instrumented, "observers perturbed the trace");
 }

@@ -15,7 +15,7 @@ const DETERMINISTIC: [&str; 6] = ["core", "net", "proto", "sim", "telemetry", "w
 /// The rule sets a `crates/*` root turns on, as its policy attribute
 /// spells them: D1, D2, R1 (`clippy.toml`) and C1 everywhere, C2 in the
 /// crates whose arithmetic is audited for lossy casts, C3 everywhere but
-/// `cli` and `bench`, which may panic on an unrecoverable error.
+/// `cli`, which may panic on an unrecoverable error.
 const BASE: &str = "clippy::disallowed_methods,clippy::disallowed_types,clippy::float_cmp";
 const LOSSY_CASTS: &str = "clippy::cast_possible_truncation,clippy::cast_sign_loss";
 const PANICS: &str = "clippy::unwrap_used,clippy::expect_used,clippy::panic,clippy::unreachable,clippy::todo,clippy::unimplemented";
@@ -115,7 +115,7 @@ fn every_crate_inherits_the_lint_policy() {
         if matches!(krate, Some("model" | "proto")) {
             want.push(LOSSY_CASTS);
         }
-        if !matches!(krate, Some("bench" | "cli")) {
+        if krate != Some("cli") {
             want.push(PANICS);
         }
         let attr = format!("#![cfg_attr(not(test),warn({}))]", want.join(","));
@@ -148,15 +148,13 @@ fn deterministic_files_stay_under_800_lines() {
 }
 
 /// The wall-clock quarantine is closed: the only escapes from
-/// `disallowed_*` are the three modules whose wall-clock measurements stay
-/// out of simulation state (the run's instrument set, the bench harness,
-/// the CLI's manifest timing) and the RNG module that implements the
-/// named-stream API. A new one anywhere else must be argued into this
-/// list.
+/// `disallowed_*` are the two modules whose wall-clock measurements stay
+/// out of simulation state (the run's instrument set, the CLI's manifest
+/// timing) and the RNG module that implements the named-stream API. A
+/// new one anywhere else must be argued into this list.
 #[test]
 fn disallowed_escapes_stay_in_the_wall_clock_quarantine() {
-    const QUARANTINE: [&str; 4] = [
-        "crates/bench/src/harness.rs",
+    const QUARANTINE: [&str; 3] = [
         "crates/cli/src/main.rs",
         "crates/core/src/instruments.rs",
         "crates/sim/src/rng.rs",
