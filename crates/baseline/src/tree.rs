@@ -531,33 +531,6 @@ impl TreeWorld {
         (!cis.is_empty()).then(|| cis.iter().sum::<f64>() / cis.len() as f64)
     }
 
-    /// Per-stripe diagnostics: (alive demand, interior slots incl. root,
-    /// currently attached).
-    pub fn stripe_report(&self) -> Vec<(usize, usize, usize)> {
-        let k = self.params.trees as usize;
-        let alive = self.net.alive_count().saturating_sub(1);
-        (0..k)
-            .map(|stripe| {
-                let root_slots = self.nodes[self.root.index()]
-                    .as_ref()
-                    .map(|n| n.slots)
-                    .unwrap_or(0);
-                let attached = self
-                    .net
-                    .iter_alive()
-                    .filter(|i| i.id != self.root)
-                    .filter(|i| {
-                        self.nodes[i.id.index()]
-                            .as_ref()
-                            .map(|n| n.parents[stripe].is_some())
-                            .unwrap_or(false)
-                    })
-                    .count();
-                (alive, self.stripe_slots[stripe] + root_slots, attached)
-            })
-            .collect()
-    }
-
     /// Mean playable-tick fraction over sessions with at least
     /// `min_ticks` accounting ticks.
     pub fn mean_playable(&self, min_ticks: u64) -> Option<f64> {

@@ -261,3 +261,30 @@ fn analyze_saturates_log_derived_byte_totals() {
     let up_bytes = row.split(',').nth(9).expect("an up_bytes column");
     assert_eq!(up_bytes, max.to_string(), "{csv}");
 }
+
+/// A QoS report missing more blocks than fell due used to reach the
+/// session as a continuity of −2; the decoder rejects the line, and
+/// `analyze` counts it as malformed.
+#[test]
+fn analyze_rejects_a_qos_report_missing_more_than_due() {
+    let log = "10000000 cls=act&ev=join&nid=5&priv=0&uid=1\n\
+               300000000 cls=qos&due=10&miss=30&nid=5&uid=1\n\
+               600000000 cls=qos&due=10&miss=2&nid=5&uid=1\n\
+               700000000 cls=act&ev=leave&nid=5&priv=0&uid=1\n";
+    let path = temp_file("coolstream-cli-errors-qos-miss-over-due-log.txt", log);
+    let dir = std::env::temp_dir().join("coolstream-cli-errors-qos-miss-over-due-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_coolstream"))
+        .args(["analyze", "--log", &path, "--out", &dir.to_string_lossy()])
+        .output()
+        .expect("spawn coolstream");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("1 malformed log lines skipped"), "{stderr}");
+    let csv = std::fs::read_to_string(dir.join("sessions.csv")).expect("sessions.csv written");
+    for row in csv.lines().skip(1) {
+        let continuity = row.split(',').nth(8).expect("a continuity column");
+        let c: f64 = continuity.parse().expect("one QoS report is left");
+        assert!((0.0..=1.0).contains(&c), "{csv}");
+    }
+}

@@ -140,7 +140,7 @@ impl Scenario {
     /// one from the workload — the entry point for multi-channel runs
     /// and replay tooling.
     pub fn run_with_arrivals(&self, arrivals: Vec<(SimTime, cs_proto::UserSpec)>) -> RunArtifacts {
-        self.run_with_arrivals_observed(arrivals, RunOptions::default())
+        self.run_inner(arrivals, Vec::new(), RunOptions::default())
             .artifacts
     }
 
@@ -152,7 +152,7 @@ impl Scenario {
     /// attached at all.
     pub fn run_observed(&self, options: RunOptions) -> ObservedRun {
         let arrivals = self.workload.generate(self.seed, self.start, self.horizon);
-        self.run_with_arrivals_observed(arrivals, options)
+        self.run_inner(arrivals, Vec::new(), options)
     }
 
     /// Execute with timed chaos injections (a scenario file's `events`
@@ -168,15 +168,6 @@ impl Scenario {
     ) -> ObservedRun {
         let arrivals = self.workload.generate(self.seed, self.start, self.horizon);
         self.run_inner(arrivals, injections, options)
-    }
-
-    /// [`Scenario::run_with_arrivals`] with instrumentation options.
-    pub fn run_with_arrivals_observed(
-        &self,
-        arrivals: Vec<(SimTime, cs_proto::UserSpec)>,
-        options: RunOptions,
-    ) -> ObservedRun {
-        self.run_inner(arrivals, Vec::new(), options)
     }
 
     fn run_inner(

@@ -6,9 +6,9 @@
 //! "log strings" of `name=value&…` pairs collected by a dedicated log
 //! server.
 //!
-//! This crate reproduces that apparatus: the [`codec`](Pairs) for log
-//! strings, the typed [`Report`] schema (activity / QoS / traffic /
-//! partner), and the [`LogServer`]. Everything downstream (`cs-analysis`)
+//! This crate reproduces that apparatus: the typed [`Report`] schema
+//! (activity / QoS / traffic / partner) with its log-string codec
+//! ([`Report::encode`], [`Report::decode`]), and the [`LogServer`]. Everything downstream (`cs-analysis`)
 //! consumes *parsed log strings*, never simulator ground truth, so the
 //! pipeline inherits the paper's own sampling artifacts — most notably the
 //! 5-minute status granularity that inflates the continuity index of
@@ -31,12 +31,11 @@
 )]
 #![warn(missing_docs)]
 
-pub mod bridge;
 mod codec;
 mod report;
 mod server;
 
-pub use codec::{CodecError, Pairs};
+pub use codec::CodecError;
 pub use report::{ActivityKind, Report, ReportError, UserId};
 pub use server::LogServer;
 

@@ -9,13 +9,16 @@
 //!   downloaded/uploaded), and a *partner report* (a compact record of
 //!   partner activity).
 //!
-//! Each variant round-trips through the [`Pairs`] log-string codec.
+//! Each variant round-trips through its log string: [`Report::encode`]
+//! writes it and [`Report::decode`], the crate's one decoder, reads it.
 
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{CodecError, Pairs};
+use crate::codec::{self, CodecError};
 
 /// Stable user identity across retries and re-entries (a "cookie").
 #[derive(
@@ -143,8 +146,8 @@ impl Report {
         out
     }
 
-    /// Append the log string to `out`: the keys in ascending order, as
-    /// [`Pairs::encode`] writes them, with nothing in need of an escape.
+    /// Append the log string to `out`: the keys in ascending order, with
+    /// nothing in need of an escape.
     pub fn encode_into(&self, out: &mut String) {
         let (uid, nid) = (self.user().0, self.node());
         let _ = match *self {
@@ -180,11 +183,10 @@ impl Report {
 
     /// Decode a log string back into a typed report. Decoding is strict:
     /// a duplicated key, an unrecognized activity code or a count that
-    /// does not fit its field is rejected rather than silently resolved.
+    /// does not fit its field (a `miss` above its `due` included) is
+    /// rejected rather than silently resolved.
     pub fn decode(s: &str) -> Result<Report, ReportError> {
-        // Read in place: moving the decoded pairs out would copy them.
-        let pairs = Pairs::decode_strict(s);
-        let f = Fields::of(pairs.as_ref().map_err(|e| e.clone())?);
+        let f = Fields::of(s)?;
         let cls = f.raw(Key::Cls)?;
         let user = UserId(f.parsed(Key::Uid)?);
         let node = f.parsed(Key::Nid)?;
@@ -199,12 +201,15 @@ impl Report {
                     private_addr: f.flag(Key::Priv)?,
                 }
             }
-            "qos" => Report::Qos {
-                user,
-                node,
-                due: f.parsed(Key::Due)?,
-                missed: f.parsed(Key::Miss)?,
-            },
+            "qos" => {
+                let due = f.parsed(Key::Due)?;
+                Report::Qos {
+                    user,
+                    node,
+                    due,
+                    missed: f.read(Key::Miss, |v| v.parse().ok().filter(|&m| m <= due))?,
+                }
+            }
             "traf" => Report::Traffic {
                 user,
                 node,
@@ -250,21 +255,36 @@ enum Key {
 
 /// A decoded line's value per [`KEYS`] entry: one walk of its pairs,
 /// read back in whatever order the report class asks.
-struct Fields<'a>([Option<&'a str>; KEYS.len()]);
+struct Fields<'a>([Option<Cow<'a, str>>; KEYS.len()]);
 
 impl<'a> Fields<'a> {
-    /// One walk of the pairs; keys not in [`KEYS`] are skipped.
-    fn of(pairs: &'a Pairs<'_>) -> Self {
-        let mut slots = [None; KEYS.len()];
-        for (k, v) in pairs.iter() {
-            if let Some(at) = KEYS.iter().position(|&key| key == k) {
-                slots[at] = Some(v);
+    /// One walk of the line's pairs into the slots. A key seen twice,
+    /// known or not, is [`CodecError::DuplicateKey`]; the first offending
+    /// pair decides, and within it a repeated key before a bad escape in
+    /// its value.
+    fn of(line: &'a str) -> Result<Self, CodecError> {
+        let mut slots: [Option<Cow<'a, str>>; KEYS.len()] = Default::default();
+        // Keys outside `KEYS` are kept only to find a repeat. No line a
+        // client writes has one, so the set stays empty, and a hostile
+        // line of n of them costs O(n log n), not a scan per key.
+        let mut unknown = BTreeSet::new();
+        codec::scan(line, |key, value| {
+            match KEYS.iter().position(|&k| k == key) {
+                Some(at) if slots[at].is_some() => Err(CodecError::DuplicateKey(key.into_owned())),
+                Some(at) => {
+                    slots[at] = Some(value.decode()?);
+                    Ok(())
+                }
+                None => match unknown.replace(key) {
+                    Some(key) => Err(CodecError::DuplicateKey(key.into_owned())),
+                    None => value.decode().map(drop),
+                },
             }
-        }
-        Fields(slots)
+        })?;
+        Ok(Fields(slots))
     }
 
-    fn raw(&self, key: Key) -> Result<&'a str, ReportError> {
+    fn raw(&self, key: Key) -> Result<&str, ReportError> {
         self.read(key, Some)
     }
 
@@ -283,9 +303,16 @@ impl<'a> Fields<'a> {
 
     /// The value of `key` through `read`: absent, or refused by `read`
     /// (unparsable, out of range), it is `Missing(key)`.
-    fn read<T>(&self, key: Key, read: impl FnOnce(&'a str) -> Option<T>) -> Result<T, ReportError> {
+    fn read<'s, T>(
+        &'s self,
+        key: Key,
+        read: impl FnOnce(&'s str) -> Option<T>,
+    ) -> Result<T, ReportError> {
         let missing = ReportError::Missing(KEYS[key as usize]);
-        self.0[key as usize].and_then(read).ok_or(missing)
+        self.0[key as usize]
+            .as_deref()
+            .and_then(read)
+            .ok_or(missing)
     }
 }
 
@@ -410,6 +437,9 @@ mod tests {
         );
         assert_eq!(part("in=1&priv=2"), Err(ReportError::Missing("priv")));
         assert!(part("in=4294967295&priv=1").is_ok());
+        let qos = |miss: u64| Report::decode(&format!("cls=qos&due=10&miss={miss}&nid=5&uid=1"));
+        assert_eq!(qos(11), Err(ReportError::Missing("miss")));
+        assert!(qos(10).is_ok());
     }
 
     #[test]

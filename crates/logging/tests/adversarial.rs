@@ -1,18 +1,12 @@
 //! Adversarial parsing: the log pipeline must never panic on arbitrary
 //! bytes — a real log server ingests whatever the network hands it.
 
-use cs_logging::{LogServer, Pairs, Report};
+use cs_logging::{LogServer, Report};
 use proptest::prelude::*;
 
 proptest! {
     /// Decoding arbitrary ASCII never panics; it either parses or
     /// returns an error.
-    #[test]
-    fn pairs_decode_is_total(s in "[ -~]{0,200}") {
-        let _ = Pairs::decode(&s);
-    }
-
-    /// Same for full report decoding.
     #[test]
     fn report_decode_is_total(s in "[ -~]{0,200}") {
         let _ = Report::decode(&s);
@@ -72,21 +66,4 @@ fn truncated_reports_fail_cleanly() {
         // Must not panic; truncations that cut mid-pair must error.
         let _ = Report::decode(truncated);
     }
-}
-
-#[test]
-fn duplicate_keys_keep_last_value() {
-    let p = Pairs::decode("a=1&a=2&a=3").unwrap();
-    assert_eq!(p.get("a"), Some("3"));
-    assert_eq!(p.len(), 1);
-}
-
-#[test]
-fn whitespace_and_empty_values_survive() {
-    let mut p = Pairs::new();
-    p.set("k", " leading and trailing ").set("empty", "");
-    let encoded = p.encode();
-    let back = Pairs::decode(&encoded).unwrap();
-    assert_eq!(back.get("k"), Some(" leading and trailing "));
-    assert_eq!(back.get("empty"), Some(""));
 }

@@ -6,9 +6,8 @@
 //! manager sweeping its own state touches only its column's cache
 //! lines. Slots are recycled through a LIFO free list; each slot
 //! carries a generation counter that is bumped on removal, so a
-//! [`PeerHandle`] held across a departure can never silently alias the
-//! slot's next occupant (stale access is a `debug_assert` in debug
-//! builds and a clean `None` in release).
+//! [`PeerHandle`] held across a departure never equals a handle to the
+//! slot's next occupant.
 //!
 //! Node ids are *not* slot indices: a `lookup` table maps the
 //! monotonically growing [`NodeId`] space to live handles, which keeps
@@ -170,9 +169,11 @@ impl PeerArena {
         self.lookup.get(id.index()).copied().flatten()
     }
 
-    /// Read view through a handle. A stale generation is a programming
-    /// error: it trips a `debug_assert` in debug builds and yields
-    /// `None` in release.
+    /// Read view through a handle, for the tests: the simulation reads
+    /// peers by node id. A stale generation is a programming error: it
+    /// trips a `debug_assert` in debug builds and yields `None` in
+    /// release.
+    #[cfg(test)]
     pub(crate) fn get(&self, h: PeerHandle) -> Option<PeerRef<'_>> {
         let i = h.index as usize;
         debug_assert_eq!(

@@ -9,9 +9,8 @@
 //! default), immediately before it closes that window, and once more at
 //! the horizon — not per event.
 //!
-//! Series (all prefixed `proto_`, distinguishing simulator truth from the
-//! `report_`-prefixed series the cs-logging bridge derives from the §V.A
-//! log stream):
+//! Series (all prefixed `proto_`: simulator truth, which the §V.A log
+//! stream, read by `cs-analysis`, can only estimate):
 //!
 //! | series | kind | meaning |
 //! |---|---|---|

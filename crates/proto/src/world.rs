@@ -418,17 +418,9 @@ impl CsWorld {
     }
 
     /// The arena handle for a live node, if present. Handles stay valid
-    /// until the peer departs; later access through a stale handle trips
-    /// a debug assertion (see [`CsWorld::peer_by_handle`]).
+    /// until the peer departs.
     pub fn peer_handle(&self, id: NodeId) -> Option<PeerHandle> {
         self.arena.handle_of(id)
-    }
-
-    /// Access a peer through its arena handle. Generation-checked: a
-    /// handle outliving its peer is a programming error caught by a
-    /// `debug_assert` in debug builds (`None` in release).
-    pub fn peer_by_handle(&self, handle: PeerHandle) -> Option<PeerRef<'_>> {
-        self.arena.get(handle)
     }
 
     /// Number of live peers (source, servers, and users).

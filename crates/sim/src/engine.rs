@@ -127,11 +127,6 @@ impl<W: World> Engine<W> {
         self.observer.take()
     }
 
-    /// Whether an observer is attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -155,11 +150,6 @@ impl<W: World> Engine<W> {
     /// Schedule an event before or between runs.
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         self.queue.push(at.max(self.now), event);
-    }
-
-    /// Total events ever dispatched.
-    pub fn total_dispatched(&self) -> u64 {
-        self.queue.total_popped()
     }
 
     /// Run until the queue drains, a handler stops the run, or the next

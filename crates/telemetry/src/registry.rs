@@ -242,30 +242,6 @@ impl MetricRegistry {
         }
     }
 
-    /// One-shot counter increment by name (cold paths; interns on demand).
-    pub fn inc_named(&mut self, name: &'static str, labels: &[(&'static str, &str)], by: u64) {
-        let id = self.counter(name, labels);
-        self.inc(id, by);
-    }
-
-    /// One-shot gauge write by name (cold paths; interns on demand).
-    pub fn set_named(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: i64) {
-        let id = self.gauge(name, labels);
-        self.set(id, value);
-    }
-
-    /// One-shot histogram observation by name (cold paths; interns on
-    /// demand).
-    pub fn observe_named(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        value: u64,
-    ) {
-        let id = self.histogram(name, labels);
-        self.observe(id, value);
-    }
-
     /// Look up a metric's current value.
     pub fn get(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<&Metric> {
         let mut labels: Vec<(&'static str, String)> =

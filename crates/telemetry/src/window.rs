@@ -10,8 +10,8 @@
 //! advanced from observer hooks ([`WindowedAggregator::roll`]). A window is
 //! therefore closed by the *first dispatch at or after its end*, and that
 //! closing event is included in the closed window (a deterministic
-//! one-event smear; offline consumers like the cs-logging bridge that roll
-//! *before* recording attribute boundary events exactly instead). Gaps
+//! one-event smear; an offline consumer that rolls *before* recording
+//! attributes boundary events exactly instead). Gaps
 //! longer than one window emit empty snapshots so the cadence is preserved.
 //! The final, usually partial, window is flushed by
 //! [`WindowedAggregator::finish`] with `partial: true`. When the run ends
@@ -432,8 +432,10 @@ mod tests {
         let mut reg = MetricRegistry::new();
         let c = reg.counter("ev", &[("kind", "arrive")]);
         reg.inc(c, 4);
-        reg.set_named("depth", &[], 7);
-        reg.observe_named("lat", &[], 5);
+        let depth = reg.gauge("depth", &[]);
+        reg.set(depth, 7);
+        let lat = reg.histogram("lat", &[]);
+        reg.observe(lat, 5);
         let mut agg = WindowedAggregator::new(secs(10), SimTime::ZERO);
         agg.finish(secs(5), &reg);
         let line = agg.to_jsonl();
