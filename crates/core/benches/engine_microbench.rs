@@ -29,6 +29,40 @@ fn main() {
         })
     });
 
+    // 10⁵ timers with the protocol's periods (2, 2, 4, 10 and 300 s),
+    // each re-armed one period after it fires. One iteration is one
+    // level-1 rotation (64² ticks of 2¹⁴ µs ≈ 67 s, ≈ 1.8 M pops): every
+    // tick drains ≈ 440 entries and the level-1 slots cascade, which
+    // `queue/push_pop_10k` never does.
+    c.bench_function("queue/rearm_100k", |b| {
+        const TIMERS: usize = 100_000;
+        const PERIODS: [SimTime; 5] = [
+            SimTime::from_secs(2),
+            SimTime::from_secs(2),
+            SimTime::from_secs(4),
+            SimTime::from_secs(10),
+            SimTime::from_secs(300),
+        ];
+        const ROTATION: SimTime = SimTime::from_micros((64 * 64) << 14);
+        let mut rng = Xoshiro256PlusPlus::new(5);
+        let mut q = EventQueue::with_capacity(TIMERS);
+        for timer in 0..TIMERS {
+            let phase = rng.gen_range(0..PERIODS[timer % 5].as_micros());
+            q.push(SimTime::from_micros(phase), timer);
+        }
+        let mut end = SimTime::ZERO;
+        b.iter(|| {
+            end += ROTATION;
+            let mut fired = 0u32;
+            while q.peek_time().is_some_and(|at| at <= end) {
+                let Some((at, timer)) = q.pop() else { break };
+                q.push(at + PERIODS[timer % 5], timer);
+                fired += 1;
+            }
+            black_box(fired)
+        })
+    });
+
     c.bench_function("rng/next_u64_1k", |b| {
         let mut rng = Xoshiro256PlusPlus::new(2);
         b.iter(|| {

@@ -252,6 +252,20 @@ impl Params {
         if !(0.0..=1.0).contains(&self.giveup_loss) {
             return Err("giveup_loss must be a fraction".into());
         }
+        // A zero period re-arms its timer at `now` for ever: the run spins
+        // at one instant and never reaches its horizon.
+        for (field, period) in [
+            ("gossip_interval", self.gossip_interval),
+            ("bm_interval", self.bm_interval),
+            ("sched_interval", self.sched_interval),
+            ("playback_interval", self.playback_interval),
+            ("report_interval", self.report_interval),
+            ("join_retry_backoff", self.join_retry_backoff),
+        ] {
+            if period == SimTime::ZERO {
+                return Err(format!("{field} must be > 0"));
+            }
+        }
         Ok(())
     }
 }
@@ -305,6 +319,47 @@ mod tests {
             ..Params::default()
         };
         assert!(p.validate().is_err());
+    }
+
+    /// `validate` rejects a zero period, naming the field.
+    fn assert_zero_period_rejected(field: &str, zero: impl FnOnce(&mut Params)) {
+        let mut p = Params::default();
+        zero(&mut p);
+        assert_eq!(p.validate(), Err(format!("{field} must be > 0")));
+    }
+
+    #[test]
+    fn zero_gossip_interval_is_rejected() {
+        assert_zero_period_rejected("gossip_interval", |p| p.gossip_interval = SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_bm_interval_is_rejected() {
+        assert_zero_period_rejected("bm_interval", |p| p.bm_interval = SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_sched_interval_is_rejected() {
+        assert_zero_period_rejected("sched_interval", |p| p.sched_interval = SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_playback_interval_is_rejected() {
+        assert_zero_period_rejected("playback_interval", |p| {
+            p.playback_interval = SimTime::ZERO;
+        });
+    }
+
+    #[test]
+    fn zero_report_interval_is_rejected() {
+        assert_zero_period_rejected("report_interval", |p| p.report_interval = SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_join_retry_backoff_is_rejected() {
+        assert_zero_period_rejected("join_retry_backoff", |p| {
+            p.join_retry_backoff = SimTime::ZERO;
+        });
     }
 
     #[test]

@@ -15,32 +15,32 @@
 //! slot therefore holds exactly one tick; level 5 rotates every
 //! `2^36` ticks (≈36 years of simulated time). Anything beyond the
 //! level-5 rotation sits in a plain binary-heap *overflow* until the
-//! wheel position jumps close enough. Per-level `u64` occupancy bitmaps
+//! wheel position reaches its rotation. Per-level `u64` occupancy bitmaps
 //! make "earliest non-empty slot at or after the cursor" a mask and a
 //! `trailing_zeros`.
 //!
-//! # Storage: one chunk pool
+//! # Storage: one chunk pool of FIFO chains
 //!
 //! Slots own no buffers. Every wheel entry lives in one `Vec`, the
-//! *pool*, carved into chunks of [`CHUNK`] entries; a slot is the `u32`
-//! index of the head of a chain of chunks (`heads`), a parallel table
-//! holds each chunk's fill level and chain link, and emptied chunks go on
-//! a LIFO free list threaded through the same links. A push appends to
-//! the slot's head chunk or links a chunk from the free list in front of
-//! it, so only the head of a chain is ever partly filled. Drains and
-//! cascades walk a chain once, front to back, move every entry out and
-//! release each chunk as they leave it: the chunk freed last — still in
-//! cache — is the next one written. The pool therefore holds
-//! `pending ÷ CHUNK` full chunks plus at most one partial chunk per slot,
-//! whatever each slot's fullest rotation once was, and the order of
-//! entries inside a slot carries no meaning.
+//! *pool*, carved into chunks of [`CHUNK`] entries. A slot is a chain of
+//! chunks named by the `u32` indices of its head and tail chunk; a
+//! parallel table holds each chunk's fill level and chain link, and
+//! emptied chunks go on a LIFO free list threaded through the same links.
+//! A push appends to the slot's tail chunk, or links a chunk from the
+//! free list behind it, so only the tail of a chain is ever partly filled
+//! and a chain read front to back is the slot's push order. Drains and
+//! cascades walk a chain once, front to back, and release each chunk as
+//! they leave it: the chunk freed last — still in cache — is the next one
+//! written. The pool therefore holds `pending ÷ CHUNK` full chunks plus
+//! at most one partial chunk per slot, whatever each slot's fullest
+//! rotation once was. An entry is 64 bytes for a 40-byte event: `seq` is
+//! stored plus one as a `NonZeroU64`, so `Option<Entry>` needs no tag.
 //!
 //! # Exact (time, seq) order
 //!
 //! The wheel only *coarsens* placement; the total order is restored one
-//! tick at a time with the `(time, seq)` comparator the pre-wheel
-//! implementation used. The structural invariant is a strict window
-//! split around the wheel cursor `cur_tick`:
+//! tick at a time. The structural invariant is a strict window split
+//! around the wheel cursor `cur_tick`:
 //!
 //! * every pending entry with `tick <  cur_tick` is in `ready` or `late`;
 //! * every pending entry with `tick >= cur_tick` is in the wheel or the
@@ -48,18 +48,31 @@
 //!
 //! The cursor only advances when `ready` and `late` are both empty, by
 //! draining the earliest occupied level-0 slot (one whole tick — *all*
-//! equal-tick entries together) into the `ready` batch and sorting it
-//! once, earliest last, so a pop is a `Vec::pop`. A push that lands
-//! behind the cursor (a sub-tick delay; rare) cannot join the sorted
-//! batch cheaply and goes to the small `late` heap instead. `pop`/`peek`
-//! take the earlier of `ready`'s back and `late`'s top, hence always the
-//! minimum pending `(time, seq)`, and pop order is byte-identical to the
-//! old global heap. The differential tests in `queue/tests.rs` check the
-//! equivalence against the test-only `ReferenceQueue` across every level,
-//! the overflow heap, chunk boundaries and full level-1 rotations.
+//! equal-tick entries together) into the `ready` batch, earliest last, so
+//! a pop is a `Vec::pop`. The drain sorts no entries. Entries with equal
+//! timestamps always share one slot, in push order: a timestamp's slot
+//! only changes when the cursor enters that slot's block, and the slot is
+//! cascaded — front to back, onto the tails of lower slots — before any
+//! later push can land. So the chain of a level-0 slot lists each
+//! timestamp's entries in `seq` order, and a *stable* sort of the chain
+//! by the offset within the tick is the exact `(time, seq)` order. The
+//! drain sorts one 64-bit key per entry (offset above, pool cell below)
+//! with an insertion sort for small ticks and a two-digit LSD radix for
+//! large ones, then moves each entry into `ready` once.
+//!
+//! A push that lands behind the cursor (a sub-tick delay; rare) cannot
+//! join the drained batch cheaply and goes to the small `late` heap
+//! instead. `pop`/`peek` take the earlier of `ready`'s back and `late`'s
+//! top, hence always the minimum pending `(time, seq)`, and pop order is
+//! byte-identical to the old global heap. The differential tests in
+//! `queue/tests.rs` check the equivalence against the test-only
+//! `ReferenceQueue` across every level, the overflow heap, equal
+//! timestamps pushed from every level, chunk boundaries and full level-1
+//! rotations.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
@@ -75,10 +88,21 @@ const LEVELS: usize = 6;
 /// Tick bits addressable by the wheel proper.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// Entries per pool chunk: large enough that a drain reads memory
-/// sequentially, small enough that 384 partly filled heads cost little.
+/// sequentially, small enough that 384 partly filled tails cost little.
 const CHUNK: usize = 32;
 /// "No chunk": an empty slot, the end of a chain, an empty free list.
 const NIL: u32 = u32::MAX;
+
+/// A drain key holds the entry's offset within its tick in the top
+/// `TICK_SHIFT` bits and its pool cell (below `2^32 · CHUNK = 2^37`) in
+/// the bits below.
+const OFFSET_SHIFT: u32 = u64::BITS - TICK_SHIFT;
+/// Bits of one radix digit: the in-tick offset is two digits.
+const DIGIT_BITS: u32 = TICK_SHIFT / 2;
+const _: () = assert!(2 * DIGIT_BITS == TICK_SHIFT);
+/// Ticks of at most this many entries are insertion-sorted: below it the
+/// radix's two passes over `2^DIGIT_BITS` buckets cost more.
+const INSERTION_MAX: usize = 32;
 
 /// Tick index of a timestamp.
 #[inline]
@@ -86,15 +110,23 @@ const fn tick_of(time: SimTime) -> u64 {
     time.as_micros() >> TICK_SHIFT
 }
 
+/// A sequence number as stored in an entry: plus one, so that it is never
+/// zero. `seq` never reaches `u64::MAX` (that would take 2^64 pushes).
+#[inline]
+const fn stored(seq: u64) -> NonZeroU64 {
+    NonZeroU64::MIN.saturating_add(seq)
+}
+
 /// An entry in the queue. Private ordering wrapper.
 struct Entry<E> {
     time: SimTime,
-    seq: u64,
-    /// Insertion seq of the event whose handler scheduled this one
-    /// (`None` for externally scheduled events). Pure metadata: never
-    /// consulted by the ordering, only surfaced to observers for causal
-    /// span tracing.
-    cause: Option<u64>,
+    /// Insertion sequence number, [`stored`].
+    seq: NonZeroU64,
+    /// Insertion seq of the event whose handler scheduled this one,
+    /// [`stored`] (`None` for externally scheduled events). Pure
+    /// metadata: never consulted by the ordering, only surfaced to
+    /// observers for causal span tracing.
+    cause: Option<NonZeroU64>,
     event: E,
 }
 
@@ -114,7 +146,7 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the earliest entry is the greatest, so it sits on top
-        // of a max-heap and at the back of an ascending sort.
+        // of a max-heap and at the back of the `ready` batch.
         other
             .time
             .cmp(&self.time)
@@ -131,10 +163,24 @@ struct ChunkMeta {
     next: u32,
 }
 
+/// A slot's chain of chunks, oldest push in `head`, newest in `tail`.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A time-ordered event queue with stable FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// The tick drained last, sorted earliest-last. Together with `late`
-    /// it holds all pending entries with `tick < cur_tick`.
+    /// The tick drained last, earliest last. Together with `late` it
+    /// holds all pending entries with `tick < cur_tick`.
     ready: Vec<Entry<E>>,
     /// Entries pushed behind the cursor after their tick was drained.
     late: BinaryHeap<Entry<E>>,
@@ -145,12 +191,16 @@ pub struct EventQueue<E> {
     chunks: Vec<ChunkMeta>,
     /// Head of the LIFO list of empty chunks.
     free: u32,
-    /// Head chunk of each slot's chain.
-    heads: [[u32; SLOTS]; LEVELS],
+    /// Each slot's chain.
+    slots: [[Chain; SLOTS]; LEVELS],
     /// Per-level bitmap of the slots whose chain is non-empty.
     occupied: [u64; LEVELS],
     /// Entries beyond the level-5 rotation of `cur_tick`.
     overflow: BinaryHeap<Entry<E>>,
+    /// Drain scratch: one key per entry of the tick being drained.
+    keys: Vec<u64>,
+    /// Drain scratch: the radix sort's second buffer.
+    radix: Vec<u64>,
     /// Wheel cursor, in ticks.
     cur_tick: u64,
     /// Pending-entry count across ready + late + wheel + overflow.
@@ -161,7 +211,7 @@ pub struct EventQueue<E> {
     /// Cause stamped on every push: the engine sets this to the popped
     /// event's seq for the duration of its handler, so follow-up events
     /// carry a causal parent without the handlers knowing.
-    current_cause: Option<u64>,
+    current_cause: Option<NonZeroU64>,
 }
 
 /// A popped queue entry with its scheduling metadata.
@@ -191,7 +241,7 @@ impl<E> EventQueue<E> {
 
     /// An empty queue whose chunk pool is reserved, once and untouched,
     /// for `cap` concurrently pending events: `cap ÷ CHUNK` full chunks
-    /// plus one partly filled head per wheel slot.
+    /// plus one partly filled tail per wheel slot.
     pub fn with_capacity(cap: usize) -> Self {
         let chunks = cap.div_ceil(CHUNK) + LEVELS * SLOTS;
         EventQueue {
@@ -200,9 +250,11 @@ impl<E> EventQueue<E> {
             pool: Vec::with_capacity(chunks * CHUNK),
             chunks: Vec::with_capacity(chunks),
             free: NIL,
-            heads: [[NIL; SLOTS]; LEVELS],
+            slots: [[Chain::EMPTY; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
+            keys: Vec::new(),
+            radix: Vec::new(),
             cur_tick: 0,
             len: 0,
             next_seq: 0,
@@ -215,12 +267,12 @@ impl<E> EventQueue<E> {
     /// Set the cause stamped on subsequent pushes (the engine brackets
     /// each handler invocation with the dispatched event's seq).
     pub fn set_cause(&mut self, cause: Option<u64>) {
-        self.current_cause = cause;
+        self.current_cause = cause.map(stored);
     }
 
     /// Schedule `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
+        let seq = stored(self.next_seq);
         self.next_seq += 1;
         self.pushed += 1;
         self.len += 1;
@@ -237,8 +289,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Place an entry with `tick >= cur_tick` into its wheel level (or
-    /// the overflow heap when it lies beyond the level-5 rotation).
+    /// Append an entry with `tick >= cur_tick` to the tail of its wheel
+    /// slot (or push it on the overflow heap when it lies beyond the
+    /// level-5 rotation).
     fn insert_wheel(&mut self, entry: Entry<E>) {
         let t = tick_of(entry.time);
         debug_assert!(t >= self.cur_tick, "wheel entry behind cursor");
@@ -254,12 +307,18 @@ impl<E> EventQueue<E> {
         };
         let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
-        let head = self.heads[level][slot];
-        let chunk = if head != NIL && (self.chunks[head as usize].len as usize) < CHUNK {
-            head
+        let tail = self.slots[level][slot].tail;
+        let chunk = if tail != NIL && (self.chunks[tail as usize].len as usize) < CHUNK {
+            tail
         } else {
-            let fresh = self.take_chunk(head);
-            self.heads[level][slot] = fresh;
+            let fresh = self.take_chunk();
+            let chain = &mut self.slots[level][slot];
+            if tail == NIL {
+                chain.head = fresh;
+            } else {
+                self.chunks[tail as usize].next = fresh;
+            }
+            chain.tail = fresh;
             fresh
         };
         let meta = &mut self.chunks[chunk as usize];
@@ -267,10 +326,10 @@ impl<E> EventQueue<E> {
         meta.len += 1;
     }
 
-    /// An empty chunk linked in front of `next`: the one freed last, or a
-    /// new one at the end of the pool when none is free.
-    fn take_chunk(&mut self, next: u32) -> u32 {
-        let meta = ChunkMeta { len: 0, next };
+    /// An empty, unlinked chunk: the one freed last, or a new one at the
+    /// end of the pool when none is free.
+    fn take_chunk(&mut self) -> u32 {
+        let meta = ChunkMeta { len: 0, next: NIL };
         let chunk = self.free;
         if chunk != NIL {
             self.free = self.chunks[chunk as usize].next;
@@ -300,9 +359,7 @@ impl<E> EventQueue<E> {
             if occ0 != 0 {
                 let s = occ0.trailing_zeros() as u64;
                 self.cur_tick = (cur & !63) + s + 1;
-                // One whole tick into the (empty) batch, earliest last.
-                self.empty_slot(0, s as usize, |q, e| q.ready.push(e));
-                self.ready.sort_unstable();
+                self.drain_tick(s as usize);
                 if s == 63 {
                     // The cursor wrapped into the next level-0 block,
                     // carrying one or more higher digits. Any slot those
@@ -334,7 +391,7 @@ impl<E> EventQueue<E> {
                 }
                 // else: a level-0 carry rolled the cursor digit onto an
                 // occupied slot; redistribute in place, cursor unchanged.
-                self.empty_slot(l, s as usize, Self::insert_wheel);
+                self.cascade_slot(l, s as usize);
                 cascaded = true;
                 break;
             }
@@ -347,35 +404,75 @@ impl<E> EventQueue<E> {
                 return; // Queue fully drained.
             };
             self.cur_tick = tick_of(head.time);
-            while let Some(h) = self.overflow.peek() {
-                if (tick_of(h.time) ^ self.cur_tick) >> WHEEL_BITS != 0 {
-                    break;
-                }
-                let Some(e) = self.overflow.pop() else { break };
-                self.insert_wheel(e);
-            }
+            self.pull_overflow();
         }
     }
 
-    /// Empty the slot: detach its chain, walk it once front to back,
-    /// hand every entry to `sink` and put each chunk on top of the free
-    /// list as the walk leaves it. `sink` must not push to this slot
-    /// (a cascade re-inserts strictly below `level`).
-    fn empty_slot(&mut self, level: usize, slot: usize, mut sink: impl FnMut(&mut Self, Entry<E>)) {
+    /// Move every overflow entry that lies in the cursor's level-5
+    /// rotation into the wheel, in `(time, seq)` order.
+    fn pull_overflow(&mut self) {
+        while let Some(h) = self.overflow.peek() {
+            if (tick_of(h.time) ^ self.cur_tick) >> WHEEL_BITS != 0 {
+                break;
+            }
+            let Some(e) = self.overflow.pop() else { break };
+            self.insert_wheel(e);
+        }
+    }
+
+    /// Detach the slot's chain, walk it once front to back, hand every
+    /// filled cell to `visit` and put each chunk on top of the free list
+    /// as the walk leaves it. A freed chunk is written again only by a
+    /// later `take_chunk`, so an entry `visit` leaves in its cell stays
+    /// there until then.
+    fn release_slot(&mut self, level: usize, slot: usize, mut visit: impl FnMut(&mut Self, usize)) {
         self.occupied[level] &= !(1 << slot);
-        let mut chunk = std::mem::replace(&mut self.heads[level][slot], NIL);
+        let mut chunk = std::mem::replace(&mut self.slots[level][slot], Chain::EMPTY).head;
         while chunk != NIL {
             let ChunkMeta { len, next } = self.chunks[chunk as usize];
             let base = chunk as usize * CHUNK;
             for cell in base..base + len as usize {
-                if let Some(e) = self.pool[cell].take() {
-                    sink(self, e);
-                }
+                visit(self, cell);
             }
             self.chunks[chunk as usize].next = self.free;
             self.free = chunk;
             chunk = next;
         }
+    }
+
+    /// Re-insert every entry of a level ≥ 1 slot, in push order; each
+    /// lands strictly lower (the cursor has entered the slot's block).
+    fn cascade_slot(&mut self, level: usize, slot: usize) {
+        self.release_slot(level, slot, |q, cell| {
+            if let Some(e) = q.pool[cell].take() {
+                q.insert_wheel(e);
+            }
+        });
+    }
+
+    /// Move one level-0 slot — one whole tick — into the (empty) `ready`
+    /// batch, earliest last. The chain lists each timestamp's entries in
+    /// `seq` order, so sorting it stably by the offset within the tick
+    /// yields the `(time, seq)` order: the keys are sorted, not the
+    /// entries, and each entry is moved once.
+    fn drain_tick(&mut self, slot: usize) {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        self.release_slot(0, slot, |q, cell| {
+            if let Some(e) = &q.pool[cell] {
+                let offset = e.time.as_micros() & ((1 << TICK_SHIFT) - 1);
+                keys.push(offset << OFFSET_SHIFT | cell as u64);
+            }
+        });
+        sort_by_offset(&mut keys, &mut self.radix);
+        self.ready.reserve(keys.len());
+        for &key in keys.iter().rev() {
+            let cell = (key & ((1 << OFFSET_SHIFT) - 1)) as usize;
+            if let Some(e) = self.pool[cell].take() {
+                self.ready.push(e);
+            }
+        }
+        self.keys = keys;
     }
 
     /// Re-bucket every entry parked on a slot the cursor's digit now
@@ -384,13 +481,18 @@ impl<E> EventQueue<E> {
     /// above 0, which the slot scans rely on. At call time the cursor's
     /// bits below each carried digit are zero, so every re-inserted
     /// entry still satisfies `tick >= cur_tick` and lands strictly
-    /// lower in the wheel.
+    /// lower in the wheel. A carry out of level 5 starts a new rotation,
+    /// whose entries wait in the overflow heap: they join the wheel now,
+    /// before a later push of the same rotation can drain ahead of them.
     fn cascade_cursor_slots(&mut self) {
         for l in 1..LEVELS {
             let digit = ((self.cur_tick >> (SLOT_BITS * l as u32)) & 63) as usize;
             if self.occupied[l] & (1 << digit) != 0 {
-                self.empty_slot(l, digit, Self::insert_wheel);
+                self.cascade_slot(l, digit);
             }
+        }
+        if self.cur_tick & ((1 << WHEEL_BITS) - 1) == 0 {
+            self.pull_overflow();
         }
     }
 
@@ -421,8 +523,8 @@ impl<E> EventQueue<E> {
         self.len -= 1;
         Some(Popped {
             time: e.time,
-            seq: e.seq,
-            cause: e.cause,
+            seq: e.seq.get() - 1,
+            cause: e.cause.map(|c| c.get() - 1),
             event: e.event,
         })
     }
@@ -459,6 +561,49 @@ impl<E> EventQueue<E> {
     /// Total events ever popped.
     pub fn total_popped(&self) -> u64 {
         self.popped
+    }
+}
+
+/// Sort drain keys stably by their offset (the top `TICK_SHIFT` bits):
+/// an insertion sort for small ticks, else an LSD radix over two
+/// `DIGIT_BITS` digits through `scratch`. Keys of equal offset keep their
+/// chain order.
+fn sort_by_offset(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    let offset = |key: u64| key >> OFFSET_SHIFT;
+    if keys.len() <= INSERTION_MAX {
+        for i in 1..keys.len() {
+            let key = keys[i];
+            let mut j = i;
+            while j > 0 && offset(keys[j - 1]) > offset(key) {
+                keys[j] = keys[j - 1];
+                j -= 1;
+            }
+            keys[j] = key;
+        }
+        return;
+    }
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    let digit = |key: u64, pass: u32| (offset(key) >> (DIGIT_BITS * pass)) as usize & (BUCKETS - 1);
+    let mut counts = [[0usize; BUCKETS]; 2];
+    for &key in keys.iter() {
+        counts[0][digit(key, 0)] += 1;
+        counts[1][digit(key, 1)] += 1;
+    }
+    scratch.clear();
+    scratch.resize(keys.len(), 0);
+    for (pass, count) in (0u32..).zip(&mut counts) {
+        let mut start = 0;
+        for c in count.iter_mut() {
+            let n = *c;
+            *c = start;
+            start += n;
+        }
+        for &key in keys.iter() {
+            let d = digit(key, pass);
+            scratch[count[d]] = key;
+            count[d] += 1;
+        }
+        std::mem::swap(keys, scratch);
     }
 }
 

@@ -11,7 +11,7 @@ mod reference {
 
     use std::collections::BinaryHeap;
 
-    use super::super::{Entry, Popped};
+    use super::super::{stored, Entry, Popped};
     use crate::time::SimTime;
 
     /// A time-ordered event queue backed by one global binary heap —
@@ -36,7 +36,7 @@ mod reference {
             self.next_seq += 1;
             self.heap.push(Entry {
                 time,
-                seq,
+                seq: stored(seq),
                 cause: None,
                 event,
             });
@@ -48,8 +48,8 @@ mod reference {
             let e = self.heap.pop()?;
             Some(Popped {
                 time: e.time,
-                seq: e.seq,
-                cause: e.cause,
+                seq: e.seq.get() - 1,
+                cause: None,
                 event: e.event,
             })
         }
@@ -126,7 +126,9 @@ fn peek_does_not_remove() {
 }
 
 /// Timestamps chosen to land on every wheel level and in the overflow
-/// heap relative to a cursor at zero.
+/// heap relative to a cursor at zero. 400 pushes over these 22 values
+/// repeat each about 18 times, so every slot's chain holds runs of equal
+/// timestamps that must cascade and drain in push (`seq`) order.
 fn level_spanning_times() -> Vec<SimTime> {
     let tick = 1u64 << TICK_SHIFT;
     let mut v = vec![
@@ -205,6 +207,86 @@ fn carry_cascades_before_later_pushes() {
     assert_eq!(q.pop().unwrap().1, "b66");
     assert_eq!(q.pop().unwrap().1, "c74");
     assert!(q.is_empty());
+}
+
+#[test]
+fn carry_into_the_next_rotation_pulls_in_the_overflow() {
+    // Regression: the last tick of a level-5 rotation carries the cursor
+    // into the next rotation, whose entries wait in the overflow heap. A
+    // push into that rotation lands in the wheel, and must not drain
+    // ahead of an earlier overflow entry.
+    let tick = 1u64 << TICK_SHIFT;
+    let rotation = tick << WHEEL_BITS;
+    let mut q = EventQueue::new();
+    q.push(SimTime::from_micros(rotation - tick), "last-tick");
+    q.push(SimTime::from_micros(rotation + 5 * tick), "overflow");
+    assert_eq!(q.pop().unwrap().1, "last-tick");
+    q.push(
+        SimTime::from_micros(rotation + 10 * tick),
+        "pushed-after-carry",
+    );
+    assert_eq!(q.pop().unwrap().1, "overflow");
+    assert_eq!(q.pop().unwrap().1, "pushed-after-carry");
+    assert!(q.is_empty());
+}
+
+/// The lemma the drain relies on: entries of one timestamp share one
+/// slot, in push order, wherever the cursor stood when each was pushed.
+/// The target's first pushes sit in the overflow heap; each stage then
+/// pops a stepping-stone entry that carries the cursor (the last tick
+/// before the target's block) or jumps it (the block's first tick) one
+/// level closer, and pushes more at the target and at its in-tick
+/// neighbours. Small and large batches take the insertion-sort and the
+/// radix path of the drain.
+#[test]
+fn equal_times_across_levels_pop_in_seq_order() {
+    let tick = 1u64 << TICK_SHIFT;
+    // Digit 5 at every level, one rotation up, mid-tick: the target lies
+    // in the overflow heap from a cursor at zero.
+    let digits: u64 = (0..LEVELS as u32).map(|l| 5u64 << (SLOT_BITS * l)).sum();
+    let target = SimTime::from_micros(((1u64 << WHEEL_BITS) + digits) * tick + tick / 2);
+    for per_stage in [1, 12] {
+        let mut wheel = EventQueue::new();
+        let mut oracle = ReferenceQueue::new();
+        let stage = |wheel: &mut EventQueue<u32>, oracle: &mut ReferenceQueue<u32>| {
+            for i in 0..per_stage {
+                let off = SimTime::from_micros(1 + i % 3);
+                push_both(wheel, oracle, target);
+                push_both(wheel, oracle, target - off);
+                push_both(wheel, oracle, target + off);
+            }
+        };
+        stage(&mut wheel, &mut oracle);
+        // The target's block at each level, from its rotation (6) down to
+        // its tick (0): an even level's stone is the tick before the
+        // block, whose drain carries into it; an odd level's is the
+        // block's first tick, which the cursor jumps to.
+        for level in (0..=LEVELS as u32).rev() {
+            let block = tick_of(target) >> (SLOT_BITS * level) << (SLOT_BITS * level);
+            let stone = if level % 2 == 0 { block - 1 } else { block };
+            let stone = SimTime::from_micros(stone << TICK_SHIFT);
+            push_both(&mut wheel, &mut oracle, stone);
+            let (w, r) = pop_both(&mut wheel, &mut oracle);
+            assert_eq!(w, r, "stone below level {level}");
+            assert_eq!(w.map(|(at, ..)| at), Some(stone));
+            stage(&mut wheel, &mut oracle);
+        }
+        loop {
+            let (w, r) = pop_both(&mut wheel, &mut oracle);
+            assert_eq!(w, r);
+            if w.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// The compact entry: `seq` is non-zero, so `Option<Entry>` costs no
+/// tag, and a 40-byte event — the protocol's — fills one cache line.
+#[test]
+fn entries_fit_their_size_pins() {
+    assert_eq!(std::mem::size_of::<Option<Entry<(u32, u8)>>>(), 32);
+    assert_eq!(std::mem::size_of::<Option<Entry<[u64; 5]>>>(), 64);
 }
 
 #[test]
@@ -330,6 +412,13 @@ fn pop_both(
     (wheel.pop_entry().map(key), oracle.pop_entry().map(key))
 }
 
+/// Push at `at` into both queues, tagged with the push's index.
+fn push_both(wheel: &mut EventQueue<u32>, oracle: &mut ReferenceQueue<u32>, at: SimTime) {
+    let id = wheel.total_pushed() as u32;
+    wheel.push(at, id);
+    oracle.push(at, id);
+}
+
 /// The existing oracles stop at 300 operations: they never fill a chunk,
 /// recycle one or finish a level-1 rotation. This one keeps 20 000
 /// self-re-arming timers going for 150 s — two rotations, ≈ 0.8 M pops.
@@ -436,21 +525,15 @@ proptest! {
         let mut wheel = EventQueue::new();
         let mut oracle = ReferenceQueue::new();
         let mut now = SimTime::ZERO;
-        let mut next_id = 0u32;
-        let mut push = |wheel: &mut EventQueue<u32>, oracle: &mut ReferenceQueue<u32>, at| {
-            wheel.push(at, next_id);
-            oracle.push(at, next_id);
-            next_id += 1;
-        };
         for &(burst, ticks_ahead, offset, pops) in &steps {
             let tick_start = (tick_of(now) + ticks_ahead) << TICK_SHIFT;
             for i in 0..BURSTS[burst] as u64 {
                 let in_tick = (offset + i * 4_099) & ((1 << TICK_SHIFT) - 1);
-                push(&mut wheel, &mut oracle, SimTime::from_micros(tick_start + in_tick));
+                push_both(&mut wheel, &mut oracle, SimTime::from_micros(tick_start + in_tick));
             }
             if pops % 3 == 0 {
                 // At or before the last pop: behind the cursor.
-                push(&mut wheel, &mut oracle, now - SimTime::from_micros(offset));
+                push_both(&mut wheel, &mut oracle, now - SimTime::from_micros(offset));
             }
             for _ in 0..pops {
                 let (w, r) = pop_both(&mut wheel, &mut oracle);
