@@ -113,20 +113,33 @@ pub fn qos_totals<'a>(qos: impl IntoIterator<Item = &'a (SimTime, u64, u64)>) ->
 /// Rebuild per-node sessions from parsed reports (any order), returned
 /// sorted by join time (unjoined fragments last), then node.
 pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
-    // Sessions are built where they are returned; the map only finds a
-    // node's session again.
+    // Sessions are built where they are returned; the index only finds a
+    // node's session again. Node ids are dense and never reused within a
+    // run (`cs_net::NodeId`), so a log's ids fill a short span: a table
+    // over at most `reports.len()` ids from the smallest holds them, and a
+    // map any beyond it (logs of several runs, hostile ones).
+    let (lo, hi) = reports.iter().fold((u32::MAX, 0), |(lo, hi), (_, r)| {
+        (lo.min(r.node()), hi.max(r.node()))
+    });
+    let span = (hi.saturating_sub(lo) as usize).saturating_add(1);
+    let mut table = vec![usize::MAX; span.min(reports.len())];
+    let mut spill: BTreeMap<u32, usize> = BTreeMap::new();
     let mut sessions: Vec<LogSession> = Vec::new();
-    let mut index: BTreeMap<u32, usize> = BTreeMap::new();
     for (t, r) in reports {
-        let ix = *index.entry(r.node()).or_insert_with(|| {
+        let node = r.node();
+        let slot = match table.get_mut((node - lo) as usize) {
+            Some(slot) => slot,
+            None => spill.entry(node).or_insert(usize::MAX),
+        };
+        if *slot == usize::MAX {
+            *slot = sessions.len();
             sessions.push(LogSession {
                 user: r.user(),
-                node: r.node(),
+                node,
                 ..Default::default()
             });
-            sessions.len() - 1
-        });
-        let s = &mut sessions[ix];
+        }
+        let s = &mut sessions[*slot];
         match r {
             Report::Activity {
                 kind, private_addr, ..
@@ -180,32 +193,32 @@ pub struct UserAttempts {
 
 /// Group sessions by user and count join attempts until first success.
 pub fn retries_per_user(sessions: &[LogSession]) -> Vec<UserAttempts> {
-    let mut by_user: BTreeMap<UserId, Vec<&LogSession>> = BTreeMap::new();
-    for s in sessions {
-        if s.join.is_some() {
-            by_user.entry(s.user).or_default().push(s);
-        }
-    }
-    by_user
-        .into_iter()
-        .map(|(user, mut ss)| {
-            ss.sort_by_key(|s| s.join);
-            let mut attempts = 0;
-            let mut succeeded = false;
-            for s in ss {
-                attempts += 1;
-                if s.ready.is_some() {
-                    succeeded = true;
-                    break;
+    // Sorted, a user's attempts are adjacent and in join order, ties in
+    // slice order.
+    let mut joined: Vec<(UserId, SimTime, usize)> = sessions
+        .iter()
+        .enumerate()
+        .filter_map(|(ix, s)| Some((s.user, s.join?, ix)))
+        .collect();
+    joined.sort_unstable();
+    let mut users: Vec<UserAttempts> = Vec::new();
+    for (user, _, ix) in joined {
+        let ready = sessions[ix].ready.is_some();
+        match users.last_mut() {
+            Some(last) if last.user == user => {
+                if !last.succeeded {
+                    last.attempts += 1;
+                    last.succeeded = ready;
                 }
             }
-            UserAttempts {
+            _ => users.push(UserAttempts {
                 user,
-                attempts,
-                succeeded,
-            }
-        })
-        .collect()
+                attempts: 1,
+                succeeded: ready,
+            }),
+        }
+    }
+    users
 }
 
 #[cfg(test)]
@@ -372,50 +385,107 @@ mod tests {
         assert!((s.continuity().unwrap() - 0.5).abs() < 1e-12);
     }
 
+    /// What one report adds to its session.
+    fn apply(s: &mut LogSession, t: SimTime, r: &Report) {
+        match r {
+            Report::Activity {
+                kind, private_addr, ..
+            } => {
+                s.private_addr = Some(*private_addr);
+                match kind {
+                    ActivityKind::Join => s.join = Some(t),
+                    ActivityKind::StartSubscription => s.start_sub = Some(t),
+                    ActivityKind::MediaReady => s.ready = Some(t),
+                    ActivityKind::Leave => s.leave = Some(t),
+                }
+            }
+            Report::Qos { due, missed, .. } => s.qos.push((t, *due, *missed)),
+            Report::Traffic { up, down, .. } => {
+                s.up_bytes = s.up_bytes.saturating_add(*up);
+                s.down_bytes = s.down_bytes.saturating_add(*down);
+            }
+            Report::Partner {
+                private_addr,
+                incoming,
+                outgoing,
+                adaptations,
+                ..
+            } => {
+                s.private_addr = Some(*private_addr);
+                s.max_incoming = s.max_incoming.max(*incoming);
+                s.max_outgoing = s.max_outgoing.max(*outgoing);
+                s.adaptations += *adaptations as u64;
+            }
+        }
+    }
+
+    fn opened(r: &Report) -> LogSession {
+        LogSession {
+            user: r.user(),
+            node: r.node(),
+            ..Default::default()
+        }
+    }
+
+    fn sorted(mut sessions: Vec<LogSession>) -> Vec<LogSession> {
+        sessions.sort_by_key(|s| (s.join.unwrap_or(SimTime::MAX), s.node));
+        sessions
+    }
+
     /// The `BTreeMap` version `reconstruct` replaced (with the byte totals
     /// saturating), kept as its oracle.
     fn reference(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
         let mut by_node: BTreeMap<u32, LogSession> = BTreeMap::new();
         for (t, r) in reports {
-            let s = by_node.entry(r.node()).or_insert_with(|| LogSession {
-                user: r.user(),
-                node: r.node(),
-                ..Default::default()
-            });
-            match r {
-                Report::Activity {
-                    kind, private_addr, ..
-                } => {
-                    s.private_addr = Some(*private_addr);
-                    match kind {
-                        ActivityKind::Join => s.join = Some(*t),
-                        ActivityKind::StartSubscription => s.start_sub = Some(*t),
-                        ActivityKind::MediaReady => s.ready = Some(*t),
-                        ActivityKind::Leave => s.leave = Some(*t),
-                    }
-                }
-                Report::Qos { due, missed, .. } => s.qos.push((*t, *due, *missed)),
-                Report::Traffic { up, down, .. } => {
-                    s.up_bytes = s.up_bytes.saturating_add(*up);
-                    s.down_bytes = s.down_bytes.saturating_add(*down);
-                }
-                Report::Partner {
-                    private_addr,
-                    incoming,
-                    outgoing,
-                    adaptations,
-                    ..
-                } => {
-                    s.private_addr = Some(*private_addr);
-                    s.max_incoming = s.max_incoming.max(*incoming);
-                    s.max_outgoing = s.max_outgoing.max(*outgoing);
-                    s.adaptations += *adaptations as u64;
-                }
-            }
+            apply(by_node.entry(r.node()).or_insert_with(|| opened(r)), *t, r);
         }
-        let mut sessions: Vec<LogSession> = by_node.into_values().collect();
-        sessions.sort_by_key(|s| (s.join.unwrap_or(SimTime::MAX), s.node));
-        sessions
+        sorted(by_node.into_values().collect())
+    }
+
+    /// The naive oracle: a linear scan of the sessions per report.
+    fn linear_scan(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
+        let mut sessions: Vec<LogSession> = Vec::new();
+        for (t, r) in reports {
+            let ix = match sessions.iter().position(|s| s.node == r.node()) {
+                Some(ix) => ix,
+                None => {
+                    sessions.push(opened(r));
+                    sessions.len() - 1
+                }
+            };
+            apply(&mut sessions[ix], *t, r);
+        }
+        sorted(sessions)
+    }
+
+    /// The `BTreeMap` grouping `retries_per_user` replaced, kept as its
+    /// oracle.
+    fn retries_reference(sessions: &[LogSession]) -> Vec<UserAttempts> {
+        let mut by_user: BTreeMap<UserId, Vec<&LogSession>> = BTreeMap::new();
+        for s in sessions.iter().filter(|s| s.join.is_some()) {
+            by_user.entry(s.user).or_default().push(s);
+        }
+        by_user
+            .into_iter()
+            .map(|(user, mut ss)| {
+                ss.sort_by_key(|s| s.join);
+                let tried = ss.iter().position(|s| s.ready.is_some());
+                UserAttempts {
+                    user,
+                    attempts: tried.map_or(ss.len(), |at| at + 1) as u32,
+                    succeeded: tried.is_some(),
+                }
+            })
+            .collect()
+    }
+
+    fn set_node(r: &mut Report, to: u32) {
+        match r {
+            Report::Activity { node, .. }
+            | Report::Qos { node, .. }
+            | Report::Traffic { node, .. }
+            | Report::Partner { node, .. } => *node = to,
+        }
     }
 
     /// A report about one of a dozen nodes at one of ten minutes, so that
@@ -484,6 +554,51 @@ mod tests {
             }
             let got = format!("{:?}", reconstruct(&reports));
             prop_assert_eq!(got, format!("{:?}", reference(&reports)));
+        }
+
+        /// Runs of one node's reports, the node picked again and again from
+        /// ids near zero, near `u32::MAX` and anywhere, so that runs repeat,
+        /// nodes interleave, reports precede a join or follow a leave, and
+        /// ids fall both inside and outside `reconstruct`'s table.
+        #[test]
+        fn reconstruct_matches_a_linear_scan(
+            ids in proptest::collection::vec(
+                prop_oneof![0u32..8, (u32::MAX - 8)..=u32::MAX, any::<u32>()],
+                1..6,
+            ),
+            runs in proptest::collection::vec(
+                (any::<usize>(), proptest::collection::vec(arb_report(), 1..5)),
+                0..16,
+            ),
+        ) {
+            let mut reports = Vec::new();
+            for (pick, run) in runs {
+                for (t, mut r) in run {
+                    set_node(&mut r, ids[pick % ids.len()]);
+                    reports.push((t, r));
+                }
+            }
+            let got = format!("{:?}", reconstruct(&reports));
+            prop_assert_eq!(got, format!("{:?}", linear_scan(&reports)));
+        }
+
+        #[test]
+        fn retries_match_btreemap_reference(
+            sessions in proptest::collection::vec(
+                (0u32..4, proptest::option::of(0u64..5), any::<bool>()),
+                0..24,
+            ),
+        ) {
+            let sessions: Vec<LogSession> = sessions
+                .into_iter()
+                .map(|(user, join, ready)| LogSession {
+                    user: UserId(user),
+                    join: join.map(SimTime::from_secs),
+                    ready: ready.then_some(SimTime::ZERO),
+                    ..Default::default()
+                })
+                .collect();
+            prop_assert_eq!(retries_per_user(&sessions), retries_reference(&sessions));
         }
     }
 }

@@ -1,10 +1,15 @@
 //! Engine micro-benchmarks: the hot primitives under everything else —
 //! event queue, RNG, stream buffer, buffer-map codec, log codec,
-//! Lorenz/Gini, CDF.
+//! Lorenz/Gini, CDF — and the read side's stages, one at a time.
 
+use coolstreaming::experiments::{
+    fig10_sessions, fig5_population, fig6_startup, fig7_ready_by_period, fig8_continuity,
+    render_fig7, render_population, LogView,
+};
+use coolstreaming::Scenario;
 use criterion::{black_box, BatchSize, Criterion};
-use cs_analysis::{Cdf, Lorenz};
-use cs_logging::{ActivityKind, Report, UserId};
+use cs_analysis::{reconstruct, Cdf, Lorenz};
+use cs_logging::{ActivityKind, LogServer, Report, UserId};
 use cs_proto::StreamBuffer;
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::{EventQueue, SimTime};
@@ -127,5 +132,49 @@ fn main() {
         })
     });
 
+    read_side(&mut c);
+
     c.final_summary();
+}
+
+/// The read side's four stages, each timed on its own over one fixed
+/// simulated log (a steady 3/s audience for 15 minutes, ≈ 20 k lines):
+/// log text → `LogServer` → parsed reports → sessions → the log-derived
+/// figures `coolstream analyze` renders.
+fn read_side(c: &mut Criterion) {
+    let (start, end) = (SimTime::ZERO, SimTime::from_secs(900));
+    let text = Scenario::steady(3.0)
+        .with_seed(20060931)
+        .with_window(start, end)
+        .run()
+        .world
+        .log
+        .to_text();
+    let server = LogServer::from_text(&text).expect("the simulator writes a canonical log");
+    let (reports, _) = server.parse_all();
+    let view = LogView {
+        sessions: reconstruct(&reports),
+        reports: reports.clone(),
+    };
+
+    c.bench_function("read/from_text", |b| {
+        b.iter(|| black_box(LogServer::from_text(black_box(&text))).map(|s| s.len()))
+    });
+    c.bench_function("read/parse_all", |b| {
+        b.iter(|| black_box(server.parse_all()))
+    });
+    c.bench_function("read/reconstruct", |b| {
+        b.iter(|| black_box(reconstruct(black_box(&reports))))
+    });
+    c.bench_function("read/figures", |b| {
+        b.iter(|| {
+            let window = end.saturating_sub(start);
+            let mut out = render_population(&fig5_population(&view, start, end, window / 96));
+            out.push_str(&fig6_startup(&view, SimTime::ZERO, SimTime::MAX).render());
+            out.push_str(&render_fig7(&fig7_ready_by_period(&view)));
+            out.push_str(&fig8_continuity(&view, start, end, window / 24).render());
+            out.push_str(&fig10_sessions(&view).render());
+            black_box(out)
+        })
+    });
 }

@@ -372,15 +372,9 @@ pub struct Fig8 {
 /// Extract Fig. 8: QoS reports only (the §V.D artifact source), classes
 /// inferred from the log.
 pub fn fig8_continuity(view: &LogView, start: SimTime, end: SimTime, bin: SimTime) -> Fig8 {
-    // node → inferred class.
-    let class_of: BTreeMap<u32, NodeClass> = view
-        .sessions
-        .iter()
-        .filter_map(|s| s.infer_class().map(|c| (s.node, c)))
-        .collect();
     let mut acc: BTreeMap<&'static str, cs_analysis::TimeBins> = BTreeMap::new();
     for s in &view.sessions {
-        let Some(class) = class_of.get(&s.node) else {
+        let Some(class) = s.infer_class() else {
             continue;
         };
         let bins = acc

@@ -71,6 +71,7 @@ fn unescape(s: &str) -> Result<String, CodecError> {
 
 /// A pair's value as [`scan`] hands it over: still escaped, so a
 /// repeated key can be refused before a bad escape in its value is read.
+#[derive(Clone, Copy)]
 pub(crate) struct RawValue<'a> {
     text: &'a str,
     plain: bool,
@@ -82,6 +83,88 @@ impl<'a> RawValue<'a> {
     #[inline]
     pub(crate) fn decode(self) -> Result<Cow<'a, str>, CodecError> {
         token(self.text, self.plain)
+    }
+
+    /// Whether the value's escapes are well formed: [`decode`](Self::decode)
+    /// without keeping what it builds.
+    #[inline]
+    pub(crate) fn check(self) -> Result<(), CodecError> {
+        match self.plain {
+            true => Ok(()),
+            false => unescape(self.text).map(drop),
+        }
+    }
+}
+
+/// Whether `scan` stops at `b`: a delimiter, an escape or a byte that
+/// is not ASCII.
+#[inline]
+fn special(b: u8) -> bool {
+    matches!(b, b'=' | b'&' | b'%' | 0x80..)
+}
+
+/// Bit `k` set where byte `k` of `block` (at most 64 bytes) is
+/// [`special`]. Reads 8 bytes at a time, then finishes byte by byte.
+#[inline]
+fn special_mask(block: &[u8]) -> u64 {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const LOW: u64 = ONES * 0x7f;
+    const HIGH: u64 = ONES * 0x80;
+    // The high bit of each zero byte of `w`. No carry crosses a byte, so
+    // every bit is exact.
+    let zero = |w: u64| !(((w & LOW) + LOW) | w) & HIGH;
+    let mut words = block.chunks_exact(8);
+    let mut mask = 0;
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
+        let hits = zero(w ^ (ONES * u64::from(b'=')))
+            | zero(w ^ (ONES * u64::from(b'&')))
+            | zero(w ^ (ONES * u64::from(b'%')))
+            | (w & HIGH);
+        // Gather the eight high bits into the top byte, byte `j` to bit `56 + j`.
+        mask |= ((hits >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    let tail = words.remainder();
+    let done = block.len() - tail.len();
+    for (k, &b) in tail.iter().enumerate() {
+        mask |= u64::from(special(b)) << (done + k);
+    }
+    mask
+}
+
+/// The offsets of the [`special`] bytes of a line, in order, found one
+/// 64-byte block at a time.
+struct Specials<'a> {
+    bytes: &'a [u8],
+    /// Offset of the block `mask` covers.
+    block: usize,
+    /// The block's special bytes not yet handed out.
+    mask: u64,
+}
+
+impl<'a> Specials<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Specials {
+            bytes,
+            block: 0,
+            mask: special_mask(&bytes[..bytes.len().min(64)]),
+        }
+    }
+}
+
+impl Iterator for Specials<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.mask == 0 {
+            self.block += 64;
+            let rest = self.bytes.get(self.block..).filter(|r| !r.is_empty())?;
+            self.mask = special_mask(&rest[..rest.len().min(64)]);
+        }
+        let at = self.block + self.mask.trailing_zeros() as usize;
+        self.mask &= self.mask - 1;
+        Some(at)
     }
 }
 
@@ -103,13 +186,7 @@ pub(crate) fn scan<'a>(
     // byte; `key_plain` keeps the key's verdict past its `=`.
     let (mut start, mut eq) = (0, None);
     let (mut plain, mut key_plain) = (true, true);
-    let mut i = 0;
-    loop {
-        let rest = &bytes[i..];
-        i += rest
-            .iter()
-            .position(|&b| matches!(b, b'=' | b'&' | b'%' | 0x80..))
-            .unwrap_or(rest.len());
+    for i in Specials::new(bytes).chain([bytes.len()]) {
         // The line's end reads as the `&` that closes the last pair.
         match bytes.get(i).map_or(b'&', |&b| b) {
             b'=' if eq.is_none() => (eq, key_plain, plain) = (Some(i), plain, true),
@@ -125,17 +202,14 @@ pub(crate) fn scan<'a>(
                         plain,
                     },
                 )?;
-                if i == bytes.len() {
-                    return Ok(());
-                }
                 (start, plain) = (i + 1, true);
             }
             b'%' | 0x80.. => plain = false,
             // An `=` inside a value.
             _ => {}
         }
-        i += 1;
     }
+    Ok(())
 }
 
 #[cfg(test)]

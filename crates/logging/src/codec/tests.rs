@@ -25,6 +25,42 @@ fn bad_escape_is_an_error() {
     }
 }
 
+/// The offsets a byte-at-a-time walk stops at: the oracle for
+/// [`Specials`].
+fn bytewise_specials(bytes: &[u8]) -> Vec<usize> {
+    (0..bytes.len()).filter(|&i| special(bytes[i])).collect()
+}
+
+/// Every special byte, alone or beside another, at every offset mod 8 of
+/// lines of 0 to 24 bytes and of lines that cross a 64-byte block, among
+/// fillers one off each delimiter.
+#[test]
+fn specials_match_a_bytewise_walk() {
+    let specials: [&[u8]; 5] = [b"=", b"&", b"%", "é".as_bytes(), "\u{80}".as_bytes()];
+    for len in (0..=24).chain(60..=70).chain([127, 128, 129]) {
+        for filler in [b'a', b'<', b'>', b'$', b'\'', 0x7f] {
+            let line = vec![filler; len];
+            assert_eq!(
+                Specials::new(&line).collect::<Vec<_>>(),
+                bytewise_specials(&line)
+            );
+            for at in 0..len {
+                for (x, y) in specials
+                    .iter()
+                    .flat_map(|x| specials.iter().map(move |y| (x, y)))
+                {
+                    let mut line = line.clone();
+                    line.splice(at..(at + x.len()).min(len), x.iter().copied());
+                    let next = (at + x.len() + at % 3).min(line.len());
+                    line.splice(next..next, y.iter().copied());
+                    let want = bytewise_specials(&line);
+                    assert_eq!(Specials::new(&line).collect::<Vec<_>>(), want, "{line:?}");
+                }
+            }
+        }
+    }
+}
+
 mod reference {
     //! The codec as it was before the borrowing one — `BTreeMap<String,
     //! String>` pairs, `Report` encode and decode through them — kept as
@@ -298,8 +334,22 @@ fn decoders_match_reference_on_precedence_corners() {
         "cls=qos&due=1&miss=0&nid=1&uid=-1",
         "cls=qos&due=10&miss=30&nid=5&uid=1",
         "cls=qos&due=10&miss=10&nid=5&uid=1",
+        "cls=qos&due=1&miss=0&nid=1&uid=+1",
+        "cls=qos&due=1&miss=0&nid=1&uid=01",
+        "cls=qos&due=1&miss=0&nid=1&uid=+",
+        "cls=qos&due=1&miss=0&nid=1&uid=-0",
+        "cls=%71os&due=1&miss=0&nid=1&uid=1",
     ] {
         assert_matches_reference(s).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Counts keep today's reading: a `+` sign and leading zeros pass.
+#[test]
+fn signed_and_zero_padded_counts_decode() {
+    let qos = |uid: &str| Report::decode(&format!("cls=qos&due=1&miss=0&nid=1&uid={uid}"));
+    for uid in ["+1", "01", "001"] {
+        assert_eq!(qos(uid).map(|r| r.user()), Ok(UserId(1)), "{uid}");
     }
 }
 
@@ -399,6 +449,12 @@ fn mutate(line: &str, m: &Mutation, at: usize) -> String {
 }
 
 proptest! {
+    #[test]
+    fn specials_match_a_bytewise_walk_on_noise(s in "[a<>$'=&%é\u{7f}\u{80}]{0,150}") {
+        let bytes = s.as_bytes();
+        prop_assert_eq!(Specials::new(bytes).collect::<Vec<_>>(), bytewise_specials(bytes));
+    }
+
     #[test]
     fn decoders_match_reference_on_arbitrary_ascii(s in "[ -~]{0,120}") {
         assert_matches_reference(&s)?;

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, RawValue};
 
 /// Stable user identity across retries and re-entries (a "cookie").
 #[derive(
@@ -186,18 +186,19 @@ impl Report {
     /// does not fit its field (a `miss` above its `due` included) is
     /// rejected rather than silently resolved.
     pub fn decode(s: &str) -> Result<Report, ReportError> {
-        let f = Fields::of(s)?;
+        let mut f = Fields::default();
+        f.fill(s)?;
         let cls = f.raw(Key::Cls)?;
         let user = UserId(f.parsed(Key::Uid)?);
         let node = f.parsed(Key::Nid)?;
-        Ok(match cls {
+        Ok(match &*cls {
             "act" => {
                 let code = f.raw(Key::Ev)?;
                 Report::Activity {
                     user,
                     node,
-                    kind: ActivityKind::from_code(code)
-                        .ok_or_else(|| ReportError::UnknownActivity(code.to_string()))?,
+                    kind: ActivityKind::from_code(&code)
+                        .ok_or_else(|| ReportError::UnknownActivity(code.into_owned()))?,
                     private_addr: f.flag(Key::Priv)?,
                 }
             }
@@ -225,7 +226,7 @@ impl Report {
                 parents: f.parsed(Key::Par)?,
                 adaptations: f.parsed(Key::Adapt)?,
             },
-            other => return Err(ReportError::UnknownClass(other.to_string())),
+            _ => return Err(ReportError::UnknownClass(cls.into_owned())),
         })
     }
 }
@@ -253,39 +254,65 @@ enum Key {
     Up,
 }
 
-/// A decoded line's value per [`KEYS`] entry: one walk of its pairs,
+impl Key {
+    /// The key named `name`, if a report class reads it.
+    #[inline]
+    fn of(name: &str) -> Option<Key> {
+        Some(match name {
+            "adapt" => Key::Adapt,
+            "cls" => Key::Cls,
+            "down" => Key::Down,
+            "due" => Key::Due,
+            "ev" => Key::Ev,
+            "in" => Key::In,
+            "miss" => Key::Miss,
+            "nid" => Key::Nid,
+            "out" => Key::Out,
+            "par" => Key::Par,
+            "priv" => Key::Priv,
+            "uid" => Key::Uid,
+            "up" => Key::Up,
+            _ => return None,
+        })
+    }
+}
+
+/// A decoded line's raw value per [`KEYS`] entry: one walk of its pairs,
 /// read back in whatever order the report class asks.
-struct Fields<'a>([Option<Cow<'a, str>>; KEYS.len()]);
+#[derive(Default)]
+struct Fields<'a>([Option<RawValue<'a>>; KEYS.len()]);
 
 impl<'a> Fields<'a> {
     /// One walk of the line's pairs into the slots. A key seen twice,
     /// known or not, is [`CodecError::DuplicateKey`]; the first offending
     /// pair decides, and within it a repeated key before a bad escape in
     /// its value.
-    fn of(line: &'a str) -> Result<Self, CodecError> {
-        let mut slots: [Option<Cow<'a, str>>; KEYS.len()] = Default::default();
+    fn fill(&mut self, line: &'a str) -> Result<(), CodecError> {
         // Keys outside `KEYS` are kept only to find a repeat. No line a
         // client writes has one, so the set stays empty, and a hostile
         // line of n of them costs O(n log n), not a scan per key.
         let mut unknown = BTreeSet::new();
-        codec::scan(line, |key, value| {
-            match KEYS.iter().position(|&k| k == key) {
-                Some(at) if slots[at].is_some() => Err(CodecError::DuplicateKey(key.into_owned())),
-                Some(at) => {
-                    slots[at] = Some(value.decode()?);
+        codec::scan(line, |key, value| match Key::of(&key) {
+            Some(at) => match &mut self.0[at as usize] {
+                Some(_) => Err(CodecError::DuplicateKey(key.into_owned())),
+                slot => {
+                    value.check()?;
+                    *slot = Some(value);
                     Ok(())
                 }
-                None => match unknown.replace(key) {
-                    Some(key) => Err(CodecError::DuplicateKey(key.into_owned())),
-                    None => value.decode().map(drop),
-                },
-            }
-        })?;
-        Ok(Fields(slots))
+            },
+            None => match unknown.replace(key) {
+                Some(key) => Err(CodecError::DuplicateKey(key.into_owned())),
+                None => value.check(),
+            },
+        })
     }
 
-    fn raw(&self, key: Key) -> Result<&str, ReportError> {
-        self.read(key, Some)
+    /// The value of `key`, unescaped: absent, it is `Missing(key)`.
+    fn raw(&self, key: Key) -> Result<Cow<'a, str>, ReportError> {
+        self.0[key as usize]
+            .and_then(|v| v.decode().ok())
+            .ok_or(ReportError::Missing(KEYS[key as usize]))
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: Key) -> Result<T, ReportError> {
@@ -303,15 +330,10 @@ impl<'a> Fields<'a> {
 
     /// The value of `key` through `read`: absent, or refused by `read`
     /// (unparsable, out of range), it is `Missing(key)`.
-    fn read<'s, T>(
-        &'s self,
-        key: Key,
-        read: impl FnOnce(&'s str) -> Option<T>,
-    ) -> Result<T, ReportError> {
+    fn read<T>(&self, key: Key, read: impl FnOnce(&str) -> Option<T>) -> Result<T, ReportError> {
         let missing = ReportError::Missing(KEYS[key as usize]);
         self.0[key as usize]
-            .as_deref()
-            .and_then(read)
+            .and_then(|v| read(&v.decode().ok()?))
             .ok_or(missing)
     }
 }
@@ -440,6 +462,14 @@ mod tests {
         let qos = |miss: u64| Report::decode(&format!("cls=qos&due=10&miss={miss}&nid=5&uid=1"));
         assert_eq!(qos(11), Err(ReportError::Missing("miss")));
         assert!(qos(10).is_ok());
+    }
+
+    #[test]
+    fn keys_dispatch_to_their_slot() {
+        for (at, name) in KEYS.iter().enumerate() {
+            assert_eq!(Key::of(name).map(|k| k as usize), Some(at), "{name}");
+        }
+        assert!(Key::of("uid2").is_none());
     }
 
     #[test]
