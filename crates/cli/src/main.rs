@@ -310,7 +310,10 @@ manifest.json that indexes them (DESIGN.md §8).
   --trace-hash         print the run's deterministic trace hash (the
                        manifest records it either way)
   --telemetry          also write windowed metrics (metrics.jsonl) and a
-                       wall-clock dispatch profile (profile.json)
+                       wall-clock profile (profile.json): per event kind
+                       and owning manager, the handler time of 1 event
+                       in 128, scaled to the exact counts in
+                       metrics.jsonl (busy_ns)
   --telemetry-window N aggregation window in seconds, >= 1 (default 300,
                        the paper's status-report cadence)
   --spans              also write one causal span per dispatched event

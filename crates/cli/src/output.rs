@@ -163,10 +163,14 @@ pub fn write_run_dir(
     )?;
     put("sessions.csv", Some(&sessions_csv(&view)))?;
     let tel = run.telemetry.as_ref();
-    let jsonl =
-        |t: &TelemetryRun| -> String { t.snapshots.iter().map(|s| s.to_json() + "\n").collect() };
-    put("metrics.jsonl", tel.map(jsonl).as_deref())?;
-    put("profile.json", tel.map(|t| t.profile.to_json()).as_deref())?;
+    put(
+        "metrics.jsonl",
+        tel.map(TelemetryRun::metrics_jsonl).as_deref(),
+    )?;
+    put(
+        "profile.json",
+        tel.map(TelemetryRun::profile_json).as_deref(),
+    )?;
     put(
         "spans.jsonl",
         run.spans.as_deref().map(spans_to_jsonl).as_deref(),

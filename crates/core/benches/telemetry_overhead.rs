@@ -139,7 +139,7 @@ fn observed(options: RunOptions) -> u64 {
         assert!(checker.is_clean());
     }
     if let (Some(_), Some(tel)) = (options.telemetry, &run.telemetry) {
-        assert!(!tel.snapshots.is_empty() && tel.profile.events() > 0);
+        assert!(!tel.snapshots.is_empty() && tel.timed() > 0);
     }
     run.artifacts.run_stats.events
 }

@@ -17,9 +17,10 @@
 //!
 //! The handler is wall-timed by at most one `Instant` pair per event,
 //! shared by the span stream (every event) and the dispatch profile (one
-//! event in `PROFILE_SAMPLE_EVERY`). That duration is the run's only
-//! environment-dependent measurement; it reaches `spans.jsonl` and
-//! `profile.json` and nothing else.
+//! event in `PROFILE_SAMPLE_EVERY`, added to the telemetry table's row
+//! for the event's kind, which the owning manager tags). That duration
+//! is the run's only environment-dependent measurement; it reaches
+//! `spans.jsonl` and `profile.json` and nothing else.
 
 use std::time::Instant;
 
@@ -155,7 +156,7 @@ impl Observer<CsWorld> for Instruments {
             hasher.record(now, kind);
         }
         let sampled = match &mut self.telemetry {
-            Some(t) => t.engine.on_dispatch(index, kind, queue_depth),
+            Some(t) => t.engine.on_dispatch(index, kind, manager, queue_depth),
             None => false,
         };
         if sampled || self.checker.is_some() || self.spans.is_some() {

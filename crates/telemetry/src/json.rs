@@ -28,6 +28,18 @@ pub(crate) fn push_key(out: &mut String, key: &str) {
     out.push(':');
 }
 
+/// Append histogram buckets as `{"<inclusive upper edge>":count,…}`.
+pub(crate) fn push_buckets(out: &mut String, buckets: impl Iterator<Item = (u64, u64)>) {
+    out.push('{');
+    for (i, (le, n)) in buckets.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("\"{le}\":{n}"));
+    }
+    out.push('}');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

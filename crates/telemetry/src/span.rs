@@ -16,8 +16,9 @@
 //! `(configuration, seed)`: two runs of the same scenario produce
 //! byte-identical span streams after stripping `wall_ns`. The wall-clock
 //! handler duration is the same deliberate, quarantined nondeterminism
-//! as [`DispatchProfiler`](crate::DispatchProfiler): it is emitted only
-//! to `spans.jsonl`, never into the metric registry or simulation state.
+//! as the dispatch profile ([`TelemetryRun::profile_json`](crate::TelemetryRun::profile_json)):
+//! it is emitted only to `spans.jsonl`, never into the metric registry
+//! or simulation state.
 
 use cs_sim::{DispatchMeta, SimTime};
 

@@ -22,7 +22,7 @@
 
 use cs_sim::SimTime;
 
-use crate::json::push_key;
+use crate::json::{push_buckets, push_key};
 use crate::registry::{Metric, MetricRegistry};
 
 /// One instrument's value inside a [`WindowSnapshot`].
@@ -128,15 +128,10 @@ impl WindowSnapshot {
                     } => {
                         out.push_str(&format!(
                             "{{\"count\":{count},\"delta\":{delta_count},\"sum\":{sum},\
-                             \"delta_sum\":{delta_sum},\"min\":{min},\"max\":{max},\"buckets\":{{"
+                             \"delta_sum\":{delta_sum},\"min\":{min},\"max\":{max},\"buckets\":"
                         ));
-                        for (i, (le, n)) in buckets.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            out.push_str(&format!("\"{le}\":{n}"));
-                        }
-                        out.push_str("}}");
+                        push_buckets(&mut out, buckets.iter().copied());
+                        out.push('}');
                     }
                 }
             }
@@ -175,11 +170,6 @@ impl WindowedAggregator {
             prev: Vec::new(),
             snapshots: Vec::new(),
         }
-    }
-
-    /// The window width.
-    pub fn window(&self) -> SimTime {
-        self.window
     }
 
     /// End of the currently-open window: the next [`Self::roll`] at or
@@ -278,16 +268,6 @@ impl WindowedAggregator {
     /// Consume the aggregator, returning its windows.
     pub fn into_snapshots(self) -> Vec<WindowSnapshot> {
         self.snapshots
-    }
-
-    /// All windows as JSONL (one snapshot per line, trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.snapshots {
-            out.push_str(&s.to_json());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -438,9 +418,7 @@ mod tests {
         reg.observe(lat, 5);
         let mut agg = WindowedAggregator::new(secs(10), SimTime::ZERO);
         agg.finish(secs(5), &reg);
-        let line = agg.to_jsonl();
-        assert!(line.ends_with('\n'));
-        let line = line.trim_end();
+        let line = agg.snapshots()[0].to_json();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"counters\":{\"ev{kind=arrive}\":{\"total\":4,\"delta\":4}}"));
         assert!(line.contains("\"gauges\":{\"depth\":7}"));

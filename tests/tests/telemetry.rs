@@ -10,9 +10,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use coolstreaming::telemetry::{Metric, SnapValue, TelemetryConfig};
+use coolstreaming::telemetry::{Metric, SnapValue, TelemetryConfig, PROFILE_SAMPLE_EVERY};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
 use cs_sim::SimTime;
+use serde::Value;
 
 /// The golden steady-state scenario from `tests/golden/trace_hashes.txt`.
 fn golden_steady() -> Scenario {
@@ -139,8 +140,10 @@ fn protocol_series_are_populated() {
 #[test]
 fn jsonl_and_profile_render_valid_shapes() {
     let (_, tel) = run_golden();
-    for snap in &tel.snapshots {
-        let line = snap.to_json();
+    let jsonl = tel.metrics_jsonl();
+    assert!(jsonl.ends_with('\n'));
+    assert_eq!(jsonl.lines().count(), tel.snapshots.len());
+    for line in jsonl.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"window\":"), "{line}");
         assert!(
@@ -148,13 +151,11 @@ fn jsonl_and_profile_render_valid_shapes() {
             "{line}"
         );
         assert!(line.contains("\"counters\":{"), "{line}");
-        assert!(!line.contains('\n'), "JSONL lines must be single-line");
     }
-    let profile = tel.profile;
-    assert!(profile.events() > 0, "profiler sampled nothing");
-    let json = profile.to_json();
-    assert!(json.starts_with("{\"schema\":\"cs-telemetry-profile/2\""));
-    assert!(json.contains("\"kinds\":{"));
+    assert_eq!(tel.timed(), tel.events.div_ceil(PROFILE_SAMPLE_EVERY));
+    let json = tel.profile_json();
+    assert!(json.starts_with("{\"schema\":\"cs-telemetry-profile/3\""));
+    assert!(json.contains("\"kinds\":{") && json.contains("\"managers\":{"));
 }
 
 /// The per-kind table is the single source of the registry's
@@ -194,6 +195,32 @@ fn single_table_agrees_with_the_span_stream() {
     assert_eq!(chk.events_seen(), events);
     assert!(chk.is_clean(), "{}", chk.report());
     assert_eq!(run.trace_hash, Some(0xfd00912eb62e19b3));
+
+    // The profile's rows are the same table's: one per dispatched kind,
+    // each tagged with the manager every span of that kind names.
+    let profile: Value = serde_json::from_str(&tel.profile_json()).expect("profile.json");
+    let managers: BTreeMap<&str, &str> = field(&profile, "kinds")
+        .as_map()
+        .expect("kinds")
+        .iter()
+        .map(|(kind, row)| {
+            (
+                kind.as_str(),
+                field(row, "manager").as_str().expect("manager"),
+            )
+        })
+        .collect();
+    assert_eq!(managers.len(), per_kind.len());
+    for s in &spans {
+        assert_eq!(managers.get(s.kind), Some(&s.manager), "span {}", s.seq);
+    }
+}
+
+/// The value at `key` of a JSON object.
+fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    let map = v.as_map().expect("object");
+    let (_, value) = map.iter().find(|(k, _)| k == key).expect(key);
+    value
 }
 
 /// Spans carry the causal structure: roots are externally scheduled
