@@ -124,7 +124,10 @@ pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
     let span = (hi.saturating_sub(lo) as usize).saturating_add(1);
     let mut table = vec![usize::MAX; span.min(reports.len())];
     let mut spill: BTreeMap<u32, usize> = BTreeMap::new();
+    // Sized once at the table's bound; sessions past it (spilled ids)
+    // grow the vector as usual.
     let mut sessions: Vec<LogSession> = Vec::new();
+    let _ = sessions.try_reserve_exact(table.len());
     for (t, r) in reports {
         let node = r.node();
         let slot = match table.get_mut((node - lo) as usize) {
@@ -152,7 +155,14 @@ pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
                     ActivityKind::Leave => s.leave = Some(*t),
                 }
             }
-            Report::Qos { due, missed, .. } => s.qos.push((*t, *due, *missed)),
+            Report::Qos { due, missed, .. } => {
+                // Most sessions log one or two samples: start at one
+                // instead of `Vec`'s minimum of four, then double.
+                if s.qos.capacity() == 0 {
+                    s.qos.reserve_exact(1);
+                }
+                s.qos.push((*t, *due, *missed));
+            }
             Report::Traffic { up, down, .. } => {
                 s.up_bytes = s.up_bytes.saturating_add(*up);
                 s.down_bytes = s.down_bytes.saturating_add(*down);
@@ -552,8 +562,16 @@ mod tests {
                     reports.push(copy);
                 }
             }
-            let got = format!("{:?}", reconstruct(&reports));
-            prop_assert_eq!(got, format!("{:?}", reference(&reports)));
+            let sessions = reconstruct(&reports);
+            prop_assert_eq!(format!("{sessions:?}"), format!("{:?}", reference(&reports)));
+            // Each `qos` vector holds at most twice what it logged: no
+            // session pays `Vec`'s four-sample minimum for one sample.
+            for s in &sessions {
+                prop_assert!(
+                    s.qos.capacity() < 2 * s.qos.len() + 1,
+                    "node {}: {} samples in capacity {}", s.node, s.qos.len(), s.qos.capacity()
+                );
+            }
         }
 
         /// Runs of one node's reports, the node picked again and again from

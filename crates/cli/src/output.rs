@@ -12,7 +12,7 @@ use coolstreaming::experiments::{
 };
 use coolstreaming::{ObservedRun, RunArtifacts, ScenarioSpec, TelemetryRun};
 use cs_sim::SimTime;
-use cs_telemetry::{peak_rss_bytes, spans_to_jsonl, HostFingerprint};
+use cs_telemetry::{peak_rss_bytes, spans_to_jsonl, HeapLedger, HostFingerprint};
 use serde::Serialize;
 
 /// Schema identifier of `manifest.json`.
@@ -59,6 +59,10 @@ pub struct Manifest {
     pub wall_ms: u64,
     /// Peak resident set size in bytes, if known.
     pub peak_rss_bytes: Option<u64>,
+    /// With `--telemetry`, the byte ledger at the horizon: heap bytes per
+    /// owner, `VmRSS` and the remainder no owner explains; `null`
+    /// otherwise.
+    pub heap: Option<HeapLedger>,
     /// The executing host.
     pub host: HostFingerprint,
     /// Every other file in the directory.
@@ -207,6 +211,7 @@ pub fn write_run_dir(
         git_describe,
         wall_ms,
         peak_rss_bytes: peak_rss_bytes(),
+        heap: run.heap.clone(),
         host: HostFingerprint::detect(),
         files,
     };

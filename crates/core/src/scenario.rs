@@ -16,9 +16,9 @@ use std::rc::Rc;
 use std::sync::{Mutex, PoisonError};
 
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network};
-use cs_proto::{finalize_sessions, CsWorld, Event, InvariantChecker, Params};
+use cs_proto::{finalize_sessions, CsWorld, Event, InvariantChecker, Params, MAX_PENDING_PER_NODE};
 use cs_sim::{Engine, RunStats, SimTime};
-use cs_telemetry::{SpanRecord, TelemetryConfig, TelemetryRun};
+use cs_telemetry::{HeapLedger, SpanRecord, TelemetryConfig, TelemetryRun};
 use cs_workload::Workload;
 
 use crate::instruments::Instruments;
@@ -180,12 +180,13 @@ impl Scenario {
         let mut world = CsWorld::new(self.params, net, self.servers, self.server_bw, self.seed);
         world.snapshot_interval = self.snapshot_interval;
         let n_arrivals = arrivals.len();
-        // Pre-size the arena and queue from the spec: every arrival may
-        // become a live peer, and the queue holds the not-yet-dispatched
-        // arrivals/injections up front plus a handful of periodic timers
-        // per live peer at steady state.
-        world.reserve_peers(n_arrivals + self.servers);
-        let mut engine = Engine::with_queue_capacity(world, n_arrivals + injections.len() + 16);
+        // Allocate the run-sized tables once, at bounds read off the
+        // schedule: the node-indexed tables at the node-id bound, and the
+        // queue's pool at that bound times the most events one node can
+        // have pending, plus the injections and the snapshot timer.
+        let ids = world.reserve_run(&arrivals);
+        let pending = ids.saturating_mul(MAX_PENDING_PER_NODE) + injections.len() + 1;
+        let mut engine = Engine::with_queue_capacity(world, pending);
         // Guard against protocol bugs that self-schedule forever.
         engine.event_budget = 4_000_000_000;
 
@@ -205,6 +206,19 @@ impl Scenario {
         }
         let run_stats = engine.run_until(self.horizon);
         let end = engine.now();
+        // The byte ledger is telemetry: counted at the horizon, while the
+        // engine still holds its queue.
+        let heap = instruments
+            .as_ref()
+            .is_some_and(|i| i.borrow().telemetry.is_some())
+            .then(|| {
+                let (mut owners, mut reserved) =
+                    (engine.world().heap_bytes(), engine.world().reserved_bytes());
+                let (queue, pool) = engine.queue_heap_bytes();
+                owners.push(("queue_pool", queue));
+                reserved.push(("queue_pool", pool));
+                HeapLedger::now(owners, reserved)
+            });
         let mut world = engine.into_world();
         let mut instruments = instruments.map(|handle| handle.take()).unwrap_or_default();
         // Validate the horizon state too: runs ending between events
@@ -226,6 +240,7 @@ impl Scenario {
             spans: instruments.spans,
             invariants: instruments.checker,
             telemetry,
+            heap,
         }
     }
 }
@@ -266,6 +281,10 @@ pub struct ObservedRun {
     pub invariants: Option<InvariantChecker>,
     /// Windowed metrics and dispatch profile, if requested.
     pub telemetry: Option<TelemetryRun>,
+    /// The byte ledger at the horizon: every owner's heap bytes, the
+    /// engine's queue among them, against `VmRSS`. Recorded with
+    /// telemetry.
+    pub heap: Option<HeapLedger>,
 }
 
 /// The output of one run.

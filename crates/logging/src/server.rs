@@ -125,6 +125,14 @@ impl<'a> LogServer<'a> {
         self.lines
     }
 
+    /// Heap bytes the log owns: its text's capacity, 0 while borrowed.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.text {
+            Cow::Owned(text) => text.capacity(),
+            Cow::Borrowed(_) => 0,
+        }
+    }
+
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.lines == 0

@@ -138,6 +138,25 @@ impl Network {
         self.nodes.len()
     }
 
+    /// Size the registry for `nodes` registrations in all, exactly, so it
+    /// never regrows below that count. A reservation the allocator
+    /// refuses leaves the registry to grow as nodes arrive.
+    pub fn reserve_total(&mut self, nodes: usize) {
+        let _ = self
+            .nodes
+            .try_reserve_exact(nodes.saturating_sub(self.nodes.len()));
+    }
+
+    /// Heap bytes the registry has written: one record per node.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<NodeInfo>()
+    }
+
+    /// Capacity bytes of the registry's node table.
+    pub fn reserved_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<NodeInfo>()
+    }
+
     /// Nodes currently in the system.
     pub fn alive_count(&self) -> usize {
         self.alive

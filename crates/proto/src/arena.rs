@@ -50,6 +50,13 @@ impl PeerHandle {
     }
 }
 
+/// Bytes one slot takes across the five columns.
+const SLOT_BYTES: usize = std::mem::size_of::<PeerCore>()
+    + std::mem::size_of::<MembershipState>()
+    + std::mem::size_of::<PartnershipState>()
+    + std::mem::size_of::<StreamState>()
+    + std::mem::size_of::<u32>();
+
 /// Generational slab of per-peer state in manager-owned columns.
 ///
 /// Columns hold plain values, not `Option`s: liveness is decided by
@@ -68,8 +75,8 @@ pub(crate) struct PeerArena {
     generations: Vec<u32>,
     /// Vacated slots available for reuse (LIFO).
     free: Vec<u32>,
-    /// `NodeId::index()` → live handle. Grows with the id space and is
-    /// the node-id-order iteration spine.
+    /// `NodeId::index()` → live handle. Spans the id space and is the
+    /// node-id-order iteration spine.
     lookup: Vec<Option<PeerHandle>>,
     live: usize,
 }
@@ -79,14 +86,63 @@ impl PeerArena {
         Self::default()
     }
 
-    /// Pre-size every column and the lookup spine for `peers` peers.
-    pub(crate) fn reserve(&mut self, peers: usize) {
-        self.cores.reserve(peers);
-        self.membership.reserve(peers);
-        self.partnership.reserve(peers);
-        self.stream.reserve(peers);
-        self.generations.reserve(peers);
-        self.lookup.reserve(peers);
+    /// Pre-size every column for `peers` more slots. A reservation the
+    /// allocator refuses leaves that column to grow as peers arrive.
+    pub(crate) fn reserve_slots(&mut self, peers: usize) {
+        let _ = self.cores.try_reserve_exact(peers);
+        let _ = self.membership.try_reserve_exact(peers);
+        let _ = self.partnership.try_reserve_exact(peers);
+        let _ = self.stream.try_reserve_exact(peers);
+        let _ = self.generations.try_reserve_exact(peers);
+    }
+
+    /// Size the lookup spine for node ids below `ids`, exactly, so it
+    /// never regrows while the ids stay below that bound.
+    pub(crate) fn reserve_ids(&mut self, ids: usize) {
+        let _ = self
+            .lookup
+            .try_reserve_exact(ids.saturating_sub(self.lookup.len()));
+    }
+
+    /// Heap bytes by owner: the columns (with any per-sub-stream rows
+    /// spilled out of line), the lookup spine, and the per-peer buffers
+    /// the manager columns own, each at capacity. The columns and the
+    /// spine are reserved at a run bound and count only the part written
+    /// so far: the pages of the reserved tail are never touched.
+    /// Vacated slots own no buffers.
+    pub(crate) fn heap_bytes(&self) -> [(&'static str, usize); 6] {
+        let stream = |f: fn(&StreamState) -> usize| self.stream.iter().map(f).sum::<usize>();
+        let columns = self.cores.len() * SLOT_BYTES
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + stream(StreamState::spilled_bytes);
+        let spine = self.lookup.len() * std::mem::size_of::<Option<PeerHandle>>();
+        let mcaches = self.membership.iter().map(|m| m.cache().heap_bytes());
+        let partners = self.partnership.iter().map(|p| p.partners().heap_bytes());
+        [
+            ("arena_columns", columns),
+            ("lookup_spine", spine),
+            ("mcaches", mcaches.sum()),
+            ("partner_tables", partners.sum()),
+            ("child_lists", stream(StreamState::children_bytes)),
+            ("holes", stream(StreamState::holes_bytes)),
+        ]
+    }
+
+    /// Capacity bytes of the run-sized reservations: the columns and the
+    /// lookup spine.
+    pub(crate) fn reserved_bytes(&self) -> [(&'static str, usize); 2] {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let columns = cap(&self.cores)
+            + cap(&self.membership)
+            + cap(&self.partnership)
+            + cap(&self.stream)
+            + cap(&self.generations);
+        [
+            ("arena_columns", columns),
+            ("lookup_spine", cap(&self.lookup)),
+        ]
     }
 
     /// Number of live peers.

@@ -62,6 +62,14 @@ impl Bootstrap {
         }
     }
 
+    /// Heap bytes: the roster's and server list's capacities plus the
+    /// index's entries (its tree nodes' slack is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.roster.capacity() * std::mem::size_of::<NodeId>()
+            + self.index.len() * std::mem::size_of::<(NodeId, (usize, SimTime))>()
+            + self.servers.capacity() * std::mem::size_of::<(NodeId, SimTime)>()
+    }
+
     /// Registered peer count (servers excluded).
     pub fn len(&self) -> usize {
         self.roster.len()

@@ -59,6 +59,16 @@ impl StreamBuffer {
         self.k
     }
 
+    /// Heap bytes of the skipped-block ranges' capacity.
+    pub(crate) fn holes_bytes(&self) -> usize {
+        self.holes.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+
+    /// Heap bytes of the per-sub-stream rows spilled out of line (`K > 8`).
+    pub(crate) fn spilled_bytes(&self) -> usize {
+        self.latest.heap_bytes() + self.credit.heap_bytes()
+    }
+
     /// The join-time start position.
     #[inline]
     pub fn start_seq(&self) -> u64 {

@@ -73,4 +73,4 @@ pub use session::{finalize_sessions, user_classes, DepartReason, SessionRecord};
 pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};
 pub use stream::{ReportCounters, StreamState};
 pub use telemetry::ProtoTelemetry;
-pub use world::{CsWorld, Event, UserSpec, WorldStats};
+pub use world::{CsWorld, Event, UserSpec, WorldStats, MAX_PENDING_PER_NODE};

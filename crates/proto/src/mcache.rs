@@ -57,6 +57,12 @@ impl MCache {
         self.ids.is_empty()
     }
 
+    /// Heap bytes: both columns, allocated at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<NodeId>()
+            + std::mem::size_of_val::<[SimTime]>(&self.joined)
+    }
+
     /// Whether `id` is in the cache.
     pub fn contains(&self, id: NodeId) -> bool {
         self.ids.contains(&id)

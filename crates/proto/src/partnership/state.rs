@@ -71,6 +71,13 @@ impl PartnerTable {
         self.ids.is_empty()
     }
 
+    /// Heap bytes of the three arrays' capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<NodeId>()
+            + self.outgoing.capacity()
+            + self.latest.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Partner ids in ascending order.
     #[inline]
     pub fn ids(&self) -> &[NodeId] {

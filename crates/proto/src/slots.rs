@@ -26,6 +26,16 @@ impl<T: Copy + Default> Slots<T> {
     }
 }
 
+impl<T> Slots<T> {
+    /// Heap bytes: the boxed slice of a spilled array, 0 inline.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Slots::Inline(..) => 0,
+            Slots::Spill(b) => std::mem::size_of_val::<[T]>(b),
+        }
+    }
+}
+
 impl<T> std::ops::Deref for Slots<T> {
     type Target = [T];
 

@@ -95,6 +95,21 @@ impl StreamState {
         self.next_play
     }
 
+    /// Heap bytes of the child list's capacity.
+    pub(crate) fn children_bytes(&self) -> usize {
+        self.children.capacity() * std::mem::size_of::<(NodeId, u32)>()
+    }
+
+    /// Heap bytes of the buffer's skipped-block ranges.
+    pub(crate) fn holes_bytes(&self) -> usize {
+        self.buffer.as_ref().map_or(0, StreamBuffer::holes_bytes)
+    }
+
+    /// Heap bytes of the per-sub-stream rows spilled out of line (`K > 8`).
+    pub(crate) fn spilled_bytes(&self) -> usize {
+        self.parents.heap_bytes() + self.buffer.as_ref().map_or(0, StreamBuffer::spilled_bytes)
+    }
+
     /// Out-going sub-stream degree `D_p`.
     #[inline]
     pub fn out_degree(&self) -> usize {

@@ -203,6 +203,17 @@ impl Event {
     }
 }
 
+/// The most events one node id can have pending at once, read off the
+/// [`Event`] alphabet. Before its `Arrive` is dispatched the id has only
+/// that one. After it: one of `BootstrapReply` and `PartnersReady` (each
+/// schedules at most one of the two), `PatienceCheck`, `Depart`, and the
+/// five periodic ticks `GossipTick`, `BmTick`, `SchedRound`,
+/// `PlaybackTick` and `ReportTick`, each of which reschedules only
+/// itself. Times the node-id bound it sizes the event queue's
+/// reservation; a run that exceeds it (a server restarted before its
+/// crashed incarnation's `SchedRound` fired) only grows the pool.
+pub const MAX_PENDING_PER_NODE: usize = 8;
+
 /// Run-wide counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldStats {
@@ -435,10 +446,79 @@ impl CsWorld {
         self.arena.slots()
     }
 
-    /// Pre-size the peer arena for an expected population (scenario
-    /// plumbing: one slot per expected concurrent peer).
+    /// Pre-size the arena's columns for `peers` more slots. Callers pass
+    /// the run's arrivals plus its servers, which bounds the peers live at
+    /// once but not the node ids handed out: retries take fresh ids. The
+    /// node-indexed tables are sized from the id bound by
+    /// [`reserve_run`](Self::reserve_run).
     pub fn reserve_peers(&mut self, peers: usize) {
-        self.arena.reserve(peers);
+        self.arena.reserve_slots(peers);
+    }
+
+    /// Allocate the run-sized tables once, for a run that schedules
+    /// `arrivals`: the arena's columns as
+    /// [`reserve_peers`](Self::reserve_peers), and the session table, the
+    /// `cs-net` registry and the arena's lookup spine at exactly the
+    /// node-id bound, so none of them regrows mid-run. Ids are handed out
+    /// only when an `Arrive` is dispatched, and an arrival with
+    /// `retries_left = r` comes back at most `r` times, so the bound is
+    /// the ids already taken (source and servers) plus `Σ (1 + r)`.
+    /// Returns that bound. A reservation the allocator refuses, or an
+    /// `Arrive` scheduled from elsewhere, leaves a table to grow as it
+    /// needs.
+    pub fn reserve_run(&mut self, arrivals: &[(SimTime, UserSpec)]) -> usize {
+        let ids = arrivals
+            .iter()
+            .fold(self.net.total_nodes(), |ids, (_, spec)| {
+                ids.saturating_add(1 + spec.retries_left as usize)
+            });
+        self.reserve_peers(arrivals.len() + self.servers.len());
+        self.arena.reserve_ids(ids);
+        self.net.reserve_total(ids);
+        let _ = self
+            .sessions
+            .try_reserve_exact(ids.saturating_sub(self.sessions.len()));
+        ids
+    }
+
+    /// Heap bytes by owner, each at its allocated capacity: the arena's
+    /// columns, lookup spine and per-peer buffers, the session table, the
+    /// `cs-net` registry, the boot-strap roster, the log text and the
+    /// snapshots. The tables [`reserve_run`](Self::reserve_run) sizes
+    /// count only the part written so far: the pages of a reserved tail
+    /// are never touched, so they are not resident.
+    /// [`reserved_bytes`](Self::reserved_bytes) has their capacities.
+    pub fn heap_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut owners = self.arena.heap_bytes().to_vec();
+        owners.extend([
+            (
+                "session_table",
+                self.sessions.len() * std::mem::size_of::<SessionRecord>(),
+            ),
+            ("cs_net_registry", self.net.heap_bytes()),
+            ("bootstrap_roster", self.bootstrap.heap_bytes()),
+            ("log_text", self.log.heap_bytes()),
+            (
+                "snapshots",
+                self.snapshots.capacity() * std::mem::size_of::<TopologySnapshot>(),
+            ),
+        ]);
+        owners
+    }
+
+    /// Capacity bytes of the tables [`reserve_run`](Self::reserve_run)
+    /// sizes: the arena's columns and lookup spine, the session table and
+    /// the `cs-net` registry.
+    pub fn reserved_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut tables = self.arena.reserved_bytes().to_vec();
+        tables.extend([
+            (
+                "session_table",
+                self.sessions.capacity() * std::mem::size_of::<SessionRecord>(),
+            ),
+            ("cs_net_registry", self.net.reserved_bytes()),
+        ]);
+        tables
     }
 
     /// Iterate every live peer (source, servers, and users), in node-id

@@ -102,10 +102,10 @@ impl<W: World> Engine<W> {
     }
 
     /// [`Engine::new`] with the event queue's chunk pool reserved for
-    /// roughly `events` concurrently pending events (e.g. a scenario's
-    /// expected peer count times its per-peer periodic timers), so the
-    /// pool is not re-allocated during the arrival ramp. A reservation
-    /// costs address space only; memory is touched as events arrive.
+    /// `events` concurrently pending events (e.g. a scenario's node-id
+    /// bound times the most events one node can have pending), so the
+    /// pool is not re-allocated during the run. A reservation costs
+    /// address space only; memory is touched as events arrive.
     pub fn with_queue_capacity(world: W, events: usize) -> Self {
         Engine {
             world,
@@ -140,6 +140,12 @@ impl<W: World> Engine<W> {
     /// Mutable access to the world (for setup and post-run inspection).
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
+    }
+
+    /// The event queue's heap bytes held and its pool's reserved
+    /// capacity ([`EventQueue::heap_bytes`], [`EventQueue::reserved_bytes`]).
+    pub fn queue_heap_bytes(&self) -> (usize, usize) {
+        (self.queue.heap_bytes(), self.queue.reserved_bytes())
     }
 
     /// Consume the engine, returning the world.

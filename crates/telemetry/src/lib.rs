@@ -62,7 +62,7 @@ pub mod registry;
 pub mod span;
 pub mod window;
 
-pub use manifest::{peak_rss_bytes, HostFingerprint};
+pub use manifest::{peak_rss_bytes, HeapLedger, HostFingerprint};
 pub use observer::{EngineTelemetry, TelemetryRun, PROFILE_SAMPLE_EVERY};
 pub use registry::{Histogram, Metric, MetricId, MetricKey, MetricRegistry};
 pub use span::{spans_to_jsonl, SpanRecord, SPANS_SCHEMA};

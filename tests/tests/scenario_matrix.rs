@@ -14,6 +14,8 @@ use std::path::{Path, PathBuf};
 
 use coolstreaming::{RunOptions, ScenarioSpec};
 use cs_integration::{check_golden_in, fnv1a_text, session_table_text};
+use cs_net::Network;
+use cs_proto::CsWorld;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/scenario_hashes.txt");
 const GOLDEN_HEADER: &str = "Golden per-scenario trace hashes for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
@@ -138,6 +140,39 @@ fn assert_log_decodes_to_itself(name: &str, log: &cs_logging::LogServer) {
     for ((time, report), line) in reports.iter().zip(log.as_text().lines()) {
         let encoded = format!("{} {}", time.as_micros(), report.encode());
         assert_eq!(encoded, line, "{name}");
+    }
+}
+
+/// The tables `CsWorld::reserve_run` sizes are allocated once: each one's
+/// capacity right after the reservation is its capacity at the horizon,
+/// retries and chaos included. The reservation is the exact node-id
+/// bound the schedule implies (the source, the servers, and
+/// `1 + retries_left` per arrival), not a looser one that would pass the
+/// first check for free.
+#[test]
+fn run_sized_tables_never_regrow() {
+    for path in scenario_files() {
+        let spec = load(&path);
+        let compiled = spec.compile().unwrap();
+        let sc = &compiled.scenario;
+        let arrivals = sc.workload.generate(sc.seed, sc.start, sc.horizon);
+        let net = Network::new(sc.policy, sc.latency, sc.seed);
+        let mut world = CsWorld::new(sc.params, net, sc.servers, sc.server_bw, sc.seed);
+        let ids = world.reserve_run(&arrivals);
+        let retries: usize = arrivals.iter().map(|(_, u)| u.retries_left as usize).sum();
+        assert_eq!(
+            ids,
+            1 + sc.servers + arrivals.len() + retries,
+            "{}",
+            spec.name
+        );
+        assert_eq!(world.sessions.capacity(), ids, "{}", spec.name);
+        let reserved = world.reserved_bytes();
+
+        let run = sc.run_injected_observed(compiled.injections, RunOptions::default());
+        let world = &run.artifacts.world;
+        assert!(world.net.total_nodes() <= ids, "{}", spec.name);
+        assert_eq!(world.reserved_bytes(), reserved, "{}", spec.name);
     }
 }
 
