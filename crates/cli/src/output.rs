@@ -167,10 +167,7 @@ pub fn write_run_dir(
     )?;
     put("sessions.csv", Some(&sessions_csv(&view)))?;
     let tel = run.telemetry.as_ref();
-    put(
-        "metrics.jsonl",
-        tel.map(TelemetryRun::metrics_jsonl).as_deref(),
-    )?;
+    put("metrics.jsonl", tel.map(TelemetryRun::metrics_jsonl))?;
     put(
         "profile.json",
         tel.map(TelemetryRun::profile_json).as_deref(),

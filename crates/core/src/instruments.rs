@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use cs_proto::{CsWorld, Event, InvariantChecker, ProtoTelemetry};
 use cs_sim::{DispatchMeta, Observer, SimTime, TraceHasher};
-use cs_telemetry::{EngineTelemetry, SpanRecord, TelemetryConfig, TelemetryRun};
+use cs_telemetry::{EngineTelemetry, SpanRecord, TelemetryRun};
 
 use crate::scenario::RunOptions;
 
@@ -48,32 +48,26 @@ pub(crate) struct Instruments {
     in_flight: Option<(u8, Instant, bool)>,
 }
 
-/// The telemetry block: the engine-side metrics (which own the registry
-/// and the window clock) plus the protocol sampler writing into them.
+/// The telemetry block: the engine-side metrics (which own the series and
+/// the window clock) plus the protocol sampler writing into them.
 pub(crate) struct Telemetry {
     engine: EngineTelemetry,
     sampler: ProtoTelemetry,
 }
 
 impl Telemetry {
-    fn new(config: TelemetryConfig, start: SimTime) -> Self {
-        let mut engine = EngineTelemetry::new(config, start);
-        let sampler = ProtoTelemetry::new(engine.registry_mut());
-        Telemetry { engine, sampler }
-    }
-
     /// Sample protocol state, then close the window(s) ending at or
     /// before `now` — in that order, so the sample lands in the window it
     /// closes.
     fn close_windows(&mut self, now: SimTime, world: &CsWorld) {
-        self.sampler.sample(world, self.engine.registry_mut());
+        self.sampler.sample(world, self.engine.metrics_mut());
         self.engine.close_windows(now);
     }
 
     /// Close the books on the horizon state: one last protocol sample,
     /// then the final (possibly partial) window.
     pub fn finish(mut self, world: &CsWorld, end: SimTime) -> TelemetryRun {
-        self.sampler.sample(world, self.engine.registry_mut());
+        self.sampler.sample(world, self.engine.metrics_mut());
         self.engine.finish(end)
     }
 }
@@ -93,7 +87,10 @@ impl Instruments {
                 .check_invariants
                 .then(|| InvariantChecker::with_stride(options.invariant_stride)),
             spans: options.record_spans.then(Vec::new),
-            telemetry: options.telemetry.map(|cfg| Telemetry::new(cfg, start)),
+            telemetry: options.telemetry.map(|cfg| Telemetry {
+                engine: EngineTelemetry::new(cfg, start),
+                sampler: ProtoTelemetry::default(),
+            }),
             ..Instruments::default()
         })
     }
@@ -122,7 +119,7 @@ impl Instruments {
         if sampled || self.spans.is_some() {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "wall-clock handler duration goes only to spans.jsonl and profile.json, never into sim state or the metric registry (see module docs)"
+                reason = "wall-clock handler duration goes only to spans.jsonl and profile.json, never into sim state or metrics.jsonl (see module docs)"
             )]
             let t0 = Instant::now();
             self.in_flight = Some((index, t0, sampled));

@@ -1,4 +1,4 @@
-//! # cs-telemetry — deterministic metrics, windowed aggregation, causal spans
+//! # cs-telemetry — deterministic metrics, sim-time windows, causal spans
 //!
 //! The paper *is* an observability system: §V's internal logging (immediate
 //! activity reports plus 5-minute QoS/traffic/partner status reports) is
@@ -9,27 +9,26 @@
 //!
 //! Pieces:
 //!
-//! * [`MetricRegistry`] — [`Counter`](Metric::Counter) /
-//!   [`Gauge`](Metric::Gauge) / [`Histogram`] instruments keyed by static
-//!   name + label set. Histograms use fixed power-of-two bucket edges, so
-//!   no floats ever appear in keys or bucket boundaries.
-//! * [`WindowedAggregator`] — rolls every metric into sim-time windows
-//!   (default: the paper's 5-minute status-report cadence,
-//!   [`DEFAULT_WINDOW`]) and flushes them as JSONL snapshots carrying both
-//!   cumulative values and per-window deltas.
+//! * [`Metrics`] — the run's gauges and [`Histogram`]s, one named field
+//!   per series. The set is fixed at compile time; histograms use fixed
+//!   power-of-two bucket edges, so no floats ever appear in keys or
+//!   bucket boundaries.
 //! * [`EngineTelemetry`] — the engine half of a run's telemetry: it owns
-//!   the registry and the window clock, and counts dispatches in one
-//!   dense per-kind table. It is fed plain values by the run's single
-//!   observer (cs-core's `Instruments`) and is passive: attaching it
-//!   cannot change a run, so golden trace hashes are identical with
-//!   telemetry on or off.
+//!   the [`Metrics`], one dense per-kind table of dispatch counts and the
+//!   window clock. At each close of a sim-time window (default: the
+//!   paper's 5-minute status-report cadence, [`DEFAULT_WINDOW`]) it
+//!   renders one `metrics.jsonl` line, carrying every series' cumulative
+//!   value and its delta inside the window. It is fed plain values by the
+//!   run's single observer (cs-core's `Instruments`) and is passive:
+//!   attaching it cannot change a run, so golden trace hashes are
+//!   identical with telemetry on or off.
 //! * [`TelemetryRun`] — what the table and the windows leave at the run
-//!   end, rendered to `metrics.jsonl` ([`TelemetryRun::metrics_jsonl`])
-//!   and `profile.json` ([`TelemetryRun::profile_json`]). The profile is
+//!   end: `metrics.jsonl` ([`TelemetryRun::metrics_jsonl`]) and
+//!   `profile.json` ([`TelemetryRun::profile_json`]). The profile is
 //!   the one deliberately non-deterministic piece: per event kind and
 //!   per owning manager, the wall-clock handler time of 1 dispatch in
 //!   [`PROFILE_SAMPLE_EVERY`], scaled to the table's exact counts. It
-//!   never enters the registry or the windowed stream.
+//!   never enters `metrics.jsonl`.
 //! * [`SpanRecord`] — deterministic sim-time span tracing: one causal
 //!   span per dispatched event (seq, causing seq, sim-time, kind, owning
 //!   manager), with wall-clock handler duration as the only
@@ -60,13 +59,12 @@ pub mod manifest;
 pub mod observer;
 pub mod registry;
 pub mod span;
-pub mod window;
+mod window;
 
 pub use manifest::{peak_rss_bytes, HeapLedger, HostFingerprint};
 pub use observer::{EngineTelemetry, TelemetryRun, PROFILE_SAMPLE_EVERY};
-pub use registry::{Histogram, Metric, MetricId, MetricKey, MetricRegistry};
+pub use registry::{Histogram, Metrics};
 pub use span::{spans_to_jsonl, SpanRecord, SPANS_SCHEMA};
-pub use window::{SnapValue, WindowSnapshot, WindowedAggregator};
 
 use cs_sim::SimTime;
 

@@ -1,49 +1,45 @@
 //! The engine half of a run's telemetry: what the observer hooks feed.
 //!
-//! [`EngineTelemetry`] owns the run's [`MetricRegistry`], the window
-//! clock ([`WindowedAggregator`]) and one dense per-kind table. The run's
-//! instrument set (cs-core's `Instruments`, the one `cs_sim::Observer`
-//! attached to the engine) classifies each event once and hands this
-//! block plain values:
+//! [`EngineTelemetry`] owns the run's [`Metrics`], one dense per-kind
+//! table and the window clock. The run's instrument set (cs-core's
+//! `Instruments`, the one `cs_sim::Observer` attached to the engine)
+//! classifies each event once and hands this block plain values:
 //!
 //! * [`EngineTelemetry::on_dispatch`] counts the dispatch in the table
 //!   row of its kind, tags the row with the kind's owning manager, and
-//!   tracks the pending-queue depth (including the event being
+//!   writes the pending-queue depth (including the event being
 //!   dispatched) and its high-water mark;
 //! * [`EngineTelemetry::record_ns`] adds the wall-clock handler duration
 //!   of the one dispatch in [`PROFILE_SAMPLE_EVERY`] that `on_dispatch`
 //!   asked the caller to time to the row's fixed-size [`Histogram`];
 //! * [`EngineTelemetry::window_due`] / [`EngineTelemetry::close_windows`]
 //!   drive the window clock. Protocol-level samplers (cs-proto's
-//!   `ProtoTelemetry`) write into the same registry through
-//!   [`EngineTelemetry::registry_mut`] *before* `close_windows`, so their
-//!   boundary gauges land in the window being closed.
+//!   `ProtoTelemetry`) write into [`EngineTelemetry::metrics_mut`]
+//!   *before* `close_windows`, so their boundary sample lands in the
+//!   window being closed.
 //!
 //! The table is the single source of every per-kind figure: the
-//! `engine_events_total{kind=…}` counters in the windowed stream and the
-//! final registry, and the wall-clock profile of `profile.json`
-//! ([`TelemetryRun::profile_json`]), whose per-kind `busy_ns` scales the
-//! timed nanoseconds by that same exact count. So `metrics.jsonl` and
-//! `profile.json` cannot disagree about a count.
+//! `engine_events_total{kind=…}` counters of `metrics.jsonl`, rendered
+//! from it at each window close, and the wall-clock profile of
+//! `profile.json` ([`TelemetryRun::profile_json`]), whose per-kind
+//! `busy_ns` scales the timed nanoseconds by that same exact count. So
+//! `metrics.jsonl` and `profile.json` cannot disagree about a count.
 //!
 //! Hot-path design: the per-event work touches only block-local state —
 //! the classifier's dense per-kind index makes counting a dispatch an
 //! array increment, plus two plain integers for queue accounting.
-//! Registry interning happens lazily at flush time, and the registry is
-//! written exactly once per window flush, immediately before the
-//! aggregator snapshots it, so snapshot values are identical to writing
-//! through on every event at a fraction of the cost.
+//! Nothing is looked up or copied until a window closes.
 //!
 //! Everything here is passive: no simulation state is read and no events
 //! are scheduled, so trace hashes are identical with or without
 //! telemetry attached. The handler durations are the one
-//! environment-dependent measurement; they never enter the registry or
-//! the windowed stream, only `profile.json`.
+//! environment-dependent measurement; they never enter `metrics.jsonl`,
+//! only `profile.json`.
 
 use cs_sim::SimTime;
 
-use crate::registry::{Histogram, MetricId, MetricRegistry};
-use crate::window::{WindowSnapshot, WindowedAggregator};
+use crate::registry::{Histogram, Metrics};
+use crate::window::Windows;
 use crate::TelemetryConfig;
 
 /// One dispatch in this many is wall-timed for the dispatch profile (the
@@ -54,20 +50,15 @@ use crate::TelemetryConfig;
 pub const PROFILE_SAMPLE_EVERY: u64 = 128;
 
 /// One row of the per-kind table, addressed by the classifier's dense
-/// index. `name` and `manager` are set on dispatch; the registry id is
-/// interned lazily at flush time, keeping the dispatch path free of
-/// registry traffic. The row has a fixed size, so the table does not
-/// grow with the run.
+/// index. `name` and `manager` are set on dispatch. The row has a fixed
+/// size, so the table does not grow with the run.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct KindRow {
     pub(crate) name: &'static str,
     /// The manager whose handler runs this kind.
     pub(crate) manager: &'static str,
-    id: Option<MetricId>,
     /// Dispatches seen (cumulative).
     pub(crate) count: u64,
-    /// Portion of `count` already pushed into the registry.
-    flushed: u64,
     /// Wall-clock handler durations of the timed dispatches.
     pub(crate) timed: Histogram,
 }
@@ -83,38 +74,28 @@ impl KindRow {
 
 /// Engine-level metrics for one run (see module docs).
 pub struct EngineTelemetry {
-    registry: MetricRegistry,
-    windows: WindowedAggregator,
+    metrics: Metrics,
     kinds: Vec<KindRow>,
-    queue_gauge: MetricId,
-    high_water_gauge: MetricId,
-    last_depth: usize,
-    high_water: usize,
+    windows: Windows,
     events: u64,
 }
 
 impl EngineTelemetry {
-    /// A block over a fresh registry. `start` anchors the window grid
+    /// A block with nothing counted. `start` anchors the window grid
     /// (pass the scenario's window start).
     pub fn new(config: TelemetryConfig, start: SimTime) -> Self {
-        let mut registry = MetricRegistry::new();
-        let queue_gauge = registry.gauge("engine_queue_depth", &[]);
-        let high_water_gauge = registry.gauge("engine_queue_high_water", &[]);
         EngineTelemetry {
-            registry,
-            windows: WindowedAggregator::new(config.effective_window(), start),
+            metrics: Metrics::default(),
             kinds: Vec::new(),
-            queue_gauge,
-            high_water_gauge,
-            last_depth: 0,
-            high_water: 0,
+            windows: Windows::new(config.effective_window(), start),
             events: 0,
         }
     }
 
-    /// The registry, for samplers that share this run's instrument space.
-    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
-        &mut self.registry
+    /// The gauges and histograms, for samplers that write this run's
+    /// protocol series.
+    pub fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
     }
 
     /// Count one dispatch of the kind at dense `index`, run by `manager`.
@@ -138,9 +119,9 @@ impl EngineTelemetry {
         row.name = name;
         row.manager = manager;
         row.count += 1;
-        let depth = queue_depth.saturating_add(1);
-        self.last_depth = depth;
-        self.high_water = self.high_water.max(depth);
+        let depth = (queue_depth as u64).saturating_add(1);
+        self.metrics.engine_queue_depth = depth;
+        self.metrics.engine_queue_high_water = self.metrics.engine_queue_high_water.max(depth);
         let sample = self.events % PROFILE_SAMPLE_EVERY == 0;
         self.events += 1;
         sample
@@ -161,44 +142,20 @@ impl EngineTelemetry {
         now >= self.windows.next_end()
     }
 
-    /// Flush every window whose end is at or before `now`.
+    /// Close every window whose end is at or before `now`.
     pub fn close_windows(&mut self, now: SimTime) {
-        self.flush_to_registry();
-        self.windows.roll(now, &self.registry);
+        self.windows.roll(now, &self.kinds, &self.metrics);
     }
 
-    /// Push buffered counts and queue gauges into the registry, interning
-    /// ids for kinds seen since the last flush.
-    fn flush_to_registry(&mut self) {
-        let reg = &mut self.registry;
-        for row in self.kinds.iter_mut().filter(|r| r.count > 0) {
-            let id = *row
-                .id
-                .get_or_insert_with(|| reg.counter("engine_events_total", &[("kind", row.name)]));
-            reg.inc(id, row.count - row.flushed);
-            row.flushed = row.count;
-        }
-        reg.set(
-            self.queue_gauge,
-            i64::try_from(self.last_depth).unwrap_or(i64::MAX),
-        );
-        reg.set(
-            self.high_water_gauge,
-            i64::try_from(self.high_water).unwrap_or(i64::MAX),
-        );
-    }
-
-    /// Flush buffered counters and the final (partial) window at the run
-    /// end, and hand over everything the run recorded.
-    pub fn finish(mut self, end: SimTime) -> TelemetryRun {
-        self.flush_to_registry();
-        self.windows.finish(end, &self.registry);
+    /// Close the final (partial) window at the run end, and hand over
+    /// everything the run recorded.
+    pub fn finish(self, end: SimTime) -> TelemetryRun {
+        let jsonl = self.windows.finish(end, &self.kinds, &self.metrics);
         let mut kinds = self.kinds;
         kinds.retain(|r| r.count > 0);
         kinds.sort_unstable_by_key(|r| r.name);
         TelemetryRun {
-            snapshots: self.windows.into_snapshots(),
-            registry: self.registry,
+            jsonl,
             events: self.events,
             kinds,
         }
@@ -208,10 +165,9 @@ impl EngineTelemetry {
 /// The telemetry output of an instrumented run.
 #[derive(Clone, Debug)]
 pub struct TelemetryRun {
-    /// Windowed metric snapshots, in window order (last may be partial).
-    pub snapshots: Vec<WindowSnapshot>,
-    /// The final metric registry (cumulative values at the horizon).
-    pub registry: MetricRegistry,
+    /// `metrics.jsonl`: one line per window, in window order (the last
+    /// may be partial).
+    jsonl: String,
     /// Events dispatched while telemetry was attached.
     pub events: u64,
     /// The per-kind table: every kind dispatched, sorted by name.
@@ -225,18 +181,16 @@ impl TelemetryRun {
         self.kinds.iter().map(|r| r.timed.count()).sum()
     }
 
-    /// Render `metrics.jsonl`: one [`WindowSnapshot::to_json`] line per
-    /// window, each ending in a newline.
-    pub fn metrics_jsonl(&self) -> String {
-        self.snapshots.iter().map(|s| s.to_json() + "\n").collect()
+    /// `metrics.jsonl`: one JSON object per window, each line ending in a
+    /// newline.
+    pub fn metrics_jsonl(&self) -> &str {
+        &self.jsonl
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Metric;
-    use crate::window::SnapValue;
     use cs_sim::{Ctx, Engine, Observer, World};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -308,33 +262,46 @@ mod tests {
         tel.finish(eng.now())
     }
 
-    fn high_water(run: &TelemetryRun) -> i64 {
-        match run.registry.get("engine_queue_high_water", &[]) {
-            Some(Metric::Gauge(v)) => *v,
-            other => panic!("missing gauge: {other:?}"),
-        }
+    /// The value after `"<key>":` in a rendered window line, up to the
+    /// next `,` or `}`.
+    fn value_of<'l>(line: &'l str, key: &str) -> &'l str {
+        let key = format!("\"{key}\":");
+        let at = line
+            .find(&key)
+            .unwrap_or_else(|| panic!("no {key} in {line}"));
+        let rest = &line[at + key.len()..];
+        &rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+    }
+
+    fn lines(run: &TelemetryRun) -> Vec<&str> {
+        run.metrics_jsonl().lines().collect()
+    }
+
+    fn high_water(run: &TelemetryRun) -> u64 {
+        let last = lines(run).pop().expect("a window");
+        value_of(last, "engine_queue_high_water")
+            .parse()
+            .expect("a gauge")
+    }
+
+    /// `(total, delta)` of `kind`'s counter in a rendered window line, or
+    /// `None` while the kind has not been dispatched.
+    fn counter(line: &str, kind: &str) -> Option<(u64, u64)> {
+        let key = format!("engine_events_total{{kind={kind}}}\"");
+        let rest = &line[line.find(&key)?..];
+        let int = |key| value_of(rest, key).parse().expect("an integer");
+        Some((int("total"), int("delta")))
     }
 
     fn kind_total(run: &TelemetryRun, kind: &str) -> u64 {
-        match run.registry.get("engine_events_total", &[("kind", kind)]) {
-            Some(Metric::Counter(n)) => *n,
-            other => panic!("missing counter for {kind}: {other:?}"),
-        }
+        let last = lines(run).pop().expect("a window");
+        counter(last, kind).expect("a counter").0
     }
 
     fn kind_deltas(run: &TelemetryRun, kind: &str) -> Vec<u64> {
-        let id = format!("engine_events_total{{kind={kind}}}");
-        run.snapshots
-            .iter()
-            .map(|s| {
-                s.series
-                    .iter()
-                    .find_map(|(series, v)| match v {
-                        SnapValue::Counter { delta, .. } if *series == id => Some(*delta),
-                        _ => None,
-                    })
-                    .unwrap_or(0)
-            })
+        lines(run)
+            .into_iter()
+            .map(|line| counter(line, kind).map_or(0, |(_, delta)| delta))
             .collect()
     }
 
@@ -366,18 +333,21 @@ mod tests {
         // spawn's two leaves dispatch one step later. 300 s windows.
         let run = run(Ev::Spawn(10), 60);
         assert_eq!(run.events, 33);
-        assert_eq!(
-            run.registry
-                .get("engine_events_total", &[("kind", "spawn")]),
-            Some(&Metric::Counter(11))
-        );
+        assert_eq!(kind_total(&run, "spawn"), 11);
         // [0,300) is closed by the first dispatch at t=300, [300,600) by
         // the first at t=600; the leaves at 660 s leave a partial tail.
-        let snaps = &run.snapshots;
-        assert_eq!(snaps.len(), 3, "expected 3 windows, got {}", snaps.len());
-        assert_eq!(snaps[0].end, SimTime::from_secs(300));
-        assert_eq!(snaps[1].end, SimTime::from_secs(600));
-        assert!(!snaps[0].partial && !snaps[1].partial && snaps[2].partial);
+        let windows: Vec<_> = lines(&run)
+            .into_iter()
+            .map(|line| (value_of(line, "end_us"), value_of(line, "partial")))
+            .collect();
+        assert_eq!(
+            windows,
+            [
+                ("300000000", "false"),
+                ("600000000", "false"),
+                ("660000000", "true")
+            ]
+        );
         // The boundary event closes its window (documented smear): the
         // spawns at 0, 60, …, 240 plus the first dispatch at t=300.
         assert_eq!(kind_deltas(&run, "spawn")[0], 6);
@@ -449,9 +419,9 @@ mod tests {
 
     #[test]
     fn buffered_counts_match_registry_after_finish() {
-        // Counts are buffered between flushes: the registry must agree
-        // with the table's totals once finish() has run, and the window
-        // deltas must partition them.
+        // The last window's totals must agree with the table's counts
+        // once finish() has run, and the window deltas must partition
+        // them.
         let run = run(Ev::Spawn(7), 60);
         let mut events = 0;
         for kind in ["leaf", "spawn"] {

@@ -1,49 +1,64 @@
-//! The metric registry: named instruments with label sets.
+//! The run's series: a fixed set, known at compile time.
 //!
-//! Design constraints (a metric stream is a pure function of the run, and
-//! clippy's determinism policy, DESIGN.md §7, holds this crate to it):
-//!
-//! * keys are a `&'static str` name plus sorted `(label, value)` pairs —
-//!   no floats, no interior mutability, `Ord` for deterministic iteration;
-//! * storage is a [`DetMap`] index over a dense `Vec`, so hot paths update
-//!   through a pre-interned [`MetricId`] with no lookups or allocation;
-//! * histograms use fixed power-of-two bucket edges (`0`, `1`, `2–3`,
-//!   `4–7`, …), so bucket boundaries are integers and identical across
-//!   runs and machines.
+//! `metrics.jsonl` carries one `engine_events_total{kind=…}` counter per
+//! dispatched event kind — the per-kind table of
+//! [`EngineTelemetry`](crate::EngineTelemetry) holds those — plus the
+//! four gauges and five histograms of [`Metrics`], one named field each.
+//! Histograms use fixed power-of-two bucket edges (`0`, `1`, `2–3`,
+//! `4–7`, …), so bucket boundaries are integers and identical across runs
+//! and machines.
 
-use cs_sim::DetMap;
-
-/// Handle to an interned metric: a dense index into the registry. Interning
-/// the same `(name, labels)` twice returns the same id.
-pub type MetricId = usize;
-
-/// Registry key: static metric name plus a sorted label set.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// Metric name, e.g. `engine_events_total`.
-    pub name: &'static str,
-    /// Label pairs, sorted by label name (interning sorts them).
-    pub labels: Vec<(&'static str, String)>,
+/// Every `metrics.jsonl` series but the per-kind counters: the engine's
+/// queue gauges and the protocol sample (cs-proto's `ProtoTelemetry`
+/// writes the `proto_*` fields). A field's name is its series name.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Pending events at the last dispatch, the dispatched one included.
+    pub engine_queue_depth: u64,
+    /// The largest `engine_queue_depth` so far.
+    pub engine_queue_high_water: u64,
+    /// Live user peers at the last sample.
+    pub proto_peers_alive: u64,
+    /// Live users whose media player had started at the last sample.
+    pub proto_peers_ready: u64,
+    /// Contiguous blocks ahead of playback, per live user per sample.
+    pub proto_buffer_occupancy_blocks: Histogram,
+    /// Join→media-ready latency per session, in milliseconds.
+    pub proto_join_ready_ms: Histogram,
+    /// mCache entries, per live user per sample.
+    pub proto_mcache_size: Histogram,
+    /// Partners held, per live user per sample.
+    pub proto_partners: Histogram,
+    /// Per-sub-stream lag behind the most advanced sub-stream, in blocks.
+    pub proto_substream_lag_blocks: Histogram,
 }
 
-impl MetricKey {
-    /// Flat series id used in snapshots: `name` or `name{k=v,k2=v2}`.
-    pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.to_string();
-        }
-        let mut out = String::from(self.name);
-        out.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-        }
-        out.push('}');
-        out
+impl Metrics {
+    /// The gauges as `(series name, value)`, in name order.
+    pub(crate) fn gauges(&self) -> [(&'static str, u64); 4] {
+        [
+            ("engine_queue_depth", self.engine_queue_depth),
+            ("engine_queue_high_water", self.engine_queue_high_water),
+            ("proto_peers_alive", self.proto_peers_alive),
+            ("proto_peers_ready", self.proto_peers_ready),
+        ]
+    }
+
+    /// The histograms as `(series name, histogram)`, in name order.
+    pub(crate) fn histograms(&self) -> [(&'static str, &Histogram); 5] {
+        [
+            (
+                "proto_buffer_occupancy_blocks",
+                &self.proto_buffer_occupancy_blocks,
+            ),
+            ("proto_join_ready_ms", &self.proto_join_ready_ms),
+            ("proto_mcache_size", &self.proto_mcache_size),
+            ("proto_partners", &self.proto_partners),
+            (
+                "proto_substream_lag_blocks",
+                &self.proto_substream_lag_blocks,
+            ),
+        ]
     }
 }
 
@@ -156,137 +171,9 @@ impl Histogram {
     }
 }
 
-/// One instrument's live value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// Monotonic event count.
-    Counter(u64),
-    /// Last-written instantaneous value.
-    Gauge(i64),
-    /// Distribution of `u64` observations (boxed: the fixed bucket array
-    /// would otherwise dwarf the scalar variants).
-    Histogram(Box<Histogram>),
-}
-
-/// The registry: every instrument of a run, with deterministic iteration
-/// order (sorted by [`MetricKey`]).
-///
-/// Interning a key that already exists under a *different* instrument kind
-/// returns the existing id; updates through an id of the wrong kind are
-/// ignored (metric names are static, so this is a programming error that
-/// unit tests catch — the library itself never panics).
-#[derive(Clone, Debug, Default)]
-pub struct MetricRegistry {
-    index: DetMap<MetricKey, MetricId>,
-    metrics: Vec<(MetricKey, Metric)>,
-}
-
-impl MetricRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricRegistry::default()
-    }
-
-    fn intern(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        blank: Metric,
-    ) -> MetricId {
-        let mut labels: Vec<(&'static str, String)> =
-            labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-        labels.sort_unstable();
-        let key = MetricKey { name, labels };
-        if let Some(&id) = self.index.get(&key) {
-            return id;
-        }
-        let id = self.metrics.len();
-        self.metrics.push((key.clone(), blank));
-        self.index.insert(key, id);
-        id
-    }
-
-    /// Intern (or find) a counter.
-    pub fn counter(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> MetricId {
-        self.intern(name, labels, Metric::Counter(0))
-    }
-
-    /// Intern (or find) a gauge.
-    pub fn gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> MetricId {
-        self.intern(name, labels, Metric::Gauge(0))
-    }
-
-    /// Intern (or find) a histogram.
-    pub fn histogram(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> MetricId {
-        self.intern(name, labels, Metric::Histogram(Box::new(Histogram::new())))
-    }
-
-    /// Add `by` to a counter.
-    pub fn inc(&mut self, id: MetricId, by: u64) {
-        if let Some((_, Metric::Counter(v))) = self.metrics.get_mut(id) {
-            *v = v.saturating_add(by);
-        }
-    }
-
-    /// Set a gauge.
-    pub fn set(&mut self, id: MetricId, value: i64) {
-        if let Some((_, Metric::Gauge(v))) = self.metrics.get_mut(id) {
-            *v = value;
-        }
-    }
-
-    /// Record a histogram observation.
-    pub fn observe(&mut self, id: MetricId, value: u64) {
-        if let Some((_, Metric::Histogram(h))) = self.metrics.get_mut(id) {
-            h.observe(value);
-        }
-    }
-
-    /// Look up a metric's current value.
-    pub fn get(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<&Metric> {
-        let mut labels: Vec<(&'static str, String)> =
-            labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-        labels.sort_unstable();
-        let key = MetricKey { name, labels };
-        let id = *self.index.get(&key)?;
-        self.metrics.get(id).map(|(_, m)| m)
-    }
-
-    /// Number of instruments.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Iterate `(id, key, metric)` in deterministic (key-sorted) order.
-    pub fn enumerate(&self) -> impl Iterator<Item = (MetricId, &MetricKey, &Metric)> + '_ {
-        self.index
-            .iter()
-            .filter_map(|(k, &id)| self.metrics.get(id).map(|(_, m)| (id, k, m)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interning_is_idempotent_and_label_order_free() {
-        let mut r = MetricRegistry::new();
-        let a = r.counter("ev", &[("kind", "arrive"), ("class", "user")]);
-        let b = r.counter("ev", &[("class", "user"), ("kind", "arrive")]);
-        assert_eq!(a, b);
-        assert_eq!(r.len(), 1);
-        r.inc(a, 3);
-        assert_eq!(
-            r.get("ev", &[("kind", "arrive"), ("class", "user")]),
-            Some(&Metric::Counter(3))
-        );
-    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
@@ -320,36 +207,5 @@ mod tests {
         let h = Histogram::new();
         assert_eq!((h.count(), h.min(), h.max(), h.sum()), (0, 0, 0, 0));
         assert_eq!(h.buckets().count(), 0);
-    }
-
-    #[test]
-    fn kind_mismatch_is_ignored_not_fatal() {
-        let mut r = MetricRegistry::new();
-        let c = r.counter("x", &[]);
-        // Same key re-interned as a gauge: same id, still a counter.
-        let g = r.gauge("x", &[]);
-        assert_eq!(c, g);
-        r.set(g, 9); // ignored: `x` is a counter
-        r.inc(c, 2);
-        assert_eq!(r.get("x", &[]), Some(&Metric::Counter(2)));
-    }
-
-    #[test]
-    fn enumerate_is_sorted_by_key() {
-        let mut r = MetricRegistry::new();
-        r.counter("zed", &[]);
-        r.gauge("alpha", &[]);
-        r.counter("mid", &[("k", "2")]);
-        r.counter("mid", &[("k", "1")]);
-        let names: Vec<String> = r.enumerate().map(|(_, k, _)| k.render()).collect();
-        assert_eq!(names, vec!["alpha", "mid{k=1}", "mid{k=2}", "zed"]);
-    }
-
-    #[test]
-    fn render_without_labels_is_bare_name() {
-        let mut r = MetricRegistry::new();
-        r.counter("plain", &[]);
-        let (_, key, _) = r.enumerate().next().expect("one metric");
-        assert_eq!(key.render(), "plain");
     }
 }

@@ -17,8 +17,8 @@
 //! byte-identical span streams after stripping `wall_ns`. The wall-clock
 //! handler duration is the same deliberate, quarantined nondeterminism
 //! as the dispatch profile ([`TelemetryRun::profile_json`](crate::TelemetryRun::profile_json)):
-//! it is emitted only to `spans.jsonl`, never into the metric registry
-//! or simulation state.
+//! it is emitted only to `spans.jsonl`, never into `metrics.jsonl` or
+//! simulation state.
 
 use cs_sim::{DispatchMeta, SimTime};
 

@@ -1,273 +1,164 @@
-//! Sim-time windowed aggregation.
+//! Sim-time windows and the `metrics.jsonl` line each one closes with.
 //!
-//! A [`WindowedAggregator`] divides the run into fixed windows
+//! [`Windows`] divides the run into fixed windows
 //! `[start + i·w, start + (i+1)·w)` — by default `w` is the paper's
-//! 5-minute status-report cadence — and flushes one [`WindowSnapshot`] per
-//! window carrying, for every registry instrument, its cumulative value
-//! plus the delta accrued inside the window.
+//! 5-minute status-report cadence — and renders one JSONL line per window
+//! from three things: the per-kind table's counts against a copy taken at
+//! the last close, the live [`Metrics`], and the copy of them taken at the
+//! last close. A line carries every series' cumulative value plus the
+//! delta accrued inside the window. Key order is fixed: counters by kind
+//! name, then gauges, then histograms, each alphabetical. A kind's counter
+//! appears from the first window after its first dispatch.
 //!
-//! **Window semantics.** The aggregator has no clock of its own; it is
-//! advanced from observer hooks ([`WindowedAggregator::roll`]). A window is
-//! therefore closed by the *first dispatch at or after its end*, and that
-//! closing event is included in the closed window (a deterministic
-//! one-event smear; an offline consumer that rolls *before* recording
-//! attributes boundary events exactly instead). Gaps
-//! longer than one window emit empty snapshots so the cadence is preserved.
-//! The final, usually partial, window is flushed by
-//! [`WindowedAggregator::finish`] with `partial: true`. When the run ends
-//! on the window grid that window has no length, yet it holds whatever
-//! arrived after the dispatch that closed its predecessor — the rest of
-//! that instant's events, the horizon's protocol sample — so it is flushed
-//! whenever the registry moved since the last flush.
+//! **Window semantics.** The clock is advanced from observer hooks
+//! ([`Windows::roll`]). A window is therefore closed by the *first
+//! dispatch at or after its end*, and that closing event is included in
+//! the closed window (a deterministic one-event smear; an offline
+//! consumer that rolls *before* recording attributes boundary events
+//! exactly instead). An idle stretch longer than one window emits one
+//! empty window per elapsed window, so the cadence is preserved. The
+//! final, usually partial, window is closed by [`Windows::finish`] with
+//! `partial: true`. When the run ends on the window grid that window has
+//! no length, yet it holds whatever arrived after the dispatch that
+//! closed its predecessor — the rest of that instant's events, the
+//! horizon's protocol sample — so it is written whenever anything changed
+//! since the last close.
 
 use cs_sim::SimTime;
 
 use crate::json::{push_buckets, push_key};
-use crate::registry::{Metric, MetricRegistry};
+use crate::observer::KindRow;
+use crate::registry::Metrics;
 
-/// One instrument's value inside a [`WindowSnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnapValue {
-    /// Counter: cumulative total and this window's delta.
-    Counter {
-        /// Value at flush time.
-        total: u64,
-        /// Increase inside the window.
-        delta: u64,
-    },
-    /// Gauge: value at flush time.
-    Gauge {
-        /// Last-written value.
-        value: i64,
-    },
-    /// Histogram: cumulative count/sum, window deltas, and this window's
-    /// non-empty buckets as `(inclusive upper edge, delta count)`.
-    Histogram {
-        /// Cumulative observation count.
-        count: u64,
-        /// Observations inside the window.
-        delta_count: u64,
-        /// Cumulative sum.
-        sum: u64,
-        /// Sum accrued inside the window.
-        delta_sum: u64,
-        /// All-time minimum (0 when empty).
-        min: u64,
-        /// All-time maximum.
-        max: u64,
-        /// Per-window bucket counts, non-empty only.
-        buckets: Vec<(u64, u64)>,
-    },
-}
-
-/// One flushed window: every instrument's value at the window end.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WindowSnapshot {
-    /// Zero-based window index.
-    pub index: u64,
-    /// Window start (inclusive).
-    pub start: SimTime,
-    /// Window end (exclusive; the actual run end for a partial window).
-    pub end: SimTime,
-    /// True for the final window cut short by the run end.
-    pub partial: bool,
-    /// `(series id, value)` pairs in deterministic (key-sorted) order.
-    pub series: Vec<(String, SnapValue)>,
-}
-
-impl WindowSnapshot {
-    /// Render as one JSONL line (no trailing newline). Counters, gauges
-    /// and histograms are grouped into separate objects keyed by series
-    /// id; key order follows the registry's deterministic order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.series.len() * 48);
-        out.push('{');
-        out.push_str(&format!(
-            "\"window\":{},\"start_us\":{},\"end_us\":{},\"partial\":{}",
-            self.index,
-            self.start.as_micros(),
-            self.end.as_micros(),
-            self.partial
-        ));
-        for (section, matches) in [
-            ("counters", 0usize),
-            ("gauges", 1usize),
-            ("histograms", 2usize),
-        ] {
-            out.push(',');
-            push_key(&mut out, section);
-            out.push('{');
-            let mut first = true;
-            for (id, v) in &self.series {
-                let section_of = match v {
-                    SnapValue::Counter { .. } => 0,
-                    SnapValue::Gauge { .. } => 1,
-                    SnapValue::Histogram { .. } => 2,
-                };
-                if section_of != matches {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                push_key(&mut out, id);
-                match v {
-                    SnapValue::Counter { total, delta } => {
-                        out.push_str(&format!("{{\"total\":{total},\"delta\":{delta}}}"));
-                    }
-                    SnapValue::Gauge { value } => out.push_str(&value.to_string()),
-                    SnapValue::Histogram {
-                        count,
-                        delta_count,
-                        sum,
-                        delta_sum,
-                        min,
-                        max,
-                        buckets,
-                    } => {
-                        out.push_str(&format!(
-                            "{{\"count\":{count},\"delta\":{delta_count},\"sum\":{sum},\
-                             \"delta_sum\":{delta_sum},\"min\":{min},\"max\":{max},\"buckets\":"
-                        ));
-                        push_buckets(&mut out, buckets.iter().copied());
-                        out.push('}');
-                    }
-                }
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Rolls a [`MetricRegistry`] into fixed sim-time windows (see module
-/// docs for the flush semantics).
+/// The window clock and the lines it has written.
 #[derive(Clone, Debug)]
-pub struct WindowedAggregator {
-    window: SimTime,
+pub(crate) struct Windows {
+    width: SimTime,
     next_end: SimTime,
     index: u64,
-    /// Cumulative metric values at the last flush, indexed by `MetricId`.
-    prev: Vec<Metric>,
-    snapshots: Vec<WindowSnapshot>,
+    /// Each kind's count at the last close, by dense kind index.
+    counts: Vec<u64>,
+    /// The gauges and histograms at the last close.
+    metrics: Metrics,
+    /// `metrics.jsonl` so far.
+    jsonl: String,
 }
 
-impl WindowedAggregator {
-    /// Windows of width `window` starting at `start`. A zero `window`
-    /// falls back to [`crate::DEFAULT_WINDOW`].
-    pub fn new(window: SimTime, start: SimTime) -> Self {
-        let window = if window == SimTime::ZERO {
-            crate::DEFAULT_WINDOW
-        } else {
-            window
-        };
-        WindowedAggregator {
-            window,
-            next_end: start + window,
+impl Windows {
+    /// Windows of `width` (non-zero) from `start`.
+    pub(crate) fn new(width: SimTime, start: SimTime) -> Self {
+        Windows {
+            width,
+            next_end: start + width,
             index: 0,
-            prev: Vec::new(),
-            snapshots: Vec::new(),
+            counts: Vec::new(),
+            metrics: Metrics::default(),
+            jsonl: String::new(),
         }
     }
 
-    /// End of the currently-open window: the next [`Self::roll`] at or
-    /// after this time flushes. Lets callers gate per-event work (e.g.
-    /// pushing buffered counters into the registry) on an imminent flush
-    /// with a single comparison.
+    /// End of the open window: the next [`Self::roll`] at or after this
+    /// time closes it.
     #[inline]
-    pub fn next_end(&self) -> SimTime {
+    pub(crate) fn next_end(&self) -> SimTime {
         self.next_end
     }
 
-    /// Flush every window whose end is at or before `now`. Call from the
-    /// per-event hook; it is a single comparison when no flush is due.
-    pub fn roll(&mut self, now: SimTime, registry: &MetricRegistry) {
+    /// Close every window whose end is at or before `now`.
+    pub(crate) fn roll(&mut self, now: SimTime, kinds: &[KindRow], metrics: &Metrics) {
         while now >= self.next_end {
-            let start = self.next_end.saturating_sub(self.window);
-            let end = self.next_end;
-            self.flush(start, end, false, registry);
-            self.next_end += self.window;
+            let start = self.next_end.saturating_sub(self.width);
+            self.close(start, self.next_end, false, kinds, metrics);
+            self.next_end += self.width;
         }
     }
 
-    /// Flush remaining complete windows and the final partial one ending
-    /// at `end` — also when it is empty of time but not of data.
-    pub fn finish(&mut self, end: SimTime, registry: &MetricRegistry) {
-        self.roll(end, registry);
-        let start = self.next_end.saturating_sub(self.window);
-        let unflushed = || {
-            registry
+    /// Close the remaining complete windows and the final partial one
+    /// ending at `end` — also when it is empty of time but not of data —
+    /// and return `metrics.jsonl`.
+    pub(crate) fn finish(mut self, end: SimTime, kinds: &[KindRow], metrics: &Metrics) -> String {
+        self.roll(end, kinds, metrics);
+        let start = self.next_end.saturating_sub(self.width);
+        let moved = self.index == 0
+            || self.metrics != *metrics
+            || kinds
+                .iter()
                 .enumerate()
-                .any(|(id, _, metric)| self.prev.get(id) != Some(metric))
-        };
-        if end > start || unflushed() {
-            self.flush(start, end.max(start), true, registry);
+                .any(|(i, r)| r.count != self.count(i));
+        if end > start || moved {
+            self.close(start, end.max(start), true, kinds, metrics);
         }
+        self.jsonl
     }
 
-    fn flush(&mut self, start: SimTime, end: SimTime, partial: bool, registry: &MetricRegistry) {
-        let mut series = Vec::with_capacity(registry.len());
-        for (id, key, metric) in registry.enumerate() {
-            let value = match (metric, self.prev.get(id)) {
-                (Metric::Counter(v), prev) => {
-                    let was = match prev {
-                        Some(Metric::Counter(w)) => *w,
-                        _ => 0,
-                    };
-                    SnapValue::Counter {
-                        total: *v,
-                        delta: v.saturating_sub(was),
-                    }
-                }
-                (Metric::Gauge(v), _) => SnapValue::Gauge { value: *v },
-                (Metric::Histogram(h), prev) => {
-                    let (was_count, was_sum, buckets) = match prev {
-                        Some(Metric::Histogram(w)) => (w.count(), w.sum(), h.bucket_deltas(w)),
-                        _ => (0, 0, h.buckets().collect()),
-                    };
-                    SnapValue::Histogram {
-                        count: h.count(),
-                        delta_count: h.count().saturating_sub(was_count),
-                        sum: h.sum(),
-                        delta_sum: h.sum().saturating_sub(was_sum),
-                        min: h.min(),
-                        max: h.max(),
-                        buckets,
-                    }
-                }
-            };
-            series.push((key.render(), value));
+    /// Kind `i`'s count at the last close.
+    fn count(&self, i: usize) -> u64 {
+        self.counts.get(i).copied().unwrap_or(0)
+    }
+
+    fn close(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        partial: bool,
+        kinds: &[KindRow],
+        metrics: &Metrics,
+    ) {
+        let mut seen: Vec<usize> = (0..kinds.len()).filter(|&i| kinds[i].count > 0).collect();
+        seen.sort_unstable_by_key(|&i| kinds[i].name);
+        let mut out = std::mem::take(&mut self.jsonl);
+        out.push_str(&format!(
+            "{{\"window\":{},\"start_us\":{},\"end_us\":{},\"partial\":{partial},\"counters\":{{",
+            self.index,
+            start.as_micros(),
+            end.as_micros(),
+        ));
+        for (n, &i) in seen.iter().enumerate() {
+            let row = &kinds[i];
+            comma(&mut out, n);
+            push_key(
+                &mut out,
+                &format!("engine_events_total{{kind={}}}", row.name),
+            );
+            let delta = row.count.saturating_sub(self.count(i));
+            out.push_str(&format!("{{\"total\":{},\"delta\":{delta}}}", row.count));
         }
-        self.snapshots.push(WindowSnapshot {
-            index: self.index,
-            start,
-            end,
-            partial,
-            series,
-        });
+        out.push_str("},\"gauges\":{");
+        for (n, (name, value)) in metrics.gauges().into_iter().enumerate() {
+            comma(&mut out, n);
+            push_key(&mut out, name);
+            out.push_str(&value.to_string());
+        }
+        out.push_str("},\"histograms\":{");
+        let was = self.metrics.histograms();
+        for (n, ((name, h), (_, was))) in metrics.histograms().into_iter().zip(was).enumerate() {
+            comma(&mut out, n);
+            push_key(&mut out, name);
+            out.push_str(&format!(
+                "{{\"count\":{},\"delta\":{},\"sum\":{},\"delta_sum\":{},\"min\":{},\"max\":{},\
+                 \"buckets\":",
+                h.count(),
+                h.count().saturating_sub(was.count()),
+                h.sum(),
+                h.sum().saturating_sub(was.sum()),
+                h.min(),
+                h.max(),
+            ));
+            push_buckets(&mut out, h.bucket_deltas(was).into_iter());
+            out.push('}');
+        }
+        out.push_str("}}\n");
+        self.jsonl = out;
         self.index += 1;
-        // Remember cumulative values for the next window's deltas.
-        self.prev = {
-            let mut prev = vec![Metric::Counter(0); registry.len()];
-            for (id, _, m) in registry.enumerate() {
-                if let Some(slot) = prev.get_mut(id) {
-                    *slot = m.clone();
-                }
-            }
-            prev
-        };
+        self.counts = kinds.iter().map(|r| r.count).collect();
+        self.metrics.clone_from(metrics);
     }
+}
 
-    /// Flushed windows so far.
-    pub fn snapshots(&self) -> &[WindowSnapshot] {
-        &self.snapshots
-    }
-
-    /// Consume the aggregator, returning its windows.
-    pub fn into_snapshots(self) -> Vec<WindowSnapshot> {
-        self.snapshots
+/// A `,` before every item but the first.
+fn comma(out: &mut String, n: usize) {
+    if n > 0 {
+        out.push(',');
     }
 }
 
@@ -279,150 +170,167 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn row(name: &'static str, count: u64) -> KindRow {
+        KindRow {
+            name,
+            count,
+            ..KindRow::default()
+        }
+    }
+
     #[test]
     fn windows_flush_on_cadence_with_deltas() {
-        let mut reg = MetricRegistry::new();
-        let c = reg.counter("ev", &[]);
-        let g = reg.gauge("depth", &[]);
-        let mut agg = WindowedAggregator::new(secs(300), SimTime::ZERO);
+        let mut w = Windows::new(secs(300), SimTime::ZERO);
+        let mut kinds = [row("ev", 2)];
+        let depth = Metrics {
+            engine_queue_depth: 5,
+            ..Metrics::default()
+        };
+        w.roll(secs(10), &kinds, &depth); // inside window 0: nothing written
+        assert!(w.jsonl.is_empty());
 
-        reg.inc(c, 2);
-        reg.set(g, 5);
-        agg.roll(secs(10), &reg); // inside window 0: nothing flushed
-        assert!(agg.snapshots().is_empty());
-
-        reg.inc(c, 3);
-        agg.roll(secs(301), &reg); // first event past the boundary
-        assert_eq!(agg.snapshots().len(), 1);
-        let w0 = &agg.snapshots()[0];
-        assert_eq!(
-            (w0.index, w0.start, w0.end, w0.partial),
-            (0, secs(0), secs(300), false)
-        );
-        assert_eq!(
-            w0.series,
-            vec![
-                ("depth".to_string(), SnapValue::Gauge { value: 5 }),
-                ("ev".to_string(), SnapValue::Counter { total: 5, delta: 5 }),
-            ]
+        kinds[0].count += 3;
+        w.roll(secs(301), &kinds, &depth); // first event past the boundary
+        let first = w.jsonl.clone();
+        assert!(
+            first.starts_with(
+                "{\"window\":0,\"start_us\":0,\"end_us\":300000000,\"partial\":false,\
+                 \"counters\":{\"engine_events_total{kind=ev}\":{\"total\":5,\"delta\":5}},\
+                 \"gauges\":{\"engine_queue_depth\":5,"
+            ),
+            "{first}"
         );
 
-        reg.inc(c, 1);
-        agg.finish(secs(450), &reg);
-        assert_eq!(agg.snapshots().len(), 2);
-        let w1 = &agg.snapshots()[1];
-        assert_eq!(
-            (w1.index, w1.start, w1.end, w1.partial),
-            (1, secs(300), secs(450), true)
-        );
-        assert_eq!(
-            w1.series[1],
-            ("ev".to_string(), SnapValue::Counter { total: 6, delta: 1 })
+        kinds[0].count += 1;
+        let text = w.finish(secs(450), &kinds, &depth);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(text.starts_with(&first));
+        assert!(
+            lines[1].starts_with(
+                "{\"window\":1,\"start_us\":300000000,\"end_us\":450000000,\"partial\":true,\
+                 \"counters\":{\"engine_events_total{kind=ev}\":{\"total\":6,\"delta\":1}},"
+            ),
+            "{}",
+            lines[1]
         );
     }
 
     #[test]
     fn a_horizon_on_the_grid_still_flushes_what_arrived_at_it() {
-        let mut reg = MetricRegistry::new();
-        let c = reg.counter("ev", &[]);
-        let mut agg = WindowedAggregator::new(secs(300), SimTime::ZERO);
-        reg.inc(c, 4);
-        agg.roll(secs(300), &reg); // the first dispatch at the horizon
-        reg.inc(c, 2); // the rest of that instant
-        agg.finish(secs(300), &reg);
-        let last = agg.snapshots().last().unwrap();
-        assert_eq!(
-            (last.index, last.start, last.end, last.partial),
-            (1, secs(300), secs(300), true)
-        );
-        assert_eq!(
-            last.series,
-            [("ev".to_string(), SnapValue::Counter { total: 6, delta: 2 })]
+        let mut w = Windows::new(secs(300), SimTime::ZERO);
+        let mut kinds = [row("ev", 4)];
+        let quiet = Metrics::default();
+        w.roll(secs(300), &kinds, &quiet); // the first dispatch at the horizon
+        kinds[0].count += 2; // the rest of that instant
+        let text = w.finish(secs(300), &kinds, &quiet);
+        let last = text.lines().last().expect("a window");
+        assert!(
+            last.starts_with(
+                "{\"window\":1,\"start_us\":300000000,\"end_us\":300000000,\"partial\":true,\
+                 \"counters\":{\"engine_events_total{kind=ev}\":{\"total\":6,\"delta\":2}},"
+            ),
+            "{last}"
         );
 
-        // Nothing new since the flush at the horizon: no empty tail.
-        let mut agg = WindowedAggregator::new(secs(300), SimTime::ZERO);
-        agg.roll(secs(300), &reg);
-        agg.finish(secs(300), &reg);
-        assert_eq!(agg.snapshots().len(), 1);
+        // Nothing new since the close at the horizon: no empty tail…
+        let mut w = Windows::new(secs(300), SimTime::ZERO);
+        w.roll(secs(300), &kinds, &quiet);
+        let closed = w.clone();
+        assert_eq!(w.finish(secs(300), &kinds, &quiet).lines().count(), 1);
+        // …but the horizon's protocol sample alone makes one.
+        let mut sampled = quiet.clone();
+        sampled.proto_partners.observe(3);
+        assert_eq!(
+            closed.finish(secs(300), &kinds, &sampled).lines().count(),
+            2
+        );
     }
 
     #[test]
     fn idle_gaps_emit_empty_windows() {
-        let mut reg = MetricRegistry::new();
-        reg.counter("ev", &[]);
-        let mut agg = WindowedAggregator::new(secs(100), SimTime::ZERO);
-        agg.roll(secs(350), &reg); // jumps three full windows
-        assert_eq!(agg.snapshots().len(), 3);
-        assert_eq!(agg.snapshots()[2].end, secs(300));
+        let mut w = Windows::new(secs(100), SimTime::ZERO);
+        w.roll(secs(350), &[row("ev", 1)], &Metrics::default()); // jumps three full windows
+        let lines: Vec<&str> = w.jsonl.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(
+            lines[2].starts_with(
+                "{\"window\":2,\"start_us\":200000000,\"end_us\":300000000,\"partial\":false,\
+                 \"counters\":{\"engine_events_total{kind=ev}\":{\"total\":1,\"delta\":0}},"
+            ),
+            "{}",
+            lines[2]
+        );
     }
 
     #[test]
     fn start_offset_aligns_windows_to_the_run_window() {
-        let mut reg = MetricRegistry::new();
-        reg.counter("ev", &[]);
-        let mut agg = WindowedAggregator::new(secs(300), secs(68_400)); // 19 h
-        agg.roll(secs(68_400) + secs(10), &reg);
-        assert!(agg.snapshots().is_empty(), "no pre-start windows");
-        agg.finish(secs(68_400) + secs(400), &reg);
-        assert_eq!(agg.snapshots()[0].start, secs(68_400));
-        assert_eq!(agg.snapshots()[0].end, secs(68_700));
+        let mut w = Windows::new(secs(300), secs(68_400)); // 19 h
+        let (kinds, quiet) = ([row("ev", 1)], Metrics::default());
+        w.roll(secs(68_400) + secs(10), &kinds, &quiet);
+        assert!(w.jsonl.is_empty(), "no pre-start windows");
+        let text = w.finish(secs(68_400) + secs(400), &kinds, &quiet);
+        assert!(
+            text.starts_with("{\"window\":0,\"start_us\":68400000000,\"end_us\":68700000000,"),
+            "{text}"
+        );
     }
 
     #[test]
     fn histogram_deltas_are_per_window() {
-        let mut reg = MetricRegistry::new();
-        let h = reg.histogram("lat", &[]);
-        let mut agg = WindowedAggregator::new(secs(10), SimTime::ZERO);
-        reg.observe(h, 3);
-        reg.observe(h, 100);
-        agg.roll(secs(10), &reg);
-        reg.observe(h, 3);
-        agg.finish(secs(15), &reg);
-        let series = |i: usize| agg.snapshots()[i].series[0].1.clone();
-        match series(0) {
-            SnapValue::Histogram {
-                count,
-                delta_count,
-                buckets,
-                ..
-            } => {
-                assert_eq!((count, delta_count), (2, 2));
-                assert_eq!(buckets, vec![(3, 1), (127, 1)]);
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
-        match series(1) {
-            SnapValue::Histogram {
-                count,
-                delta_count,
-                delta_sum,
-                buckets,
-                ..
-            } => {
-                assert_eq!((count, delta_count, delta_sum), (3, 1, 3));
-                assert_eq!(buckets, vec![(3, 1)]);
-            }
-            other => panic!("wrong kind {other:?}"),
-        }
+        let mut w = Windows::new(secs(10), SimTime::ZERO);
+        let mut m = Metrics::default();
+        m.proto_join_ready_ms.observe(3);
+        m.proto_join_ready_ms.observe(100);
+        w.roll(secs(10), &[], &m);
+        m.proto_join_ready_ms.observe(3);
+        let text = w.finish(secs(15), &[], &m);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[0].contains(
+                "\"proto_join_ready_ms\":{\"count\":2,\"delta\":2,\"sum\":103,\"delta_sum\":103,\
+                 \"min\":3,\"max\":100,\"buckets\":{\"3\":1,\"127\":1}}"
+            ),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains(
+                "\"proto_join_ready_ms\":{\"count\":3,\"delta\":1,\"sum\":106,\"delta_sum\":3,\
+                 \"min\":3,\"max\":100,\"buckets\":{\"3\":1}}"
+            ),
+            "{}",
+            lines[1]
+        );
     }
 
     #[test]
     fn jsonl_groups_by_instrument_kind() {
-        let mut reg = MetricRegistry::new();
-        let c = reg.counter("ev", &[("kind", "arrive")]);
-        reg.inc(c, 4);
-        let depth = reg.gauge("depth", &[]);
-        reg.set(depth, 7);
-        let lat = reg.histogram("lat", &[]);
-        reg.observe(lat, 5);
-        let mut agg = WindowedAggregator::new(secs(10), SimTime::ZERO);
-        agg.finish(secs(5), &reg);
-        let line = agg.snapshots()[0].to_json();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"counters\":{\"ev{kind=arrive}\":{\"total\":4,\"delta\":4}}"));
-        assert!(line.contains("\"gauges\":{\"depth\":7}"));
-        assert!(line.contains("\"lat\":{\"count\":1,"));
-        assert!(line.contains("\"partial\":true"));
+        // Counters sort by kind name whatever their dense index, and a
+        // kind not yet dispatched has no counter.
+        let kinds = [row("depart", 1), row("snapshot", 0), row("arrive", 4)];
+        let mut m = Metrics {
+            engine_queue_depth: 7,
+            ..Metrics::default()
+        };
+        m.proto_partners.observe(5);
+        let text = Windows::new(secs(10), SimTime::ZERO).finish(secs(5), &kinds, &m);
+        let empty = "{\"count\":0,\"delta\":0,\"sum\":0,\"delta_sum\":0,\"min\":0,\"max\":0,\
+                     \"buckets\":{}}";
+        assert_eq!(
+            text,
+            format!(
+                "{{\"window\":0,\"start_us\":0,\"end_us\":5000000,\"partial\":true,\
+                 \"counters\":{{\"engine_events_total{{kind=arrive}}\":{{\"total\":4,\"delta\":4}},\
+                 \"engine_events_total{{kind=depart}}\":{{\"total\":1,\"delta\":1}}}},\
+                 \"gauges\":{{\"engine_queue_depth\":7,\"engine_queue_high_water\":0,\
+                 \"proto_peers_alive\":0,\"proto_peers_ready\":0}},\
+                 \"histograms\":{{\"proto_buffer_occupancy_blocks\":{empty},\
+                 \"proto_join_ready_ms\":{empty},\"proto_mcache_size\":{empty},\
+                 \"proto_partners\":{{\"count\":1,\"delta\":1,\"sum\":5,\"delta_sum\":5,\
+                 \"min\":5,\"max\":5,\"buckets\":{{\"7\":1}}}},\
+                 \"proto_substream_lag_blocks\":{empty}}}}}\n"
+            )
+        );
     }
 }

@@ -10,8 +10,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use coolstreaming::telemetry::{Metric, SnapValue, TelemetryConfig, PROFILE_SAMPLE_EVERY};
+use coolstreaming::telemetry::{TelemetryConfig, PROFILE_SAMPLE_EVERY};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
+use cs_integration::fnv1a_text;
 use cs_sim::SimTime;
 use serde::Value;
 
@@ -61,48 +62,54 @@ fn telemetry_is_passive_and_matches_golden_hash() {
     assert!(tel.events > 0);
 }
 
+/// The exact bytes of `metrics.jsonl` on the 5- and 2-minute grids:
+/// `coolstream run --preset steady --rate 0.4 --minutes 6 --seed 301
+/// --telemetry [--telemetry-window 120]` writes the same text.
+#[test]
+fn metrics_jsonl_bytes_are_pinned() {
+    for (window, expected) in [(300, 0x5161_08f0_b16c_5ccf), (120, 0xad90_5d53_8515_d543)] {
+        let run = golden_steady().run_observed(with_telemetry(window));
+        let tel = run.telemetry.expect("telemetry requested");
+        assert_eq!(
+            fnv1a_text(tel.metrics_jsonl()),
+            expected,
+            "{window} s windows:\n{}",
+            tel.metrics_jsonl()
+        );
+    }
+}
+
 #[test]
 fn windows_follow_the_simtime_cadence() {
     let (_, tel) = run_golden();
     // 6 sim-minutes with 5-minute windows: one full window closed by the
     // first dispatch at-or-after t=300 s, plus the partial tail flushed
     // at the horizon.
-    assert_eq!(tel.snapshots.len(), 2, "expected full + partial window");
-    assert_eq!(tel.snapshots[0].start, SimTime::ZERO);
-    assert_eq!(tel.snapshots[0].end, SimTime::from_secs(300));
-    assert!(!tel.snapshots[0].partial);
-    assert_eq!(tel.snapshots[1].start, SimTime::from_secs(300));
-    assert_eq!(tel.snapshots[1].end, SimTime::from_mins(6));
-    assert!(tel.snapshots[1].partial);
-    for (i, s) in tel.snapshots.iter().enumerate() {
-        assert_eq!(s.index as usize, i);
-    }
+    let grid: Vec<_> = windows(&tel).iter().map(grid_of).collect();
+    assert_eq!(
+        grid,
+        [
+            (0, 0, 300_000_000, false),
+            (1, 300_000_000, 360_000_000, true)
+        ],
+        "expected full + partial window"
+    );
 }
 
 #[test]
 fn engine_counters_partition_the_event_total() {
     let (_, tel) = run_golden();
-    // Registry totals across kinds equal the observer's event count…
-    let registry_total: u64 = tel
-        .registry
-        .enumerate()
-        .filter(|(_, key, _)| key.name == "engine_events_total")
-        .map(|(_, _, m)| match m {
-            Metric::Counter(n) => *n,
-            other => panic!("engine_events_total must be a counter: {other:?}"),
-        })
-        .sum();
-    assert_eq!(registry_total, tel.events);
+    let windows = windows(&tel);
+    // The last window's totals across kinds equal the observer's event
+    // count…
+    let last = windows.last().expect("a window");
+    let total: u64 = counters(last).values().map(|&(total, _)| total).sum();
+    assert_eq!(total, tel.events);
     // …and the per-window deltas partition the same total.
-    let window_sum: u64 = tel
-        .snapshots
+    let window_sum: u64 = windows
         .iter()
-        .flat_map(|s| &s.series)
-        .filter(|(id, _)| id.starts_with("engine_events_total"))
-        .map(|(_, v)| match v {
-            SnapValue::Counter { delta, .. } => *delta,
-            other => panic!("counter snapshot expected: {other:?}"),
-        })
+        .flat_map(|w| counters(w).into_values())
+        .map(|(_, delta)| delta)
         .sum();
     assert_eq!(window_sum, tel.events, "window deltas must partition total");
 }
@@ -110,31 +117,39 @@ fn engine_counters_partition_the_event_total() {
 #[test]
 fn protocol_series_are_populated() {
     let (_, tel) = run_golden();
-    for name in [
-        "proto_peers_alive",
-        "proto_peers_ready",
-        "proto_partners",
-        "proto_buffer_occupancy_blocks",
-        "proto_substream_lag_blocks",
-        "proto_mcache_size",
-        "proto_join_ready_ms",
+    let windows = windows(&tel);
+    let last = windows.last().expect("a window");
+    for (section, names) in [
+        ("gauges", &["proto_peers_alive", "proto_peers_ready"][..]),
+        (
+            "histograms",
+            &[
+                "proto_partners",
+                "proto_buffer_occupancy_blocks",
+                "proto_substream_lag_blocks",
+                "proto_mcache_size",
+                "proto_join_ready_ms",
+            ],
+        ),
     ] {
-        assert!(
-            tel.registry.enumerate().any(|(_, key, _)| key.name == name),
-            "missing protocol series {name}"
-        );
+        let series = field(last, section).as_map().expect(section);
+        for name in names {
+            assert!(
+                series.iter().any(|(key, _)| key == name),
+                "missing protocol series {name}"
+            );
+        }
     }
     // At a 0.4/s arrival rate the population is alive at the horizon and
     // sessions reached media-ready, so the load-bearing series are
-    // non-trivial, not just registered.
-    match tel.registry.get("proto_peers_alive", &[]) {
-        Some(Metric::Gauge(v)) => assert!(*v > 0, "no peers alive at horizon"),
-        other => panic!("proto_peers_alive must be a gauge: {other:?}"),
-    }
-    match tel.registry.get("proto_join_ready_ms", &[]) {
-        Some(Metric::Histogram(h)) => assert!(h.count() > 0, "no join→ready latencies"),
-        other => panic!("proto_join_ready_ms must be a histogram: {other:?}"),
-    }
+    // non-trivial, not just present.
+    let alive = int(field(field(last, "gauges"), "proto_peers_alive"));
+    assert!(alive > 0, "no peers alive at horizon");
+    let join_ready = field(field(last, "histograms"), "proto_join_ready_ms");
+    assert!(
+        int(field(join_ready, "count")) > 0,
+        "no join→ready latencies"
+    );
 }
 
 #[test]
@@ -142,7 +157,7 @@ fn jsonl_and_profile_render_valid_shapes() {
     let (_, tel) = run_golden();
     let jsonl = tel.metrics_jsonl();
     assert!(jsonl.ends_with('\n'));
-    assert_eq!(jsonl.lines().count(), tel.snapshots.len());
+    assert_eq!(jsonl.lines().count(), windows(&tel).len());
     for line in jsonl.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"window\":"), "{line}");
@@ -158,7 +173,7 @@ fn jsonl_and_profile_render_valid_shapes() {
     assert!(json.contains("\"kinds\":{") && json.contains("\"managers\":{"));
 }
 
-/// The per-kind table is the single source of the registry's
+/// The per-kind table is the single source of `metrics.jsonl`'s
 /// `engine_events_total{kind=…}` counters; the span stream is recorded
 /// independently of it (one record per dispatch, classified by the same
 /// `Event::kind_class`). With every sink on, the two must agree with each
@@ -179,16 +194,16 @@ fn single_table_agrees_with_the_span_stream() {
     for s in &spans {
         *per_kind.entry(s.kind).or_insert(0u64) += 1;
     }
-    for (&kind, &n) in &per_kind {
-        assert_eq!(
-            tel.registry.get("engine_events_total", &[("kind", kind)]),
-            Some(&Metric::Counter(n)),
-            "{kind}"
-        );
-    }
-    let series = tel.registry.enumerate();
-    let counted = series.filter(|(_, key, _)| key.name == "engine_events_total");
-    assert_eq!(counted.count(), per_kind.len());
+    let last = windows(&tel).pop().expect("a window");
+    let totals: BTreeMap<String, u64> = counters(&last)
+        .into_iter()
+        .map(|(kind, (total, _))| (kind, total))
+        .collect();
+    let spanned: BTreeMap<String, u64> = per_kind
+        .iter()
+        .map(|(&kind, &n)| (kind.to_string(), n))
+        .collect();
+    assert_eq!(totals, spanned);
     assert_eq!(tel.events, events);
     assert_eq!(spans.len() as u64, events);
     let chk = run.invariants.expect("checker requested");
@@ -221,6 +236,48 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     let map = v.as_map().expect("object");
     let (_, value) = map.iter().find(|(k, _)| k == key).expect(key);
     value
+}
+
+fn int(v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => u64::try_from(*i).expect("non-negative"),
+        other => panic!("expected an integer, got {other:?}"),
+    }
+}
+
+/// `metrics.jsonl`, one parsed object per window.
+fn windows(tel: &TelemetryRun) -> Vec<Value> {
+    let lines = tel.metrics_jsonl().lines();
+    lines.map(|l| serde_json::from_str(l).expect(l)).collect()
+}
+
+/// A window's `(index, start_us, end_us, partial)`.
+fn grid_of(window: &Value) -> (u64, u64, u64, bool) {
+    let partial = match field(window, "partial") {
+        Value::Bool(b) => *b,
+        other => panic!("expected a bool, got {other:?}"),
+    };
+    let at = |key| int(field(window, key));
+    (at("window"), at("start_us"), at("end_us"), partial)
+}
+
+/// A window's `engine_events_total{kind=…}` counters as kind →
+/// `(total, delta)`.
+fn counters(window: &Value) -> BTreeMap<String, (u64, u64)> {
+    let series = field(window, "counters").as_map().expect("counters");
+    series
+        .iter()
+        .map(|(key, v)| {
+            let kind = key
+                .strip_prefix("engine_events_total{kind=")
+                .and_then(|k| k.strip_suffix('}'))
+                .unwrap_or_else(|| panic!("not a per-kind counter: {key}"));
+            (
+                kind.to_string(),
+                (int(field(v, "total")), int(field(v, "delta"))),
+            )
+        })
+        .collect()
 }
 
 /// Spans carry the causal structure: roots are externally scheduled
@@ -269,25 +326,19 @@ fn custom_window_changes_the_grid() {
     // last exactly at the horizon, closed by the first dispatch there.
     // What that instant dispatched afterwards, and the horizon's protocol
     // sample, follow in a zero-length partial window.
-    let (tail, full) = tel.snapshots.split_last().expect("windows");
-    assert_eq!(full.len(), 3);
-    for (i, s) in full.iter().enumerate() {
-        assert_eq!(s.end, SimTime::from_secs(120 * (i as u64 + 1)));
-        assert!(!s.partial);
-    }
-    let horizon = SimTime::from_mins(6);
+    let windows = windows(&tel);
+    let grid: Vec<_> = windows.iter().map(grid_of).collect();
+    let horizon = 360_000_000;
     assert_eq!(
-        (tail.start, tail.end, tail.partial),
-        (horizon, horizon, true)
+        grid,
+        [
+            (0, 0, 120_000_000, false),
+            (1, 120_000_000, 240_000_000, false),
+            (2, 240_000_000, horizon, false),
+            (3, horizon, horizon, true),
+        ]
     );
-    let events_by_the_tail: u64 = tail
-        .series
-        .iter()
-        .filter(|(id, _)| id.starts_with("engine_events_total"))
-        .map(|(_, v)| match v {
-            SnapValue::Counter { total, .. } => *total,
-            other => panic!("counter snapshot expected: {other:?}"),
-        })
-        .sum();
+    let tail = windows.last().expect("windows");
+    let events_by_the_tail: u64 = counters(tail).values().map(|&(total, _)| total).sum();
     assert_eq!(events_by_the_tail, tel.events);
 }
