@@ -140,7 +140,8 @@ fn main() {
 /// The read side's four stages, each timed on its own over one fixed
 /// simulated log (a steady 3/s audience for 15 minutes, ≈ 20 k lines):
 /// log text → `LogServer` → parsed reports → sessions → the log-derived
-/// figures `coolstream analyze` renders.
+/// figures `coolstream analyze` renders. `read/lines` is the line walk
+/// alone, so `parse_all`'s decode is the difference of the two rows.
 fn read_side(c: &mut Criterion) {
     let (start, end) = (SimTime::ZERO, SimTime::from_secs(900));
     let text = Scenario::steady(3.0)
@@ -159,6 +160,14 @@ fn read_side(c: &mut Criterion) {
 
     c.bench_function("read/from_text", |b| {
         b.iter(|| black_box(LogServer::from_text(black_box(&text))).map(|s| s.len()))
+    });
+    c.bench_function("read/lines", |b| {
+        b.iter(|| {
+            let walk = server
+                .lines()
+                .map(|(t, l)| t.as_micros() as usize + l.len());
+            black_box(walk.sum::<usize>())
+        })
     });
     c.bench_function("read/parse_all", |b| {
         b.iter(|| black_box(server.parse_all()))

@@ -10,7 +10,8 @@
 //! delimiter characters. This module reads a line's syntax and nothing
 //! else: [`scan`] hands each pair to [`Report::decode`](crate::Report::decode),
 //! the one decoder, which rejects a repeated key instead of choosing
-//! between its values.
+//! between its values. Keys and values stay byte slices of the line; text
+//! is built only for an error or an escaped token.
 
 use std::borrow::Cow;
 
@@ -37,179 +38,159 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A key or value of a line: the slice itself when `plain` (no `%`, no
-/// non-ASCII byte), else [`unescape`]d.
-#[inline]
-fn token(s: &str, plain: bool) -> Result<Cow<'_, str>, CodecError> {
-    if plain {
-        Ok(Cow::Borrowed(s))
-    } else {
-        unescape(s).map(Cow::Owned)
-    }
+/// The text of a slice `scan` cut from a line. It starts and ends at a
+/// delimiter, an ASCII byte, so it is whole UTF-8.
+#[cold]
+pub(crate) fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
 }
 
-/// Undo percent-escaping. The result is the Latin-1 reading of the
-/// token's bytes: one byte, escaped or not, one `char`.
+/// The Latin-1 reading of an unescaped token: one byte, one `char`.
 #[cold]
-fn unescape(s: &str) -> Result<String, CodecError> {
-    let bad = || CodecError::BadEscape(s.to_string());
-    let bytes = s.as_bytes();
-    let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3).ok_or_else(bad)?;
-            out.push(u8::from_str_radix(hex, 16).map_err(|_| bad())? as char);
-            i += 3;
-        } else {
-            out.push(bytes[i] as char);
-            i += 1;
+pub(crate) fn latin1(bytes: &[u8]) -> String {
+    bytes.iter().map(|&b| char::from(b)).collect()
+}
+
+/// Undo percent-escaping: a `%` and the two bytes after it, read as
+/// `u8::from_str_radix` reads them, become one byte.
+#[cold]
+fn unescape(token: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let bad = || CodecError::BadEscape(text(token));
+    let mut out = Vec::with_capacity(token.len());
+    let mut rest = token;
+    while let Some((&b, tail)) = rest.split_first() {
+        rest = tail;
+        if b != b'%' {
+            out.push(b);
+            continue;
         }
+        let hex = (tail.get(..2))
+            .and_then(|hex| std::str::from_utf8(hex).ok())
+            .ok_or_else(bad)?;
+        out.push(u8::from_str_radix(hex, 16).map_err(|_| bad())?);
+        rest = &tail[2..];
     }
     Ok(out)
 }
 
-/// A pair's value as [`scan`] hands it over: still escaped, so a
-/// repeated key can be refused before a bad escape in its value is read.
+/// A key or value as the line spells it: `plain` when it holds no `%`
+/// and no non-ASCII byte, so that it reads as it stands.
 #[derive(Clone, Copy)]
-pub(crate) struct RawValue<'a> {
-    text: &'a str,
-    plain: bool,
+pub(crate) struct Token<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) plain: bool,
 }
 
-impl<'a> RawValue<'a> {
-    /// The value unescaped, borrowed from the line when it needs no
-    /// unescaping.
+impl<'a> Token<'a> {
+    /// The token's bytes unescaped, borrowed from the line when it needs
+    /// no unescaping.
     #[inline]
-    pub(crate) fn decode(self) -> Result<Cow<'a, str>, CodecError> {
-        token(self.text, self.plain)
+    pub(crate) fn decode(self) -> Result<Cow<'a, [u8]>, CodecError> {
+        match self.plain {
+            true => Ok(Cow::Borrowed(self.bytes)),
+            false => unescape(self.bytes).map(Cow::Owned),
+        }
     }
 
-    /// Whether the value's escapes are well formed: [`decode`](Self::decode)
+    /// Whether the token's escapes are well formed: [`decode`](Self::decode)
     /// without keeping what it builds.
     #[inline]
     pub(crate) fn check(self) -> Result<(), CodecError> {
-        match self.plain {
-            true => Ok(()),
-            false => unescape(self.text).map(drop),
-        }
+        self.decode().map(drop)
     }
 }
 
-/// Whether `scan` stops at `b`: a delimiter, an escape or a byte that
-/// is not ASCII.
+/// A pair's value as [`scan`] hands it over: still escaped, so a repeated
+/// key can be refused before a bad escape in its value is read, and read
+/// as a count on the way when it is one to nineteen decimal digits, which
+/// always fit a `u64`.
+#[derive(Clone, Copy)]
+pub(crate) struct RawValue<'a> {
+    pub(crate) token: Token<'a>,
+    pub(crate) count: Option<u64>,
+}
+
+/// Whether `b` keeps a token from reading as it stands: a `%` escape or a
+/// byte that is not ASCII.
 #[inline]
-fn special(b: u8) -> bool {
-    matches!(b, b'=' | b'&' | b'%' | 0x80..)
-}
-
-/// Bit `k` set where byte `k` of `block` (at most 64 bytes) is
-/// [`special`]. Reads 8 bytes at a time, then finishes byte by byte.
-#[inline]
-fn special_mask(block: &[u8]) -> u64 {
-    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-    const LOW: u64 = ONES * 0x7f;
-    const HIGH: u64 = ONES * 0x80;
-    // The high bit of each zero byte of `w`. No carry crosses a byte, so
-    // every bit is exact.
-    let zero = |w: u64| !(((w & LOW) + LOW) | w) & HIGH;
-    let mut words = block.chunks_exact(8);
-    let mut mask = 0;
-    for (k, word) in (&mut words).enumerate() {
-        let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
-        let hits = zero(w ^ (ONES * u64::from(b'=')))
-            | zero(w ^ (ONES * u64::from(b'&')))
-            | zero(w ^ (ONES * u64::from(b'%')))
-            | (w & HIGH);
-        // Gather the eight high bits into the top byte, byte `j` to bit `56 + j`.
-        mask |= ((hits >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
-    }
-    let tail = words.remainder();
-    let done = block.len() - tail.len();
-    for (k, &b) in tail.iter().enumerate() {
-        mask |= u64::from(special(b)) << (done + k);
-    }
-    mask
-}
-
-/// The offsets of the [`special`] bytes of a line, in order, found one
-/// 64-byte block at a time.
-struct Specials<'a> {
-    bytes: &'a [u8],
-    /// Offset of the block `mask` covers.
-    block: usize,
-    /// The block's special bytes not yet handed out.
-    mask: u64,
-}
-
-impl<'a> Specials<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Specials {
-            bytes,
-            block: 0,
-            mask: special_mask(&bytes[..bytes.len().min(64)]),
-        }
-    }
-}
-
-impl Iterator for Specials<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.mask == 0 {
-            self.block += 64;
-            let rest = self.bytes.get(self.block..).filter(|r| !r.is_empty())?;
-            self.mask = special_mask(&rest[..rest.len().min(64)]);
-        }
-        let at = self.block + self.mask.trailing_zeros() as usize;
-        self.mask &= self.mask - 1;
-        Some(at)
-    }
+fn escaped(b: u8) -> bool {
+    matches!(b, b'%' | 0x80..)
 }
 
 /// Hand the pairs of `s` to `each` left to right, in one walk over its
 /// bytes, until the syntax breaks or `each` refuses one. A pair goes out
-/// when its `&` (or the line's end) closes it, with its key unescaped and
-/// its value raw.
+/// when its `&` (or the line's end) closes it, with its key and value
+/// raw. `known` names the keys the caller reads: given the line from a
+/// pair's start, the key it opens with, closed by its `=`, and that key's
+/// length. Such a key goes out as `Some` of it, without a walk over it.
 #[inline]
-pub(crate) fn scan<'a>(
+pub(crate) fn scan<'a, K>(
     s: &'a str,
-    mut each: impl FnMut(Cow<'a, str>, RawValue<'a>) -> Result<(), CodecError>,
+    known: impl Fn(&[u8]) -> Option<(K, usize)>,
+    mut each: impl FnMut(Token<'a>, Option<K>, RawValue<'a>) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
-    if s.is_empty() {
+    let bytes = s.as_bytes();
+    if bytes.is_empty() {
         return Ok(());
     }
-    let bytes = s.as_bytes();
-    // The pair being read starts at `start`, and `eq` is its first `=`.
-    // `plain`: the key or value being read holds no `%` and no non-ASCII
-    // byte; `key_plain` keeps the key's verdict past its `=`.
-    let (mut start, mut eq) = (0, None);
-    let (mut plain, mut key_plain) = (true, true);
-    for i in Specials::new(bytes).chain([bytes.len()]) {
-        // The line's end reads as the `&` that closes the last pair.
-        match bytes.get(i).map_or(b'&', |&b| b) {
-            b'=' if eq.is_none() => (eq, key_plain, plain) = (Some(i), plain, true),
-            b'&' => {
-                let Some(eq) = eq.take() else {
-                    return Err(CodecError::MissingEquals(s[start..i].to_string()));
-                };
-                let key = token(&s[start..eq], key_plain)?;
-                each(
-                    key,
-                    RawValue {
-                        text: &s[eq + 1..i],
-                        plain,
-                    },
-                )?;
-                (start, plain) = (i + 1, true);
+    let mut start = 0;
+    loop {
+        // The key: a known one at the pair's start, or the bytes up to the
+        // pair's first `=`.
+        let (mut eq, mut plain) = (start, true);
+        let known_key = match known(&bytes[start..]) {
+            Some((key, len)) => {
+                eq += len;
+                Some(key)
             }
-            b'%' | 0x80.. => plain = false,
-            // An `=` inside a value.
-            _ => {}
+            None => loop {
+                match bytes.get(eq) {
+                    Some(b'=') => break None,
+                    Some(b'&') | None => {
+                        return Err(CodecError::MissingEquals(text(&bytes[start..eq])))
+                    }
+                    Some(&b) => plain &= !escaped(b),
+                }
+                eq += 1;
+            },
+        };
+        let key = Token {
+            bytes: &bytes[start..eq],
+            plain,
+        };
+        // The value: up to the next `&` (an `=` in it is its own), its
+        // digits read as a count on the way.
+        let rest = &bytes[eq + 1..];
+        let (mut len, mut count, mut digits) = (rest.len(), 0u64, true);
+        plain = true;
+        for (k, &b) in rest.iter().enumerate() {
+            let digit = b.wrapping_sub(b'0');
+            if digit < 10 {
+                count = count.wrapping_mul(10).wrapping_add(u64::from(digit));
+            } else if b == b'&' {
+                len = k;
+                break;
+            } else {
+                (digits, plain) = (false, plain && !escaped(b));
+            }
         }
+        let count = (digits && (1..20).contains(&len)).then_some(count);
+        each(
+            key,
+            known_key,
+            RawValue {
+                token: Token {
+                    bytes: &rest[..len],
+                    plain,
+                },
+                count,
+            },
+        )?;
+        if len == rest.len() {
+            return Ok(());
+        }
+        start = eq + len + 2;
     }
-    Ok(())
 }
 
 #[cfg(test)]

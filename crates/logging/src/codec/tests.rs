@@ -25,42 +25,6 @@ fn bad_escape_is_an_error() {
     }
 }
 
-/// The offsets a byte-at-a-time walk stops at: the oracle for
-/// [`Specials`].
-fn bytewise_specials(bytes: &[u8]) -> Vec<usize> {
-    (0..bytes.len()).filter(|&i| special(bytes[i])).collect()
-}
-
-/// Every special byte, alone or beside another, at every offset mod 8 of
-/// lines of 0 to 24 bytes and of lines that cross a 64-byte block, among
-/// fillers one off each delimiter.
-#[test]
-fn specials_match_a_bytewise_walk() {
-    let specials: [&[u8]; 5] = [b"=", b"&", b"%", "é".as_bytes(), "\u{80}".as_bytes()];
-    for len in (0..=24).chain(60..=70).chain([127, 128, 129]) {
-        for filler in [b'a', b'<', b'>', b'$', b'\'', 0x7f] {
-            let line = vec![filler; len];
-            assert_eq!(
-                Specials::new(&line).collect::<Vec<_>>(),
-                bytewise_specials(&line)
-            );
-            for at in 0..len {
-                for (x, y) in specials
-                    .iter()
-                    .flat_map(|x| specials.iter().map(move |y| (x, y)))
-                {
-                    let mut line = line.clone();
-                    line.splice(at..(at + x.len()).min(len), x.iter().copied());
-                    let next = (at + x.len() + at % 3).min(line.len());
-                    line.splice(next..next, y.iter().copied());
-                    let want = bytewise_specials(&line);
-                    assert_eq!(Specials::new(&line).collect::<Vec<_>>(), want, "{line:?}");
-                }
-            }
-        }
-    }
-}
-
 mod reference {
     //! The codec as it was before the borrowing one — `BTreeMap<String,
     //! String>` pairs, `Report` encode and decode through them — kept as
@@ -353,6 +317,74 @@ fn signed_and_zero_padded_counts_decode() {
     }
 }
 
+/// The values a decoder that reads counts straight from the line's bytes
+/// could get wrong: each count at its type's maximum and one past it,
+/// the nineteen digits that always fit a `u64` and the twenty that may
+/// not, long runs of leading zeros, a `+` before twenty digits, an empty
+/// value, and class and activity codes with one byte too many.
+#[test]
+fn decoders_match_reference_on_count_corners() {
+    let qos = |due: &str, miss: &str, nid: &str, uid: &str| {
+        format!("cls=qos&due={due}&miss={miss}&nid={nid}&uid={uid}")
+    };
+    let traf = |up: &str| format!("cls=traf&down=1&nid=5&uid=1&up={up}");
+    let part = |incoming: &str, private: &str| {
+        format!("adapt=0&cls=part&in={incoming}&nid=1&out=0&par=0&priv={private}&uid=1")
+    };
+    let act = |cls: &str, ev: &str| format!("cls={cls}&ev={ev}&nid=1&priv=0&uid=1");
+    let (zeros, plus) = (
+        format!("{}7", "0".repeat(25)),
+        format!("+{}", "1".repeat(20)),
+    );
+    let nineteen = ["9".repeat(19), format!("{}1", "0".repeat(18))];
+    let twenty = [format!("{}1", "0".repeat(19)), "9".repeat(20)];
+    let mut lines = Vec::new();
+    for v in ["4294967295", "4294967296"] {
+        lines.extend([qos("1", "0", "1", v), qos("1", "0", v, "1"), part(v, "0")]);
+    }
+    let counts = ["18446744073709551615", "18446744073709551616", "0", ""];
+    let odd = [
+        &zeros,
+        &plus,
+        &nineteen[0],
+        &nineteen[1],
+        &twenty[0],
+        &twenty[1],
+    ];
+    for v in counts.into_iter().chain(odd.map(String::as_str)) {
+        lines.extend([qos(v, "0", "1", "1"), qos(v, v, "1", "1"), traf(v)]);
+        lines.extend([qos("1", "0", "1", v), part(v, "0"), part("1", v)]);
+    }
+    for (cls, ev) in [
+        ("actx", "join"),
+        ("act", "joinx"),
+        ("act", "ready!"),
+        ("act", ""),
+    ] {
+        lines.push(act(cls, ev));
+    }
+    lines.extend(["cls=qosx", "cls=traf_", "cls=part&", "cls="].map(String::from));
+    // Keys that open with a report key, and report keys without their `=`.
+    let base = qos("1", "0", "1", "1");
+    for pair in [
+        "uidx=2", "clsx=act", "dues=2", "u=3", "uid", "miss&x=1", "%75id=1",
+    ] {
+        lines.extend([format!("{base}&{pair}"), format!("{pair}&{base}")]);
+    }
+    for s in &lines {
+        assert_matches_reference(s).unwrap_or_else(|e| panic!("{e}"));
+    }
+    assert_eq!(
+        Report::decode(&qos("1", "0", "1", "4294967296")),
+        Err(ReportError::Missing("uid"))
+    );
+    assert!(Report::decode(&traf("18446744073709551615")).is_ok());
+    assert_eq!(
+        Report::decode(&qos(&zeros, "7", "1", "1")).map(|r| r.user()),
+        Ok(UserId(1))
+    );
+}
+
 /// Lines of twelve pairs and more, longer than any report, sorted or not,
 /// decode as the reference does: a repeat past the twelfth pair is found.
 #[test]
@@ -450,12 +482,6 @@ fn mutate(line: &str, m: &Mutation, at: usize) -> String {
 
 proptest! {
     #[test]
-    fn specials_match_a_bytewise_walk_on_noise(s in "[a<>$'=&%é\u{7f}\u{80}]{0,150}") {
-        let bytes = s.as_bytes();
-        prop_assert_eq!(Specials::new(bytes).collect::<Vec<_>>(), bytewise_specials(bytes));
-    }
-
-    #[test]
     fn decoders_match_reference_on_arbitrary_ascii(s in "[ -~]{0,120}") {
         assert_matches_reference(&s)?;
     }
@@ -475,6 +501,19 @@ proptest! {
             line = mutate(&line, m, *at);
         }
         assert_matches_reference(&line)?;
+    }
+
+    #[test]
+    fn decoders_match_reference_on_shuffled_pairs(
+        r in arb::arb_report(),
+        order in proptest::collection::vec(any::<u64>(), 8..9),
+    ) {
+        let line = r.encode();
+        let mut pairs: Vec<(u64, &str)> = order.iter().copied().zip(line.split('&')).collect();
+        pairs.sort_unstable();
+        let shuffled = pairs.iter().map(|&(_, p)| p).collect::<Vec<_>>().join("&");
+        assert_matches_reference(&shuffled)?;
+        prop_assert_eq!(Report::decode(&shuffled), Ok(r));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{self, CodecError, RawValue};
+use crate::codec::{self, CodecError, RawValue, Token};
 
 /// Stable user identity across retries and re-entries (a "cookie").
 #[derive(
@@ -52,11 +52,16 @@ impl ActivityKind {
 
     /// Inverse of [`ActivityKind::code`]; `None` for unknown codes.
     pub fn from_code(s: &str) -> Option<Self> {
-        Some(match s {
-            "join" => ActivityKind::Join,
-            "startsub" => ActivityKind::StartSubscription,
-            "ready" => ActivityKind::MediaReady,
-            "leave" => ActivityKind::Leave,
+        Self::of_code(s.as_bytes())
+    }
+
+    /// [`from_code`](Self::from_code) on the code's bytes.
+    fn of_code(code: &[u8]) -> Option<Self> {
+        Some(match code {
+            b"join" => ActivityKind::Join,
+            b"startsub" => ActivityKind::StartSubscription,
+            b"ready" => ActivityKind::MediaReady,
+            b"leave" => ActivityKind::Leave,
             _ => return None,
         })
     }
@@ -189,46 +194,61 @@ impl Report {
         let mut f = Fields::default();
         f.fill(s)?;
         let cls = f.raw(Key::Cls)?;
-        let user = UserId(f.parsed(Key::Uid)?);
-        let node = f.parsed(Key::Nid)?;
+        let user = UserId(f.count(Key::Uid)?);
+        let node = f.count(Key::Nid)?;
         Ok(match &*cls {
-            "act" => {
+            b"act" => {
                 let code = f.raw(Key::Ev)?;
                 Report::Activity {
                     user,
                     node,
-                    kind: ActivityKind::from_code(&code)
-                        .ok_or_else(|| ReportError::UnknownActivity(code.into_owned()))?,
+                    kind: ActivityKind::of_code(&code)
+                        .ok_or_else(|| ReportError::UnknownActivity(codec::latin1(&code)))?,
                     private_addr: f.flag(Key::Priv)?,
                 }
             }
-            "qos" => {
-                let due = f.parsed(Key::Due)?;
+            b"qos" => {
+                let due = f.count(Key::Due)?;
+                let missed: u64 = f.count(Key::Miss)?;
+                if missed > due {
+                    return Err(ReportError::Missing("miss"));
+                }
                 Report::Qos {
                     user,
                     node,
                     due,
-                    missed: f.read(Key::Miss, |v| v.parse().ok().filter(|&m| m <= due))?,
+                    missed,
                 }
             }
-            "traf" => Report::Traffic {
+            b"traf" => Report::Traffic {
                 user,
                 node,
-                up: f.parsed(Key::Up)?,
-                down: f.parsed(Key::Down)?,
+                up: f.count(Key::Up)?,
+                down: f.count(Key::Down)?,
             },
-            "part" => Report::Partner {
+            b"part" => Report::Partner {
                 user,
                 node,
                 private_addr: f.flag(Key::Priv)?,
-                incoming: f.parsed(Key::In)?,
-                outgoing: f.parsed(Key::Out)?,
-                parents: f.parsed(Key::Par)?,
-                adaptations: f.parsed(Key::Adapt)?,
+                incoming: f.count(Key::In)?,
+                outgoing: f.count(Key::Out)?,
+                parents: f.count(Key::Par)?,
+                adaptations: f.count(Key::Adapt)?,
             },
-            _ => return Err(ReportError::UnknownClass(cls.into_owned())),
+            _ => return Err(ReportError::UnknownClass(codec::latin1(&cls))),
         })
     }
+}
+
+/// A count as `u64::from_str` reads it: an optional `+`, then at least
+/// one decimal digit, leading zeros allowed; `None` past `u64::MAX`.
+fn number(v: &[u8]) -> Option<u64> {
+    let digits = v.strip_prefix(b"+").unwrap_or(v);
+    let read = |n: u64, &b: &u8| {
+        let digit = Some(b.wrapping_sub(b'0')).filter(|&d| d < 10)?;
+        n.checked_mul(10)?.checked_add(u64::from(digit))
+    };
+    (!digits.is_empty()).then(|| digits.iter().try_fold(0, read))?
 }
 
 /// Every key a report class reads; [`Key`] names each by its index.
@@ -255,32 +275,46 @@ enum Key {
 }
 
 impl Key {
-    /// The key named `name`, if a report class reads it.
+    /// The key `text` opens with, closed by its `=`, if a report class
+    /// reads it, and the key's length: a jump on the first byte, then a
+    /// compare of a few bytes.
     #[inline]
-    fn of(name: &str) -> Option<Key> {
-        Some(match name {
-            "adapt" => Key::Adapt,
-            "cls" => Key::Cls,
-            "down" => Key::Down,
-            "due" => Key::Due,
-            "ev" => Key::Ev,
-            "in" => Key::In,
-            "miss" => Key::Miss,
-            "nid" => Key::Nid,
-            "out" => Key::Out,
-            "par" => Key::Par,
-            "priv" => Key::Priv,
-            "uid" => Key::Uid,
-            "up" => Key::Up,
+    fn opening(text: &[u8]) -> Option<(Key, usize)> {
+        let key = match text.first()? {
+            b'a' if text.starts_with(b"adapt=") => Key::Adapt,
+            b'c' if text.starts_with(b"cls=") => Key::Cls,
+            b'd' if text.starts_with(b"down=") => Key::Down,
+            b'd' if text.starts_with(b"due=") => Key::Due,
+            b'e' if text.starts_with(b"ev=") => Key::Ev,
+            b'i' if text.starts_with(b"in=") => Key::In,
+            b'm' if text.starts_with(b"miss=") => Key::Miss,
+            b'n' if text.starts_with(b"nid=") => Key::Nid,
+            b'o' if text.starts_with(b"out=") => Key::Out,
+            b'p' if text.starts_with(b"par=") => Key::Par,
+            b'p' if text.starts_with(b"priv=") => Key::Priv,
+            b'u' if text.starts_with(b"uid=") => Key::Uid,
+            b'u' if text.starts_with(b"up=") => Key::Up,
             _ => return None,
-        })
+        };
+        Some((key, KEYS[key as usize].len()))
+    }
+
+    /// The key named `name`, if a report class reads it.
+    fn of(name: impl AsRef<[u8]>) -> Option<Key> {
+        let text = [name.as_ref(), b"="].concat();
+        let (key, len) = Key::opening(&text)?;
+        (len + 1 == text.len()).then_some(key)
     }
 }
 
-/// A decoded line's raw value per [`KEYS`] entry: one walk of its pairs,
-/// read back in whatever order the report class asks.
+/// A decoded line's raw value per [`KEYS`] entry, with the count `scan`
+/// read from it if it read one: one walk of its pairs, read back in
+/// whatever order the report class asks.
 #[derive(Default)]
-struct Fields<'a>([Option<RawValue<'a>>; KEYS.len()]);
+struct Fields<'a> {
+    values: [Option<Token<'a>>; KEYS.len()],
+    counts: [Option<u64>; KEYS.len()],
+}
 
 impl<'a> Fields<'a> {
     /// One walk of the line's pairs into the slots. A key seen twice,
@@ -289,52 +323,74 @@ impl<'a> Fields<'a> {
     /// its value.
     fn fill(&mut self, line: &'a str) -> Result<(), CodecError> {
         // Keys outside `KEYS` are kept only to find a repeat. No line a
-        // client writes has one, so the set stays empty, and a hostile
+        // client writes has one, so the set is never built, and a hostile
         // line of n of them costs O(n log n), not a scan per key.
-        let mut unknown = BTreeSet::new();
-        codec::scan(line, |key, value| match Key::of(&key) {
-            Some(at) => match &mut self.0[at as usize] {
-                Some(_) => Err(CodecError::DuplicateKey(key.into_owned())),
-                slot => {
-                    value.check()?;
-                    *slot = Some(value);
-                    Ok(())
-                }
-            },
-            None => match unknown.replace(key) {
-                Some(key) => Err(CodecError::DuplicateKey(key.into_owned())),
-                None => value.check(),
-            },
+        let mut unknown = None;
+        // `scan` recognizes every key in `KEYS` as the line spells it, so
+        // only a key that is escaped or unknown takes the cold path.
+        codec::scan(line, Key::opening, |name, key, value| match key {
+            Some(at) => self.put(at, name.bytes, value),
+            None => self.put_unescaped(&mut unknown, name, value),
         })
     }
 
+    /// Store `value` in `at`'s slot, unless the key `name` came before.
+    #[inline]
+    fn put(&mut self, at: Key, name: &[u8], value: RawValue<'a>) -> Result<(), CodecError> {
+        if self.values[at as usize].is_some() {
+            return Err(CodecError::DuplicateKey(codec::latin1(name)));
+        }
+        value.token.check()?;
+        self.values[at as usize] = Some(value.token);
+        self.counts[at as usize] = value.count;
+        Ok(())
+    }
+
+    /// [`put`](Self::put) for a key that is escaped or not in [`KEYS`]:
+    /// the second kind goes into `unknown`, built when the first comes.
+    #[cold]
+    fn put_unescaped(
+        &mut self,
+        unknown: &mut Option<BTreeSet<Cow<'a, [u8]>>>,
+        key: Token<'a>,
+        value: RawValue<'a>,
+    ) -> Result<(), CodecError> {
+        let name = key.decode()?;
+        if let Some(at) = Key::of(&name) {
+            return self.put(at, &name, value);
+        }
+        match unknown.get_or_insert_with(BTreeSet::new).replace(name) {
+            Some(name) => Err(CodecError::DuplicateKey(codec::latin1(&name))),
+            None => value.token.check(),
+        }
+    }
+
     /// The value of `key`, unescaped: absent, it is `Missing(key)`.
-    fn raw(&self, key: Key) -> Result<Cow<'a, str>, ReportError> {
-        self.0[key as usize]
+    fn raw(&self, key: Key) -> Result<Cow<'a, [u8]>, ReportError> {
+        self.values[key as usize]
             .and_then(|v| v.decode().ok())
             .ok_or(ReportError::Missing(KEYS[key as usize]))
     }
 
-    fn parsed<T: std::str::FromStr>(&self, key: Key) -> Result<T, ReportError> {
-        self.read(key, |v| v.parse().ok())
+    /// A count of type `T`: absent, unparsable or out of its range, it is
+    /// `Missing(key)`.
+    fn count<T: TryFrom<u64>>(&self, key: Key) -> Result<T, ReportError> {
+        let count = match self.counts[key as usize] {
+            None => self.raw(key).ok().and_then(|v| number(&v)),
+            read => read,
+        };
+        count
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or(ReportError::Missing(KEYS[key as usize]))
     }
 
     /// A `0`/`1` flag.
     fn flag(&self, key: Key) -> Result<bool, ReportError> {
-        self.read(key, |v| match v {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => None,
-        })
-    }
-
-    /// The value of `key` through `read`: absent, or refused by `read`
-    /// (unparsable, out of range), it is `Missing(key)`.
-    fn read<T>(&self, key: Key, read: impl FnOnce(&str) -> Option<T>) -> Result<T, ReportError> {
-        let missing = ReportError::Missing(KEYS[key as usize]);
-        self.0[key as usize]
-            .and_then(|v| read(&v.decode().ok()?))
-            .ok_or(missing)
+        match self.raw(key)?.as_ref() {
+            b"0" => Ok(false),
+            b"1" => Ok(true),
+            _ => Err(ReportError::Missing(KEYS[key as usize])),
+        }
     }
 }
 

@@ -54,21 +54,23 @@ fn stamp(line: &[u8]) -> Option<(u64, usize)> {
 
 /// The offset of the first `\n` in `bytes` at or after `at`: 8 bytes at a
 /// time, then byte by byte.
-fn newline(bytes: &[u8], mut at: usize) -> Option<usize> {
+fn newline(bytes: &[u8], at: usize) -> Option<usize> {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
-    while let Some(word) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
-        let w = u64::from_le_bytes(*word) ^ (ONES * u64::from(b'\n'));
+    let rest = bytes.get(at..)?;
+    let mut words = rest.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ (ONES * u64::from(b'\n'));
         // The high bit of each zero byte of `w`. A borrow can also set it
         // in a byte above a zero one, never below, so the lowest is exact.
         let zero = w.wrapping_sub(ONES) & !w & HIGH;
         if zero != 0 {
-            return Some(at + zero.trailing_zeros() as usize / 8);
+            return Some(at + 8 * k + zero.trailing_zeros() as usize / 8);
         }
-        at += 8;
     }
-    let rest = bytes.get(at..)?;
-    rest.iter().position(|&b| b == b'\n').map(|k| at + k)
+    let tail = words.remainder();
+    let done = at + rest.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|k| done + k)
 }
 
 /// Byte length and line count of the longest run of whole canonical
@@ -125,10 +127,12 @@ impl<'a> LogServer<'a> {
         self.lines
     }
 
-    /// Heap bytes the log owns: its text's capacity, 0 while borrowed.
+    /// Heap bytes the log owns: the text written so far, 0 while
+    /// borrowed. The untouched tail of a doubled buffer is address space,
+    /// not resident memory, so its capacity is not counted.
     pub fn heap_bytes(&self) -> usize {
         match &self.text {
-            Cow::Owned(text) => text.capacity(),
+            Cow::Owned(text) => text.len(),
             Cow::Borrowed(_) => 0,
         }
     }
@@ -247,6 +251,18 @@ mod tests {
         assert!(bad.is_empty());
         assert_eq!(ok[0].0, SimTime::from_secs(10));
         assert_eq!(ok[0].1, sample());
+    }
+
+    #[test]
+    fn heap_bytes_count_the_owned_text() {
+        let mut owned = LogServer::new();
+        for t in 0..100 {
+            owned.report(SimTime::from_secs(t), &sample());
+        }
+        assert_eq!(owned.heap_bytes(), owned.as_text().len());
+        let text = owned.to_text();
+        let borrowed = LogServer::from_text(&text).unwrap();
+        assert_eq!(borrowed.heap_bytes(), 0);
     }
 
     #[test]
