@@ -9,21 +9,19 @@
 //! flash crowd).
 
 use cs_net::NodeId;
-use cs_sim::{DetMap, SimTime};
+use cs_sim::DetMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-use crate::mcache::McEntry;
 
 /// The tracker's registry of live peers.
 #[derive(Clone, Debug, Default)]
 pub struct Bootstrap {
     /// Dense list for O(1) random sampling.
     roster: Vec<NodeId>,
-    /// id → (index in `roster`, join time).
-    index: DetMap<NodeId, (usize, SimTime)>,
+    /// id → index in `roster`.
+    index: DetMap<NodeId, usize>,
     /// Dedicated helper servers, included in every reply.
-    servers: Vec<(NodeId, SimTime)>,
+    servers: Vec<NodeId>,
     /// Requests served (for load accounting).
     pub requests: u64,
 }
@@ -35,28 +33,28 @@ impl Bootstrap {
     }
 
     /// Register a dedicated server (never deregistered).
-    pub fn add_server(&mut self, id: NodeId, now: SimTime) {
-        self.servers.push((id, now));
+    pub fn add_server(&mut self, id: NodeId) {
+        self.servers.push(id);
     }
 
     /// Register a peer on join.
-    pub fn register(&mut self, id: NodeId, now: SimTime) {
+    pub fn register(&mut self, id: NodeId) {
         if self.index.contains_key(&id) {
             return;
         }
-        self.index.insert(id, (self.roster.len(), now));
+        self.index.insert(id, self.roster.len());
         self.roster.push(id);
     }
 
     /// Deregister a peer on leave.
     pub fn deregister(&mut self, id: NodeId) {
-        if let Some((ix, _)) = self.index.remove(&id) {
+        if let Some(ix) = self.index.remove(&id) {
             let last = self.roster.len() - 1;
             self.roster.swap_remove(ix);
             if ix <= last && ix < self.roster.len() {
                 let moved = self.roster[ix];
                 if let Some(slot) = self.index.get_mut(&moved) {
-                    slot.0 = ix;
+                    *slot = ix;
                 }
             }
         }
@@ -66,8 +64,8 @@ impl Bootstrap {
     /// index's entries (its tree nodes' slack is not counted).
     pub fn heap_bytes(&self) -> usize {
         self.roster.capacity() * std::mem::size_of::<NodeId>()
-            + self.index.len() * std::mem::size_of::<(NodeId, (usize, SimTime))>()
-            + self.servers.capacity() * std::mem::size_of::<(NodeId, SimTime)>()
+            + self.index.len() * std::mem::size_of::<(NodeId, usize)>()
+            + self.servers.capacity() * std::mem::size_of::<NodeId>()
     }
 
     /// Registered peer count (servers excluded).
@@ -87,17 +85,12 @@ impl Bootstrap {
         requester: NodeId,
         fanout: usize,
         rng: &mut R,
-    ) -> Vec<McEntry> {
+    ) -> Vec<NodeId> {
         self.requests += 1;
         let mut out = Vec::with_capacity(fanout);
-        let mut servers: Vec<&(NodeId, SimTime)> = self.servers.iter().collect();
+        let mut servers = self.servers.clone();
         servers.shuffle(rng);
-        for &&(id, joined) in servers.iter().take(2.min(fanout)) {
-            out.push(McEntry {
-                id,
-                joined_at: joined,
-            });
-        }
+        out.extend(servers.iter().take(2.min(fanout)));
         let want_peers = fanout.saturating_sub(out.len());
         if want_peers > 0 && !self.roster.is_empty() {
             // Sample without replacement by index shuffle over a bounded
@@ -112,13 +105,7 @@ impl Bootstrap {
                     chosen.push(pick);
                 }
             }
-            for id in chosen {
-                let joined = self.index[&id].1;
-                out.push(McEntry {
-                    id,
-                    joined_at: joined,
-                });
-            }
+            out.extend(chosen);
         }
         out
     }
@@ -133,7 +120,7 @@ mod tests {
     fn register_deregister_consistency() {
         let mut b = Bootstrap::new();
         for i in 0..10 {
-            b.register(NodeId(i), SimTime::from_secs(i as u64));
+            b.register(NodeId(i));
         }
         assert_eq!(b.len(), 10);
         b.deregister(NodeId(3));
@@ -144,23 +131,23 @@ mod tests {
         b.deregister(NodeId(3));
         assert_eq!(b.len(), 7);
         // Re-register works.
-        b.register(NodeId(3), SimTime::from_secs(99));
+        b.register(NodeId(3));
         assert_eq!(b.len(), 8);
     }
 
     #[test]
     fn sample_includes_servers_first() {
         let mut b = Bootstrap::new();
-        b.add_server(NodeId(1000), SimTime::ZERO);
-        b.add_server(NodeId(1001), SimTime::ZERO);
-        b.add_server(NodeId(1002), SimTime::ZERO);
+        b.add_server(NodeId(1000));
+        b.add_server(NodeId(1001));
+        b.add_server(NodeId(1002));
         for i in 0..50 {
-            b.register(NodeId(i), SimTime::ZERO);
+            b.register(NodeId(i));
         }
         let mut rng = Xoshiro256PlusPlus::new(1);
         let s = b.sample(NodeId(0), 8, &mut rng);
         assert_eq!(s.len(), 8);
-        let n_servers = s.iter().filter(|e| e.id.0 >= 1000).count();
+        let n_servers = s.iter().filter(|e| e.0 >= 1000).count();
         assert_eq!(n_servers, 2);
     }
 
@@ -168,12 +155,12 @@ mod tests {
     fn sample_excludes_requester_and_duplicates() {
         let mut b = Bootstrap::new();
         for i in 0..5 {
-            b.register(NodeId(i), SimTime::ZERO);
+            b.register(NodeId(i));
         }
         let mut rng = Xoshiro256PlusPlus::new(2);
         for _ in 0..50 {
             let s = b.sample(NodeId(2), 10, &mut rng);
-            let ids: Vec<u32> = s.iter().map(|e| e.id.0).collect();
+            let ids: Vec<u32> = s.iter().map(|e| e.0).collect();
             assert!(!ids.contains(&2));
             let mut dedup = ids.clone();
             dedup.sort_unstable();
@@ -185,11 +172,11 @@ mod tests {
     #[test]
     fn sample_from_empty_registry_returns_servers_only() {
         let mut b = Bootstrap::new();
-        b.add_server(NodeId(7), SimTime::ZERO);
+        b.add_server(NodeId(7));
         let mut rng = Xoshiro256PlusPlus::new(3);
         let s = b.sample(NodeId(1), 6, &mut rng);
         assert_eq!(s.len(), 1);
-        assert_eq!(s[0].id, NodeId(7));
+        assert_eq!(s[0], NodeId(7));
     }
 
     #[test]

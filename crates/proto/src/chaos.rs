@@ -180,7 +180,7 @@ fn selected(id: NodeId, per_mille: u64) -> bool {
 mod tests {
     use super::*;
     use crate::membership::Membership;
-    use crate::params::Params;
+    use crate::params::{Params, ReplacePolicy};
     use crate::world::UserSpec;
     use cs_net::{LatencyModel, Network};
     use cs_sim::Engine;
@@ -262,6 +262,51 @@ mod tests {
         let world = engine.into_world();
         assert!(world.net.is_alive(server));
         assert!(world.peer(server).is_some());
+    }
+
+    /// A restarted server's age is its restart time: under
+    /// `StabilityBiased`, a full cache ranks it by the registry's
+    /// `joined_at`, not by the registration time the boot-strap tracker
+    /// once handed out, so a peer that joined between the crash and the
+    /// restart is older and evicts it.
+    #[test]
+    fn stability_bias_ranks_a_restarted_server_by_its_restart_time() {
+        let params = Params {
+            replace_policy: ReplacePolicy::StabilityBiased,
+            mcache_size: 2,
+            ..Params::default()
+        };
+        let net = Network::new(ConnectivityPolicy::default(), LatencyModel::default(), 7);
+        let world = CsWorld::new(params, net, 2, Bandwidth::mbps(100), 7);
+        let (source, crashed, holder) = (world.source, world.servers[0], world.servers[1]);
+        let mut world = run_events(
+            world,
+            vec![(SimTime::from_secs(10), Event::CrashServer(0))],
+            SimTime::from_secs(11),
+        );
+        let between = world.net.add_node(
+            NodeClass::DirectConnect,
+            Bandwidth::mbps(1),
+            SimTime::from_secs(20),
+        );
+        let mut world = run_events(
+            world,
+            vec![(SimTime::from_secs(30), Event::RestartServer(0))],
+            SimTime::from_secs(31),
+        );
+        let after = world.net.add_node(
+            NodeClass::DirectConnect,
+            Bandwidth::mbps(1),
+            SimTime::from_secs(40),
+        );
+        let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(9);
+        let mut remember = |id| Membership::of(&mut world).inject_cache_entry(holder, id, &mut rng);
+        remember(crashed);
+        remember(source);
+        remember(after);
+        remember(between);
+        let cache = world.peer(holder).unwrap().mcache();
+        assert_eq!(cache.ids(), &[between, source]);
     }
 
     /// Plant a user peer via the real arrival handler so teardown paths

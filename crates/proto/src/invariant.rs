@@ -345,15 +345,15 @@ impl InvariantChecker {
             }
 
             // Oracle 7: mCache referential integrity.
-            for e in peer.mcache().iter() {
-                if e.id == info.id {
+            for &e in peer.mcache().ids() {
+                if e == info.id {
                     self.record(now, "mcache-self", format!("{:?} caches itself", info.id));
                 }
-                if e.id.index() >= total_nodes {
+                if e.index() >= total_nodes {
                     self.record(
                         now,
                         "mcache-unknown-node",
-                        format!("{:?} caches never-seen node {:?}", info.id, e.id),
+                        format!("{:?} caches never-seen node {:?}", info.id, e),
                     );
                 }
             }
@@ -470,12 +470,8 @@ pub(crate) mod tests {
     fn self_caching_is_caught() {
         let mut world = tiny_world();
         let a = world.servers[0];
-        let entry = crate::mcache::McEntry {
-            id: a,
-            joined_at: SimTime::ZERO,
-        };
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(1);
-        Membership::of(&mut world).inject_cache_entry(a, entry, &mut rng);
+        Membership::of(&mut world).inject_cache_entry(a, a, &mut rng);
         let mut chk = InvariantChecker::new();
         chk.check_world(SimTime::from_secs(1), &world);
         assert!(
@@ -519,12 +515,8 @@ pub(crate) mod tests {
         let mut world = tiny_world();
         let a = world.servers[0];
         // One violation per check; run enough checks to pass the cap.
-        let entry = crate::mcache::McEntry {
-            id: NodeId(9999),
-            joined_at: SimTime::ZERO,
-        };
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(2);
-        Membership::of(&mut world).inject_cache_entry(a, entry, &mut rng);
+        Membership::of(&mut world).inject_cache_entry(a, NodeId(9999), &mut rng);
         let mut chk = InvariantChecker::new();
         for _ in 0..(MAX_RECORDED as u64 + 10) {
             chk.check_world(SimTime::from_secs(1), &world);

@@ -64,7 +64,7 @@ pub use arena::PeerHandle;
 pub use bootstrap::Bootstrap;
 pub use buffer::{BufferMap, StreamBuffer};
 pub use invariant::{InvariantChecker, Violation};
-pub use mcache::{MCache, McEntry};
+pub use mcache::MCache;
 pub use membership::MembershipState;
 pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
 pub use partnership::{PartnerTable, PartnerView, PartnershipState};

@@ -15,35 +15,22 @@ use rand::Rng;
 
 use crate::params::ReplacePolicy;
 
-/// One mCache entry: a peer and what we know about its age.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct McEntry {
-    /// The peer.
-    pub id: NodeId,
-    /// The peer's advertised join time (gossip metadata) — the stability
-    /// signal used by [`ReplacePolicy::StabilityBiased`].
-    pub joined_at: SimTime,
-}
-
-/// A bounded partial view of the overlay.
-///
-/// Stored as two columns, ids and join times, so the duplicate scan of
-/// every insert and `contains` read 4-byte ids: 12 bytes an entry.
+/// A bounded partial view of the overlay: peer ids only, 4 bytes an
+/// entry. A peer's age is a property of its id (ids are never reused), so
+/// [`ReplacePolicy::StabilityBiased`] reads join times from the node
+/// registry through a lookup the caller passes in instead of copying them
+/// into every cache that lists the id.
 #[derive(Clone, Debug)]
 pub struct MCache {
     /// Entry ids in cache order; allocated once at capacity.
     ids: Vec<NodeId>,
-    /// `joined[i]` is the advertised join time of `ids[i]`; its length is
-    /// the capacity, and slots past `ids.len()` mean nothing.
-    joined: Box<[SimTime]>,
 }
 
 impl MCache {
-    /// Empty cache with capacity `cap`.
+    /// Empty cache with room for `cap` entries.
     pub fn new(cap: usize) -> Self {
         MCache {
             ids: Vec::with_capacity(cap),
-            joined: vec![SimTime::ZERO; cap].into_boxed_slice(),
         }
     }
 
@@ -57,10 +44,9 @@ impl MCache {
         self.ids.is_empty()
     }
 
-    /// Heap bytes: both columns, allocated at capacity.
+    /// Heap bytes: the id column, allocated at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
-            + std::mem::size_of_val::<[SimTime]>(&self.joined)
     }
 
     /// Whether `id` is in the cache.
@@ -68,31 +54,30 @@ impl MCache {
         self.ids.contains(&id)
     }
 
-    /// Iterate entries.
-    pub fn iter(&self) -> impl Iterator<Item = McEntry> + '_ {
-        let joined = &self.joined[..self.ids.len()];
-        self.ids
-            .iter()
-            .zip(joined)
-            .map(|(&id, &joined_at)| McEntry { id, joined_at })
+    /// The entries, in cache order.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
     }
 
-    /// Insert or refresh an entry, applying the replacement policy when
-    /// full. Returns `true` if the entry is now present.
+    /// Insert `id` into a cache bounded at `cap` entries, applying the
+    /// replacement policy when full; `joined_at` gives a peer's join time
+    /// and is read only under [`ReplacePolicy::StabilityBiased`]. Returns
+    /// `true` if the entry is now present (an id already present is left
+    /// where it is).
     pub fn insert<R: Rng + ?Sized>(
         &mut self,
-        entry: McEntry,
+        id: NodeId,
+        cap: usize,
         policy: ReplacePolicy,
+        joined_at: impl Fn(NodeId) -> SimTime,
         rng: &mut R,
     ) -> bool {
         let len = self.ids.len();
-        if let Some(i) = self.ids.iter().position(|&id| id == entry.id) {
-            self.joined[i] = entry.joined_at;
+        if self.ids.contains(&id) {
             return true;
         }
-        if len < self.joined.len() {
-            self.ids.push(entry.id);
-            self.joined[len] = entry.joined_at;
+        if len < cap {
+            self.ids.push(id);
             return true;
         }
         if len == 0 {
@@ -101,61 +86,48 @@ impl MCache {
         let victim = match policy {
             ReplacePolicy::Random => rng.gen_range(0..len),
             ReplacePolicy::StabilityBiased => {
-                // Evict the youngest peer (largest advertised join time,
-                // the last of equals) — but only if the candidate is older
-                // than it, so the cache monotonically converges towards
-                // stable peers.
-                let Some((victim, &youngest)) = self.joined[..len]
+                // Evict the youngest peer (largest join time, the last of
+                // equals) — but only if the candidate is older than it, so
+                // the cache monotonically converges towards stable peers.
+                let Some((victim, youngest)) = self
+                    .ids
                     .iter()
+                    .map(|&c| joined_at(c))
                     .enumerate()
                     .max_by_key(|&(_, t)| t)
                 else {
                     return false;
                 };
-                if entry.joined_at >= youngest {
+                if joined_at(id) >= youngest {
                     return false;
                 }
                 victim
             }
         };
-        self.ids[victim] = entry.id;
-        self.joined[victim] = entry.joined_at;
+        self.ids[victim] = id;
         true
     }
 
     /// Drop an entry (dead peer discovered).
     pub fn remove(&mut self, id: NodeId) {
-        // `insert` refreshes an id already present, so there is at most one.
+        // `insert` never adds an id already present, so there is at most one.
         if let Some(i) = self.ids.iter().position(|&e| e == id) {
             self.ids.remove(i);
-            self.joined.copy_within(i + 1..=self.ids.len(), i);
         }
     }
 
     /// Uniform sample of up to `n` entries, excluding ids for which
-    /// `exclude` returns true.
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-        exclude: impl FnMut(NodeId) -> bool,
-    ) -> Vec<McEntry> {
-        let mut out = Vec::new();
-        self.sample_into(n, rng, exclude, &mut out);
-        out
-    }
-
-    /// [`sample`](Self::sample) into a caller-owned buffer (cleared
-    /// first), so periodic callers reuse one allocation.
+    /// `exclude` returns true, into a caller-owned buffer (cleared first),
+    /// so periodic callers reuse one allocation.
     pub fn sample_into<R: Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
         mut exclude: impl FnMut(NodeId) -> bool,
-        out: &mut Vec<McEntry>,
+        out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        out.extend(self.iter().filter(|e| !exclude(e.id)));
+        out.extend(self.ids.iter().copied().filter(|&id| !exclude(id)));
         out.shuffle(rng);
         out.truncate(n);
     }
@@ -166,11 +138,30 @@ mod tests {
     use super::*;
     use cs_sim::rng::Xoshiro256PlusPlus;
 
-    fn e(id: u32, joined: u64) -> McEntry {
-        McEntry {
-            id: NodeId(id),
-            joined_at: SimTime::from_secs(joined),
-        }
+    /// Join-time lookup for these tests: peer `i` joined at second `i`.
+    fn age(id: NodeId) -> SimTime {
+        SimTime::from_secs(u64::from(id.0))
+    }
+
+    fn insert(
+        c: &mut MCache,
+        cap: usize,
+        id: u32,
+        policy: ReplacePolicy,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> bool {
+        c.insert(NodeId(id), cap, policy, age, rng)
+    }
+
+    fn sample(
+        c: &MCache,
+        n: usize,
+        rng: &mut Xoshiro256PlusPlus,
+        exclude: impl FnMut(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        c.sample_into(n, rng, exclude, &mut out);
+        out
     }
 
     #[test]
@@ -178,38 +169,58 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::new(1);
         let mut c = MCache::new(3);
         for i in 0..3 {
-            assert!(c.insert(e(i, 0), ReplacePolicy::Random, &mut rng));
+            assert!(insert(&mut c, 3, i, ReplacePolicy::Random, &mut rng));
         }
         assert_eq!(c.len(), 3);
-        assert!(c.insert(e(99, 0), ReplacePolicy::Random, &mut rng));
+        assert!(insert(&mut c, 3, 99, ReplacePolicy::Random, &mut rng));
         assert_eq!(c.len(), 3);
         assert!(c.contains(NodeId(99)));
     }
 
     #[test]
-    fn duplicate_insert_refreshes_metadata() {
+    fn duplicate_insert_is_a_noop() {
         let mut rng = Xoshiro256PlusPlus::new(2);
-        let mut c = MCache::new(4);
-        c.insert(e(5, 10), ReplacePolicy::Random, &mut rng);
-        c.insert(e(5, 20), ReplacePolicy::Random, &mut rng);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.iter().next().unwrap().joined_at, SimTime::from_secs(20));
+        let mut c = MCache::new(2);
+        insert(&mut c, 2, 5, ReplacePolicy::Random, &mut rng);
+        insert(&mut c, 2, 6, ReplacePolicy::Random, &mut rng);
+        let before = rng.clone();
+        assert!(insert(&mut c, 2, 5, ReplacePolicy::Random, &mut rng));
+        assert_eq!(c.ids(), &[NodeId(5), NodeId(6)]);
+        assert_eq!(rng.gen::<u64>(), before.clone().gen::<u64>(), "no draw");
     }
 
     #[test]
     fn stability_bias_keeps_old_peers() {
         let mut rng = Xoshiro256PlusPlus::new(3);
         let mut c = MCache::new(2);
-        c.insert(e(1, 100), ReplacePolicy::StabilityBiased, &mut rng);
-        c.insert(e(2, 10), ReplacePolicy::StabilityBiased, &mut rng);
+        let biased = ReplacePolicy::StabilityBiased;
+        insert(&mut c, 2, 100, biased, &mut rng);
+        insert(&mut c, 2, 10, biased, &mut rng);
         // Candidate younger than everything in cache → rejected.
-        assert!(!c.insert(e(3, 500), ReplacePolicy::StabilityBiased, &mut rng));
-        assert!(!c.contains(NodeId(3)));
-        // Candidate older than the youngest → evicts the youngest (id 1).
-        assert!(c.insert(e(4, 50), ReplacePolicy::StabilityBiased, &mut rng));
-        assert!(c.contains(NodeId(4)));
-        assert!(!c.contains(NodeId(1)));
-        assert!(c.contains(NodeId(2)));
+        assert!(!insert(&mut c, 2, 500, biased, &mut rng));
+        assert!(!c.contains(NodeId(500)));
+        // Candidate older than the youngest → evicts the youngest (id 100).
+        assert!(insert(&mut c, 2, 50, biased, &mut rng));
+        assert_eq!(c.ids(), &[NodeId(50), NodeId(10)]);
+    }
+
+    #[test]
+    fn stability_bias_evicts_the_last_of_equally_young() {
+        let mut rng = Xoshiro256PlusPlus::new(8);
+        let mut c = MCache::new(3);
+        // Ids 1 and 2 share the youngest join time, 40 s.
+        let ages = |id: NodeId| SimTime::from_secs([10, 40, 40, 5][id.index()]);
+        for id in 0..3 {
+            c.insert(
+                NodeId(id),
+                3,
+                ReplacePolicy::StabilityBiased,
+                ages,
+                &mut rng,
+            );
+        }
+        assert!(c.insert(NodeId(3), 3, ReplacePolicy::StabilityBiased, ages, &mut rng));
+        assert_eq!(c.ids(), &[NodeId(0), NodeId(1), NodeId(3)]);
     }
 
     #[test]
@@ -217,10 +228,10 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::new(4);
         let mut c = MCache::new(4);
         for i in 0..4 {
-            c.insert(e(i, 0), ReplacePolicy::Random, &mut rng);
+            insert(&mut c, 4, i, ReplacePolicy::Random, &mut rng);
         }
         for i in 100..200 {
-            c.insert(e(i, 0), ReplacePolicy::Random, &mut rng);
+            insert(&mut c, 4, i, ReplacePolicy::Random, &mut rng);
         }
         // With 100 random replacements into 4 slots, original entries are
         // gone with overwhelming probability.
@@ -234,15 +245,15 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::new(5);
         let mut c = MCache::new(10);
         for i in 0..10 {
-            c.insert(e(i, 0), ReplacePolicy::Random, &mut rng);
+            insert(&mut c, 10, i, ReplacePolicy::Random, &mut rng);
         }
-        let picks = c.sample(4, &mut rng, |id| id.0 % 2 == 0);
+        let picks = sample(&c, 4, &mut rng, |id| id.0 % 2 == 0);
         assert_eq!(picks.len(), 4);
         for p in &picks {
-            assert_eq!(p.id.0 % 2, 1, "excluded id sampled");
+            assert_eq!(p.0 % 2, 1, "excluded id sampled");
         }
         // Asking for more than available returns all non-excluded.
-        let picks = c.sample(100, &mut rng, |id| id.0 % 2 == 0);
+        let picks = sample(&c, 100, &mut rng, |id| id.0 % 2 == 0);
         assert_eq!(picks.len(), 5);
     }
 
@@ -250,7 +261,7 @@ mod tests {
     fn remove_deletes_entry() {
         let mut rng = Xoshiro256PlusPlus::new(6);
         let mut c = MCache::new(4);
-        c.insert(e(1, 0), ReplacePolicy::Random, &mut rng);
+        insert(&mut c, 4, 1, ReplacePolicy::Random, &mut rng);
         c.remove(NodeId(1));
         assert!(c.is_empty());
         // Removing a missing id is a no-op.
@@ -261,7 +272,7 @@ mod tests {
     fn zero_capacity_cache_rejects() {
         let mut rng = Xoshiro256PlusPlus::new(7);
         let mut c = MCache::new(0);
-        assert!(!c.insert(e(1, 0), ReplacePolicy::Random, &mut rng));
+        assert!(!insert(&mut c, 0, 1, ReplacePolicy::Random, &mut rng));
         assert!(c.is_empty());
     }
 }

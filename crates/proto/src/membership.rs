@@ -14,11 +14,12 @@
 //! (`Partnership::try_add_partner` in [`crate::partnership`]).
 
 use cs_logging::{ActivityKind, Report};
-use cs_net::NodeId;
+use cs_net::{Network, NodeId};
 use cs_sim::{Ctx, SimTime};
 use rand::seq::SliceRandom;
 
-use crate::mcache::{MCache, McEntry};
+use crate::mcache::MCache;
+use crate::params::ReplacePolicy;
 use crate::partnership::Partnership;
 use crate::peer::PeerCore;
 use crate::session::SessionRecord;
@@ -44,14 +45,18 @@ impl MembershipState {
         &self.mcache
     }
 
-    /// Insert or refresh an entry under the configured replacement policy.
+    /// Insert an entry into a cache of `cap` entries under the configured
+    /// replacement policy, reading join times from the node registry.
     pub(crate) fn remember<R: rand::Rng + ?Sized>(
         &mut self,
-        entry: McEntry,
-        policy: crate::params::ReplacePolicy,
+        id: NodeId,
+        cap: usize,
+        policy: ReplacePolicy,
+        net: &Network,
         rng: &mut R,
     ) -> bool {
-        self.mcache.insert(entry, policy, rng)
+        self.mcache
+            .insert(id, cap, policy, |c| net.node(c).joined_at, rng)
     }
 
     /// Drop an entry (dead peer discovered).
@@ -107,7 +112,7 @@ impl Membership<'_> {
             missed: 0,
             adaptations: 0,
         });
-        self.w.bootstrap.register(id, now);
+        self.w.bootstrap.register(id);
         #[expect(
             clippy::expect_used,
             reason = "the peer was pushed into the table a few lines up in this same join handler"
@@ -153,20 +158,18 @@ impl Membership<'_> {
             .w
             .bootstrap
             .sample(id, self.w.params.bootstrap_fanout, &mut rng);
-        let policy = self.w.params.replace_policy;
+        let (cap, policy) = (self.w.params.mcache_size, self.w.params.replace_policy);
         let mut handshake = SimTime::ZERO;
-        let mut candidates = Vec::new();
         // Request + reply: headers plus ~10 bytes per mCache entry.
         self.w.stats.control_bytes += 80 + 10 * entries.len() as u64;
-        for e in entries {
-            if let Some(p) = self.w.peer_mut(id) {
-                p.membership.remember(e, policy, &mut rng);
+        if let Some((p, net)) = self.w.peer_mut_and_net(id) {
+            for &e in &entries {
+                p.membership.remember(e, cap, policy, net, &mut rng);
             }
-            candidates.push(e.id);
         }
         self.w.rng_mem = rng;
         let mut ok = 0usize;
-        for cand in candidates {
+        for cand in entries {
             if ok >= self.w.params.target_partners {
                 break;
             }
@@ -207,18 +210,15 @@ impl Membership<'_> {
             let fanout = self.w.params.gossip_fanout;
             p.mcache()
                 .sample_into(fanout, &mut rng, |c| c == target, &mut entries);
-            entries.push(McEntry {
-                id,
-                joined_at: p.join_time,
-            });
+            entries.push(id);
             Some(target)
         });
         if let Some(target) = target {
-            let policy = self.w.params.replace_policy;
-            if let Some(t) = self.w.peer_mut(target) {
+            let (cap, policy) = (self.w.params.mcache_size, self.w.params.replace_policy);
+            if let Some((t, net)) = self.w.peer_mut_and_net(target) {
                 for &e in &entries {
-                    if e.id != target {
-                        t.membership.remember(e, policy, &mut rng);
+                    if e != target {
+                        t.membership.remember(e, cap, policy, net, &mut rng);
                     }
                 }
                 self.w.stats.control_bytes += 40 + 10 * entries.len() as u64;
@@ -232,7 +232,7 @@ impl Membership<'_> {
     /// mCache into `picks`, excluding itself and current partners. This
     /// is the membership→partnership service of Fig. 1: the partnership
     /// manager calls it during refill and re-selection.
-    pub(crate) fn candidates(&mut self, id: NodeId, want: usize, picks: &mut Vec<McEntry>) {
+    pub(crate) fn candidates(&mut self, id: NodeId, want: usize, picks: &mut Vec<NodeId>) {
         picks.clear();
         let mut rng = self.w.rng_mem.clone();
         let Some(p) = self.w.peer(id) else { return };
@@ -284,12 +284,12 @@ impl Membership<'_> {
     pub(crate) fn inject_cache_entry(
         &mut self,
         id: NodeId,
-        entry: McEntry,
+        entry: NodeId,
         rng: &mut cs_sim::rng::Xoshiro256PlusPlus,
     ) {
-        let policy = self.w.params.replace_policy;
-        if let Some(p) = self.w.peer_mut(id) {
-            p.membership.remember(entry, policy, rng);
+        let (cap, policy) = (self.w.params.mcache_size, self.w.params.replace_policy);
+        if let Some((p, net)) = self.w.peer_mut_and_net(id) {
+            p.membership.remember(entry, cap, policy, net, rng);
         }
     }
 }

@@ -142,17 +142,17 @@ impl Partnership<'_> {
         let mut picks = std::mem::take(&mut self.w.scratch.entries);
         Membership::of(self.w).candidates(id, want, &mut picks);
         let mut established = 0;
-        for e in &picks {
+        for &cand in &picks {
             if established + cur_partners >= target {
                 break;
             }
-            if self.w.peer_handle(e.id).is_none() {
+            if self.w.peer_handle(cand).is_none() {
                 if let Some(p) = self.w.peer_mut(id) {
-                    p.membership.forget(e.id);
+                    p.membership.forget(cand);
                 }
                 continue;
             }
-            if self.try_add_partner(id, e.id, now) {
+            if self.try_add_partner(id, cand, now) {
                 established += 1;
             }
         }
@@ -306,7 +306,7 @@ impl Partnership<'_> {
         }
         let mut picks = std::mem::take(&mut self.w.scratch.entries);
         Membership::of(self.w).candidates(id, 1, &mut picks);
-        let pick = picks.first().map(|e| e.id);
+        let pick = picks.first().copied();
         self.w.scratch.entries = picks;
         if let Some(cand) = pick {
             if self.w.peer_handle(cand).is_some() {

@@ -8,7 +8,6 @@ use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeId};
 use cs_sim::SimTime;
 
 use crate::buffer::StreamBuffer;
-use crate::mcache::McEntry;
 use crate::membership::Membership;
 use crate::params::Params;
 use crate::partnership::Partnership;
@@ -154,14 +153,7 @@ fn reselect_recruits_deterministically_from_mcache() {
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(11);
         for id in [c, NodeId(77)] {
             // NodeId(77) was never added to the network → dead candidate.
-            Membership::of(&mut world).inject_cache_entry(
-                a,
-                McEntry {
-                    id,
-                    joined_at: SimTime::ZERO,
-                },
-                &mut rng,
-            );
+            Membership::of(&mut world).inject_cache_entry(a, id, &mut rng);
         }
         Partnership::of(&mut world).reselect_partner(a, SimTime::from_secs(30));
         let p = world.peer(a).unwrap();
@@ -193,14 +185,7 @@ fn dead_partner_is_pruned_on_view_refresh() {
     Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
     Stream::of(&mut world).subscribe(a, 0, b);
     let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(3);
-    Membership::of(&mut world).inject_cache_entry(
-        a,
-        McEntry {
-            id: b,
-            joined_at: SimTime::ZERO,
-        },
-        &mut rng,
-    );
+    Membership::of(&mut world).inject_cache_entry(a, b, &mut rng);
 
     world.net.remove_node(b);
     world.remove_peer(b);

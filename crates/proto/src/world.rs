@@ -43,7 +43,6 @@ use rand::Rng;
 use crate::arena::{PeerArena, PeerHandle};
 use crate::bootstrap::Bootstrap;
 use crate::chaos::Chaos;
-use crate::mcache::McEntry;
 use crate::membership::Membership;
 use crate::params::Params;
 use crate::partnership::Partnership;
@@ -265,7 +264,7 @@ pub(crate) struct Scratch {
     /// `choose_parent`'s candidate pool; `refresh_views`' dead partners.
     pub(crate) ids: Vec<NodeId>,
     /// mCache samples: `gossip_tick`, `maintain`, `reselect_partner`.
-    pub(crate) entries: Vec<McEntry>,
+    pub(crate) entries: Vec<NodeId>,
     /// `adapt`: the per-sub-stream verdict of the classification pass.
     pub(crate) verdicts: Vec<u8>,
 }
@@ -378,7 +377,7 @@ impl CsWorld {
                     NodeClass::Server,
                     server_bw,
                 );
-                bootstrap.add_server(id, SimTime::ZERO);
+                bootstrap.add_server(id);
                 id
             })
             .collect();
@@ -530,6 +529,12 @@ impl CsWorld {
     /// Mutable peer access, for the manager modules.
     pub(crate) fn peer_mut(&mut self, id: NodeId) -> Option<PeerMut<'_>> {
         self.arena.get_mut_by_node(id)
+    }
+
+    /// Mutable peer access beside a read of the node registry, for writes
+    /// that look up other nodes (the mCache's join-time reads).
+    pub(crate) fn peer_mut_and_net(&mut self, id: NodeId) -> Option<(PeerMut<'_>, &Network)> {
+        Some((self.arena.get_mut_by_node(id)?, &self.net))
     }
 
     /// Simultaneous mutable access to two distinct peers.

@@ -1,26 +1,28 @@
 //! Property tests on the protocol data structures.
 
 use cs_net::NodeId;
-use cs_proto::{BufferMap, MCache, McEntry, Params, ReplacePolicy, StreamBuffer};
+use cs_proto::{BufferMap, MCache, Params, ReplacePolicy, StreamBuffer};
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// The mCache as a `Vec<McEntry>`, the layout before the id and join-time
-/// columns: the oracle for `MCache`.
-struct VecCache {
+/// The mCache as a `Vec` of (id, join time) pairs, the layout before the
+/// id-only cache: the oracle for `MCache`. It copies each join time from
+/// `ages` when an entry goes in; `MCache` looks it up when it needs it.
+struct VecCache<'a> {
     cap: usize,
-    entries: Vec<McEntry>,
+    ages: &'a [SimTime],
+    entries: Vec<(NodeId, SimTime)>,
 }
 
-impl VecCache {
-    fn insert(&mut self, entry: McEntry, policy: ReplacePolicy, rng: &mut impl Rng) -> bool {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.id == entry.id) {
-            existing.joined_at = entry.joined_at;
+impl VecCache<'_> {
+    fn insert(&mut self, id: NodeId, policy: ReplacePolicy, rng: &mut impl Rng) -> bool {
+        if self.entries.iter().any(|&(e, _)| e == id) {
             return true;
         }
+        let entry = (id, self.ages[id.index()]);
         if self.entries.len() < self.cap {
             self.entries.push(entry);
             return true;
@@ -39,10 +41,10 @@ impl VecCache {
                     .entries
                     .iter()
                     .enumerate()
-                    .max_by_key(|(_, e)| e.joined_at)
-                    .map(|(i, e)| (i, e.joined_at))
+                    .max_by_key(|(_, e)| e.1)
+                    .map(|(i, e)| (i, e.1))
                     .expect("full and non-empty");
-                if entry.joined_at < youngest {
+                if entry.1 < youngest {
                     self.entries[victim] = entry;
                     true
                 } else {
@@ -52,11 +54,24 @@ impl VecCache {
         }
     }
 
-    fn sample(&self, n: usize, rng: &mut impl Rng, excluded: NodeId) -> Vec<McEntry> {
-        let mut refs: Vec<&McEntry> = self.entries.iter().filter(|e| e.id != excluded).collect();
-        refs.shuffle(rng);
-        refs.into_iter().take(n).copied().collect()
+    fn ids(&self) -> Vec<NodeId> {
+        self.entries.iter().map(|e| e.0).collect()
     }
+
+    fn sample(&self, n: usize, rng: &mut impl Rng, excluded: NodeId) -> Vec<NodeId> {
+        let mut refs: Vec<&(NodeId, SimTime)> =
+            self.entries.iter().filter(|e| e.0 != excluded).collect();
+        refs.shuffle(rng);
+        refs.into_iter().take(n).map(|e| e.0).collect()
+    }
+}
+
+/// A join time for each of `ages.len()` ids, folded onto `distinct`
+/// values; callers draw `distinct < ages.len()`, so at least two ids tie.
+fn tied_ages(ages: &[u64], distinct: u64) -> Vec<SimTime> {
+    ages.iter()
+        .map(|&a| SimTime::from_secs(a % distinct))
+        .collect()
 }
 
 /// Operations applicable to a stream buffer.
@@ -249,47 +264,52 @@ proptest! {
         }
     }
 
-    /// The column-stored `MCache` behaves as the `Vec<McEntry>` cache it
-    /// replaced ([`VecCache`]) under any interleaving of insert, refresh,
-    /// remove and `sample_into`, under both policies: same entries in the
-    /// same order, same insert verdicts, same picks (`sample_into` against
-    /// the allocating `sample` it replaced: filter, shuffle references, take
-    /// the first `n`), and the same RNG position after every step.
+    /// The id-only `MCache` behaves as the cache of (id, join time) pairs
+    /// it replaced ([`VecCache`]) under any interleaving of insert, remove
+    /// and `sample_into`, under both policies, with join times read from
+    /// one map in which some ids tie: same ids in the same order, same
+    /// insert verdicts, same picks (`sample_into` against the allocating
+    /// sample it replaced: filter, shuffle references, take the first
+    /// `n`), and the same RNG position after every step.
     #[test]
     fn sample_into_matches_collecting_sample(
         seed in any::<u64>(),
         cap in 0usize..12,
         biased in any::<bool>(),
-        ops in proptest::collection::vec((0u8..4, 0u32..24, 0u64..40, 0usize..12), 0..80),
+        ages in proptest::collection::vec(0u64..40, 24..25),
+        distinct in 1u64..24,
+        ops in proptest::collection::vec((0u8..4, 0u32..24, 0usize..12), 0..80),
     ) {
         let policy = if biased {
             ReplacePolicy::StabilityBiased
         } else {
             ReplacePolicy::Random
         };
+        let ages = tied_ages(&ages, distinct);
+        let age = |id: NodeId| ages[id.index()];
         let mut cache = MCache::new(cap);
-        let mut model = VecCache { cap, entries: Vec::new() };
+        let mut model = VecCache { cap, ages: &ages, entries: Vec::new() };
         let mut rng = Xoshiro256PlusPlus::new(seed);
         let mut rng_model = rng.clone();
         // A dirty, reused buffer must come back holding only the sample.
-        let mut got = vec![McEntry { id: NodeId(999), joined_at: SimTime::ZERO }; 3];
-        for (op, id, joined, n) in ops {
-            let entry = McEntry { id: NodeId(id), joined_at: SimTime::from_secs(joined) };
+        let mut got = vec![NodeId(999); 3];
+        for (op, id, n) in ops {
+            let id = NodeId(id);
             match op {
                 0 | 1 => prop_assert_eq!(
-                    cache.insert(entry, policy, &mut rng),
-                    model.insert(entry, policy, &mut rng_model)
+                    cache.insert(id, cap, policy, age, &mut rng),
+                    model.insert(id, policy, &mut rng_model)
                 ),
                 2 => {
-                    cache.remove(entry.id);
-                    model.entries.retain(|e| e.id != entry.id);
+                    cache.remove(id);
+                    model.entries.retain(|e| e.0 != id);
                 }
                 _ => {
-                    cache.sample_into(n, &mut rng, |c| c == entry.id, &mut got);
-                    prop_assert_eq!(&got, &model.sample(n, &mut rng_model, entry.id));
+                    cache.sample_into(n, &mut rng, |c| c == id, &mut got);
+                    prop_assert_eq!(&got, &model.sample(n, &mut rng_model, id));
                 }
             }
-            prop_assert_eq!(cache.iter().collect::<Vec<_>>(), model.entries.clone());
+            prop_assert_eq!(cache.ids(), &model.ids()[..]);
             prop_assert_eq!(cache.len(), model.entries.len());
             prop_assert_eq!(rng.clone().gen::<u64>(), rng_model.clone().gen::<u64>());
         }
@@ -316,7 +336,9 @@ proptest! {
     fn mcache_capacity_and_uniqueness(
         cap in 0usize..12,
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u32..30, 0u64..1000, any::<bool>()), 0..80),
+        ages in proptest::collection::vec(0u64..1000, 30..31),
+        distinct in 1u64..30,
+        ops in proptest::collection::vec((0u32..30, any::<bool>()), 0..80),
         biased in any::<bool>(),
     ) {
         let policy = if biased {
@@ -324,23 +346,17 @@ proptest! {
         } else {
             ReplacePolicy::Random
         };
+        let ages = tied_ages(&ages, distinct);
         let mut rng = Xoshiro256PlusPlus::new(seed);
         let mut cache = MCache::new(cap);
-        for (id, joined, remove) in ops {
+        for (id, remove) in ops {
             if remove {
                 cache.remove(NodeId(id));
             } else {
-                cache.insert(
-                    McEntry {
-                        id: NodeId(id),
-                        joined_at: SimTime::from_secs(joined),
-                    },
-                    policy,
-                    &mut rng,
-                );
+                cache.insert(NodeId(id), cap, policy, |c| ages[c.index()], &mut rng);
             }
             prop_assert!(cache.len() <= cap);
-            let mut ids: Vec<u32> = cache.iter().map(|e| e.id.0).collect();
+            let mut ids: Vec<u32> = cache.ids().iter().map(|e| e.0).collect();
             ids.sort_unstable();
             let before = ids.len();
             ids.dedup();

@@ -176,6 +176,30 @@ fn run_sized_tables_never_regrow() {
     }
 }
 
+/// The byte ledger charges the mCache 4 B a slot: every live arena slot
+/// (the source and the servers included) holds one id column allocated
+/// at `mcache_size`, and a vacated slot holds none. A per-entry column
+/// kept beside the ids would fail this.
+#[test]
+fn mcache_ledger_is_one_id_per_slot() {
+    let compiled = load(&scenarios_dir().join("steady_state.json"))
+        .compile()
+        .unwrap();
+    let sc = &compiled.scenario;
+    let run = sc.run_injected_observed(compiled.injections, RunOptions::default());
+    let world = &run.artifacts.world;
+    assert!(world.peer_count() > 1 + sc.servers, "no user is live");
+    let mcaches = world
+        .heap_bytes()
+        .into_iter()
+        .find_map(|(owner, bytes)| (owner == "mcaches").then_some(bytes))
+        .expect("the ledger has an mcaches owner");
+    assert_eq!(
+        mcaches,
+        world.peer_count() * sc.params.mcache_size * std::mem::size_of::<cs_net::NodeId>()
+    );
+}
+
 /// Chaos injections visibly happen: spot-check observable effects of a
 /// few scenarios so the matrix can't silently degenerate into nine
 /// steady-state runs.
