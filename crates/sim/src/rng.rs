@@ -243,6 +243,112 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
+    /// The first outputs of every sampler the workspace calls, at one fixed
+    /// seed. The golden hashes see only the samplers the scenarios happen
+    /// to reach; this sees each one, edge cases included.
+    #[test]
+    fn sampler_outputs_are_pinned() {
+        use rand::seq::SliceRandom;
+        use rand_distr::{Distribution, LogNormal};
+
+        let mut rng = Xoshiro256PlusPlus::new(0x5EED);
+        let unit: Vec<u64> = (0..3).map(|_| rng.gen::<f64>().to_bits()).collect();
+        assert_eq!(
+            unit,
+            [
+                4603195937050105281,
+                4607105831642508318,
+                4591215361929411632
+            ],
+            "gen::<f64>"
+        );
+        let words: Vec<u64> = (0..3).map(|_| rng.gen::<u64>()).collect();
+        assert_eq!(
+            words,
+            [
+                8068187894902567183,
+                7974362285425930994,
+                7209157427833052836
+            ],
+            "gen::<u64>"
+        );
+        let r_u64: Vec<u64> = (0..3).map(|_| rng.gen_range(2_000u64..6_000)).collect();
+        assert_eq!(r_u64, [3102, 4956, 2432], "gen_range u64");
+        let r_usize: Vec<usize> = (0..3).map(|_| rng.gen_range(0usize..60)).collect();
+        assert_eq!(r_usize, [48, 59, 17], "gen_range usize");
+        let r_f64: Vec<u64> = (0..3)
+            .map(|_| rng.gen_range(0.25..0.75f64).to_bits())
+            .collect();
+        assert_eq!(
+            r_f64,
+            [
+                4604718000344224706,
+                4602999637717243215,
+                4599079375039227770
+            ],
+            "gen_range f64"
+        );
+
+        // [1, 1 + 2ε): a unit draw ≥ 0.75 rounds `lo + u·(hi − lo)` onto
+        // `hi`, and the guard returns the value just below it instead.
+        let hi = 1.0 + 2.0 * f64::EPSILON;
+        let mut probe = rng.clone();
+        let rounded_onto_hi = (0..8)
+            .filter(|_| 1.0 + probe.gen::<f64>() * (hi - 1.0) >= hi)
+            .count();
+        assert_eq!(rounded_onto_hi, 2, "draws that reach the guard");
+        let guarded: Vec<u64> = (0..8).map(|_| rng.gen_range(1.0..hi).to_bits()).collect();
+        let (one, next) = (1.0f64.to_bits(), (1.0 + f64::EPSILON).to_bits());
+        assert_eq!(
+            guarded,
+            [one, one, next, one, next, one, next, next],
+            "gen_range f64 at the guard"
+        );
+
+        let coins: Vec<bool> = (0..8).map(|_| rng.gen_bool(0.3)).collect();
+        assert_eq!(
+            coins,
+            [true, false, false, true, false, false, false, false],
+            "gen_bool(0.3)"
+        );
+        assert!(!rng.gen_bool(0.0) && rng.gen_bool(1.0), "gen_bool extremes");
+
+        let mut deck: Vec<u32> = (0..10).collect();
+        deck.shuffle(&mut rng);
+        assert_eq!(deck, [6, 2, 8, 5, 9, 1, 3, 7, 4, 0], "shuffle");
+        let picks: Vec<u32> = (0..3)
+            .map(|_| *[10, 20, 30, 40, 50].choose(&mut rng).unwrap())
+            .collect();
+        assert_eq!(picks, [40, 20, 10], "choose");
+        let before = rng.clone();
+        let empty: [u32; 0] = [];
+        assert_eq!(empty.choose(&mut rng), None, "choose on an empty slice");
+        assert_eq!(rng.next_u64(), before.clone().next_u64(), "no draw");
+
+        let d = LogNormal::new(2.0, 0.8).unwrap();
+        let lognormal: Vec<u64> = (0..3).map(|_| d.sample(&mut rng).to_bits()).collect();
+        assert_eq!(
+            lognormal,
+            [
+                4625698168744832636,
+                4615254399694542547,
+                4626604765476453686
+            ],
+            "lognormal(2, 0.8)"
+        );
+        let mut two_later = rng.clone();
+        let (_, _) = (two_later.next_u64(), two_later.next_u64());
+        let flat = LogNormal::new(1.0, 0.0).unwrap().sample(&mut rng);
+        assert_eq!(flat.to_bits(), 1.0f64.exp().to_bits(), "lognormal at σ = 0");
+        assert_eq!(
+            rng.next_u64(),
+            two_later.next_u64(),
+            "two uniforms a sample"
+        );
+        assert!(LogNormal::new(f64::NAN, 1.0).is_err());
+        assert_eq!(rng.next_u64(), 3934993352373234942, "the stream after");
+    }
+
     #[test]
     fn split_seed_distinct_for_nearby_inputs() {
         let mut seen = std::collections::HashSet::new();
