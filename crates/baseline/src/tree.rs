@@ -20,7 +20,6 @@ use cs_net::{Network, NodeClass, NodeId};
 use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, SimTime, World};
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// Baseline protocol parameters.
@@ -254,7 +253,7 @@ impl TreeWorld {
                 .filter(|&p| p != exclude && self.may_serve(p, stripe))
                 .collect();
             if !free.is_empty() {
-                free.shuffle(&mut self.rng);
+                self.rng.shuffle(&mut free);
                 return free.first().copied();
             }
             let mut next = Vec::new();

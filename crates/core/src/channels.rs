@@ -19,7 +19,6 @@ use cs_net::Bandwidth;
 use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::SimTime;
-use rand::Rng;
 
 use crate::scenario::{par_map, RunArtifacts, Scenario};
 
@@ -129,7 +128,7 @@ impl ChannelScenario {
     }
 }
 
-fn sample_channel<R: Rng + ?Sized>(shares: &[f64], rng: &mut R) -> usize {
+fn sample_channel(shares: &[f64], rng: &mut Xoshiro256PlusPlus) -> usize {
     let x: f64 = rng.gen();
     let mut acc = 0.0;
     for (i, s) in shares.iter().enumerate() {

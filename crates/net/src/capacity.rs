@@ -8,8 +8,7 @@
 //! uplinks *below* the 768 kbps stream rate. Per-class capacities are
 //! lognormal — the standard shape for access-link speed populations.
 
-use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
+use cs_sim::rng::Xoshiro256PlusPlus;
 use serde::{Deserialize, Serialize};
 
 use crate::class::NodeClass;
@@ -73,17 +72,16 @@ pub struct ClassCapacity {
 
 impl ClassCapacity {
     /// Sample one uplink capacity.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Bandwidth {
+    pub fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> Bandwidth {
         if self.sigma <= 0.0 {
             return Bandwidth(self.median.0.min(self.cap.0));
         }
         let mu = (self.median.0 as f64).ln();
         // Degrade to the deterministic median rather than panic on a
         // malformed sigma (sigma > 0 was checked, but NaN slips through).
-        let Ok(dist) = LogNormal::new(mu, self.sigma) else {
+        let Some(raw) = rng.lognormal(mu, self.sigma) else {
             return Bandwidth(self.median.0.min(self.cap.0));
         };
-        let raw = dist.sample(rng);
         Bandwidth((raw as u64).min(self.cap.0).max(Bandwidth::FLOOR.0))
     }
 }
@@ -136,7 +134,7 @@ impl Default for CapacityModel {
 
 impl CapacityModel {
     /// Sample an uplink capacity for a node of class `class`.
-    pub fn sample<R: Rng + ?Sized>(&self, class: NodeClass, rng: &mut R) -> Bandwidth {
+    pub fn sample(&self, class: NodeClass, rng: &mut Xoshiro256PlusPlus) -> Bandwidth {
         match class {
             NodeClass::DirectConnect => self.direct.sample(rng),
             NodeClass::Upnp => self.upnp.sample(rng),

@@ -5,7 +5,7 @@
 //! middleboxes keep permissive state. We model that with small per-class
 //! acceptance probabilities for otherwise-unreachable targets.
 
-use rand::Rng;
+use cs_sim::rng::Xoshiro256PlusPlus;
 use serde::{Deserialize, Serialize};
 
 use crate::class::NodeClass;
@@ -56,7 +56,7 @@ impl ConnectivityPolicy {
     /// fixed property of the node, not of the attempt — otherwise periodic
     /// partner-refill retries would accumulate NAT↔NAT links far beyond
     /// the "relatively rare" random links the paper observes.
-    pub fn sample_permissive<R: Rng + ?Sized>(&self, class: NodeClass, rng: &mut R) -> bool {
+    pub fn sample_permissive(&self, class: NodeClass, rng: &mut Xoshiro256PlusPlus) -> bool {
         match class {
             NodeClass::Nat => rng.gen_bool(self.nat_accept_prob),
             NodeClass::Firewall => rng.gen_bool(self.firewall_accept_prob),

@@ -7,7 +7,7 @@
 //! sensitive to — heterogeneous, roughly metric delays in the tens-to-
 //! hundreds of milliseconds.
 
-use rand::Rng;
+use cs_sim::rng::Xoshiro256PlusPlus;
 use serde::{Deserialize, Serialize};
 
 use cs_sim::SimTime;
@@ -23,7 +23,7 @@ pub struct Coord {
 
 impl Coord {
     /// Sample a uniform coordinate.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Coord {
+    pub fn random(rng: &mut Xoshiro256PlusPlus) -> Coord {
         Coord {
             x: rng.gen::<f64>(),
             y: rng.gen::<f64>(),
@@ -72,7 +72,7 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Sample the one-way delay between two coordinates.
-    pub fn sample<R: Rng + ?Sized>(&self, a: Coord, b: Coord, rng: &mut R) -> SimTime {
+    pub fn sample(&self, a: Coord, b: Coord, rng: &mut Xoshiro256PlusPlus) -> SimTime {
         let det = self.base.as_secs_f64() + self.per_unit.as_secs_f64() * a.dist(b);
         let factor = if self.jitter > 0.0 {
             1.0 + self.jitter * (rng.gen::<f64>() * 2.0 - 1.0)

@@ -9,9 +9,8 @@
 //! flash crowd).
 
 use cs_net::NodeId;
+use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::DetMap;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// The tracker's registry of live peers.
 #[derive(Clone, Debug, Default)]
@@ -80,16 +79,16 @@ impl Bootstrap {
 
     /// Answer a join request: up to two random servers plus a random
     /// sample of peers, `fanout` entries in total, excluding the requester.
-    pub fn sample<R: Rng + ?Sized>(
+    pub fn sample(
         &mut self,
         requester: NodeId,
         fanout: usize,
-        rng: &mut R,
+        rng: &mut Xoshiro256PlusPlus,
     ) -> Vec<NodeId> {
         self.requests += 1;
         let mut out = Vec::with_capacity(fanout);
         let mut servers = self.servers.clone();
-        servers.shuffle(rng);
+        rng.shuffle(&mut servers);
         out.extend(servers.iter().take(2.min(fanout)));
         let want_peers = fanout.saturating_sub(out.len());
         if want_peers > 0 && !self.roster.is_empty() {

@@ -9,9 +9,8 @@
 //! the `ABL-MCACHE` ablation.
 
 use cs_net::NodeId;
+use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 use crate::params::ReplacePolicy;
 
@@ -64,13 +63,13 @@ impl MCache {
     /// and is read only under [`ReplacePolicy::StabilityBiased`]. Returns
     /// `true` if the entry is now present (an id already present is left
     /// where it is).
-    pub fn insert<R: Rng + ?Sized>(
+    pub fn insert(
         &mut self,
         id: NodeId,
         cap: usize,
         policy: ReplacePolicy,
         joined_at: impl Fn(NodeId) -> SimTime,
-        rng: &mut R,
+        rng: &mut Xoshiro256PlusPlus,
     ) -> bool {
         let len = self.ids.len();
         if self.ids.contains(&id) {
@@ -119,16 +118,16 @@ impl MCache {
     /// Uniform sample of up to `n` entries, excluding ids for which
     /// `exclude` returns true, into a caller-owned buffer (cleared first),
     /// so periodic callers reuse one allocation.
-    pub fn sample_into<R: Rng + ?Sized>(
+    pub fn sample_into(
         &self,
         n: usize,
-        rng: &mut R,
+        rng: &mut Xoshiro256PlusPlus,
         mut exclude: impl FnMut(NodeId) -> bool,
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
         out.extend(self.ids.iter().copied().filter(|&id| !exclude(id)));
-        out.shuffle(rng);
+        rng.shuffle(out);
         out.truncate(n);
     }
 }

@@ -15,8 +15,8 @@
 
 use cs_logging::{ActivityKind, Report};
 use cs_net::{Network, NodeId};
+use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::{Ctx, SimTime};
-use rand::seq::SliceRandom;
 
 use crate::mcache::MCache;
 use crate::params::ReplacePolicy;
@@ -47,13 +47,13 @@ impl MembershipState {
 
     /// Insert an entry into a cache of `cap` entries under the configured
     /// replacement policy, reading join times from the node registry.
-    pub(crate) fn remember<R: rand::Rng + ?Sized>(
+    pub(crate) fn remember(
         &mut self,
         id: NodeId,
         cap: usize,
         policy: ReplacePolicy,
         net: &Network,
-        rng: &mut R,
+        rng: &mut Xoshiro256PlusPlus,
     ) -> bool {
         self.mcache
             .insert(id, cap, policy, |c| net.node(c).joined_at, rng)
@@ -206,7 +206,7 @@ impl Membership<'_> {
         let mut rng = self.w.rng_mem.clone();
         let mut entries = std::mem::take(&mut self.w.scratch.entries);
         let target = self.w.peer(id).and_then(|p| {
-            let &target = p.partners().ids().choose(&mut rng)?;
+            let &target = rng.choose(p.partners().ids())?;
             let fanout = self.w.params.gossip_fanout;
             p.mcache()
                 .sample_into(fanout, &mut rng, |c| c == target, &mut entries);

@@ -19,7 +19,6 @@ use cs_logging::{ActivityKind, Report};
 use cs_net::NodeId;
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::{Ctx, SimTime};
-use rand::Rng;
 
 use crate::membership::Membership;
 use crate::session::DepartReason;

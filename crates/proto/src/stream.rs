@@ -18,7 +18,6 @@
 use cs_logging::{ActivityKind, Report};
 use cs_net::{Bandwidth, NodeId};
 use cs_sim::SimTime;
-use rand::seq::SliceRandom;
 
 use crate::buffer::StreamBuffer;
 use crate::partnership::Partnership;
@@ -86,7 +85,7 @@ impl Stream<'_> {
         let mut pool = std::mem::take(&mut self.w.scratch.ids);
         pool.clear();
         self.parent_pool(id, j, &mut pool);
-        let pick = pool.choose(&mut self.w.rng_sel).copied();
+        let pick = self.w.rng_sel.choose(&pool).copied();
         self.w.scratch.ids = pool;
         pick
     }

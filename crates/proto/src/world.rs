@@ -38,7 +38,6 @@ use cs_logging::{LogServer, UserId};
 use cs_net::{Bandwidth, Network, NodeClass, NodeId};
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, SimTime, World};
-use rand::Rng;
 
 use crate::arena::{PeerArena, PeerHandle};
 use crate::bootstrap::Bootstrap;

@@ -5,8 +5,6 @@ use cs_proto::{BufferMap, MCache, Params, ReplacePolicy, StreamBuffer};
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
 use proptest::prelude::*;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// The mCache as a `Vec` of (id, join time) pairs, the layout before the
 /// id-only cache: the oracle for `MCache`. It copies each join time from
@@ -18,7 +16,7 @@ struct VecCache<'a> {
 }
 
 impl VecCache<'_> {
-    fn insert(&mut self, id: NodeId, policy: ReplacePolicy, rng: &mut impl Rng) -> bool {
+    fn insert(&mut self, id: NodeId, policy: ReplacePolicy, rng: &mut Xoshiro256PlusPlus) -> bool {
         if self.entries.iter().any(|&(e, _)| e == id) {
             return true;
         }
@@ -58,10 +56,10 @@ impl VecCache<'_> {
         self.entries.iter().map(|e| e.0).collect()
     }
 
-    fn sample(&self, n: usize, rng: &mut impl Rng, excluded: NodeId) -> Vec<NodeId> {
+    fn sample(&self, n: usize, rng: &mut Xoshiro256PlusPlus, excluded: NodeId) -> Vec<NodeId> {
         let mut refs: Vec<&(NodeId, SimTime)> =
             self.entries.iter().filter(|e| e.0 != excluded).collect();
-        refs.shuffle(rng);
+        rng.shuffle(&mut refs);
         refs.into_iter().take(n).map(|e| e.0).collect()
     }
 }

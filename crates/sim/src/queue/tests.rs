@@ -393,7 +393,6 @@ fn timer_phases(
     seed: u64,
     period: impl Fn(u32) -> SimTime,
 ) -> impl Iterator<Item = (SimTime, u32)> {
-    use rand::RngCore;
     let mut rng = crate::rng::Xoshiro256PlusPlus::new(seed);
     (0..n).map(move |timer| {
         let phase = rng.next_u64() % period(timer).as_micros();

@@ -8,17 +8,20 @@
 //! [`Xoshiro256PlusPlus`] generator.
 //!
 //! We implement xoshiro256++ ourselves (public-domain algorithm by Blackman
-//! and Vigna) rather than relying on `SmallRng`, whose algorithm is
-//! explicitly unspecified and may change between `rand` releases; trace
-//! reproducibility across toolchain updates matters for a measurement-style
-//! codebase.
+//! and Vigna), and with it every sampler the workspace draws from: uniform
+//! words and floats, bounded ranges, coins, shuffles, picks and the
+//! lognormal. Their outputs are pinned here (`sampler_outputs_are_pinned`),
+//! so a trace does not move with a toolchain or a dependency.
+//!
+//! The module defines no `thread_rng`, `from_entropy` or foreign RNG type:
+//! the only way to a generator is a seed.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "this module implements the named-stream API; it is the one place raw construction and seed splitting belong"
 )]
 
-use rand::{Error, RngCore, SeedableRng};
+use core::ops::Range;
 
 /// SplitMix64 step — used for seed expansion, as recommended by the xoshiro
 /// authors.
@@ -51,8 +54,8 @@ pub struct StreamId(u64);
 
 /// The xoshiro256++ generator.
 ///
-/// Period 2^256 − 1; passes BigCrush; 4×64-bit state. Implements
-/// [`rand::RngCore`] so it composes with `rand` / `rand_distr` samplers.
+/// Period 2^256 − 1; passes BigCrush; 4×64-bit state. The samplers are
+/// inherent methods, so every draw in the workspace goes through this type.
 #[derive(Clone, Debug)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
@@ -99,8 +102,9 @@ impl Xoshiro256PlusPlus {
         Self::new(split_seed(master, stream.0))
     }
 
+    /// The next 64 random bits.
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -112,42 +116,132 @@ impl Xoshiro256PlusPlus {
         s[3] = s[3].rotate_left(45);
         result
     }
-}
 
-impl RngCore for Xoshiro256PlusPlus {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
+    /// Fill `dest` with random bytes, one little-endian word per 8 bytes.
+    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
+            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
         }
         let rem = chunks.into_remainder();
         if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
+            let bytes = self.next_u64().to_le_bytes();
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
 
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
+    /// A uniform value of `T`'s natural domain: a whole word for `u64` and
+    /// `usize`, `[0, 1)` from the 53 high bits for `f64`.
+    #[inline]
+    pub fn gen<T: sealed::Uniform>(&mut self) -> T {
+        T::standard(self)
+    }
+
+    /// A uniform value from `range` (`start` inclusive, `end` exclusive).
+    /// Integers take one multiply-shift draw (Lemire; negligible bias, no
+    /// rejection loop) and panic on an empty range.
+    #[inline]
+    pub fn gen_range<T: sealed::Uniform>(&mut self, range: Range<T>) -> T {
+        T::between(self, range.start, range.end)
+    }
+
+    /// `true` with probability `p`.
+    ///
+    /// # Panics
+    /// If `p` is outside `[0, 1]`.
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "gen_bool p out of range: {p}");
+        self.gen::<f64>() < p
+    }
+
+    /// Fisher–Yates shuffle of `v` in place.
+    pub fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            let j = self.gen_range(0..i + 1);
+            v.swap(i, j);
+        }
+    }
+
+    /// A uniformly random element of `v`, or `None` (and no draw) if it is
+    /// empty.
+    pub fn choose<'a, T>(&mut self, v: &'a [T]) -> Option<&'a T> {
+        if v.is_empty() {
+            None
+        } else {
+            Some(&v[self.gen_range(0..v.len())])
+        }
+    }
+
+    /// One sample of `exp(N(mu, sigma²))`, or `None` (and no draw) when
+    /// `mu` or `sigma` is not finite or `sigma < 0`. The normal deviate is
+    /// Box–Muller's cosine branch, so each sample takes two uniforms.
+    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> Option<f64> {
+        if !sigma.is_finite() || sigma < 0.0 || !mu.is_finite() {
+            return None;
+        }
+        // u1 in (0, 1]: avoid ln(0).
+        let u1 = 1.0 - self.gen::<f64>();
+        let u2 = self.gen::<f64>();
+        let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
+        Some((mu + sigma * z).exp())
     }
 }
 
-impl SeedableRng for Xoshiro256PlusPlus {
-    type Seed = [u8; 8];
+mod sealed {
+    use super::Xoshiro256PlusPlus;
 
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
+    /// The types [`Xoshiro256PlusPlus::gen`] and
+    /// [`Xoshiro256PlusPlus::gen_range`] draw. Sealed: the workspace draws
+    /// `u64`, `usize` and `f64`, and no other type implements it.
+    pub trait Uniform: Sized {
+        /// A uniform value of the type's natural domain.
+        fn standard(rng: &mut Xoshiro256PlusPlus) -> Self;
+        /// A uniform value from `[lo, hi)`.
+        fn between(rng: &mut Xoshiro256PlusPlus, lo: Self, hi: Self) -> Self;
+    }
+
+    impl Uniform for u64 {
+        #[inline]
+        fn standard(rng: &mut Xoshiro256PlusPlus) -> Self {
+            rng.next_u64()
+        }
+
+        #[inline]
+        fn between(rng: &mut Xoshiro256PlusPlus, lo: Self, hi: Self) -> Self {
+            assert!(lo < hi, "empty range in gen_range");
+            let x = rng.next_u64();
+            lo + ((x as u128 * (hi - lo) as u128) >> 64) as u64
+        }
+    }
+
+    impl Uniform for usize {
+        #[inline]
+        fn standard(rng: &mut Xoshiro256PlusPlus) -> Self {
+            rng.next_u64() as usize
+        }
+
+        #[inline]
+        fn between(rng: &mut Xoshiro256PlusPlus, lo: Self, hi: Self) -> Self {
+            u64::between(rng, lo as u64, hi as u64) as usize
+        }
+    }
+
+    impl Uniform for f64 {
+        #[inline]
+        fn standard(rng: &mut Xoshiro256PlusPlus) -> Self {
+            (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        }
+
+        #[inline]
+        fn between(rng: &mut Xoshiro256PlusPlus, lo: Self, hi: Self) -> Self {
+            let v = lo + f64::standard(rng) * (hi - lo);
+            // Rounding can carry `v` onto `hi`; return the largest value
+            // below it instead.
+            if v >= hi {
+                return f64::from_bits(hi.to_bits() - 1).max(lo);
+            }
+            v
+        }
     }
 }
 
@@ -185,7 +279,6 @@ pub mod streams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn deterministic_for_same_seed() {
@@ -230,7 +323,7 @@ mod tests {
     fn gen_range_is_within_bounds() {
         let mut rng = Xoshiro256PlusPlus::new(3);
         for _ in 0..10_000 {
-            let v: u32 = rng.gen_range(10..20);
+            let v: u64 = rng.gen_range(10..20);
             assert!((10..20).contains(&v));
         }
     }
@@ -243,14 +336,96 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = Xoshiro256PlusPlus::new(7);
+        let mut seen = [false; 6];
+        for _ in 0..10_000 {
+            let a: u64 = rng.gen_range(10..20);
+            assert!((10..20).contains(&a));
+            let c: f64 = rng.gen_range(0.25..0.75);
+            assert!((0.25..0.75).contains(&c));
+            // `shuffle` draws the inclusive `0..=i` as `0..i + 1`: both
+            // ends are reached and nothing beyond.
+            let b: usize = rng.gen_range(0..5 + 1);
+            seen[b] = true;
+        }
+        assert_eq!(seen, [true; 6]);
+    }
+
+    #[test]
+    fn unit_floats_cover_zero_one() {
+        let mut rng = Xoshiro256PlusPlus::new(3);
+        for _ in 0..10_000 {
+            let x: f64 = rng.gen();
+            assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn gen_bool_extremes() {
+        let mut rng = Xoshiro256PlusPlus::new(9);
+        for _ in 0..1_000 {
+            assert!(!rng.gen_bool(0.0));
+            assert!(rng.gen_bool(1.0));
+        }
+    }
+
+    #[test]
+    fn shuffle_is_a_permutation() {
+        let mut rng = Xoshiro256PlusPlus::new(11);
+        let mut v: Vec<u32> = (0..50).collect();
+        rng.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+        assert_ne!(v, sorted);
+        assert!(rng.choose(&v).is_some());
+        let empty: [u32; 0] = [];
+        assert!(rng.choose(&empty).is_none());
+    }
+
+    #[test]
+    fn lognormal_rejects_bad_parameters() {
+        let mut rng = Xoshiro256PlusPlus::new(1);
+        let before = rng.clone();
+        assert_eq!(rng.lognormal(0.0, -1.0), None);
+        assert_eq!(rng.lognormal(f64::NAN, 1.0), None);
+        assert_eq!(rng.lognormal(0.0, f64::INFINITY), None);
+        assert_eq!(rng.next_u64(), before.clone().next_u64(), "no draw");
+        assert!(rng.lognormal(0.0, 0.5).is_some());
+    }
+
+    #[test]
+    fn lognormal_zero_sigma_is_deterministic() {
+        let mut rng = Xoshiro256PlusPlus::new(1);
+        for _ in 0..10 {
+            let x = rng.lognormal(1.0, 0.0).unwrap();
+            assert!((x - 1.0f64.exp()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn lognormal_median_is_e_to_the_mu() {
+        let mut rng = Xoshiro256PlusPlus::new(7);
+        let mut samples: Vec<f64> = (0..20_000)
+            .map(|_| rng.lognormal(2.0, 0.8).unwrap())
+            .collect();
+        assert!(samples.iter().all(|&x| x > 0.0));
+        samples.sort_by(f64::total_cmp);
+        let median = samples[samples.len() / 2];
+        assert!(
+            (median - 2.0f64.exp()).abs() < 0.5,
+            "median {median} vs {}",
+            2.0f64.exp()
+        );
+    }
+
     /// The first outputs of every sampler the workspace calls, at one fixed
     /// seed. The golden hashes see only the samplers the scenarios happen
     /// to reach; this sees each one, edge cases included.
     #[test]
     fn sampler_outputs_are_pinned() {
-        use rand::seq::SliceRandom;
-        use rand_distr::{Distribution, LogNormal};
-
         let mut rng = Xoshiro256PlusPlus::new(0x5EED);
         let unit: Vec<u64> = (0..3).map(|_| rng.gen::<f64>().to_bits()).collect();
         assert_eq!(
@@ -314,19 +489,20 @@ mod tests {
         assert!(!rng.gen_bool(0.0) && rng.gen_bool(1.0), "gen_bool extremes");
 
         let mut deck: Vec<u32> = (0..10).collect();
-        deck.shuffle(&mut rng);
+        rng.shuffle(&mut deck);
         assert_eq!(deck, [6, 2, 8, 5, 9, 1, 3, 7, 4, 0], "shuffle");
         let picks: Vec<u32> = (0..3)
-            .map(|_| *[10, 20, 30, 40, 50].choose(&mut rng).unwrap())
+            .map(|_| *rng.choose(&[10, 20, 30, 40, 50]).unwrap())
             .collect();
         assert_eq!(picks, [40, 20, 10], "choose");
         let before = rng.clone();
         let empty: [u32; 0] = [];
-        assert_eq!(empty.choose(&mut rng), None, "choose on an empty slice");
+        assert_eq!(rng.choose(&empty), None, "choose on an empty slice");
         assert_eq!(rng.next_u64(), before.clone().next_u64(), "no draw");
 
-        let d = LogNormal::new(2.0, 0.8).unwrap();
-        let lognormal: Vec<u64> = (0..3).map(|_| d.sample(&mut rng).to_bits()).collect();
+        let lognormal: Vec<u64> = (0..3)
+            .map(|_| rng.lognormal(2.0, 0.8).unwrap().to_bits())
+            .collect();
         assert_eq!(
             lognormal,
             [
@@ -338,14 +514,14 @@ mod tests {
         );
         let mut two_later = rng.clone();
         let (_, _) = (two_later.next_u64(), two_later.next_u64());
-        let flat = LogNormal::new(1.0, 0.0).unwrap().sample(&mut rng);
+        let flat = rng.lognormal(1.0, 0.0).unwrap();
         assert_eq!(flat.to_bits(), 1.0f64.exp().to_bits(), "lognormal at σ = 0");
         assert_eq!(
             rng.next_u64(),
             two_later.next_u64(),
             "two uniforms a sample"
         );
-        assert!(LogNormal::new(f64::NAN, 1.0).is_err());
+        assert_eq!(rng.lognormal(f64::NAN, 1.0), None);
         assert_eq!(rng.next_u64(), 3934993352373234942, "the stream after");
     }
 

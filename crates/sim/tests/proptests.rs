@@ -3,7 +3,6 @@
 use cs_sim::rng::{split_seed, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, Engine, EventQueue, SimTime, World};
 use proptest::prelude::*;
-use rand::RngCore;
 
 /// A world whose every event tries to schedule its successor *in the
 /// past* (`back` µs before now). [`Ctx::schedule_at`] must clamp these

@@ -7,7 +7,7 @@
 //! §V.E via the Kumar/Liu/Ross fluid model).
 
 use cs_net::NodeClass;
-use rand::Rng;
+use cs_sim::rng::Xoshiro256PlusPlus;
 use serde::{Deserialize, Serialize};
 
 /// Probability of each user class at arrival.
@@ -64,7 +64,7 @@ impl ClassMix {
     }
 
     /// Sample one class.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeClass {
+    pub fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> NodeClass {
         let x: f64 = rng.gen();
         if x < self.direct {
             NodeClass::DirectConnect

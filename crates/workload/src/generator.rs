@@ -6,7 +6,6 @@ use cs_net::{Bandwidth, CapacityModel};
 use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::SimTime;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassMix;

@@ -12,9 +12,8 @@
 //! * patience before abandoning a join, and the retry budget behind
 //!   Fig. 10b.
 
+use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
-use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
 
 /// Session-behaviour parameters.
@@ -65,21 +64,21 @@ impl Default for SessionModel {
 
 impl SessionModel {
     /// Sample an intended watch duration.
-    pub fn sample_watch<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+    pub fn sample_watch(&self, rng: &mut Xoshiro256PlusPlus) -> SimTime {
         if rng.gen_bool(self.zap_prob) {
             let (lo, hi) = self.zap_range_secs;
             return SimTime::from_secs_f64(rng.gen_range(lo..hi));
         }
         // Degrade to the median rather than panic on malformed sigma.
-        let Ok(dist) = LogNormal::new(self.watch_median_secs.ln(), self.watch_sigma) else {
+        let Some(secs) = rng.lognormal(self.watch_median_secs.ln(), self.watch_sigma) else {
             return SimTime::from_secs_f64(self.watch_median_secs.clamp(10.0, 6.0 * 3600.0));
         };
-        SimTime::from_secs_f64(dist.sample(rng).clamp(10.0, 6.0 * 3600.0))
+        SimTime::from_secs_f64(secs.clamp(10.0, 6.0 * 3600.0))
     }
 
     /// Sample the absolute intended leave time for a viewer joining at
     /// `join`, applying program-end alignment.
-    pub fn sample_leave_at<R: Rng + ?Sized>(&self, join: SimTime, rng: &mut R) -> SimTime {
+    pub fn sample_leave_at(&self, join: SimTime, rng: &mut Xoshiro256PlusPlus) -> SimTime {
         let natural = join + self.sample_watch(rng);
         if !rng.gen_bool(self.end_aligned_prob) {
             return natural;
@@ -101,17 +100,17 @@ impl SessionModel {
     }
 
     /// Sample join patience.
-    pub fn sample_patience<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+    pub fn sample_patience(&self, rng: &mut Xoshiro256PlusPlus) -> SimTime {
         // Degrade to the median rather than panic on malformed sigma.
-        let Ok(dist) = LogNormal::new(self.patience_median_secs.ln(), self.patience_sigma) else {
+        let Some(secs) = rng.lognormal(self.patience_median_secs.ln(), self.patience_sigma) else {
             return SimTime::from_secs_f64(self.patience_median_secs.clamp(10.0, 600.0));
         };
-        SimTime::from_secs_f64(dist.sample(rng).clamp(10.0, 600.0))
+        SimTime::from_secs_f64(secs.clamp(10.0, 600.0))
     }
 
     /// Sample the retry budget (number of *additional* attempts the user
     /// will make after a failure).
-    pub fn sample_retries<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub fn sample_retries(&self, rng: &mut Xoshiro256PlusPlus) -> u32 {
         let mut n = 0;
         while n < self.retry_cap && rng.gen_bool(self.retry_continue_prob) {
             n += 1;
