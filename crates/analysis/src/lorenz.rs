@@ -2,10 +2,8 @@
 //! top-share — the machinery behind Fig. 3b ("30 % of the peers contribute
 //! more than 80 % of the upload bytes").
 
-use serde::{Deserialize, Serialize};
-
 /// The Lorenz curve of a non-negative contribution vector.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Lorenz {
     /// Sorted ascending contributions.
     sorted: Vec<f64>,

@@ -11,13 +11,12 @@
 //! then settle.
 
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::sessions::LogSession;
 use crate::stats::Cdf;
 
 /// Peer-wise summary of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Peerwise {
     /// Distribution of per-session continuity indices (sessions with at
     /// least one non-empty QoS report).

@@ -13,10 +13,9 @@ use std::collections::BTreeMap;
 use cs_logging::{ActivityKind, Report, UserId};
 use cs_net::NodeClass;
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One session (node incarnation) as visible in the log.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LogSession {
     /// Stable user identity.
     pub user: UserId,
@@ -190,7 +189,7 @@ pub fn reconstruct(reports: &[(SimTime, Report)]) -> Vec<LogSession> {
 /// Per-user retry grouping (Fig. 10b): how many attempts each user logged
 /// before (and including) its first media-ready session; `succeeded`
 /// records whether that ever happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UserAttempts {
     /// The user.
     pub user: UserId,

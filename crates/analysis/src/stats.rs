@@ -1,10 +1,8 @@
 //! Distribution statistics: exact empirical CDFs and fixed-width
 //! histograms — the plotting primitives behind Figs. 6, 7 and 10.
 
-use serde::{Deserialize, Serialize};
-
 /// An exact empirical CDF over `f64` samples.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -86,7 +84,7 @@ impl Cdf {
 }
 
 /// A fixed-width histogram over `[lo, hi)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     lo: f64,
     width: f64,

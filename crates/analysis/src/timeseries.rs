@@ -1,10 +1,9 @@
 //! Time-binned series and concurrency curves (Figs. 5, 8, 9).
 
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Fixed-width time bins accumulating a mean-able quantity.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimeBins {
     start: SimTime,
     width: SimTime,

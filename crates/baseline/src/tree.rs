@@ -20,10 +20,9 @@ use cs_net::{Network, NodeClass, NodeId};
 use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, SimTime, World};
-use serde::{Deserialize, Serialize};
 
 /// Baseline protocol parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TreeParams {
     /// Number of stripes/trees (1 = single tree).
     pub trees: u32,
@@ -106,7 +105,7 @@ struct TreeNode {
 }
 
 /// Session outcome for analysis.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TreeSession {
     /// Node id.
     pub node: NodeId,

@@ -16,18 +16,14 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{self, CodecError, RawValue, Token};
 
 /// Stable user identity across retries and re-entries (a "cookie").
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 /// The four session-level activity events of §V.C.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ActivityKind {
     /// Client joined and contacted the boot-strap server.
     Join,
@@ -68,7 +64,7 @@ impl ActivityKind {
 }
 
 /// One report, as sent by a client to the log server.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Report {
     /// Immediate activity report.
     Activity {

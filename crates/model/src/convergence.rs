@@ -20,10 +20,8 @@
 //! closed form and are compared against simulated snapshot series by the
 //! FIG4 bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-state parent-type Markov chain.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ConvergenceModel {
     /// Probability per round that a peer under a private parent adapts
     /// away (driven by Eq. 6 at small `D_p`).

@@ -10,8 +10,6 @@
 //! * Eq. (6) — competition loss: `t_lose = (D_p+1)(T_s − t_δ)/(R/K)` and
 //!   `P(t_lose ≤ T_a) = P(t_δ ≥ T_s − T_a·R/K/(D_p+1))`.
 
-use serde::{Deserialize, Serialize};
-
 /// Eq. (3): time for a child to close a gap of `l` blocks against a
 /// parent pushing at `r_up` blocks/s while the stream advances at
 /// `substream_rate`. `None` when the parent cannot outrun the stream.
@@ -75,7 +73,7 @@ pub fn p_lose_within_empirical(
 
 /// A worked scenario combining the equations — used by the EQ3-6 bench to
 /// print model-vs-simulation rows.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CompetitionScenario {
     /// Parent's out-going sub-stream degree before the new child.
     pub d_p: u32,

@@ -9,14 +9,11 @@
 //! lognormal — the standard shape for access-link speed populations.
 
 use cs_sim::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
 
 use crate::class::NodeClass;
 
 /// A link bandwidth in bits per second.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
@@ -60,7 +57,7 @@ impl Bandwidth {
 }
 
 /// Lognormal capacity distribution for one user class.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClassCapacity {
     /// Median uplink bandwidth.
     pub median: Bandwidth,
@@ -87,7 +84,7 @@ impl ClassCapacity {
 }
 
 /// Per-class capacity assignment for the whole overlay.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CapacityModel {
     /// Direct-connect users (campus/business links).
     pub direct: ClassCapacity,
@@ -149,7 +146,6 @@ impl CapacityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn bandwidth_units() {

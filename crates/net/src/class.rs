@@ -11,10 +11,8 @@
 //! We add the infrastructure roles `Server` (one of the 24 dedicated
 //! 100 Mbps helpers of §V.A) and `Source` (the broadcast origin).
 
-use serde::{Deserialize, Serialize};
-
 /// Connection class of a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// Public address, accepts incoming partners.
     DirectConnect,

@@ -6,7 +6,6 @@
 //! acceptance probabilities for otherwise-unreachable targets.
 
 use cs_sim::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
 
 use crate::class::NodeClass;
 
@@ -22,7 +21,7 @@ pub enum ConnectError {
 }
 
 /// Probabilistic reachability policy.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ConnectivityPolicy {
     /// Probability an inbound attempt to a NAT peer succeeds anyway
     /// (permissive / full-cone NAT). Paper: random links rare.
@@ -87,7 +86,6 @@ impl ConnectivityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn public_targets_always_accept() {

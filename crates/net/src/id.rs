@@ -2,14 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Unique identifier of a node (peer, server, or source) in the overlay.
 ///
 /// Ids are dense `u32` indices assigned by [`crate::Network`] and never
 /// reused within a run, so a `NodeId` doubles as a stable user identity for
 /// log analysis.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

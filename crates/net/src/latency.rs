@@ -8,12 +8,10 @@
 //! hundreds of milliseconds.
 
 use cs_sim::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
-
 use cs_sim::SimTime;
 
 /// A point in the synthetic coordinate space.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Coord {
     /// Horizontal coordinate in `[0, 1)`.
     pub x: f64,
@@ -46,7 +44,7 @@ impl Coord {
 }
 
 /// Affine distance → delay mapping with jitter.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
     /// Minimum one-way delay (local hop), applied at distance 0.
     pub base: SimTime,
@@ -91,7 +89,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn zero_distance_gives_base_delay() {

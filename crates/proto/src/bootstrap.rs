@@ -113,7 +113,6 @@ impl Bootstrap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn register_deregister_consistency() {

@@ -13,8 +13,6 @@
 //! paper's inequalities (1) and (2) are written over. Holes only exist
 //! *across* sub-streams, which is what `T_s` monitors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::slots::Slots;
 
 /// A node's buffer state across all sub-streams.
@@ -278,7 +276,7 @@ impl StreamBuffer {
 /// The buffer map (BM) of §III.C: a `2K`-tuple with the newest received
 /// sequence number of each sub-stream and the sub-stream subscription
 /// flags.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BufferMap {
     /// Newest received global seq per sub-stream.
     pub latest: Vec<Option<u64>>,

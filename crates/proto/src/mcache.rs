@@ -135,7 +135,6 @@ impl MCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     /// Join-time lookup for these tests: peer `i` joined at second `i`.
     fn age(id: NodeId) -> SimTime {

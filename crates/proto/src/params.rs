@@ -18,10 +18,9 @@
 
 use cs_net::Bandwidth;
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// mCache replacement policy (§V.C discusses improving the random one).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplacePolicy {
     /// Replace a uniformly random entry (deployed Coolstreaming behaviour).
     Random,
@@ -33,7 +32,7 @@ pub enum ReplacePolicy {
 /// Where a joining node starts pulling — the §IV.A design choice. The
 /// paper argues for [`StartPolicy::ShiftedFromLatest`] and explains why
 /// the two extremes fail; the `ABL-START` bench demonstrates it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StartPolicy {
     /// `m − T_p`: shifted back from the newest advertised block (the
     /// deployed choice).
@@ -51,7 +50,7 @@ pub enum StartPolicy {
 
 /// How a parent divides its uplink across its child sub-stream
 /// subscriptions each scheduling round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Allocation {
     /// Equal split (Eq. 5 of the paper: `r = U_p / D_p`); budget given
     /// to already-caught-up children is wasted.
@@ -63,7 +62,7 @@ pub enum Allocation {
 }
 
 /// Full parameter set for a Coolstreaming run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Params {
     /// `R`: stream bit rate. The 2006 broadcast used 768 kbps (§V.A).
     pub stream_rate: Bandwidth,

@@ -9,13 +9,12 @@
 use cs_logging::UserId;
 use cs_net::{Bandwidth, NodeClass, NodeId};
 use cs_sim::{DetMap, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::stream::ReportCounters;
 use crate::world::CsWorld;
 
 /// Why a session ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DepartReason {
     /// The user watched as long as intended.
     Finished,
@@ -37,7 +36,7 @@ pub enum DepartReason {
 /// `up_bytes`, `down_bytes`, `due` and `missed` are final once `leave` is
 /// set or [`finalize_sessions`] has run: while the peer lives, what it
 /// moved since its last status report is still in its report counters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SessionRecord {
     /// Stable user identity.
     pub user: UserId,

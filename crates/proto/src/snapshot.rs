@@ -10,12 +10,11 @@ use std::collections::VecDeque;
 
 use cs_net::NodeClass;
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::world::CsWorld;
 
 /// Aggregate topology metrics at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TopologySnapshot {
     /// Snapshot time.
     pub time: SimTime,

@@ -9,15 +9,13 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in microseconds since the run started.
 ///
 /// `SimTime` is also used for durations. Subtraction saturates at zero, so
 /// latency jitter can never produce a negative timestamp; addition and the
 /// whole-unit constructors saturate at [`SimTime::MAX`], so an absurd
 /// delay or horizon means "never", not a wrapped time in the past.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

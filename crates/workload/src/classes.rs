@@ -8,10 +8,9 @@
 
 use cs_net::NodeClass;
 use cs_sim::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
 
 /// Probability of each user class at arrival.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClassMix {
     /// Direct-connect share.
     pub direct: f64,
@@ -101,7 +100,6 @@ impl ClassMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn default_mix_is_valid_and_paper_shaped() {

@@ -6,7 +6,6 @@ use cs_net::{Bandwidth, CapacityModel};
 use cs_proto::UserSpec;
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassMix;
 use crate::profile::RateProfile;
@@ -16,14 +15,14 @@ use crate::sessions::SessionModel;
 /// user independently contributes nothing with probability `share` — its
 /// uplink is clamped to [`Bandwidth::FLOOR`] at generation time, before
 /// the overlay ever sees the node.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FreeRiderModel {
     /// Probability in `[0, 1]` that an arriving user free-rides.
     pub share: f64,
 }
 
 /// A full workload description.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     /// Arrival-rate profile.
     pub profile: RateProfile,
@@ -34,9 +33,8 @@ pub struct Workload {
     /// Session behaviour.
     pub sessions: SessionModel,
     /// Optional free-rider conversion applied to arrivals. `None` (the
-    /// default, and what legacy workload JSON deserializes to) draws
-    /// nothing from the free-rider RNG stream, so pre-existing runs keep
-    /// their exact arrival sequences.
+    /// default) draws nothing from the free-rider RNG stream, so
+    /// pre-existing runs keep their exact arrival sequences.
     pub free_riders: Option<FreeRiderModel>,
 }
 
@@ -284,24 +282,6 @@ mod tests {
         assert!(
             b.iter().any(|(_, s)| s.upload == Bandwidth::FLOOR),
             "share 0.5 converted nobody"
-        );
-    }
-
-    #[test]
-    fn legacy_workload_json_without_free_riders_still_loads() {
-        let json = serde_json::to_string(&Workload::steady(1.0)).unwrap();
-        // Strip the field entirely to emulate pre-DSL workload files.
-        let mut v = serde_json::from_str::<serde::Value>(&json).unwrap();
-        if let serde::Value::Map(m) = &mut v {
-            m.retain(|(k, _)| k != "free_riders");
-        }
-        let w: Workload = serde::Deserialize::from_value(&v).unwrap();
-        assert!(w.free_riders.is_none());
-        assert_eq!(
-            w.generate(3, SimTime::ZERO, SimTime::from_hours(1)).len(),
-            Workload::steady(1.0)
-                .generate(3, SimTime::ZERO, SimTime::from_hours(1))
-                .len()
         );
     }
 

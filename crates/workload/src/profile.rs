@@ -8,10 +8,9 @@
 //! (modeled in [`crate::SessionModel`]).
 
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A short multiplicative arrival burst (program start, portal link, …).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Spike {
     /// Burst start.
     pub start: SimTime,
@@ -26,7 +25,7 @@ pub struct Spike {
 /// `hourly[h]` is the relative rate during hour `h` (the run is assumed to
 /// start at midnight); the absolute rate is `base_rate × hourly[h] ×
 /// spike multipliers`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RateProfile {
     /// Arrivals per second at multiplier 1.0.
     pub base_rate: f64,

@@ -14,10 +14,9 @@
 
 use cs_sim::rng::Xoshiro256PlusPlus;
 use cs_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Session-behaviour parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SessionModel {
     /// Median intended watch time, seconds.
     pub watch_median_secs: f64,
@@ -122,7 +121,6 @@ impl SessionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_sim::rng::Xoshiro256PlusPlus;
 
     #[test]
     fn watch_durations_heavy_tailed() {

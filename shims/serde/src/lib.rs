@@ -3,12 +3,10 @@
 //! Instead of the real serde's visitor architecture, this shim uses a
 //! simple value-tree contract: `Serialize` lowers a type to a [`Value`]
 //! and `Deserialize` rebuilds it from one. The companion `serde_derive`
-//! shim generates those impls for plain structs and enums (no
-//! `#[serde(...)]` attributes — the workspace uses none), and the
-//! `serde_json` shim renders/parses the tree. The JSON shapes mirror
-//! real serde's defaults: named structs → objects, newtype structs →
-//! their inner value, unit enum variants → strings, data-carrying
-//! variants → externally-tagged one-key objects.
+//! shim generates those impls for plain structs with named fields (no
+//! `#[serde(...)]` attributes — the workspace uses none), which become
+//! objects as under real serde's defaults, and the `serde_json` shim
+//! renders/parses the tree.
 
 #![forbid(unsafe_code)]
 

@@ -4,42 +4,18 @@
 //! shim serde's value-tree model. Parsing is done directly over
 //! `proc_macro::TokenStream` (no `syn`/`quote` — the build environment
 //! has no registry access), which is sufficient because the workspace
-//! derives only on plain non-generic structs and enums with no
-//! `#[serde(...)]` attributes.
-//!
-//! Supported shapes and their JSON-level encodings (matching real
-//! serde's defaults):
-//! - named struct → map of field name → value
-//! - newtype struct → the inner value, transparently
-//! - tuple struct (≥2 fields) → sequence
-//! - unit enum variant → the variant name as a string
-//! - newtype enum variant → `{ "Variant": value }`
-//! - struct/tuple enum variant → `{ "Variant": {…} }` / `{ "Variant": […] }`
+//! derives only on plain non-generic structs with named fields and no
+//! `#[serde(...)]` attributes. Such a struct encodes as a map of field
+//! name → value (real serde's default); any other shape is rejected.
 
 #![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// What a variant (or the struct body itself) carries.
-enum Fields {
-    Unit,
-    Named(Vec<String>),
-    Tuple(usize),
-}
-
-struct Variant {
-    name: String,
-    fields: Fields,
-}
-
-enum Shape {
-    Struct(Fields),
-    Enum(Vec<Variant>),
-}
-
+/// A struct with named fields: its name and its field names.
 struct Item {
     name: String,
-    shape: Shape,
+    fields: Vec<String>,
 }
 
 #[proc_macro_derive(Serialize)]
@@ -98,33 +74,21 @@ fn expect_ident(toks: &mut Toks, what: &str) -> String {
 fn parse_item(input: TokenStream) -> Item {
     let mut toks = input.into_iter().peekable();
     skip_attrs_and_vis(&mut toks);
-    let kw = expect_ident(&mut toks, "`struct` or `enum`");
+    let kw = expect_ident(&mut toks, "`struct`");
     let name = expect_ident(&mut toks, "item name");
-    if let Some(TokenTree::Punct(p)) = toks.peek() {
-        if p.as_char() == '<' {
-            panic!("serde shim derive does not support generic type `{name}`");
-        }
+    if kw != "struct" {
+        panic!("serde shim derive supports structs with named fields only, got {kw} `{name}`");
     }
-    let shape = match kw.as_str() {
-        "struct" => Shape::Struct(match toks.next() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Fields::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Fields::Tuple(count_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-            other => panic!("unexpected struct body for `{name}`: {other:?}"),
-        }),
-        "enum" => match toks.next() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("unexpected enum body for `{name}`: {other:?}"),
+    match toks.next() {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item {
+            name,
+            fields: parse_named_fields(g.stream()),
         },
-        other => panic!("serde shim derive supports struct/enum only, got `{other}`"),
-    };
-    Item { name, shape }
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
+            panic!("serde shim derive does not support generic type `{name}`")
+        }
+        _ => panic!("serde shim derive supports structs with named fields only, got `{name}`"),
+    }
 }
 
 /// Field names of a `{ … }` body, skipping types (angle-bracket depth
@@ -155,235 +119,32 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
     }
 }
 
-/// Number of fields in a `( … )` tuple body.
-fn count_tuple_fields(body: TokenStream) -> usize {
-    let mut angle_depth = 0i32;
-    let mut segments = 0usize;
-    let mut seen_tokens = false;
-    for tok in body {
-        match tok {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                angle_depth += 1;
-                seen_tokens = true;
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                angle_depth -= 1;
-                seen_tokens = true;
-            }
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                segments += 1;
-                seen_tokens = false;
-            }
-            _ => seen_tokens = true,
-        }
-    }
-    segments + usize::from(seen_tokens)
-}
-
-fn parse_variants(body: TokenStream) -> Vec<Variant> {
-    let mut toks = body.into_iter().peekable();
-    let mut variants = Vec::new();
-    loop {
-        skip_attrs_and_vis(&mut toks);
-        if toks.peek().is_none() {
-            return variants;
-        }
-        let name = expect_ident(&mut toks, "variant name");
-        let fields = match toks.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = Fields::Named(parse_named_fields(g.stream()));
-                toks.next();
-                f
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let f = Fields::Tuple(count_tuple_fields(g.stream()));
-                toks.next();
-                f
-            }
-            _ => Fields::Unit,
-        };
-        variants.push(Variant { name, fields });
-        // Skip an explicit discriminant, then the trailing comma.
-        for tok in toks.by_ref() {
-            if matches!(&tok, TokenTree::Punct(p) if p.as_char() == ',') {
-                break;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Code generation
 
+/// `Value::Map(vec![("f", to_value(&self.f)), …])`.
 fn gen_serialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
-        Shape::Struct(Fields::Named(fields)) => named_to_value(fields, "&self."),
-        Shape::Struct(Fields::Tuple(1)) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
-        Shape::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),"
-                        ),
-                        Fields::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let inner = named_to_value(fields, "");
-                            format!(
-                                "{name}::{vname} {{ {binds} }} => ::serde::Value::Map(vec![(\"{vname}\".to_string(), {inner})]),"
-                            )
-                        }
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vname}(x0) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), ::serde::Serialize::to_value(x0))]),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Serialize::to_value(x{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vname}({}) => ::serde::Value::Map(vec![(\"{vname}\".to_string(), ::serde::Value::Seq(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
-                        }
-                    }
-                })
-                .collect();
-            format!("match self {{ {} }}", arms.join(" "))
-        }
-    };
+    let Item { name, fields } = item;
+    let entries: Vec<String> = fields
+        .iter()
+        .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"))
+        .collect();
     format!(
-        "impl ::serde::Serialize for {name} {{\n  fn to_value(&self) -> ::serde::Value {{\n    {body}\n  }}\n}}"
+        "impl ::serde::Serialize for {name} {{\n  fn to_value(&self) -> ::serde::Value {{\n    ::serde::Value::Map(vec![{}])\n  }}\n}}",
+        entries.join(", ")
     )
 }
 
-/// `Value::Map(vec![("f", to_value(<prefix>f)), …])` — `prefix` is
-/// `&self.` for struct fields, empty for match-bound variant fields.
-fn named_to_value(fields: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = fields
-        .iter()
-        .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value({prefix}{f}))"))
-        .collect();
-    format!("::serde::Value::Map(vec![{}])", entries.join(", "))
-}
-
 fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Struct(Fields::Unit) => format!("::core::result::Result::Ok({name})"),
-        Shape::Struct(Fields::Named(fields)) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::field_from_map(m, \"{f}\")?,"))
-                .collect();
-            format!(
-                "let m = v.as_map().ok_or_else(|| ::serde::Error::custom(\"{name}: expected map\"))?;\n\
-                 ::core::result::Result::Ok({name} {{ {} }})",
-                inits.join(" ")
-            )
-        }
-        Shape::Struct(Fields::Tuple(1)) => {
-            format!("::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Shape::Struct(Fields::Tuple(n)) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&s[{i}])?"))
-                .collect();
-            format!(
-                "let s = v.as_seq().ok_or_else(|| ::serde::Error::custom(\"{name}: expected sequence\"))?;\n\
-                 if s.len() != {n} {{ return ::core::result::Result::Err(::serde::Error::custom(\"{name}: wrong tuple arity\")); }}\n\
-                 ::core::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
-        }
-        Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| {
-                    format!(
-                        "\"{0}\" => return ::core::result::Result::Ok({name}::{0}),",
-                        v.name
-                    )
-                })
-                .collect();
-            let payload_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => None,
-                        Fields::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!("{f}: ::serde::field_from_map(fm, \"{f}\")?,"))
-                                .collect();
-                            Some(format!(
-                                "\"{vname}\" => {{\n\
-                                   let fm = inner.as_map().ok_or_else(|| ::serde::Error::custom(\"{name}::{vname}: expected map\"))?;\n\
-                                   return ::core::result::Result::Ok({name}::{vname} {{ {} }});\n\
-                                 }}",
-                                inits.join(" ")
-                            ))
-                        }
-                        Fields::Tuple(1) => Some(format!(
-                            "\"{vname}\" => return ::core::result::Result::Ok({name}::{vname}(::serde::Deserialize::from_value(inner)?)),"
-                        )),
-                        Fields::Tuple(n) => {
-                            let inits: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&s[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vname}\" => {{\n\
-                                   let s = inner.as_seq().ok_or_else(|| ::serde::Error::custom(\"{name}::{vname}: expected sequence\"))?;\n\
-                                   if s.len() != {n} {{ return ::core::result::Result::Err(::serde::Error::custom(\"{name}::{vname}: wrong arity\")); }}\n\
-                                   return ::core::result::Result::Ok({name}::{vname}({}));\n\
-                                 }}",
-                                inits.join(", ")
-                            ))
-                        }
-                    }
-                })
-                .collect();
-            let mut code = String::new();
-            if !unit_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::core::option::Option::Some(s) = v.as_str() {{\n\
-                       match s {{ {} _ => {{}} }}\n\
-                     }}\n",
-                    unit_arms.join(" ")
-                ));
-            }
-            if !payload_arms.is_empty() {
-                code.push_str(&format!(
-                    "if let ::core::option::Option::Some(m) = v.as_map() {{\n\
-                       if m.len() == 1 {{\n\
-                         let (tag, inner) = &m[0];\n\
-                         let _ = inner;\n\
-                         match tag.as_str() {{ {} _ => {{}} }}\n\
-                       }}\n\
-                     }}\n",
-                    payload_arms.join(" ")
-                ));
-            }
-            code.push_str(&format!(
-                "::core::result::Result::Err(::serde::Error::custom(format!(\"no variant of {name} matches {{v:?}}\")))"
-            ));
-            code
-        }
-    };
+    let Item { name, fields } = item;
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::field_from_map(m, \"{f}\")?,"))
+        .collect();
     format!(
-        "impl ::serde::Deserialize for {name} {{\n  fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n    {body}\n  }}\n}}"
+        "impl ::serde::Deserialize for {name} {{\n  fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n    \
+         let m = v.as_map().ok_or_else(|| ::serde::Error::custom(\"{name}: expected map\"))?;\n    \
+         ::core::result::Result::Ok({name} {{ {} }})\n  }}\n}}",
+        inits.join(" ")
     )
 }
