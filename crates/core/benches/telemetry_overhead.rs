@@ -174,6 +174,14 @@ fn main() {
             ..off
         })
     });
+    // Priced, not gated: a wall-clock pair per event plus an 80-byte
+    // span and the engine's cause table.
+    paired_ratio("scenario/spans", ROUNDS, plain, || {
+        observed(RunOptions {
+            record_spans: true,
+            ..off
+        })
+    });
     for stride in [16, 1] {
         paired_ratio(
             &format!("scenario/invariants_stride_{stride}"),

@@ -141,6 +141,12 @@ impl Instruments {
 }
 
 impl Observer<CsWorld> for Instruments {
+    /// Only the span stream reads causes, so only a span run pays the
+    /// engine's cause table.
+    fn wants_causes(&self) -> bool {
+        self.spans.is_some()
+    }
+
     fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
         self.meta = meta;
     }

@@ -4,6 +4,11 @@
 //! The [`Engine`] pops events in timestamp order and hands them to the
 //! world together with a [`Ctx`] through which the handler schedules
 //! follow-up events, reads the clock, or requests a stop.
+//!
+//! Queue entries carry no causal parent. While the attached observer asks
+//! for causes ([`Observer::wants_causes`]) the engine keeps a table of
+//! each pushed event's cause instead and reads each dispatch's
+//! [`DispatchMeta::cause`] from it; otherwise it records nothing.
 
 use crate::observer::{DispatchMeta, Observer};
 use crate::queue::EventQueue;
@@ -84,12 +89,57 @@ pub struct RunStats {
     pub reason: StopReason,
 }
 
+/// The cause recorded for an event scheduled from outside any handler.
+/// Never a seq: that would take 2^64 pushes.
+const EXTERNAL: u64 = u64::MAX;
+
+/// The causal parent of every event pushed since the table was started,
+/// indexed by seq.
+///
+/// The engine is single-threaded, so the pushes of one handler take
+/// consecutive seqs: after each handler the engine fills the seqs it
+/// pushed with the handler's own seq, and after each
+/// [`Engine::schedule_at`] with [`EXTERNAL`]. A seq below `first` was
+/// pushed before the table started, and its cause is unknown.
+struct CauseTable {
+    /// The first seq pushed after the table started.
+    first: u64,
+    /// `causes[i]` is the cause of seq `first + i`.
+    causes: Vec<u64>,
+}
+
+impl CauseTable {
+    /// An empty table whose first push takes seq `next`.
+    fn new(next: u64) -> Self {
+        CauseTable {
+            first: next,
+            causes: Vec::new(),
+        }
+    }
+
+    /// Every seq pushed since the last fill, up to `next` (exclusive),
+    /// was pushed by `cause`.
+    fn fill(&mut self, cause: u64, next: u64) {
+        // A length beyond `usize` cannot be allocated: `resize` fails loudly.
+        let len = usize::try_from(next - self.first).unwrap_or(usize::MAX);
+        self.causes.resize(len, cause);
+    }
+
+    /// The seq of the event whose handler pushed `seq`, if any.
+    fn cause_of(&self, seq: u64) -> Option<u64> {
+        let i = usize::try_from(seq.checked_sub(self.first)?).ok()?;
+        self.causes.get(i).copied().filter(|&c| c != EXTERNAL)
+    }
+}
+
 /// The simulation driver.
 pub struct Engine<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     now: SimTime,
     observer: Option<Box<dyn Observer<W>>>,
+    /// Kept while the observer [wants causes](Observer::wants_causes).
+    causes: Option<CauseTable>,
     /// Hard cap on dispatched events per `run_until` call, to convert
     /// accidental infinite self-scheduling into a visible error condition.
     pub event_budget: u64,
@@ -112,18 +162,24 @@ impl<W: World> Engine<W> {
             queue: EventQueue::with_capacity(events),
             now: SimTime::ZERO,
             observer: None,
+            causes: None,
             event_budget: u64::MAX,
         }
     }
 
     /// Attach an observer; replaces any previous one. See the
     /// [`observer`](crate::observer) module for keeping a readable handle.
+    /// Causes are recorded from here on if the observer wants them.
     pub fn set_observer(&mut self, observer: Box<dyn Observer<W>>) {
+        self.causes = observer
+            .wants_causes()
+            .then(|| CauseTable::new(self.queue.total_pushed()));
         self.observer = Some(observer);
     }
 
     /// Detach and return the current observer, if any.
     pub fn take_observer(&mut self) -> Option<Box<dyn Observer<W>>> {
+        self.causes = None;
         self.observer.take()
     }
 
@@ -156,6 +212,9 @@ impl<W: World> Engine<W> {
     /// Schedule an event before or between runs.
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         self.queue.push(at.max(self.now), event);
+        if let Some(causes) = &mut self.causes {
+            causes.fill(EXTERNAL, self.queue.total_pushed());
+        }
     }
 
     /// Run until the queue drains, a handler stops the run, or the next
@@ -180,17 +239,13 @@ impl<W: World> Engine<W> {
             let Some(popped) = self.queue.pop_entry() else {
                 break StopReason::QueueEmpty;
             };
-            let (t, event) = (popped.time, popped.event);
+            let (t, seq, event) = (popped.time, popped.seq, popped.event);
             self.now = t;
             if let Some(obs) = &mut self.observer {
-                obs.on_dispatch_meta(DispatchMeta {
-                    seq: popped.seq,
-                    cause: popped.cause,
-                });
+                let cause = self.causes.as_ref().and_then(|c| c.cause_of(seq));
+                obs.on_dispatch_meta(DispatchMeta { seq, cause });
                 obs.on_dispatch(t, &event, self.queue.len());
             }
-            // Events scheduled by this handler are caused by this event.
-            self.queue.set_cause(Some(popped.seq));
             let mut ctx = Ctx {
                 now: t,
                 queue: &mut self.queue,
@@ -198,9 +253,13 @@ impl<W: World> Engine<W> {
             };
             self.world.handle(&mut ctx, event);
             let stop = ctx.stop;
-            self.queue.set_cause(None);
             if let Some(obs) = &mut self.observer {
                 obs.after_handle(t, &self.world);
+            }
+            // Recorded after `after_handle`, so an observer timing the
+            // handler does not time this.
+            if let Some(causes) = &mut self.causes {
+                causes.fill(seq, self.queue.total_pushed());
             }
             events += 1;
             if stop {
@@ -217,6 +276,9 @@ impl<W: World> Engine<W> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     /// A world that counts ticks and reschedules itself.
@@ -366,6 +428,85 @@ mod tests {
         assert_eq!(eng.world().0, [SimTime::from_secs(10)]);
         eng.run_until(SimTime::MAX);
         assert_eq!(eng.world().0, [SimTime::from_secs(10), SimTime::MAX]);
+    }
+
+    /// Event `n` schedules `n - 1` one second later, down to 0.
+    struct Countdown;
+
+    impl World for Countdown {
+        type Event = u32;
+        fn handle(&mut self, ctx: &mut Ctx<'_, u32>, n: u32) {
+            if n > 0 {
+                ctx.schedule_in(SimTime::from_secs(1), n - 1);
+            }
+        }
+    }
+
+    /// Records `(seq, cause)` of every dispatch.
+    struct Causes {
+        wants: bool,
+        metas: Vec<(u64, Option<u64>)>,
+    }
+
+    impl Observer<Countdown> for Causes {
+        fn wants_causes(&self) -> bool {
+            self.wants
+        }
+        fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
+            self.metas.push((meta.seq, meta.cause));
+        }
+    }
+
+    fn causes(wants: bool) -> Rc<RefCell<Causes>> {
+        Rc::new(RefCell::new(Causes {
+            wants,
+            metas: Vec::new(),
+        }))
+    }
+
+    #[test]
+    fn causes_follow_push_ranges_across_run_segments() {
+        let log = causes(true);
+        let mut eng = Engine::new(Countdown);
+        eng.set_observer(Box::new(Rc::clone(&log)));
+        eng.schedule_at(SimTime::ZERO, 2);
+        eng.run_until(SimTime::from_secs(10));
+        // Seq 2's handler pushes nothing; seq 3 arrives from outside.
+        eng.schedule_at(SimTime::from_secs(20), 1);
+        eng.run_until(SimTime::from_secs(30));
+        assert_eq!(
+            log.borrow().metas,
+            [
+                (0, None),
+                (1, Some(0)),
+                (2, Some(1)),
+                (3, None),
+                (4, Some(3))
+            ]
+        );
+    }
+
+    #[test]
+    fn observer_attached_mid_run_reads_no_cause_for_earlier_pushes() {
+        let log = causes(true);
+        let mut eng = Engine::new(Countdown);
+        eng.schedule_at(SimTime::ZERO, 3);
+        // Dispatches seqs 0 and 1; seq 1's handler pushes seq 2.
+        eng.run_until(SimTime::from_secs(1));
+        eng.set_observer(Box::new(Rc::clone(&log)));
+        eng.run_until(SimTime::MAX);
+        assert_eq!(log.borrow().metas, [(2, None), (3, Some(2))]);
+    }
+
+    #[test]
+    fn an_observer_that_wants_no_causes_records_none() {
+        let log = causes(false);
+        let mut eng = Engine::new(Countdown);
+        eng.set_observer(Box::new(Rc::clone(&log)));
+        eng.schedule_at(SimTime::ZERO, 2);
+        eng.run_until(SimTime::MAX);
+        assert!(eng.causes.is_none());
+        assert_eq!(log.borrow().metas, [(0, None), (1, None), (2, None)]);
     }
 
     #[test]

@@ -62,6 +62,11 @@ use crate::time::SimTime;
 /// events scheduled from outside any handler: initial events, workload
 /// arrivals, chaos injections). Following `cause` links recovers the
 /// causal tree of a run.
+///
+/// `cause` is resolved only for an observer that
+/// [wants causes](Observer::wants_causes), and only for events scheduled
+/// after it was attached: an observer attached mid-run reads `None` for
+/// every event already pending then, whoever scheduled it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchMeta {
     /// Queue insertion seq of the event being dispatched.
@@ -76,6 +81,15 @@ pub struct DispatchMeta {
 /// needs. Observers must not assume they see *all* events of a run: one
 /// can be attached or detached between `run_until` segments.
 pub trait Observer<W: World> {
+    /// Whether the engine should resolve [`DispatchMeta::cause`]. Asked
+    /// once, when the observer is attached. While it is `true` the engine
+    /// keeps 8 bytes per event pushed, the seq of the handler that pushed
+    /// it; while it is `false` — the default — it records nothing for
+    /// causality and every `cause` reads `None`.
+    fn wants_causes(&self) -> bool {
+        false
+    }
+
     /// Called for every event immediately before [`Observer::on_dispatch`]
     /// with the event's scheduling metadata (queue seq and causal
     /// parent). Separate from `on_dispatch` so existing observers that
@@ -103,6 +117,9 @@ pub trait Observer<W: World> {
 /// Forward hooks through a shared handle, so callers can keep reading
 /// an observer they have attached to an engine (see module docs).
 impl<W: World, T: Observer<W>> Observer<W> for Rc<RefCell<T>> {
+    fn wants_causes(&self) -> bool {
+        self.borrow().wants_causes()
+    }
     fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
         self.borrow_mut().on_dispatch_meta(meta);
     }
@@ -276,6 +293,9 @@ mod tests {
             metas: Vec<DispatchMeta>,
         }
         impl Observer<Fanout> for MetaLog {
+            fn wants_causes(&self) -> bool {
+                true
+            }
             fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
                 self.metas.push(meta);
             }

@@ -33,8 +33,11 @@
 //! they leave it: the chunk freed last — still in cache — is the next one
 //! written. The pool therefore holds `pending ÷ CHUNK` full chunks plus
 //! at most one partial chunk per slot, whatever each slot's fullest
-//! rotation once was. An entry is 64 bytes for a 40-byte event: `seq` is
-//! stored plus one as a `NonZeroU64`, so `Option<Entry>` needs no tag.
+//! rotation once was. An entry is the event plus 16 bytes (56 for a
+//! 40-byte event): `seq` is stored plus one as a `NonZeroU64`, so
+//! `Option<Entry>` needs no tag. An entry carries no causal parent: the
+//! engine records which handler pushed which seqs, and only while an
+//! observer asks for causes.
 //!
 //! # Exact (time, seq) order
 //!
@@ -134,11 +137,6 @@ struct Entry<E> {
     time: SimTime,
     /// Insertion sequence number, [`stored`].
     seq: NonZeroU64,
-    /// Insertion seq of the event whose handler scheduled this one,
-    /// [`stored`] (`None` for externally scheduled events). Pure
-    /// metadata: never consulted by the ordering, only surfaced to
-    /// observers for causal span tracing.
-    cause: Option<NonZeroU64>,
     event: E,
 }
 
@@ -217,13 +215,9 @@ pub struct EventQueue<E> {
     cur_tick: u64,
     /// Pending-entry count across ready + late + wheel + overflow.
     len: usize,
+    /// The seq the next push takes; also the count of pushes so far.
     next_seq: u64,
-    pushed: u64,
     popped: u64,
-    /// Cause stamped on every push: the engine sets this to the popped
-    /// event's seq for the duration of its handler, so follow-up events
-    /// carry a causal parent without the handlers knowing.
-    current_cause: Option<NonZeroU64>,
 }
 
 /// A popped queue entry with its scheduling metadata.
@@ -232,9 +226,6 @@ pub struct Popped<E> {
     pub time: SimTime,
     /// The event's insertion sequence number (unique per queue).
     pub seq: u64,
-    /// Insertion seq of the event whose handler scheduled this one
-    /// (`None` when scheduled from outside any handler).
-    pub cause: Option<u64>,
     /// The event itself.
     pub event: E,
 }
@@ -271,9 +262,7 @@ impl<E> EventQueue<E> {
             cur_tick: 0,
             len: 0,
             next_seq: 0,
-            pushed: 0,
             popped: 0,
-            current_cause: None,
         }
     }
 
@@ -300,24 +289,12 @@ impl<E> EventQueue<E> {
             + self.chunks.capacity() * std::mem::size_of::<ChunkMeta>()
     }
 
-    /// Set the cause stamped on subsequent pushes (the engine brackets
-    /// each handler invocation with the dispatched event's seq).
-    pub fn set_cause(&mut self, cause: Option<u64>) {
-        self.current_cause = cause.map(stored);
-    }
-
     /// Schedule `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = stored(self.next_seq);
         self.next_seq += 1;
-        self.pushed += 1;
         self.len += 1;
-        let entry = Entry {
-            time,
-            seq,
-            cause: self.current_cause,
-            event,
-        };
+        let entry = Entry { time, seq, event };
         if tick_of(time) < self.cur_tick {
             self.late.push(entry);
         } else {
@@ -547,7 +524,7 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// [`EventQueue::pop`] carrying the entry's seq and cause metadata.
+    /// [`EventQueue::pop`] carrying the entry's seq.
     pub fn pop_entry(&mut self) -> Option<Popped<E>> {
         self.ensure_ready();
         let e = if self.next_is_late() {
@@ -560,7 +537,6 @@ impl<E> EventQueue<E> {
         Some(Popped {
             time: e.time,
             seq: e.seq.get() - 1,
-            cause: e.cause.map(|c| c.get() - 1),
             event: e.event,
         })
     }
@@ -589,9 +565,10 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total events ever pushed.
+    /// Total events ever pushed. Seqs are issued consecutively from 0,
+    /// so this is also the seq the next push takes.
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.next_seq
     }
 
     /// Total events ever popped.

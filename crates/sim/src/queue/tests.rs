@@ -37,7 +37,6 @@ mod reference {
             self.heap.push(Entry {
                 time,
                 seq: stored(seq),
-                cause: None,
                 event,
             });
         }
@@ -49,7 +48,6 @@ mod reference {
             Some(Popped {
                 time: e.time,
                 seq: e.seq.get() - 1,
-                cause: None,
                 event: e.event,
             })
         }
@@ -99,22 +97,6 @@ fn counters_track_traffic() {
     assert_eq!(q.total_popped(), 1);
     assert_eq!(q.len(), 1);
     assert!(!q.is_empty());
-}
-
-#[test]
-fn cause_is_stamped_while_set() {
-    let mut q = EventQueue::new();
-    q.push(SimTime::ZERO, "external");
-    q.set_cause(Some(0));
-    q.push(SimTime::from_secs(1), "caused");
-    q.set_cause(None);
-    q.push(SimTime::from_secs(2), "external2");
-    let a = q.pop_entry().unwrap();
-    assert_eq!((a.seq, a.cause), (0, None));
-    let b = q.pop_entry().unwrap();
-    assert_eq!((b.seq, b.cause), (1, Some(0)));
-    let c = q.pop_entry().unwrap();
-    assert_eq!((c.seq, c.cause), (2, None));
 }
 
 #[test]
@@ -281,12 +263,13 @@ fn equal_times_across_levels_pop_in_seq_order() {
     }
 }
 
-/// The compact entry: `seq` is non-zero, so `Option<Entry>` costs no
-/// tag, and a 40-byte event — the protocol's — fills one cache line.
+/// The compact entry: the event plus its time and `seq`, which is
+/// non-zero, so `Option<Entry>` costs no tag: 24 bytes for the timer
+/// world's `(u32, u8)`, 56 for a 40-byte event — the protocol's.
 #[test]
 fn entries_fit_their_size_pins() {
-    assert_eq!(std::mem::size_of::<Option<Entry<(u32, u8)>>>(), 32);
-    assert_eq!(std::mem::size_of::<Option<Entry<[u64; 5]>>>(), 64);
+    assert_eq!(std::mem::size_of::<Option<Entry<(u32, u8)>>>(), 24);
+    assert_eq!(std::mem::size_of::<Option<Entry<[u64; 5]>>>(), 56);
 }
 
 #[test]

@@ -117,19 +117,6 @@ impl Xoshiro256PlusPlus {
         result
     }
 
-    /// Fill `dest` with random bytes, one little-endian word per 8 bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
     /// A uniform value of `T`'s natural domain: a whole word for `u64` and
     /// `usize`, `[0, 1)` from the 53 high bits for `f64`.
     #[inline]
@@ -307,18 +294,6 @@ mod tests {
         assert_ne!(s1.next_u64(), s2.next_u64());
         let _ = s1b.next_u64();
         assert_eq!(s1.next_u64(), s1b.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_handles_unaligned_lengths() {
-        let mut rng = Xoshiro256PlusPlus::new(9);
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 33] {
-            let mut buf = vec![0u8; len];
-            rng.fill_bytes(&mut buf);
-            if len >= 8 {
-                assert!(buf.iter().any(|&b| b != 0), "len {len} produced all zeros");
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the event queue, scheduling context, and RNG.
 
-use cs_sim::rng::{split_seed, Xoshiro256PlusPlus};
+use cs_sim::rng::split_seed;
 use cs_sim::{Ctx, Engine, EventQueue, SimTime, World};
 use proptest::prelude::*;
 
@@ -79,18 +79,6 @@ proptest! {
     fn split_seed_no_collisions(master in 0u64..10_000, a in 0u64..64, b in 0u64..64) {
         if a != b {
             prop_assert_ne!(split_seed(master, a), split_seed(master, b));
-        }
-    }
-
-    /// fill_bytes agrees with next_u64 word for word.
-    #[test]
-    fn fill_bytes_consistent_with_words(seed in any::<u64>()) {
-        let mut a = Xoshiro256PlusPlus::new(seed);
-        let mut b = Xoshiro256PlusPlus::new(seed);
-        let mut buf = [0u8; 32];
-        a.fill_bytes(&mut buf);
-        for chunk in buf.chunks_exact(8) {
-            prop_assert_eq!(u64::from_le_bytes(chunk.try_into().unwrap()), b.next_u64());
         }
     }
 

@@ -10,6 +10,11 @@
 //! Following `cause` links reconstructs the causal tree of a run
 //! (arrival → bootstrap reply → partner round → stream ticks …), which
 //! converts directly to a flamegraph: the parent chain is the stack.
+//! Queue entries carry no cause: the engine resolves it from a table,
+//! indexed by seq, that it keeps only for an observer whose
+//! `Observer::wants_causes` is true. The instrument set's is true exactly
+//! when it records spans, so only a span run pays for causality (8 bytes
+//! per event pushed, beside the 80-byte record per event dispatched).
 //! This module is the record type and its `spans.jsonl` rendering.
 //!
 //! Every field except `wall_ns` is a pure function of
@@ -141,6 +146,9 @@ mod tests {
     }
 
     impl Observer<Tree> for Recorder {
+        fn wants_causes(&self) -> bool {
+            true
+        }
         fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
             self.meta = meta;
         }

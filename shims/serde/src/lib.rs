@@ -12,7 +12,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dynamically-typed serialization tree (what `serde_json::Value`
@@ -179,24 +179,6 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| Error(format!("expected char, got {v:?}")))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error(format!("expected single char, got {s:?}"))),
-        }
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -240,47 +222,11 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize + Copy + Default, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v
-            .as_seq()
-            .ok_or_else(|| Error(format!("expected sequence, got {v:?}")))?;
-        if s.len() != N {
-            return Err(Error(format!("expected {N} elements, got {}", s.len())));
-        }
-        let mut out = [T::default(); N];
-        for (slot, item) in out.iter_mut().zip(s) {
-            *slot = T::from_value(item)?;
-        }
-        Ok(out)
-    }
-}
-
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let s = v
-                    .as_seq()
-                    .ok_or_else(|| Error(format!("expected tuple sequence, got {v:?}")))?;
-                let expected = [$($idx),+].len();
-                if s.len() != expected {
-                    return Err(Error(format!(
-                        "expected {expected}-tuple, got {} elements",
-                        s.len()
-                    )));
-                }
-                Ok(($($name::from_value(&s[$idx])?,)+))
             }
         }
     )*};
@@ -313,19 +259,6 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
                 .collect(),
             _ => Err(Error("expected map".into())),
         }
-    }
-}
-
-impl<K: Serialize + std::hash::Hash + Ord, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<_> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Map(
-            entries
-                .into_iter()
-                .map(|(k, v)| (key_to_string(&k.to_value()), v.to_value()))
-                .collect(),
-        )
     }
 }
 
@@ -379,15 +312,5 @@ mod tests {
             u64::MAX
         );
         assert_eq!(i64::from_value(&Value::Int(-5)).unwrap(), -5);
-    }
-
-    #[test]
-    fn arrays_and_tuples() {
-        let arr = [1.5f64, 2.5];
-        let v = arr.to_value();
-        assert_eq!(<[f64; 2]>::from_value(&v).unwrap(), arr);
-        assert!(<[f64; 3]>::from_value(&v).is_err());
-        let t = (1u64, 2u64, 3u64);
-        assert_eq!(<(u64, u64, u64)>::from_value(&t.to_value()).unwrap(), t);
     }
 }
