@@ -53,11 +53,6 @@ impl TimeBins {
         }
     }
 
-    /// Record an event at time `t` (counting only).
-    pub fn add_count(&mut self, t: SimTime) {
-        self.add(t, 0.0);
-    }
-
     /// `(bin_center_time, mean)` for non-empty bins.
     pub fn means(&self) -> Vec<(SimTime, f64)> {
         self.rows()
@@ -65,11 +60,6 @@ impl TimeBins {
             .filter(|&(_, _, n)| n > 0)
             .map(|(t, sum, n)| (t, sum / n as f64))
             .collect()
-    }
-
-    /// `(bin_center_time, count)` for all bins.
-    pub fn event_counts(&self) -> Vec<(SimTime, u64)> {
-        self.rows().into_iter().map(|(t, _, n)| (t, n)).collect()
     }
 
     /// Raw `(bin_center_time, sum, count)` rows.
@@ -161,23 +151,6 @@ mod tests {
         b.add(SimTime::from_secs(5), 1.0);
         b.add(SimTime::from_secs(25), 1.0);
         assert!(b.means().is_empty());
-    }
-
-    #[test]
-    fn event_counts_track_all_bins() {
-        let mut b = TimeBins::new(
-            SimTime::ZERO,
-            SimTime::from_secs(30),
-            SimTime::from_secs(10),
-        );
-        b.add_count(SimTime::from_secs(1));
-        b.add_count(SimTime::from_secs(2));
-        b.add_count(SimTime::from_secs(25));
-        let counts = b.event_counts();
-        assert_eq!(counts.iter().map(|(_, c)| c).sum::<u64>(), 3);
-        assert_eq!(counts[0].1, 2);
-        assert_eq!(counts[1].1, 0);
-        assert_eq!(counts[2].1, 1);
     }
 
     #[test]

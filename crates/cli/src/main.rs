@@ -85,6 +85,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
+    if args.has("telemetry-window") && !args.has("telemetry") {
+        return Err(
+            "--telemetry-window has no effect without --telemetry; pass both or neither".into(),
+        );
+    }
     let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
     if telemetry_window_s == 0 {
         return Err("--telemetry-window: must be at least 1 second".into());
@@ -314,8 +319,8 @@ manifest.json that indexes them (DESIGN.md §8).
                        and owning manager, the handler time of 1 event
                        in 128, scaled to the exact counts in
                        metrics.jsonl (busy_ns)
-  --telemetry-window N aggregation window in seconds, >= 1 (default 300,
-                       the paper's status-report cadence)
+  --telemetry-window N --telemetry's aggregation window in seconds, >= 1
+                       (default 300, the paper's status-report cadence)
   --spans              also write one causal span per dispatched event
                        (spans.jsonl)
 

@@ -129,6 +129,17 @@ fn invariant_stride_without_the_checker_is_rejected() {
     );
 }
 
+/// A telemetry window with no telemetry used to exit 0 and write no
+/// `metrics.jsonl`.
+#[test]
+fn telemetry_window_without_telemetry_is_rejected() {
+    let e = run_scenario_with(&["--telemetry-window", "120"]);
+    assert!(
+        e.contains("--telemetry-window") && e.contains("--telemetry;"),
+        "{e}"
+    );
+}
+
 /// The preset flags go through `ScenarioSpec::validate` like a scenario
 /// file does. These used to panic in a library `assert!` (`--scale 0`),
 /// simulate nobody and exit 0 (`--rate -1`), allocate without bound

@@ -7,8 +7,10 @@
 //! (a per-kind table increment plus queue accounting per event, a
 //! protocol-state walk once per window, two `Instant` reads per sampled
 //! dispatch, 1 in 128) both read 5–6 % of a small scenario on the 2-core
-//! review host, most of it the attached observer itself (three virtual
-//! calls and a `RefCell` borrow per ≈ 250 ns event). The
+//! review host, most of it the attached observer itself (two virtual
+//! calls and a `RefCell` borrow per ≈ 250 ns event; the engine makes the
+//! third, `on_dispatch_meta`, only for an observer that wants causes —
+//! a span run). The
 //! `InvariantChecker` is priced openly: full-state validation is
 //! `O(peers)` per check — that's what `--invariant-stride` is for.
 //!

@@ -105,12 +105,6 @@ impl Scenario {
         self
     }
 
-    /// Replace the protocol parameters.
-    pub fn with_params(mut self, params: Params) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Replace the workload.
     pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workload = workload;

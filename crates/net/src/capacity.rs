@@ -43,12 +43,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// Kilobits per second as a float.
-    #[inline]
-    pub fn as_kbps(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Bytes per second as a float.
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {
@@ -150,7 +144,7 @@ mod tests {
     #[test]
     fn bandwidth_units() {
         assert_eq!(Bandwidth::kbps(768).as_bps(), 768_000);
-        assert_eq!(Bandwidth::mbps(100).as_kbps(), 100_000.0);
+        assert_eq!(Bandwidth::mbps(100).as_bps(), 100_000_000);
         assert_eq!(Bandwidth::kbps(8).as_bytes_per_sec(), 1_000.0);
     }
 

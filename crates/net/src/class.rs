@@ -71,19 +71,6 @@ impl NodeClass {
             NodeClass::Source => "source",
         }
     }
-
-    /// Parse a [`label`](Self::label) back into a class.
-    pub fn from_label(s: &str) -> Option<NodeClass> {
-        Some(match s {
-            "direct" => NodeClass::DirectConnect,
-            "upnp" => NodeClass::Upnp,
-            "nat" => NodeClass::Nat,
-            "firewall" => NodeClass::Firewall,
-            "server" => NodeClass::Server,
-            "source" => NodeClass::Source,
-            _ => return None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -111,20 +98,5 @@ mod tests {
         assert!(NodeClass::Upnp.is_public_user());
         assert!(!NodeClass::Nat.is_public_user());
         assert!(!NodeClass::Firewall.is_public_user());
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for c in [
-            NodeClass::DirectConnect,
-            NodeClass::Upnp,
-            NodeClass::Nat,
-            NodeClass::Firewall,
-            NodeClass::Server,
-            NodeClass::Source,
-        ] {
-            assert_eq!(NodeClass::from_label(c.label()), Some(c));
-        }
-        assert_eq!(NodeClass::from_label("bogus"), None);
     }
 }

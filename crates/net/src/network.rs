@@ -53,7 +53,6 @@ pub struct ConnectStats {
 /// The node registry and reachability oracle.
 pub struct Network {
     nodes: Vec<NodeInfo>,
-    alive: usize,
     policy: ConnectivityPolicy,
     latency: LatencyModel,
     rng: Xoshiro256PlusPlus,
@@ -77,7 +76,6 @@ impl Network {
     pub fn new(policy: ConnectivityPolicy, latency: LatencyModel, master_seed: u64) -> Self {
         Network {
             nodes: Vec::new(),
-            alive: 0,
             policy,
             latency,
             rng: Xoshiro256PlusPlus::stream(master_seed, streams::NETWORK),
@@ -99,18 +97,13 @@ impl Network {
             alive: true,
             permissive,
         });
-        self.alive += 1;
         id
     }
 
     /// Mark a node as departed. Ids are never reused, so departed nodes
     /// remain inspectable for analysis.
     pub fn remove_node(&mut self, id: NodeId) {
-        let info = &mut self.nodes[id.index()];
-        if info.alive {
-            info.alive = false;
-            self.alive -= 1;
-        }
+        self.nodes[id.index()].alive = false;
     }
 
     /// Re-activate a previously departed node id (a *re-entry*, §V.D).
@@ -119,7 +112,6 @@ impl Network {
         if !info.alive {
             info.alive = true;
             info.joined_at = now;
-            self.alive += 1;
         }
     }
 
@@ -155,11 +147,6 @@ impl Network {
     /// Capacity bytes of the registry's node table.
     pub fn reserved_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<NodeInfo>()
-    }
-
-    /// Nodes currently in the system.
-    pub fn alive_count(&self) -> usize {
-        self.alive
     }
 
     /// Iterate all records (alive and departed).
@@ -236,14 +223,14 @@ mod tests {
         let mut n = net();
         let a = n.add_node(NodeClass::DirectConnect, Bandwidth::mbps(2), SimTime::ZERO);
         let b = n.add_node(NodeClass::Nat, Bandwidth::kbps(300), SimTime::ZERO);
-        assert_eq!(n.alive_count(), 2);
+        assert_eq!(n.iter_alive().count(), 2);
         n.remove_node(a);
-        assert_eq!(n.alive_count(), 1);
+        assert_eq!(n.iter_alive().count(), 1);
         assert!(!n.is_alive(a));
         assert!(n.is_alive(b));
         // Double-remove is a no-op.
         n.remove_node(a);
-        assert_eq!(n.alive_count(), 1);
+        assert_eq!(n.iter_alive().count(), 1);
         assert_eq!(n.total_nodes(), 2);
     }
 
@@ -255,7 +242,7 @@ mod tests {
         n.revive_node(a, SimTime::from_secs(30));
         assert!(n.is_alive(a));
         assert_eq!(n.node(a).joined_at, SimTime::from_secs(30));
-        assert_eq!(n.alive_count(), 1);
+        assert_eq!(n.iter_alive().count(), 1);
     }
 
     #[test]

@@ -18,31 +18,34 @@ fn any_class() -> impl Strategy<Value = NodeClass> {
 }
 
 proptest! {
-    /// Add/remove/revive sequences keep the alive count equal to a naive
-    /// recount, and records stay addressable forever.
+    /// Add/remove/revive sequences keep the live set equal to a model's
+    /// (double removes included), and records stay addressable forever.
     #[test]
     fn network_alive_count_is_consistent(
         seed in any::<u64>(),
         ops in proptest::collection::vec((any_class(), any::<bool>(), 0usize..20), 1..60),
     ) {
         let mut net = Network::new(ConnectivityPolicy::default(), LatencyModel::default(), seed);
-        let mut ids = Vec::new();
+        let (mut ids, mut alive) = (Vec::new(), Vec::new());
         for (class, remove, target) in ops {
             if remove && !ids.is_empty() {
-                let id = ids[target % ids.len()];
-                net.remove_node(id);
+                let ix = target % ids.len();
+                net.remove_node(ids[ix]);
+                alive[ix] = false;
             } else {
                 ids.push(net.add_node(class, Bandwidth::kbps(500), SimTime::ZERO));
+                alive.push(true);
             }
-            let recount = net.iter().filter(|n| n.alive).count();
-            prop_assert_eq!(net.alive_count(), recount);
+            let live: Vec<_> = ids.iter().zip(&alive).filter(|(_, &a)| a).map(|(&id, _)| id).collect();
+            prop_assert_eq!(net.iter_alive().count(), live.len());
+            prop_assert_eq!(net.iter_alive().map(|n| n.id).collect::<Vec<_>>(), live);
             prop_assert_eq!(net.total_nodes(), ids.len());
         }
-        // Revive everything; alive count equals total.
+        // Revive everything; every record is live again.
         for &id in &ids {
             net.revive_node(id, SimTime::from_secs(1));
         }
-        prop_assert_eq!(net.alive_count(), ids.len());
+        prop_assert_eq!(net.iter_alive().count(), ids.len());
     }
 
     /// Latency samples are bounded by the model's extremes for any pair

@@ -1,26 +1,27 @@
-//! The generational peer arena.
+//! The peer arena: a slab of per-peer state keyed by node id.
 //!
 //! Per-peer state lives in parallel struct-of-arrays columns — one for
 //! the identity core and one per manager of the paper's Fig. 1
 //! ([`MembershipState`], [`PartnershipState`], [`StreamState`]) — so a
 //! manager sweeping its own state touches only its column's cache
-//! lines. Slots are recycled through a LIFO free list; each slot
-//! carries a generation counter that is bumped on removal, so a
-//! [`PeerHandle`] held across a departure never equals a handle to the
-//! slot's next occupant.
+//! lines. Slots are recycled through a LIFO free list.
 //!
 //! Node ids are *not* slot indices: a `lookup` table maps the
-//! monotonically growing [`NodeId`] space to live handles, which keeps
-//! per-departed-node residue to one `Option<PeerHandle>` instead of a
-//! full tombstoned peer record — the difference between a day-long
+//! monotonically growing [`NodeId`] space to live slots, which keeps
+//! per-departed-node residue to one 4-byte `Option<NonZeroU32>` instead
+//! of a full tombstoned peer record — the difference between a day-long
 //! churn run fitting in cache-friendly columns or not. Iteration walks
 //! `lookup`, i.e. node-id order, which golden trace hashes rely on.
 //!
-//! All access from outside `world.rs` goes through [`CsWorld`]
-//! accessors: the arena is a private field of `CsWorld`, and the type
-//! itself is crate-private.
+//! Nothing outside the arena holds a slot index: every access names the
+//! node id and goes through `lookup`, so a reused slot cannot be reached
+//! under its previous occupant's id. All access from outside `world.rs`
+//! goes through [`CsWorld`] accessors: the arena is a private field of
+//! `CsWorld`, and the type itself is crate-private.
 //!
 //! [`CsWorld`]: crate::world::CsWorld
+
+use std::num::NonZeroU32;
 
 use cs_net::NodeId;
 
@@ -30,54 +31,31 @@ use crate::partnership::PartnershipState;
 use crate::peer::{PeerCore, PeerMut, PeerRef};
 use crate::stream::StreamState;
 
-/// Typed handle to one peer incarnation: a slot index plus the slot
-/// generation at acquisition time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PeerHandle {
-    index: u32,
-    generation: u32,
-}
-
-impl PeerHandle {
-    /// The arena slot this handle points at.
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-
-    /// The slot generation this handle was issued for.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
-
-/// Bytes one slot takes across the five columns.
+/// Bytes one slot takes across the four columns.
 const SLOT_BYTES: usize = std::mem::size_of::<PeerCore>()
     + std::mem::size_of::<MembershipState>()
     + std::mem::size_of::<PartnershipState>()
-    + std::mem::size_of::<StreamState>()
-    + std::mem::size_of::<u32>();
+    + std::mem::size_of::<StreamState>();
 
-/// Generational slab of per-peer state in manager-owned columns.
+/// Slab of per-peer state in manager-owned columns.
 ///
 /// Columns hold plain values, not `Option`s: liveness is decided by
-/// `lookup`/`generations` alone, so building a [`PeerRef`]/[`PeerMut`]
-/// is pure pointer arithmetic — no discriminant reads across four
-/// columns on every accessor hit. Vacating a slot overwrites the three
-/// manager columns with empty states (releasing their heap buffers) and
-/// leaves the all-scalar core in place as inert residue.
+/// `lookup` alone, so building a [`PeerRef`]/[`PeerMut`] is pure pointer
+/// arithmetic — no discriminant reads across four columns on every
+/// accessor hit. Vacating a slot overwrites the three manager columns
+/// with empty states (releasing their heap buffers) and leaves the
+/// all-scalar core in place as inert residue.
 #[derive(Default)]
 pub(crate) struct PeerArena {
     cores: Vec<PeerCore>,
     membership: Vec<MembershipState>,
     partnership: Vec<PartnershipState>,
     stream: Vec<StreamState>,
-    /// Per-slot incarnation counter; bumped when the slot is vacated.
-    generations: Vec<u32>,
     /// Vacated slots available for reuse (LIFO).
     free: Vec<u32>,
-    /// `NodeId::index()` → live handle. Spans the id space and is the
+    /// `NodeId::index()` → live slot + 1. Spans the id space and is the
     /// node-id-order iteration spine.
-    lookup: Vec<Option<PeerHandle>>,
+    lookup: Vec<Option<NonZeroU32>>,
     live: usize,
 }
 
@@ -93,7 +71,6 @@ impl PeerArena {
         let _ = self.membership.try_reserve_exact(peers);
         let _ = self.partnership.try_reserve_exact(peers);
         let _ = self.stream.try_reserve_exact(peers);
-        let _ = self.generations.try_reserve_exact(peers);
     }
 
     /// Size the lookup spine for node ids below `ids`, exactly, so it
@@ -115,7 +92,7 @@ impl PeerArena {
         let columns = self.cores.len() * SLOT_BYTES
             + self.free.capacity() * std::mem::size_of::<u32>()
             + stream(StreamState::spilled_bytes);
-        let spine = self.lookup.len() * std::mem::size_of::<Option<PeerHandle>>();
+        let spine = self.lookup.len() * std::mem::size_of::<Option<NonZeroU32>>();
         let mcaches = self.membership.iter().map(|m| m.cache().heap_bytes());
         let partners = self.partnership.iter().map(|p| p.partners().heap_bytes());
         [
@@ -134,11 +111,8 @@ impl PeerArena {
         fn cap<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        let columns = cap(&self.cores)
-            + cap(&self.membership)
-            + cap(&self.partnership)
-            + cap(&self.stream)
-            + cap(&self.generations);
+        let columns =
+            cap(&self.cores) + cap(&self.membership) + cap(&self.partnership) + cap(&self.stream);
         [
             ("arena_columns", columns),
             ("lookup_spine", cap(&self.lookup)),
@@ -161,7 +135,7 @@ impl PeerArena {
     /// exists: `core` is its identity row, the three manager columns
     /// start empty at the widths `params` dictates (construction draws
     /// no randomness). The node id must not already be present.
-    pub(crate) fn insert(&mut self, core: PeerCore, params: &Params) -> PeerHandle {
+    pub(crate) fn insert(&mut self, core: PeerCore, params: &Params) {
         let node = core.id;
         let membership = MembershipState::new(params.mcache_size);
         let partnership = PartnershipState::new(params.substreams);
@@ -181,78 +155,53 @@ impl PeerArena {
                 self.membership.push(membership);
                 self.partnership.push(partnership);
                 self.stream.push(stream);
-                self.generations.push(0);
                 ix
             }
-        };
-        let handle = PeerHandle {
-            index,
-            generation: self.generations[index as usize],
         };
         let slot = node.index();
         if slot >= self.lookup.len() {
             self.lookup.resize(slot + 1, None);
         }
         debug_assert!(self.lookup[slot].is_none(), "node {slot} already present");
-        self.lookup[slot] = Some(handle);
+        self.lookup[slot] = Some(NonZeroU32::MIN.saturating_add(index));
         self.live += 1;
-        handle
     }
 
-    /// Vacate a peer's slot, bumping its generation so outstanding
-    /// handles go stale. Returns whether the node was present.
+    /// Vacate a peer's slot. Returns whether the node was present.
     pub(crate) fn remove(&mut self, id: NodeId) -> bool {
-        let slot = id.index();
-        let Some(Some(h)) = self.lookup.get(slot).copied() else {
+        let Some(key) = self.lookup.get_mut(id.index()).and_then(Option::take) else {
             return false;
         };
-        self.lookup[slot] = None;
-        let i = h.index as usize;
+        let i = slot(key);
         // Release the vacated peer's heap buffers (mCache entries,
         // partner views, stream buffer); the scalar core stays as inert
         // residue until the slot is reused.
         self.membership[i] = MembershipState::new(0);
         self.partnership[i] = PartnershipState::new(0);
         self.stream[i] = StreamState::new(0);
-        self.generations[i] = self.generations[i].wrapping_add(1);
-        self.free.push(h.index);
+        self.free.push(key.get() - 1);
         self.live -= 1;
         true
     }
 
-    /// The live handle for a node id, if present.
-    pub(crate) fn handle_of(&self, id: NodeId) -> Option<PeerHandle> {
-        self.lookup.get(id.index()).copied().flatten()
+    /// Whether a node id is present.
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.slot_of(id).is_some()
     }
 
-    /// Read view through a handle, for the tests: the simulation reads
-    /// peers by node id. A stale generation is a programming error: it
-    /// trips a `debug_assert` in debug builds and yields `None` in
-    /// release.
-    #[cfg(test)]
-    pub(crate) fn get(&self, h: PeerHandle) -> Option<PeerRef<'_>> {
-        let i = h.index as usize;
-        debug_assert_eq!(
-            self.generations.get(i).copied(),
-            Some(h.generation),
-            "stale peer handle: slot {i} was reused by a later incarnation"
-        );
-        if self.generations.get(i).copied() != Some(h.generation) {
-            return None;
-        }
-        self.ref_at(i)
+    /// The slot a present node id occupies.
+    fn slot_of(&self, id: NodeId) -> Option<usize> {
+        self.lookup.get(id.index()).copied().flatten().map(slot)
     }
 
     /// Read view by node id.
     pub(crate) fn get_by_node(&self, id: NodeId) -> Option<PeerRef<'_>> {
-        let h = self.handle_of(id)?;
-        self.ref_at(h.index as usize)
+        self.ref_at(self.slot_of(id)?)
     }
 
     /// Write view by node id.
     pub(crate) fn get_mut_by_node(&mut self, id: NodeId) -> Option<PeerMut<'_>> {
-        let h = self.handle_of(id)?;
-        let i = h.index as usize;
+        let i = self.slot_of(id)?;
         Some(PeerMut {
             core: self.cores.get_mut(i)?,
             membership: self.membership.get_mut(i)?,
@@ -264,8 +213,7 @@ impl PeerArena {
     /// Simultaneous write views of two distinct peers, in argument
     /// order, via a disjoint split of every column.
     pub(crate) fn pair_mut(&mut self, a: NodeId, b: NodeId) -> Option<(PeerMut<'_>, PeerMut<'_>)> {
-        let (ha, hb) = (self.handle_of(a)?, self.handle_of(b)?);
-        let (i, j) = (ha.index as usize, hb.index as usize);
+        let (i, j) = (self.slot_of(a)?, self.slot_of(b)?);
         assert_ne!(i, j, "pair_mut of one peer");
         let (ca, cb) = pair_of(&mut self.cores, i, j);
         let (ma, mb) = pair_of(&mut self.membership, i, j);
@@ -291,7 +239,7 @@ impl PeerArena {
     pub(crate) fn iter(&self) -> impl Iterator<Item = PeerRef<'_>> {
         self.lookup
             .iter()
-            .filter_map(|h| self.ref_at(h.as_ref()?.index as usize))
+            .filter_map(|&key| self.ref_at(slot(key?)))
     }
 
     fn ref_at(&self, i: usize) -> Option<PeerRef<'_>> {
@@ -302,6 +250,11 @@ impl PeerArena {
             stream: self.stream.get(i)?,
         })
     }
+}
+
+/// The slot a `lookup` entry names: entries hold slot + 1.
+fn slot(key: NonZeroU32) -> usize {
+    key.get() as usize - 1
 }
 
 /// Two disjoint `&mut` slots of one column, `(i, j)` in that order.
@@ -317,15 +270,18 @@ fn pair_of<T>(column: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use cs_logging::UserId;
     use cs_net::{Bandwidth, NodeClass};
     use cs_sim::SimTime;
+    use proptest::prelude::*;
 
-    fn put(a: &mut PeerArena, id: u32) -> PeerHandle {
-        let core = PeerCore {
+    fn core(id: u32, user: u32) -> PeerCore {
+        PeerCore {
             id: NodeId(id),
-            user: UserId(id),
+            user: UserId(user),
             class: NodeClass::DirectConnect,
             upload: Bandwidth::kbps(500),
             join_time: SimTime::ZERO,
@@ -333,35 +289,38 @@ mod tests {
             intended_leave: SimTime::MAX,
             retries_left: 0,
             patience: SimTime::MAX,
-        };
-        a.insert(core, &Params::default())
+        }
+    }
+
+    fn put(a: &mut PeerArena, id: u32) {
+        a.insert(core(id, id), &Params::default());
     }
 
     #[test]
     fn insert_then_lookup_roundtrips() {
         let mut a = PeerArena::new();
-        let h = put(&mut a, 0);
+        put(&mut a, 0);
         assert_eq!(a.len(), 1);
-        assert_eq!(a.handle_of(NodeId(0)), Some(h));
-        assert_eq!(a.get(h).unwrap().id, NodeId(0));
+        assert!(a.contains(NodeId(0)));
+        assert!(!a.contains(NodeId(1)));
         assert_eq!(a.get_by_node(NodeId(0)).unwrap().user, UserId(0));
     }
 
     #[test]
-    fn remove_recycles_slot_with_new_generation() {
+    fn remove_recycles_slot() {
         let mut a = PeerArena::new();
-        let h0 = put(&mut a, 0);
-        let _h1 = put(&mut a, 1);
+        put(&mut a, 0);
+        put(&mut a, 1);
         assert!(a.remove(NodeId(0)));
+        assert!(!a.remove(NodeId(0)), "already vacated");
         assert_eq!(a.len(), 1);
-        assert!(a.handle_of(NodeId(0)).is_none());
-        // The vacated slot is reused for the next arrival…
-        let h2 = put(&mut a, 2);
+        assert!(!a.contains(NodeId(0)));
+        // The vacated slot is reused for the next arrival, which alone
+        // answers for it.
+        put(&mut a, 2);
         assert_eq!(a.slots(), 2, "free slot reused, not grown");
-        assert_eq!(h2.index(), h0.index());
-        // …under a fresh generation.
-        assert_eq!(h2.generation(), h0.generation() + 1);
-        assert_eq!(a.get(h2).unwrap().id, NodeId(2));
+        assert!(a.get_by_node(NodeId(0)).is_none());
+        assert_eq!(a.get_by_node(NodeId(2)).unwrap().id, NodeId(2));
     }
 
     #[test]
@@ -374,17 +333,6 @@ mod tests {
         }
         assert_eq!(a.slots(), 1, "join→leave churn must not grow the slab");
         assert_eq!(a.len(), 0);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "stale peer handle")]
-    fn stale_handle_access_is_caught_in_debug() {
-        let mut a = PeerArena::new();
-        let h = put(&mut a, 0);
-        a.remove(NodeId(0));
-        put(&mut a, 1); // reuses the slot, new generation
-        let _ = a.get(h); // stale: must trip the debug assertion
     }
 
     #[test]
@@ -414,5 +362,73 @@ mod tests {
         put(&mut a, 0); // fresh slot at the end of the slab
         let ids: Vec<_> = a.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 2, 3, 4]);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A fresh node id arrives.
+        Arrive,
+        /// The n-th live peer (mod the live count) departs.
+        Depart(usize),
+        /// The n-th vacated id (mod their count) comes back.
+        Revive(usize),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(Op::Arrive),
+                (0usize..64).prop_map(Op::Depart),
+                (0usize..64).prop_map(Op::Revive),
+            ],
+            0..80,
+        )
+    }
+
+    proptest! {
+        /// Under any arrive / depart / revive interleaving the slab
+        /// answers like a `BTreeMap<NodeId, PeerCore>`: presence, count,
+        /// the incarnation a node id reads, node-id iteration order — and
+        /// it holds no more slots than peers were ever live at once.
+        #[test]
+        fn slab_matches_btreemap_model(ops in arb_ops()) {
+            let mut a = PeerArena::new();
+            let mut model: BTreeMap<NodeId, PeerCore> = BTreeMap::new();
+            let mut vacated: Vec<NodeId> = Vec::new();
+            let (mut next_id, mut incarnation, mut peak) = (0u32, 0u32, 0usize);
+            for op in ops {
+                let arriving = match op {
+                    Op::Arrive => {
+                        next_id += 1;
+                        Some(NodeId(next_id - 1))
+                    }
+                    Op::Depart(n) if !model.is_empty() => {
+                        let id = *model.keys().nth(n % model.len()).unwrap();
+                        prop_assert!(a.remove(id));
+                        model.remove(&id);
+                        vacated.push(id);
+                        None
+                    }
+                    Op::Revive(n) if !vacated.is_empty() => Some(vacated.remove(n % vacated.len())),
+                    Op::Depart(_) | Op::Revive(_) => None,
+                };
+                if let Some(id) = arriving {
+                    incarnation += 1;
+                    let c = core(id.0, incarnation);
+                    a.insert(c, &Params::default());
+                    model.insert(id, c);
+                    peak = peak.max(model.len());
+                }
+                prop_assert_eq!(a.len(), model.len());
+                prop_assert_eq!(a.slots(), peak);
+                for id in (0..=next_id).map(NodeId) {
+                    prop_assert_eq!(a.contains(id), model.contains_key(&id));
+                    let read = a.get_by_node(id).map(|p| (p.id, p.user));
+                    prop_assert_eq!(read, model.get(&id).map(|c| (c.id, c.user)));
+                }
+                let order: Vec<NodeId> = a.iter().map(|p| p.id).collect();
+                prop_assert_eq!(order, model.keys().copied().collect::<Vec<_>>());
+            }
+        }
     }
 }

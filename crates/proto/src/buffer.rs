@@ -138,11 +138,6 @@ impl StreamBuffer {
         }
     }
 
-    /// Worst lag across sub-streams.
-    pub fn max_lag(&self) -> u64 {
-        (0..self.k).map(|i| self.lag(i)).max().unwrap_or(0)
-    }
-
     /// Whether block `n` is in the buffer. Only meaningful from the
     /// playout point onwards once [`retire_holes`](Self::retire_holes)
     /// has run: a retired hole reads as received.
@@ -392,7 +387,6 @@ mod tests {
         assert_eq!(b.max_latest(), Some(18));
         assert_eq!(b.lag(1), 17);
         assert_eq!(b.lag(0), 0);
-        assert_eq!(b.max_lag(), 17);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Chaos<'_> {
         let Some(&id) = self.w.servers.get(ix) else {
             return;
         };
-        if self.w.net.is_alive(id) {
+        if self.w.contains(id) {
             return;
         }
         self.w.net.revive_node(id, now);
@@ -225,8 +225,7 @@ mod tests {
             ],
             SimTime::from_secs(61),
         );
-        assert!(world.net.is_alive(server), "server not revived");
-        assert!(world.peer(server).is_some(), "peer state not rebuilt");
+        assert!(world.contains(server), "server not revived");
         assert_eq!(world.sessions[server.index()].leave, None);
         assert_eq!(world.net.node(server).joined_at, SimTime::from_secs(60));
     }
@@ -241,7 +240,7 @@ mod tests {
             vec![(SimTime::from_secs(5), Event::RestartServer(1))],
             SimTime::from_secs(6),
         );
-        assert!(world.net.is_alive(server));
+        assert!(world.contains(server));
         assert_eq!(world.net.node(server).joined_at, before_join);
     }
 
@@ -260,8 +259,7 @@ mod tests {
         engine.schedule_at(SimTime::from_secs(20), Event::RestartServer(0));
         engine.run_until(SimTime::from_secs(40));
         let world = engine.into_world();
-        assert!(world.net.is_alive(server));
-        assert!(world.peer(server).is_some());
+        assert!(world.contains(server));
     }
 
     /// A restarted server's age is its restart time: under
@@ -543,6 +541,6 @@ mod tests {
         Membership::of(&mut world).set_bootstrap(false);
         assert!(!world.bootstrap_up);
         Membership::of(&mut world).crash_server(0, SimTime::from_secs(1));
-        assert!(!world.net.is_alive(world.servers[0]));
+        assert!(!world.contains(world.servers[0]));
     }
 }

@@ -27,7 +27,9 @@
 //!    records without a leave time are exactly the live user nodes.
 //! 9. **Registry ⇔ arena** — over every id ever issued, the network
 //!    registry calls a node alive exactly when the arena holds its state,
-//!    with the same uplink: the tick path asks only the arena.
+//!    with the same uplink. The protocol asks only the arena
+//!    ([`CsWorld::contains`]); within cs-proto only this checker reads
+//!    the registry's flag.
 //! 10. **Child-list uniqueness** — no parent lists a `(child,
 //!     sub-stream)` pair twice (`subscribe` pushes without scanning).
 //! 11. **Kept maximum** — `PartnerTable::max_latest` equals a scan of the
@@ -211,7 +213,7 @@ impl InvariantChecker {
 
             // Oracle 3: symmetry, liveness, complementary directions.
             for (q, view) in peer.partners().iter() {
-                if !world.net.is_alive(q) {
+                if !world.contains(q) {
                     self.record(
                         now,
                         "partner-liveness",

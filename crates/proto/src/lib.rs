@@ -60,7 +60,6 @@ mod world;
 #[cfg(test)]
 mod partnership_tests;
 
-pub use arena::PeerHandle;
 pub use bootstrap::Bootstrap;
 pub use buffer::{BufferMap, StreamBuffer};
 pub use invariant::{InvariantChecker, Violation};
@@ -69,7 +68,7 @@ pub use membership::MembershipState;
 pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
 pub use partnership::{PartnerTable, PartnerView, PartnershipState};
 pub use peer::{PeerCore, PeerMut, PeerRef};
-pub use session::{finalize_sessions, user_classes, DepartReason, SessionRecord};
+pub use session::{finalize_sessions, DepartReason, SessionRecord};
 pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};
 pub use stream::{ReportCounters, StreamState};
 pub use telemetry::ProtoTelemetry;

@@ -141,7 +141,7 @@ impl Membership<'_> {
     /// Handle the boot-strap reply: fill the mCache, then ask the
     /// partnership manager to attempt handshakes.
     pub(crate) fn bootstrap_reply(&mut self, id: NodeId, now: SimTime, ctx: &mut Ctx<'_, Event>) {
-        if !self.w.net.is_alive(id) {
+        if !self.w.contains(id) {
             return;
         }
         if !self.w.bootstrap_up {
@@ -173,7 +173,7 @@ impl Membership<'_> {
             if ok >= self.w.params.target_partners {
                 break;
             }
-            if !self.w.net.is_alive(cand) {
+            if !self.w.contains(cand) {
                 if let Some(p) = self.w.peer_mut(id) {
                     p.membership.forget(cand);
                 }
@@ -254,7 +254,7 @@ impl Membership<'_> {
         let Some(&id) = self.w.servers.get(ix) else {
             return;
         };
-        if !self.w.net.is_alive(id) {
+        if !self.w.contains(id) {
             return;
         }
         let (partners, children) = match self.w.peer(id) {

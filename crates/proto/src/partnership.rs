@@ -51,7 +51,7 @@ impl Partnership<'_> {
     /// Attempt a partnership initiated by `a` towards `b`. Respects both
     /// sides' partner bounds and the middlebox policy.
     pub(crate) fn try_add_partner(&mut self, a: NodeId, b: NodeId, now: SimTime) -> bool {
-        if a == b || !self.w.net.is_alive(a) || !self.w.net.is_alive(b) {
+        if a == b || !self.w.contains(a) || !self.w.contains(b) {
             return false;
         }
         let (a_max, b_max) = (
@@ -145,7 +145,7 @@ impl Partnership<'_> {
             if established + cur_partners >= target {
                 break;
             }
-            if self.w.peer_handle(cand).is_none() {
+            if !self.w.contains(cand) {
                 if let Some(p) = self.w.peer_mut(id) {
                     p.membership.forget(cand);
                 }
@@ -308,7 +308,7 @@ impl Partnership<'_> {
         let pick = picks.first().copied();
         self.w.scratch.entries = picks;
         if let Some(cand) = pick {
-            if self.w.peer_handle(cand).is_some() {
+            if self.w.contains(cand) {
                 self.try_add_partner(id, cand, now);
             } else if let Some(p) = self.w.peer_mut(id) {
                 p.membership.forget(cand);
@@ -393,8 +393,7 @@ impl Partnership<'_> {
     /// the player still hasn't started. Returns a retry spec if the user
     /// re-enters.
     pub(crate) fn patience_check(&mut self, id: NodeId, now: SimTime) -> Option<UserSpec> {
-        let not_ready = self.w.net.is_alive(id)
-            && self.w.peer(id).map(|p| p.media_ready().is_none()) == Some(true);
+        let not_ready = self.w.peer(id).is_some_and(|p| p.media_ready().is_none());
         if not_ready {
             self.depart(id, now, DepartReason::Impatient)
         } else {
@@ -404,7 +403,7 @@ impl Partnership<'_> {
 
     /// Scheduled (intended) departure.
     pub(crate) fn scheduled_depart(&mut self, id: NodeId, now: SimTime) {
-        if self.w.net.is_alive(id) {
+        if self.w.contains(id) {
             self.depart(id, now, DepartReason::Finished);
         }
     }
@@ -412,7 +411,7 @@ impl Partnership<'_> {
     /// Partnerships are live: pick the start position and parents, then
     /// start the periodic machinery.
     pub(crate) fn partners_ready(&mut self, id: NodeId, now: SimTime, ctx: &mut Ctx<'_, Event>) {
-        if !self.w.net.is_alive(id) {
+        if !self.w.contains(id) {
             return;
         }
         // Refresh views then select.

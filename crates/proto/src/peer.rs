@@ -215,8 +215,8 @@ mod tests {
     #[test]
     fn fresh_peer_state_is_empty() {
         let mut arena = PeerArena::new();
-        let h = arena.insert(core(NodeClass::DirectConnect), &Params::default());
-        let p = arena.get(h).expect("just inserted");
+        arena.insert(core(NodeClass::DirectConnect), &Params::default());
+        let p = arena.get_by_node(NodeId(1)).expect("just inserted");
         assert!(p.partners().is_empty());
         assert!(p.mcache().is_empty());
         assert!(p.buffer().is_none());

@@ -8,7 +8,7 @@
 
 use cs_logging::UserId;
 use cs_net::{Bandwidth, NodeClass, NodeId};
-use cs_sim::{DetMap, SimTime};
+use cs_sim::SimTime;
 
 use crate::stream::ReportCounters;
 use crate::world::CsWorld;
@@ -126,18 +126,6 @@ pub fn finalize_sessions(world: &mut CsWorld) {
             rec.reason = Some(DepartReason::StillActive);
         }
     }
-}
-
-/// A map from user id to the ground-truth class of its first session —
-/// convenient for per-class analysis joins.
-pub fn user_classes(world: &CsWorld) -> DetMap<UserId, NodeClass> {
-    let mut map = DetMap::new();
-    for rec in &world.sessions {
-        if rec.class.is_user() {
-            map.entry(rec.user).or_insert(rec.class);
-        }
-    }
-    map
 }
 
 #[cfg(test)]

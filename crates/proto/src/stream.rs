@@ -210,7 +210,7 @@ impl Stream<'_> {
     /// the periodic tick that ties the three managers together. Returns
     /// `false` once the peer is gone (the tick chain stops).
     pub(crate) fn bm_tick(&mut self, id: NodeId, now: SimTime) -> bool {
-        if self.w.peer_handle(id).is_none() {
+        if !self.w.contains(id) {
             return false;
         }
         // 1. Partnership: refresh views, detect dead partners, refill.

@@ -39,7 +39,7 @@ use cs_net::{Bandwidth, Network, NodeClass, NodeId};
 use cs_sim::rng::{streams, Xoshiro256PlusPlus};
 use cs_sim::{Ctx, SimTime, World};
 
-use crate::arena::{PeerArena, PeerHandle};
+use crate::arena::PeerArena;
 use crate::bootstrap::Bootstrap;
 use crate::chaos::Chaos;
 use crate::membership::Membership;
@@ -274,7 +274,7 @@ pub struct CsWorld {
     pub params: Params,
     /// The network substrate.
     pub net: Network,
-    /// All per-peer state, in generational struct-of-arrays columns.
+    /// All per-peer state, in struct-of-arrays columns keyed by node id.
     arena: PeerArena,
     /// The broadcast source node.
     pub source: NodeId,
@@ -426,10 +426,11 @@ impl CsWorld {
         self.arena.get_by_node(id)
     }
 
-    /// The arena handle for a live node, if present. Handles stay valid
-    /// until the peer departs.
-    pub fn peer_handle(&self, id: NodeId) -> Option<PeerHandle> {
-        self.arena.handle_of(id)
+    /// Whether `id` is a live peer: the protocol's one liveness read. The
+    /// `cs-net` registry's flag agrees with it at every event boundary;
+    /// invariant oracle 9 checks that.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.arena.contains(id)
     }
 
     /// Number of live peers (source, servers, and users).
@@ -550,7 +551,7 @@ impl CsWorld {
 
     /// Drop a departed or crashed peer's state — what it moved since its
     /// last status report goes into its session record first; its arena
-    /// slot joins the free list and outstanding handles to it go stale.
+    /// slot joins the free list.
     pub(crate) fn remove_peer(&mut self, id: NodeId) {
         if let Some(p) = self.arena.get_mut_by_node(id) {
             self.sessions[id.index()].absorb(p.stream.take_counters());
@@ -585,7 +586,7 @@ impl World for CsWorld {
             }
             Event::Depart(id) => Partnership::of(self).scheduled_depart(id, now),
             Event::GossipTick(id) => {
-                if self.peer_handle(id).is_some() {
+                if self.contains(id) {
                     Membership::of(self).gossip_tick(id);
                     ctx.schedule_in(self.params.gossip_interval, Event::GossipTick(id));
                 }
@@ -596,7 +597,7 @@ impl World for CsWorld {
                 }
             }
             Event::SchedRound(id) => {
-                if self.peer_handle(id).is_some() {
+                if self.contains(id) {
                     Stream::of(self).sched_round(id, now);
                     ctx.schedule_in(self.params.sched_interval, Event::SchedRound(id));
                 }
@@ -604,12 +605,12 @@ impl World for CsWorld {
             Event::PlaybackTick(id) => {
                 if let Some(spec) = Stream::of(self).playback_tick(id, now) {
                     self.schedule_retry(spec, ctx);
-                } else if self.peer_handle(id).is_some() {
+                } else if self.contains(id) {
                     ctx.schedule_in(self.params.playback_interval, Event::PlaybackTick(id));
                 }
             }
             Event::ReportTick(id) => {
-                if self.peer_handle(id).is_some() {
+                if self.contains(id) {
                     Stream::of(self).report_tick(id, now);
                     ctx.schedule_in(self.params.report_interval, Event::ReportTick(id));
                 }

@@ -54,7 +54,8 @@ use crate::time::SimTime;
 
 /// Scheduling metadata for one dispatched event, delivered through
 /// [`Observer::on_dispatch_meta`] immediately before
-/// [`Observer::on_dispatch`].
+/// [`Observer::on_dispatch`] to an observer that
+/// [wants causes](Observer::wants_causes).
 ///
 /// `seq` is the event's queue insertion sequence — unique per engine and
 /// monotone in scheduling order, so it doubles as a span id. `cause` is
@@ -63,10 +64,9 @@ use crate::time::SimTime;
 /// arrivals, chaos injections). Following `cause` links recovers the
 /// causal tree of a run.
 ///
-/// `cause` is resolved only for an observer that
-/// [wants causes](Observer::wants_causes), and only for events scheduled
-/// after it was attached: an observer attached mid-run reads `None` for
-/// every event already pending then, whoever scheduled it.
+/// `cause` is resolved only for events scheduled after the observer was
+/// attached: an observer attached mid-run reads `None` for every event
+/// already pending then, whoever scheduled it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchMeta {
     /// Queue insertion seq of the event being dispatched.
@@ -81,19 +81,21 @@ pub struct DispatchMeta {
 /// needs. Observers must not assume they see *all* events of a run: one
 /// can be attached or detached between `run_until` segments.
 pub trait Observer<W: World> {
-    /// Whether the engine should resolve [`DispatchMeta::cause`]. Asked
-    /// once, when the observer is attached. While it is `true` the engine
-    /// keeps 8 bytes per event pushed, the seq of the handler that pushed
-    /// it; while it is `false` — the default — it records nothing for
-    /// causality and every `cause` reads `None`.
+    /// Whether the engine should resolve [`DispatchMeta::cause`] and call
+    /// [`Observer::on_dispatch_meta`]. Asked once, when the observer is
+    /// attached. While it is `true` the engine keeps 8 bytes per event
+    /// pushed, the seq of the handler that pushed it; while it is `false`
+    /// — the default — it records nothing for causality and never calls
+    /// `on_dispatch_meta`.
     fn wants_causes(&self) -> bool {
         false
     }
 
     /// Called for every event immediately before [`Observer::on_dispatch`]
     /// with the event's scheduling metadata (queue seq and causal
-    /// parent). Separate from `on_dispatch` so existing observers that
-    /// ignore causality pay nothing and change nothing.
+    /// parent), but only while the observer
+    /// [wants causes](Observer::wants_causes): an observer that ignores
+    /// causality pays for neither the cause table nor this call.
     fn on_dispatch_meta(&mut self, meta: DispatchMeta) {
         let _ = meta;
     }

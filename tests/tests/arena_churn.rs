@@ -1,8 +1,8 @@
 //! Arena churn smoke: under sustained join→depart→rejoin turnover the
-//! generational peer arena must recycle vacated slots instead of growing
-//! with total arrivals — the memory property the million-peer refactor
-//! exists for. (Stale-handle detection under slot reuse is covered by
-//! the arena's own debug-build unit test in cs-proto.)
+//! peer arena must recycle vacated slots instead of growing with total
+//! arrivals — the memory property the million-peer refactor exists for.
+//! (That a reused slot answers only for its new node id is the arena's
+//! own model-checked property test in cs-proto.)
 
 use coolstreaming::Scenario;
 use cs_sim::SimTime;

@@ -200,6 +200,39 @@ fn mcache_ledger_is_one_id_per_slot() {
     );
 }
 
+/// The byte ledger charges the lookup spine 4 B a node id: one
+/// `Option<NonZeroU32>` slot key per id issued, reserved at exactly the
+/// node-id bound `CsWorld::reserve_run` also sizes the session table to.
+/// A generation counter or a wider slot index beside the key would fail
+/// this.
+#[test]
+fn lookup_spine_ledger_is_four_bytes_per_node_id() {
+    let compiled = load(&scenarios_dir().join("steady_state.json"))
+        .compile()
+        .unwrap();
+    let run = compiled
+        .scenario
+        .run_injected_observed(compiled.injections, RunOptions::default());
+    let world = &run.artifacts.world;
+    let owner = |table: Vec<(&'static str, usize)>, name: &str| {
+        table
+            .into_iter()
+            .find_map(|(owner, bytes)| (owner == name).then_some(bytes))
+            .unwrap_or_else(|| panic!("the ledger has a {name} owner"))
+    };
+    let id_bound = owner(world.reserved_bytes(), "session_table")
+        / std::mem::size_of::<cs_proto::SessionRecord>();
+    assert!(
+        id_bound >= world.net.total_nodes(),
+        "the run outgrew its id bound"
+    );
+    assert_eq!(owner(world.reserved_bytes(), "lookup_spine"), 4 * id_bound);
+    assert_eq!(
+        owner(world.heap_bytes(), "lookup_spine"),
+        4 * world.net.total_nodes()
+    );
+}
+
 /// Chaos injections visibly happen: spot-check observable effects of a
 /// few scenarios so the matrix can't silently degenerate into nine
 /// steady-state runs.
