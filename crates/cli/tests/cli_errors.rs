@@ -2,7 +2,7 @@
 //! the offending flag on stderr, and prints nothing a script could
 //! mistake for a result (no `trace-hash` line on stdout).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const SCENARIO: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -201,6 +201,40 @@ fn horizon_beyond_the_clock_is_rejected_not_wrapped() {
     let e = stderr_of_failure(&["run", "--scenario", &path, "--out", &out.to_string_lossy()]);
     assert!(e.contains("`end_s`") && e.contains("18446744073770"), "{e}");
     assert!(!out.exists(), "a run directory was written");
+}
+
+/// A 32-bit buffer-map entry (`seq + 1`) holds seqs up to `u32::MAX − 1`:
+/// the live edge after ≈ 124 275.7 h at 9.6 blocks/s. A window ending
+/// past it used to be accepted and start a 14-year run; the tiny rate
+/// keeps such a run small until the deadline below kills it.
+#[test]
+fn window_beyond_the_buffer_map_range_is_rejected() {
+    let t0 = std::time::Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_coolstream"))
+        .args([
+            "run", "--preset", "steady", "--rate", "0.000001", "--end-h", "124276",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coolstream");
+    while child.try_wait().expect("poll coolstream").is_none() {
+        if t0.elapsed().as_secs() >= 5 {
+            child.kill().expect("kill coolstream");
+            let _ = child.wait();
+            panic!("a window past the buffer-map range was accepted");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect coolstream output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "printed a result before failing");
+    assert!(
+        stderr.contains("`end_s`") && stderr.contains("buffer-map"),
+        "{stderr}"
+    );
+    assert!(t0.elapsed().as_secs() < 1, "took {:?}", t0.elapsed());
 }
 
 /// `, "seed": 1, "seed": 2` appended to a scenario used to run with the

@@ -145,16 +145,6 @@ fn main() {
         },
     );
 
-    let mut buf = StreamBuffer::new(6, 100);
-    for i in 0..6 {
-        buf.advance(i, 50);
-    }
-    let bm = buf.buffer_map(&[true; 6]);
-    bench("buffer/bm_codec_roundtrip", || {
-        let bytes = bm.encode();
-        cs_proto::BufferMap::decode(6, &bytes)
-    });
-
     let r = Report::Activity {
         user: UserId(123_456),
         node: 789,

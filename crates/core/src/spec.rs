@@ -19,7 +19,7 @@
 //! to a [`Spike`] on the workload's rate profile before generation.
 
 use cs_net::{Bandwidth, ConnectivityPolicy};
-use cs_proto::Event;
+use cs_proto::{Event, Params};
 use cs_sim::SimTime;
 use cs_workload::{FreeRiderModel, Spike};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -331,6 +331,18 @@ impl ScenarioSpec {
                 "window is empty: start_s {} >= end_s {}",
                 start.as_secs(),
                 end.as_secs()
+            ));
+        }
+        // A buffer-map entry holds `seq + 1` in 32 bits; the spec
+        // overrides no `Params`, so the run streams at the defaults.
+        if let Some(edge) = Params::default()
+            .live_edge(end)
+            .filter(|&e| e >= u64::from(u32::MAX))
+        {
+            return err(format!(
+                "`end_s` {}: the live edge there, block {edge}, does not fit a 32-bit buffer-map entry (at most block {})",
+                end.as_secs(),
+                u32::MAX - 1
             ));
         }
         if let Some(s) = &self.servers {

@@ -137,10 +137,34 @@ fn window_times_beyond_the_clock_are_rejected() {
     assert_rejected_naming(&spec, "end_s");
     spec.start_s = Some(WRAPS);
     assert_rejected_naming(&spec, "start_s");
-    // The largest value that fits is not an overflow (the example's
-    // events then sit inside the window, so the spec stays valid).
+    // The largest value that fits is not a clock overflow; its live edge
+    // is past the buffer-map range, a rejection of its own.
     let mut spec = ScenarioSpec::example();
     spec.end_s = Some(u64::MAX / SimTime::USEC_PER_SEC);
+    let e = spec.validate().unwrap_err();
+    assert!(!e.0.contains("does not fit the simulation clock"), "{e}");
+}
+
+#[test]
+fn window_beyond_the_buffer_map_range_is_rejected() {
+    // The first whole second whose live edge passes `u32::MAX − 1`, the
+    // newest seq a 32-bit buffer-map entry (`seq + 1`) holds: ≈ 4.47 × 10⁸ s.
+    let params = Params::default();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a positive value near 4.5e8, far inside u64"
+    )]
+    let past = (f64::from(u32::MAX) / params.blocks_per_sec()).ceil() as u64;
+    let edge = |s: u64| params.live_edge(SimTime::from_secs(s)).unwrap();
+    assert!(edge(past) >= u64::from(u32::MAX) && edge(past - 1) < u64::from(u32::MAX));
+    let mut spec = ScenarioSpec::example();
+    spec.end_s = Some(past);
+    let e = spec.validate().unwrap_err();
+    assert!(e.0.contains("`end_s`") && e.0.contains("buffer-map"), "{e}");
+    // The example's events sit inside the window, so the last second
+    // that fits leaves the spec valid.
+    spec.end_s = Some(past - 1);
     assert_eq!(spec.validate(), Ok(()));
 }
 

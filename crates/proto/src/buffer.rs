@@ -15,7 +15,29 @@
 
 use crate::slots::Slots;
 
+/// The buffer-map entry of newest seq `seq`: the wire encoding `seq + 1`
+/// (0 = none) in 32 bits, the one place a seq is narrowed.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "run precondition: `ScenarioSpec::validate` rejects a window whose live edge at its end does not fit an entry, and no seq passes the live edge; a seq past it is a programming error, as invalid Params are to `CsWorld::new`"
+)]
+pub(crate) fn entry(seq: u64) -> u32 {
+    u32::try_from(seq + 1).expect("seq within the 32-bit buffer-map range")
+}
+
+/// The newest seq a buffer-map entry names, `None` for 0.
+#[inline]
+pub(crate) fn seq_of(entry: u32) -> Option<u64> {
+    u64::from(entry).checked_sub(1)
+}
+
 /// A node's buffer state across all sub-streams.
+///
+/// Precondition: every seq it is handed stays below `u32::MAX`, the
+/// range of a buffer-map entry ([`advertised`](Self::advertised)). At
+/// 9.6 blocks/s that is ≈ 14 years of stream; `ScenarioSpec::validate`
+/// rejects a window whose live edge at its end would pass it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamBuffer {
     k: u32,
@@ -25,7 +47,7 @@ pub struct StreamBuffer {
     /// Newest received global seq per sub-stream in the buffer map's wire
     /// encoding (`seq + 1`, 0 until the first block of that sub-stream
     /// arrives): the row partners copy at every BM exchange.
-    latest: Slots<u64>,
+    latest: Slots<u32>,
     /// Fractional block credit per sub-stream (fluid-model remainder of
     /// the parent push schedule).
     credit: Slots<f64>,
@@ -89,18 +111,18 @@ impl StreamBuffer {
     /// Newest received global seq in sub-stream `i`.
     #[inline]
     pub fn latest(&self, i: u32) -> Option<u64> {
-        self.latest[i as usize].checked_sub(1)
+        seq_of(self.latest[i as usize])
     }
 
     /// Newest received seq across all sub-streams (`max_i H_{S_i}`).
     pub fn max_latest(&self) -> Option<u64> {
-        self.latest.iter().max()?.checked_sub(1)
+        seq_of(*self.latest.iter().max()?)
     }
 
-    /// The advertised buffer-map row: one slot per sub-stream in the wire
-    /// encoding of [`BufferMap::encode`] (`seq + 1`, 0 = none).
+    /// The advertised buffer-map row: one 32-bit slot per sub-stream in
+    /// the wire encoding (`seq + 1`, 0 = none).
     #[inline]
-    pub fn advertised(&self) -> &[u64] {
+    pub fn advertised(&self) -> &[u32] {
         &self.latest
     }
 
@@ -168,7 +190,7 @@ impl StreamBuffer {
     /// sub-stream index stepped instead of divided out per block.
     pub fn received_between(&self, from: u64, to: u64) -> u64 {
         let from = from.max(self.start_seq);
-        let latest: &[u64] = &self.latest;
+        let latest: &[u32] = &self.latest;
         #[expect(
             clippy::cast_possible_truncation,
             reason = "from % k < k, and k is self.k widened from u32"
@@ -177,7 +199,7 @@ impl StreamBuffer {
         let mut received = 0;
         for n in from..to {
             // Wire encoding: `latest[i]` is the newest seq + 1, 0 = none.
-            if n < latest[i] && !self.in_hole(n) {
+            if n < u64::from(latest[i]) && !self.in_hole(n) {
                 received += 1;
             }
             i = if i + 1 == latest.len() { 0 } else { i + 1 };
@@ -208,7 +230,7 @@ impl StreamBuffer {
             Some(h) => h + count * k,
             None => self.first_wanted(i) + (count - 1) * k,
         };
-        self.latest[i as usize] = new + 1;
+        self.latest[i as usize] = entry(new);
         Some(new)
     }
 
@@ -231,7 +253,7 @@ impl StreamBuffer {
         }
         let skipped = (aligned - from) / k + 1;
         self.holes.push((from, aligned));
-        self.latest[i as usize] = aligned + 1;
+        self.latest[i as usize] = entry(aligned);
         skipped
     }
 
@@ -256,74 +278,6 @@ impl StreamBuffer {
     /// Mutable fractional credit for sub-stream `i`.
     pub fn credit_mut(&mut self, i: u32) -> &mut f64 {
         &mut self.credit[i as usize]
-    }
-
-    /// Produce the buffer map advertised to partners.
-    pub fn buffer_map(&self, subscribed: &[bool]) -> BufferMap {
-        debug_assert_eq!(subscribed.len(), self.k as usize);
-        BufferMap {
-            latest: self.latest.iter().map(|v| v.checked_sub(1)).collect(),
-            subscribed: subscribed.to_vec(),
-        }
-    }
-}
-
-/// The buffer map (BM) of §III.C: a `2K`-tuple with the newest received
-/// sequence number of each sub-stream and the sub-stream subscription
-/// flags.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BufferMap {
-    /// Newest received global seq per sub-stream.
-    pub latest: Vec<Option<u64>>,
-    /// Which sub-streams the node currently subscribes to from a partner.
-    pub subscribed: Vec<bool>,
-}
-
-impl BufferMap {
-    /// Number of sub-streams described.
-    pub fn substreams(&self) -> u32 {
-        u32::try_from(self.latest.len()).unwrap_or(u32::MAX)
-    }
-
-    /// Newest seq across sub-streams.
-    pub fn max_latest(&self) -> Option<u64> {
-        self.latest.iter().flatten().copied().max()
-    }
-
-    /// Wire encoding: `K` little-endian `u64`s (`seq + 1`, 0 = none)
-    /// followed by a subscription bitmask, one byte per 8 sub-streams.
-    pub fn encode(&self) -> Vec<u8> {
-        let k = self.latest.len();
-        let mut out = Vec::with_capacity(k * 8 + k.div_ceil(8));
-        for l in &self.latest {
-            let v = l.map(|s| s + 1).unwrap_or(0);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut mask = vec![0u8; k.div_ceil(8)];
-        for (i, &s) in self.subscribed.iter().enumerate() {
-            if s {
-                mask[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&mask);
-        out
-    }
-
-    /// Decode [`encode`](Self::encode) output for `k` sub-streams.
-    pub fn decode(k: u32, bytes: &[u8]) -> Option<BufferMap> {
-        let ku = k as usize;
-        let need = ku * 8 + ku.div_ceil(8);
-        if bytes.len() != need {
-            return None;
-        }
-        let mut latest = Vec::with_capacity(ku);
-        for i in 0..ku {
-            let v = u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().ok()?);
-            latest.push(v.checked_sub(1));
-        }
-        let mask = &bytes[ku * 8..];
-        let subscribed = (0..ku).map(|i| mask[i / 8] & (1 << (i % 8)) != 0).collect();
-        Some(BufferMap { latest, subscribed })
     }
 }
 
@@ -449,18 +403,14 @@ mod tests {
         assert_eq!(b.received_in(0), 3);
     }
 
+    /// One 32-bit entry per sub-stream, inline (`K = 6`) and spilled
+    /// (`K = 20`) alike.
     #[test]
-    fn buffer_map_encode_decode_round_trip() {
-        let mut b = StreamBuffer::new(5, 3);
-        b.advance(0, 2);
-        b.advance(3, 7);
-        let bm = b.buffer_map(&[true, false, false, true, false]);
-        let bytes = bm.encode();
-        let back = BufferMap::decode(5, &bytes).unwrap();
-        assert_eq!(back, bm);
-        assert_eq!(back.max_latest(), bm.max_latest());
-        // Wrong length rejected.
-        assert!(BufferMap::decode(4, &bytes).is_none());
+    fn advertised_row_fits_its_size_pin() {
+        for k in [6u32, 20] {
+            let b = StreamBuffer::new(k, 0);
+            assert_eq!(std::mem::size_of_val(b.advertised()), 4 * k as usize);
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * **Membership manager** — the [`membership`] module: [`MCache`]
 //!   partial views filled by the [`Bootstrap`] tracker and gossip;
 //! * **Partnership manager** — the [`partnership`] module: bounded
-//!   partner sets with periodic buffer-map ([`BufferMap`]) exchange and
+//!   partner sets with periodic buffer-map exchange
+//!   ([`StreamBuffer::advertised`] rows, copied into [`PartnerTable`]) and
 //!   peer adaptation driven by inequalities (1)/(2) with the `T_a`
 //!   cool-down;
 //! * **Stream manager** — the [`stream`] module: sub-stream
@@ -61,7 +62,7 @@ mod world;
 mod partnership_tests;
 
 pub use bootstrap::Bootstrap;
-pub use buffer::{BufferMap, StreamBuffer};
+pub use buffer::StreamBuffer;
 pub use invariant::{InvariantChecker, Violation};
 pub use mcache::MCache;
 pub use membership::MembershipState;

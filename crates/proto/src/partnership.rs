@@ -103,6 +103,9 @@ impl Partnership<'_> {
         }
         bm.clear();
         let k = self.w.params.substreams;
+        // The modelled size of one BM message of the deployed protocol
+        // (40 B of headers, 8 B per entry, the subscription bitmask), not
+        // of the 4-byte entries the tables store.
         let bm_wire = 40 + 8 * k as u64 + k.div_ceil(8) as u64;
         // Build the refreshed table rows back to back in `bm`, compacting
         // the partners found dead to the front of `ids` (a dead partner's
@@ -447,7 +450,7 @@ impl Partnership<'_> {
     /// view on `id`, bypassing the establishment protocol — for
     /// corrupting state in invariant-oracle tests.
     #[cfg(test)]
-    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u64]) {
+    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u32]) {
         if let Some(p) = self.w.peer_mut(id) {
             p.partnership.insert(q, latest, true);
         }

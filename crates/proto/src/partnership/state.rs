@@ -5,13 +5,15 @@
 use cs_net::NodeId;
 use cs_sim::SimTime;
 
+use crate::buffer::seq_of;
+
 /// What a peer knows about one partner: a borrowed row of its
 /// [`PartnerTable`].
 #[derive(Clone, Copy, Debug)]
 pub struct PartnerView<'a> {
     /// The partner's buffer-map row from the last BM exchange, in the wire
     /// encoding (`seq + 1`, 0 = none).
-    latest: &'a [u64],
+    latest: &'a [u32],
     /// `true` if we initiated this partnership (the partner is an
     /// *outgoing* partner in the paper's terms, §V.B).
     pub outgoing: bool,
@@ -22,12 +24,12 @@ impl PartnerView<'_> {
     /// exchange.
     #[inline]
     pub fn latest(&self, j: u32) -> Option<u64> {
-        self.latest[j as usize].checked_sub(1)
+        seq_of(self.latest[j as usize])
     }
 
     /// The newest seq the partner advertised in any sub-stream.
     pub fn max_latest(&self) -> Option<u64> {
-        self.latest.iter().max()?.checked_sub(1)
+        seq_of(*self.latest.iter().max()?)
     }
 }
 
@@ -42,11 +44,12 @@ pub struct PartnerTable {
     ids: Vec<NodeId>,
     /// `outgoing` per partner.
     outgoing: Vec<bool>,
-    /// Row-major `ids.len() × k` buffer-map rows (`seq + 1`, 0 = none).
-    latest: Vec<u64>,
+    /// Row-major `ids.len() × k` buffer-map rows (`seq + 1`, 0 = none),
+    /// copied as advertised, without conversion.
+    latest: Vec<u32>,
     /// The largest entry of `latest`, 0 for none: every writer keeps it,
     /// so [`max_latest`](Self::max_latest) is a field read.
-    best: u64,
+    best: u32,
 }
 
 impl PartnerTable {
@@ -75,7 +78,7 @@ impl PartnerTable {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.outgoing.capacity()
-            + self.latest.capacity() * std::mem::size_of::<u64>()
+            + self.latest.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Partner ids in ascending order.
@@ -105,7 +108,7 @@ impl PartnerTable {
 
     /// Newest seq any partner advertised in any sub-stream.
     pub fn max_latest(&self) -> Option<u64> {
-        self.best.checked_sub(1)
+        seq_of(self.best)
     }
 
     fn view_at(&self, i: usize) -> PartnerView<'_> {
@@ -117,7 +120,7 @@ impl PartnerTable {
 
     /// Insert partner `q` with buffer-map row `latest`, replacing any
     /// view already held of it.
-    fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool) {
+    fn insert(&mut self, q: NodeId, latest: &[u32], outgoing: bool) {
         debug_assert_eq!(latest.len(), self.k);
         let i = match self.ids.binary_search(&q) {
             Ok(i) => {
@@ -151,7 +154,7 @@ impl PartnerTable {
 
     /// Overwrite every partner's row from `rows` (back to back in id
     /// order: one BM exchange), taking the maximum in the same pass.
-    fn set_rows(&mut self, rows: &[u64]) {
+    fn set_rows(&mut self, rows: &[u32]) {
         assert_eq!(rows.len(), self.latest.len(), "one row per partner");
         let mut best = 0;
         for (slot, &v) in self.latest.iter_mut().zip(rows) {
@@ -161,13 +164,13 @@ impl PartnerTable {
         self.best = best;
     }
 
-    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+    fn row_mut(&mut self, i: usize) -> &mut [u32] {
         &mut self.latest[i * self.k..(i + 1) * self.k]
     }
 }
 
 /// The largest wire-encoded entry of `rows`, 0 for none.
-fn max_of(rows: &[u64]) -> u64 {
+fn max_of(rows: &[u32]) -> u32 {
     rows.iter().copied().max().unwrap_or(0)
 }
 
@@ -221,7 +224,7 @@ impl PartnershipState {
     }
 
     /// Add partner `q` holding buffer-map row `latest` (wire encoding).
-    pub(crate) fn insert(&mut self, q: NodeId, latest: &[u64], outgoing: bool) {
+    pub(crate) fn insert(&mut self, q: NodeId, latest: &[u32], outgoing: bool) {
         self.partners.insert(q, latest, outgoing);
     }
 
@@ -231,7 +234,7 @@ impl PartnershipState {
 
     /// One BM exchange: overwrite every partner's buffer-map row from
     /// `rows`, back to back in id order.
-    pub(super) fn set_rows(&mut self, rows: &[u64]) {
+    pub(super) fn set_rows(&mut self, rows: &[u32]) {
         self.partners.set_rows(rows);
     }
 }
@@ -310,8 +313,8 @@ mod tests {
         /// row that held it went away.
         #[test]
         fn partner_table_matches_btreemap_model(k in 0usize..=20, ops in arb_ops()) {
-            let encode = |row: &[Option<u64>]| -> Vec<u64> {
-                row[..k].iter().map(|l| l.map_or(0, |s| s + 1)).collect()
+            let encode = |row: &[Option<u64>]| -> Vec<u32> {
+                row[..k].iter().map(|l| l.map_or(0, crate::buffer::entry)).collect()
             };
             let mut table = PartnershipState::new(k as u32);
             let mut model: BTreeMap<NodeId, (Vec<Option<u64>>, bool)> = BTreeMap::new();
@@ -333,7 +336,7 @@ mod tests {
                         }
                     }
                     Op::Refresh(rows) => {
-                        let wire: Vec<u64> = rows[..model.len()].iter().flat_map(|r| encode(r)).collect();
+                        let wire: Vec<u32> = rows[..model.len()].iter().flat_map(|r| encode(r)).collect();
                         table.set_rows(&wire);
                         for (view, row) in model.values_mut().zip(&rows) {
                             view.0 = row[..k].to_vec();

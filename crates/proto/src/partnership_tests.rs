@@ -21,9 +21,9 @@ fn tiny_world() -> CsWorld {
 }
 
 /// A buffer-map row (wire encoding) advertising only sub-stream 0.
-fn row(latest0: Option<u64>, k: usize) -> Vec<u64> {
+fn row(latest0: Option<u64>, k: usize) -> Vec<u32> {
     let mut latest = vec![0; k];
-    latest[0] = latest0.map_or(0, |s| s + 1);
+    latest[0] = latest0.map_or(0, crate::buffer::entry);
     latest
 }
 

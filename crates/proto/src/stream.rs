@@ -19,7 +19,7 @@ use cs_logging::{ActivityKind, Report};
 use cs_net::{Bandwidth, NodeId};
 use cs_sim::SimTime;
 
-use crate::buffer::StreamBuffer;
+use crate::buffer::{entry, seq_of, StreamBuffer};
 use crate::partnership::Partnership;
 use crate::session::DepartReason;
 use crate::world::{CsWorld, UserSpec};
@@ -39,12 +39,12 @@ fn align_down(edge: u64, i: u32, k: u32) -> Option<u64> {
 }
 
 /// Append the buffer-map row node `q` advertises at `now` to `out`: one
-/// slot per sub-stream in the wire encoding (`seq + 1`, 0 = none).
+/// 32-bit slot per sub-stream in the wire encoding (`seq + 1`, 0 = none).
 /// Returns whether `q` is in the system; a node that is not advertises
 /// zeros. Dedicated servers and the source track the live edge with a
 /// fixed small lag instead of a simulated buffer (infrastructure never
 /// owns one: only `select_initial` makes it, and only users get there).
-pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut Vec<u64>) -> bool {
+pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut Vec<u32>) -> bool {
     let k = world.params.substreams;
     let peer = world.peer(q);
     if let Some(buf) = peer.and_then(|p| p.buffer()) {
@@ -55,7 +55,7 @@ pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut 
             .filter(|p| !p.class.is_user())
             .and_then(|_| world.params.live_edge(lagged));
         // A user without a buffer, or a stream not yet started: zeros.
-        out.extend((0..k).map(|i| edge.and_then(|e| align_down(e, i, k)).map_or(0, |s| s + 1)));
+        out.extend((0..k).map(|i| edge.and_then(|e| align_down(e, i, k)).map_or(0, entry)));
     }
     peer.is_some()
 }
@@ -283,7 +283,7 @@ impl Stream<'_> {
             // in place below.
             budgets.extend(live.iter().map(|&(c, j)| {
                 let buf = self.w.peer(c).and_then(|cp| cp.buffer());
-                match (parent_bm[j as usize].checked_sub(1), buf) {
+                match (seq_of(parent_bm[j as usize]), buf) {
                     (Some(pl), Some(buf)) => {
                         let next = buf.next_missing(j);
                         if pl >= next {
@@ -309,7 +309,7 @@ impl Stream<'_> {
         let (mut delivered, mut skipped) = (0, 0);
         for (ix, &(c, j)) in live.iter().enumerate() {
             let budget_blocks = budgets.get(ix).copied().unwrap_or(equal_budget);
-            let Some(parent_latest) = parent_bm[j as usize].checked_sub(1) else {
+            let Some(parent_latest) = seq_of(parent_bm[j as usize]) else {
                 continue;
             };
             let Some(cp) = self.w.peer_mut(c) else {

@@ -177,6 +177,13 @@ impl StreamState {
 mod tests {
     use super::*;
 
+    /// The stream column of the peer arena, per slot: its inline buffer
+    /// row holds 32-bit entries.
+    #[test]
+    fn state_fits_its_size_pin() {
+        assert_eq!(std::mem::size_of::<StreamState>(), 352);
+    }
+
     #[test]
     fn child_bookkeeping() {
         let mut s = StreamState::new(4);

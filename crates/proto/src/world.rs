@@ -255,9 +255,9 @@ pub struct WorldStats {
 /// contents mean nothing between handlers.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Buffer-map rows in wire encoding: `advertised_bm` output for
+    /// Buffer-map rows in 32-bit wire encoding: `advertised_bm` output for
     /// `refresh_views`, `try_add_partner` and `sched_round`.
-    pub(crate) bm: Vec<u64>,
+    pub(crate) bm: Vec<u32>,
     /// `sched_round`: per-subscription budgets under `NeedAware`.
     pub(crate) budgets: Vec<f64>,
     /// `choose_parent`'s candidate pool; `refresh_views`' dead partners.
@@ -269,6 +269,12 @@ pub(crate) struct Scratch {
 }
 
 /// The complete simulation state.
+///
+/// Precondition: the run ends before the live edge
+/// ([`Params::live_edge`]) reaches `u32::MAX`, the range of a 32-bit
+/// buffer-map entry ([`StreamBuffer`](crate::StreamBuffer)); a later
+/// seq panics where it is stored. `ScenarioSpec::validate` rejects a
+/// window that would pass it.
 pub struct CsWorld {
     /// Protocol parameters (Table I).
     pub params: Params,
