@@ -237,6 +237,47 @@ fn window_beyond_the_buffer_map_range_is_rejected() {
     assert!(t0.elapsed().as_secs() < 1, "took {:?}", t0.elapsed());
 }
 
+/// A rate whose expected sessions do not fit the 32-bit node-id space
+/// (with a 2× margin) is a spec error naming `rate`. It used to reach
+/// the arrival generator, which aborted on a 3 GiB allocation where
+/// memory was capped and otherwise ran on, filling memory, until
+/// killed; the deadline below kills such a run.
+#[test]
+fn rate_beyond_the_node_id_space_is_rejected() {
+    let t0 = std::time::Instant::now();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_coolstream"))
+        .args([
+            "run",
+            "--preset",
+            "steady",
+            "--rate",
+            "1e308",
+            "--minutes",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coolstream");
+    while child.try_wait().expect("poll coolstream").is_none() {
+        if t0.elapsed().as_secs() >= 5 {
+            child.kill().expect("kill coolstream");
+            let _ = child.wait();
+            panic!("a rate past the node-id space was accepted");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect coolstream output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "printed a result before failing");
+    assert!(
+        stderr.contains("`rate`") && stderr.contains("node ids"),
+        "{stderr}"
+    );
+    assert!(t0.elapsed().as_secs() < 1, "took {:?}", t0.elapsed());
+}
+
 /// `, "seed": 1, "seed": 2` appended to a scenario used to run with the
 /// file's first seed and exit 0: a spec that says one thing and runs
 /// another.

@@ -376,6 +376,24 @@ impl ScenarioSpec {
         for (i, e) in self.events.iter().enumerate() {
             e.validate(i, start, end, server_count)?;
         }
+        // Node ids are 32-bit: the source, each server and each session
+        // (an arrival or one of its re-entries) take a fresh one. Keep the
+        // expected count under half the range, so a draw above the mean
+        // still fits.
+        let sc = self.scenario();
+        let retry_cap = sc.workload.sessions.retry_cap;
+        let sessions = sc.workload.expected_arrivals(start, end) * f64::from(retry_cap + 1);
+        let ids = sessions + 1.0 + sc.servers as f64;
+        if ids.is_nan() || ids > f64::from(u32::MAX / 2) {
+            let (field, value) = match self.base {
+                BaseSpec::Steady { rate } => ("rate", rate),
+                BaseSpec::EventDay { scale } => ("scale", scale),
+            };
+            return err(format!(
+                "base: `{field}` {value:?} expects {ids:.3e} node ids over the window (arrivals, storms included, × (1 + {retry_cap} retries), plus source and servers); at most {} fit",
+                u32::MAX / 2
+            ));
+        }
         Ok(())
     }
 
@@ -397,6 +415,47 @@ impl ScenarioSpec {
     /// compiled scenario is always a valid one.
     pub fn compile(&self) -> Result<CompiledSpec, SpecError> {
         self.validate()?;
+        let injections = self
+            .events
+            .iter()
+            .filter_map(|e| {
+                let at = SimTime::from_secs(e.at_s());
+                let event = match *e {
+                    ChaosSpec::ServerCrash { server, .. } => Event::CrashServer(server),
+                    ChaosSpec::ServerRestart { server, .. } => Event::RestartServer(server),
+                    ChaosSpec::BootstrapDown { .. } => Event::SetBootstrap(false),
+                    ChaosSpec::BootstrapUp { .. } => Event::SetBootstrap(true),
+                    ChaosSpec::RegionalOutage {
+                        quadrant, heal_s, ..
+                    } => {
+                        let heal = heal_s.map_or(SimTime::MAX, SimTime::from_secs);
+                        Event::RegionalOutage { quadrant, heal }
+                    }
+                    ChaosSpec::PolicyShift {
+                        nat_accept_prob,
+                        firewall_accept_prob,
+                        ..
+                    } => Event::SetPolicy(ConnectivityPolicy {
+                        nat_accept_prob,
+                        firewall_accept_prob,
+                    }),
+                    ChaosSpec::UploadSkew { num, den, .. } => Event::ScaleUploads { num, den },
+                    ChaosSpec::FreeRider { per_mille, .. } => Event::FreeRiders { per_mille },
+                    // Part of the arrival process: see `scenario`.
+                    ChaosSpec::ArrivalStorm { .. } => return None,
+                };
+                Some((at, event))
+            })
+            .collect();
+        Ok(CompiledSpec {
+            scenario: self.scenario(),
+            injections,
+        })
+    }
+
+    /// The scenario this spec describes, without its engine injections.
+    /// Meaningful once `validate`'s field checks have passed.
+    fn scenario(&self) -> Scenario {
         let mut scenario = match self.base {
             BaseSpec::Steady { rate } => Scenario::steady(rate),
             BaseSpec::EventDay { scale } => Scenario::event_day(scale),
@@ -426,67 +485,24 @@ impl ScenarioSpec {
         if let Some(s) = self.snapshot_s {
             scenario.snapshot_interval = Some(SimTime::from_secs(s));
         }
-        let mut injections = Vec::new();
         for e in &self.events {
-            let at = SimTime::from_secs(e.at_s());
-            match *e {
-                ChaosSpec::ServerCrash { server, .. } => {
-                    injections.push((at, Event::CrashServer(server)));
-                }
-                ChaosSpec::ServerRestart { server, .. } => {
-                    injections.push((at, Event::RestartServer(server)));
-                }
-                ChaosSpec::BootstrapDown { .. } => {
-                    injections.push((at, Event::SetBootstrap(false)));
-                }
-                ChaosSpec::BootstrapUp { .. } => {
-                    injections.push((at, Event::SetBootstrap(true)));
-                }
-                ChaosSpec::RegionalOutage {
-                    quadrant, heal_s, ..
-                } => {
-                    let heal = heal_s.map_or(SimTime::MAX, SimTime::from_secs);
-                    injections.push((at, Event::RegionalOutage { quadrant, heal }));
-                }
-                ChaosSpec::PolicyShift {
-                    nat_accept_prob,
-                    firewall_accept_prob,
-                    ..
-                } => {
-                    injections.push((
-                        at,
-                        Event::SetPolicy(ConnectivityPolicy {
-                            nat_accept_prob,
-                            firewall_accept_prob,
-                        }),
-                    ));
-                }
-                ChaosSpec::UploadSkew { num, den, .. } => {
-                    injections.push((at, Event::ScaleUploads { num, den }));
-                }
-                ChaosSpec::FreeRider { per_mille, .. } => {
-                    injections.push((at, Event::FreeRiders { per_mille }));
-                }
-                ChaosSpec::ArrivalStorm {
-                    duration_s,
+            if let ChaosSpec::ArrivalStorm {
+                at_s,
+                duration_s,
+                multiplier,
+            } = *e
+            {
+                // An arrival storm perturbs the arrival *process*, so it
+                // must exist before arrivals are generated — it becomes a
+                // rate-profile spike, not an engine event.
+                scenario.workload.profile.spikes.push(Spike {
+                    start: SimTime::from_secs(at_s),
+                    duration: SimTime::from_secs(duration_s),
                     multiplier,
-                    ..
-                } => {
-                    // An arrival storm perturbs the arrival *process*, so
-                    // it must exist before arrivals are generated — it
-                    // becomes a rate-profile spike, not an engine event.
-                    scenario.workload.profile.spikes.push(Spike {
-                        start: at,
-                        duration: SimTime::from_secs(duration_s),
-                        multiplier,
-                    });
-                }
+                });
             }
         }
-        Ok(CompiledSpec {
-            scenario,
-            injections,
-        })
+        scenario
     }
 
     /// The annotated example spec `coolstream config` emits: every field

@@ -168,6 +168,47 @@ fn window_beyond_the_buffer_map_range_is_rejected() {
     assert_eq!(spec.validate(), Ok(()));
 }
 
+/// Expected node ids — the expected arrivals, storms included, × (1 +
+/// `retry_cap`), plus the source and the servers — must stay within half
+/// the 32-bit id space, and the error names the base's rate knob.
+#[test]
+fn window_beyond_the_node_id_space_is_rejected() {
+    let steady = |rate: f64, events: Vec<ChaosSpec>| ScenarioSpec {
+        base: BaseSpec::Steady { rate },
+        end_s: Some(3600),
+        events,
+        ..ScenarioSpec::example()
+    };
+    let named = |spec: &ScenarioSpec, field: &str| {
+        let e = spec.validate().unwrap_err();
+        assert!(e.0.contains(field) && e.0.contains("node ids"), "{e}");
+    };
+    // 1000/s over an hour: 3.6 × 10⁶ arrivals, 2.2 × 10⁷ ids.
+    assert_eq!(steady(1000.0, Vec::new()).validate(), Ok(()));
+    named(&steady(1e6, Vec::new()), "`rate`");
+    named(&steady(1e308, Vec::new()), "`rate`");
+    // A ×1000 storm over ten minutes adds 6 × 10⁸ arrivals.
+    let storm = ChaosSpec::ArrivalStorm {
+        at_s: 600,
+        duration_s: 600,
+        multiplier: 1000.0,
+    };
+    named(&steady(1000.0, vec![storm]), "`rate`");
+    // A storm between minute marks counts in full.
+    let short = ChaosSpec::ArrivalStorm {
+        at_s: 10,
+        duration_s: 30,
+        multiplier: 1e9,
+    };
+    named(&steady(1.0, vec![short]), "`rate`");
+    let day = ScenarioSpec {
+        base: BaseSpec::EventDay { scale: 1e4 },
+        end_s: None,
+        ..ScenarioSpec::example()
+    };
+    named(&day, "`scale`");
+}
+
 #[test]
 fn snapshot_period_beyond_the_clock_is_rejected() {
     let mut spec = ScenarioSpec::example();

@@ -86,7 +86,11 @@ impl Network {
     /// Register a node with the given class and uplink capacity; assigns a
     /// fresh id and a random coordinate.
     pub fn add_node(&mut self, class: NodeClass, upload: Bandwidth, now: SimTime) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        #[expect(
+            clippy::expect_used,
+            reason = "run precondition: `ScenarioSpec::validate` keeps the expected node ids under half the 32-bit range; a node past it is a programming error, not a runtime state"
+        )]
+        let id = NodeId(u32::try_from(self.nodes.len()).expect("node ids within 32 bits"));
         let permissive = self.policy.sample_permissive(class, &mut self.rng);
         self.nodes.push(NodeInfo {
             id,

@@ -138,7 +138,7 @@ impl PeerArena {
     pub(crate) fn insert(&mut self, core: PeerCore, params: &Params) {
         let node = core.id;
         let membership = MembershipState::new(params.mcache_size);
-        let partnership = PartnershipState::new(params.substreams);
+        let partnership = PartnershipState::default();
         let stream = StreamState::new(params.substreams);
         let index = match self.free.pop() {
             Some(ix) => {
@@ -177,7 +177,7 @@ impl PeerArena {
         // partner views, stream buffer); the scalar core stays as inert
         // residue until the slot is reused.
         self.membership[i] = MembershipState::new(0);
-        self.partnership[i] = PartnershipState::new(0);
+        self.partnership[i] = PartnershipState::default();
         self.stream[i] = StreamState::new(0);
         self.free.push(key.get() - 1);
         self.live -= 1;

@@ -32,8 +32,6 @@
 //!    the registry's flag.
 //! 10. **Child-list uniqueness** — no parent lists a `(child,
 //!     sub-stream)` pair twice (`subscribe` pushes without scanning).
-//! 11. **Kept maximum** — `PartnerTable::max_latest` equals a scan of the
-//!     table's rows.
 
 use cs_sim::SimTime;
 
@@ -212,7 +210,7 @@ impl InvariantChecker {
             }
 
             // Oracle 3: symmetry, liveness, complementary directions.
-            for (q, view) in peer.partners().iter() {
+            for (q, outgoing) in peer.partners().iter() {
                 if !world.contains(q) {
                     self.record(
                         now,
@@ -221,20 +219,20 @@ impl InvariantChecker {
                     );
                     continue;
                 }
-                match world.peer(q).and_then(|qp| qp.partners().get(info.id)) {
+                match world.peer(q).and_then(|qp| qp.partners().outgoing(info.id)) {
                     None => self.record(
                         now,
                         "partner-symmetry",
                         format!("partnership {:?}→{:?} not mutual", info.id, q),
                     ),
                     Some(back) => {
-                        if back.outgoing == view.outgoing {
+                        if back == outgoing {
                             self.record(
                                 now,
                                 "partner-direction",
                                 format!(
-                                    "{:?}↔{:?}: both ends claim outgoing={}",
-                                    info.id, q, view.outgoing
+                                    "{:?}↔{:?}: both ends claim outgoing={outgoing}",
+                                    info.id, q
                                 ),
                             );
                         }
@@ -313,18 +311,6 @@ impl InvariantChecker {
                     now,
                     "child-duplicate",
                     format!("{:?} lists a subscription twice", info.id),
-                );
-            }
-
-            // Oracle 11: the kept maximum equals a scan of the rows.
-            let table = peer.partners();
-            let kept = table.max_latest();
-            let scanned = table.iter().filter_map(|(_, v)| v.max_latest()).max();
-            if kept != scanned {
-                self.record(
-                    now,
-                    "partner-best",
-                    format!("{:?} keeps {kept:?}, its rows hold {scanned:?}", info.id),
                 );
             }
 
@@ -433,12 +419,11 @@ pub(crate) mod tests {
     fn asymmetric_partnership_is_caught() {
         let mut world = tiny_world();
         let a = world.servers[0];
-        let k = world.params.substreams as usize;
         // Corrupt through the partnership manager's test injector:
-        // fabricate a one-sided partner view on server a pointing at
+        // fabricate a one-sided partnership on server a pointing at
         // server b.
         let b = world.servers[1];
-        Partnership::of(&mut world).inject_view(a, b, &vec![0; k]);
+        Partnership::of(&mut world).inject_partner(a, b);
         let mut chk = InvariantChecker::new();
         chk.check_world(SimTime::from_secs(1), &world);
         assert!(!chk.is_clean());

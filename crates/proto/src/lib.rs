@@ -67,7 +67,7 @@ pub use invariant::{InvariantChecker, Violation};
 pub use mcache::MCache;
 pub use membership::MembershipState;
 pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
-pub use partnership::{PartnerTable, PartnerView, PartnershipState};
+pub use partnership::{PartnerTable, PartnershipState};
 pub use peer::{PeerCore, PeerMut, PeerRef};
 pub use session::{finalize_sessions, DepartReason, SessionRecord};
 pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};

@@ -140,7 +140,7 @@ impl Membership<'_> {
 
     /// Handle the boot-strap reply: fill the mCache, then ask the
     /// partnership manager to attempt handshakes.
-    pub(crate) fn bootstrap_reply(&mut self, id: NodeId, now: SimTime, ctx: &mut Ctx<'_, Event>) {
+    pub(crate) fn bootstrap_reply(&mut self, id: NodeId, ctx: &mut Ctx<'_, Event>) {
         if !self.w.contains(id) {
             return;
         }
@@ -180,7 +180,7 @@ impl Membership<'_> {
                 continue;
             }
             let rtt = self.w.net.delay(id, cand) * 2;
-            if Partnership::of(self.w).try_add_partner(id, cand, now) {
+            if Partnership::of(self.w).try_add_partner(id, cand) {
                 ok += 1;
                 handshake = handshake.max(rtt);
             } else {

@@ -1,8 +1,8 @@
 //! The partnership manager (§III.B / Fig. 1).
 //!
 //! Owns the bounded partner set of every node: establishment
-//! (`Partnership::try_add_partner`), the periodic partner-view/BM
-//! exchange (`Partnership::refresh_views`), refill towards the target
+//! (`Partnership::try_add_partner`), the periodic pruning of dead
+//! partners (`Partnership::refresh_views`), refill towards the target
 //! partner count (`Partnership::maintain`), the §IV.B adaptation
 //! inequalities (1)/(2) under the `T_a` cool-down
 //! (`Partnership::adapt`), partner re-selection when no partner can
@@ -12,8 +12,8 @@
 //! Allowed inter-manager calls (see DESIGN.md §9): partnership asks the
 //! membership manager for fresh candidates (`Membership::candidates` in
 //! [`crate::membership`]) and asks the stream manager for parent choices
-//! and the advertised buffer maps (`Stream::choose_parent` and
-//! `advertised_bm` in [`crate::stream`]).
+//! (`Stream::choose_parent` in [`crate::stream`]). It reads partners'
+//! buffer maps only through the tick's [`Exchange`].
 
 use cs_logging::{ActivityKind, Report};
 use cs_net::NodeId;
@@ -22,12 +22,12 @@ use cs_sim::{Ctx, SimTime};
 
 use crate::membership::Membership;
 use crate::session::DepartReason;
-use crate::stream::{advertised_bm, Stream};
+use crate::stream::{Exchange, Stream};
 use crate::world::{CsWorld, Event, UserSpec};
 
 mod state;
 
-pub use state::{PartnerTable, PartnerView, PartnershipState};
+pub use state::{PartnerTable, PartnershipState};
 
 /// `adapt`'s per-sub-stream verdicts.
 const KEEP: u8 = 0;
@@ -50,7 +50,7 @@ impl<'w> Partnership<'w> {
 impl Partnership<'_> {
     /// Attempt a partnership initiated by `a` towards `b`. Respects both
     /// sides' partner bounds and the middlebox policy.
-    pub(crate) fn try_add_partner(&mut self, a: NodeId, b: NodeId, now: SimTime) -> bool {
+    pub(crate) fn try_add_partner(&mut self, a: NodeId, b: NodeId) -> bool {
         if a == b || !self.w.contains(a) || !self.w.contains(b) {
             return false;
         }
@@ -74,46 +74,36 @@ impl Partnership<'_> {
             }
             return false;
         }
-        // Both buffer-map rows back to back: b's, then a's.
-        let mut bm = std::mem::take(&mut self.w.scratch.bm);
-        bm.clear();
-        advertised_bm(self.w, b, now, &mut bm);
-        advertised_bm(self.w, a, now, &mut bm);
-        let (bm_b, bm_a) = bm.split_at(self.w.params.substreams as usize);
         #[expect(
             clippy::expect_used,
             reason = "the dead-peer early-return above guarantees both peers are alive here"
         )]
         let (pa, pb) = self.w.two_mut(a, b).expect("both alive");
-        pa.partnership.insert(b, bm_b, true);
-        pb.partnership.insert(a, bm_a, false);
-        self.w.scratch.bm = bm;
+        pa.partnership.insert(b, true);
+        pb.partnership.insert(a, false);
         self.w.stats.partnerships += 1;
         true
     }
 
-    /// Refresh every partner view of `id` from the partners' advertised
-    /// buffer maps; prune partners that died since the last exchange.
-    pub(crate) fn refresh_views(&mut self, id: NodeId, now: SimTime) {
+    /// The bookkeeping half of a BM exchange: charge one BM message per
+    /// live partner of `id` and prune partners that died since the last
+    /// exchange. The rows themselves are read by [`Exchange::gather`].
+    pub(crate) fn refresh_views(&mut self, id: NodeId) {
         let mut ids = std::mem::take(&mut self.w.scratch.ids);
-        let mut bm = std::mem::take(&mut self.w.scratch.bm);
         ids.clear();
         if let Some(p) = self.w.peer(id) {
             ids.extend_from_slice(p.partners().ids());
         }
-        bm.clear();
         let k = self.w.params.substreams;
         // The modelled size of one BM message of the deployed protocol
         // (40 B of headers, 8 B per entry, the subscription bitmask), not
-        // of the 4-byte entries the tables store.
+        // of the 4-byte entries a row holds.
         let bm_wire = 40 + 8 * k as u64 + k.div_ceil(8) as u64;
-        // Build the refreshed table rows back to back in `bm`, compacting
-        // the partners found dead to the front of `ids` (a dead partner's
-        // row is zeros: it is pruned with its partner below).
+        // Keep the partners found dead, compacted to the front of `ids`.
         let mut dead = 0;
         for i in 0..ids.len() {
             let q = ids[i];
-            if advertised_bm(self.w, q, now, &mut bm) {
+            if self.w.contains(q) {
                 self.w.stats.control_bytes += bm_wire;
             } else {
                 ids[dead] = q;
@@ -121,7 +111,6 @@ impl Partnership<'_> {
             }
         }
         if let Some(p) = self.w.peer_mut(id) {
-            p.partnership.set_rows(&bm);
             for &q in &ids[..dead] {
                 p.partnership.remove(q);
                 p.membership.forget(q);
@@ -129,12 +118,11 @@ impl Partnership<'_> {
             }
         }
         self.w.scratch.ids = ids;
-        self.w.scratch.bm = bm;
     }
 
     /// Partner maintenance: refill towards the target partner count with
     /// candidates obtained from the membership manager.
-    pub(crate) fn maintain(&mut self, id: NodeId, now: SimTime) {
+    pub(crate) fn maintain(&mut self, id: NodeId) {
         let Some(p) = self.w.peer(id) else { return };
         let (cur_partners, target) = (p.partners().len(), self.w.params.target_partners);
         if cur_partners >= target {
@@ -154,7 +142,7 @@ impl Partnership<'_> {
                 }
                 continue;
             }
-            if self.try_add_partner(id, cand, now) {
+            if self.try_add_partner(id, cand) {
                 established += 1;
             }
         }
@@ -162,13 +150,14 @@ impl Partnership<'_> {
     }
 
     /// Peer adaptation: repair dead parent slots unconditionally; apply
-    /// the inequality triggers under the cool-down.
-    pub(crate) fn adapt(&mut self, id: NodeId, now: SimTime) {
+    /// the adaptation conditions under the cool-down. Every buffer map it
+    /// reads is a row of `bm`, the exchange of this tick.
+    pub(crate) fn adapt(&mut self, id: NodeId, now: SimTime, bm: &Exchange) {
         // Classify every sub-stream before touching any: the repairs all
         // draw their parents before the first adaptation does.
         let mut verdicts = std::mem::take(&mut self.w.scratch.verdicts);
         verdicts.clear();
-        if let Some(l) = self.classify(id, now, &mut verdicts) {
+        if let Some(l) = self.classify(id, now, bm, &mut verdicts) {
             if let Some(p) = self.w.peer_mut(id) {
                 p.partnership.last_lead = Some(l);
             }
@@ -178,7 +167,7 @@ impl Partnership<'_> {
             marked.filter_map(move |(&v, j)| (v == verdict).then_some(j))
         };
         for j in with(REPAIR) {
-            if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
+            if let Some(parent) = Stream::of(self.w).choose_parent(id, j, bm) {
                 Stream::of(self.w).subscribe(id, j, parent);
                 self.w.stats.parent_repairs += 1;
             }
@@ -186,7 +175,7 @@ impl Partnership<'_> {
         let mut adapted = false;
         let mut starved = false;
         for j in with(ADAPT) {
-            if let Some(parent) = Stream::of(self.w).choose_parent(id, j) {
+            if let Some(parent) = Stream::of(self.w).choose_parent(id, j, bm) {
                 Stream::of(self.w).subscribe(id, j, parent);
                 adapted = true;
             } else {
@@ -206,19 +195,26 @@ impl Partnership<'_> {
             // §III.B partner re-selection: no partner can serve the
             // starving sub-stream(s), so drop the most useless partner
             // and recruit a fresh candidate from the mCache.
-            self.reselect_partner(id, now);
+            self.reselect_partner(id, bm);
         }
     }
 
     /// The read-only half of [`adapt`](Self::adapt): one verdict per
     /// sub-stream into `verdicts` (left empty while `id` has no buffer),
     /// and the current playout lead.
-    fn classify(&self, id: NodeId, now: SimTime, verdicts: &mut Vec<u8>) -> Option<u64> {
+    fn classify(
+        &self,
+        id: NodeId,
+        now: SimTime,
+        bm: &Exchange,
+        verdicts: &mut Vec<u8>,
+    ) -> Option<u64> {
         let k = self.w.params.substreams;
         let peer = self.w.peer(id)?;
         let buf = peer.buffer()?;
         let allowed = peer.adaptation_allowed(now, self.w.params.ta);
-        let global_best: Option<u64> = peer.partners().max_latest();
+        debug_assert_eq!(bm.partners(), peer.partners().len(), "a stale exchange");
+        let global_best = bm.best();
         // §III.B "insufficient bit rate" condition: once playing, a
         // shrinking playout lead means the aggregate receive rate is
         // below the stream rate even when no single sub-stream stands out
@@ -255,14 +251,15 @@ impl Partnership<'_> {
             // Inequality (1): this node's receipt of sub-stream j lags
             // what its parent already holds by T_s — the parent cannot (or
             // will not) push fast enough.
-            let view = peer.partners().get(p);
-            let ineq1 = match view.and_then(|v| v.latest(j)) {
+            let parent = peer.partners().index_of(p);
+            let pj = parent.and_then(|i| bm.latest(i, j));
+            let ineq1 = match pj {
                 Some(pl) => pl.saturating_sub(own) >= self.w.params.ts_blocks,
                 None => false,
             };
             // Inequality (2): parent lags the best partner by T_p.
-            let ineq2 = match (global_best, view) {
-                (Some(best), Some(view)) => match view.latest(j) {
+            let ineq2 = match (global_best, parent) {
+                (Some(best), Some(_)) => match pj {
                     Some(pj) => best.saturating_sub(pj) >= self.w.params.tp_blocks,
                     None => true,
                 },
@@ -283,15 +280,19 @@ impl Partnership<'_> {
     }
 
     /// Drop the least useful partner (not currently a parent, oldest
-    /// buffer map) and try one fresh mCache candidate in its place.
-    pub(crate) fn reselect_partner(&mut self, id: NodeId, now: SimTime) {
+    /// buffer map in `bm`) and try one fresh mCache candidate in its
+    /// place.
+    pub(crate) fn reselect_partner(&mut self, id: NodeId, bm: &Exchange) {
         let victim = {
             let Some(p) = self.w.peer(id) else { return };
+            debug_assert_eq!(bm.partners(), p.partners().len(), "a stale exchange");
             p.partners()
+                .ids()
                 .iter()
-                .filter(|&(q, _)| !p.parents().contains(&Some(q)))
-                .min_by_key(|(_, view)| view.max_latest().unwrap_or(0))
-                .map(|(q, _)| q)
+                .enumerate()
+                .filter(|&(_, q)| !p.parents().contains(&Some(*q)))
+                .min_by_key(|&(i, _)| bm.row_max(i).unwrap_or(0))
+                .map(|(_, &q)| q)
         };
         if let Some(victim) = victim {
             if let Some(p) = self.w.peer_mut(id) {
@@ -312,7 +313,7 @@ impl Partnership<'_> {
         self.w.scratch.entries = picks;
         if let Some(cand) = pick {
             if self.w.contains(cand) {
-                self.try_add_partner(id, cand, now);
+                self.try_add_partner(id, cand);
             } else if let Some(p) = self.w.peer_mut(id) {
                 p.membership.forget(cand);
             }
@@ -417,7 +418,7 @@ impl Partnership<'_> {
         if !self.w.contains(id) {
             return;
         }
-        // Refresh views then select.
+        // Exchange buffer maps, then select.
         Stream::of(self.w).bm_tick(id, now);
         let phase = |rng: &mut Xoshiro256PlusPlus, iv: SimTime| {
             SimTime::from_micros(rng.gen_range(0..iv.as_micros().max(1)))
@@ -446,13 +447,13 @@ impl Partnership<'_> {
         );
     }
 
-    /// Test support: fabricate a (possibly one-sided) outgoing partner
-    /// view on `id`, bypassing the establishment protocol — for
+    /// Test support: fabricate a (possibly one-sided) outgoing
+    /// partnership on `id`, bypassing the establishment protocol — for
     /// corrupting state in invariant-oracle tests.
     #[cfg(test)]
-    pub(crate) fn inject_view(&mut self, id: NodeId, q: NodeId, latest: &[u32]) {
+    pub(crate) fn inject_partner(&mut self, id: NodeId, q: NodeId) {
         if let Some(p) = self.w.peer_mut(id) {
-            p.partnership.insert(q, latest, true);
+            p.partnership.insert(q, true);
         }
     }
 }

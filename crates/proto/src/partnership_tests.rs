@@ -2,7 +2,9 @@
 //! inequalities (1) and (2), the `T_a` cool-down, and partner
 //! re-selection. These drive `Partnership` through its `pub(crate)`
 //! surface against a minimal world (source + two servers), with state
-//! planted via the managers' test injectors instead of field surgery.
+//! planted via the managers' test injectors instead of field surgery: a
+//! partner's buffer map is whatever its installed buffer advertises when
+//! the exchange is gathered.
 
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeId};
 use cs_sim::SimTime;
@@ -11,7 +13,7 @@ use crate::buffer::StreamBuffer;
 use crate::membership::Membership;
 use crate::params::Params;
 use crate::partnership::Partnership;
-use crate::stream::Stream;
+use crate::stream::{Exchange, Stream};
 use crate::world::CsWorld;
 
 /// Source (node 0) plus two dedicated servers (nodes 1, 2).
@@ -20,17 +22,33 @@ fn tiny_world() -> CsWorld {
     CsWorld::new(Params::default(), net, 2, Bandwidth::mbps(100), 7)
 }
 
-/// A buffer-map row (wire encoding) advertising only sub-stream 0.
-fn row(latest0: Option<u64>, k: usize) -> Vec<u32> {
-    let mut latest = vec![0; k];
-    latest[0] = latest0.map_or(0, crate::buffer::entry);
-    latest
+/// Install on `q` a buffer holding sub-stream 0 up to `latest0` (a
+/// multiple of `K`) and nothing else: the row `q` advertises.
+fn hold(world: &mut CsWorld, q: NodeId, latest0: u64) {
+    let mut buf = StreamBuffer::new(world.params.substreams, latest0);
+    assert_eq!(buf.advance(0, 1), Some(latest0), "not a sub-stream-0 seq");
+    Stream::of(world).inject_buffer(q, buf);
+}
+
+/// One tick's adaptation of `id`, on the exchange gathered at `now`.
+fn adapt(world: &mut CsWorld, id: NodeId, now: SimTime) {
+    let mut rows = Vec::new();
+    let bm = Exchange::gather(world, id, now, &mut rows);
+    Partnership::of(world).adapt(id, now, &bm);
+}
+
+/// Partner re-selection of `id`, on the exchange gathered at `now`.
+fn reselect(world: &mut CsWorld, id: NodeId, now: SimTime) {
+    let mut rows = Vec::new();
+    let bm = Exchange::gather(world, id, now, &mut rows);
+    Partnership::of(world).reselect_partner(id, &bm);
 }
 
 /// A node with a buffer started at seq 300 and sub-stream 0 subscribed to
-/// `parent`, with partner views `parent → latest0_parent` and
-/// `other → latest0_other`. With defaults (K = 6), sub-stream 0's
-/// "nothing received yet" baseline is `first_wanted − K = 294`.
+/// `parent`, partnered with `parent` holding sub-stream 0 up to
+/// `latest0_parent` and `other` holding it up to `latest0_other`. With
+/// defaults (K = 6), sub-stream 0's "nothing received yet" baseline is
+/// `first_wanted − K = 294`.
 fn plant_adaptation_state(
     world: &mut CsWorld,
     id: NodeId,
@@ -39,11 +57,12 @@ fn plant_adaptation_state(
     other: NodeId,
     latest0_other: u64,
 ) {
-    let ks = world.params.substreams;
-    let k = ks as usize;
-    Stream::of(world).inject_buffer(id, StreamBuffer::new(ks, 300));
-    Partnership::of(world).inject_view(id, parent, &row(Some(latest0_parent), k));
-    Partnership::of(world).inject_view(id, other, &row(Some(latest0_other), k));
+    let k = world.params.substreams;
+    Stream::of(world).inject_buffer(id, StreamBuffer::new(k, 300));
+    hold(world, parent, latest0_parent);
+    hold(world, other, latest0_other);
+    Partnership::of(world).inject_partner(id, parent);
+    Partnership::of(world).inject_partner(id, other);
     Stream::of(world).subscribe(id, 0, parent);
 }
 
@@ -58,7 +77,7 @@ fn inequality_one_triggers_adaptation() {
     plant_adaptation_state(&mut world, a, b, 390, c, 396);
     let now = SimTime::from_secs(60);
 
-    Partnership::of(&mut world).adapt(a, now);
+    adapt(&mut world, a, now);
 
     assert_eq!(world.stats.adaptations, 1);
     let p = world.peer(a).unwrap();
@@ -79,7 +98,7 @@ fn inequality_two_triggers_adaptation() {
     plant_adaptation_state(&mut world, a, b, 300, c, 396);
     let now = SimTime::from_secs(60);
 
-    Partnership::of(&mut world).adapt(a, now);
+    adapt(&mut world, a, now);
 
     assert_eq!(world.stats.adaptations, 1);
     assert_eq!(world.peer(a).unwrap().parents()[0], Some(c));
@@ -91,24 +110,23 @@ fn cooldown_holds_adaptations_to_one_per_ta() {
     let (a, b, c) = (world.servers[0], world.servers[1], world.source);
     plant_adaptation_state(&mut world, a, b, 390, c, 396);
     let t0 = SimTime::from_secs(60);
-    Partnership::of(&mut world).adapt(a, t0);
+    adapt(&mut world, a, t0);
     assert_eq!(world.stats.adaptations, 1);
     assert_eq!(world.peer(a).unwrap().parents()[0], Some(c));
 
     // Re-arm the trigger against the *new* parent c: inequality (1)
     // fires again (390 − 294 = 96 = T_s), and b is the fresh candidate.
-    let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, c, &row(Some(390), k));
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(394), k));
+    hold(&mut world, c, 390);
+    hold(&mut world, b, 396);
 
     // Within T_a (= 10 s by default) of the last adaptation: held.
-    Partnership::of(&mut world).adapt(a, SimTime::from_secs(62));
+    adapt(&mut world, a, SimTime::from_secs(62));
     assert_eq!(world.stats.adaptations, 1, "cool-down must gate the switch");
     assert_eq!(world.peer(a).unwrap().parents()[0], Some(c));
 
     // Once T_a elapses the same trigger goes through.
     let t1 = SimTime::from_secs(75);
-    Partnership::of(&mut world).adapt(a, t1);
+    adapt(&mut world, a, t1);
     assert_eq!(world.stats.adaptations, 2);
     assert_eq!(world.peer(a).unwrap().parents()[0], Some(b));
     assert_eq!(world.peer(a).unwrap().partnership.last_adapt(), Some(t1));
@@ -117,18 +135,20 @@ fn cooldown_holds_adaptations_to_one_per_ta() {
 #[test]
 fn reselect_drops_nonparent_victim_on_both_sides() {
     // a's partners: b (serving sub-stream 0, protected) and c (not a
-    // parent, stalest view → the victim). The teardown must be mutual
-    // and clear every cross-reference, like a real partner departure.
+    // parent, stalest buffer map → the victim). The teardown must be
+    // mutual and clear every cross-reference, like a real partner
+    // departure.
     let mut world = tiny_world();
     let (a, b, c) = (world.servers[0], world.servers[1], world.source);
-    let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
-    Partnership::of(&mut world).inject_view(a, c, &row(Some(10), k));
-    Partnership::of(&mut world).inject_view(c, a, &row(None, k));
+    hold(&mut world, b, 402);
+    hold(&mut world, c, 12);
+    Partnership::of(&mut world).inject_partner(a, b);
+    Partnership::of(&mut world).inject_partner(a, c);
+    Partnership::of(&mut world).inject_partner(c, a);
     Stream::of(&mut world).subscribe(a, 0, b);
     Stream::of(&mut world).subscribe(c, 1, a); // victim also pulls from a
 
-    Partnership::of(&mut world).reselect_partner(a, SimTime::from_secs(30));
+    reselect(&mut world, a, SimTime::from_secs(30));
 
     let pa = world.peer(a).unwrap();
     assert!(!pa.partners().contains(c), "victim dropped");
@@ -147,15 +167,15 @@ fn reselect_recruits_deterministically_from_mcache() {
     let build = || {
         let mut world = tiny_world();
         let (a, b, c) = (world.servers[0], world.servers[1], world.source);
-        let k = world.params.substreams as usize;
-        Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
+        hold(&mut world, b, 402);
+        Partnership::of(&mut world).inject_partner(a, b);
         Stream::of(&mut world).subscribe(a, 0, b); // only partner is a parent: no victim
         let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(11);
         for id in [c, NodeId(77)] {
             // NodeId(77) was never added to the network → dead candidate.
             Membership::of(&mut world).inject_cache_entry(a, id, &mut rng);
         }
-        Partnership::of(&mut world).reselect_partner(a, SimTime::from_secs(30));
+        reselect(&mut world, a, SimTime::from_secs(30));
         let p = world.peer(a).unwrap();
         (
             p.partners().ids().to_vec(),
@@ -181,15 +201,14 @@ fn reselect_recruits_deterministically_from_mcache() {
 fn dead_partner_is_pruned_on_view_refresh() {
     let mut world = tiny_world();
     let (a, b) = (world.servers[0], world.servers[1]);
-    let k = world.params.substreams as usize;
-    Partnership::of(&mut world).inject_view(a, b, &row(Some(400), k));
+    Partnership::of(&mut world).inject_partner(a, b);
     Stream::of(&mut world).subscribe(a, 0, b);
     let mut rng = cs_sim::rng::Xoshiro256PlusPlus::new(3);
     Membership::of(&mut world).inject_cache_entry(a, b, &mut rng);
 
     world.net.remove_node(b);
     world.remove_peer(b);
-    Partnership::of(&mut world).refresh_views(a, SimTime::from_secs(30));
+    Partnership::of(&mut world).refresh_views(a);
 
     let p = world.peer(a).unwrap();
     assert!(p.partners().is_empty(), "dead partner pruned");

@@ -10,10 +10,11 @@
 //! (`Stream::report_tick`).
 //!
 //! Allowed inter-manager calls (see DESIGN.md §9): the stream manager
-//! reads parent candidates from the partnership manager's partner views,
+//! reads parent candidates from the partnership manager's partner set,
 //! and delegates partner maintenance and adaptation within `bm_tick` to
 //! `Partnership` in [`crate::partnership`]. `advertised_bm` is the
-//! buffer-map read the partnership manager uses for BM exchange.
+//! buffer-map read; [`Exchange`] is one tick's gather of the partners'
+//! rows, the only view of them the partnership manager gets.
 
 use cs_logging::{ActivityKind, Report};
 use cs_net::{Bandwidth, NodeId};
@@ -60,6 +61,59 @@ pub(crate) fn advertised_bm(world: &CsWorld, q: NodeId, now: SimTime, out: &mut 
     peer.is_some()
 }
 
+/// One buffer-map exchange of a peer with its partners: the row each
+/// partner advertises, back to back in partner-id order, and their
+/// largest entry. `bm_tick` gathers it once the partner set is settled
+/// and hands it to every reader of that tick; nothing keeps it past the
+/// tick, so no decision reads a row another exchange produced.
+pub(crate) struct Exchange<'a> {
+    k: usize,
+    /// `partners × k` entries in the wire encoding (`seq + 1`, 0 = none).
+    rows: &'a [u32],
+    /// The largest entry of `rows`, 0 for none.
+    best: u32,
+}
+
+impl<'a> Exchange<'a> {
+    /// Gather into `buf` the rows `id`'s partners advertise at `now`.
+    pub(crate) fn gather(world: &CsWorld, id: NodeId, now: SimTime, buf: &'a mut Vec<u32>) -> Self {
+        buf.clear();
+        if let Some(p) = world.peer(id) {
+            for &q in p.partners().ids() {
+                advertised_bm(world, q, now, buf);
+            }
+        }
+        Exchange {
+            k: world.params.substreams as usize,
+            best: buf.iter().copied().max().unwrap_or(0),
+            rows: buf,
+        }
+    }
+
+    /// Number of partners the exchange holds a row of.
+    pub(crate) fn partners(&self) -> usize {
+        self.rows.len().checked_div(self.k).unwrap_or(0)
+    }
+
+    /// The newest seq the `i`-th partner (in id order) advertised in
+    /// sub-stream `j`.
+    #[inline]
+    pub(crate) fn latest(&self, i: usize, j: u32) -> Option<u64> {
+        seq_of(self.rows[i * self.k + j as usize])
+    }
+
+    /// The newest seq the `i`-th partner advertised in any sub-stream.
+    pub(crate) fn row_max(&self, i: usize) -> Option<u64> {
+        let row = &self.rows[i * self.k..(i + 1) * self.k];
+        seq_of(row.iter().copied().max().unwrap_or(0))
+    }
+
+    /// The newest seq any partner advertised in any sub-stream.
+    pub(crate) fn best(&self) -> Option<u64> {
+        seq_of(self.best)
+    }
+}
+
 /// The stream manager: sub-stream subscription, scheduling and playback
 /// over the shared world.
 pub(crate) struct Stream<'w> {
@@ -81,10 +135,10 @@ impl Stream<'_> {
     /// qualified; if none qualify, a random *temporary parent* that at
     /// least has something newer is taken (the paper's peer-competition
     /// transient).
-    pub(crate) fn choose_parent(&mut self, id: NodeId, j: u32) -> Option<NodeId> {
+    pub(crate) fn choose_parent(&mut self, id: NodeId, j: u32, bm: &Exchange) -> Option<NodeId> {
         let mut pool = std::mem::take(&mut self.w.scratch.ids);
         pool.clear();
-        self.parent_pool(id, j, &mut pool);
+        self.parent_pool(id, j, bm, &mut pool);
         let pick = self.w.rng_sel.choose(&pool).copied();
         self.w.scratch.ids = pool;
         pick
@@ -93,20 +147,21 @@ impl Stream<'_> {
     /// Fill `pool` with the partners [`choose_parent`](Self::choose_parent)
     /// draws from, in partner-id order: the qualified ones, or — when none
     /// qualifies — every partner that at least has something newer.
-    fn parent_pool(&self, id: NodeId, j: u32, pool: &mut Vec<NodeId>) {
+    fn parent_pool(&self, id: NodeId, j: u32, bm: &Exchange, pool: &mut Vec<NodeId>) {
         let Some(peer) = self.w.peer(id) else { return };
         let Some(buf) = peer.buffer() else { return };
         let (own_latest, first_wanted) = (buf.latest(j), buf.first_wanted(j));
-        let Some(global_best) = peer.partners().max_latest() else {
+        let Some(global_best) = bm.best() else {
             return;
         };
+        debug_assert_eq!(bm.partners(), peer.partners().len(), "a stale exchange");
         let current = peer.parents()[j as usize];
         let mut any_qualified = false;
-        for (q, view) in peer.partners().iter() {
+        for (i, &q) in peer.partners().ids().iter().enumerate() {
             if Some(q) == current {
                 continue;
             }
-            let Some(qj) = view.latest(j) else {
+            let Some(qj) = bm.latest(i, j) else {
                 continue;
             };
             let newer = match own_latest {
@@ -149,12 +204,12 @@ impl Stream<'_> {
     /// the configured [`StartPolicy`](crate::params::StartPolicy) (the
     /// deployed system used `m − T_p`), then pick a parent per sub-stream.
     /// Returns `true` if at least one subscription was made.
-    pub(crate) fn select_initial(&mut self, id: NodeId, now: SimTime) -> bool {
+    pub(crate) fn select_initial(&mut self, id: NodeId, now: SimTime, bm: &Exchange) -> bool {
         let Some(peer) = self.w.peer(id) else {
             return false;
         };
         if peer.buffer().is_none() {
-            let Some(m) = peer.partners().max_latest() else {
+            let Some(m) = bm.best() else {
                 return false;
             };
             // The oldest block still available anywhere ≈ the newest
@@ -177,7 +232,7 @@ impl Stream<'_> {
         let mut subscribed = false;
         for j in 0..k {
             if self.w.peer(id).map(|p| p.parents()[j as usize].is_none()) == Some(true) {
-                if let Some(parent) = self.choose_parent(id, j) {
+                if let Some(parent) = self.choose_parent(id, j, bm) {
                     self.subscribe(id, j, parent);
                     subscribed = true;
                 }
@@ -213,18 +268,22 @@ impl Stream<'_> {
         if !self.w.contains(id) {
             return false;
         }
-        // 1. Partnership: refresh views, detect dead partners, refill.
-        Partnership::of(self.w).refresh_views(id, now);
-        Partnership::of(self.w).maintain(id, now);
-        // 2. Initial selection or adaptation.
+        // 1. Partnership: prune dead partners, refill.
+        Partnership::of(self.w).refresh_views(id);
+        Partnership::of(self.w).maintain(id);
+        // 2. The exchange over the settled partner set, read by the
+        // initial selection and the adaptation below.
+        let mut rows = std::mem::take(&mut self.w.scratch.bm);
+        let bm = Exchange::gather(self.w, id, now, &mut rows);
         let streaming = self
             .w
             .peer(id)
             .is_some_and(|p| p.buffer().is_some() && p.parents().iter().any(Option::is_some));
         if !streaming {
-            self.select_initial(id, now);
+            self.select_initial(id, now, &bm);
         }
-        Partnership::of(self.w).adapt(id, now);
+        Partnership::of(self.w).adapt(id, now, &bm);
+        self.w.scratch.bm = rows;
         true
     }
 
@@ -484,5 +543,44 @@ impl Stream<'_> {
         if let Some(p) = self.w.peer_mut(id) {
             p.stream.buffer = Some(buf);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::Params;
+    use cs_net::{ConnectivityPolicy, LatencyModel, Network};
+
+    /// The BM a server advertises tracks the live edge with the configured
+    /// lag, for every sub-stream: each entry is its sub-stream's newest
+    /// block at or below the lagged edge. A departed node advertises zeros.
+    #[test]
+    fn server_buffer_map_tracks_live_edge() {
+        let net = Network::new(ConnectivityPolicy::default(), LatencyModel::default(), 6);
+        let mut w = CsWorld::new(Params::default(), net, 1, Bandwidth::mbps(100), 6);
+        let server = w.servers[0];
+        let now = SimTime::from_secs(140);
+        let k = u64::from(w.params.substreams);
+        let edge = w
+            .params
+            .live_edge(now.saturating_sub(w.params.server_lag))
+            .expect("the stream has started");
+        let mut row = Vec::new();
+        assert!(advertised_bm(&w, server, now, &mut row));
+        assert_eq!(row.len() as u64, k);
+        for (j, &e) in (0..k).zip(&row) {
+            let adv = seq_of(e).expect("server advertises all substreams");
+            assert_eq!(adv % k, j, "sub-stream {j} names a block of another");
+            assert!(
+                adv <= edge && edge - adv < k,
+                "sub-stream {j}: {adv} vs lagged edge {edge}"
+            );
+        }
+        w.net.remove_node(server);
+        w.remove_peer(server);
+        row.clear();
+        assert!(!advertised_bm(&w, server, now, &mut row));
+        assert!(row.iter().all(|&e| e == 0), "{row:?}");
     }
 }

@@ -255,8 +255,9 @@ pub struct WorldStats {
 /// contents mean nothing between handlers.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Buffer-map rows in 32-bit wire encoding: `advertised_bm` output for
-    /// `refresh_views`, `try_add_partner` and `sched_round`.
+    /// Buffer-map rows in 32-bit wire encoding: `bm_tick`'s
+    /// [`Exchange`](crate::stream::Exchange) of every partner's row, and
+    /// `sched_round`'s parent row.
     pub(crate) bm: Vec<u32>,
     /// `sched_round`: per-subscription budgets under `NeedAware`.
     pub(crate) budgets: Vec<f64>,
@@ -583,7 +584,7 @@ impl World for CsWorld {
         let now = ctx.now();
         match event {
             Event::Arrive(spec) => Membership::of(self).arrive(spec, now, ctx),
-            Event::BootstrapReply(id) => Membership::of(self).bootstrap_reply(id, now, ctx),
+            Event::BootstrapReply(id) => Membership::of(self).bootstrap_reply(id, ctx),
             Event::PartnersReady(id) => Partnership::of(self).partners_ready(id, now, ctx),
             Event::PatienceCheck(id) => {
                 if let Some(retry) = Partnership::of(self).patience_check(id, now) {

@@ -93,7 +93,6 @@ impl Workload {
         }
         let mut t = start.as_secs_f64();
         let end = horizon.as_secs_f64();
-        let mut next_user = 0u32;
         // Thinning (Lewis–Shedler): candidate arrivals at rate λ_max,
         // accepted with probability λ(t)/λ_max.
         loop {
@@ -114,8 +113,13 @@ impl Workload {
                 }
             }
             let leave_at = self.sessions.sample_leave_at(at, &mut sess_rng);
+            #[expect(
+                clippy::expect_used,
+                reason = "run precondition: `ScenarioSpec::validate` keeps the expected node ids, every arrival's included, under half the 32-bit range; an arrival past it is a programming error, not a runtime state"
+            )]
+            let user = u32::try_from(out.len()).expect("user ids within 32 bits");
             let spec = UserSpec {
-                user: UserId(next_user),
+                user: UserId(user),
                 class,
                 upload,
                 leave_at,
@@ -123,23 +127,35 @@ impl Workload {
                 retries_left: self.sessions.sample_retries(&mut sess_rng),
                 retry_index: 0,
             };
-            next_user += 1;
             out.push((at, spec));
         }
         out
     }
 
-    /// Expected number of arrivals in `[start, horizon)` (numeric
-    /// integral, minute resolution) — useful for sizing runs in tests and
-    /// benches.
+    /// Expected number of arrivals in `[start, horizon)`: the integral of
+    /// the rate profile, which is constant between hour and spike
+    /// boundaries, so a spike of any length or offset counts in full.
     pub fn expected_arrivals(&self, start: SimTime, horizon: SimTime) -> f64 {
-        let mut total = 0.0;
-        let mut s = start.as_secs();
-        while s < horizon.as_secs() {
-            total += self.profile.rate(SimTime::from_secs(s)) * 60.0;
-            s += 60;
+        let (from, to) = (start.as_micros(), horizon.as_micros());
+        let hour = SimTime::from_hours(1).as_micros();
+        let mut cuts = vec![from, to];
+        cuts.extend(
+            (from / hour + 1..)
+                .map(|h| h * hour)
+                .take_while(|&t| t < to),
+        );
+        for s in &self.profile.spikes {
+            cuts.extend([s.start, s.start + s.duration].map(SimTime::as_micros));
         }
-        total
+        cuts.retain(|t| (from..=to).contains(t));
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts.windows(2)
+            .map(|w| {
+                let span = SimTime::from_micros(w[1] - w[0]).as_secs_f64();
+                self.profile.rate(SimTime::from_micros(w[0])) * span
+            })
+            .sum()
     }
 }
 
@@ -236,6 +252,22 @@ mod tests {
             (realized - expected).abs() < expected * 0.05,
             "realized {realized} vs expected {expected}"
         );
+    }
+
+    /// The integral is exact for a spike between minute marks, which a
+    /// once-a-minute sample misses.
+    #[test]
+    fn expected_arrivals_count_a_spike_between_minutes() {
+        let mut w = Workload::steady(1.0);
+        w.profile.spikes.push(crate::Spike {
+            start: SimTime::from_secs(10),
+            duration: SimTime::from_secs(30),
+            multiplier: 1001.0,
+        });
+        let expected = w.expected_arrivals(SimTime::ZERO, SimTime::from_secs(120));
+        assert!((expected - 30_120.0).abs() < 1e-6, "{expected}");
+        let tail = w.expected_arrivals(SimTime::from_secs(25), SimTime::from_secs(3600 + 90));
+        assert!((tail - (3_665.0 + 15_000.0)).abs() < 1e-6, "{tail}");
     }
 
     #[test]

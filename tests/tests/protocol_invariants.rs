@@ -21,7 +21,7 @@ fn assert_invariants(world: &CsWorld, label: &str) {
             peer.partners().len()
         );
         // Partner symmetry and liveness.
-        for (q, view) in peer.partners().iter() {
+        for (q, outgoing) in peer.partners().iter() {
             assert!(
                 world.net.is_alive(q),
                 "{label}: {:?} partnered with dead {:?}",
@@ -38,15 +38,10 @@ fn assert_invariants(world: &CsWorld, label: &str) {
                 info.id, q
             );
             // Directions are complementary.
-            let q_view_outgoing = world
-                .peer(q)
-                .unwrap()
-                .partners()
-                .get(info.id)
-                .unwrap()
-                .outgoing;
+            let q_outgoing = world.peer(q).unwrap().partners().outgoing(info.id);
             assert_ne!(
-                view.outgoing, q_view_outgoing,
+                Some(outgoing),
+                q_outgoing,
                 "{label}: both ends claim the same direction"
             );
         }

@@ -200,6 +200,27 @@ fn mcache_ledger_is_one_id_per_slot() {
     );
 }
 
+/// The byte ledger charges a partner table 5 B a slot: a 4-byte id and
+/// a direction flag, in two arrays of one capacity. A buffer-map row, a
+/// kept maximum or any other per-partner column would fail this.
+#[test]
+fn partner_table_ledger_is_ids_and_directions() {
+    let compiled = load(&scenarios_dir().join("steady_state.json"))
+        .compile()
+        .unwrap();
+    let sc = &compiled.scenario;
+    let run = sc.run_injected_observed(compiled.injections, RunOptions::default());
+    let world = &run.artifacts.world;
+    let capacity: usize = world.peers().map(|p| p.partners().capacity()).sum();
+    assert!(capacity > 0, "no partner table was allocated");
+    let tables = world
+        .heap_bytes()
+        .into_iter()
+        .find_map(|(owner, bytes)| (owner == "partner_tables").then_some(bytes))
+        .expect("the ledger has a partner_tables owner");
+    assert_eq!(tables, 5 * capacity);
+}
+
 /// The byte ledger charges the lookup spine 4 B a node id: one
 /// `Option<NonZeroU32>` slot key per id issued, reserved at exactly the
 /// node-id bound `CsWorld::reserve_run` also sizes the session table to.
