@@ -203,17 +203,14 @@ fn horizon_beyond_the_clock_is_rejected_not_wrapped() {
     assert!(!out.exists(), "a run directory was written");
 }
 
-/// A 32-bit buffer-map entry (`seq + 1`) holds seqs up to `u32::MAX − 1`:
-/// the live edge after ≈ 124 275.7 h at 9.6 blocks/s. A window ending
-/// past it used to be accepted and start a 14-year run; the tiny rate
-/// keeps such a run small until the deadline below kills it.
-#[test]
-fn window_beyond_the_buffer_map_range_is_rejected() {
+/// Run `coolstream <args>`, a command line that must be refused before
+/// any work, and return its stderr once it has exited 1 within a second
+/// and printed nothing. A binary that accepts the command line is killed
+/// after 5 s, failing the test, before its run can fill memory.
+fn stderr_of_fast_failure(args: &[&str], accepted: &str) -> String {
     let t0 = std::time::Instant::now();
     let mut child = Command::new(env!("CARGO_BIN_EXE_coolstream"))
-        .args([
-            "run", "--preset", "steady", "--rate", "0.000001", "--end-h", "124276",
-        ])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -222,31 +219,41 @@ fn window_beyond_the_buffer_map_range_is_rejected() {
         if t0.elapsed().as_secs() >= 5 {
             child.kill().expect("kill coolstream");
             let _ = child.wait();
-            panic!("a window past the buffer-map range was accepted");
+            panic!("{accepted} was accepted");
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let out = child.wait_with_output().expect("collect coolstream output");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "printed a result before failing");
-    assert!(
-        stderr.contains("`end_s`") && stderr.contains("buffer-map"),
-        "{stderr}"
-    );
     assert!(t0.elapsed().as_secs() < 1, "took {:?}", t0.elapsed());
+    stderr
+}
+
+/// A 32-bit buffer-map entry (`seq + 1`) holds seqs up to `u32::MAX − 1`:
+/// the live edge after ≈ 124 275.7 h at 9.6 blocks/s. A window ending
+/// past it used to be accepted and start a 14-year run; the tiny rate
+/// keeps such a run small until the deadline kills it.
+#[test]
+fn window_beyond_the_buffer_map_range_is_rejected() {
+    let e = stderr_of_fast_failure(
+        &[
+            "run", "--preset", "steady", "--rate", "0.000001", "--end-h", "124276",
+        ],
+        "a window past the buffer-map range",
+    );
+    assert!(e.contains("`end_s`") && e.contains("buffer-map"), "{e}");
 }
 
 /// A rate whose expected sessions do not fit the 32-bit node-id space
-/// (with a 2× margin) is a spec error naming `rate`. It used to reach
-/// the arrival generator, which aborted on a 3 GiB allocation where
-/// memory was capped and otherwise ran on, filling memory, until
-/// killed; the deadline below kills such a run.
+/// is a spec error naming `rate`. It used to reach the arrival
+/// generator, which aborted on a 3 GiB allocation where memory was
+/// capped and otherwise ran on, filling memory, until killed.
 #[test]
 fn rate_beyond_the_node_id_space_is_rejected() {
-    let t0 = std::time::Instant::now();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_coolstream"))
-        .args([
+    let e = stderr_of_fast_failure(
+        &[
             "run",
             "--preset",
             "steady",
@@ -254,28 +261,31 @@ fn rate_beyond_the_node_id_space_is_rejected() {
             "1e308",
             "--minutes",
             "1",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn coolstream");
-    while child.try_wait().expect("poll coolstream").is_none() {
-        if t0.elapsed().as_secs() >= 5 {
-            child.kill().expect("kill coolstream");
-            let _ = child.wait();
-            panic!("a rate past the node-id space was accepted");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let out = child.wait_with_output().expect("collect coolstream output");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "printed a result before failing");
-    assert!(
-        stderr.contains("`rate`") && stderr.contains("node ids"),
-        "{stderr}"
+        ],
+        "a rate past the node-id space",
     );
-    assert!(t0.elapsed().as_secs() < 1, "took {:?}", t0.elapsed());
+    assert!(e.contains("`rate`") && e.contains("node ids"), "{e}");
+}
+
+/// 3 × 10⁶ joins/s for a minute expects 1.1 × 10⁹ node ids: inside the
+/// 32-bit id space, but ≈ 661 GB of run tables at 612 B per id. It used
+/// to pass validation and be killed for memory while reserving them; it
+/// is a spec error naming `rate`.
+#[test]
+fn rate_beyond_the_reservation_bound_is_rejected() {
+    let e = stderr_of_fast_failure(
+        &[
+            "run",
+            "--preset",
+            "steady",
+            "--rate",
+            "3e6",
+            "--minutes",
+            "1",
+        ],
+        "a rate past the reservation bound",
+    );
+    assert!(e.contains("`rate`") && e.contains("B each"), "{e}");
 }
 
 /// `, "seed": 1, "seed": 2` appended to a scenario used to run with the

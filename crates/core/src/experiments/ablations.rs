@@ -11,10 +11,9 @@ use cs_proto::{Allocation, Event, ReplacePolicy, StartPolicy, UserSpec};
 use cs_sim::{Engine, SimTime};
 use cs_workload::{Spike, Workload};
 
-use super::registry::{pct, steady, steady_scenario, Check, Measured, Op, Row};
+use super::registry::{pct, steady, steady_scenario, sweep, Check, Measured, Op, Probe, Row};
 use super::{
-    fig10_sessions, fig6_startup, fig8_continuity, fig9_point, overhead, peerwise, resources,
-    LogView,
+    fig10_sessions, fig6_startup, fig8_continuity, overhead, peerwise, resources, LogView,
 };
 use crate::channels::{zappers, ChannelScenario};
 use crate::scenario::{RunArtifacts, RunOptions, Scenario};
@@ -119,8 +118,8 @@ fn abl_tree(r: u64) -> Measured {
     let horizon = SimTime::from_mins(30);
     let (rate, seed) = (0.6, 2121 + r);
     let arrivals = Workload::steady(rate).generate(seed, SimTime::ZERO, horizon);
-    let view = LogView::build(&steady(rate, 30, seed));
-    let mesh_ci = fig9_point(&view, SimTime::from_mins(5), horizon).mean_continuity;
+    let mesh = [("mesh".to_string(), || steady(rate, 30, seed))];
+    let mesh_ci = sweep("system", mesh, horizon, &[]).1[0].continuity;
     let (single_ci, single_play) = run_tree(TreeParams::single_tree(), &arrivals, horizon, seed);
     let (multi_ci, multi_play) = run_tree(TreeParams::multi_tree(6), &arrivals, horizon, seed);
     let table = format!(
@@ -199,152 +198,106 @@ fn abl_mcache(r: u64) -> Measured {
 
 /// ABL-K: continuity against the sub-stream count K.
 fn abl_k(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(30);
-    let mut m = Measured::default();
-    let _ = writeln!(m.table, "  K   continuity   ready-frac");
-    let mut cis = Vec::new();
-    for k in [1u32, 2, 4, 6, 8] {
+    let points = [1u32, 2, 4, 6, 8].map(|k| {
         let mut s = steady_scenario(0.5, 30, 2222 + r);
         s.params.substreams = k;
-        let p = fig9_point(&LogView::build(&s.run()), SimTime::from_mins(5), horizon);
-        let _ = writeln!(
-            m.table,
-            "  {k}   {:>9.2}%   {:>9.2}%",
-            100.0 * p.mean_continuity,
-            100.0 * p.ready_fraction
-        );
-        cis.push(p.mean_continuity);
-    }
-    m.set("k6_minus_k1_ci", cis[3] - cis[0]);
-    m.set("min_ci", cis.iter().copied().fold(f64::INFINITY, f64::min));
-    m.set("k8_k6_ci_gap", (cis[4] - cis[3]).abs());
+        (k.to_string(), move || s.run())
+    });
+    let (mut m, p) = sweep("K", points, SimTime::from_mins(30), &[]);
+    let ci: Vec<f64> = p.iter().map(|point| point.continuity).collect();
+    m.set("k6_minus_k1_ci", ci[3] - ci[0]);
+    m.set("min_ci", ci.iter().copied().fold(f64::INFINITY, f64::min));
+    m.set("k8_k6_ci_gap", (ci[4] - ci[3]).abs());
     m
 }
 
 /// ABL-SERVERS: the dedicated-server fleet, 0 to 4 servers.
 fn abl_servers(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(25);
-    let mut m = Measured::default();
-    let _ = writeln!(
-        m.table,
-        "  servers   continuity   ready-frac   ready-median"
-    );
-    let mut ready = Vec::new();
-    for n in [0usize, 1, 2, 4] {
-        let artifacts = steady_scenario(0.5, 25, 2323 + r)
-            .with_servers(n, Bandwidth::mbps(24))
-            .run();
-        let view = LogView::build(&artifacts);
-        let p = fig9_point(&view, SimTime::from_mins(5), horizon);
-        let fig6 = fig6_startup(&view, SimTime::ZERO, SimTime::MAX);
-        let _ = writeln!(
-            m.table,
-            "  {n:>7}   {:>9.2}%   {:>9.2}%   {:>10.1}s",
-            100.0 * p.mean_continuity,
-            100.0 * p.ready_fraction,
-            fig6.ready.median().unwrap_or(f64::NAN)
-        );
-        ready.push(p.ready_fraction);
-    }
+    let points = [0usize, 1, 2, 4].map(|n| {
+        let s = steady_scenario(0.5, 25, 2323 + r).with_servers(n, Bandwidth::mbps(24));
+        (n.to_string(), move || s.run())
+    });
+    let (mut m, p) = sweep("servers", points, SimTime::from_mins(25), &[]);
+    let ready: Vec<f64> = p.iter().map(|point| point.ready_fraction).collect();
     m.set("ready_0_servers", ready[0]);
     m.set("ready_1_server", ready[1]);
     m.set("ready_4_minus_1_servers", ready[3] - ready[1]);
     m
 }
 
+/// Playback latency behind the live stream at `horizon`: how far the
+/// playhead of live, playing users trails the newest emitted block (s).
+fn live_lag(a: &RunArtifacts, horizon: SimTime) -> f64 {
+    let world = &a.world;
+    let bps = world.params.blocks_per_sec();
+    let edge = world.params.live_edge(horizon).unwrap_or(0);
+    let lags: Vec<f64> = world
+        .net
+        .iter_alive()
+        .filter(|n| n.class.is_user())
+        .filter_map(|n| world.peer(n.id))
+        .filter(|peer| peer.media_ready().is_some())
+        .map(|peer| edge.saturating_sub(peer.next_play()) as f64 / bps)
+        .collect();
+    lags.iter().sum::<f64>() / lags.len().max(1) as f64
+}
+
 /// ABL-START: the §IV.A start-position argument — `m − T_p` against the
 /// newest, a midpoint and the oldest available block.
 fn abl_start(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(30);
-    let policies = [
+    let points = [
         ("shifted (m−T_p)", StartPolicy::ShiftedFromLatest),
         ("latest (m)", StartPolicy::Latest),
         ("midpoint", StartPolicy::Midpoint),
         ("oldest (n)", StartPolicy::Oldest),
-    ];
-    let mut m = Measured::default();
-    let _ = writeln!(
-        m.table,
-        "  policy            continuity   ready-median   live-lag   skipped-blocks"
-    );
-    let mut results = Vec::new();
-    for (label, policy) in policies {
+    ]
+    .map(|(label, policy)| {
         let mut s = steady_scenario(0.5, 30, 2424 + r);
         s.params.start_policy = policy;
-        let artifacts = s.run();
-        let view = LogView::build(&artifacts);
-        let p = fig9_point(&view, SimTime::from_mins(5), horizon);
-        let fig6 = fig6_startup(&view, SimTime::ZERO, SimTime::MAX);
-        let world = &artifacts.world;
-        let skipped = world.stats.blocks_skipped;
-        // Playback latency behind the live stream: how far the playhead
-        // of live, playing peers trails the newest emitted block.
-        let bps = world.params.blocks_per_sec();
-        let edge = world.params.live_edge(horizon).unwrap_or(0);
-        let lags: Vec<f64> = world
-            .net
-            .iter_alive()
-            .filter(|n| n.class.is_user())
-            .filter_map(|n| world.peer(n.id))
-            .filter(|peer| peer.media_ready().is_some())
-            .map(|peer| edge.saturating_sub(peer.next_play()) as f64 / bps)
-            .collect();
-        let live_lag = lags.iter().sum::<f64>() / lags.len().max(1) as f64;
-        let _ = writeln!(
-            m.table,
-            "  {label:<17} {:>9.2}%   {:>10.1}s   {live_lag:>7.1}s   {skipped:>12}",
-            100.0 * p.mean_continuity,
-            fig6.ready.median().unwrap_or(f64::NAN),
-        );
-        results.push((p.mean_continuity, live_lag, skipped as f64));
-    }
-    let (shifted, latest, oldest) = (results[0], results[1], results[3]);
-    m.set("shifted_minus_latest_ci", shifted.0 - latest.0);
-    m.set("shifted_minus_oldest_ci", shifted.0 - oldest.0);
+        (label.to_string(), move || s.run())
+    });
+    let probes: [Probe; 2] = [
+        ("live-lag", live_lag),
+        ("skipped", |a, _| a.world.stats.blocks_skipped as f64),
+    ];
+    let (mut m, p) = sweep("policy", points, SimTime::from_mins(30), &probes);
+    let ci = |i: usize| p[i].continuity;
+    let (lag, skipped) = (|i: usize| p[i].probed[0], |i: usize| p[i].probed[1]);
+    m.set("shifted_minus_latest_ci", ci(0) - ci(1));
+    m.set("shifted_minus_oldest_ci", ci(0) - ci(3));
     // The paper's problem (1) with the oldest start: blocks leave the
     // partners' buffers — visible as skipped blocks.
-    m.set("oldest_over_shifted_skipped", oldest.2 / shifted.2);
+    m.set("oldest_over_shifted_skipped", skipped(3) / skipped(0));
     // Problem (2): "it might take considerable amount of time for the
     // newly joined node to catch up with the current video stream".
-    m.set("oldest_over_shifted_live_lag", oldest.1 / shifted.1);
+    m.set("oldest_over_shifted_live_lag", lag(3) / lag(0));
     m
 }
 
 /// ABL-ALLOC: need-aware upload allocation against the equal split of
 /// Eq. 5.
 fn abl_alloc(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(30);
-    let variants = [
+    let points = [
         ("equal split (Eq.5)", Allocation::EqualSplit),
         ("need-aware", Allocation::NeedAware),
-    ];
-    let mut m = Measured::default();
-    let _ = writeln!(
-        m.table,
-        "  allocation           continuity   ready-median   ready-p90   giveups"
-    );
-    let mut rows = Vec::new();
-    for (label, allocation) in variants {
+    ]
+    .map(|(label, allocation)| {
         let mut s = steady_scenario(0.6, 30, 2525 + r);
         s.params.allocation = allocation;
-        let artifacts = s.run();
-        let view = LogView::build(&artifacts);
-        let p = fig9_point(&view, SimTime::from_mins(5), horizon);
-        let fig6 = fig6_startup(&view, SimTime::ZERO, SimTime::MAX);
-        let median = fig6.ready.median().unwrap_or(f64::NAN);
-        let p90 = fig6.ready.quantile(0.9).unwrap_or(f64::NAN);
-        let _ = writeln!(
-            m.table,
-            "  {label:<20} {:>9.2}%   {median:>10.1}s   {p90:>8.1}s   {:>7}",
-            100.0 * p.mean_continuity,
-            artifacts.world.stats.giveup_departs
-        );
-        rows.push((p.mean_continuity, median, p90));
-    }
-    let (equal, need) = (rows[0], rows[1]);
-    m.set("need_minus_equal_ci", need.0 - equal.0);
-    m.set("need_over_equal_ready_median", need.1 / equal.1);
-    m.set("need_over_equal_ready_p90", need.2 / equal.2);
+        (label.to_string(), move || s.run())
+    });
+    let probes: [Probe; 1] = [("giveups", |a, _| a.world.stats.giveup_departs as f64)];
+    let (mut m, p) = sweep("allocation", points, SimTime::from_mins(30), &probes);
+    let (equal, need) = (&p[0], &p[1]);
+    m.set("need_minus_equal_ci", need.continuity - equal.continuity);
+    m.set(
+        "need_over_equal_ready_median",
+        need.ready_median / equal.ready_median,
+    );
+    m.set(
+        "need_over_equal_ready_p90",
+        need.ready_p90 / equal.ready_p90,
+    );
     m
 }
 
@@ -478,7 +431,6 @@ fn abl_crash(r: u64) -> Measured {
 /// EXT-CHANNELS: one audience split over four channels by Zipf
 /// popularity.
 fn ext_channels(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(25);
     let cs = ChannelScenario {
         base: steady_scenario(2.4, 25, 2929 + r),
         channels: 4,
@@ -486,35 +438,23 @@ fn ext_channels(r: u64) -> Measured {
         switch_prob: 0.15,
     };
     let runs = cs.run();
-    let mut m = Measured::default();
-    let _ = writeln!(
-        m.table,
-        "  rank   share   mean-pop   continuity   ready-median"
+    let zappers = zappers(&runs).len() as f64;
+    let points = runs.into_iter().map(|run| {
+        let label = format!("{} ({:.0}%)", run.rank, 100.0 * run.share);
+        (label, move || run.artifacts)
+    });
+    let (mut m, p) = sweep("rank (share)", points, SimTime::from_mins(25), &[]);
+    let (top, niche) = (&p[0], &p[p.len() - 1]);
+    m.set(
+        "top_over_niche_population",
+        top.population / niche.population,
     );
-    let mut rows = Vec::new();
-    for run in &runs {
-        let view = LogView::build(&run.artifacts);
-        let p = fig9_point(&view, SimTime::from_mins(5), horizon);
-        let ready = fig6_startup(&view, SimTime::ZERO, SimTime::MAX)
-            .ready
-            .median()
-            .unwrap_or(f64::NAN);
-        let _ = writeln!(
-            m.table,
-            "  {:>4}   {:>4.0}%   {:>8.0}   {:>9.2}%   {ready:>10.1}s",
-            run.rank,
-            100.0 * run.share,
-            p.mean_population,
-            100.0 * p.mean_continuity,
-        );
-        rows.push((p.mean_population, p.mean_continuity, ready));
-    }
-    if let (Some(top), Some(niche)) = (rows.first(), rows.last()) {
-        m.set("top_over_niche_population", top.0 / niche.0);
-        m.set("top_minus_niche_ci", top.1 - niche.1);
-        m.set("niche_over_top_ready_median", niche.2 / top.2);
-    }
-    m.set("zappers", zappers(&runs).len() as f64);
+    m.set("top_minus_niche_ci", top.continuity - niche.continuity);
+    m.set(
+        "niche_over_top_ready_median",
+        niche.ready_median / top.ready_median,
+    );
+    m.set("zappers", zappers);
     m
 }
 

@@ -11,10 +11,10 @@ use cs_proto::{CsWorld, Event, Params, UserSpec};
 use cs_sim::{Engine, SimTime};
 use cs_workload::{Spike, Workload};
 
-use super::registry::{pct, steady, steady_scenario, Check, Measured, Op, Row};
+use super::registry::{steady, steady_scenario, sweep, Check, Measured, Op, Row};
 use super::{
     fig10_sessions, fig3_user_types, fig4_convergence, fig5_population, fig6_startup,
-    fig7_ready_by_period, fig8_continuity, fig9_point, render_fig7, render_population, LogView,
+    fig7_ready_by_period, fig8_continuity, render_fig7, render_population, LogView,
 };
 use crate::scenario::Scenario;
 
@@ -316,57 +316,20 @@ fn fig8(r: u64) -> Measured {
 }
 
 fn fig9(r: u64) -> Measured {
-    let horizon = SimTime::from_mins(30);
-    // Below ~300 concurrent users the overlay is too sparse for the
-    // paper's regime (finite-size effect); those rows are informational.
-    let rates = [0.15, 0.3, 0.6, 1.2, 2.4, 3.6];
-    let names = [
-        None,
-        None,
-        Some("ci_rate_0_6"),
-        Some("ci_rate_1_2"),
-        Some("ci_rate_2_4"),
-        Some("ci_rate_3_6"),
-    ];
-    let mut m = Measured::new("  join-rate   mean-pop   continuity   ready-frac\n".into());
-    let mut points = Vec::new();
-    for &rate in &rates {
-        let view = LogView::build(&steady(rate, 30, 909 + r));
-        let p = fig9_point(&view, SimTime::from_mins(5), horizon);
-        let _ = writeln!(
-            m.table,
-            "  {rate:>8.2}   {:>8.0}   {:>9.2}%   {:>9.2}%",
-            p.mean_population,
-            100.0 * p.mean_continuity,
-            100.0 * p.ready_fraction
-        );
-        points.push(p);
-    }
-    let mut asserted = Vec::new();
-    for ((rate, p), name) in rates.iter().zip(&points).zip(names) {
-        match name {
-            Some(name) => {
-                m.set(name, p.mean_continuity);
-                asserted.push(p.mean_continuity);
-            }
-            None => {
-                let _ = writeln!(
-                    m.table,
-                    "  (info) rate {rate}: CI {} — below the paper's size regime",
-                    pct(p.mean_continuity)
-                );
-            }
-        }
-    }
-    let spread = asserted.iter().copied().fold(f64::MIN, f64::max)
-        - asserted.iter().copied().fold(f64::MAX, f64::min);
+    let points = [0.15, 0.3, 0.6, 1.2, 2.4, 3.6]
+        .map(|rate| (format!("{rate:.2}"), move || steady(rate, 30, 909 + r)));
+    let (mut m, p) = sweep("join-rate", points, SimTime::from_mins(30), &[]);
+    // Rates 0.15 and 0.3 stay below ~300 concurrent users, too sparse for
+    // the paper's regime (finite-size effect): shown, not asserted.
+    let ci: Vec<f64> = p[2..].iter().map(|point| point.continuity).collect();
+    let spread =
+        ci.iter().copied().fold(f64::MIN, f64::max) - ci.iter().copied().fold(f64::MAX, f64::min);
+    m.set("ci_rate_0_6", ci[0]);
+    m.set("ci_rate_1_2", ci[1]);
+    m.set("ci_rate_2_4", ci[2]);
+    m.set("ci_rate_3_6", ci[3]);
     m.set("ci_spread", spread);
-    if let (Some(small), Some(large)) = (points.first(), points.last()) {
-        m.set(
-            "population_ratio",
-            large.mean_population / small.mean_population,
-        );
-    }
+    m.set("population_ratio", p[5].population / p[0].population);
     m
 }
 

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 use cs_sim::SimTime;
 use serde::Value;
 
+use super::{fig6_startup, fig9_point, LogView};
 use crate::scenario::{par_map, RunArtifacts, Scenario};
 
 /// Seeds per row.
@@ -357,6 +358,73 @@ pub(super) fn steady_scenario(rate: f64, minutes: u64, seed: u64) -> Scenario {
         .with_window(SimTime::ZERO, SimTime::from_mins(minutes))
 }
 
+/// One point of a [`sweep`], read off its run.
+pub(super) struct Reading {
+    /// Mean concurrent population from minute 5 to the horizon.
+    pub population: f64,
+    /// Log-view continuity over every QoS report.
+    pub continuity: f64,
+    /// Fraction of joiners that reached media-ready.
+    pub ready_fraction: f64,
+    /// Median media-ready time (s) over every join; NaN without one.
+    pub ready_median: f64,
+    /// 90th-percentile media-ready time (s); NaN without one.
+    pub ready_p90: f64,
+    /// One value per probe, in probe order.
+    pub probed: Vec<f64>,
+}
+
+/// A named extra column of a [`sweep`]: a value read off a point's run
+/// at the horizon.
+pub(super) type Probe = (&'static str, fn(&RunArtifacts, SimTime) -> f64);
+
+/// A knob row's sweep: run each `(label, run)` point in order — one at a
+/// time, its world dropped before the next point runs — and read its
+/// [`fig9_point`] from minute 5 to `horizon`, its media-ready median and
+/// p90 over every join, and `probes`. Returns the readings in input
+/// order, and a [`Measured`] with no values yet whose table is a header
+/// and then one line per point.
+pub(super) fn sweep<F: FnOnce() -> RunArtifacts>(
+    axis: &str,
+    points: impl IntoIterator<Item = (String, F)>,
+    horizon: SimTime,
+    probes: &[Probe],
+) -> (Measured, Vec<Reading>) {
+    let mut t = format!("  {axis:<18}  mean-pop  continuity  ready-frac  ready-median  ready-p90");
+    for (name, _) in probes {
+        let _ = write!(t, "  {name:>10}");
+    }
+    let readings = points
+        .into_iter()
+        .map(|(label, run)| {
+            let artifacts = run();
+            let view = LogView::build(&artifacts);
+            let p = fig9_point(&view, SimTime::from_mins(5), horizon);
+            let ready = fig6_startup(&view, SimTime::ZERO, SimTime::MAX).ready;
+            let r = Reading {
+                population: p.mean_population,
+                continuity: p.mean_continuity,
+                ready_fraction: p.ready_fraction,
+                ready_median: ready.median().unwrap_or(f64::NAN),
+                ready_p90: ready.quantile(0.9).unwrap_or(f64::NAN),
+                probed: probes.iter().map(|(_, f)| f(&artifacts, horizon)).collect(),
+            };
+            let (ci, ready) = (pct(r.continuity), pct(r.ready_fraction));
+            let (pop, median, p90) = (r.population, r.ready_median, r.ready_p90);
+            let _ = write!(
+                t,
+                "\n  {label:<18}  {pop:>8.0}  {ci:>10}  {ready:>10}  {median:>11.1}s  {p90:>8.1}s"
+            );
+            for v in &r.probed {
+                let _ = write!(t, "  {v:>10.1}");
+            }
+            r
+        })
+        .collect();
+    t.push('\n');
+    (Measured::new(t), readings)
+}
+
 /// Percent with two decimals, for tables.
 pub(super) fn pct(x: f64) -> String {
     format!("{:.2}%", 100.0 * x)
@@ -395,6 +463,55 @@ mod tests {
         let none = verdict(Op::Gt, 0.0, &[f64::NAN, f64::NAN]);
         assert_eq!(none.passes(), 0);
         assert!(none.median().is_nan() && none.min().is_nan() && none.max().is_nan());
+    }
+
+    /// The sweep's table has a header and one line per point in input
+    /// order, each reading equals the extractors run on that point's run
+    /// directly, and no points give no readings.
+    #[test]
+    fn sweep_reads_each_point_as_the_extractors_do() {
+        let horizon = SimTime::from_mins(6);
+        let run = |rate: f64| steady(rate, 6, 7);
+        let points = [0.6, 0.3].map(|rate| (format!("rate {rate}"), move || run(rate)));
+        let probes: [Probe; 1] = [("skipped", |a, _| a.world.stats.blocks_skipped as f64)];
+        let (m, readings) = sweep("join-rate", points, horizon, &probes);
+        let lines: Vec<&str> = m.table.lines().collect();
+        assert_eq!(lines.len(), 3, "{}", m.table);
+        assert!(lines[0].contains("join-rate") && lines[0].ends_with("skipped"));
+        assert!(m.values.is_empty());
+        for ((line, reading), rate) in lines[1..].iter().zip(&readings).zip([0.6, 0.3]) {
+            assert!(line.starts_with(&format!("  rate {rate} ")), "{line}");
+            let artifacts = run(rate);
+            let view = LogView::build(&artifacts);
+            let p = fig9_point(&view, SimTime::from_mins(5), horizon);
+            let ready = fig6_startup(&view, SimTime::ZERO, SimTime::MAX).ready;
+            let want = [
+                p.mean_population,
+                p.mean_continuity,
+                p.ready_fraction,
+                ready.median().unwrap_or(f64::NAN),
+                ready.quantile(0.9).unwrap_or(f64::NAN),
+                artifacts.world.stats.blocks_skipped as f64,
+            ];
+            let got = [
+                reading.population,
+                reading.continuity,
+                reading.ready_fraction,
+                reading.ready_median,
+                reading.ready_p90,
+                reading.probed[0],
+            ];
+            assert!(want.iter().all(|v| v.is_finite() && *v >= 0.0), "{want:?}");
+            assert!(
+                p.mean_population > 0.0 && !ready.is_empty(),
+                "an empty point"
+            );
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "rate {rate}");
+        }
+        let none: [(String, fn() -> RunArtifacts); 0] = [];
+        let (m, readings) = sweep("join-rate", none, horizon, &[]);
+        assert!(readings.is_empty());
+        assert_eq!(m.table.lines().count(), 1, "{}", m.table);
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod spec;
 
 pub use channels::{zappers, ChannelRun, ChannelScenario};
 pub use cs_telemetry::TelemetryRun;
-pub use scenario::{run_all, ObservedRun, RunArtifacts, RunOptions, Scenario};
+pub use scenario::{ObservedRun, RunArtifacts, RunOptions, Scenario};
 pub use spec::{
     BaseSpec, ChaosSpec, CompiledSpec, PolicySpec, ScenarioSpec, ServerSpec, SpecError,
     SPEC_VERSION,

@@ -293,11 +293,6 @@ pub struct RunArtifacts {
     pub run_stats: RunStats,
 }
 
-/// Run many scenarios in parallel, preserving input order.
-pub fn run_all(scenarios: Vec<Scenario>) -> Vec<RunArtifacts> {
-    par_map(scenarios, |_, s| s.run())
-}
-
 /// Map `f(index, item)` over `items` on up to `available_parallelism`
 /// scoped threads, results in input order: workers pull the next
 /// `(item, result slot)` pair from a shared queue. The items share nothing
@@ -378,7 +373,7 @@ mod tests {
                 .with_window(SimTime::ZERO, SimTime::from_mins(10))
         };
         let seq: Vec<String> = (1..4).map(|s| mk(s).run().world.log.to_text()).collect();
-        let par = run_all((1..4).map(mk).collect());
+        let par = par_map((1..4).map(mk).collect(), |_, s| s.run());
         for (s, p) in seq.iter().zip(par.iter()) {
             assert_eq!(*s, p.world.log.to_text(), "threads must not change results");
         }

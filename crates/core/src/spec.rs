@@ -18,8 +18,8 @@
 //! `arrival_storm` changes the *arrival process* and therefore compiles
 //! to a [`Spike`] on the workload's rate profile before generation.
 
-use cs_net::{Bandwidth, ConnectivityPolicy};
-use cs_proto::{Event, Params};
+use cs_net::{Bandwidth, ConnectivityPolicy, NodeInfo};
+use cs_proto::{Event, Params, SessionRecord, MAX_PENDING_PER_NODE};
 use cs_sim::SimTime;
 use cs_workload::{FreeRiderModel, Spike};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -32,6 +32,26 @@ pub use events::ChaosSpec;
 
 /// The schema version this crate reads and writes.
 pub const SPEC_VERSION: u64 = 1;
+
+/// Bytes a run reserves per expected node id before its first event
+/// (`CsWorld::reserve_run` and the engine's queue pool): a session record,
+/// a `cs-net` registry entry, a lookup-spine slot and
+/// [`MAX_PENDING_PER_NODE`] queue entries (an event plus 16 B) — 612 B
+/// in all.
+const RESERVED_BYTES_PER_ID: usize = size_of::<SessionRecord>()
+    + size_of::<NodeInfo>()
+    + size_of::<u32>()
+    + MAX_PENDING_PER_NODE * (size_of::<Event>() + 16);
+
+/// The largest reservation [`ScenarioSpec::validate`] lets a run ask for:
+/// 16 GiB. The paper-scale day (`event_day(1.0)` over 24 h, 5.4 × 10⁶
+/// expected ids) reserves 3.3 GB and the 10⁵-peer rung 0.7 GB.
+const MAX_RUN_RESERVATION: usize = 16 << 30;
+
+// The bound keeps the expected node ids under half the 32-bit id space,
+// the precondition of the id-narrowing `expect`s in cs-net and
+// cs-workload.
+const _: () = assert!(MAX_RUN_RESERVATION / RESERVED_BYTES_PER_ID < (u32::MAX / 2) as usize);
 
 /// A scenario-file validation or parse failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -376,22 +396,21 @@ impl ScenarioSpec {
         for (i, e) in self.events.iter().enumerate() {
             e.validate(i, start, end, server_count)?;
         }
-        // Node ids are 32-bit: the source, each server and each session
-        // (an arrival or one of its re-entries) take a fresh one. Keep the
-        // expected count under half the range, so a draw above the mean
-        // still fits.
+        // The source, each server and each session (an arrival or one of
+        // its re-entries) take a fresh node id, and the run reserves its
+        // node-indexed tables and queue pool at the expected count.
         let sc = self.scenario();
         let retry_cap = sc.workload.sessions.retry_cap;
         let sessions = sc.workload.expected_arrivals(start, end) * f64::from(retry_cap + 1);
         let ids = sessions + 1.0 + sc.servers as f64;
-        if ids.is_nan() || ids > f64::from(u32::MAX / 2) {
+        let bytes = ids * RESERVED_BYTES_PER_ID as f64;
+        if bytes.is_nan() || bytes > MAX_RUN_RESERVATION as f64 {
             let (field, value) = match self.base {
                 BaseSpec::Steady { rate } => ("rate", rate),
                 BaseSpec::EventDay { scale } => ("scale", scale),
             };
             return err(format!(
-                "base: `{field}` {value:?} expects {ids:.3e} node ids over the window (arrivals, storms included, × (1 + {retry_cap} retries), plus source and servers); at most {} fit",
-                u32::MAX / 2
+                "base: `{field}` {value:?} expects {ids:.3e} node ids over the window (arrivals, storms included, × (1 + {retry_cap} retries), plus source and servers), a {bytes:.3e}-byte reservation at {RESERVED_BYTES_PER_ID} B each; at most {MAX_RUN_RESERVATION} B"
             ));
         }
         Ok(())

@@ -158,7 +158,12 @@ fn window_beyond_the_buffer_map_range_is_rejected() {
     let past = (f64::from(u32::MAX) / params.blocks_per_sec()).ceil() as u64;
     let edge = |s: u64| params.live_edge(SimTime::from_secs(s)).unwrap();
     assert!(edge(past) >= u64::from(u32::MAX) && edge(past - 1) < u64::from(u32::MAX));
-    let mut spec = ScenarioSpec::example();
+    // A rate low enough that 14 years of arrivals fit the reservation
+    // bound, so the buffer-map range is the bound under test.
+    let mut spec = ScenarioSpec {
+        base: BaseSpec::Steady { rate: 0.001 },
+        ..ScenarioSpec::example()
+    };
     spec.end_s = Some(past);
     let e = spec.validate().unwrap_err();
     assert!(e.0.contains("`end_s`") && e.0.contains("buffer-map"), "{e}");
@@ -169,8 +174,8 @@ fn window_beyond_the_buffer_map_range_is_rejected() {
 }
 
 /// Expected node ids — the expected arrivals, storms included, × (1 +
-/// `retry_cap`), plus the source and the servers — must stay within half
-/// the 32-bit id space, and the error names the base's rate knob.
+/// `retry_cap`), plus the source and the servers — must fit the run's
+/// reservation bound, and the error names the base's rate knob.
 #[test]
 fn window_beyond_the_node_id_space_is_rejected() {
     let steady = |rate: f64, events: Vec<ChaosSpec>| ScenarioSpec {
@@ -207,6 +212,47 @@ fn window_beyond_the_node_id_space_is_rejected() {
         ..ScenarioSpec::example()
     };
     named(&day, "`scale`");
+}
+
+/// The reservation bound sits between a steady hour at 0.999 and at
+/// 1.001 times the rate that reserves exactly [`MAX_RUN_RESERVATION`];
+/// the paper-scale day and the 10⁵-peer rung validate at 4× and 10×.
+#[test]
+fn reservation_beyond_the_bound_is_rejected() {
+    assert_eq!(RESERVED_BYTES_PER_ID, 120 + 40 + 4 + 8 * 56);
+    let steady = |rate: f64, end_s: u64, events: Vec<ChaosSpec>| ScenarioSpec {
+        base: BaseSpec::Steady { rate },
+        end_s: Some(end_s),
+        events,
+        ..ScenarioSpec::example()
+    };
+    let ids_per_rate = 3600.0 * 6.0; // an hour × (1 + 5 retries)
+    let edge = MAX_RUN_RESERVATION as f64 / RESERVED_BYTES_PER_ID as f64 / ids_per_rate;
+    assert_eq!(steady(edge * 0.999, 3600, Vec::new()).validate(), Ok(()));
+    let e = steady(edge * 1.001, 3600, Vec::new())
+        .validate()
+        .unwrap_err();
+    assert!(e.0.contains("`rate`") && e.0.contains("B each"), "{e}");
+    // `run --preset steady --rate 3e6 --minutes 1`: 1.1 × 10⁹ ids, inside
+    // the 32-bit id space, but a 661 GB reservation.
+    let e = steady(3e6, 60, Vec::new()).validate().unwrap_err();
+    assert!(
+        e.0.contains("`rate`") && e.0.contains("1.080e9 node ids"),
+        "{e}"
+    );
+    let day = |scale: f64| ScenarioSpec {
+        base: BaseSpec::EventDay { scale },
+        end_s: None,
+        events: Vec::new(),
+        ..ScenarioSpec::example()
+    };
+    assert_eq!(day(4.0).validate(), Ok(()));
+    let storm = ChaosSpec::ArrivalStorm {
+        at_s: 0,
+        duration_s: 120,
+        multiplier: 7.5,
+    };
+    assert_eq!(steady(1400.0, 520, vec![storm]).validate(), Ok(()));
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! membership manager for fresh candidates (`Membership::candidates` in
 //! [`crate::membership`]) and asks the stream manager for parent choices
 //! (`Stream::choose_parent` in [`crate::stream`]). It reads partners'
-//! buffer maps only through the tick's [`Exchange`].
+//! buffer maps only through the tick's `Exchange`.
 
 use cs_logging::{ActivityKind, Report};
 use cs_net::NodeId;

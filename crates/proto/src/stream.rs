@@ -13,7 +13,7 @@
 //! reads parent candidates from the partnership manager's partner set,
 //! and delegates partner maintenance and adaptation within `bm_tick` to
 //! `Partnership` in [`crate::partnership`]. `advertised_bm` is the
-//! buffer-map read; [`Exchange`] is one tick's gather of the partners'
+//! buffer-map read; `Exchange` is one tick's gather of the partners'
 //! rows, the only view of them the partnership manager gets.
 
 use cs_logging::{ActivityKind, Report};

@@ -5,7 +5,7 @@
 //! cargo run --release --example flash_crowd -- [--minutes 25]
 //! ```
 
-use coolstreaming::{experiments, run_all, Scenario};
+use coolstreaming::{experiments, Scenario};
 use cs_sim::SimTime;
 
 fn main() {
@@ -17,21 +17,15 @@ fn main() {
     let horizon = SimTime::from_mins(minutes);
     let rates = [0.1, 0.3, 0.6, 1.2, 2.4];
 
-    println!("sweeping steady join rates over {minutes} simulated minutes (in parallel)…\n");
-    let scenarios = rates
-        .iter()
-        .map(|&r| {
-            Scenario::steady(r)
-                .with_seed(99)
-                .with_window(SimTime::ZERO, horizon)
-        })
-        .collect();
-    let runs = run_all(scenarios);
-
+    println!("sweeping steady join rates over {minutes} simulated minutes…\n");
     println!("FIG9b continuity & startup vs join rate");
     println!("  rate(j/s)   mean-pop   continuity   ready-frac   median-ready   retried");
-    for (rate, artifacts) in rates.iter().zip(&runs) {
-        let view = experiments::LogView::build(artifacts);
+    for rate in rates {
+        let artifacts = Scenario::steady(rate)
+            .with_seed(99)
+            .with_window(SimTime::ZERO, horizon)
+            .run();
+        let view = experiments::LogView::build(&artifacts);
         let p = experiments::fig9_point(&view, SimTime::ZERO, horizon);
         let fig6 = experiments::fig6_startup(&view, SimTime::ZERO, SimTime::MAX);
         let fig10 = experiments::fig10_sessions(&view);
