@@ -95,8 +95,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err("--telemetry-window: must be at least 1 second".into());
     }
     let options = RunOptions {
-        check_invariants: args.has("check-invariants"),
-        invariant_stride: args.get("invariant-stride", 1)?,
+        invariant_stride: args
+            .has("check-invariants")
+            .then(|| args.get("invariant-stride", 1))
+            .transpose()?,
         // The manifest always records the hash; --trace-hash only prints it.
         trace_hash: true,
         record_spans: args.has("spans"),

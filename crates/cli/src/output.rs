@@ -6,11 +6,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use coolstreaming::experiments::{
-    self, fig10_sessions, fig3_user_types, fig5_population, fig6_startup, fig7_ready_by_period,
-    fig8_continuity, LogView,
-};
-use coolstreaming::{ObservedRun, RunArtifacts, ScenarioSpec, TelemetryRun};
+use coolstreaming::experiments::{fig10_sessions, fig6_startup, figures_text, LogView};
+use coolstreaming::{ObservedRun, ScenarioSpec, TelemetryRun};
 use cs_sim::SimTime;
 use cs_telemetry::{peak_rss_bytes, spans_to_jsonl, HeapLedger, HostFingerprint};
 use serde::Serialize;
@@ -67,38 +64,6 @@ pub struct Manifest {
     pub host: HostFingerprint,
     /// Every other file in the directory.
     pub files: Vec<&'static str>,
-}
-
-/// Render every figure into one text report.
-pub fn figures_text(artifacts: &RunArtifacts, view: &LogView, horizon: SimTime) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", fig3_user_types(artifacts, view).render());
-    let _ = writeln!(out, "{}", experiments::fig4_convergence(artifacts).render());
-    let pop = fig5_population(view, SimTime::ZERO, horizon, horizon / 96);
-    let _ = writeln!(out, "{}", experiments::render_population(&pop));
-    let _ = writeln!(
-        out,
-        "{}",
-        fig6_startup(view, SimTime::ZERO, SimTime::MAX).render()
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        experiments::render_fig7(&fig7_ready_by_period(view))
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        fig8_continuity(view, SimTime::ZERO, horizon, horizon / 24).render()
-    );
-    let _ = writeln!(out, "{}", fig10_sessions(view).render());
-    let _ = writeln!(out, "{}", experiments::overhead(artifacts).render());
-    let _ = writeln!(
-        out,
-        "{}",
-        experiments::resources(artifacts, horizon).render()
-    );
-    out
 }
 
 /// Session-level CSV (one row per log session).

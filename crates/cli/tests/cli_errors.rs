@@ -288,6 +288,29 @@ fn rate_beyond_the_reservation_bound_is_rejected() {
     assert!(e.contains("`rate`") && e.contains("B each"), "{e}");
 }
 
+/// An uplink of 18 446 744 073 710 Mbps wraps `u64` bps to 448 384 bps:
+/// the run used to exit 0 with a starved server's figures (and panic in
+/// the library where overflow checks are on).
+#[test]
+fn server_uplink_beyond_u64_bps_is_rejected() {
+    let path = temp_file(
+        "coolstream-cli-errors-huge-uplink.json",
+        r#"{"version": 1, "name": "huge_uplink", "base": {"kind": "steady", "rate": 0.2},
+            "end_s": 120, "servers": {"count": 1, "bw_mbps": 18446744073710}}"#,
+    );
+    let out = std::env::temp_dir().join("coolstream-cli-errors-huge-uplink-out");
+    let _ = std::fs::remove_dir_all(&out);
+    let e = stderr_of_fast_failure(
+        &["run", "--scenario", &path, "--out", &out.to_string_lossy()],
+        "a server uplink past u64 bps",
+    );
+    assert!(
+        e.contains("`bw_mbps`") && e.contains("18446744073710"),
+        "{e}"
+    );
+    assert!(!out.exists(), "a run directory was written");
+}
+
 /// `, "seed": 1, "seed": 2` appended to a scenario used to run with the
 /// file's first seed and exit 0: a spec that says one thing and runs
 /// another.

@@ -191,8 +191,7 @@ fn main() {
             plain,
             || {
                 observed(RunOptions {
-                    check_invariants: true,
-                    invariant_stride: stride,
+                    invariant_stride: Some(stride),
                     ..off
                 })
             },

@@ -657,6 +657,26 @@ pub fn peerwise(view: &LogView, age_bin: SimTime, max_age: SimTime) -> cs_analys
     cs_analysis::peerwise(&view.sessions, age_bin, max_age)
 }
 
+/// Every figure of one run over `[0, horizon)`, as one text report: the
+/// `figures.txt` of `coolstream run --out`.
+pub fn figures_text(artifacts: &RunArtifacts, view: &LogView, horizon: SimTime) -> String {
+    let population = fig5_population(view, SimTime::ZERO, horizon, horizon / 96);
+    [
+        fig3_user_types(artifacts, view).render(),
+        fig4_convergence(artifacts).render(),
+        render_population(&population),
+        fig6_startup(view, SimTime::ZERO, SimTime::MAX).render(),
+        render_fig7(&fig7_ready_by_period(view)),
+        fig8_continuity(view, SimTime::ZERO, horizon, horizon / 24).render(),
+        fig10_sessions(view).render(),
+        overhead(artifacts).render(),
+        resources(artifacts, horizon).render(),
+    ]
+    .iter()
+    .map(|figure| format!("{figure}\n"))
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use cs_analysis::LogSession;

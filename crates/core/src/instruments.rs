@@ -77,15 +77,13 @@ impl Instruments {
     /// run then attaches no observer at all). `start` anchors the
     /// telemetry window grid.
     pub fn new(options: &RunOptions, start: SimTime) -> Option<Self> {
-        let on = options.check_invariants
+        let on = options.invariant_stride.is_some()
             || options.trace_hash
             || options.record_spans
             || options.telemetry.is_some();
         on.then(|| Instruments {
             hasher: options.trace_hash.then(TraceHasher::new),
-            checker: options
-                .check_invariants
-                .then(|| InvariantChecker::with_stride(options.invariant_stride)),
+            checker: options.invariant_stride.map(InvariantChecker::with_stride),
             spans: options.record_spans.then(Vec::new),
             telemetry: options.telemetry.map(|cfg| Telemetry {
                 engine: EngineTelemetry::new(cfg, start),

@@ -242,13 +242,11 @@ impl Scenario {
 /// Instrumentation options for [`Scenario::run_observed`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
-    /// Validate the protocol state during the run with an
-    /// [`InvariantChecker`].
-    pub check_invariants: bool,
-    /// Validate after every `invariant_stride`-th event (0 and 1 both
-    /// mean every event). Full-state validation is `O(peers)`, so large
-    /// runs may want a stride.
-    pub invariant_stride: u64,
+    /// Validate the protocol state with an [`InvariantChecker`] after
+    /// every `n`-th event (`Some(0)` and `Some(1)` both mean every
+    /// event); `None` runs no checker. Full-state validation is
+    /// `O(peers)`, so large runs may want a stride.
+    pub invariant_stride: Option<u64>,
     /// Fold the dispatch sequence into a trace hash and report it.
     pub trace_hash: bool,
     /// Report one causal span per dispatched event (seq, cause,

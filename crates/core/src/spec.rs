@@ -82,39 +82,53 @@ fn fits_clock(field: impl std::fmt::Display, secs: u64) -> Result<(), SpecError>
     Ok(())
 }
 
-/// The versioned scenario document.
-#[derive(Clone, Debug, PartialEq)]
+/// The versioned scenario document. Its `version` key is no field: the
+/// derive (`remote = "Self"`) writes and reads the fields, and this
+/// type's `Serialize` / `Deserialize` impls wrap it with the version.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(remote = "Self", deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Scenario name (used for golden-hash lookup; required, non-empty).
     pub name: String,
     /// Free-form human description.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub description: Option<String>,
     /// The base scenario the overrides start from.
     pub base: BaseSpec,
     /// Master seed (default: the base scenario's).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Window start in seconds (default: the base scenario's).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub start_s: Option<u64>,
     /// Window end in seconds (default: the base scenario's horizon).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub end_s: Option<u64>,
     /// Dedicated server fleet override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub servers: Option<ServerSpec>,
     /// Public (direct-connect + UPnP) share of the class mix, `[0, 1]`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub public_share: Option<f64>,
     /// Workload-level free-rider probability, `[0, 1]` (see
     /// [`FreeRiderModel`]; distinct from the `free_rider` *event*, which
     /// converts the live population mid-run).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub free_rider_share: Option<f64>,
     /// Connectivity-policy override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub policy: Option<PolicySpec>,
     /// Topology snapshot cadence in seconds (`None` = base default).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub snapshot_s: Option<u64>,
     /// Residue of the removed sharded engine: always `None` in an
     /// accepted spec. The field survives only because `benchmark/`
     /// reads `spec.shards.is_none()` and could not be edited in the PR
     /// that removed sharding; it dies in the next benchmark PR.
+    #[serde(skip)]
     pub shards: Option<u64>,
     /// Timed chaos injections.
+    #[serde(default)]
     pub events: Vec<ChaosSpec>,
 }
 
@@ -123,7 +137,13 @@ const SHARDS_REMOVED: &str =
     "`shards` was removed: runs were byte-identical at every shard count; delete the field";
 
 /// The base scenario a spec starts from.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    tag = "kind",
+    rename_all = "snake_case",
+    rename = "base",
+    deny_unknown_fields
+)]
 pub enum BaseSpec {
     /// Constant arrival rate (arrivals/s), no program ends, 1 h horizon.
     Steady {
@@ -138,7 +158,8 @@ pub enum BaseSpec {
 }
 
 /// Dedicated-server fleet override.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServerSpec {
     /// Number of dedicated servers (≥ 1).
     pub count: usize,
@@ -147,7 +168,8 @@ pub struct ServerSpec {
 }
 
 /// Connectivity-policy override (both probabilities in `[0, 1]`).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PolicySpec {
     /// Probability a NAT-NAT pairing is traversable.
     pub nat_accept_prob: f64,
@@ -155,163 +177,46 @@ pub struct PolicySpec {
     pub firewall_accept_prob: f64,
 }
 
-// ---------------------------------------------------------------------
-// Strict Value-tree helpers
-//
-// The serde shim's derive ignores unknown fields (matching real serde's
-// default); the DSL wants the opposite, so all (de)serialization here is
-// hand-written over `serde::Value` with explicit key checks.
-
-fn as_map<'v>(v: &'v Value, what: &str) -> Result<&'v [(String, Value)], SpecError> {
-    v.as_map()
-        .ok_or_else(|| SpecError(format!("{what}: expected a JSON object")))
-}
-
-fn check_keys(m: &[(String, Value)], allowed: &[&str], what: &str) -> Result<(), SpecError> {
-    for (k, _) in m {
-        if !allowed.contains(&k.as_str()) {
-            return err(format!(
-                "{what}: unknown field `{k}` (allowed: {})",
-                allowed.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn get<'m>(m: &'m [(String, Value)], key: &str) -> Option<&'m Value> {
-    m.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn req<T: Deserialize>(m: &[(String, Value)], key: &str, what: &str) -> Result<T, SpecError> {
-    match get(m, key) {
-        Some(v) => T::from_value(v).map_err(|e| SpecError(format!("{what}: field `{key}`: {e}"))),
-        None => err(format!("{what}: missing required field `{key}`")),
-    }
-}
-
-fn opt<T: Deserialize>(
-    m: &[(String, Value)],
-    key: &str,
-    what: &str,
-) -> Result<Option<T>, SpecError> {
-    match get(m, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| SpecError(format!("{what}: field `{key}`: {e}"))),
-    }
-}
-
-fn push<T: Serialize>(m: &mut Vec<(String, Value)>, key: &str, v: &T) {
-    m.push((key.to_string(), v.to_value()));
-}
-
-fn push_opt<T: Serialize>(m: &mut Vec<(String, Value)>, key: &str, v: &Option<T>) {
-    if let Some(x) = v {
-        m.push((key.to_string(), x.to_value()));
-    }
-}
-
 impl Serialize for ScenarioSpec {
     fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        push(&mut m, "version", &SPEC_VERSION);
-        push(&mut m, "name", &self.name);
-        push_opt(&mut m, "description", &self.description);
-        push(&mut m, "base", &self.base);
-        push_opt(&mut m, "seed", &self.seed);
-        push_opt(&mut m, "start_s", &self.start_s);
-        push_opt(&mut m, "end_s", &self.end_s);
-        push_opt(&mut m, "servers", &self.servers);
-        push_opt(&mut m, "public_share", &self.public_share);
-        push_opt(&mut m, "free_rider_share", &self.free_rider_share);
-        push_opt(&mut m, "policy", &self.policy);
-        push_opt(&mut m, "snapshot_s", &self.snapshot_s);
-        push(&mut m, "events", &self.events);
-        Value::Map(m)
+        let mut doc = vec![("version".to_string(), SPEC_VERSION.to_value())];
+        if let Value::Map(fields) = ScenarioSpec::to_value(self) {
+            doc.extend(fields);
+        }
+        Value::Map(doc)
     }
 }
 
 impl Deserialize for ScenarioSpec {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        ScenarioSpec::from_tree(v).map_err(|e| SerdeError::custom(e.0))
+        let m = v
+            .as_map()
+            .ok_or_else(|| SerdeError::custom("expected a JSON object"))?;
+        if m.iter().any(|(k, _)| k == "shards") {
+            return Err(SerdeError::custom(SHARDS_REMOVED));
+        }
+        let (version, fields): (Vec<_>, Vec<_>) =
+            m.iter().cloned().partition(|(k, _)| k == "version");
+        let Some((_, version)) = version.first() else {
+            return Err(SerdeError::custom("missing required field `version`"));
+        };
+        let version =
+            u64::from_value(version).map_err(|e| SerdeError(format!("field `version`: {e}")))?;
+        if version != SPEC_VERSION {
+            return Err(SerdeError(format!(
+                "unsupported schema version {version} (this build reads version {SPEC_VERSION})"
+            )));
+        }
+        ScenarioSpec::from_value(&Value::Map(fields))
     }
 }
 
 impl ScenarioSpec {
-    /// Strictly parse a spec from a [`Value`] tree.
-    fn from_tree(v: &Value) -> Result<Self, SpecError> {
-        let m = as_map(v, "scenario")?;
-        if get(m, "shards").is_some() {
-            return err(SHARDS_REMOVED);
-        }
-        check_keys(
-            m,
-            &[
-                "version",
-                "name",
-                "description",
-                "base",
-                "seed",
-                "start_s",
-                "end_s",
-                "servers",
-                "public_share",
-                "free_rider_share",
-                "policy",
-                "snapshot_s",
-                "events",
-            ],
-            "scenario",
-        )?;
-        let version: u64 = req(m, "version", "scenario")?;
-        if version != SPEC_VERSION {
-            return err(format!(
-                "unsupported schema version {version} (this build reads version {SPEC_VERSION})"
-            ));
-        }
-        let base_v = get(m, "base")
-            .ok_or_else(|| SpecError("scenario: missing required field `base`".to_string()))?;
-        Ok(ScenarioSpec {
-            name: req(m, "name", "scenario")?,
-            description: opt(m, "description", "scenario")?,
-            base: BaseSpec::from_tree(base_v)?,
-            seed: opt(m, "seed", "scenario")?,
-            start_s: opt(m, "start_s", "scenario")?,
-            end_s: opt(m, "end_s", "scenario")?,
-            servers: match get(m, "servers") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(ServerSpec::from_tree(v)?),
-            },
-            public_share: opt(m, "public_share", "scenario")?,
-            free_rider_share: opt(m, "free_rider_share", "scenario")?,
-            policy: match get(m, "policy") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(PolicySpec::from_tree(v)?),
-            },
-            snapshot_s: opt(m, "snapshot_s", "scenario")?,
-            shards: None,
-            events: match get(m, "events") {
-                None | Some(Value::Null) => Vec::new(),
-                Some(v) => {
-                    let seq = v
-                        .as_seq()
-                        .ok_or_else(|| SpecError("`events`: expected an array".to_string()))?;
-                    seq.iter()
-                        .enumerate()
-                        .map(|(i, e)| ChaosSpec::from_tree(e, i))
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-            },
-        })
-    }
-
     /// Parse and validate a scenario file's text.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let tree: Value =
             serde_json::from_str(text).map_err(|e| SpecError(format!("malformed JSON: {e}")))?;
-        let spec = ScenarioSpec::from_tree(&tree)?;
+        let spec = <ScenarioSpec as Deserialize>::from_value(&tree).map_err(|e| SpecError(e.0))?;
         spec.validate()?;
         Ok(spec)
     }
@@ -371,6 +276,14 @@ impl ScenarioSpec {
             }
             if s.bw_mbps == 0 {
                 return err("servers: `bw_mbps` must be >= 1");
+            }
+            // `Bandwidth::mbps` multiplies unchecked.
+            const MAX_MBPS: u64 = u64::MAX / 1_000_000;
+            if s.bw_mbps > MAX_MBPS {
+                return err(format!(
+                    "servers: `bw_mbps` {} does not fit a 64-bit bits-per-second count (at most {MAX_MBPS})",
+                    s.bw_mbps
+                ));
             }
         }
         for (key, v) in [
@@ -598,86 +511,7 @@ pub struct CompiledSpec {
     pub injections: Vec<(SimTime, Event)>,
 }
 
-impl Serialize for BaseSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        match *self {
-            BaseSpec::Steady { rate } => {
-                push(&mut m, "kind", &"steady");
-                push(&mut m, "rate", &rate);
-            }
-            BaseSpec::EventDay { scale } => {
-                push(&mut m, "kind", &"event_day");
-                push(&mut m, "scale", &scale);
-            }
-        }
-        Value::Map(m)
-    }
-}
-
-impl BaseSpec {
-    fn from_tree(v: &Value) -> Result<Self, SpecError> {
-        let m = as_map(v, "base")?;
-        let kind: String = req(m, "kind", "base")?;
-        match kind.as_str() {
-            "steady" => {
-                check_keys(m, &["kind", "rate"], "base (steady)")?;
-                Ok(BaseSpec::Steady {
-                    rate: req(m, "rate", "base (steady)")?,
-                })
-            }
-            "event_day" => {
-                check_keys(m, &["kind", "scale"], "base (event_day)")?;
-                Ok(BaseSpec::EventDay {
-                    scale: req(m, "scale", "base (event_day)")?,
-                })
-            }
-            other => err(format!(
-                "base: unknown kind `{other}` (expected `steady` or `event_day`)"
-            )),
-        }
-    }
-}
-
-impl Serialize for ServerSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        push(&mut m, "count", &self.count);
-        push(&mut m, "bw_mbps", &self.bw_mbps);
-        Value::Map(m)
-    }
-}
-
-impl ServerSpec {
-    fn from_tree(v: &Value) -> Result<Self, SpecError> {
-        let m = as_map(v, "servers")?;
-        check_keys(m, &["count", "bw_mbps"], "servers")?;
-        Ok(ServerSpec {
-            count: req(m, "count", "servers")?,
-            bw_mbps: req(m, "bw_mbps", "servers")?,
-        })
-    }
-}
-
-impl Serialize for PolicySpec {
-    fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        push(&mut m, "nat_accept_prob", &self.nat_accept_prob);
-        push(&mut m, "firewall_accept_prob", &self.firewall_accept_prob);
-        Value::Map(m)
-    }
-}
-
 impl PolicySpec {
-    fn from_tree(v: &Value) -> Result<Self, SpecError> {
-        let m = as_map(v, "policy")?;
-        check_keys(m, &["nat_accept_prob", "firewall_accept_prob"], "policy")?;
-        Ok(PolicySpec {
-            nat_accept_prob: req(m, "nat_accept_prob", "policy")?,
-            firewall_accept_prob: req(m, "firewall_accept_prob", "policy")?,
-        })
-    }
-
     fn validate(&self, what: &str) -> Result<(), SpecError> {
         for (key, x) in [
             ("nat_accept_prob", self.nat_accept_prob),

@@ -1,16 +1,21 @@
-//! The `events` section of the scenario DSL: [`ChaosSpec`], its strict
-//! JSON (de)serialization, and per-event range validation. Compilation
-//! to engine events lives with the rest of the spec in the parent
-//! module; semantics of each injection live in `cs-proto`'s `Chaos`
-//! manager.
+//! The `events` section of the scenario DSL: [`ChaosSpec`] and
+//! per-event range validation. Compilation to engine events lives with
+//! the rest of the spec in the parent module; semantics of each
+//! injection live in `cs-proto`'s `Chaos` manager.
 
 use cs_sim::SimTime;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
-use super::{as_map, check_keys, err, fits_clock, opt, push, push_opt, req, PolicySpec, SpecError};
+use super::{err, fits_clock, PolicySpec, SpecError};
 
 /// One timed chaos injection from a spec's `events` array.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    tag = "kind",
+    rename_all = "snake_case",
+    rename = "event",
+    deny_unknown_fields
+)]
 pub enum ChaosSpec {
     /// Crash dedicated server `server` at `at_s`.
     ServerCrash {
@@ -43,6 +48,7 @@ pub enum ChaosSpec {
         /// Quadrant (0–3) taken out.
         quadrant: u8,
         /// Heal time, seconds (`None` = the partition never heals).
+        #[serde(skip_serializing_if = "Option::is_none")]
         heal_s: Option<u64>,
     },
     /// NAT-share shift: swap the connectivity policy.
@@ -110,132 +116,6 @@ impl ChaosSpec {
             ChaosSpec::UploadSkew { .. } => "upload_skew",
             ChaosSpec::FreeRider { .. } => "free_rider",
             ChaosSpec::ArrivalStorm { .. } => "arrival_storm",
-        }
-    }
-}
-
-impl Serialize for ChaosSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Vec::new();
-        push(&mut m, "kind", &self.kind());
-        push(&mut m, "at_s", &self.at_s());
-        match *self {
-            ChaosSpec::ServerCrash { server, .. } | ChaosSpec::ServerRestart { server, .. } => {
-                push(&mut m, "server", &server);
-            }
-            ChaosSpec::BootstrapDown { .. } | ChaosSpec::BootstrapUp { .. } => {}
-            ChaosSpec::RegionalOutage {
-                quadrant, heal_s, ..
-            } => {
-                push(&mut m, "quadrant", &quadrant);
-                push_opt(&mut m, "heal_s", &heal_s);
-            }
-            ChaosSpec::PolicyShift {
-                nat_accept_prob,
-                firewall_accept_prob,
-                ..
-            } => {
-                push(&mut m, "nat_accept_prob", &nat_accept_prob);
-                push(&mut m, "firewall_accept_prob", &firewall_accept_prob);
-            }
-            ChaosSpec::UploadSkew { num, den, .. } => {
-                push(&mut m, "num", &num);
-                push(&mut m, "den", &den);
-            }
-            ChaosSpec::FreeRider { per_mille, .. } => {
-                push(&mut m, "per_mille", &per_mille);
-            }
-            ChaosSpec::ArrivalStorm {
-                duration_s,
-                multiplier,
-                ..
-            } => {
-                push(&mut m, "duration_s", &duration_s);
-                push(&mut m, "multiplier", &multiplier);
-            }
-        }
-        Value::Map(m)
-    }
-}
-
-impl ChaosSpec {
-    pub(super) fn from_tree(v: &Value, index: usize) -> Result<Self, SpecError> {
-        let what = format!("events[{index}]");
-        let m = as_map(v, &what)?;
-        let kind: String = req(m, "kind", &what)?;
-        let what = format!("{what} ({kind})");
-        let checked = |allowed: &[&str]| check_keys(m, allowed, &what);
-        match kind.as_str() {
-            "server_crash" => {
-                checked(&["kind", "at_s", "server"])?;
-                Ok(ChaosSpec::ServerCrash {
-                    at_s: req(m, "at_s", &what)?,
-                    server: req(m, "server", &what)?,
-                })
-            }
-            "server_restart" => {
-                checked(&["kind", "at_s", "server"])?;
-                Ok(ChaosSpec::ServerRestart {
-                    at_s: req(m, "at_s", &what)?,
-                    server: req(m, "server", &what)?,
-                })
-            }
-            "bootstrap_down" => {
-                checked(&["kind", "at_s"])?;
-                Ok(ChaosSpec::BootstrapDown {
-                    at_s: req(m, "at_s", &what)?,
-                })
-            }
-            "bootstrap_up" => {
-                checked(&["kind", "at_s"])?;
-                Ok(ChaosSpec::BootstrapUp {
-                    at_s: req(m, "at_s", &what)?,
-                })
-            }
-            "regional_outage" => {
-                checked(&["kind", "at_s", "quadrant", "heal_s"])?;
-                Ok(ChaosSpec::RegionalOutage {
-                    at_s: req(m, "at_s", &what)?,
-                    quadrant: req(m, "quadrant", &what)?,
-                    heal_s: opt(m, "heal_s", &what)?,
-                })
-            }
-            "policy_shift" => {
-                checked(&["kind", "at_s", "nat_accept_prob", "firewall_accept_prob"])?;
-                Ok(ChaosSpec::PolicyShift {
-                    at_s: req(m, "at_s", &what)?,
-                    nat_accept_prob: req(m, "nat_accept_prob", &what)?,
-                    firewall_accept_prob: req(m, "firewall_accept_prob", &what)?,
-                })
-            }
-            "upload_skew" => {
-                checked(&["kind", "at_s", "num", "den"])?;
-                Ok(ChaosSpec::UploadSkew {
-                    at_s: req(m, "at_s", &what)?,
-                    num: req(m, "num", &what)?,
-                    den: req(m, "den", &what)?,
-                })
-            }
-            "free_rider" => {
-                checked(&["kind", "at_s", "per_mille"])?;
-                Ok(ChaosSpec::FreeRider {
-                    at_s: req(m, "at_s", &what)?,
-                    per_mille: req(m, "per_mille", &what)?,
-                })
-            }
-            "arrival_storm" => {
-                checked(&["kind", "at_s", "duration_s", "multiplier"])?;
-                Ok(ChaosSpec::ArrivalStorm {
-                    at_s: req(m, "at_s", &what)?,
-                    duration_s: req(m, "duration_s", &what)?,
-                    multiplier: req(m, "multiplier", &what)?,
-                })
-            }
-            other => err(format!(
-                "{what}: unknown event kind `{other}` (known: server_crash, server_restart, \
-                 bootstrap_down, bootstrap_up, regional_outage, policy_shift, upload_skew, \
-                 free_rider, arrival_storm)"
-            )),
         }
     }
 

@@ -255,6 +255,29 @@ fn reservation_beyond_the_bound_is_rejected() {
     assert_eq!(steady(1400.0, 520, vec![storm]).validate(), Ok(()));
 }
 
+/// `u64::MAX / 10⁶` Mbps is the largest uplink whose bps fit a `u64`;
+/// one more used to wrap to a 448 384 bps server (and panic where
+/// overflow checks are on).
+#[test]
+fn server_uplink_beyond_u64_bps_is_rejected() {
+    let with_bw = |bw_mbps: u64| ScenarioSpec {
+        servers: Some(ServerSpec { count: 1, bw_mbps }),
+        events: Vec::new(),
+        ..ScenarioSpec::example()
+    };
+    let max = with_bw(18_446_744_073_709);
+    assert_eq!(max.validate(), Ok(()));
+    assert_eq!(
+        max.compile().unwrap().scenario.server_bw.as_bps(),
+        18_446_744_073_709_000_000
+    );
+    let e = with_bw(18_446_744_073_710).validate().unwrap_err();
+    assert!(
+        e.0.contains("`bw_mbps` 18446744073710") && e.0.contains("at most 18446744073709"),
+        "{e}"
+    );
+}
+
 #[test]
 fn snapshot_period_beyond_the_clock_is_rejected() {
     let mut spec = ScenarioSpec::example();

@@ -190,3 +190,28 @@ fn generic_deserialize_is_strict_too() {
     let err = <ScenarioSpec as Deserialize>::from_value(&tree).unwrap_err();
     assert!(err.to_string().contains("unknown field `oops`"), "{err}");
 }
+
+/// Every shipped spec (the `scenarios/` library and the benchmark's
+/// workloads, read only) parses, and `to_json` of it is a fixed point.
+#[test]
+fn shipped_specs_render_to_a_fixed_point() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut checked = 0;
+    for dir in ["scenarios", "benchmark/workloads"] {
+        for entry in std::fs::read_dir(format!("{root}/{dir}")).expect("spec directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_none_or(|x| x != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable spec");
+            let spec = ScenarioSpec::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let json = spec.to_json();
+            let back = ScenarioSpec::from_json(&json).expect("rendered spec parses");
+            assert_eq!(back, spec, "{}", path.display());
+            assert_eq!(back.to_json(), json, "{}", path.display());
+            checked += 1;
+        }
+    }
+    assert!(checked >= 13, "only {checked} shipped specs found");
+}

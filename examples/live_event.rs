@@ -1,8 +1,8 @@
 //! Reproduce the 2006-09-27 broadcast day end to end and print every
-//! figure of the paper's evaluation section.
+//! figure of the paper's evaluation section, as `figures.txt` holds them.
 //!
 //! ```sh
-//! cargo run --release --example live_event -- [--scale 0.02] [--seed N] [--fig 3|4|5|6|7|8|10|all]
+//! cargo run --release --example live_event -- [--scale 0.02] [--seed N]
 //! ```
 //!
 //! `--scale 1.0` is the real event (~40 k peak concurrent users) — run it
@@ -23,7 +23,6 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 fn main() {
     let scale: f64 = arg("--scale", 0.02);
     let seed: u64 = arg("--seed", 20060927);
-    let fig: String = arg("--fig", "all".to_string());
 
     println!("simulating the full broadcast day at scale {scale} (seed {seed})…");
     let artifacts = Scenario::event_day(scale).with_seed(seed).run();
@@ -36,54 +35,7 @@ fn main() {
         w.log.len()
     );
     let view = experiments::LogView::build(&artifacts);
-    let day_end = SimTime::from_hours(24);
-
-    let want = |f: &str| fig == "all" || fig == f;
-
-    if want("3") || fig == "3a" || fig == "3b" {
-        println!(
-            "{}",
-            experiments::fig3_user_types(&artifacts, &view).render()
-        );
-    }
-    if want("4") {
-        println!("{}", experiments::fig4_convergence(&artifacts).render());
-    }
-    if want("5") {
-        let curve =
-            experiments::fig5_population(&view, SimTime::ZERO, day_end, SimTime::from_mins(15));
-        println!("{}", experiments::render_population(&curve));
-        let evening = experiments::fig5_population(
-            &view,
-            SimTime::from_hours(18),
-            day_end,
-            SimTime::from_mins(5),
-        );
-        println!("FIG5b evening zoom:");
-        println!("{}", experiments::render_population(&evening));
-    }
-    if want("6") {
-        // Peak-hours join cohort, as in the paper.
-        let fig6 =
-            experiments::fig6_startup(&view, SimTime::from_hours(18), SimTime::from_hours(22));
-        println!("{}", fig6.render());
-    }
-    if want("7") {
-        let periods = experiments::fig7_ready_by_period(&view);
-        println!("{}", experiments::render_fig7(&periods));
-    }
-    if want("8") {
-        let fig8 = experiments::fig8_continuity(
-            &view,
-            SimTime::from_hours(18),
-            day_end,
-            SimTime::from_mins(15),
-        );
-        println!("{}", fig8.render());
-    }
-    if want("10") {
-        println!("{}", experiments::fig10_sessions(&view).render());
-    }
-
+    let day = SimTime::from_hours(24);
+    print!("{}", experiments::figures_text(&artifacts, &view, day));
     println!("protocol counters: {:#?}", w.stats);
 }

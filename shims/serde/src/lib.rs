@@ -3,10 +3,10 @@
 //! Instead of the real serde's visitor architecture, this shim uses a
 //! simple value-tree contract: `Serialize` lowers a type to a [`Value`]
 //! and `Deserialize` rebuilds it from one. The companion `serde_derive`
-//! shim generates those impls for plain structs with named fields (no
-//! `#[serde(...)]` attributes — the workspace uses none), which become
-//! objects as under real serde's defaults, and the `serde_json` shim
-//! renders/parses the tree.
+//! shim generates those impls, with the `#[serde(…)]` attributes its
+//! crate doc lists, through the `field_*`, [`deny_unknown_fields`] and
+//! `variant_*` helpers below; the `serde_json` shim renders and parses
+//! the tree.
 
 #![forbid(unsafe_code)]
 
@@ -101,6 +101,48 @@ pub fn field_from_map<T: Deserialize>(m: &[(String, Value)], key: &str) -> Resul
     }
 }
 
+/// A `#[serde(default)]` field: an absent key reads as `T::default()`.
+pub fn field_or_default<T: Deserialize + Default>(
+    m: &[(String, Value)],
+    key: &str,
+) -> Result<T, Error> {
+    if m.iter().any(|(k, _)| k == key) {
+        field_from_map(m, key)
+    } else {
+        Ok(T::default())
+    }
+}
+
+/// `#[serde(deny_unknown_fields)]`: reject the first key of `m` outside
+/// `allowed`, naming it and listing `allowed`.
+pub fn deny_unknown_fields(m: &[(String, Value)], allowed: &[&str]) -> Result<(), Error> {
+    match m.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((k, _)) => Err(Error(format!(
+            "unknown field `{k}` (allowed: {})",
+            allowed.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The string under an internally tagged enum's `tag` key.
+pub fn variant_tag<'m>(m: &'m [(String, Value)], tag: &str) -> Result<&'m str, Error> {
+    match m.iter().find(|(k, _)| k == tag) {
+        Some((_, v)) => v
+            .as_str()
+            .ok_or_else(|| Error(format!("field `{tag}`: expected string, got {v:?}"))),
+        None => Err(Error(format!("missing field `{tag}`"))),
+    }
+}
+
+/// The error for a tag no variant of `what` carries.
+pub fn variant_unknown(what: &str, tag: &str, got: &str, expected: &[&str]) -> Error {
+    Error(format!(
+        "unknown {what} {tag} `{got}` (expected one of: {})",
+        expected.join(", ")
+    ))
+}
+
 // ---------------------------------------------------------------------
 // Primitive impls
 
@@ -113,12 +155,15 @@ macro_rules! impl_serde_int {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error(format!("{i} out of range for {}", stringify!($t)))),
-                    Value::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    _ => Err(Error(format!("expected integer, got {v:?}"))),
-                }
+                // An integral float converts exactly or not at all: `as`
+                // would saturate `-1.0` to 0 and `1e30` to the maximum.
+                let i = match v {
+                    Value::Int(i) => *i,
+                    Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e38 => *f as i128,
+                    _ => return Err(Error(format!("expected integer, got {v:?}"))),
+                };
+                <$t>::try_from(i)
+                    .map_err(|_| Error(format!("{i} out of range for {}", stringify!($t))))
             }
         }
     )*};
@@ -212,7 +257,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         let s = v
             .as_seq()
             .ok_or_else(|| Error(format!("expected sequence, got {v:?}")))?;
-        s.iter().map(T::from_value).collect()
+        s.iter()
+            .enumerate()
+            .map(|(i, x)| T::from_value(x).map_err(|e| Error(format!("element {i}: {e}"))))
+            .collect()
     }
 }
 
@@ -264,8 +312,7 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 
 // Identity impls: `Value` serializes to (a clone of) itself, matching
 // real serde_json where `Value: Serialize + Deserialize`. Lets callers
-// parse arbitrary JSON into the tree (`serde_json::from_str::<Value>`)
-// and validate it manually — e.g. strict unknown-field rejection.
+// parse arbitrary JSON into the tree (`serde_json::from_str::<Value>`).
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -312,5 +359,9 @@ mod tests {
             u64::MAX
         );
         assert_eq!(i64::from_value(&Value::Int(-5)).unwrap(), -5);
+        assert_eq!(u8::from_value(&Value::Float(255.0)).unwrap(), 255);
+        for f in [-1.0, 1e30, f64::INFINITY, 2.5] {
+            assert!(u64::from_value(&Value::Float(f)).is_err(), "{f}");
+        }
     }
 }

@@ -23,8 +23,7 @@ fn small_steady() -> Scenario {
 }
 
 const HASH_ONLY: RunOptions = RunOptions {
-    check_invariants: false,
-    invariant_stride: 0,
+    invariant_stride: None,
     trace_hash: true,
     record_spans: false,
     telemetry: None,
@@ -64,8 +63,7 @@ fn different_seeds_different_trace_hash() {
 #[test]
 fn observed_run_is_bit_identical_to_plain_run() {
     let observed = small_steady().run_observed(RunOptions {
-        check_invariants: true,
-        invariant_stride: 1,
+        invariant_stride: Some(1),
         trace_hash: true,
         record_spans: false,
         telemetry: None,
@@ -126,8 +124,7 @@ fn full_instrumentation_does_not_perturb_the_trace() {
         ..RunOptions::default()
     });
     let instrumented = hash_with(RunOptions {
-        check_invariants: true,
-        invariant_stride: 1,
+        invariant_stride: Some(1),
         trace_hash: true,
         record_spans: true,
         telemetry: Some(TelemetryConfig::default()),

@@ -28,8 +28,7 @@ fn check_golden(name: &str, hash: u64) {
 }
 
 const FULL_CHECK: RunOptions = RunOptions {
-    check_invariants: true,
-    invariant_stride: 1,
+    invariant_stride: Some(1),
     trace_hash: true,
     record_spans: false,
     telemetry: None,
@@ -102,8 +101,7 @@ fn harness_detects_planted_corruption() {
         .with_seed(301)
         .with_window(SimTime::ZERO, SimTime::from_mins(6))
         .run_observed(RunOptions {
-            check_invariants: true,
-            invariant_stride: 1,
+            invariant_stride: Some(1),
             trace_hash: false,
             record_spans: false,
             telemetry: None,

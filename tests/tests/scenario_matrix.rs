@@ -26,8 +26,7 @@ const SESSION_GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/s
 const SESSION_GOLDEN_HEADER: &str = "Golden FNV-1a of session_table_text(world.sessions) after finalize_sessions for scenarios/*.json. Regenerate: UPDATE_GOLDEN=1 cargo test -p cs-integration --test scenario_matrix";
 
 const FULL_CHECK: RunOptions = RunOptions {
-    check_invariants: true,
-    invariant_stride: 1,
+    invariant_stride: Some(1),
     trace_hash: true,
     record_spans: false,
     telemetry: None,
@@ -349,8 +348,7 @@ fn scenario_files_are_deterministic_in_seed() {
             compiled.scenario.seed = s;
         }
         let options = RunOptions {
-            check_invariants: false,
-            invariant_stride: 1,
+            invariant_stride: None,
             trace_hash: true,
             record_spans: false,
             telemetry: None,

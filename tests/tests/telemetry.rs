@@ -25,8 +25,7 @@ fn golden_steady() -> Scenario {
 
 fn with_telemetry(window_secs: u64) -> RunOptions {
     RunOptions {
-        check_invariants: false,
-        invariant_stride: 0,
+        invariant_stride: None,
         trace_hash: true,
         record_spans: false,
         telemetry: Some(TelemetryConfig {
@@ -36,8 +35,7 @@ fn with_telemetry(window_secs: u64) -> RunOptions {
 }
 
 const HASH_ONLY: RunOptions = RunOptions {
-    check_invariants: false,
-    invariant_stride: 0,
+    invariant_stride: None,
     trace_hash: true,
     record_spans: false,
     telemetry: None,
@@ -181,8 +179,7 @@ fn jsonl_and_profile_render_valid_shapes() {
 #[test]
 fn single_table_agrees_with_the_span_stream() {
     let run = golden_steady().run_observed(RunOptions {
-        check_invariants: true,
-        invariant_stride: 64,
+        invariant_stride: Some(64),
         trace_hash: true,
         record_spans: true,
         telemetry: Some(TelemetryConfig::default()),
