@@ -75,15 +75,6 @@ impl LogSession {
         (due > 0).then(|| 1.0 - missed as f64 / due as f64)
     }
 
-    /// A *normal session* in the paper's sense: the full
-    /// join → start-subscription → media-ready → leave sequence.
-    pub fn is_normal(&self) -> bool {
-        self.join.is_some()
-            && self.start_sub.is_some()
-            && self.ready.is_some()
-            && self.leave.is_some()
-    }
-
     /// §V.B user-type inference from local address + partner directions.
     /// Exactly the paper's rules — including their failure modes (e.g. a
     /// permissive NAT user with an incoming partner classifies as UPnP).
@@ -289,7 +280,6 @@ mod tests {
         let sessions = reconstruct(&reports);
         assert_eq!(sessions.len(), 1);
         let s = &sessions[0];
-        assert!(s.is_normal());
         assert_eq!(s.duration(), Some(SimTime::from_secs(590)));
         assert_eq!(s.start_sub_delay(), Some(SimTime::from_secs(3)));
         assert_eq!(s.ready_delay(), Some(SimTime::from_secs(15)));

@@ -34,7 +34,7 @@ use coolstreaming::experiments::{
 use coolstreaming::{BaseSpec, CompiledSpec, RunOptions, ScenarioSpec};
 use cs_logging::LogServer;
 use cs_sim::SimTime;
-use cs_telemetry::TelemetryConfig;
+use cs_telemetry::DEFAULT_WINDOW;
 
 /// `git describe --always --dirty` of the working tree, if git and a
 /// repository are available; `None` otherwise (e.g. release tarballs).
@@ -90,7 +90,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             "--telemetry-window has no effect without --telemetry; pass both or neither".into(),
         );
     }
-    let telemetry_window_s: u64 = args.get("telemetry-window", 300)?;
+    let telemetry_window_s: u64 = args.get("telemetry-window", DEFAULT_WINDOW.as_secs())?;
     if telemetry_window_s == 0 {
         return Err("--telemetry-window: must be at least 1 second".into());
     }
@@ -102,9 +102,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         // The manifest always records the hash; --trace-hash only prints it.
         trace_hash: true,
         record_spans: args.has("spans"),
-        telemetry: args.has("telemetry").then_some(TelemetryConfig {
-            window: SimTime::from_secs(telemetry_window_s),
-        }),
+        telemetry: args
+            .has("telemetry")
+            .then_some(SimTime::from_secs(telemetry_window_s)),
     };
     if !quiet {
         eprintln!(
@@ -141,6 +141,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let manifest = output::write_run_dir(
         &out,
         spec,
+        scenario.start,
         scenario.horizon,
         &observed,
         git_describe(),

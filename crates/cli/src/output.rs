@@ -106,6 +106,7 @@ pub fn sessions_csv(view: &LogView) -> String {
 pub fn write_run_dir(
     dir: &Path,
     spec: ScenarioSpec,
+    start: SimTime,
     horizon: SimTime,
     run: &ObservedRun,
     git_describe: Option<String>,
@@ -128,7 +129,7 @@ pub fn write_run_dir(
     put("log.txt", Some(artifacts.world.log.as_text()))?;
     put(
         "figures.txt",
-        Some(&figures_text(artifacts, &view, horizon)),
+        Some(&figures_text(artifacts, &view, start, horizon)),
     )?;
     put("sessions.csv", Some(&sessions_csv(&view)))?;
     let tel = run.telemetry.as_ref();
@@ -188,7 +189,7 @@ pub fn write_run_dir(
 mod tests {
     use super::*;
     use coolstreaming::{RunOptions, Scenario};
-    use cs_telemetry::TelemetryConfig;
+    use cs_telemetry::DEFAULT_WINDOW;
 
     fn run_with(options: RunOptions) -> (ObservedRun, LogView) {
         let run = Scenario::steady(0.3)
@@ -205,7 +206,16 @@ mod tests {
 
     fn write(dir: &Path, run: &ObservedRun) -> Manifest {
         let spec = ScenarioSpec::example();
-        write_run_dir(dir, spec, SimTime::from_mins(8), run, None, 1).unwrap()
+        write_run_dir(
+            dir,
+            spec,
+            SimTime::ZERO,
+            SimTime::from_mins(8),
+            run,
+            None,
+            1,
+        )
+        .unwrap()
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -236,7 +246,7 @@ mod tests {
     #[test]
     fn figures_text_contains_every_figure() {
         let (run, view) = tiny();
-        let text = figures_text(&run.artifacts, &view, SimTime::from_mins(8));
+        let text = figures_text(&run.artifacts, &view, SimTime::ZERO, SimTime::from_mins(8));
         for marker in [
             "FIG3a",
             "FIG4",
@@ -265,7 +275,7 @@ mod tests {
         let dir = temp_dir("files");
         let (full, _) = run_with(RunOptions {
             record_spans: true,
-            telemetry: Some(TelemetryConfig::default()),
+            telemetry: Some(DEFAULT_WINDOW),
             ..RunOptions::default()
         });
         assert_eq!(write(&dir, &full).files.len(), 6);

@@ -180,6 +180,19 @@ fn scenario_file_naming_shards_gets_the_removal_message() {
     assert!(e.contains("`shards` was removed"), "{e}");
 }
 
+#[test]
+fn misspelt_top_level_key_lists_version_among_the_allowed() {
+    let text = std::fs::read_to_string(SCENARIO)
+        .expect("scenario library present")
+        .replacen("\"name\"", "\"nmae\"", 1);
+    let path = temp_file("coolstream-cli-errors-nmae.json", &text);
+    let e = stderr_of_failure(&["config", "--scenario", &path]);
+    assert!(
+        e.contains("unknown field `nmae` (allowed: version, name,"),
+        "{e}"
+    );
+}
+
 /// Write `text` to a fresh temp file and return its path.
 fn temp_file(name: &str, text: &str) -> String {
     let path = std::env::temp_dir().join(name);

@@ -3,6 +3,7 @@
 //! them, each run-level fact is recorded once, and the manifest's
 //! embedded spec reproduces the run.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -66,18 +67,32 @@ fn int(v: &Value) -> u64 {
     }
 }
 
-/// The per-kind `engine_events_total` counters of the last line of
-/// `metrics.jsonl`, summed.
-fn events_in_last_window(dir: &Path) -> u64 {
+/// An integer, or `None` for `null`.
+fn opt_int(v: &Value) -> Option<u64> {
+    (v != &Value::Null).then(|| int(v))
+}
+
+/// The per-kind `engine_events_total{kind=…}` totals of the last line of
+/// `metrics.jsonl`, by kind.
+fn totals_in_last_window(dir: &Path) -> BTreeMap<String, u64> {
     let metrics = read(dir.join("metrics.jsonl"));
     let last: Value = serde_json::from_str(metrics.lines().last().expect("a window")).unwrap();
     field(&last, "counters")
         .as_map()
         .expect("counters")
         .iter()
-        .filter(|(series, _)| series.starts_with("engine_events_total"))
-        .map(|(_, v)| int(field(v, "total")))
-        .sum()
+        .filter_map(|(series, v)| {
+            let kind = series.strip_prefix("engine_events_total{kind=")?;
+            Some((
+                kind.trim_end_matches('}').to_string(),
+                int(field(v, "total")),
+            ))
+        })
+        .collect()
+}
+
+fn events_in_last_window(dir: &Path) -> u64 {
+    totals_in_last_window(dir).values().sum()
 }
 
 #[test]
@@ -154,6 +169,120 @@ fn run_directory_is_indexed_complete_and_says_each_fact_once() {
     assert_eq!(read(again.join("log.txt")), read(out.join("log.txt")));
 }
 
+/// The files of one run agree with each other: the run totals, the
+/// per-kind profile against the per-kind counts, the heap ledger against
+/// the resident set and `log.txt`, and the span header.
+#[test]
+fn run_directory_files_agree_with_each_other() {
+    let cwd = scratch("agree");
+    let out = cwd.join("run");
+    let flags = [
+        "--preset",
+        "steady",
+        "--rate",
+        "0.4",
+        "--minutes",
+        "6",
+        "--seed",
+        "301",
+        "--telemetry",
+        "--spans",
+    ];
+    run(&cwd, &out, &flags);
+    let manifest = manifest_of(&out);
+    let events = int(field(&manifest, "events"));
+    assert!(events > 0);
+    // The golden steady-state hash (`tests/golden/trace_hashes.txt`).
+    assert_eq!(
+        field(&manifest, "trace_hash").as_str(),
+        Some("fd00912eb62e19b3")
+    );
+    let host_arch = field(field(&manifest, "host"), "arch").as_str();
+    assert!(host_arch.is_some_and(|arch| !arch.is_empty()));
+    let share = |key| match field(&manifest, key) {
+        Value::Float(x) => *x,
+        other => panic!("`{key}`: expected a number, got {other:?}"),
+    };
+    let continuity = share("mean_continuity");
+    assert!(0.0 < continuity && continuity <= 1.0, "{continuity}");
+    assert!(share("ready_median_s") > 0.0);
+
+    // profile.json scales each kind's timed nanoseconds by the exact count
+    // in metrics.jsonl's last window; each manager sums its kinds.
+    let totals = totals_in_last_window(&out);
+    let profile: Value = serde_json::from_str(&read(out.join("profile.json"))).unwrap();
+    let kinds = field(&profile, "kinds").as_map().expect("kinds");
+    assert_eq!(kinds.len(), totals.len(), "one row per dispatched kind");
+    let mut managers: BTreeMap<&str, Option<u64>> = BTreeMap::new();
+    let mut timed_sum = 0;
+    for (kind, row) in kinds {
+        let total = totals[kind];
+        let (timed, timed_ns) = (int(field(row, "timed")), int(field(row, "timed_ns")));
+        timed_sum += timed;
+        let busy = (timed > 0).then(|| timed_ns * total / timed);
+        let want = busy.map_or(Value::Null, |b| Value::Int(b.into()));
+        assert_eq!(field(row, "busy_ns"), &want, "{kind}");
+        let manager = field(row, "manager").as_str().expect("manager");
+        let sum = managers.entry(manager).or_default();
+        if let Some(b) = busy {
+            *sum = Some(sum.unwrap_or(0) + b);
+        }
+    }
+    assert_eq!(timed_sum, events.div_ceil(128));
+    let profiled: BTreeMap<&str, Option<u64>> = field(&profile, "managers")
+        .as_map()
+        .expect("managers")
+        .iter()
+        .map(|(m, v)| (m.as_str(), opt_int(field(v, "busy_ns"))))
+        .collect();
+    assert_eq!(profiled, managers);
+
+    // The byte ledger: every owner is counted, the owners fit in the
+    // resident set, and the remainder is what none of them explains.
+    let heap = field(&manifest, "heap");
+    let owners = field(heap, "owners").as_map().expect("owners");
+    let names: BTreeSet<&str> = owners.iter().map(|(k, _)| k.as_str()).collect();
+    let want = BTreeSet::from([
+        "arena_columns",
+        "lookup_spine",
+        "mcaches",
+        "partner_tables",
+        "child_lists",
+        "holes",
+        "session_table",
+        "cs_net_registry",
+        "bootstrap_roster",
+        "log_text",
+        "snapshots",
+        "queue_pool",
+    ]);
+    assert_eq!(names, want);
+    let reserved = field(heap, "reserved").as_map().expect("reserved");
+    assert!(
+        reserved.iter().all(|(k, _)| want.contains(k.as_str())),
+        "{reserved:?}"
+    );
+    // `run --out` writes the log text verbatim: `log_text` is its size.
+    let log_size = std::fs::metadata(out.join("log.txt"))
+        .expect("log.txt")
+        .len();
+    assert_eq!(int(field(field(heap, "owners"), "log_text")), log_size);
+    let held: u64 = owners.iter().map(|(_, v)| int(v)).sum();
+    let rss = int(field(heap, "vm_rss_bytes"));
+    assert!(0 < held && held <= rss, "{held} B held, {rss} B resident");
+    assert_eq!(
+        field(heap, "unexplained_bytes"),
+        &Value::Int((rss - held).into())
+    );
+
+    // One span per dispatch, under a header that says how many.
+    let spans = read(out.join("spans.jsonl"));
+    let header: Value = serde_json::from_str(spans.lines().next().expect("header")).unwrap();
+    assert_eq!(field(&header, "schema").as_str(), Some("cs-spans/1"));
+    assert_eq!(int(field(&header, "spans")), events);
+    assert_eq!(spans.lines().count() as u64 - 1, events);
+}
+
 /// Every library scenario ends on the default 300 s window grid, where
 /// the events dispatched at exactly the horizon after the one that closed
 /// the last full window used to be in no line at all.
@@ -191,4 +320,61 @@ fn a_run_too_short_to_measure_says_so() {
     let manifest = manifest_of(&out);
     assert_eq!(field(&manifest, "mean_continuity"), &Value::Null);
     assert_eq!(field(&manifest, "ready_median_s"), &Value::Null);
+}
+
+/// The lines of `figures.txt`'s section headed `title`, up to the blank
+/// line that ends it.
+fn section(figures: &str, title: &str) -> Vec<String> {
+    let mut lines = figures.lines().skip_while(|l| !l.starts_with(title));
+    assert!(lines.next().is_some(), "no {title} in figures.txt");
+    lines
+        .take_while(|l| !l.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// FIG5 and FIG8 bin the run's window, not `[0, horizon)`: a 15-minute
+/// run a day in has a population curve, and its continuity falls into as
+/// many bins per class as the same run at the start of the day.
+#[test]
+fn figures_bin_the_run_window_not_the_day() {
+    let cwd = scratch("shifted");
+    let figures = |start_h: &str, end_h: &str| {
+        let out = cwd.join(start_h);
+        let flags = ["--preset", "steady", "--rate", "0.4", "--seed", "7"];
+        let window = ["--start-h", start_h, "--end-h", end_h];
+        run(&cwd, &out, &[&flags[..], &window[..]].concat());
+        read(out.join("figures.txt"))
+    };
+    let (at_zero, a_day_on) = (figures("0", "0.25"), figures("24", "24.25"));
+
+    // A row is `  <time>  <count>  <bar>`; the counts are the window's.
+    let counts = |figures: &str| -> Vec<u64> {
+        section(figures, "FIG5")
+            .iter()
+            .map(|row| {
+                row.split_whitespace()
+                    .nth(1)
+                    .expect("count")
+                    .parse()
+                    .unwrap()
+            })
+            .collect()
+    };
+    let shifted = counts(&a_day_on);
+    assert!(shifted.iter().any(|&c| c > 0), "empty FIG5: {a_day_on}");
+    assert_eq!(shifted.len(), counts(&at_zero).len());
+
+    // A row is `  <class>  <mean>%  (<n> bins)`.
+    let bins = |figures: &str| -> Vec<(String, String)> {
+        section(figures, "FIG8")
+            .iter()
+            .map(|row| {
+                let words: Vec<&str> = row.split_whitespace().collect();
+                (words[0].to_string(), words[2].to_string())
+            })
+            .collect()
+    };
+    assert!(!bins(&at_zero).is_empty());
+    assert_eq!(bins(&a_day_on), bins(&at_zero));
 }

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use coolstreaming::{RunOptions, Scenario};
 use cs_sim::{Ctx, Engine, Observer, SimTime, TraceHasher, World};
-use cs_telemetry::TelemetryConfig;
+use cs_telemetry::DEFAULT_WINDOW;
 
 /// Paired rounds per gated row (odd, so the median is a measured ratio).
 /// One side of one round is one call, ≈ 10 ms: short rounds keep the two
@@ -172,7 +172,7 @@ fn main() {
     });
     let full = paired_ratio("scenario/telemetry_full", ROUNDS, plain, || {
         observed(RunOptions {
-            telemetry: Some(TelemetryConfig::default()),
+            telemetry: Some(DEFAULT_WINDOW),
             ..off
         })
     });

@@ -657,17 +657,24 @@ pub fn peerwise(view: &LogView, age_bin: SimTime, max_age: SimTime) -> cs_analys
     cs_analysis::peerwise(&view.sessions, age_bin, max_age)
 }
 
-/// Every figure of one run over `[0, horizon)`, as one text report: the
-/// `figures.txt` of `coolstream run --out`.
-pub fn figures_text(artifacts: &RunArtifacts, view: &LogView, horizon: SimTime) -> String {
-    let population = fig5_population(view, SimTime::ZERO, horizon, horizon / 96);
+/// Every figure of one run over its window `[start, horizon)`, as one
+/// text report: the `figures.txt` of `coolstream run --out`. FIG5 and
+/// FIG8 bin the window into 96 and 24 equal bins.
+pub fn figures_text(
+    artifacts: &RunArtifacts,
+    view: &LogView,
+    start: SimTime,
+    horizon: SimTime,
+) -> String {
+    let span = horizon.saturating_sub(start);
+    let population = fig5_population(view, start, horizon, span / 96);
     [
         fig3_user_types(artifacts, view).render(),
         fig4_convergence(artifacts).render(),
         render_population(&population),
         fig6_startup(view, SimTime::ZERO, SimTime::MAX).render(),
         render_fig7(&fig7_ready_by_period(view)),
-        fig8_continuity(view, SimTime::ZERO, horizon, horizon / 24).render(),
+        fig8_continuity(view, start, horizon, span / 24).render(),
         fig10_sessions(view).render(),
         overhead(artifacts).render(),
         resources(artifacts, horizon).render(),

@@ -64,6 +64,7 @@ pub(super) fn rows() -> Vec<Row> {
         Row { name: "ABL-CRASH", ids: &["ABL-CRASH"], run: abl_crash, checks: vec![
             Check::new("ABL-CRASH", "crash_window_ci", Gt, 0.85, "the crash is a dip, not an outage"),
             Check::new("ABL-CRASH", "after_minus_baseline_ci", Gt, -0.03, "the overlay recovers to baseline"),
+            Check::new("ABL-CRASH", "after_minus_baseline_same_window_ci", Gt, -0.03, "the crash costs little against the same window"),
             Check::new("ABL-CRASH", "streaming_share", Gt, 0.9, "live peers are streaming after the crash"),
         ] },
         Row { name: "EXT-CHANNELS", ids: &["EXT-CHANNELS"], run: ext_channels, checks: vec![
@@ -398,6 +399,7 @@ fn abl_crash(r: u64) -> Measured {
     let during = mean_ci(&hit, 15, 20);
     let after = mean_ci(&hit, 22, 30);
     let base_during = mean_ci(&base, 15, 20);
+    let base_after = mean_ci(&base, 22, 30);
     // Everyone still streaming at the horizon.
     let world = &hit.world;
     let users = || world.net.iter_alive().filter(|n| n.class.is_user());
@@ -412,11 +414,12 @@ fn abl_crash(r: u64) -> Measured {
     let mut m = Measured::default();
     let _ = writeln!(
         m.table,
-        "  continuity: before {}  crash-window {}  after {}  (baseline {})",
+        "  continuity: before {}  crash-window {}  after {}  (baseline {} then {})",
         pct(before),
         pct(during),
         pct(after),
-        pct(base_during)
+        pct(base_during),
+        pct(base_after)
     );
     let _ = writeln!(
         m.table,
@@ -424,6 +427,9 @@ fn abl_crash(r: u64) -> Measured {
     );
     m.set("crash_window_ci", during);
     m.set("after_minus_baseline_ci", after - base_during);
+    // The control: both runs over minutes 22–30, so the uncrashed run's
+    // own fall between the windows cancels.
+    m.set("after_minus_baseline_same_window_ci", after - base_after);
     m.set("streaming_share", streaming as f64 / alive as f64);
     m
 }

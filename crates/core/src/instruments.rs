@@ -85,8 +85,8 @@ impl Instruments {
             hasher: options.trace_hash.then(TraceHasher::new),
             checker: options.invariant_stride.map(InvariantChecker::with_stride),
             spans: options.record_spans.then(Vec::new),
-            telemetry: options.telemetry.map(|cfg| Telemetry {
-                engine: EngineTelemetry::new(cfg, start),
+            telemetry: options.telemetry.map(|window| Telemetry {
+                engine: EngineTelemetry::new(window, start),
                 sampler: ProtoTelemetry::default(),
             }),
             ..Instruments::default()

@@ -18,7 +18,7 @@ use std::sync::{Mutex, PoisonError};
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network};
 use cs_proto::{finalize_sessions, CsWorld, Event, InvariantChecker, Params, MAX_PENDING_PER_NODE};
 use cs_sim::{Engine, RunStats, SimTime};
-use cs_telemetry::{HeapLedger, SpanRecord, TelemetryConfig, TelemetryRun};
+use cs_telemetry::{HeapLedger, SpanRecord, TelemetryRun};
 use cs_workload::Workload;
 
 use crate::instruments::Instruments;
@@ -115,12 +115,6 @@ impl Scenario {
     pub fn with_servers(mut self, count: usize, bw: Bandwidth) -> Self {
         self.servers = count;
         self.server_bw = bw;
-        self
-    }
-
-    /// Set the snapshot cadence.
-    pub fn with_snapshots(mut self, interval: Option<SimTime>) -> Self {
-        self.snapshot_interval = interval;
         self
     }
 
@@ -254,10 +248,12 @@ pub struct RunOptions {
     /// like the other sinks.
     pub record_spans: bool,
     /// Record telemetry (engine counters, the `cs-proto` protocol
-    /// sampler, the dispatch profile) and report windowed metric
-    /// snapshots. Like the other sinks this is passive: artifacts and
-    /// trace hashes are identical with telemetry on or off.
-    pub telemetry: Option<TelemetryConfig>,
+    /// sampler, the dispatch profile) and report one metric snapshot per
+    /// window of this length (`SimTime::ZERO` means
+    /// [`cs_telemetry::DEFAULT_WINDOW`], the 5-minute report cadence).
+    /// Like the other sinks this is passive: artifacts and trace hashes
+    /// are identical with telemetry on or off.
+    pub telemetry: Option<SimTime>,
 }
 
 /// The output of an instrumented run.

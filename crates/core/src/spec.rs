@@ -207,7 +207,16 @@ impl Deserialize for ScenarioSpec {
                 "unsupported schema version {version} (this build reads version {SPEC_VERSION})"
             )));
         }
-        ScenarioSpec::from_value(&Value::Map(fields))
+        // The derive lists the keys it reads; `version` is read here, so a
+        // misspelt top-level key is told it too. A nested field's error
+        // starts with ``field `name`:`` and keeps its own list.
+        ScenarioSpec::from_value(&Value::Map(fields)).map_err(|SerdeError(e)| {
+            if e.starts_with("unknown field ") {
+                SerdeError(e.replacen("(allowed: ", "(allowed: version, ", 1))
+            } else {
+                SerdeError(e)
+            }
+        })
     }
 }
 

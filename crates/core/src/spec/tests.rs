@@ -22,6 +22,23 @@ fn unknown_top_level_field_is_rejected() {
 }
 
 #[test]
+fn unknown_top_level_field_lists_version_among_the_allowed() {
+    let json = ScenarioSpec::example()
+        .to_json()
+        .replacen("\"name\"", "\"nmae\"", 1);
+    let e = ScenarioSpec::from_json(&json).unwrap_err();
+    assert_eq!(
+        e.0,
+        "unknown field `nmae` (allowed: version, name, description, base, seed, start_s, \
+         end_s, servers, public_share, free_rider_share, policy, snapshot_s, events)"
+    );
+    // A nested object's list is its own.
+    let json = r#"{"version": 1, "name": "x", "base": {"kind": "steady", "rte": 0.5}}"#;
+    let e = ScenarioSpec::from_json(json).unwrap_err();
+    assert!(e.0.contains("(allowed: kind, rate)"), "{e}");
+}
+
+#[test]
 fn removed_shards_field_is_rejected_by_name() {
     let minimal = r#"{"version": 1, "name": "x", "base": {"kind": "steady", "rate": 0.5}}"#;
     let spec = ScenarioSpec::from_json(minimal).unwrap();

@@ -38,6 +38,3 @@ mod server;
 pub use codec::CodecError;
 pub use report::{ActivityKind, Report, ReportError, UserId};
 pub use server::LogServer;
-
-/// The paper's status-report period: 5 minutes.
-pub const STATUS_REPORT_INTERVAL: cs_sim::SimTime = cs_sim::SimTime::from_secs(300);

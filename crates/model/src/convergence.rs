@@ -16,9 +16,8 @@
 //! * under a **public** parent, it adapts with the much smaller
 //!   `p_leave_public` (churn of the parent itself).
 //!
-//! The stationary public-parent share and the convergence rate follow in
-//! closed form and are compared against simulated snapshot series by the
-//! FIG4 bench.
+//! The stationary public-parent share follows in closed form; FIG4
+//! compares it against the simulated snapshot series.
 
 /// Two-state parent-type Markov chain.
 #[derive(Clone, Copy, Debug)]
@@ -81,26 +80,6 @@ impl ConvergenceModel {
         }
         up / (up + down)
     }
-
-    /// Geometric convergence rate per round (distance to the stationary
-    /// point shrinks by this factor).
-    pub fn contraction(&self) -> f64 {
-        1.0 - self.p_leave_private * self.alpha - self.p_leave_public * (1.0 - self.alpha)
-    }
-
-    /// Rounds needed for the public share to get within `eps` of the
-    /// stationary value, starting from `f0`.
-    pub fn rounds_to_converge(&self, f0: f64, eps: f64) -> u32 {
-        let target = self.stationary();
-        let mut f = f0.clamp(0.0, 1.0);
-        for n in 0..100_000 {
-            if (f - target).abs() <= eps {
-                return n;
-            }
-            f = self.step(f);
-        }
-        100_000
-    }
 }
 
 #[cfg(test)]
@@ -138,18 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn contraction_bounds_convergence() {
-        let m = model();
-        let c = m.contraction();
-        assert!((0.0..1.0).contains(&c));
-        let f0 = 0.0;
-        let stat = m.stationary();
-        let after10 = m.share_after(f0, 10);
-        let bound = (f0 - stat).abs() * c.powi(10);
-        assert!((after10 - stat).abs() <= bound + 1e-9);
-    }
-
-    #[test]
     fn no_public_capacity_means_no_convergence() {
         let m = ConvergenceModel {
             p_leave_private: 0.5,
@@ -167,13 +134,5 @@ mod tests {
         let m = ConvergenceModel::from_competition(1, 12, 96.0, 20.0, 1.6, 0.6, 0.01);
         assert!(m.p_leave_private > m.p_leave_public);
         assert!(m.stationary() > 0.5);
-    }
-
-    #[test]
-    fn rounds_to_converge_counts() {
-        let m = model();
-        let r = m.rounds_to_converge(0.0, 0.01);
-        assert!(r > 0 && r < 100, "rounds {r}");
-        assert_eq!(m.rounds_to_converge(m.stationary(), 0.01), 0);
     }
 }

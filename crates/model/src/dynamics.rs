@@ -71,32 +71,6 @@ pub fn p_lose_within_empirical(
     losing as f64 / slacks.len() as f64
 }
 
-/// A worked scenario combining the equations — used by the EQ3-6 bench to
-/// print model-vs-simulation rows.
-#[derive(Clone, Copy, Debug)]
-pub struct CompetitionScenario {
-    /// Parent's out-going sub-stream degree before the new child.
-    pub d_p: u32,
-    /// Out-of-sync threshold in blocks.
-    pub ts: f64,
-    /// Cool-down period in seconds.
-    pub ta: f64,
-    /// Sub-stream block rate (R/K in blocks per second).
-    pub substream_rate: f64,
-}
-
-impl CompetitionScenario {
-    /// The diluted per-subscription rate once the extra child joins.
-    pub fn diluted(&self) -> f64 {
-        diluted_rate(self.d_p, self.substream_rate)
-    }
-
-    /// Probability a child loses within the cool-down (uniform slack).
-    pub fn p_lose(&self) -> f64 {
-        p_lose_within(self.d_p, self.ts, self.ta, self.substream_rate)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +146,5 @@ mod tests {
         let emp = p_lose_within_empirical(d, ts, ta, RATE, &slacks);
         let model = p_lose_within(d, ts, ta, RATE);
         assert!((emp - model).abs() < 0.01, "emp {emp} vs model {model}");
-    }
-
-    #[test]
-    fn scenario_helpers() {
-        let s = CompetitionScenario {
-            d_p: 3,
-            ts: 96.0,
-            ta: 20.0,
-            substream_rate: RATE,
-        };
-        assert!((s.diluted() - 1.2).abs() < 1e-12);
-        assert!((0.0..=1.0).contains(&s.p_lose()));
     }
 }

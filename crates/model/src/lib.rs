@@ -35,5 +35,5 @@ pub mod dynamics;
 pub use convergence::ConvergenceModel;
 pub use dynamics::{
     catch_up_time, diluted_rate, p_lose_within, p_lose_within_empirical, starvation_time,
-    time_to_lose, CompetitionScenario,
+    time_to_lose,
 };

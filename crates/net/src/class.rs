@@ -29,14 +29,6 @@ pub enum NodeClass {
 }
 
 impl NodeClass {
-    /// All *user* classes, in the order used by figures and reports.
-    pub const USER_CLASSES: [NodeClass; 4] = [
-        NodeClass::DirectConnect,
-        NodeClass::Upnp,
-        NodeClass::Nat,
-        NodeClass::Firewall,
-    ];
-
     /// Whether the node unconditionally accepts incoming connection
     /// attempts (the paper's direct-connect/UPnP "public" peers, plus
     /// infrastructure).
@@ -89,7 +81,12 @@ mod tests {
 
     #[test]
     fn user_and_public_partitions() {
-        for c in NodeClass::USER_CLASSES {
+        for c in [
+            NodeClass::DirectConnect,
+            NodeClass::Upnp,
+            NodeClass::Nat,
+            NodeClass::Firewall,
+        ] {
             assert!(c.is_user());
         }
         assert!(!NodeClass::Server.is_user());

@@ -103,12 +103,6 @@ impl SessionRecord {
             Some(1.0 - self.missed as f64 / self.due as f64)
         }
     }
-
-    /// Whether this was a *normal session* in the paper's sense (§V.C):
-    /// join → start subscription → media ready → leave.
-    pub fn is_normal(&self) -> bool {
-        self.start_sub.is_some() && self.ready.is_some() && self.leave.is_some()
-    }
 }
 
 /// Close the books at the end of a run: fold what every live peer
@@ -158,7 +152,6 @@ mod tests {
         assert_eq!(r.duration(), Some(SimTime::from_secs(600)));
         assert_eq!(r.start_sub_delay(), Some(SimTime::from_secs(3)));
         assert_eq!(r.ready_delay(), Some(SimTime::from_secs(15)));
-        assert!(r.is_normal());
     }
 
     #[test]
@@ -171,10 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_session_is_not_normal() {
+    fn incomplete_session_has_no_ready_delay() {
         let mut r = rec();
         r.ready = None;
-        assert!(!r.is_normal());
         assert_eq!(r.ready_delay(), None);
     }
 }

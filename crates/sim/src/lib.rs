@@ -57,7 +57,7 @@ mod queue;
 pub mod rng;
 mod time;
 
-pub use det::{DetMap, DetSet};
+pub use det::DetMap;
 pub use engine::{Ctx, Engine, RunStats, StopReason, World};
 pub use observer::{DispatchMeta, Observer, TraceHasher};
 pub use queue::{EventQueue, Popped};

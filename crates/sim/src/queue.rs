@@ -217,7 +217,6 @@ pub struct EventQueue<E> {
     len: usize,
     /// The seq the next push takes; also the count of pushes so far.
     next_seq: u64,
-    popped: u64,
 }
 
 /// A popped queue entry with its scheduling metadata.
@@ -262,7 +261,6 @@ impl<E> EventQueue<E> {
             cur_tick: 0,
             len: 0,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -532,7 +530,6 @@ impl<E> EventQueue<E> {
         } else {
             self.ready.pop()
         }?;
-        self.popped += 1;
         self.len -= 1;
         Some(Popped {
             time: e.time,
@@ -569,11 +566,6 @@ impl<E> EventQueue<E> {
     /// so this is also the seq the next push takes.
     pub fn total_pushed(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Total events ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
     }
 }
 

@@ -72,33 +72,6 @@ use cs_sim::SimTime;
 /// aggregation window so simulator metrics line up with report-derived ones.
 pub const DEFAULT_WINDOW: SimTime = SimTime::from_secs(300);
 
-/// How a run's telemetry is configured (carried inside the scenario
-/// runner's options; `Copy` so option structs stay `Copy`).
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryConfig {
-    /// Aggregation window; `SimTime::ZERO` falls back to [`DEFAULT_WINDOW`].
-    pub window: SimTime,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            window: DEFAULT_WINDOW,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// The effective window (zero-proofed).
-    pub fn effective_window(&self) -> SimTime {
-        if self.window == SimTime::ZERO {
-            DEFAULT_WINDOW
-        } else {
-            self.window
-        }
-    }
-}
-
 /// `profile.json`: the per-kind table of a [`TelemetryRun`] rendered as
 /// wall-clock time per event kind and per owning manager.
 mod profile {
@@ -166,12 +139,12 @@ mod profile {
 
     #[cfg(test)]
     mod tests {
-        use crate::{EngineTelemetry, TelemetryConfig};
+        use crate::{EngineTelemetry, DEFAULT_WINDOW};
         use cs_sim::SimTime;
 
         #[test]
         fn record_accumulates_per_kind() {
-            let mut tel = EngineTelemetry::new(TelemetryConfig::default(), SimTime::ZERO);
+            let mut tel = EngineTelemetry::new(DEFAULT_WINDOW, SimTime::ZERO);
             for ns in [30, 10, 20] {
                 tel.on_dispatch(0, "arrive", "membership", 0);
                 tel.record_ns(0, ns);

@@ -40,7 +40,7 @@ use cs_sim::SimTime;
 
 use crate::registry::{Histogram, Metrics};
 use crate::window::Windows;
-use crate::TelemetryConfig;
+use crate::DEFAULT_WINDOW;
 
 /// One dispatch in this many is wall-timed for the dispatch profile (the
 /// rest cost a counter check), keeping the two clock reads off the
@@ -81,13 +81,19 @@ pub struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    /// A block with nothing counted. `start` anchors the window grid
-    /// (pass the scenario's window start).
-    pub fn new(config: TelemetryConfig, start: SimTime) -> Self {
+    /// A block with nothing counted, closing a window every `window` of
+    /// sim-time (`SimTime::ZERO` falls back to [`DEFAULT_WINDOW`]).
+    /// `start` anchors the window grid (pass the scenario's window start).
+    pub fn new(window: SimTime, start: SimTime) -> Self {
+        let window = if window == SimTime::ZERO {
+            DEFAULT_WINDOW
+        } else {
+            window
+        };
         EngineTelemetry {
             metrics: Metrics::default(),
             kinds: Vec::new(),
-            windows: Windows::new(config.effective_window(), start),
+            windows: Windows::new(window, start),
             events: 0,
         }
     }
@@ -245,12 +251,7 @@ mod tests {
     }
 
     fn run(first: Ev, step_secs: u64) -> TelemetryRun {
-        let tel = EngineTelemetry::new(
-            TelemetryConfig {
-                window: SimTime::from_secs(300),
-            },
-            SimTime::ZERO,
-        );
+        let tel = EngineTelemetry::new(SimTime::from_secs(300), SimTime::ZERO);
         let probe = Rc::new(RefCell::new(Probe(Some(tel))));
         let mut eng = Engine::new(Fanout {
             step: SimTime::from_secs(step_secs),
@@ -406,7 +407,7 @@ mod tests {
         // The manager sums the kinds that were timed…
         assert!(json.ends_with("\"grow\":{\"busy_ns\":100}}}"), "{json}");
         // …and is null only when none of its kinds was.
-        let mut tel = EngineTelemetry::new(TelemetryConfig::default(), SimTime::ZERO);
+        let mut tel = EngineTelemetry::new(DEFAULT_WINDOW, SimTime::ZERO);
         assert!(tel.on_dispatch(0, "tick", "stream", 0));
         tel.record_ns(0, 100);
         assert!(!tel.on_dispatch(1, "snapshot", "engine", 0));

@@ -9,7 +9,6 @@
 //! on a big machine; `0.02` (peak ≈ 800) takes about a minute.
 
 use coolstreaming::{experiments, Scenario};
-use cs_sim::SimTime;
 
 fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
@@ -25,7 +24,8 @@ fn main() {
     let seed: u64 = arg("--seed", 20060927);
 
     println!("simulating the full broadcast day at scale {scale} (seed {seed})…");
-    let artifacts = Scenario::event_day(scale).with_seed(seed).run();
+    let scenario = Scenario::event_day(scale).with_seed(seed);
+    let artifacts = scenario.run();
     let w = &artifacts.world;
     println!(
         "done: {} arrivals ({} scheduled + retries), {} events, {} log lines\n",
@@ -35,7 +35,10 @@ fn main() {
         w.log.len()
     );
     let view = experiments::LogView::build(&artifacts);
-    let day = SimTime::from_hours(24);
-    print!("{}", experiments::figures_text(&artifacts, &view, day));
+    let (start, horizon) = (scenario.start, scenario.horizon);
+    print!(
+        "{}",
+        experiments::figures_text(&artifacts, &view, start, horizon)
+    );
     println!("protocol counters: {:#?}", w.stats);
 }

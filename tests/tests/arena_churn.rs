@@ -13,11 +13,11 @@ use cs_sim::SimTime;
 /// latter.
 #[test]
 fn churn_recycles_arena_slots() {
-    let a = Scenario::steady(1.5)
+    let mut scenario = Scenario::steady(1.5)
         .with_seed(77)
-        .with_window(SimTime::ZERO, SimTime::from_mins(30))
-        .with_snapshots(None)
-        .run();
+        .with_window(SimTime::ZERO, SimTime::from_mins(30));
+    scenario.snapshot_interval = None;
+    let a = scenario.run();
 
     let world = &a.world;
     let stats = &world.stats;

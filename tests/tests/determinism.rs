@@ -9,17 +9,18 @@ use std::path::{Path, PathBuf};
 
 use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
 use cs_sim::SimTime;
-use cs_telemetry::TelemetryConfig;
+use cs_telemetry::DEFAULT_WINDOW;
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
 }
 
 fn small_steady() -> Scenario {
-    Scenario::steady(0.4)
+    let mut scenario = Scenario::steady(0.4)
         .with_seed(101)
-        .with_window(SimTime::ZERO, SimTime::from_mins(6))
-        .with_snapshots(Some(SimTime::from_secs(30)))
+        .with_window(SimTime::ZERO, SimTime::from_mins(6));
+    scenario.snapshot_interval = Some(SimTime::from_secs(30));
+    scenario
 }
 
 const HASH_ONLY: RunOptions = RunOptions {
@@ -127,7 +128,7 @@ fn full_instrumentation_does_not_perturb_the_trace() {
         invariant_stride: Some(1),
         trace_hash: true,
         record_spans: true,
-        telemetry: Some(TelemetryConfig::default()),
+        telemetry: Some(DEFAULT_WINDOW),
     });
     assert_eq!(bare, instrumented, "observers perturbed the trace");
 }

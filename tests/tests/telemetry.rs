@@ -10,9 +10,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use coolstreaming::telemetry::{TelemetryConfig, PROFILE_SAMPLE_EVERY};
+use coolstreaming::telemetry::{DEFAULT_WINDOW, PROFILE_SAMPLE_EVERY};
 use coolstreaming::{RunOptions, Scenario, TelemetryRun};
-use cs_integration::fnv1a_text;
+use cs_integration::{fnv1a_text, session_table_text};
 use cs_sim::SimTime;
 use serde::Value;
 
@@ -28,9 +28,7 @@ fn with_telemetry(window_secs: u64) -> RunOptions {
         invariant_stride: None,
         trace_hash: true,
         record_spans: false,
-        telemetry: Some(TelemetryConfig {
-            window: SimTime::from_secs(window_secs),
-        }),
+        telemetry: Some(SimTime::from_secs(window_secs)),
     }
 }
 
@@ -112,6 +110,77 @@ fn engine_counters_partition_the_event_total() {
     assert_eq!(window_sum, tel.events, "window deltas must partition total");
 }
 
+/// Every window names the same gauges and histograms, in one order, and
+/// each kind's window deltas sum to its last total.
+#[test]
+fn every_window_has_one_schema_and_each_kind_partitions_its_total() {
+    let (_, tel) = run_golden();
+    let windows = windows(&tel);
+    let names = |w: &Value, section| -> Vec<String> {
+        let series = field(w, section).as_map().expect(section);
+        series.iter().map(|(name, _)| name.clone()).collect()
+    };
+    let gauges = [
+        "engine_queue_depth",
+        "engine_queue_high_water",
+        "proto_peers_alive",
+        "proto_peers_ready",
+    ];
+    let histograms = [
+        "proto_buffer_occupancy_blocks",
+        "proto_join_ready_ms",
+        "proto_mcache_size",
+        "proto_partners",
+        "proto_substream_lag_blocks",
+    ];
+    for w in &windows {
+        assert_eq!(names(w, "gauges"), gauges, "{w:?}");
+        assert_eq!(names(w, "histograms"), histograms, "{w:?}");
+    }
+    let last = counters(windows.last().expect("a window"));
+    for (kind, (total, _)) in &last {
+        let deltas: u64 = windows
+            .iter()
+            .filter_map(|w| counters(w).get(kind).map(|&(_, delta)| delta))
+            .sum();
+        assert_eq!(deltas, *total, "{kind}");
+    }
+}
+
+/// Observer invariance: further sinks leave the metric stream
+/// byte-identical, and every sink on leaves the log text and the
+/// ground-truth session table of an unobserved run unchanged.
+#[test]
+fn sinks_change_neither_the_metric_stream_nor_the_run() {
+    for seed in [301, 302] {
+        let scenario = golden_steady().with_seed(seed);
+        let telemetry = RunOptions {
+            telemetry: Some(DEFAULT_WINDOW),
+            ..RunOptions::default()
+        };
+        let alone = scenario.run_observed(telemetry);
+        let all = scenario.run_observed(RunOptions {
+            invariant_stride: Some(64),
+            trace_hash: true,
+            record_spans: true,
+            ..telemetry
+        });
+        let plain = scenario.run_observed(RunOptions::default());
+        assert_eq!(
+            all.telemetry.expect("telemetry").metrics_jsonl(),
+            alone.telemetry.expect("telemetry").metrics_jsonl(),
+            "seed {seed}"
+        );
+        let (all, plain) = (&all.artifacts.world, &plain.artifacts.world);
+        assert_eq!(all.log.as_text(), plain.log.as_text(), "seed {seed}");
+        assert_eq!(
+            session_table_text(&all.sessions),
+            session_table_text(&plain.sessions),
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 fn protocol_series_are_populated() {
     let (_, tel) = run_golden();
@@ -182,7 +251,7 @@ fn single_table_agrees_with_the_span_stream() {
         invariant_stride: Some(64),
         trace_hash: true,
         record_spans: true,
-        telemetry: Some(TelemetryConfig::default()),
+        telemetry: Some(DEFAULT_WINDOW),
     });
     let events = run.artifacts.run_stats.events;
     let tel = run.telemetry.expect("telemetry requested");
