@@ -65,6 +65,7 @@ pub(super) fn rows() -> Vec<Row> {
             Check::new("ABL-CRASH", "crash_window_ci", Gt, 0.85, "the crash is a dip, not an outage"),
             Check::new("ABL-CRASH", "after_minus_baseline_ci", Gt, -0.03, "the overlay recovers to baseline"),
             Check::new("ABL-CRASH", "after_minus_baseline_same_window_ci", Gt, -0.03, "the crash costs little against the same window"),
+            Check::new("ABL-CRASH", "restart_minus_baseline_same_window_ci", Gt, -0.03, "a crash restarted at 20 min costs little against the same window"),
             Check::new("ABL-CRASH", "streaming_share", Gt, 0.9, "live peers are streaming after the crash"),
         ] },
         Row { name: "EXT-CHANNELS", ids: &["EXT-CHANNELS"], run: ext_channels, checks: vec![
@@ -383,13 +384,16 @@ fn abl_boot(r: u64) -> Measured {
 }
 
 /// ABL-CRASH: a dedicated server crashes mid-run; children must repair
-/// onto other parents with only a transient dip.
+/// onto other parents with only a transient dip. A third run restarts
+/// the crashed server at 20 min.
 fn abl_crash(r: u64) -> Measured {
     let scenario = steady_scenario(0.5, 30, 2828 + r).with_servers(2, Bandwidth::mbps(24));
     let base = injected(&scenario, Vec::new());
-    let hit = injected(
+    let crash = (SimTime::from_mins(15), Event::CrashServer(0));
+    let hit = injected(&scenario, vec![crash]);
+    let restarted = injected(
         &scenario,
-        vec![(SimTime::from_mins(15), Event::CrashServer(0))],
+        vec![crash, (SimTime::from_mins(20), Event::RestartServer(0))],
     );
     let mean_ci = |a: &RunArtifacts, m0: u64, m1: u64| {
         let v = class_ci(a, m0, m1);
@@ -400,6 +404,7 @@ fn abl_crash(r: u64) -> Measured {
     let after = mean_ci(&hit, 22, 30);
     let base_during = mean_ci(&base, 15, 20);
     let base_after = mean_ci(&base, 22, 30);
+    let restart_after = mean_ci(&restarted, 22, 30);
     // Everyone still streaming at the horizon.
     let world = &hit.world;
     let users = || world.net.iter_alive().filter(|n| n.class.is_user());
@@ -414,12 +419,13 @@ fn abl_crash(r: u64) -> Measured {
     let mut m = Measured::default();
     let _ = writeln!(
         m.table,
-        "  continuity: before {}  crash-window {}  after {}  (baseline {} then {})",
+        "  continuity: before {}  crash-window {}  after {}  (baseline {} then {}; restarted {})",
         pct(before),
         pct(during),
         pct(after),
         pct(base_during),
-        pct(base_after)
+        pct(base_after),
+        pct(restart_after)
     );
     let _ = writeln!(
         m.table,
@@ -430,6 +436,10 @@ fn abl_crash(r: u64) -> Measured {
     // The control: both runs over minutes 22–30, so the uncrashed run's
     // own fall between the windows cancels.
     m.set("after_minus_baseline_same_window_ci", after - base_after);
+    m.set(
+        "restart_minus_baseline_same_window_ci",
+        restart_after - base_after,
+    );
     m.set("streaming_share", streaming as f64 / alive as f64);
     m
 }

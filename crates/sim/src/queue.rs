@@ -9,14 +9,23 @@
 //! # Geometry
 //!
 //! Timestamps are bucketed into *ticks* of `2^TICK_SHIFT` µs (≈16.4 ms).
-//! The wheel has [`LEVELS`] levels of [`SLOTS`] slots each; level `l` slot
-//! `s` covers the ticks whose bits above `SLOT_BITS·(l+1)` match the
-//! current wheel position and whose level-`l` digit is `s`. One level-0
-//! slot therefore holds exactly one tick; level 5 rotates every
-//! `2^36` ticks (≈36 years of simulated time). Anything beyond the
-//! level-5 rotation sits in a plain binary-heap *overflow* until the
-//! wheel position reaches its rotation. Per-level `u64` occupancy bitmaps
-//! make "earliest non-empty slot at or after the cursor" a mask and a
+//! The near future is a *ring* of [`RING`] one-tick chains addressed by
+//! distance (tick `t` in chain `t % RING`). It holds exactly the ticks
+//! `[cur_tick, edge)` with `edge = (cur_tick & !63) + RING`, so every
+//! push less than 449 ticks (7.4 s) ahead — each 2 s and 4 s protocol
+//! timer, at any cursor phase — goes straight to the chain of its tick.
+//!
+//! Later ticks go to the *upper wheel*, whose cursor is `edge`: [`LEVELS`]
+//! levels of [`SLOTS`] slots each; level `l` slot `s` covers the ticks
+//! whose bits above `SLOT_BITS·(l+1)` match `edge` and whose level-`l`
+//! digit is `s`. Its level 0 is the block `[edge, edge + 64)`; level 5
+//! rotates every `2^36` ticks (≈36 years of simulated time). Anything
+//! beyond the level-5 rotation sits in a plain binary-heap *overflow*
+//! until `edge` reaches its rotation. When the cursor crosses a 64-tick
+//! block, `edge` advances one block and the upper level-0 chains are
+//! relinked into the ring — a head/tail move per tick, no entry copied —
+//! and a carry cascades the upper slots `edge`'s digits now rest on. One
+//! `u64` occupancy bitmap per 64 slots makes "earliest non-empty slot" a
 //! `trailing_zeros`.
 //!
 //! # Storage: one chunk pool of FIFO chains
@@ -32,8 +41,8 @@
 //! cascades walk a chain once, front to back, and release each chunk as
 //! they leave it: the chunk freed last — still in cache — is the next one
 //! written. The pool therefore holds `pending ÷ CHUNK` full chunks plus
-//! at most one partial chunk per slot, whatever each slot's fullest
-//! rotation once was. An entry is the event plus 16 bytes (56 for a
+//! at most one partial chunk per chain (`RING + LEVELS · SLOTS` = 896),
+//! whatever each slot's fullest rotation once was. An entry is the event plus 16 bytes (56 for a
 //! 40-byte event): `seq` is stored plus one as a `NonZeroU64`, so
 //! `Option<Entry>` needs no tag. An entry carries no causal parent: the
 //! engine records which handler pushed which seqs, and only while an
@@ -50,15 +59,16 @@
 //!   overflow heap.
 //!
 //! The cursor only advances when `ready` and `late` are both empty, by
-//! draining the earliest occupied level-0 slot (one whole tick — *all*
+//! draining the earliest occupied ring chain (one whole tick — *all*
 //! equal-tick entries together) into the `ready` batch, earliest last, so
 //! a pop is a `Vec::pop`. The drain sorts no entries. Entries with equal
-//! timestamps always share one slot, in push order: a timestamp's slot
-//! only changes when the cursor enters that slot's block, and the slot is
-//! cascaded — front to back, onto the tails of lower slots — before any
-//! later push can land. So the chain of a level-0 slot lists each
-//! timestamp's entries in `seq` order, and a *stable* sort of the chain
-//! by the offset within the tick is the exact `(time, seq)` order. The
+//! timestamps always share one chain, in push order: a timestamp's place
+//! only changes when `edge` moves, and every move carries its entries
+//! along — front to back, onto the tails of lower slots, or as a whole
+//! chain into the ring — before any later push can land. A ring chain
+//! for tick `t` thus lists every push of `t` made before its relink,
+//! then every push made after it. A *stable* sort of the chain by the
+//! offset within the tick is therefore the exact `(time, seq)` order. The
 //! drain sorts one 64-bit key per entry (offset above, pool cell below)
 //! with an insertion sort for small ticks and a two-digit LSD radix for
 //! large ones, then moves each entry into `ready` once.
@@ -70,8 +80,8 @@
 //! byte-identical to the old global heap. The differential tests in
 //! `queue/tests.rs` check the equivalence against the test-only
 //! `ReferenceQueue` across every level, the overflow heap, equal
-//! timestamps pushed from every level, chunk boundaries and full level-1
-//! rotations.
+//! timestamps pushed from every level, chunk boundaries, full level-1
+//! rotations and the ring's edges.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -90,8 +100,15 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// Tick bits addressable by the wheel proper.
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// One-tick chains of the ring: a 4 s period (244 ticks) plus a block
+/// and change, so every 2 s and 4 s timer is pushed straight to its tick.
+const RING: usize = 512;
+/// Occupancy words of the ring; the upper wheel's level `l` is word
+/// `RING_WORDS + l`.
+const RING_WORDS: usize = RING / SLOTS;
+const _: () = assert!(RING % SLOTS == 0 && RING.is_power_of_two());
 /// Entries per pool chunk: large enough that a drain reads memory
-/// sequentially, small enough that 384 partly filled tails cost little.
+/// sequentially, small enough that 896 partly filled tails cost little.
 const CHUNK: usize = 32;
 /// "No chunk": an empty slot, the end of a chain, an empty free list.
 const NIL: u32 = u32::MAX;
@@ -123,6 +140,19 @@ fn reserved<T>(n: usize) -> Vec<T> {
 #[inline]
 const fn tick_of(time: SimTime) -> u64 {
     time.as_micros() >> TICK_SHIFT
+}
+
+/// End of the ring for a cursor at tick `cur`: the ring holds the ticks
+/// `[cur, ring_edge(cur))`, at least `RING − SLOTS + 1` of them.
+#[inline]
+const fn ring_edge(cur: u64) -> u64 {
+    (cur & !(SLOTS as u64 - 1)) + RING as u64
+}
+
+/// Slot index of level `level`'s slot `slot` of the upper wheel.
+#[inline]
+const fn upper(level: usize, slot: usize) -> usize {
+    RING + level * SLOTS + slot
 }
 
 /// A sequence number as stored in an entry: plus one, so that it is never
@@ -201,11 +231,12 @@ pub struct EventQueue<E> {
     chunks: Vec<ChunkMeta>,
     /// Head of the LIFO list of empty chunks.
     free: u32,
-    /// Each slot's chain.
-    slots: [[Chain; SLOTS]; LEVELS],
-    /// Per-level bitmap of the slots whose chain is non-empty.
-    occupied: [u64; LEVELS],
-    /// Entries beyond the level-5 rotation of `cur_tick`.
+    /// Each slot's chain: the ring's `RING` one-tick chains (tick `t` at
+    /// `t % RING`), then the upper wheel's `SLOTS` per level.
+    slots: [Chain; RING + LEVELS * SLOTS],
+    /// Bitmap of the slots whose chain is non-empty, 64 slots a word.
+    occupied: [u64; RING_WORDS + LEVELS],
+    /// Entries beyond the level-5 rotation of `edge`.
     overflow: BinaryHeap<Entry<E>>,
     /// Drain scratch: one key per entry of the tick being drained.
     keys: Vec<u64>,
@@ -213,10 +244,15 @@ pub struct EventQueue<E> {
     radix: Vec<u64>,
     /// Wheel cursor, in ticks.
     cur_tick: u64,
+    /// End of the ring, `ring_edge(cur_tick)`; the upper wheel's cursor.
+    edge: u64,
     /// Pending-entry count across ready + late + wheel + overflow.
     len: usize,
     /// The seq the next push takes; also the count of pushes so far.
     next_seq: u64,
+    /// Entries moved by cascades so far.
+    #[cfg(test)]
+    cascaded: u64,
 }
 
 /// A popped queue entry with its scheduling metadata.
@@ -243,24 +279,28 @@ impl<E> EventQueue<E> {
 
     /// An empty queue whose chunk pool is reserved, once and untouched,
     /// for `cap` concurrently pending events: `cap ÷ CHUNK` full chunks
-    /// plus one partly filled tail per wheel slot. A reservation the
-    /// allocator refuses leaves the pool to grow as events arrive.
+    /// plus one partly filled tail per chain, the ring's included. A
+    /// reservation the allocator refuses leaves the pool to grow as
+    /// events arrive.
     pub fn with_capacity(cap: usize) -> Self {
-        let chunks = cap.div_ceil(CHUNK).saturating_add(LEVELS * SLOTS);
+        let chunks = cap.div_ceil(CHUNK).saturating_add(RING + LEVELS * SLOTS);
         EventQueue {
             ready: Vec::new(),
             late: BinaryHeap::new(),
             pool: reserved(chunks.saturating_mul(CHUNK)),
             chunks: reserved(chunks),
             free: NIL,
-            slots: [[Chain::EMPTY; SLOTS]; LEVELS],
-            occupied: [0; LEVELS],
+            slots: [Chain::EMPTY; RING + LEVELS * SLOTS],
+            occupied: [0; RING_WORDS + LEVELS],
             overflow: BinaryHeap::new(),
             keys: Vec::new(),
             radix: Vec::new(),
             cur_tick: 0,
+            edge: ring_edge(0),
             len: 0,
             next_seq: 0,
+            #[cfg(test)]
+            cascaded: 0,
         }
     }
 
@@ -300,30 +340,34 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Append an entry with `tick >= cur_tick` to the tail of its wheel
-    /// slot (or push it on the overflow heap when it lies beyond the
-    /// level-5 rotation).
+    /// Append an entry with `tick >= cur_tick` to the tail of its tick's
+    /// ring chain when it lies before `edge`, else to its upper-wheel slot
+    /// (or push it on the overflow heap when it lies beyond the level-5
+    /// rotation of `edge`).
     fn insert_wheel(&mut self, entry: Entry<E>) {
         let t = tick_of(entry.time);
         debug_assert!(t >= self.cur_tick, "wheel entry behind cursor");
-        let diff = t ^ self.cur_tick;
-        if diff >> WHEEL_BITS != 0 {
-            self.overflow.push(entry);
-            return;
-        }
-        let level = if diff == 0 {
-            0
+        let slot = if t < self.edge {
+            t as usize & (RING - 1)
         } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
+            let diff = t ^ self.edge;
+            if diff >> WHEEL_BITS != 0 {
+                self.overflow.push(entry);
+                return;
+            }
+            let level = ((diff | 1).ilog2() / SLOT_BITS) as usize;
+            upper(
+                level,
+                (t >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1),
+            )
         };
-        let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.occupied[level] |= 1 << slot;
-        let tail = self.slots[level][slot].tail;
+        self.occupied[slot / SLOTS] |= 1 << (slot % SLOTS);
+        let tail = self.slots[slot].tail;
         let chunk = if tail != NIL && (self.chunks[tail as usize].len as usize) < CHUNK {
             tail
         } else {
             let fresh = self.take_chunk();
-            let chain = &mut self.slots[level][slot];
+            let chain = &mut self.slots[slot];
             if tail == NIL {
                 chain.head = fresh;
             } else {
@@ -355,75 +399,105 @@ impl<E> EventQueue<E> {
     }
 
     /// Advance the cursor until `ready ∪ late` holds the global minimum
-    /// (or the queue is provably empty). Drains at most one level-0 slot
-    /// into `ready` per pass; higher-level hits cascade their slot
-    /// downward.
+    /// (or the queue is provably empty). Drains at most one ring chain
+    /// into `ready` per call.
     fn ensure_ready(&mut self) {
-        loop {
-            if !self.ready.is_empty() || !self.late.is_empty() {
-                return;
-            }
-            let cur = self.cur_tick;
-            // Level 0: one tick per slot; the earliest occupied slot at or
-            // after the cursor digit *is* the minimum pending tick.
-            let occ0 = self.occupied[0] & (!0u64 << (cur & 63) as u32);
-            if occ0 != 0 {
-                let s = occ0.trailing_zeros() as u64;
-                self.cur_tick = (cur & !63) + s + 1;
-                self.drain_tick(s as usize);
-                if s == 63 {
-                    // The cursor wrapped into the next level-0 block,
-                    // carrying one or more higher digits. Any slot those
-                    // digits now rest on must cascade down *now*: a later
-                    // level-0 drain could otherwise advance the cursor
-                    // past the entries parked there.
-                    self.cascade_cursor_slots();
+        while self.ready.is_empty() && self.late.is_empty() {
+            let Some(t) = self.ring_min() else {
+                if !self.jump() {
+                    return; // Queue fully drained.
                 }
-                debug_assert!(!self.ready.is_empty());
-                return;
-            }
-            // Levels 1..: jump the cursor to the earliest occupied slot and
-            // cascade its entries down (they re-insert strictly lower).
-            let mut cascaded = false;
-            for l in 1..LEVELS {
-                let shift = SLOT_BITS * l as u32;
-                let digit = (cur >> shift) & 63;
-                let occ = self.occupied[l] & (!0u64 << digit as u32);
-                if occ == 0 {
-                    continue;
-                }
-                let s = occ.trailing_zeros() as u64;
-                if s != digit {
-                    // Move the cursor to the start of that slot's range;
-                    // everything below this level is empty, so zeroing the
-                    // low digits cannot skip a pending entry.
-                    let block = (1u64 << (shift + SLOT_BITS)) - 1;
-                    self.cur_tick = (cur & !block) | (s << shift);
-                }
-                // else: a level-0 carry rolled the cursor digit onto an
-                // occupied slot; redistribute in place, cursor unchanged.
-                self.cascade_slot(l, s as usize);
-                cascaded = true;
-                break;
-            }
-            if cascaded {
                 continue;
-            }
-            // Wheel empty: jump to the overflow head and pull in every
-            // entry that now fits the level-5 rotation.
-            let Some(head) = self.overflow.peek() else {
-                return; // Queue fully drained.
             };
-            self.cur_tick = tick_of(head.time);
-            self.pull_overflow();
+            self.cur_tick = t + 1;
+            self.drain_tick(t as usize & (RING - 1));
+            while self.edge < ring_edge(self.cur_tick) {
+                self.advance_edge();
+            }
+            return;
         }
     }
 
-    /// Move every overflow entry that lies in the cursor's level-5
-    /// rotation into the wheel, in `(time, seq)` order.
+    /// The earliest tick with a non-empty ring chain. The ring's ticks
+    /// `[cur_tick, edge)` are its words in order from the cursor's block;
+    /// the cursor word's bits below the cursor are drained ticks.
+    fn ring_min(&self) -> Option<u64> {
+        let block = self.cur_tick & !(SLOTS as u64 - 1);
+        (0..RING_WORDS as u64).find_map(|k| {
+            let start = block + k * SLOTS as u64;
+            let occ = self.occupied[(start as usize & (RING - 1)) / SLOTS];
+            (occ != 0).then(|| start + u64::from(occ.trailing_zeros()))
+        })
+    }
+
+    /// Relink the upper wheel's level-0 chains — the ticks
+    /// `[edge, edge + SLOTS)` — into the ring, where they take the slots
+    /// of the block before the cursor's (all drained), then advance
+    /// `edge` one block. No entry moves. A later push of those ticks
+    /// appends behind the relinked chain, so it keeps push order.
+    fn advance_edge(&mut self) {
+        let dst = self.edge as usize & (RING - 1);
+        debug_assert!(self.cur_tick >= self.edge + SLOTS as u64 - RING as u64);
+        debug_assert_eq!(self.occupied[dst / SLOTS], 0, "ring block not drained");
+        let mut occ = std::mem::take(&mut self.occupied[RING_WORDS]);
+        self.occupied[dst / SLOTS] = occ;
+        while occ != 0 {
+            let s = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            self.slots[dst + s] = std::mem::replace(&mut self.slots[upper(0, s)], Chain::EMPTY);
+        }
+        self.edge += SLOTS as u64;
+        self.cascade_cursor_slots();
+    }
+
+    /// Set the upper cursor to `edge` (a block start) with an empty ring.
+    fn jump_to(&mut self, edge: u64) {
+        debug_assert!(edge >= self.edge && edge % SLOTS as u64 == 0);
+        self.edge = edge;
+        self.cur_tick = edge - RING as u64;
+    }
+
+    /// With the ring empty, move toward the next pending entry: when
+    /// upper level 0 is occupied, step the cursor to the block whose ring
+    /// takes it in; else jump `edge` to the start of the earliest occupied
+    /// upper slot and cascade that slot down; with the whole wheel empty,
+    /// to the overflow head's block, pulling in its rotation. False when
+    /// the queue is empty.
+    fn jump(&mut self) -> bool {
+        if self.occupied[RING_WORDS] != 0 {
+            self.cur_tick = self.edge + SLOTS as u64 - RING as u64;
+            self.advance_edge();
+            return true;
+        }
+        for l in 1..LEVELS {
+            let occ = self.occupied[RING_WORDS + l];
+            if occ == 0 {
+                continue;
+            }
+            // The slot under the cursor's digit is empty (a carry
+            // cascades it at once), and the lower levels are empty, so
+            // zeroing the low digits cannot skip a pending entry.
+            let shift = SLOT_BITS * l as u32;
+            let s = u64::from(occ.trailing_zeros());
+            debug_assert!(s > (self.edge >> shift) & (SLOTS as u64 - 1));
+            let block = (1u64 << (shift + SLOT_BITS)) - 1;
+            self.jump_to((self.edge & !block) | (s << shift));
+            self.cascade_slot(upper(l, s as usize));
+            return true;
+        }
+        let Some(head) = self.overflow.peek() else {
+            return false;
+        };
+        self.jump_to(tick_of(head.time) & !(SLOTS as u64 - 1));
+        self.pull_overflow();
+        true
+    }
+
+    /// Move every overflow entry that lies in the level-5 rotation of
+    /// `edge` into the wheel, in `(time, seq)` order.
     fn pull_overflow(&mut self) {
         while let Some(h) = self.overflow.peek() {
-            if (tick_of(h.time) ^ self.cur_tick) >> WHEEL_BITS != 0 {
+            if (tick_of(h.time) ^ self.edge) >> WHEEL_BITS != 0 {
                 break;
             }
             let Some(e) = self.overflow.pop() else { break };
@@ -436,9 +510,9 @@ impl<E> EventQueue<E> {
     /// as the walk leaves it. A freed chunk is written again only by a
     /// later `take_chunk`, so an entry `visit` leaves in its cell stays
     /// there until then.
-    fn release_slot(&mut self, level: usize, slot: usize, mut visit: impl FnMut(&mut Self, usize)) {
-        self.occupied[level] &= !(1 << slot);
-        let mut chunk = std::mem::replace(&mut self.slots[level][slot], Chain::EMPTY).head;
+    fn release_slot(&mut self, slot: usize, mut visit: impl FnMut(&mut Self, usize)) {
+        self.occupied[slot / SLOTS] &= !(1 << (slot % SLOTS));
+        let mut chunk = std::mem::replace(&mut self.slots[slot], Chain::EMPTY).head;
         while chunk != NIL {
             let ChunkMeta { len, next } = self.chunks[chunk as usize];
             let base = chunk as usize * CHUNK;
@@ -451,17 +525,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Re-insert every entry of a level ≥ 1 slot, in push order; each
-    /// lands strictly lower (the cursor has entered the slot's block).
-    fn cascade_slot(&mut self, level: usize, slot: usize) {
-        self.release_slot(level, slot, |q, cell| {
+    /// Re-insert every entry of an upper level ≥ 1 slot, in push order;
+    /// each lands strictly lower (the cursor has entered the slot's block).
+    fn cascade_slot(&mut self, slot: usize) {
+        self.release_slot(slot, |q, cell| {
             if let Some(e) = q.pool[cell].take() {
+                #[cfg(test)]
+                {
+                    q.cascaded += 1;
+                }
                 q.insert_wheel(e);
             }
         });
     }
 
-    /// Move one level-0 slot — one whole tick — into the (empty) `ready`
+    /// Move one ring chain — one whole tick — into the (empty) `ready`
     /// batch, earliest last. The chain lists each timestamp's entries in
     /// `seq` order, so sorting it stably by the offset within the tick
     /// yields the `(time, seq)` order: the keys are sorted, not the
@@ -469,7 +547,7 @@ impl<E> EventQueue<E> {
     fn drain_tick(&mut self, slot: usize) {
         let mut keys = std::mem::take(&mut self.keys);
         keys.clear();
-        self.release_slot(0, slot, |q, cell| {
+        self.release_slot(slot, |q, cell| {
             if let Some(e) = &q.pool[cell] {
                 let offset = e.time.as_micros() & ((1 << TICK_SHIFT) - 1);
                 keys.push(offset << OFFSET_SHIFT | cell as u64);
@@ -486,23 +564,23 @@ impl<E> EventQueue<E> {
         self.keys = keys;
     }
 
-    /// Re-bucket every entry parked on a slot the cursor's digit now
-    /// rests on (levels ≥ 1). Called after a carry; restores the
-    /// invariant that the cursor-digit slot is empty at every level
-    /// above 0, which the slot scans rely on. At call time the cursor's
-    /// bits below each carried digit are zero, so every re-inserted
-    /// entry still satisfies `tick >= cur_tick` and lands strictly
-    /// lower in the wheel. A carry out of level 5 starts a new rotation,
-    /// whose entries wait in the overflow heap: they join the wheel now,
-    /// before a later push of the same rotation can drain ahead of them.
+    /// Re-bucket every entry parked on an upper slot that `edge`'s digit
+    /// now rests on (levels ≥ 1). Called after `edge` advanced a block;
+    /// restores the invariant that the cursor-digit slot is empty at
+    /// every level above 0, which `jump` relies on. The carried digits'
+    /// lower bits are zero, so every re-inserted entry still satisfies
+    /// `tick >= edge` and lands strictly lower in the upper wheel. A carry
+    /// out of level 5 starts a new rotation, whose entries wait in the
+    /// overflow heap: they join the wheel now, before a later push of the
+    /// same rotation can drain ahead of them.
     fn cascade_cursor_slots(&mut self) {
         for l in 1..LEVELS {
-            let digit = ((self.cur_tick >> (SLOT_BITS * l as u32)) & 63) as usize;
-            if self.occupied[l] & (1 << digit) != 0 {
-                self.cascade_slot(l, digit);
+            let digit = (self.edge >> (SLOT_BITS * l as u32)) as usize & (SLOTS - 1);
+            if self.occupied[RING_WORDS + l] & (1 << digit) != 0 {
+                self.cascade_slot(upper(l, digit));
             }
         }
-        if self.cur_tick & ((1 << WHEEL_BITS) - 1) == 0 {
+        if self.edge & ((1 << WHEEL_BITS) - 1) == 0 {
             self.pull_overflow();
         }
     }

@@ -427,8 +427,9 @@ fn long_timer_run_matches_reference() {
     }
     assert!(fired > 700_000, "only {fired} firings");
     // Chunks were recycled, not appended: the pool never outgrew the
-    // standing population.
-    let bound = (TIMERS as usize).div_ceil(CHUNK) + LEVELS * SLOTS + 1;
+    // standing population. One partial tail per chain, and the ring's
+    // `RING` chains are chains too: the bound follows the geometry.
+    let bound = (TIMERS as usize).div_ceil(CHUNK) + RING + LEVELS * SLOTS + 1;
     assert!(wheel.chunks.len() <= bound, "{} chunks", wheel.chunks.len());
 }
 
@@ -460,7 +461,8 @@ fn pool_size_follows_the_pending_set() {
     }
     assert_eq!(q.len(), TIMERS as usize);
     assert_eq!(q.pool.len(), q.chunks.len() * CHUNK);
-    let bound = (TIMERS as usize).div_ceil(CHUNK) + LEVELS * SLOTS + 1;
+    // One partial tail per chain, the ring's `RING` included.
+    let bound = (TIMERS as usize).div_ceil(CHUNK) + RING + LEVELS * SLOTS + 1;
     assert!(chunks_after[4] <= bound, "{chunks_after:?} > {bound}");
     assert_eq!(chunks_after[1], chunks_after[4], "{chunks_after:?}");
 }
@@ -533,4 +535,212 @@ proptest! {
         }
         prop_assert!(wheel.is_empty());
     }
+}
+
+// ------------------------------------------------------ at the ring's edges --
+
+/// Pop both queues to the end, asserting that they agree at every step.
+fn drain_both(wheel: &mut EventQueue<u32>, oracle: &mut ReferenceQueue<u32>) {
+    loop {
+        let (w, r) = pop_both(wheel, oracle);
+        assert_eq!(w, r);
+        if w.is_none() {
+            break;
+        }
+    }
+}
+
+/// Push at `at`, pop it from both queues: the cursor ends just past it.
+fn step_past(wheel: &mut EventQueue<u32>, oracle: &mut ReferenceQueue<u32>, at: SimTime) {
+    push_both(wheel, oracle, at);
+    let (w, r) = pop_both(wheel, oracle);
+    assert_eq!(w, r);
+    assert_eq!(w.map(|(t, ..)| t), Some(at));
+}
+
+/// Pushes at `edge − 1` (the ring's last tick), `edge` and `edge + 63`
+/// (upper level 0), at both ends of each tick, from cursors at four
+/// in-block phases. The cursor then crosses a block, which relinks the
+/// upper block into the ring, and the same timestamps are pushed again:
+/// they must pop after the first pushes, in push order.
+#[test]
+fn pushes_around_the_ring_edge_match_reference() {
+    let tick = 1u64 << TICK_SHIFT;
+    for phase in [0u64, 1, 62, 63] {
+        let mut wheel = EventQueue::new();
+        let mut oracle = ReferenceQueue::new();
+        let block = 3 * SLOTS as u64;
+        step_past(
+            &mut wheel,
+            &mut oracle,
+            SimTime::from_micros((block + phase) * tick),
+        );
+        let edge = wheel.edge;
+        assert_eq!(edge, ring_edge(wheel.cur_tick));
+        let times: Vec<SimTime> = [edge - 1, edge, edge + 63]
+            .into_iter()
+            .flat_map(|t| [t * tick, t * tick + tick - 1])
+            .map(SimTime::from_micros)
+            .collect();
+        for &at in &times {
+            push_both(&mut wheel, &mut oracle, at);
+        }
+        let next_block = (wheel.cur_tick & !(SLOTS as u64 - 1)) + SLOTS as u64;
+        let next_block = SimTime::from_micros(next_block * tick);
+        step_past(&mut wheel, &mut oracle, next_block);
+        assert_eq!(wheel.edge, edge + SLOTS as u64);
+        for &at in times.iter().rev() {
+            push_both(&mut wheel, &mut oracle, at);
+        }
+        drain_both(&mut wheel, &mut oracle);
+        assert_eq!(wheel.cascaded, 0, "phase {phase}");
+    }
+}
+
+/// A 4 s timer (244 ticks) and a 2 s one armed at each of the 64
+/// in-block cursor phases go straight to their ring chain: nothing
+/// cascades, whatever the phase.
+#[test]
+fn protocol_periods_enter_the_ring_at_every_phase() {
+    let tick = 1u64 << TICK_SHIFT;
+    for phase in 0..SLOTS as u64 {
+        let mut wheel = EventQueue::new();
+        let mut oracle = ReferenceQueue::new();
+        let now = SimTime::from_micros((5 * SLOTS as u64 + phase) * tick + 77);
+        step_past(&mut wheel, &mut oracle, now);
+        for period in [SimTime::from_secs(4), SimTime::from_secs(2)] {
+            assert!(tick_of(now + period) < wheel.edge, "phase {phase}");
+            push_both(&mut wheel, &mut oracle, now + period);
+        }
+        drain_both(&mut wheel, &mut oracle);
+        assert_eq!(wheel.cascaded, 0, "phase {phase}");
+    }
+}
+
+/// Only entries beyond 300 s and beyond the level-5 rotation: the ring
+/// is empty, and the cursor jumps to an upper slot, then to the overflow
+/// head. Each pop re-arms its entry at a 2 s, 301 s or one-rotation
+/// delay, so pushes land in the ring, the upper levels and the overflow
+/// heap after every jump.
+#[test]
+fn far_entries_jump_the_empty_ring() {
+    let rotation = SimTime::from_micros(1u64 << (TICK_SHIFT + WHEEL_BITS));
+    let far = [
+        SimTime::from_secs(301),
+        SimTime::from_secs(301),
+        SimTime::from_secs(4_000) + SimTime::from_micros(3),
+        rotation + SimTime::from_secs(7),
+        rotation * 3 + SimTime::from_micros(1),
+    ];
+    let delays = [SimTime::from_secs(2), SimTime::from_secs(301), rotation];
+    let mut wheel = EventQueue::new();
+    let mut oracle = ReferenceQueue::new();
+    for &at in &far {
+        push_both(&mut wheel, &mut oracle, at);
+    }
+    for i in 0.. {
+        let (w, r) = pop_both(&mut wheel, &mut oracle);
+        assert_eq!(w, r, "pop {i}");
+        let Some((at, ..)) = w else { break };
+        if i < 120 && i % 4 != 3 {
+            push_both(&mut wheel, &mut oracle, at + delays[i % 3]);
+        }
+    }
+}
+
+/// Timers with 2 s and 10 s periods run across the end of a level-5
+/// rotation while the next rotation's entries wait in the overflow heap:
+/// the block pull that carries `edge` into the new rotation must pull
+/// them in before any push of that rotation lands.
+#[test]
+fn block_pull_across_a_rotation_takes_in_the_overflow() {
+    let tick = 1u64 << TICK_SHIFT;
+    let rotation = tick << WHEEL_BITS;
+    let mut wheel = EventQueue::new();
+    let mut oracle = ReferenceQueue::new();
+    for i in 0..3 {
+        let at = SimTime::from_micros(rotation - 12_000_000 + i * 333_333);
+        push_both(&mut wheel, &mut oracle, at);
+    }
+    for k in [0u64, 1, 63, 64, 700] {
+        push_both(
+            &mut wheel,
+            &mut oracle,
+            SimTime::from_micros(rotation + k * tick + 9),
+        );
+    }
+    let end = SimTime::from_micros(rotation + 30_000_000);
+    let mut pulled = false;
+    loop {
+        let (w, r) = pop_both(&mut wheel, &mut oracle);
+        assert_eq!(w, r);
+        let Some((at, _, id)) = w else { break };
+        pulled |= wheel.overflow.is_empty() && wheel.edge > 1 << WHEEL_BITS;
+        if at < end && id < 3 {
+            let period = SimTime::from_secs([2, 2, 10][id as usize]);
+            // The re-armed entry keeps its id: push outside `push_both`.
+            wheel.push(at + period, id);
+            oracle.push(at + period, id);
+        }
+    }
+    assert!(pulled, "the next rotation's overflow was never pulled in");
+}
+
+/// Pushes behind the cursor (the `late` heap), at the popped time and a
+/// few µs around it, interleaved with pops that drain ring chains and
+/// pull upper blocks into the ring.
+#[test]
+fn late_pushes_interleave_with_block_pulls() {
+    let mut wheel = EventQueue::new();
+    let mut oracle = ReferenceQueue::new();
+    for i in 0..40u64 {
+        push_both(&mut wheel, &mut oracle, SimTime::from_micros(i * 900_001));
+    }
+    let delays = [0u64, 1, 5_000, 2_000_000, 10_000_000];
+    for i in 0..4_000usize {
+        let (w, r) = pop_both(&mut wheel, &mut oracle);
+        assert_eq!(w, r, "pop {i}");
+        let (at, ..) = w.expect("re-armed");
+        if at > SimTime::from_micros(30) {
+            // Behind the cursor: the popped tick is already drained.
+            push_both(&mut wheel, &mut oracle, at - SimTime::from_micros(30));
+        }
+        push_both(
+            &mut wheel,
+            &mut oracle,
+            at + SimTime::from_micros(delays[i % 5]),
+        );
+        if i % 2 == 0 {
+            let (w, r) = pop_both(&mut wheel, &mut oracle);
+            assert_eq!(w, r, "pop {i}b");
+        }
+    }
+    drain_both(&mut wheel, &mut oracle);
+}
+
+/// On the protocol's period mix, armed as `long_timer_run_matches_reference`
+/// arms it, the 2 s and 4 s timers — 88 % of pops — never cascade; the
+/// 10 s timers cascade about once and the 300 s reports a few times.
+#[test]
+fn protocol_timers_rarely_cascade() {
+    const TIMERS: u32 = 10_000;
+    let horizon = SimTime::from_secs(150);
+    let mut q = EventQueue::with_capacity(TIMERS as usize);
+    for (at, timer) in timer_phases(TIMERS, 0x5eed, period_of) {
+        q.push(at, timer);
+    }
+    let mut pops = 0u64;
+    while let Some((at, timer)) = q.pop() {
+        if at > horizon {
+            break;
+        }
+        pops += 1;
+        q.push(at + period_of(timer), timer);
+    }
+    let per_pop = q.cascaded as f64 / pops as f64;
+    assert!(
+        per_pop < 0.1,
+        "{} cascaded over {pops} pops: {per_pop:.3}",
+        q.cascaded
+    );
 }

@@ -12,7 +12,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p cs-integration --test invariant_oracles
 //! ```
 
-use coolstreaming::{RunOptions, Scenario};
+use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
 use cs_integration::check_golden_in;
 use cs_net::Bandwidth;
 use cs_proto::Event;
@@ -90,6 +90,66 @@ fn server_crash_is_invariant_clean() {
     assert!(chk.is_clean(), "{}", chk.report());
     // The crash event itself must be part of the hashed trace.
     check_golden("server_crash", run.trace_hash.expect("hash requested"));
+}
+
+/// The soak, cheaply: `scenarios/steady_state.json`'s audience in a
+/// 15-minute window that starts at 4·10⁸ s (day 4 630). The event
+/// queue's ring pulls and upper-wheel carries then run at an absolute
+/// time no other test reaches, where a carry that skipped a parked slot
+/// would misorder or lose events.
+#[test]
+fn steady_audience_soaks_clean_at_four_hundred_million_seconds() {
+    const START_S: u64 = 400_000_000;
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/steady_state.json"
+    );
+    let text = std::fs::read_to_string(path).expect("readable scenario file");
+    let mut spec = ScenarioSpec::from_json(&text).expect("steady_state.json parses");
+    spec.start_s = Some(START_S);
+    spec.end_s = Some(START_S + 15 * 60);
+    let compiled = spec.compile().expect("the shifted window compiles");
+    let run = compiled.scenario.run_injected_observed(
+        compiled.injections,
+        RunOptions {
+            trace_hash: false,
+            // The telemetry tests' stride: each check is O(peers), and
+            // at stride 1 this window runs about fifty times longer.
+            invariant_stride: Some(64),
+            ..FULL_CHECK
+        },
+    );
+    let chk = run.invariants.expect("checker requested");
+    assert!(chk.is_clean(), "{}", chk.report());
+    assert!(
+        chk.checks_run() > 2_000,
+        "checker barely ran: {}",
+        chk.checks_run()
+    );
+    let world = &run.artifacts.world;
+    assert!(
+        world.stats.arrivals > 200,
+        "{} arrivals",
+        world.stats.arrivals
+    );
+    let users: Vec<_> = world
+        .sessions
+        .iter()
+        .filter(|r| r.class.is_user())
+        .collect();
+    assert!(!users.is_empty());
+    for rec in users {
+        assert!(
+            rec.reason.is_some(),
+            "session of {:?} not finalized",
+            rec.user
+        );
+        assert!(
+            rec.join >= SimTime::from_secs(START_S),
+            "{:?} joined before the window",
+            rec.user
+        );
+    }
 }
 
 /// The same harness catches corruption: strip one side of a partnership
