@@ -686,9 +686,9 @@ fn block_pull_across_a_rotation_takes_in_the_overflow() {
     assert!(pulled, "the next rotation's overflow was never pulled in");
 }
 
-/// Pushes behind the cursor (the `late` heap), at the popped time and a
-/// few µs around it, interleaved with pops that drain ring chains and
-/// pull upper blocks into the ring.
+/// Pushes behind the cursor (the `late` heap), 30 µs before each popped
+/// time, beside re-arms 0 µs to 10 s after it, interleaved with pops that
+/// drain ring chains and pull upper blocks into the ring.
 #[test]
 fn late_pushes_interleave_with_block_pulls() {
     let mut wheel = EventQueue::new();
@@ -719,7 +719,7 @@ fn late_pushes_interleave_with_block_pulls() {
 }
 
 /// On the protocol's period mix, armed as `long_timer_run_matches_reference`
-/// arms it, the 2 s and 4 s timers — 88 % of pops — never cascade; the
+/// arms it, the 2 s and 4 s timers — 92 % of pops — never cascade; the
 /// 10 s timers cascade about once and the 300 s reports a few times.
 #[test]
 fn protocol_timers_rarely_cascade() {
