@@ -229,18 +229,15 @@ impl<W: World> Engine<W> {
             if events >= self.event_budget {
                 break StopReason::EventBudget;
             }
-            match self.queue.peek_time() {
-                None => break StopReason::QueueEmpty,
-                Some(t) if t > horizon => {
-                    self.now = horizon;
-                    break StopReason::HorizonReached;
+            // One queue call per event; its `None` is no event tag (`Due`).
+            let Some(due) = self.queue.pop_due(horizon) else {
+                if self.queue.is_empty() {
+                    break StopReason::QueueEmpty;
                 }
-                Some(_) => {}
-            }
-            let Some(popped) = self.queue.pop_entry() else {
-                break StopReason::QueueEmpty;
+                self.now = horizon;
+                break StopReason::HorizonReached;
             };
-            let (t, seq, event) = (popped.time, popped.seq, popped.event);
+            let (t, seq, event) = (due.time, due.seq.get() - 1, due.event.into_inner());
             self.now = t;
             if let Some(obs) = &mut self.observer {
                 if let Some(causes) = &self.causes {
@@ -510,6 +507,77 @@ mod tests {
         eng.run_until(SimTime::MAX);
         assert!(eng.causes.is_none());
         assert!(log.borrow().metas.is_empty(), "no metadata without causes");
+    }
+
+    /// Records the time and payload of every dispatch; an event `n > 0`
+    /// schedules `n - 1` after `delay`.
+    struct Recorder {
+        delay: SimTime,
+        seen: Vec<(SimTime, u32)>,
+    }
+
+    impl World for Recorder {
+        type Event = u32;
+        fn handle(&mut self, ctx: &mut Ctx<'_, u32>, n: u32) {
+            self.seen.push((ctx.now(), n));
+            if n > 0 {
+                ctx.schedule_in(self.delay, n - 1);
+            }
+        }
+    }
+
+    fn recorder(delay: SimTime) -> Engine<Recorder> {
+        Engine::new(Recorder {
+            delay,
+            seen: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn a_drained_queue_leaves_now_at_the_last_dispatch() {
+        let mut eng = recorder(SimTime::from_secs(1));
+        eng.schedule_at(SimTime::ZERO, 2);
+        let stats = eng.run_until(SimTime::from_secs(100));
+        assert_eq!(stats.reason, StopReason::QueueEmpty);
+        assert_eq!(stats.events, 3);
+        assert_eq!(stats.end_time, SimTime::from_secs(2));
+        assert_eq!(eng.now(), SimTime::from_secs(2), "not the horizon");
+    }
+
+    #[test]
+    fn a_zero_delay_push_at_the_horizon_is_dispatched_in_the_same_call() {
+        // Off the tick grid: the follow-ups land behind the drained
+        // tick, in the `late` heap.
+        let horizon = SimTime::from_micros(10_000_007);
+        let mut eng = recorder(SimTime::ZERO);
+        eng.schedule_at(horizon, 2);
+        eng.schedule_at(horizon + SimTime::from_micros(1), 9);
+        let stats = eng.run_until(horizon);
+        assert_eq!(stats.reason, StopReason::HorizonReached);
+        assert_eq!(stats.events, 3);
+        assert_eq!(eng.world().seen, [(horizon, 2), (horizon, 1), (horizon, 0)]);
+        assert_eq!(eng.now(), horizon);
+        assert_eq!(eng.queue.len(), 1);
+    }
+
+    #[test]
+    fn a_budget_stop_leaves_the_next_event_pending_once() {
+        let mut eng = recorder(SimTime::from_secs(1));
+        eng.schedule_at(SimTime::ZERO, 5);
+        eng.event_budget = 3;
+        let stats = eng.run_until(SimTime::MAX);
+        assert_eq!(stats.reason, StopReason::EventBudget);
+        assert_eq!((stats.events, stats.end_time), (3, SimTime::from_secs(2)));
+        assert_eq!(eng.queue.len(), 1, "the next event stays pending");
+        eng.event_budget = u64::MAX;
+        let stats = eng.run_until(SimTime::MAX);
+        assert_eq!(stats.reason, StopReason::QueueEmpty);
+        assert_eq!(stats.events, 3);
+        let seen = &eng.world().seen;
+        let expected: Vec<_> = (0..6)
+            .map(|i| (SimTime::from_secs(i), 5 - i as u32))
+            .collect();
+        assert_eq!(*seen, expected, "each event dispatched exactly once");
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod time;
 pub use det::DetMap;
 pub use engine::{Ctx, Engine, RunStats, StopReason, World};
 pub use observer::{DispatchMeta, Observer, TraceHasher};
-pub use queue::{EventQueue, Popped};
+pub use queue::EventQueue;
 pub use time::SimTime;
 
 /// The contracts every caller of [`rng::Xoshiro256PlusPlus`]'s samplers

@@ -75,7 +75,7 @@
 //!
 //! A push that lands behind the cursor (a sub-tick delay; rare) cannot
 //! join the drained batch cheaply and goes to the small `late` heap
-//! instead. `pop`/`peek` take the earlier of `ready`'s back and `late`'s
+//! instead. A pop takes the earlier of `ready`'s back and `late`'s
 //! top, hence always the minimum pending `(time, seq)`, and pop order is
 //! byte-identical to the old global heap. The differential tests in
 //! `queue/tests.rs` check the equivalence against the test-only
@@ -83,6 +83,7 @@
 //! timestamps pushed from every level, chunk boundaries, full level-1
 //! rotations and the ring's edges.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::num::NonZeroU64;
@@ -255,14 +256,15 @@ pub struct EventQueue<E> {
     cascaded: u64,
 }
 
-/// A popped queue entry with its scheduling metadata.
-pub struct Popped<E> {
-    /// The event's timestamp.
-    pub time: SimTime,
-    /// The event's insertion sequence number (unique per queue).
-    pub seq: u64,
-    /// The event itself.
-    pub event: E,
+/// An entry taken by [`EventQueue::pop_due`]; `seq` is [`stored`]. The
+/// `Cell` hides the event's niche, so `Option<Due<E>>`'s `None` is a zero
+/// `seq`: kept in a spare event tag, it made the engine read the event's
+/// last word with one load over narrower fresh stores, which cannot be
+/// forwarded.
+pub(crate) struct Due<E> {
+    pub(crate) time: SimTime,
+    pub(crate) seq: NonZeroU64,
+    pub(crate) event: Cell<E>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -327,33 +329,43 @@ impl<E> EventQueue<E> {
             + self.chunks.capacity() * std::mem::size_of::<ChunkMeta>()
     }
 
-    /// Schedule `event` at absolute time `time`.
+    /// Schedule `event` at absolute time `time`. The entry is written
+    /// once, into its cell: handed by value to an out-of-line insert, it
+    /// was copied with loads spanning narrower fresh stores.
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = stored(self.next_seq);
         self.next_seq += 1;
         self.len += 1;
-        let entry = Entry { time, seq, event };
-        if tick_of(time) < self.cur_tick {
-            self.late.push(entry);
+        let t = tick_of(time);
+        if t < self.cur_tick {
+            self.late.push(Entry { time, seq, event });
+        } else if let Some(cell) = self.append_cell(t) {
+            self.pool[cell] = Some(Entry { time, seq, event });
         } else {
-            self.insert_wheel(entry);
+            self.overflow.push(Entry { time, seq, event });
         }
     }
 
-    /// Append an entry with `tick >= cur_tick` to the tail of its tick's
-    /// ring chain when it lies before `edge`, else to its upper-wheel slot
-    /// (or push it on the overflow heap when it lies beyond the level-5
-    /// rotation of `edge`).
+    /// Put an entry with `tick >= cur_tick` into the wheel or overflow.
     fn insert_wheel(&mut self, entry: Entry<E>) {
-        let t = tick_of(entry.time);
+        match self.append_cell(tick_of(entry.time)) {
+            Some(cell) => self.pool[cell] = Some(entry),
+            None => self.overflow.push(entry),
+        }
+    }
+
+    /// The pool cell that appends tick `t` (`>= cur_tick`) to the tail of
+    /// its ring chain when it lies before `edge`, else to its upper-wheel
+    /// slot; `None` when it lies beyond the level-5 rotation of `edge`.
+    fn append_cell(&mut self, t: u64) -> Option<usize> {
         debug_assert!(t >= self.cur_tick, "wheel entry behind cursor");
         let slot = if t < self.edge {
             t as usize & (RING - 1)
         } else {
             let diff = t ^ self.edge;
             if diff >> WHEEL_BITS != 0 {
-                self.overflow.push(entry);
-                return;
+                return None;
             }
             let level = ((diff | 1).ilog2() / SLOT_BITS) as usize;
             upper(
@@ -377,8 +389,9 @@ impl<E> EventQueue<E> {
             fresh
         };
         let meta = &mut self.chunks[chunk as usize];
-        self.pool[chunk as usize * CHUNK + meta.len as usize] = Some(entry);
+        let cell = chunk as usize * CHUNK + meta.len as usize;
         meta.len += 1;
+        Some(cell)
     }
 
     /// An empty, unlinked chunk: the one freed last, or a new one at the
@@ -400,7 +413,8 @@ impl<E> EventQueue<E> {
 
     /// Advance the cursor until `ready ∪ late` holds the global minimum
     /// (or the queue is provably empty). Drains at most one ring chain
-    /// into `ready` per call.
+    /// into `ready` per call. Out of line: `pop_due`'s fast path is not.
+    #[inline(never)]
     fn ensure_ready(&mut self) {
         while self.ready.is_empty() && self.late.is_empty() {
             let Some(t) = self.ring_min() else {
@@ -585,49 +599,37 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Whether the earliest entry behind the cursor is in `late` rather
-    /// than at the back of `ready`.
-    fn next_is_late(&self) -> bool {
-        match (self.late.peek(), self.ready.last()) {
-            (Some(late), Some(ready)) => late > ready,
-            (late, _) => late.is_some(),
-        }
-    }
-
     /// Remove and return the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.pop_entry()?;
-        Some((e.time, e.event))
+        let due = self.pop_due(SimTime::MAX)?;
+        Some((due.time, due.event.into_inner()))
     }
 
-    /// [`EventQueue::pop`] carrying the entry's seq.
-    pub fn pop_entry(&mut self) -> Option<Popped<E>> {
-        self.ensure_ready();
-        let e = if self.next_is_late() {
+    /// Remove and return the earliest entry if it is due by `horizon`
+    /// (the earlier of `ready`'s back and `late`'s top). One call per
+    /// dispatch, inlined but for the refill: a peek and a pop made two
+    /// out-of-line calls. A `None` may have advanced the cursor.
+    #[inline]
+    pub(crate) fn pop_due(&mut self, horizon: SimTime) -> Option<Due<E>> {
+        if self.ready.is_empty() && self.late.is_empty() {
+            self.ensure_ready();
+        }
+        let (late, time) = match (self.late.peek(), self.ready.last()) {
+            (Some(late), Some(ready)) if late > ready => (true, late.time),
+            (_, Some(ready)) => (false, ready.time),
+            (late, None) => (true, late?.time),
+        };
+        if time > horizon {
+            return None;
+        }
+        let Entry { time, seq, event } = if late {
             self.late.pop()
         } else {
             self.ready.pop()
         }?;
         self.len -= 1;
-        Some(Popped {
-            time: e.time,
-            seq: e.seq.get() - 1,
-            event: e.event,
-        })
-    }
-
-    /// Timestamp of the next event without removing it.
-    ///
-    /// Takes `&mut self` because peeking may advance the wheel cursor
-    /// (a pure re-bucketing: the pending set is unchanged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.ensure_ready();
-        let next = if self.next_is_late() {
-            self.late.peek()
-        } else {
-            self.ready.last()
-        };
-        next.map(|e| e.time)
+        let event = Cell::new(event);
+        Some(Due { time, seq, event })
     }
 
     /// Number of pending events.

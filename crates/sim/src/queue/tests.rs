@@ -11,7 +11,7 @@ mod reference {
 
     use std::collections::BinaryHeap;
 
-    use super::super::{stored, Entry, Popped};
+    use super::super::{stored, Entry};
     use crate::time::SimTime;
 
     /// A time-ordered event queue backed by one global binary heap —
@@ -42,16 +42,19 @@ mod reference {
         }
 
         /// Remove and return the earliest entry (FIFO among equal
-        /// timestamps) with its seq metadata.
-        pub fn pop_entry(&mut self) -> Option<Popped<E>> {
+        /// timestamps) as `(time, seq, event)`.
+        pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
             let e = self.heap.pop()?;
-            Some(Popped {
-                time: e.time,
-                seq: e.seq.get() - 1,
-                event: e.event,
-            })
+            Some((e.time, e.seq.get() - 1, e.event))
         }
     }
+}
+
+/// The wheel's earliest entry as `(time, seq, event)`, taken through the
+/// engine's entry point.
+fn pop_entry<E>(q: &mut EventQueue<E>) -> Option<(SimTime, u64, E)> {
+    let due = q.pop_due(SimTime::MAX)?;
+    Some((due.time, due.seq.get() - 1, due.event.into_inner()))
 }
 
 #[test]
@@ -99,11 +102,17 @@ fn counters_track_traffic() {
 }
 
 #[test]
-fn peek_does_not_remove() {
+fn a_head_beyond_the_horizon_stays_pending() {
     let mut q = EventQueue::new();
     q.push(SimTime::from_secs(9), 1);
-    assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
+    assert!(q.pop_due(SimTime::from_micros(8_999_999)).is_none());
     assert_eq!(q.len(), 1);
+    let due = q.pop_due(SimTime::from_secs(9)).expect("due at its time");
+    assert_eq!(
+        (due.time, due.event.into_inner()),
+        (SimTime::from_secs(9), 1)
+    );
+    assert!(q.is_empty());
 }
 
 /// Timestamps chosen to land on every wheel level and in the overflow
@@ -146,12 +155,10 @@ fn wheel_matches_reference_across_levels() {
         oracle.push(t, i);
     }
     loop {
-        let (a, b) = (wheel.pop_entry(), oracle.pop_entry());
+        let (a, b) = (pop_entry(&mut wheel), oracle.pop_entry());
         match (a, b) {
             (None, None) => break,
-            (Some(x), Some(y)) => {
-                assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
-            }
+            (Some(x), Some(y)) => assert_eq!(x, y),
             _ => panic!("wheel and reference disagree on length"),
         }
     }
@@ -280,7 +287,7 @@ fn overflow_then_near_events_interleave_correctly() {
     assert_eq!(q.pop().unwrap().1, "near");
     // After the cursor jumps to the overflow head, late near-cursor
     // pushes still order correctly.
-    assert_eq!(q.peek_time(), Some(far));
+    assert!(q.pop_due(far - SimTime::from_micros(1)).is_none());
     q.push(far, "far-fifo");
     assert_eq!(q.pop().unwrap().1, "far");
     assert_eq!(q.pop().unwrap().1, "far-fifo");
@@ -290,7 +297,7 @@ fn overflow_then_near_events_interleave_correctly() {
 fn push_behind_cursor_goes_ready() {
     let mut q = EventQueue::new();
     q.push(SimTime::from_secs(10), "late");
-    assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
+    assert!(q.pop_due(SimTime::from_secs(9)).is_none());
     // The cursor now sits past earlier ticks; an "old" timestamp must
     // still pop first (the engine clamps to now, but the queue itself
     // stays totally ordered either way).
@@ -335,17 +342,17 @@ proptest! {
                 next_id += 1;
                 pending += 1;
             } else {
-                let w = wheel.pop_entry().expect("wheel non-empty");
+                let w = pop_entry(&mut wheel).expect("wheel non-empty");
                 let r = oracle.pop_entry().expect("oracle non-empty");
-                prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
+                prop_assert_eq!(w, r);
                 pending -= 1;
             }
         }
         while let Some(r) = oracle.pop_entry() {
-            let w = wheel.pop_entry().expect("wheel drains with oracle");
-            prop_assert_eq!((w.time, w.seq, w.event), (r.time, r.seq, r.event));
+            let w = pop_entry(&mut wheel).expect("wheel drains with oracle");
+            prop_assert_eq!(w, r);
         }
-        prop_assert!(wheel.pop_entry().is_none());
+        prop_assert!(pop_entry(&mut wheel).is_none());
     }
 }
 
@@ -389,8 +396,7 @@ fn pop_both(
     wheel: &mut EventQueue<u32>,
     oracle: &mut ReferenceQueue<u32>,
 ) -> (Option<Key>, Option<Key>) {
-    let key = |p: Popped<u32>| (p.time, p.seq, p.event);
-    (wheel.pop_entry().map(key), oracle.pop_entry().map(key))
+    (pop_entry(wheel), oracle.pop_entry())
 }
 
 /// Push at `at` into both queues, tagged with the push's index.
@@ -453,9 +459,9 @@ fn pool_size_follows_the_pending_set() {
     let mut chunks_after = [0usize; 5];
     for (rotation, chunks) in chunks_after.iter_mut().enumerate() {
         let end = ROTATION * (rotation as u64 + 1);
-        while q.peek_time().is_some_and(|at| at <= end) {
-            let (at, timer) = q.pop().expect("peeked");
-            q.push(at + period(timer), timer);
+        while let Some(due) = q.pop_due(end) {
+            let timer = due.event.into_inner();
+            q.push(due.time + period(timer), timer);
         }
         *chunks = q.chunks.len();
     }

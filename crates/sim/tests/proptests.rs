@@ -1,7 +1,10 @@
 //! Property tests for the event queue, scheduling context, and RNG.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use cs_sim::rng::split_seed;
-use cs_sim::{Ctx, Engine, EventQueue, SimTime, World};
+use cs_sim::{Ctx, Engine, EventQueue, RunStats, SimTime, StopReason, World};
 use proptest::prelude::*;
 
 /// A world whose every event tries to schedule its successor *in the
@@ -35,7 +38,160 @@ impl World for ClampWorld {
     }
 }
 
+/// A self-rescheduling event: chain `chain` with `hops` successors left.
+type Link = (u8, u32);
+
+/// The handler logic of [`ChainWorld`], shared with the reference loop:
+/// every dispatch takes the next delay of a fixed list (cycling), an
+/// event with hops left schedules its successor after it, and every
+/// fourth one also forks a one-hop chain at the same delay. Dispatch
+/// number `stop_at` asks the run to stop.
+struct Script {
+    delays: Vec<SimTime>,
+    stop_at: usize,
+    dispatched: Vec<(SimTime, Link)>,
+}
+
+impl Script {
+    /// Record a dispatch at `now`; returns the follow-ups (delay, event)
+    /// and whether to stop.
+    fn step(&mut self, now: SimTime, (chain, hops): Link) -> (Vec<(SimTime, Link)>, bool) {
+        let k = self.dispatched.len();
+        self.dispatched.push((now, (chain, hops)));
+        let delay = self.delays[k % self.delays.len()];
+        let mut next = Vec::new();
+        if hops > 0 {
+            next.push((delay, (chain, hops - 1)));
+            if k % 4 == 0 {
+                next.push((delay, (chain.wrapping_add(100), 0)));
+            }
+        }
+        (next, k == self.stop_at)
+    }
+}
+
+struct ChainWorld(Script);
+
+impl World for ChainWorld {
+    type Event = Link;
+
+    fn handle(&mut self, ctx: &mut Ctx<'_, Link>, ev: Link) {
+        let (next, stop) = self.0.step(ctx.now(), ev);
+        for (delay, ev) in next {
+            ctx.schedule_in(delay, ev);
+        }
+        if stop {
+            ctx.stop();
+        }
+    }
+}
+
+/// The `run_until` contract over one `BinaryHeap` ordered by
+/// `(time, push index)`: one `(events, end_time, reason)` per segment.
+fn reference_run(
+    script: &mut Script,
+    starts: &[(SimTime, Link)],
+    segments: &[(SimTime, u64)],
+) -> Vec<(u64, SimTime, StopReason)> {
+    let mut heap = BinaryHeap::new();
+    let mut pushed = 0u64;
+    for &(at, ev) in starts {
+        heap.push(Reverse((at, pushed, ev)));
+        pushed += 1;
+    }
+    let mut now = SimTime::ZERO;
+    let mut stats = Vec::new();
+    for &(horizon, budget) in segments {
+        let mut events = 0;
+        let reason = loop {
+            if events >= budget {
+                break StopReason::EventBudget;
+            }
+            let Some(&Reverse((at, _, _))) = heap.peek() else {
+                break StopReason::QueueEmpty;
+            };
+            if at > horizon {
+                now = horizon;
+                break StopReason::HorizonReached;
+            }
+            let Some(Reverse((at, _, ev))) = heap.pop() else {
+                unreachable!("peeked");
+            };
+            now = at;
+            let (next, stop) = script.step(now, ev);
+            for (delay, ev) in next {
+                heap.push(Reverse((now + delay, pushed, ev)));
+                pushed += 1;
+            }
+            events += 1;
+            if stop {
+                break StopReason::Stopped;
+            }
+        };
+        stats.push((events, now, reason));
+    }
+    stats
+}
+
+/// A delay of kind `kind`: zero, sub-tick, or one of the protocol's
+/// 2 s, 4 s, 10 s and 300 s periods.
+fn delay_of((kind, sub_us): (u8, u64)) -> SimTime {
+    match kind {
+        0 => SimTime::ZERO,
+        1 => SimTime::from_micros(sub_us),
+        2 => SimTime::from_secs(2),
+        3 => SimTime::from_secs(4),
+        4 => SimTime::from_secs(10),
+        _ => SimTime::from_secs(300),
+    }
+}
+
 proptest! {
+    /// Self-rescheduling chains run through several `run_until`
+    /// segments — random horizons, event budgets and a handler stop —
+    /// dispatch the same `(time, event)` sequence and return the same
+    /// `RunStats` and clock as the reference loop.
+    #[test]
+    fn run_until_segments_match_a_reference_heap(
+        delays in proptest::collection::vec((0u8..6, 1u64..16_384), 1..12),
+        starts in proptest::collection::vec((0u64..5_000_000, 0u32..40), 1..8),
+        segments in proptest::collection::vec((0u64..400_000_000, 0u8..4, 1u64..60), 1..8),
+        stop_at in 0usize..400,
+    ) {
+        let script = || Script {
+            delays: delays.iter().copied().map(delay_of).collect(),
+            stop_at,
+            dispatched: Vec::new(),
+        };
+        let starts: Vec<_> = (0u8..)
+            .zip(&starts)
+            .map(|(chain, &(at, hops))| (SimTime::from_micros(at), (chain, hops)))
+            .collect();
+        // Horizons grow by a random step; one budget in four is finite.
+        let mut horizon = SimTime::ZERO;
+        let segments: Vec<_> = segments
+            .iter()
+            .map(|&(step, budget_kind, budget)| {
+                horizon += SimTime::from_micros(step);
+                (horizon, if budget_kind == 0 { budget } else { u64::MAX })
+            })
+            .chain([(SimTime::MAX, u64::MAX)])
+            .collect();
+        let mut reference = script();
+        let expected = reference_run(&mut reference, &starts, &segments);
+        let mut engine = Engine::new(ChainWorld(script()));
+        for &(at, ev) in &starts {
+            engine.schedule_at(at, ev);
+        }
+        for (&(horizon, budget), &(events, end_time, reason)) in segments.iter().zip(&expected) {
+            engine.event_budget = budget;
+            let RunStats { events: e, end_time: t, reason: r } = engine.run_until(horizon);
+            prop_assert_eq!((e, t, r), (events, end_time, reason));
+            prop_assert_eq!(engine.now(), end_time);
+        }
+        prop_assert_eq!(&engine.world().0.dispatched, &reference.dispatched);
+    }
+
     /// Popping always yields a sequence sorted by time, and FIFO within
     /// equal timestamps.
     #[test]

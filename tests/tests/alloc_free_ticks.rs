@@ -28,7 +28,7 @@ use std::rc::Rc;
 use cs_logging::{ActivityKind, LogServer, Report, UserId};
 use cs_net::{Bandwidth, ConnectivityPolicy, LatencyModel, Network, NodeClass};
 use cs_proto::{CsWorld, Event, Params, UserSpec};
-use cs_sim::{Engine, EventQueue, Observer, SimTime};
+use cs_sim::{Ctx, Engine, Observer, SimTime, World};
 
 thread_local! {
     /// `alloc` + `realloc` calls made by this thread.
@@ -290,42 +290,52 @@ fn log_path_does_not_allocate_per_line() {
     }
 }
 
-/// The event queue on its own: built `with_capacity(N)` and armed with N
-/// periodic timers, its chunk pool never grows (the reservation covers
-/// `N ÷ CHUNK` full chunks plus a partial one per slot), and once the
-/// ready batch has held its largest tick a whole rotation of pops and
-/// re-arms — cascades included — makes no allocator call at all.
+/// Whole ticks, the longest one rotation: every rotation repeats the
+/// last one exactly.
+fn timer_period(timer: u64) -> u64 {
+    [128u64, 128, 256, 512, 4096][timer as usize % 5] << 14
+}
+
+/// Periodic timers and nothing else: each firing re-arms itself.
+struct Timers;
+
+impl World for Timers {
+    type Event = u64;
+    fn handle(&mut self, ctx: &mut Ctx<'_, u64>, timer: u64) {
+        ctx.schedule_in(SimTime::from_micros(timer_period(timer)), timer);
+    }
+}
+
+/// The event loop on the timing wheel alone: built with a queue
+/// reserved for N timers and armed with N periodic timers, its chunk
+/// pool never grows (the reservation covers `N ÷ CHUNK` full chunks plus
+/// a partial one per slot), and once the ready batch has held its largest
+/// tick a whole rotation of dispatches and re-arms — cascades included —
+/// makes no allocator call at all.
 #[test]
 fn warmed_timing_wheel_does_not_allocate() {
     const TIMERS: u64 = 20_000;
-    // Whole ticks, the longest one rotation: every rotation repeats the
-    // last one exactly, so the warm-up has seen the largest tick.
-    let period = |timer: u64| [128u64, 128, 256, 512, 4096][timer as usize % 5] << 14;
-    let mut queue = EventQueue::with_capacity(TIMERS as usize);
+    let mut engine = Engine::with_queue_capacity(Timers, TIMERS as usize);
     let before_arming = allocs();
     for timer in 0..TIMERS {
-        let phase = timer.wrapping_mul(0x9e37_79b9_7f4a_7c15) % period(timer);
-        queue.push(SimTime::from_micros(phase), timer);
+        let phase = timer.wrapping_mul(0x9e37_79b9_7f4a_7c15) % timer_period(timer);
+        engine.schedule_at(SimTime::from_micros(phase), timer);
     }
     assert_eq!(
         allocs() - before_arming,
         0,
         "arming outgrew the reservation"
     );
-    // Pop and re-arm up to the end of level-1 rotation `rotation`.
-    let run_through = |queue: &mut EventQueue<u64>, rotation: u64| {
-        let end = SimTime::from_micros(rotation * WHEEL_BLOCK_US);
-        let mut fired = 0u64;
-        while queue.peek_time().is_some_and(|at| at <= end) {
-            let (at, timer) = queue.pop().expect("peeked");
-            queue.push(at + SimTime::from_micros(period(timer)), timer);
-            fired += 1;
-        }
-        fired
+    // Dispatch up to the end of level-1 rotation `rotation`; the warm-up
+    // rotation has seen the largest tick.
+    let run_through = |engine: &mut Engine<Timers>, rotation: u64| {
+        engine
+            .run_until(SimTime::from_micros(rotation * WHEEL_BLOCK_US))
+            .events
     };
-    run_through(&mut queue, 3);
+    run_through(&mut engine, 3);
     let before = allocs();
-    let fired = run_through(&mut queue, 4);
+    let fired = run_through(&mut engine, 4);
     assert!(
         fired > 300_000,
         "only {fired} firings in the measured rotation"

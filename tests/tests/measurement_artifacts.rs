@@ -4,7 +4,8 @@
 //! users as UPnP ("errors can occur").
 
 use coolstreaming::experiments::LogView;
-use coolstreaming::Scenario;
+use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
+use cs_integration::session_table_text;
 use cs_net::{ConnectivityPolicy, NodeClass};
 use cs_proto::DepartReason;
 use cs_sim::SimTime;
@@ -153,4 +154,43 @@ fn reported_continuity_is_not_pessimistic() {
         logged_ci >= true_ci - 0.001,
         "logged CI {logged_ci:.4} should not be below true CI {true_ci:.4}"
     );
+}
+
+/// Status reports draw no randomness and change no protocol state, so
+/// the report period cannot move ground truth: `scenarios/steady_state.json`'s
+/// audience over 15 minutes, reporting every minute or every five (the
+/// first report at 60 s in both), must leave the finalised session table
+/// byte-identical, at two seeds.
+#[test]
+fn the_report_period_leaves_ground_truth_unchanged() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/steady_state.json"
+    );
+    let text = std::fs::read_to_string(path).expect("readable scenario file");
+    for seed in [401, 402] {
+        let table = |period: SimTime| {
+            let mut spec = ScenarioSpec::from_json(&text).expect("steady_state.json parses");
+            spec.seed = Some(seed);
+            spec.end_s = Some(15 * 60);
+            let compiled = spec.compile().expect("the window compiles");
+            let mut scenario = compiled.scenario;
+            scenario.params.report_interval = period;
+            assert_eq!(scenario.params.first_report_delay, SimTime::from_secs(60));
+            let run = scenario.run_injected_observed(compiled.injections, RunOptions::default());
+            let table = session_table_text(&run.artifacts.world.sessions);
+            (table, run.artifacts.run_stats.events)
+        };
+        let (minutely, events_1) = table(SimTime::from_secs(60));
+        let (five_minutely, events_5) = table(SimTime::from_secs(300));
+        assert!(
+            events_1 > events_5,
+            "seed {seed}: the period changed nothing"
+        );
+        assert!(
+            minutely.lines().count() > 200,
+            "seed {seed}: too few sessions"
+        );
+        assert_eq!(minutely, five_minutely, "seed {seed}");
+    }
 }
