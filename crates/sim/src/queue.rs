@@ -247,10 +247,12 @@ pub struct EventQueue<E> {
     cur_tick: u64,
     /// End of the ring, `ring_edge(cur_tick)`; the upper wheel's cursor.
     edge: u64,
-    /// Pending-entry count across ready + late + wheel + overflow.
-    len: usize,
     /// The seq the next push takes; also the count of pushes so far.
     next_seq: u64,
+    /// Pops so far. Not a pending count that push and pop both update:
+    /// LLVM merges push's two increments into one 16-byte load, which
+    /// then spans pop's fresh 8-byte store and cannot be forwarded.
+    popped: u64,
     /// Entries moved by cascades so far.
     #[cfg(test)]
     cascaded: u64,
@@ -299,8 +301,8 @@ impl<E> EventQueue<E> {
             radix: Vec::new(),
             cur_tick: 0,
             edge: ring_edge(0),
-            len: 0,
             next_seq: 0,
+            popped: 0,
             #[cfg(test)]
             cascaded: 0,
         }
@@ -336,7 +338,6 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = stored(self.next_seq);
         self.next_seq += 1;
-        self.len += 1;
         let t = tick_of(time);
         if t < self.cur_tick {
             self.late.push(Entry { time, seq, event });
@@ -627,19 +628,19 @@ impl<E> EventQueue<E> {
         } else {
             self.ready.pop()
         }?;
-        self.len -= 1;
+        self.popped += 1;
         let event = Cell::new(event);
         Some(Due { time, seq, event })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        (self.next_seq - self.popped) as usize
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.next_seq == self.popped
     }
 
     /// Total events ever pushed. Seqs are issued consecutively from 0,
