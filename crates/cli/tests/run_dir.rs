@@ -275,12 +275,21 @@ fn run_directory_files_agree_with_each_other() {
         &Value::Int((rss - held).into())
     );
 
-    // One span per dispatch, under a header that says how many.
+    // One span per dispatch, under a header that says how many. Every
+    // line is JSON, and each kind has as many spans as its counter says.
     let spans = read(out.join("spans.jsonl"));
-    let header: Value = serde_json::from_str(spans.lines().next().expect("header")).unwrap();
+    let mut lines = spans.lines();
+    let header: Value = serde_json::from_str(lines.next().expect("header")).unwrap();
     assert_eq!(field(&header, "schema").as_str(), Some("cs-spans/1"));
     assert_eq!(int(field(&header, "spans")), events);
-    assert_eq!(spans.lines().count() as u64 - 1, events);
+    let mut per_kind: BTreeMap<String, u64> = BTreeMap::new();
+    for line in lines {
+        let span: Value = serde_json::from_str(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let kind = field(&span, "kind").as_str().expect("kind");
+        *per_kind.entry(kind.to_string()).or_default() += 1;
+    }
+    assert_eq!(per_kind, totals);
+    assert_eq!(per_kind.values().sum::<u64>(), events);
 }
 
 /// Every library scenario ends on the default 300 s window grid, where

@@ -692,6 +692,9 @@ mod tests {
 
     /// cs-telemetry indexes its per-kind table by `kind_class().0`, trace
     /// hashes and counters key on the name, and spans on `manager()`.
+    /// `spans.jsonl` writes both names unescaped, so each is non-empty
+    /// `[a-z_]+`; `metrics.jsonl` orders counters by their whole key, which
+    /// is kind-name order while no name is a prefix of another.
     #[test]
     fn kind_table_is_dense_named_uniquely_and_managed() {
         let all = one_of_each_kind();
@@ -707,6 +710,16 @@ mod tests {
         const MANAGERS: [&str; 5] = ["membership", "partnership", "stream", "chaos", "engine"];
         for e in &all {
             assert!(MANAGERS.contains(&e.manager()), "{e:?}: {}", e.manager());
+        }
+
+        let plain = |name: &str| {
+            !name.is_empty() && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')
+        };
+        for name in names.iter().chain(&MANAGERS) {
+            assert!(plain(name), "`{name}` is not [a-z_]+");
+        }
+        for pair in names.windows(2) {
+            assert!(!pair[1].starts_with(pair[0]), "{pair:?}");
         }
     }
 }

@@ -18,15 +18,15 @@
 //! Later ticks go to the *upper wheel*, whose cursor is `edge`: [`LEVELS`]
 //! levels of [`SLOTS`] slots each; level `l` slot `s` covers the ticks
 //! whose bits above `SLOT_BITS·(l+1)` match `edge` and whose level-`l`
-//! digit is `s`. Its level 0 is the block `[edge, edge + 64)`; level 5
-//! rotates every `2^36` ticks (≈36 years of simulated time). Anything
-//! beyond the level-5 rotation sits in a plain binary-heap *overflow*
-//! until `edge` reaches its rotation. When the cursor crosses a 64-tick
-//! block, `edge` advances one block and the upper level-0 chains are
-//! relinked into the ring — a head/tail move per tick, no entry copied —
-//! and a carry cascades the upper slots `edge`'s digits now rest on. One
-//! `u64` occupancy bitmap per 64 slots makes "earliest non-empty slot" a
-//! `trailing_zeros`.
+//! digit is `s`. Its level 0 is the block `[edge, edge + 64)`. The nine
+//! levels' digits are 54 bits, more than the 51 in which a tick a
+//! `SimTime` can name may differ from `edge`, so every pending tick has a
+//! slot and no level ever completes a rotation. When the cursor crosses a
+//! 64-tick block, `edge` advances one block and the upper level-0 chains
+//! are relinked into the ring — a head/tail move per tick, no entry
+//! copied — and a carry cascades the upper slots `edge`'s digits now rest
+//! on. One `u64` occupancy bitmap per 64 slots makes "earliest non-empty
+//! slot" a `trailing_zeros`.
 //!
 //! # Storage: one chunk pool of FIFO chains
 //!
@@ -41,12 +41,12 @@
 //! cascades walk a chain once, front to back, and release each chunk as
 //! they leave it: the chunk freed last — still in cache — is the next one
 //! written. The pool therefore holds `pending ÷ CHUNK` full chunks plus
-//! at most one partial chunk per chain (`RING + LEVELS · SLOTS` = 896),
-//! whatever each slot's fullest rotation once was. An entry is the event plus 16 bytes (56 for a
-//! 40-byte event): `seq` is stored plus one as a `NonZeroU64`, so
-//! `Option<Entry>` needs no tag. An entry carries no causal parent: the
-//! engine records which handler pushed which seqs, and only while an
-//! observer asks for causes.
+//! at most one partial chunk per chain (`RING + LEVELS · SLOTS` = 1 088),
+//! whatever each slot's fullest rotation once was. An entry is the event
+//! plus 16 bytes (56 for a 40-byte event): `seq` is stored plus one as a
+//! `NonZeroU64`, so `Option<Entry>` needs no tag. An entry carries no
+//! causal parent: the engine records which handler pushed which seqs,
+//! and only while an observer asks for causes.
 //!
 //! # Exact (time, seq) order
 //!
@@ -55,8 +55,7 @@
 //! around the wheel cursor `cur_tick`:
 //!
 //! * every pending entry with `tick <  cur_tick` is in `ready` or `late`;
-//! * every pending entry with `tick >= cur_tick` is in the wheel or the
-//!   overflow heap.
+//! * every pending entry with `tick >= cur_tick` is in the wheel.
 //!
 //! The cursor only advances when `ready` and `late` are both empty, by
 //! draining the earliest occupied ring chain (one whole tick — *all*
@@ -79,7 +78,7 @@
 //! top, hence always the minimum pending `(time, seq)`, and pop order is
 //! byte-identical to the old global heap. The differential tests in
 //! `queue/tests.rs` check the equivalence against the test-only
-//! `ReferenceQueue` across every level, the overflow heap, equal
+//! `ReferenceQueue` across every level up to `SimTime::MAX`, equal
 //! timestamps pushed from every level, chunk boundaries, full level-1
 //! rotations and the ring's edges.
 
@@ -96,11 +95,11 @@ const TICK_SHIFT: u32 = 14;
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Number of wheel levels; ticks differing above `SLOT_BITS * LEVELS`
-/// bits from the cursor overflow to a heap.
-const LEVELS: usize = 6;
-/// Tick bits addressable by the wheel proper.
-const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Number of upper wheel levels: their digits address every bit in
+/// which a tick (`64 − TICK_SHIFT` bits) can differ from `edge`, which
+/// runs up to a ring past the last tick and so has one bit more.
+const LEVELS: usize = 9;
+const _: () = assert!(SLOT_BITS * LEVELS as u32 > u64::BITS - TICK_SHIFT);
 /// One-tick chains of the ring: a 4 s period (244 ticks) plus a block
 /// and change, so every 2 s and 4 s timer is pushed straight to its tick.
 const RING: usize = 512;
@@ -109,7 +108,7 @@ const RING: usize = 512;
 const RING_WORDS: usize = RING / SLOTS;
 const _: () = assert!(RING % SLOTS == 0 && RING.is_power_of_two());
 /// Entries per pool chunk: large enough that a drain reads memory
-/// sequentially, small enough that 896 partly filled tails cost little.
+/// sequentially, small enough that 1 088 partly filled tails cost little.
 const CHUNK: usize = 32;
 /// "No chunk": an empty slot, the end of a chain, an empty free list.
 const NIL: u32 = u32::MAX;
@@ -225,8 +224,8 @@ pub struct EventQueue<E> {
     ready: Vec<Entry<E>>,
     /// Entries pushed behind the cursor after their tick was drained.
     late: BinaryHeap<Entry<E>>,
-    /// Storage of every wheel entry (`tick >= cur_tick` within the
-    /// level-5 rotation): chunk `c` is cells `c·CHUNK .. (c+1)·CHUNK`.
+    /// Storage of every wheel entry (`tick >= cur_tick`): chunk `c` is
+    /// cells `c·CHUNK .. (c+1)·CHUNK`.
     pool: Vec<Option<Entry<E>>>,
     /// Per-chunk metadata, parallel to `pool`.
     chunks: Vec<ChunkMeta>,
@@ -237,8 +236,6 @@ pub struct EventQueue<E> {
     slots: [Chain; RING + LEVELS * SLOTS],
     /// Bitmap of the slots whose chain is non-empty, 64 slots a word.
     occupied: [u64; RING_WORDS + LEVELS],
-    /// Entries beyond the level-5 rotation of `edge`.
-    overflow: BinaryHeap<Entry<E>>,
     /// Drain scratch: one key per entry of the tick being drained.
     keys: Vec<u64>,
     /// Drain scratch: the radix sort's second buffer.
@@ -296,7 +293,6 @@ impl<E> EventQueue<E> {
             free: NIL,
             slots: [Chain::EMPTY; RING + LEVELS * SLOTS],
             occupied: [0; RING_WORDS + LEVELS],
-            overflow: BinaryHeap::new(),
             keys: Vec::new(),
             radix: Vec::new(),
             cur_tick: 0,
@@ -310,17 +306,16 @@ impl<E> EventQueue<E> {
 
     /// Heap bytes the queue holds: the chunks carved from the pool so
     /// far with their metadata (a reserved pool's tail is never touched),
-    /// and at capacity the ready batch, the late and overflow heaps and
-    /// the drain scratch.
+    /// and at capacity the ready batch, the late heap and the drain
+    /// scratch.
     pub fn heap_bytes(&self) -> usize {
         fn cap<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        let entry = std::mem::size_of::<Entry<E>>();
         self.pool.len() * std::mem::size_of::<Option<Entry<E>>>()
             + self.chunks.len() * std::mem::size_of::<ChunkMeta>()
             + cap(&self.ready)
-            + (self.late.capacity() + self.overflow.capacity()) * entry
+            + self.late.capacity() * std::mem::size_of::<Entry<E>>()
             + cap(&self.keys)
             + cap(&self.radix)
     }
@@ -341,33 +336,21 @@ impl<E> EventQueue<E> {
         let t = tick_of(time);
         if t < self.cur_tick {
             self.late.push(Entry { time, seq, event });
-        } else if let Some(cell) = self.append_cell(t) {
-            self.pool[cell] = Some(Entry { time, seq, event });
         } else {
-            self.overflow.push(Entry { time, seq, event });
-        }
-    }
-
-    /// Put an entry with `tick >= cur_tick` into the wheel or overflow.
-    fn insert_wheel(&mut self, entry: Entry<E>) {
-        match self.append_cell(tick_of(entry.time)) {
-            Some(cell) => self.pool[cell] = Some(entry),
-            None => self.overflow.push(entry),
+            let cell = self.append_cell(t);
+            self.pool[cell] = Some(Entry { time, seq, event });
         }
     }
 
     /// The pool cell that appends tick `t` (`>= cur_tick`) to the tail of
     /// its ring chain when it lies before `edge`, else to its upper-wheel
-    /// slot; `None` when it lies beyond the level-5 rotation of `edge`.
-    fn append_cell(&mut self, t: u64) -> Option<usize> {
+    /// slot.
+    fn append_cell(&mut self, t: u64) -> usize {
         debug_assert!(t >= self.cur_tick, "wheel entry behind cursor");
         let slot = if t < self.edge {
             t as usize & (RING - 1)
         } else {
             let diff = t ^ self.edge;
-            if diff >> WHEEL_BITS != 0 {
-                return None;
-            }
             let level = ((diff | 1).ilog2() / SLOT_BITS) as usize;
             upper(
                 level,
@@ -392,7 +375,7 @@ impl<E> EventQueue<E> {
         let meta = &mut self.chunks[chunk as usize];
         let cell = chunk as usize * CHUNK + meta.len as usize;
         meta.len += 1;
-        Some(cell)
+        cell
     }
 
     /// An empty, unlinked chunk: the one freed last, or a new one at the
@@ -475,9 +458,8 @@ impl<E> EventQueue<E> {
     /// With the ring empty, move toward the next pending entry: when
     /// upper level 0 is occupied, step the cursor to the block whose ring
     /// takes it in; else jump `edge` to the start of the earliest occupied
-    /// upper slot and cascade that slot down; with the whole wheel empty,
-    /// to the overflow head's block, pulling in its rotation. False when
-    /// the queue is empty.
+    /// upper slot and cascade that slot down. False when the queue is
+    /// empty.
     fn jump(&mut self) -> bool {
         if self.occupied[RING_WORDS] != 0 {
             self.cur_tick = self.edge + SLOTS as u64 - RING as u64;
@@ -500,24 +482,7 @@ impl<E> EventQueue<E> {
             self.cascade_slot(upper(l, s as usize));
             return true;
         }
-        let Some(head) = self.overflow.peek() else {
-            return false;
-        };
-        self.jump_to(tick_of(head.time) & !(SLOTS as u64 - 1));
-        self.pull_overflow();
-        true
-    }
-
-    /// Move every overflow entry that lies in the level-5 rotation of
-    /// `edge` into the wheel, in `(time, seq)` order.
-    fn pull_overflow(&mut self) {
-        while let Some(h) = self.overflow.peek() {
-            if (tick_of(h.time) ^ self.edge) >> WHEEL_BITS != 0 {
-                break;
-            }
-            let Some(e) = self.overflow.pop() else { break };
-            self.insert_wheel(e);
-        }
+        false
     }
 
     /// Detach the slot's chain, walk it once front to back, hand every
@@ -549,7 +514,8 @@ impl<E> EventQueue<E> {
                 {
                     q.cascaded += 1;
                 }
-                q.insert_wheel(e);
+                let cell = q.append_cell(tick_of(e.time));
+                q.pool[cell] = Some(e);
             }
         });
     }
@@ -584,19 +550,13 @@ impl<E> EventQueue<E> {
     /// restores the invariant that the cursor-digit slot is empty at
     /// every level above 0, which `jump` relies on. The carried digits'
     /// lower bits are zero, so every re-inserted entry still satisfies
-    /// `tick >= edge` and lands strictly lower in the upper wheel. A carry
-    /// out of level 5 starts a new rotation, whose entries wait in the
-    /// overflow heap: they join the wheel now, before a later push of the
-    /// same rotation can drain ahead of them.
+    /// `tick >= edge` and lands strictly lower in the upper wheel.
     fn cascade_cursor_slots(&mut self) {
         for l in 1..LEVELS {
             let digit = (self.edge >> (SLOT_BITS * l as u32)) as usize & (SLOTS - 1);
             if self.occupied[RING_WORDS + l] & (1 << digit) != 0 {
                 self.cascade_slot(upper(l, digit));
             }
-        }
-        if self.edge & ((1 << WHEEL_BITS) - 1) == 0 {
-            self.pull_overflow();
         }
     }
 

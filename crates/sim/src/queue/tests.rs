@@ -50,6 +50,11 @@ mod reference {
     }
 }
 
+/// `2^36` ticks (≈ 36 years): where level 6 begins for a cursor at zero,
+/// and where a six-level wheel ends. The far cases below sit there,
+/// beside `u64::MAX − 1` and `SimTime::MAX`.
+const FAR_BITS: u32 = 36;
+
 /// The wheel's earliest entry as `(time, seq, event)`, taken through the
 /// engine's entry point.
 fn pop_entry<E>(q: &mut EventQueue<E>) -> Option<(SimTime, u64, E)> {
@@ -115,9 +120,9 @@ fn a_head_beyond_the_horizon_stays_pending() {
     assert!(q.is_empty());
 }
 
-/// Timestamps chosen to land on every wheel level and in the overflow
-/// heap relative to a cursor at zero. 400 pushes over these 22 values
-/// repeat each about 18 times, so every slot's chain holds runs of equal
+/// Timestamps chosen to land on every wheel level relative to a cursor at
+/// zero, up to `SimTime::MAX`. 400 pushes over these 26 values repeat
+/// each about 15 times, so every slot's chain holds runs of equal
 /// timestamps that must cascade and drain in push (`seq`) order.
 fn level_spanning_times() -> Vec<SimTime> {
     let tick = 1u64 << TICK_SHIFT;
@@ -128,12 +133,15 @@ fn level_spanning_times() -> Vec<SimTime> {
         SimTime::from_micros(tick),
     ];
     for level in 0..LEVELS as u32 {
+        // Level 8's 17 spans pass `u64::MAX`: they saturate to it.
         let span = tick << (SLOT_BITS * level);
         v.push(SimTime::from_micros(span + 3));
-        v.push(SimTime::from_micros(span * 17 + 1));
+        v.push(SimTime::from_micros(
+            span.saturating_mul(17).saturating_add(1),
+        ));
     }
-    v.push(SimTime::from_micros(tick << WHEEL_BITS)); // overflow
-    v.push(SimTime::from_micros((tick << WHEEL_BITS) * 9 + 5));
+    v.push(SimTime::from_micros(tick << FAR_BITS));
+    v.push(SimTime::from_micros((tick << FAR_BITS) * 9 + 5));
     v.push(SimTime(u64::MAX - 1));
     v.push(SimTime::MAX);
     v
@@ -198,41 +206,41 @@ fn carry_cascades_before_later_pushes() {
 }
 
 #[test]
-fn carry_into_the_next_rotation_pulls_in_the_overflow() {
-    // Regression: the last tick of a level-5 rotation carries the cursor
-    // into the next rotation, whose entries wait in the overflow heap. A
-    // push into that rotation lands in the wheel, and must not drain
-    // ahead of an earlier overflow entry.
+fn carry_into_level_6_keeps_order() {
+    // Regression: the last tick below `2^36` carries the cursor into
+    // level 6's next digit, where an earlier entry waits. A push made
+    // after the carry must not drain ahead of it.
     let tick = 1u64 << TICK_SHIFT;
-    let rotation = tick << WHEEL_BITS;
+    let rotation = tick << FAR_BITS;
     let mut q = EventQueue::new();
     q.push(SimTime::from_micros(rotation - tick), "last-tick");
-    q.push(SimTime::from_micros(rotation + 5 * tick), "overflow");
+    q.push(SimTime::from_micros(rotation + 5 * tick), "waiting");
     assert_eq!(q.pop().unwrap().1, "last-tick");
     q.push(
         SimTime::from_micros(rotation + 10 * tick),
         "pushed-after-carry",
     );
-    assert_eq!(q.pop().unwrap().1, "overflow");
+    assert_eq!(q.pop().unwrap().1, "waiting");
     assert_eq!(q.pop().unwrap().1, "pushed-after-carry");
     assert!(q.is_empty());
 }
 
 /// The lemma the drain relies on: entries of one timestamp share one
 /// slot, in push order, wherever the cursor stood when each was pushed.
-/// The target's first pushes sit in the overflow heap; each stage then
-/// pops a stepping-stone entry that carries the cursor (the last tick
-/// before the target's block) or jumps it (the block's first tick) one
-/// level closer, and pushes more at the target and at its in-tick
-/// neighbours. Small and large batches take the insertion-sort and the
-/// radix path of the drain.
+/// The target's first pushes sit on level 6; each stage then pops a
+/// stepping-stone entry that carries the cursor (the last tick before the
+/// target's block) or jumps it (the block's first tick) one level closer,
+/// and pushes more at the target and at its in-tick neighbours. Small and
+/// large batches take the insertion-sort and the radix path of the drain.
 #[test]
 fn equal_times_across_levels_pop_in_seq_order() {
     let tick = 1u64 << TICK_SHIFT;
-    // Digit 5 at every level, one rotation up, mid-tick: the target lies
-    // in the overflow heap from a cursor at zero.
-    let digits: u64 = (0..LEVELS as u32).map(|l| 5u64 << (SLOT_BITS * l)).sum();
-    let target = SimTime::from_micros(((1u64 << WHEEL_BITS) + digits) * tick + tick / 2);
+    // Digit 5 at each of the six digit levels below `FAR_BITS`, and a 1
+    // above them, mid-tick: from a cursor at zero the target is on
+    // level 6.
+    let levels = FAR_BITS / SLOT_BITS;
+    let digits: u64 = (0..levels).map(|l| 5u64 << (SLOT_BITS * l)).sum();
+    let target = SimTime::from_micros(((1u64 << FAR_BITS) + digits) * tick + tick / 2);
     for per_stage in [1, 12] {
         let mut wheel = EventQueue::new();
         let mut oracle = ReferenceQueue::new();
@@ -245,11 +253,11 @@ fn equal_times_across_levels_pop_in_seq_order() {
             }
         };
         stage(&mut wheel, &mut oracle);
-        // The target's block at each level, from its rotation (6) down to
-        // its tick (0): an even level's stone is the tick before the
-        // block, whose drain carries into it; an odd level's is the
-        // block's first tick, which the cursor jumps to.
-        for level in (0..=LEVELS as u32).rev() {
+        // The target's block at each level, from level 6 down to its tick
+        // (0): an even level's stone is the tick before the block, whose
+        // drain carries into it; an odd level's is the block's first
+        // tick, which the cursor jumps to.
+        for level in (0..=levels).rev() {
             let block = tick_of(target) >> (SLOT_BITS * level) << (SLOT_BITS * level);
             let stone = if level % 2 == 0 { block - 1 } else { block };
             let stone = SimTime::from_micros(stone << TICK_SHIFT);
@@ -279,13 +287,13 @@ fn entries_fit_their_size_pins() {
 }
 
 #[test]
-fn overflow_then_near_events_interleave_correctly() {
-    let far = SimTime::from_micros(1u64 << (TICK_SHIFT + WHEEL_BITS + 2));
+fn far_then_near_events_interleave_correctly() {
+    let far = SimTime::from_micros(1u64 << (TICK_SHIFT + FAR_BITS + 2));
     let mut q = EventQueue::new();
     q.push(far, "far");
     q.push(SimTime::from_secs(1), "near");
     assert_eq!(q.pop().unwrap().1, "near");
-    // After the cursor jumps to the overflow head, late near-cursor
+    // After the cursor jumps to the far entry's block, late near-cursor
     // pushes still order correctly.
     assert!(q.pop_due(far - SimTime::from_micros(1)).is_none());
     q.push(far, "far-fifo");
@@ -321,10 +329,10 @@ proptest! {
     /// schedule/pop sequences through the wheel and the pre-wheel
     /// `BinaryHeap` reference must pop in identical `(time, seq)`
     /// order. Shifting a small mantissa by 0..=50 bits lands pushes
-    /// in the sub-tick window, every wheel level (tick width 2^14 µs,
-    /// six levels of 64 slots), and the overflow heap; interleaved
-    /// pops drive the cursor so late pushes also hit the
-    /// behind-cursor path.
+    /// in the sub-tick window and every wheel level (tick width 2^14 µs,
+    /// nine levels of 64 slots) up to `u64::MAX`; interleaved pops
+    /// drive the cursor so late pushes also hit the behind-cursor
+    /// path.
     #[test]
     fn queue_wheel_matches_reference_oracle(
         ops in proptest::collection::vec((0u32..8, 0u32..=50, 0u64..1024), 1..300),
@@ -623,14 +631,14 @@ fn protocol_periods_enter_the_ring_at_every_phase() {
     }
 }
 
-/// Only entries beyond 300 s and beyond the level-5 rotation: the ring
-/// is empty, and the cursor jumps to an upper slot, then to the overflow
-/// head. Each pop re-arms its entry at a 2 s, 301 s or one-rotation
-/// delay, so pushes land in the ring, the upper levels and the overflow
-/// heap after every jump.
+/// Only entries beyond 300 s, some beyond `2^36` ticks: the ring is
+/// empty, and the cursor jumps to an upper slot, then to level 6 and
+/// above. Each pop re-arms its entry at a 2 s, 301 s or `2^36`-tick
+/// delay, so pushes land in the ring and on low and high upper levels
+/// after every jump.
 #[test]
 fn far_entries_jump_the_empty_ring() {
-    let rotation = SimTime::from_micros(1u64 << (TICK_SHIFT + WHEEL_BITS));
+    let rotation = SimTime::from_micros(1u64 << (TICK_SHIFT + FAR_BITS));
     let far = [
         SimTime::from_secs(301),
         SimTime::from_secs(301),
@@ -654,14 +662,14 @@ fn far_entries_jump_the_empty_ring() {
     }
 }
 
-/// Timers with 2 s and 10 s periods run across the end of a level-5
-/// rotation while the next rotation's entries wait in the overflow heap:
-/// the block pull that carries `edge` into the new rotation must pull
-/// them in before any push of that rotation lands.
+/// Timers with 2 s and 10 s periods run across tick `2^36`, where
+/// level 6's digit changes, while entries of the next digit wait on
+/// level 6: the block pull that carries `edge` across must cascade them
+/// before any push beyond the boundary lands.
 #[test]
-fn block_pull_across_a_rotation_takes_in_the_overflow() {
+fn block_pull_across_a_level_6_carry_keeps_order() {
     let tick = 1u64 << TICK_SHIFT;
-    let rotation = tick << WHEEL_BITS;
+    let rotation = tick << FAR_BITS;
     let mut wheel = EventQueue::new();
     let mut oracle = ReferenceQueue::new();
     for i in 0..3 {
@@ -676,12 +684,12 @@ fn block_pull_across_a_rotation_takes_in_the_overflow() {
         );
     }
     let end = SimTime::from_micros(rotation + 30_000_000);
-    let mut pulled = false;
+    let mut crossed = false;
     loop {
         let (w, r) = pop_both(&mut wheel, &mut oracle);
         assert_eq!(w, r);
         let Some((at, _, id)) = w else { break };
-        pulled |= wheel.overflow.is_empty() && wheel.edge > 1 << WHEEL_BITS;
+        crossed |= wheel.edge > 1 << FAR_BITS;
         if at < end && id < 3 {
             let period = SimTime::from_secs([2, 2, 10][id as usize]);
             // The re-armed entry keeps its id: push outside `push_both`.
@@ -689,7 +697,7 @@ fn block_pull_across_a_rotation_takes_in_the_overflow() {
             oracle.push(at + period, id);
         }
     }
-    assert!(pulled, "the next rotation's overflow was never pulled in");
+    assert!(crossed, "the cursor never crossed tick 2^36");
 }
 
 /// Pushes behind the cursor (the `late` heap), 30 µs before each popped

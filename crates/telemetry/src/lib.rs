@@ -54,7 +54,6 @@
 )]
 #![warn(missing_docs)]
 
-mod json;
 pub mod manifest;
 pub mod observer;
 pub mod registry;
@@ -75,11 +74,38 @@ pub const DEFAULT_WINDOW: SimTime = SimTime::from_secs(300);
 /// `profile.json`: the per-kind table of a [`TelemetryRun`] rendered as
 /// wall-clock time per event kind and per owning manager.
 mod profile {
-    use cs_sim::DetMap;
+    use std::collections::BTreeMap;
 
-    use crate::json::{push_buckets, push_key, push_str_lit};
+    use serde::Serialize;
+
     use crate::registry::Histogram;
     use crate::TelemetryRun;
+
+    /// The `profile.json` document.
+    #[derive(Serialize)]
+    struct Profile {
+        schema: &'static str,
+        kinds: BTreeMap<&'static str, KindProfile>,
+        managers: BTreeMap<&'static str, ManagerProfile>,
+    }
+
+    /// One kind's timings; `None` renders as `null`.
+    #[derive(Serialize)]
+    struct KindProfile {
+        manager: &'static str,
+        timed: u64,
+        timed_ns: u64,
+        busy_ns: Option<u128>,
+        min_ns: Option<u64>,
+        max_ns: Option<u64>,
+        buckets_ns: BTreeMap<u64, u64>,
+    }
+
+    /// One manager's `busy_ns`, summed over its kinds.
+    #[derive(Default, Serialize)]
+    struct ManagerProfile {
+        busy_ns: Option<u128>,
+    }
 
     impl TelemetryRun {
         /// Render `profile.json` (schema `cs-telemetry-profile/3`, integers
@@ -92,49 +118,33 @@ mod profile {
         /// includes the cost of one `Instant` pair per timed dispatch;
         /// nothing is calibrated or subtracted.
         pub fn profile_json(&self) -> String {
-            let mut out = String::from("{\"schema\":\"cs-telemetry-profile/3\",\"kinds\":{");
-            let mut managers: DetMap<&'static str, Option<u128>> = DetMap::new();
-            for (i, row) in self.kinds.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
+            let mut managers = BTreeMap::new();
+            let mut kinds = BTreeMap::new();
+            for row in &self.kinds {
                 let busy = row.busy_ns();
-                let sum = managers.entry(row.manager).or_default();
+                let sum: &mut ManagerProfile = managers.entry(row.manager).or_default();
                 if let Some(b) = busy {
-                    *sum = Some(sum.unwrap_or(0) + b);
+                    sum.busy_ns = Some(sum.busy_ns.unwrap_or(0) + b);
                 }
                 let t = (row.timed.count() > 0).then_some(&row.timed);
-                push_key(&mut out, row.name);
-                out.push_str("{\"manager\":");
-                push_str_lit(&mut out, row.manager);
-                out.push_str(&format!(
-                    ",\"timed\":{},\"timed_ns\":{},\"busy_ns\":{},\"min_ns\":{},\"max_ns\":{},\
-                     \"buckets_ns\":",
-                    row.timed.count(),
-                    row.timed.sum(),
-                    or_null(busy),
-                    or_null(t.map(Histogram::min)),
-                    or_null(t.map(Histogram::max)),
-                ));
-                push_buckets(&mut out, row.timed.buckets());
-                out.push('}');
+                let kind = KindProfile {
+                    manager: row.manager,
+                    timed: row.timed.count(),
+                    timed_ns: row.timed.sum(),
+                    busy_ns: busy,
+                    min_ns: t.map(Histogram::min),
+                    max_ns: t.map(Histogram::max),
+                    buckets_ns: row.timed.buckets().collect(),
+                };
+                kinds.insert(row.name, kind);
             }
-            out.push_str("},\"managers\":{");
-            for (i, (manager, busy)) in managers.into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_key(&mut out, manager);
-                out.push_str(&format!("{{\"busy_ns\":{}}}", or_null(busy)));
-            }
-            out.push_str("}}");
-            out
+            let profile = Profile {
+                schema: "cs-telemetry-profile/3",
+                kinds,
+                managers,
+            };
+            serde_json::to_string(&profile).unwrap_or_default()
         }
-    }
-
-    /// A JSON integer, or `null` for a figure that was never measured.
-    fn or_null<T: ToString>(v: Option<T>) -> String {
-        v.map_or_else(|| "null".to_string(), |v| v.to_string())
     }
 
     #[cfg(test)]

@@ -8,6 +8,8 @@
 //! `4–7`, …), so bucket boundaries are integers and identical across runs
 //! and machines.
 
+use std::collections::BTreeMap;
+
 /// Every `metrics.jsonl` series but the per-kind counters: the engine's
 /// queue gauges and the protocol sample (cs-proto's `ProtoTelemetry`
 /// writes the `proto_*` fields). A field's name is its series name.
@@ -160,8 +162,8 @@ impl Histogram {
     }
 
     /// Per-bucket counts of `self` minus `earlier` (an earlier snapshot of
-    /// the same histogram), non-empty buckets only.
-    pub(crate) fn bucket_deltas(&self, earlier: &Histogram) -> Vec<(u64, u64)> {
+    /// the same histogram) by inclusive upper edge, non-empty buckets only.
+    pub(crate) fn bucket_deltas(&self, earlier: &Histogram) -> BTreeMap<u64, u64> {
         (0..BUCKETS)
             .filter_map(|b| {
                 let d = self.buckets[b].saturating_sub(earlier.buckets[b]);

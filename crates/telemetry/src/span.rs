@@ -15,7 +15,11 @@
 //! `Observer::wants_causes` is true. The instrument set's is true exactly
 //! when it records spans, so only a span run pays for causality (8 bytes
 //! per event pushed, beside the 80-byte record per event dispatched).
-//! This module is the record type and its `spans.jsonl` rendering.
+//! This module is the record type and its `spans.jsonl` rendering: one
+//! `write!` per line, run for every dispatch, so it writes `kind` and
+//! `manager` unescaped. Both come from `Event::kind_class` and
+//! `Event::manager`, whose names are non-empty `[a-z_]+` (cs-proto's
+//! `kind_table_is_dense_named_uniquely_and_managed` pins that).
 //!
 //! Every field except `wall_ns` is a pure function of
 //! `(configuration, seed)`: two runs of the same scenario produce
@@ -25,9 +29,9 @@
 //! it is emitted only to `spans.jsonl`, never into `metrics.jsonl` or
 //! simulation state.
 
-use cs_sim::{DispatchMeta, SimTime};
+use std::fmt::{Display, Write as _};
 
-use crate::json::{push_key, push_str_lit};
+use cs_sim::{DispatchMeta, SimTime};
 
 /// Schema identifier carried by the `spans.jsonl` header line.
 pub const SPANS_SCHEMA: &str = "cs-spans/1";
@@ -77,35 +81,35 @@ impl SpanRecord {
 
     /// Render one JSONL line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"seq\":{},\"cause\":", self.seq);
-        match self.cause {
-            Some(c) => out.push_str(&c.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(",\"sim_us\":{}", self.sim_us));
-        out.push(',');
-        push_key(&mut out, "kind");
-        push_str_lit(&mut out, self.kind);
-        out.push(',');
-        push_key(&mut out, "manager");
-        push_str_lit(&mut out, self.manager);
-        out.push_str(&format!(
-            ",\"queue_depth\":{},\"wall_ns\":{}}}",
-            self.queue_depth, self.wall_ns
-        ));
-        out
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
+    }
+
+    /// Append the span's line (no trailing newline) to `out`.
+    fn write_line(&self, out: &mut String) {
+        let cause: &dyn Display = match &self.cause {
+            Some(seq) => seq,
+            None => &"null",
+        };
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"cause\":{cause},\"sim_us\":{},\"kind\":\"{}\",\"manager\":\"{}\",\
+             \"queue_depth\":{},\"wall_ns\":{}}}",
+            self.seq, self.sim_us, self.kind, self.manager, self.queue_depth, self.wall_ns
+        );
     }
 }
 
 /// Render a full `spans.jsonl` document: a schema header line followed
 /// by one line per span.
 pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::from("{");
-    push_key(&mut out, "schema");
-    push_str_lit(&mut out, SPANS_SCHEMA);
-    out.push_str(&format!(",\"spans\":{}}}\n", spans.len()));
+    let mut out = format!(
+        "{{\"schema\":\"{SPANS_SCHEMA}\",\"spans\":{}}}\n",
+        spans.len()
+    );
     for s in spans {
-        out.push_str(&s.to_json());
+        s.write_line(&mut out);
         out.push('\n');
     }
     out

@@ -6,9 +6,11 @@
 //! from three things: the per-kind table's counts against a copy taken at
 //! the last close, the live [`Metrics`], and the copy of them taken at the
 //! last close. A line carries every series' cumulative value plus the
-//! delta accrued inside the window. Key order is fixed: counters by kind
-//! name, then gauges, then histograms, each alphabetical. A kind's counter
-//! appears from the first window after its first dispatch.
+//! delta accrued inside the window. It is a `Line` rendered by
+//! `serde_json`: the window fields, then counters, gauges and histograms,
+//! each map in key order (the counters' keys differ only in the kind
+//! name). A kind's counter appears from the first window after its first
+//! dispatch.
 //!
 //! **Window semantics.** The clock is advanced from observer hooks
 //! ([`Windows::roll`]). A window is therefore closed by the *first
@@ -24,16 +26,68 @@
 //! horizon's protocol sample — so it is written whenever anything changed
 //! since the last close.
 
-use cs_sim::SimTime;
+use std::collections::BTreeMap;
 
-use crate::json::{push_buckets, push_key};
+use cs_sim::SimTime;
+use serde::Serialize;
+
 use crate::observer::KindRow;
-use crate::registry::Metrics;
+use crate::registry::{Histogram, Metrics};
+
+/// One `metrics.jsonl` line.
+#[derive(Serialize)]
+struct Line {
+    window: u64,
+    start_us: u64,
+    end_us: u64,
+    partial: bool,
+    /// `engine_events_total{kind=…}` per dispatched kind.
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<&'static str, u64>,
+    histograms: BTreeMap<&'static str, HistogramLine>,
+}
+
+/// A kind's dispatch count, cumulative and inside the window.
+#[derive(Serialize)]
+struct Counter {
+    total: u64,
+    delta: u64,
+}
+
+/// A histogram's cumulative figures, and its count, sum and buckets
+/// inside the window (`buckets` by inclusive upper edge).
+#[derive(Serialize)]
+struct HistogramLine {
+    count: u64,
+    delta: u64,
+    sum: u64,
+    delta_sum: u64,
+    min: u64,
+    max: u64,
+    buckets: BTreeMap<u64, u64>,
+}
+
+impl HistogramLine {
+    fn new(h: &Histogram, was: &Histogram) -> Self {
+        HistogramLine {
+            count: h.count(),
+            delta: h.count().saturating_sub(was.count()),
+            sum: h.sum(),
+            delta_sum: h.sum().saturating_sub(was.sum()),
+            min: h.min(),
+            max: h.max(),
+            buckets: h.bucket_deltas(was),
+        }
+    }
+}
 
 /// The window clock and the lines it has written.
 #[derive(Clone, Debug)]
 pub(crate) struct Windows {
     width: SimTime,
+    /// Start of the open window. Kept, not derived from `next_end`:
+    /// `start + width` saturates at `SimTime::MAX`.
+    start: SimTime,
     next_end: SimTime,
     index: u64,
     /// Each kind's count at the last close, by dense kind index.
@@ -49,6 +103,7 @@ impl Windows {
     pub(crate) fn new(width: SimTime, start: SimTime) -> Self {
         Windows {
             width,
+            start,
             next_end: start + width,
             index: 0,
             counts: Vec::new(),
@@ -64,11 +119,11 @@ impl Windows {
         self.next_end
     }
 
-    /// Close every window whose end is at or before `now`.
+    /// Close every window whose end is at or before `now`. A window that
+    /// ends at `SimTime::MAX` is the last one.
     pub(crate) fn roll(&mut self, now: SimTime, kinds: &[KindRow], metrics: &Metrics) {
-        while now >= self.next_end {
-            let start = self.next_end.saturating_sub(self.width);
-            self.close(start, self.next_end, false, kinds, metrics);
+        while now >= self.next_end && self.start < self.next_end {
+            self.close(self.next_end, false, kinds, metrics);
             self.next_end += self.width;
         }
     }
@@ -78,15 +133,14 @@ impl Windows {
     /// and return `metrics.jsonl`.
     pub(crate) fn finish(mut self, end: SimTime, kinds: &[KindRow], metrics: &Metrics) -> String {
         self.roll(end, kinds, metrics);
-        let start = self.next_end.saturating_sub(self.width);
         let moved = self.index == 0
             || self.metrics != *metrics
             || kinds
                 .iter()
                 .enumerate()
                 .any(|(i, r)| r.count != self.count(i));
-        if end > start || moved {
-            self.close(start, end.max(start), true, kinds, metrics);
+        if end > self.start || moved {
+            self.close(end.max(self.start), true, kinds, metrics);
         }
         self.jsonl
     }
@@ -96,69 +150,35 @@ impl Windows {
         self.counts.get(i).copied().unwrap_or(0)
     }
 
-    fn close(
-        &mut self,
-        start: SimTime,
-        end: SimTime,
-        partial: bool,
-        kinds: &[KindRow],
-        metrics: &Metrics,
-    ) {
-        let mut seen: Vec<usize> = (0..kinds.len()).filter(|&i| kinds[i].count > 0).collect();
-        seen.sort_unstable_by_key(|&i| kinds[i].name);
-        let mut out = std::mem::take(&mut self.jsonl);
-        out.push_str(&format!(
-            "{{\"window\":{},\"start_us\":{},\"end_us\":{},\"partial\":{partial},\"counters\":{{",
-            self.index,
-            start.as_micros(),
-            end.as_micros(),
-        ));
-        for (n, &i) in seen.iter().enumerate() {
-            let row = &kinds[i];
-            comma(&mut out, n);
-            push_key(
-                &mut out,
-                &format!("engine_events_total{{kind={}}}", row.name),
-            );
-            let delta = row.count.saturating_sub(self.count(i));
-            out.push_str(&format!("{{\"total\":{},\"delta\":{delta}}}", row.count));
-        }
-        out.push_str("},\"gauges\":{");
-        for (n, (name, value)) in metrics.gauges().into_iter().enumerate() {
-            comma(&mut out, n);
-            push_key(&mut out, name);
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"histograms\":{");
+    /// Write the open window's line, ending it at `end`, and open the
+    /// next window there.
+    fn close(&mut self, end: SimTime, partial: bool, kinds: &[KindRow], metrics: &Metrics) {
+        let counters = kinds.iter().enumerate().filter(|(_, r)| r.count > 0);
         let was = self.metrics.histograms();
-        for (n, ((name, h), (_, was))) in metrics.histograms().into_iter().zip(was).enumerate() {
-            comma(&mut out, n);
-            push_key(&mut out, name);
-            out.push_str(&format!(
-                "{{\"count\":{},\"delta\":{},\"sum\":{},\"delta_sum\":{},\"min\":{},\"max\":{},\
-                 \"buckets\":",
-                h.count(),
-                h.count().saturating_sub(was.count()),
-                h.sum(),
-                h.sum().saturating_sub(was.sum()),
-                h.min(),
-                h.max(),
-            ));
-            push_buckets(&mut out, h.bucket_deltas(was).into_iter());
-            out.push('}');
-        }
-        out.push_str("}}\n");
-        self.jsonl = out;
+        let line = Line {
+            window: self.index,
+            start_us: self.start.as_micros(),
+            end_us: end.as_micros(),
+            partial,
+            counters: counters
+                .map(|(i, r)| {
+                    let (total, delta) = (r.count, r.count.saturating_sub(self.count(i)));
+                    let key = format!("engine_events_total{{kind={}}}", r.name);
+                    (key, Counter { total, delta })
+                })
+                .collect(),
+            gauges: metrics.gauges().into_iter().collect(),
+            histograms: (metrics.histograms().into_iter().zip(was))
+                .map(|((name, h), (_, was))| (name, HistogramLine::new(h, was)))
+                .collect(),
+        };
+        self.jsonl
+            .push_str(&serde_json::to_string(&line).unwrap_or_default());
+        self.jsonl.push('\n');
         self.index += 1;
+        self.start = end;
         self.counts = kinds.iter().map(|r| r.count).collect();
         self.metrics.clone_from(metrics);
-    }
-}
-
-/// A `,` before every item but the first.
-fn comma(out: &mut String, n: usize) {
-    if n > 0 {
-        out.push(',');
     }
 }
 
@@ -274,6 +294,27 @@ mod tests {
             text.starts_with("{\"window\":0,\"start_us\":68400000000,\"end_us\":68700000000,"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_window_whose_end_saturates_keeps_its_start() {
+        let hour = secs(3_600);
+        let mut w = Windows::new(SimTime::MAX, hour);
+        let (kinds, quiet) = ([row("ev", 1)], Metrics::default());
+        w.roll(hour + secs(72), &kinds, &quiet);
+        assert!(w.jsonl.is_empty());
+        let closed = w.clone();
+        let text = w.finish(hour + secs(72), &kinds, &quiet);
+        assert!(
+            text.starts_with(
+                "{\"window\":0,\"start_us\":3600000000,\"end_us\":3672000000,\"partial\":true,"
+            ),
+            "{text}"
+        );
+        // A dispatch at `SimTime::MAX` closes the window once.
+        let text = closed.finish(SimTime::MAX, &kinds, &quiet);
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.starts_with("{\"window\":0,\"start_us\":3600000000,"));
     }
 
     #[test]

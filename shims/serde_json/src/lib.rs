@@ -430,6 +430,10 @@ mod tests {
         let json = to_string(&s).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
+        let controls = "a\"b\\c\nd\u{1}\u{8}";
+        let json = to_string(controls).unwrap();
+        assert_eq!(json, r#""a\"b\\c\nd\u0001\b""#);
+        assert_eq!(from_str::<String>(&json).unwrap(), controls);
         let surrogate: String = from_str(r#""🦀""#).unwrap();
         assert_eq!(surrogate, "🦀");
     }

@@ -7,7 +7,7 @@ use coolstreaming::experiments::LogView;
 use coolstreaming::{RunOptions, Scenario, ScenarioSpec};
 use cs_integration::session_table_text;
 use cs_net::{ConnectivityPolicy, NodeClass};
-use cs_proto::DepartReason;
+use cs_proto::{DepartReason, Params, SessionRecord, StartPolicy};
 use cs_sim::SimTime;
 
 #[test]
@@ -156,6 +156,26 @@ fn reported_continuity_is_not_pessimistic() {
     );
 }
 
+/// `scenarios/steady_state.json`'s audience over its first 15 minutes at
+/// `seed`, with `edit` applied to the compiled parameters: the run's
+/// session table and its event count.
+fn steady_window(seed: u64, edit: impl FnOnce(&mut Params)) -> (Vec<SessionRecord>, u64) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/steady_state.json"
+    );
+    let text = std::fs::read_to_string(path).expect("readable scenario file");
+    let mut spec = ScenarioSpec::from_json(&text).expect("steady_state.json parses");
+    spec.seed = Some(seed);
+    spec.end_s = Some(15 * 60);
+    let compiled = spec.compile().expect("the window compiles");
+    let mut scenario = compiled.scenario;
+    edit(&mut scenario.params);
+    let run = scenario.run_injected_observed(compiled.injections, RunOptions::default());
+    let artifacts = run.artifacts;
+    (artifacts.world.sessions, artifacts.run_stats.events)
+}
+
 /// Status reports draw no randomness and change no protocol state, so
 /// the report period cannot move ground truth: `scenarios/steady_state.json`'s
 /// audience over 15 minutes, reporting every minute or every five (the
@@ -163,23 +183,13 @@ fn reported_continuity_is_not_pessimistic() {
 /// byte-identical, at two seeds.
 #[test]
 fn the_report_period_leaves_ground_truth_unchanged() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../scenarios/steady_state.json"
-    );
-    let text = std::fs::read_to_string(path).expect("readable scenario file");
     for seed in [401, 402] {
         let table = |period: SimTime| {
-            let mut spec = ScenarioSpec::from_json(&text).expect("steady_state.json parses");
-            spec.seed = Some(seed);
-            spec.end_s = Some(15 * 60);
-            let compiled = spec.compile().expect("the window compiles");
-            let mut scenario = compiled.scenario;
-            scenario.params.report_interval = period;
-            assert_eq!(scenario.params.first_report_delay, SimTime::from_secs(60));
-            let run = scenario.run_injected_observed(compiled.injections, RunOptions::default());
-            let table = session_table_text(&run.artifacts.world.sessions);
-            (table, run.artifacts.run_stats.events)
+            let (sessions, events) = steady_window(seed, |params| {
+                params.report_interval = period;
+                assert_eq!(params.first_report_delay, SimTime::from_secs(60));
+            });
+            (session_table_text(&sessions), events)
         };
         let (minutely, events_1) = table(SimTime::from_secs(60));
         let (five_minutely, events_5) = table(SimTime::from_secs(300));
@@ -192,5 +202,49 @@ fn the_report_period_leaves_ground_truth_unchanged() {
             "seed {seed}: too few sessions"
         );
         assert_eq!(minutely, five_minutely, "seed {seed}");
+    }
+}
+
+/// Arrival isolation (ROADMAP item 22 (c)): the workload draws every
+/// first attempt before the overlay runs, so no protocol knob may move
+/// one. Over `steady_window` at two seeds, one sub-stream, the oldest
+/// start position or a one-minute report period each change the run
+/// (its event count) but leave every first-attempt session's user,
+/// class, upload and join time as the default parameters have them.
+#[test]
+fn protocol_knobs_leave_first_attempts_unchanged() {
+    type Knob = fn(&mut Params);
+    let knobs: [(&str, Knob); 3] = [
+        ("substreams = 1", |p| p.substreams = 1),
+        ("start_policy = Oldest", |p| {
+            p.start_policy = StartPolicy::Oldest
+        }),
+        ("report_interval = 60 s", |p| {
+            p.report_interval = SimTime::from_secs(60)
+        }),
+    ];
+    let first_attempts = |(sessions, events): (Vec<SessionRecord>, u64)| {
+        let firsts: Vec<_> = sessions
+            .iter()
+            .filter(|r| r.class.is_user() && r.retry_index == 0)
+            .map(|r| (r.user, r.class, r.upload, r.join))
+            .collect();
+        (firsts, events)
+    };
+    for seed in [401, 402] {
+        let (base, base_events) = first_attempts(steady_window(seed, |_| {}));
+        assert!(
+            base.len() > 200,
+            "seed {seed}: {} first attempts",
+            base.len()
+        );
+        for (knob, edit) in knobs {
+            let (firsts, events) = first_attempts(steady_window(seed, edit));
+            assert_ne!(
+                events, base_events,
+                "seed {seed}, {knob}: the run did not change"
+            );
+            assert_eq!(firsts, base, "seed {seed}, {knob}");
+        }
     }
 }
