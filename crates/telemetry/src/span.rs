@@ -79,13 +79,6 @@ impl SpanRecord {
         }
     }
 
-    /// Render one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut line = String::new();
-        self.write_line(&mut line);
-        line
-    }
-
     /// Append the span's line (no trailing newline) to `out`.
     fn write_line(&self, out: &mut String) {
         let cause: &dyn Display = match &self.cause {
@@ -205,14 +198,9 @@ mod tests {
 
     #[test]
     fn span_stream_is_deterministic_modulo_wall_ns() {
-        let strip = |spans: Vec<SpanRecord>| {
-            spans
-                .into_iter()
-                .map(|mut s| {
-                    s.wall_ns = 0;
-                    s.to_json()
-                })
-                .collect::<Vec<_>>()
+        let strip = |mut spans: Vec<SpanRecord>| {
+            spans.iter_mut().for_each(|s| s.wall_ns = 0);
+            spans_to_jsonl(&spans)
         };
         assert_eq!(strip(record_tree(5)), strip(record_tree(5)));
     }
