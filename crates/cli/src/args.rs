@@ -66,6 +66,20 @@ impl Args {
         }
     }
 
+    /// Lookup of a flag whose value is optional: `None` when the flag is
+    /// absent, `bare` when it has no value, an error naming the flag when
+    /// its value does not parse as `T`.
+    pub fn get_or_bare<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        bare: T,
+    ) -> Result<Option<T>, String> {
+        match self.get_str(key) {
+            Some("") => Ok(Some(bare)),
+            _ => self.get_opt(key),
+        }
+    }
+
     /// String flag lookup.
     pub fn get_str(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)
@@ -114,6 +128,16 @@ mod tests {
         let e = a.expect_flags(&["seed", "quiet"]).unwrap_err();
         assert!(e.contains("--sede") && e.contains("`run`"), "{e}");
         assert_eq!(parse("help").expect_flags(&[]), Ok(()));
+    }
+
+    #[test]
+    fn bare_flag_takes_its_bare_value() {
+        let a = parse("run --check-invariants --telemetry 120 --spans x");
+        assert_eq!(a.get_or_bare("check-invariants", 1u64), Ok(Some(1)));
+        assert_eq!(a.get_or_bare("telemetry", 300u64), Ok(Some(120)));
+        assert_eq!(a.get_or_bare("missing", 300u64), Ok(None));
+        let e = a.get_or_bare("spans", 1u64).unwrap_err();
+        assert!(e.contains("--spans") && e.contains("\"x\""), "{e}");
     }
 
     #[test]

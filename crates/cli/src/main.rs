@@ -79,32 +79,17 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let (spec, compiled) = build_scenario(args)?;
     let (scenario, injections) = (compiled.scenario, compiled.injections);
     let quiet = args.has("quiet");
-    if args.has("invariant-stride") && !args.has("check-invariants") {
-        return Err(
-            "--invariant-stride has no effect without --check-invariants; pass both or neither"
-                .into(),
-        );
-    }
-    if args.has("telemetry-window") && !args.has("telemetry") {
-        return Err(
-            "--telemetry-window has no effect without --telemetry; pass both or neither".into(),
-        );
-    }
-    let telemetry_window_s: u64 = args.get("telemetry-window", DEFAULT_WINDOW.as_secs())?;
-    if telemetry_window_s == 0 {
-        return Err("--telemetry-window: must be at least 1 second".into());
-    }
+    // An instrument flag is bare (its default) or carries a count >= 1.
+    let positive = |key: &str, bare: u64| match args.get_or_bare(key, bare)? {
+        Some(0) => Err(format!("--{key}: must be at least 1, got 0")),
+        value => Ok(value),
+    };
     let options = RunOptions {
-        invariant_stride: args
-            .has("check-invariants")
-            .then(|| args.get("invariant-stride", 1))
-            .transpose()?,
+        invariant_stride: positive("check-invariants", 1)?,
         // The manifest always records the hash; --trace-hash only prints it.
         trace_hash: true,
         record_spans: args.has("spans"),
-        telemetry: args
-            .has("telemetry")
-            .then_some(SimTime::from_secs(telemetry_window_s)),
+        telemetry: positive("telemetry", DEFAULT_WINDOW.as_secs())?.map(SimTime::from_secs),
     };
     if !quiet {
         eprintln!(
@@ -292,9 +277,8 @@ USAGE:
   coolstream run      [--preset event_day|steady] [--scale F] [--rate F]
                       [--minutes N] [--seed N] [--start-h F] [--end-h F]
                       [--scenario spec.json] [--out DIR] [--quiet]
-                      [--check-invariants] [--invariant-stride N]
-                      [--trace-hash] [--telemetry] [--telemetry-window SECS]
-                      [--spans]
+                      [--check-invariants [N]] [--trace-hash]
+                      [--telemetry [SECS]] [--spans]
   coolstream analyze  --log FILE [--out DIR]
   coolstream reproduce [--out DIR]
   coolstream config   [--preset ...] [--scenario spec.json] [--example]
@@ -312,18 +296,19 @@ manifest.json that indexes them (DESIGN.md §8).
                        base + overrides + timed chaos `events`; see
                        DESIGN.md §10 and scenarios/). Unknown fields,
                        wrong versions and out-of-range knobs are errors.
-  --check-invariants   validate protocol invariants after every event
-                       (exit non-zero on any violation)
-  --invariant-stride N full-state validation every N-th event (default 1)
+  --check-invariants [N]
+                       validate protocol invariants after every N-th
+                       event, N >= 1 (bare: every event); exit non-zero
+                       on any violation
   --trace-hash         print the run's deterministic trace hash (the
                        manifest records it either way)
-  --telemetry          also write windowed metrics (metrics.jsonl) and a
-                       wall-clock profile (profile.json): per event kind
-                       and owning manager, the handler time of 1 event
-                       in 128, scaled to the exact counts in
-                       metrics.jsonl (busy_ns)
-  --telemetry-window N --telemetry's aggregation window in seconds, >= 1
-                       (default 300, the paper's status-report cadence)
+  --telemetry [SECS]   also write windowed metrics (metrics.jsonl), one
+                       line per SECS >= 1 of sim time (bare: 300, the
+                       paper's status-report cadence), and a wall-clock
+                       profile (profile.json): per event kind and owning
+                       manager, the handler time of 1 event in 128,
+                       scaled to the exact counts in metrics.jsonl
+                       (busy_ns)
   --spans              also write one causal span per dispatched event
                        (spans.jsonl)
 
@@ -349,10 +334,8 @@ const RUN_FLAGS: &[&str] = &[
     "out",
     "quiet",
     "check-invariants",
-    "invariant-stride",
     "trace-hash",
     "telemetry",
-    "telemetry-window",
     "spans",
 ];
 const ANALYZE_FLAGS: &[&str] = &["log", "out"];

@@ -8,12 +8,13 @@ use std::path::Path;
 
 use coolstreaming::experiments::{fig10_sessions, fig6_startup, figures_text, LogView};
 use coolstreaming::{ObservedRun, ScenarioSpec, TelemetryRun};
+use cs_analysis::qos_totals;
 use cs_sim::SimTime;
 use cs_telemetry::{peak_rss_bytes, spans_to_jsonl, HeapLedger, HostFingerprint};
 use serde::Serialize;
 
 /// Schema identifier of `manifest.json`.
-pub const MANIFEST_SCHEMA: &str = "cs-run/1";
+pub const MANIFEST_SCHEMA: &str = "cs-run/2";
 
 /// `manifest.json`: the index of a run directory and the one record of
 /// every run-level fact. Everything down to `retried_fraction` is a pure
@@ -41,8 +42,8 @@ pub struct Manifest {
     pub blocks_delivered: u64,
     /// Control-plane bytes.
     pub control_bytes: u64,
-    /// Impatient / give-up / finished departures.
-    pub departs: (u64, u64, u64),
+    /// Departures, by reason.
+    pub departs: Departs,
     /// Log-view mean continuity across all QoS reports; `null` when no
     /// report was due yet.
     pub mean_continuity: Option<f64>,
@@ -64,6 +65,20 @@ pub struct Manifest {
     pub host: HostFingerprint,
     /// Every other file in the directory.
     pub files: Vec<&'static str>,
+}
+
+/// `manifest.departs`: the run's departures, one count per reason a
+/// session ends (the `*_departs` counters of the world's `WorldStats`).
+#[derive(Debug, Serialize)]
+pub struct Departs {
+    /// Sessions abandoned before media-ready.
+    pub impatient: u64,
+    /// Sessions that gave up on a playback collapse and re-entered.
+    pub giveup: u64,
+    /// Intended departures.
+    pub finished: u64,
+    /// Sessions cut short by a regional outage.
+    pub outage: u64,
 }
 
 /// Session-level CSV (one row per log session).
@@ -144,13 +159,7 @@ pub fn write_run_dir(
     )?;
 
     let w = &artifacts.world;
-    let (due, missed) = view
-        .sessions
-        .iter()
-        .flat_map(|s| &s.qos)
-        .fold((0u64, 0u64), |(due, missed), &(_, d, m)| {
-            (due + d, missed + m)
-        });
+    let (due, missed) = qos_totals(view.sessions.iter().flat_map(|s| &s.qos));
     let manifest = Manifest {
         schema: MANIFEST_SCHEMA,
         spec,
@@ -161,11 +170,12 @@ pub fn write_run_dir(
         log_lines: w.log.len(),
         blocks_delivered: w.stats.blocks_delivered,
         control_bytes: w.stats.control_bytes,
-        departs: (
-            w.stats.impatient_departs,
-            w.stats.giveup_departs,
-            w.stats.finished_departs,
-        ),
+        departs: Departs {
+            impatient: w.stats.impatient_departs,
+            giveup: w.stats.giveup_departs,
+            finished: w.stats.finished_departs,
+            outage: w.stats.outage_departs,
+        },
         mean_continuity: (due > 0).then(|| 1.0 - missed as f64 / due as f64),
         ready_median_s: fig6_startup(&view, SimTime::ZERO, SimTime::MAX)
             .ready
@@ -230,7 +240,7 @@ mod tests {
         assert!(m.mean_continuity.is_some_and(|c| c > 0.0 && c <= 1.0));
         assert!(m.ready_median_s.is_some_and(|s| s > 0.0));
         let json = fs::read_to_string(dir.join("manifest.json")).unwrap();
-        assert!(json.contains("\"schema\": \"cs-run/1\""), "{json}");
+        assert!(json.contains("\"schema\": \"cs-run/2\""), "{json}");
         assert!(!json.contains("\"mean_continuity\": null"), "{json}");
         fs::remove_dir_all(&dir).ok();
     }

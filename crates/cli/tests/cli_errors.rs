@@ -120,30 +120,21 @@ fn unparsable_value_is_rejected_not_defaulted() {
     assert!(e.contains("--seed") && e.contains("abc"), "{e}");
 }
 
+/// The checker's stride and the telemetry window are the values of
+/// `--check-invariants N` and `--telemetry SECS`; the flags that used to
+/// carry them are gone.
 #[test]
-fn invariant_stride_without_the_checker_is_rejected() {
-    let e = run_scenario_with(&["--invariant-stride", "64"]);
-    assert!(
-        e.contains("--invariant-stride") && e.contains("--check-invariants"),
-        "{e}"
-    );
-}
-
-/// A telemetry window with no telemetry used to exit 0 and write no
-/// `metrics.jsonl`.
-#[test]
-fn telemetry_window_without_telemetry_is_rejected() {
-    let e = run_scenario_with(&["--telemetry-window", "120"]);
-    assert!(
-        e.contains("--telemetry-window") && e.contains("--telemetry;"),
-        "{e}"
-    );
+fn folded_instrument_flags_are_rejected_by_name() {
+    for flag in ["--invariant-stride", "--telemetry-window"] {
+        let e = run_scenario_with(&[flag, "16"]);
+        assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+    }
 }
 
 /// The preset flags go through `ScenarioSpec::validate` like a scenario
 /// file does. These used to panic in a library `assert!` (`--scale 0`),
-/// simulate nobody and exit 0 (`--rate -1`), allocate without bound
-/// (`--rate nan`), or run at 300 s and record 0 (`--telemetry-window 0`).
+/// simulate nobody and exit 0 (`--rate -1`), or allocate without bound
+/// (`--rate nan`). A stride or window of 0 is no instrument setting.
 #[test]
 fn out_of_range_flag_values_are_rejected_by_name() {
     for (args, field) in [
@@ -153,10 +144,8 @@ fn out_of_range_flag_values_are_rejected_by_name() {
         (&["--rate", "inf"], "`rate`"),
         (&["--start-h", "-1"], "--start-h"),
         (&["--end-h", "nan"], "--end-h"),
-        (
-            &["--telemetry", "--telemetry-window", "0"],
-            "--telemetry-window",
-        ),
+        (&["--check-invariants", "0"], "--check-invariants:"),
+        (&["--telemetry", "0"], "--telemetry:"),
     ] {
         // `--rate nan` used to hang: a slow rejection is a failure too.
         let t0 = std::time::Instant::now();

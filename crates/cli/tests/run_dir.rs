@@ -117,7 +117,7 @@ fn run_directory_is_indexed_complete_and_says_each_fact_once() {
     assert_eq!(listing(&cwd), ["nested"]);
     assert_eq!(listing(&cwd.join("nested")), ["run"]);
     let manifest = manifest_of(&out);
-    assert_eq!(field(&manifest, "schema").as_str(), Some("cs-run/1"));
+    assert_eq!(field(&manifest, "schema").as_str(), Some("cs-run/2"));
     let mut indexed: Vec<String> = field(&manifest, "files")
         .as_seq()
         .expect("files table")
@@ -386,4 +386,82 @@ fn figures_bin_the_run_window_not_the_day() {
     };
     assert!(!bins(&at_zero).is_empty());
     assert_eq!(bins(&a_day_on), bins(&at_zero));
+}
+
+/// `departs` counts every way a session ends. The outage count used to be
+/// missing, so a regional outage's victims were in no count at all.
+#[test]
+fn manifest_counts_outage_departures() {
+    let cwd = scratch("outage");
+    let out = cwd.join("run");
+    let scenario = Path::new(SCENARIO).with_file_name("regional_outage.json");
+    run(&cwd, &out, &["--scenario", &scenario.to_string_lossy()]);
+    let manifest = manifest_of(&out);
+    let departs = field(&manifest, "departs");
+    let count = |reason| int(field(departs, reason));
+    assert!(count("outage") > 0, "{departs:?}");
+    assert!(count("finished") > 0, "{departs:?}");
+    assert_eq!(departs.as_map().map(<[_]>::len), Some(4), "{departs:?}");
+}
+
+/// The six-minute steady run of `run_directory_files_agree_with_each_other`
+/// without its instruments, plus `extra`.
+fn steady_run(cwd: &Path, name: &str, extra: &[&str]) -> (PathBuf, String) {
+    let out = cwd.join(name);
+    let flags = [
+        "--preset",
+        "steady",
+        "--rate",
+        "0.4",
+        "--minutes",
+        "6",
+        "--seed",
+        "301",
+    ];
+    let (_, stderr) = run(cwd, &out, &[&flags[..], extra].concat());
+    (out, stderr)
+}
+
+/// `--check-invariants` alone checks after every event, and
+/// `--check-invariants N` after every N-th; both check the horizon state
+/// once more.
+#[test]
+fn check_invariants_takes_an_optional_stride() {
+    let cwd = scratch("stride");
+    for (extra, stride) in [
+        (&["--check-invariants"][..], 1),
+        (&["--check-invariants", "16"], 16),
+    ] {
+        let (out, stderr) = steady_run(&cwd, &stride.to_string(), extra);
+        let events = int(field(&manifest_of(&out), "events"));
+        let want = format!(
+            "invariants: {} checks over {events} events, 0 violations",
+            events / stride + 1
+        );
+        assert!(
+            stderr.contains(&want),
+            "{extra:?}: want {want:?} in {stderr}"
+        );
+    }
+}
+
+/// `--telemetry` alone writes one `metrics.jsonl` line per 300 s of sim
+/// time, and `--telemetry SECS` one per SECS.
+#[test]
+fn telemetry_takes_an_optional_window() {
+    let cwd = scratch("window");
+    for (extra, secs) in [(&["--telemetry"][..], 300), (&["--telemetry", "120"], 120)] {
+        let (out, _) = steady_run(&cwd, &secs.to_string(), extra);
+        let metrics = read(out.join("metrics.jsonl"));
+        let lines: Vec<Value> = metrics
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("a JSON line"))
+            .collect();
+        // The full windows, then the rest up to the 360 s horizon (a
+        // zero-length window when the horizon lies on the grid).
+        assert_eq!(lines.len() as u64, 360 / secs + 1, "{extra:?}");
+        let first = &lines[0];
+        let width = int(field(first, "end_us")) - int(field(first, "start_us"));
+        assert_eq!(width, secs * 1_000_000, "{extra:?}");
+    }
 }

@@ -12,7 +12,7 @@
 //! third, `on_dispatch_meta`, only for an observer that wants causes —
 //! a span run). The
 //! `InvariantChecker` is priced openly: full-state validation is
-//! `O(peers)` per check — that's what `--invariant-stride` is for.
+//! `O(peers)` per check — that's what the stride of `--check-invariants N` is for.
 //!
 //! Each row is the *median over rounds of a paired ratio*: inside a round
 //! the baseline and the instrumented configuration run back to back,

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use cs_sim::SimTime;
-use serde::Value;
+use serde::Serialize;
 
 use super::{fig6_startup, fig9_point, LogView};
 use crate::scenario::{par_map, RunArtifacts, Scenario};
@@ -305,42 +305,64 @@ impl Reproduction {
     /// bound, paper number, the values of every replication and the pass
     /// count.
     pub fn to_json(&self) -> String {
-        let s = |x: &str| Value::Str(x.to_string());
-        let f = |x: f64| Value::Float(x);
-        let rows = self.rows.iter().map(|row| {
-            let checks = row.verdicts.iter().map(|v| {
-                let c = &v.check;
-                Value::Map(vec![
-                    ("id".into(), s(c.id)),
-                    ("text".into(), s(c.text)),
-                    ("value".into(), s(c.value)),
-                    ("op".into(), s(c.op.symbol())),
-                    ("bound".into(), f(c.bound)),
-                    ("paper".into(), c.paper.map_or(Value::Null, f)),
-                    (
-                        "values".into(),
-                        Value::Seq(v.values.iter().map(|&x| f(x)).collect()),
-                    ),
-                    ("passes".into(), Value::Int(v.passes() as i128)),
-                ])
-            });
-            Value::Map(vec![
-                ("name".into(), s(row.name)),
-                (
-                    "ids".into(),
-                    Value::Seq(row.ids.iter().map(|id| s(id)).collect()),
-                ),
-                ("checks".into(), Value::Seq(checks.collect())),
-            ])
+        let rows = self.rows.iter().map(|row| JsonRow {
+            name: row.name,
+            ids: row.ids,
+            checks: row.verdicts.iter().map(JsonCheck::new).collect(),
         });
-        let doc = Value::Map(vec![
-            ("schema".into(), s(EXPERIMENTS_SCHEMA)),
-            ("replications".into(), Value::Int(i128::from(REPLICATIONS))),
-            ("rows".into(), Value::Seq(rows.collect())),
-        ]);
+        let doc = JsonDoc {
+            schema: EXPERIMENTS_SCHEMA,
+            replications: REPLICATIONS,
+            rows: rows.collect(),
+        };
         let mut json = serde_json::to_string_pretty(&doc).unwrap_or_default();
         json.push('\n');
         json
+    }
+}
+
+/// `EXPERIMENTS.json`.
+#[derive(Serialize)]
+struct JsonDoc {
+    schema: &'static str,
+    replications: u64,
+    rows: Vec<JsonRow>,
+}
+
+/// One row of `EXPERIMENTS.json`.
+#[derive(Serialize)]
+struct JsonRow {
+    name: &'static str,
+    ids: &'static [&'static str],
+    checks: Vec<JsonCheck>,
+}
+
+/// One predicate of `EXPERIMENTS.json`, with its values and pass count.
+#[derive(Serialize)]
+struct JsonCheck {
+    id: &'static str,
+    text: &'static str,
+    value: &'static str,
+    op: &'static str,
+    bound: f64,
+    paper: Option<f64>,
+    values: Vec<f64>,
+    passes: usize,
+}
+
+impl JsonCheck {
+    fn new(v: &Verdict) -> Self {
+        let c = &v.check;
+        JsonCheck {
+            id: c.id,
+            text: c.text,
+            value: c.value,
+            op: c.op.symbol(),
+            bound: c.bound,
+            paper: c.paper,
+            values: v.values.clone(),
+            passes: v.passes(),
+        }
     }
 }
 

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use cs_proto::{CsWorld, Event, InvariantChecker, ProtoTelemetry};
+use cs_proto::{CsWorld, Event, InvariantChecker};
 use cs_sim::{DispatchMeta, Observer, SimTime, TraceHasher};
 use cs_telemetry::{EngineTelemetry, SpanRecord, TelemetryRun};
 
@@ -48,26 +48,67 @@ pub(crate) struct Instruments {
     in_flight: Option<(u8, Instant, bool)>,
 }
 
-/// The telemetry block: the engine-side metrics (which own the series and
-/// the window clock) plus the protocol sampler writing into them.
+/// The telemetry block: the engine-side metrics, which own the series and
+/// the window clock, and the protocol sample written into them. The
+/// sample is simulator truth (the operator's view, which the §V.A log
+/// stream can only estimate) and walks every live user, so it is taken
+/// once per window, just before the window closes, and once at the
+/// horizon.
 pub(crate) struct Telemetry {
     engine: EngineTelemetry,
-    sampler: ProtoTelemetry,
+    /// Sessions whose join→ready latency has been recorded, by session
+    /// index (sessions are append-only).
+    ready_recorded: Vec<bool>,
 }
 
 impl Telemetry {
+    /// Record the protocol series: partners held, mCache size, buffer
+    /// occupancy, per-sub-stream lag, the alive and ready populations,
+    /// and the join→ready latency of sessions ready since the last sample.
+    fn sample(&mut self, world: &CsWorld) {
+        let m = self.engine.metrics_mut();
+        let (mut alive, mut ready) = (0, 0);
+        for peer in world.peers().filter(|p| p.class.is_user()) {
+            alive += 1;
+            if peer.media_ready().is_some() {
+                ready += 1;
+            }
+            m.proto_partners.observe(peer.partners().len() as u64);
+            m.proto_mcache_size.observe(peer.mcache().len() as u64);
+            if let Some(buf) = peer.buffer() {
+                let occupancy = buf
+                    .contiguous_edge()
+                    .map_or(0, |e| (e + 1).saturating_sub(peer.next_play()));
+                m.proto_buffer_occupancy_blocks.observe(occupancy);
+                for i in 0..buf.substreams() {
+                    m.proto_substream_lag_blocks.observe(buf.lag(i));
+                }
+            }
+        }
+        m.proto_peers_alive = alive;
+        m.proto_peers_ready = ready;
+        self.ready_recorded.resize(world.sessions.len(), false);
+        for (s, recorded) in world.sessions.iter().zip(&mut self.ready_recorded) {
+            if let (false, Some(ready_at)) = (*recorded, s.ready) {
+                *recorded = true;
+                let ms = ready_at.saturating_sub(s.join).as_micros() / 1_000;
+                m.proto_join_ready_ms.observe(ms);
+            }
+        }
+    }
+
     /// Sample protocol state, then close the window(s) ending at or
     /// before `now` — in that order, so the sample lands in the window it
     /// closes.
     fn close_windows(&mut self, now: SimTime, world: &CsWorld) {
-        self.sampler.sample(world, self.engine.metrics_mut());
+        self.sample(world);
         self.engine.close_windows(now);
     }
 
     /// Close the books on the horizon state: one last protocol sample,
     /// then the final (possibly partial) window.
     pub fn finish(mut self, world: &CsWorld, end: SimTime) -> TelemetryRun {
-        self.sampler.sample(world, self.engine.metrics_mut());
+        self.sample(world);
         self.engine.finish(end)
     }
 }
@@ -87,7 +128,7 @@ impl Instruments {
             spans: options.record_spans.then(Vec::new),
             telemetry: options.telemetry.map(|window| Telemetry {
                 engine: EngineTelemetry::new(window, start),
-                sampler: ProtoTelemetry::default(),
+                ready_recorded: Vec::new(),
             }),
             ..Instruments::default()
         })

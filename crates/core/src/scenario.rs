@@ -247,8 +247,8 @@ pub struct RunOptions {
     /// sim-time, kind, manager, wall-clock handler duration). Passive
     /// like the other sinks.
     pub record_spans: bool,
-    /// Record telemetry (engine counters, the `cs-proto` protocol
-    /// sampler, the dispatch profile) and report one metric snapshot per
+    /// Record telemetry (engine counters, the protocol sample, the
+    /// dispatch profile) and report one metric snapshot per
     /// window of this length (`SimTime::ZERO` means
     /// [`cs_telemetry::DEFAULT_WINDOW`], the 5-minute report cadence).
     /// Like the other sinks this is passive: artifacts and trace hashes

@@ -55,7 +55,6 @@ mod session;
 mod slots;
 mod snapshot;
 pub mod stream;
-mod telemetry;
 mod world;
 
 #[cfg(test)]
@@ -70,7 +69,6 @@ pub use params::{Allocation, Params, ReplacePolicy, StartPolicy};
 pub use partnership::{PartnerTable, PartnershipState};
 pub use peer::{PeerCore, PeerMut, PeerRef};
 pub use session::{finalize_sessions, DepartReason, SessionRecord};
-pub use snapshot::{bfs_depths, edge_bucket, EdgeBucket, TopologySnapshot};
+pub use snapshot::TopologySnapshot;
 pub use stream::{ReportCounters, StreamState};
-pub use telemetry::ProtoTelemetry;
 pub use world::{CsWorld, Event, UserSpec, WorldStats, MAX_PENDING_PER_NODE};

@@ -22,8 +22,6 @@ pub struct TopologySnapshot {
     pub peers: usize,
     /// Peers with at least one parent (actually streaming).
     pub streaming: usize,
-    /// Parent→child sub-stream edges, total.
-    pub edges_total: usize,
     /// Edges whose parent is a direct-connect/UPnP user.
     pub edges_from_public: usize,
     /// Edges whose parent is a NAT/firewall user.
@@ -35,15 +33,9 @@ pub struct TopologySnapshot {
     pub natfw_partner_links: usize,
     /// Partnerships total (unordered pairs).
     pub partner_links: usize,
-    /// Streaming peers all of whose parents are public users or servers.
-    pub fully_public_parents: usize,
-    /// Mean depth of streaming peers (servers are depth 1).
+    /// Mean depth of the streaming peers the server/source roots reach
+    /// through parent→child edges (servers are depth 1).
     pub mean_depth: f64,
-    /// Max depth observed.
-    pub max_depth: u32,
-    /// Streaming peers unreachable from the server/source roots through
-    /// parent→child edges (stale parents).
-    pub orphans: usize,
 }
 
 impl TopologySnapshot {
@@ -89,26 +81,18 @@ pub(crate) fn capture(world: &CsWorld, now: SimTime) -> TopologySnapshot {
         }
         snap.peers += 1;
         let mut any_parent = false;
-        let mut all_public = true;
         for parent in peer.parents().iter().flatten() {
             any_parent = true;
-            snap.edges_total += 1;
             children_adj[parent.index()].push(info.id.index());
             match edge_bucket(world.net.node(*parent).class) {
                 EdgeBucket::Public => snap.edges_from_public += 1,
-                EdgeBucket::Private => {
-                    snap.edges_from_private += 1;
-                    all_public = false;
-                }
+                EdgeBucket::Private => snap.edges_from_private += 1,
                 EdgeBucket::Server => snap.edges_from_server += 1,
             }
         }
         if any_parent {
             snap.streaming += 1;
             streaming_nodes.push(info.id.index());
-            if all_public {
-                snap.fully_public_parents += 1;
-            }
         }
         // Partnership links (count unordered pairs once).
         let my_private = matches!(info.class, NodeClass::Nat | NodeClass::Firewall);
@@ -130,15 +114,9 @@ pub(crate) fn capture(world: &CsWorld, now: SimTime) -> TopologySnapshot {
     let depths = bfs_depths(n, &roots, &children_adj);
     let mut sum = 0u64;
     let mut count = 0u64;
-    for &ix in &streaming_nodes {
-        match depths[ix] {
-            Some(d) => {
-                sum += d as u64;
-                count += 1;
-                snap.max_depth = snap.max_depth.max(d);
-            }
-            None => snap.orphans += 1,
-        }
+    for d in streaming_nodes.iter().filter_map(|&ix| depths[ix]) {
+        sum += u64::from(d);
+        count += 1;
     }
     snap.mean_depth = if count > 0 {
         sum as f64 / count as f64
@@ -152,7 +130,7 @@ pub(crate) fn capture(world: &CsWorld, now: SimTime) -> TopologySnapshot {
 ///
 /// `children[v]` lists the child node indices of `v`; `roots` are the
 /// servers/source at depth 1. Returns per-node `Option<u32>` depth.
-pub fn bfs_depths(n: usize, roots: &[usize], children: &[Vec<usize>]) -> Vec<Option<u32>> {
+fn bfs_depths(n: usize, roots: &[usize], children: &[Vec<usize>]) -> Vec<Option<u32>> {
     let mut depth: Vec<Option<u32>> = vec![None; n];
     // Queue entries carry their depth, so dequeueing never has to re-read
     // (and trust) the `depth` table.
@@ -175,7 +153,7 @@ pub fn bfs_depths(n: usize, roots: &[usize], children: &[Vec<usize>]) -> Vec<Opt
 }
 
 /// Classify a parent class into the snapshot's three edge buckets.
-pub fn edge_bucket(parent: NodeClass) -> EdgeBucket {
+fn edge_bucket(parent: NodeClass) -> EdgeBucket {
     match parent {
         NodeClass::DirectConnect | NodeClass::Upnp => EdgeBucket::Public,
         NodeClass::Nat | NodeClass::Firewall => EdgeBucket::Private,
@@ -185,7 +163,7 @@ pub fn edge_bucket(parent: NodeClass) -> EdgeBucket {
 
 /// Parent-edge provenance bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeBucket {
+enum EdgeBucket {
     /// Direct-connect / UPnP user parent.
     Public,
     /// NAT / firewall user parent.

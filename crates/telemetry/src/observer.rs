@@ -13,8 +13,8 @@
 //!   of the one dispatch in [`PROFILE_SAMPLE_EVERY`] that `on_dispatch`
 //!   asked the caller to time to the row's fixed-size [`Histogram`];
 //! * [`EngineTelemetry::window_due`] / [`EngineTelemetry::close_windows`]
-//!   drive the window clock. Protocol-level samplers (cs-proto's
-//!   `ProtoTelemetry`) write into [`EngineTelemetry::metrics_mut`]
+//!   drive the window clock. The protocol sampler (the run's instrument
+//!   set, in `coolstreaming`) writes into [`EngineTelemetry::metrics_mut`]
 //!   *before* `close_windows`, so their boundary sample lands in the
 //!   window being closed.
 //!

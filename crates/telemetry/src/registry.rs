@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 /// Every `metrics.jsonl` series but the per-kind counters: the engine's
-/// queue gauges and the protocol sample (cs-proto's `ProtoTelemetry`
-/// writes the `proto_*` fields). A field's name is its series name.
+/// queue gauges and the protocol sample (the run's instrument set writes
+/// the `proto_*` fields). A field's name is its series name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Pending events at the last dispatch, the dispatched one included.

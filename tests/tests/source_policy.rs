@@ -169,3 +169,46 @@ fn disallowed_escapes_stay_in_the_wall_clock_quarantine() {
     escaped.sort();
     assert_eq!(escaped, QUARANTINE);
 }
+
+/// The crates that model the system and the paper's own measurement:
+/// the simulator, network, log server, protocol, workload, baseline,
+/// log analysis and closed-form model. The operator's view (telemetry)
+/// and the JSON files are attached from outside, by `coolstreaming` and
+/// `cs-cli` (DESIGN.md §8).
+const UNINSTRUMENTED: [&str; 8] = [
+    "analysis", "baseline", "logging", "model", "net", "proto", "sim", "workload",
+];
+
+/// The package names in a manifest's `[dependencies]` table.
+fn dependencies(manifest: &str) -> Vec<String> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split(['=', '.']).next().unwrap_or(l).trim().to_string())
+        .collect()
+}
+
+/// Those crates build with no telemetry or JSON crate: each depends only
+/// on others of the set, so none of `cs-telemetry`, `serde`,
+/// `serde_derive` and `serde_json` reaches them, not even transitively.
+#[test]
+fn model_crates_build_without_telemetry_or_json() {
+    let allowed: Vec<String> = UNINSTRUMENTED.map(|k| format!("cs-{k}")).to_vec();
+    let mut edges = 0;
+    for krate in UNINSTRUMENTED {
+        let manifest = read(&root().join("crates").join(krate).join("Cargo.toml"));
+        for dep in dependencies(&manifest) {
+            assert!(
+                allowed.contains(&dep),
+                "crates/{krate} depends on `{dep}`, outside {allowed:?}"
+            );
+            edges += 1;
+        }
+    }
+    // The parser found the tables: cs-proto alone has three entries.
+    assert!(edges >= 10, "read only {edges} dependencies");
+}

@@ -60,7 +60,7 @@ fn telemetry_is_passive_and_matches_golden_hash() {
 
 /// The exact bytes of `metrics.jsonl` on the 5- and 2-minute grids:
 /// `coolstream run --preset steady --rate 0.4 --minutes 6 --seed 301
-/// --telemetry [--telemetry-window 120]` writes the same text.
+/// --telemetry` writes the first text, and `--telemetry 120` the second.
 #[test]
 fn metrics_jsonl_bytes_are_pinned() {
     for (window, expected) in [(300, 0x5161_08f0_b16c_5ccf), (120, 0xad90_5d53_8515_d543)] {
