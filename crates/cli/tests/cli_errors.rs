@@ -120,15 +120,25 @@ fn unparsable_value_is_rejected_not_defaulted() {
     assert!(e.contains("--seed") && e.contains("abc"), "{e}");
 }
 
-/// The checker's stride and the telemetry window are the values of
-/// `--check-invariants N` and `--telemetry SECS`; the flags that used to
-/// carry them are gone.
+/// The checker's stride is the value of `--check-invariants N`; the
+/// separate `--invariant-stride` flag is gone, alone or beside the checker.
 #[test]
-fn folded_instrument_flags_are_rejected_by_name() {
-    for flag in ["--invariant-stride", "--telemetry-window"] {
-        let e = run_scenario_with(&[flag, "16"]);
-        assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
-    }
+fn invariant_stride_without_the_checker_is_rejected() {
+    let e = run_scenario_with(&["--invariant-stride", "64"]);
+    assert!(e.contains("unknown flag --invariant-stride"), "{e}");
+    let e = run_scenario_with(&["--check-invariants", "--invariant-stride", "64"]);
+    assert!(e.contains("unknown flag --invariant-stride"), "{e}");
+}
+
+/// A telemetry window with no telemetry used to exit 0 and write no
+/// `metrics.jsonl`. The window is now the value of `--telemetry SECS`; the
+/// separate `--telemetry-window` flag is gone, alone or beside telemetry.
+#[test]
+fn telemetry_window_without_telemetry_is_rejected() {
+    let e = run_scenario_with(&["--telemetry-window", "120"]);
+    assert!(e.contains("unknown flag --telemetry-window"), "{e}");
+    let e = run_scenario_with(&["--telemetry", "--telemetry-window", "120"]);
+    assert!(e.contains("unknown flag --telemetry-window"), "{e}");
 }
 
 /// The preset flags go through `ScenarioSpec::validate` like a scenario
