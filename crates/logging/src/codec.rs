@@ -8,10 +8,11 @@
 //! We reproduce that format byte-for-byte in spirit: ordered
 //! `name=value&name=value` pairs with percent-escaping of the three
 //! delimiter characters. This module reads a line's syntax and nothing
-//! else: [`scan`] hands each pair to [`Report::decode`](crate::Report::decode),
-//! the one decoder, which rejects a repeated key instead of choosing
-//! between its values. Keys and values stay byte slices of the line; text
-//! is built only for an error or an escaped token.
+//! else: [`scan`] hands each pair to the general decoder behind
+//! [`Report::decode`](crate::Report::decode), which reads every line not
+//! in the encoder's own layout and rejects a repeated key instead of
+//! choosing between its values. Keys and values stay byte slices of the
+//! line; text is built only for an error or an escaped token.
 
 use std::borrow::Cow;
 

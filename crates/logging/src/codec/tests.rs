@@ -249,7 +249,7 @@ mod arb;
 
 use proptest::prelude::*;
 
-use crate::report::{ActivityKind, Report, ReportError, UserId};
+use crate::report::{ActivityKind, Layout, Report, ReportError, UserId};
 
 /// The decoder against its reference on one string: the typed result,
 /// the error value included.
@@ -385,6 +385,28 @@ fn decoders_match_reference_on_count_corners() {
     );
 }
 
+/// Lines one edit away from the encoder's layout are left to the general
+/// decoder.
+#[test]
+fn lines_outside_the_layout_are_not_read_straight() {
+    for line in [
+        "cls=qos&due=1&miss=0&nid=1&uid=01",
+        "cls=qos&due=1&miss=0&nid=1&uid=+1",
+        "cls=qos&due=1&miss=0&uid=1&nid=1",
+        "cls=qos&due=1&miss=0&nid=1&uid=%31",
+        "cls=qos&due=1&miss=2&nid=1&uid=1",
+        "cls=qos&due=1&miss=0&nid=1&uid=1&",
+        "cls=qos&due=1&miss=0&nid=1&uid=4294967296",
+        "cls=traf&down=1&nid=1&uid=1&up=18446744073709551616",
+        "cls=act&ev=dance&nid=1&priv=0&uid=1",
+        "cls=act&ev=join&nid=1&priv=00&uid=1",
+        "adapt=0&cls=part&in=1&nid=1&out=0&par=0&priv=2&uid=1",
+    ] {
+        assert_eq!(Layout::read(line.as_bytes()), None, "{line}");
+        assert_matches_reference(line).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 /// Lines of twelve pairs and more, longer than any report, sorted or not,
 /// decode as the reference does: a repeat past the twelfth pair is found.
 #[test]
@@ -427,6 +449,9 @@ enum Mutation {
     BreakEscape(&'static str),
     UnknownKey(String),
     TrailingAmp,
+    ReplaceDigit(u8),
+    LeadingZero,
+    PastMax { wide: bool, digit: u8 },
 }
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
@@ -439,7 +464,28 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
             .prop_map(Mutation::BreakEscape),
         "[a-z%&=]{1,6}".prop_map(Mutation::UnknownKey),
         Just(Mutation::TrailingAmp),
+        (b'0'..=b'9').prop_map(Mutation::ReplaceDigit),
+        Just(Mutation::LeadingZero),
+        (any::<bool>(), b'0'..=b'9').prop_map(|(wide, digit)| Mutation::PastMax { wide, digit }),
     ]
+}
+
+/// The run of digits that holds the first digit at or after byte `at`,
+/// or else the line's first run: a count, if the line is still a report.
+fn digit_run(line: &str, at: usize) -> Option<std::ops::Range<usize>> {
+    let bytes = line.as_bytes();
+    let first = (at..bytes.len())
+        .chain(0..at)
+        .find(|&k| bytes[k].is_ascii_digit())?;
+    let start = bytes[..first]
+        .iter()
+        .rposition(|b| !b.is_ascii_digit())
+        .map_or(0, |k| k + 1);
+    let end = bytes[first..]
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .map_or(bytes.len(), |k| first + k);
+    Some(start..end)
 }
 
 /// Apply `m` to `line` at (about) byte `at`. Mutations stack, so `line`
@@ -477,6 +523,44 @@ fn mutate(line: &str, m: &Mutation, at: usize) -> String {
             _ => format!("{line}&{key}=1"),
         },
         Mutation::TrailingAmp => format!("{line}&"),
+        Mutation::ReplaceDigit(digit) => match digit_run(line, at) {
+            Some(run) => {
+                let k = run.start.max(at.min(run.end - 1));
+                let digit = char::from(*digit);
+                format!("{}{digit}{}", &line[..k], &line[k + 1..])
+            }
+            None => line.to_string(),
+        },
+        Mutation::LeadingZero => match digit_run(line, at) {
+            Some(run) => format!("{}0{}", &line[..run.start], &line[run.start..]),
+            None => line.to_string(),
+        },
+        // Digits go on the end until the count passes `u32::MAX` (or,
+        // `wide`, `u64::MAX`): just outside a narrow field, or any field.
+        Mutation::PastMax { wide, digit } => match digit_run(line, at) {
+            Some(run) => {
+                let max = match wide {
+                    true => u128::from(u64::MAX),
+                    false => u128::from(u32::MAX),
+                };
+                let read =
+                    |n: u128, b: u8| n.saturating_mul(10).saturating_add(u128::from(b - b'0'));
+                let mut count = line[run.clone()].bytes().fold(0, read);
+                let mut digits = String::new();
+                while count <= max {
+                    // A zero count stays zero under appended zeros.
+                    let b = if count == 0 {
+                        (*digit).max(b'1')
+                    } else {
+                        *digit
+                    };
+                    count = read(count, b);
+                    digits.push(char::from(b));
+                }
+                format!("{}{digits}{}", &line[..run.end], &line[run.end..])
+            }
+            None => line.to_string(),
+        },
     }
 }
 
@@ -514,6 +598,12 @@ proptest! {
         let shuffled = pairs.iter().map(|&(_, p)| p).collect::<Vec<_>>().join("&");
         assert_matches_reference(&shuffled)?;
         prop_assert_eq!(Report::decode(&shuffled), Ok(r));
+    }
+
+    /// Every line the encoder writes takes the straight read.
+    #[test]
+    fn encoded_lines_are_read_straight(r in arb::arb_report()) {
+        prop_assert_eq!(Layout::read(r.encode().as_bytes()), Some(r));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Adversarial parsing: the log pipeline must never panic on arbitrary
 //! bytes — a real log server ingests whatever the network hands it.
 
-use cs_logging::{LogServer, Report};
+use cs_logging::{ActivityKind, LogServer, Report, UserId};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,7 +37,7 @@ proptest! {
         byte in 0u8..127,
     ) {
         let original = Report::Qos {
-            user: cs_logging::UserId(user),
+            user: UserId(user),
             node,
             due: 100,
             missed: 7,
@@ -52,18 +52,47 @@ proptest! {
     }
 }
 
+/// Every strict prefix of a report's line is an error: a cut inside a
+/// pair leaves a key without its `=` or a value short of its count, a
+/// cut between pairs leaves a key missing. Each line ends in a one-digit
+/// value, so no cut leaves a shorter count behind that still reads.
 #[test]
 fn truncated_reports_fail_cleanly() {
-    let full = Report::Traffic {
-        user: cs_logging::UserId(1),
-        node: 2,
-        up: 3,
-        down: 4,
-    }
-    .encode();
-    for cut in 0..full.len() {
-        let truncated = &full[..cut];
-        // Must not panic; truncations that cut mid-pair must error.
-        let _ = Report::decode(truncated);
+    let user = UserId(7);
+    for report in [
+        Report::Activity {
+            user,
+            node: 25,
+            kind: ActivityKind::StartSubscription,
+            private_addr: true,
+        },
+        Report::Qos {
+            user,
+            node: 25,
+            due: 40,
+            missed: 3,
+        },
+        Report::Traffic {
+            user,
+            node: 25,
+            up: 5,
+            down: 61_440,
+        },
+        Report::Partner {
+            user,
+            node: 25,
+            private_addr: false,
+            incoming: 12,
+            outgoing: 4,
+            parents: 3,
+            adaptations: 10,
+        },
+    ] {
+        let full = report.encode();
+        assert_eq!(Report::decode(&full), Ok(report));
+        for cut in 0..full.len() {
+            let truncated = &full[..cut];
+            assert!(Report::decode(truncated).is_err(), "{truncated:?}");
+        }
     }
 }

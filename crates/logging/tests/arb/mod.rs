@@ -51,19 +51,21 @@ pub fn arb_report() -> impl Strategy<Value = Report> {
             any::<u32>(),
             any::<u32>(),
             any::<bool>(),
-            any::<u16>(),
-            any::<u16>(),
-            any::<u16>(),
-            any::<u16>()
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>()
         )
-            .prop_map(|(u, n, p, i, o, par, a)| Report::Partner {
-                user: UserId(u),
-                node: n,
-                private_addr: p,
-                incoming: i as u32,
-                outgoing: o as u32,
-                parents: par as u32,
-                adaptations: a as u32,
+            .prop_map(|(u, n, p, incoming, outgoing, parents, adaptations)| {
+                Report::Partner {
+                    user: UserId(u),
+                    node: n,
+                    private_addr: p,
+                    incoming,
+                    outgoing,
+                    parents,
+                    adaptations,
+                }
             }),
     ]
 }
